@@ -19,8 +19,9 @@ use std::time::{Duration, Instant};
 const NODES: usize = 32 * 32 * 32;
 const PLANE: usize = 32 * 32;
 
-/// One three-pass "step" over the buffers with plane-aligned chunks —
-/// the dispatch pattern of `lbm::TwoFluidLbm::step`.
+/// One "step" of three dependent sweeps over the buffers with
+/// plane-aligned chunks — the dispatch pattern of a multi-sweep kernel
+/// such as `lbm::TwoFluidLbm::step`.
 fn step(pool: &ExecPool, rho: &mut [f64], vel: &mut [f64], out: &mut [f64]) {
     let src: Vec<f64> = rho.to_vec();
     pool.parallel_chunks(rho, PLANE, |ci, chunk| {

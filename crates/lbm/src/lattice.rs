@@ -4,6 +4,9 @@
 //! twelve edge diagonals, with the standard lattice weights (1/3, 1/18,
 //! 1/36) and sound speed c_s² = 1/3.
 
+use lanes::F64x4;
+use std::ops::{Add, AddAssign, Div, Mul, Sub};
+
 /// Number of discrete velocities.
 pub const Q: usize = 19;
 
@@ -57,13 +60,87 @@ pub const OPPOSITE: [usize; Q] = {
     opp
 };
 
+/// The element type the solver's kernels are written over: one lattice
+/// node (`f64`, the scalar reference backend) or four consecutive ones
+/// ([`F64x4`], one node per lane). A kernel generic over `Lane` is *one*
+/// floating-point operation sequence instantiated at two widths — same
+/// association, no FMA — so the two backends agree bit for bit by
+/// construction, node for node.
+pub(crate) trait Lane:
+    Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> + Div<Output = Self> + AddAssign
+{
+    /// Every lane set to `v`.
+    fn splat(v: f64) -> Self;
+    /// One element per lane, from `s[at..]`.
+    fn load(s: &[f64], at: usize) -> Self;
+    /// Write one element per lane to `s[at..]`.
+    fn store(self, s: &mut [f64], at: usize);
+    /// Per-lane IEEE `max`.
+    fn max(self, other: Self) -> Self;
+}
+
+impl Lane for f64 {
+    #[inline(always)]
+    fn splat(v: f64) -> f64 {
+        v
+    }
+    #[inline(always)]
+    fn load(s: &[f64], at: usize) -> f64 {
+        s[at]
+    }
+    #[inline(always)]
+    fn store(self, s: &mut [f64], at: usize) {
+        s[at] = self;
+    }
+    #[inline(always)]
+    fn max(self, other: f64) -> f64 {
+        f64::max(self, other)
+    }
+}
+
+impl Lane for F64x4 {
+    #[inline(always)]
+    fn splat(v: f64) -> F64x4 {
+        F64x4::splat(v)
+    }
+    #[inline(always)]
+    fn load(s: &[f64], at: usize) -> F64x4 {
+        F64x4::from_slice(&s[at..])
+    }
+    #[inline(always)]
+    fn store(self, s: &mut [f64], at: usize) {
+        self.write_to(&mut s[at..]);
+    }
+    #[inline(always)]
+    fn max(self, other: F64x4) -> F64x4 {
+        F64x4::max(self, other)
+    }
+}
+
+/// The direction-independent term `1.5·(u·u)` of the equilibrium, which
+/// the collide kernel computes once per node and component.
+#[inline(always)]
+pub(crate) fn uu15<T: Lane>(u: [T; 3]) -> T {
+    T::splat(1.5) * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+}
+
+/// The one definition of the second-order equilibrium, over either lane
+/// width, with [`uu15`] supplied by the caller.
+#[inline(always)]
+pub(crate) fn equilibrium_lane<T: Lane>(i: usize, rho: T, u: [T; 3], uu15: T) -> T {
+    let cu = T::splat(CX[i] as f64) * u[0]
+        + T::splat(CY[i] as f64) * u[1]
+        + T::splat(CZ[i] as f64) * u[2];
+    T::splat(WEIGHTS[i])
+        * rho
+        * (T::splat(1.0) + T::splat(3.0) * cu + T::splat(4.5) * cu * cu - uu15)
+}
+
 /// Discrete equilibrium distribution for direction `i` at density `rho`
 /// and velocity `u` (second-order expansion).
 #[inline]
 pub fn equilibrium(i: usize, rho: f64, ux: f64, uy: f64, uz: f64) -> f64 {
-    let cu = CX[i] as f64 * ux + CY[i] as f64 * uy + CZ[i] as f64 * uz;
-    let uu = ux * ux + uy * uy + uz * uz;
-    WEIGHTS[i] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * uu)
+    equilibrium_lane(i, rho, [ux, uy, uz], uu15([ux, uy, uz]))
 }
 
 /// Four-lane [`equilibrium`]: one lane per lattice node, every lane
@@ -71,22 +148,8 @@ pub fn equilibrium(i: usize, rho: f64, ux: f64, uy: f64, uz: f64) -> f64 {
 /// association, no FMA), so a lane-blocked kernel is bit-identical to the
 /// scalar reference node for node.
 #[inline(always)]
-pub fn equilibrium_x4(
-    i: usize,
-    rho: lanes::F64x4,
-    ux: lanes::F64x4,
-    uy: lanes::F64x4,
-    uz: lanes::F64x4,
-) -> lanes::F64x4 {
-    use lanes::F64x4;
-    let cu = F64x4::splat(CX[i] as f64) * ux
-        + F64x4::splat(CY[i] as f64) * uy
-        + F64x4::splat(CZ[i] as f64) * uz;
-    let uu = ux * ux + uy * uy + uz * uz;
-    F64x4::splat(WEIGHTS[i])
-        * rho
-        * (F64x4::splat(1.0) + F64x4::splat(3.0) * cu + F64x4::splat(4.5) * cu * cu
-            - F64x4::splat(1.5) * uu)
+pub fn equilibrium_x4(i: usize, rho: F64x4, ux: F64x4, uy: F64x4, uz: F64x4) -> F64x4 {
+    equilibrium_lane(i, rho, [ux, uy, uz], uu15([ux, uy, uz]))
 }
 
 #[cfg(test)]
@@ -161,6 +224,18 @@ mod tests {
             .map(|i| equilibrium(i, rho, 0.0, 0.0, 0.0) * CX[i] as f64)
             .sum();
         assert!(px.abs() < 1e-15);
+    }
+
+    #[test]
+    fn equilibrium_is_the_textbook_expression_bit_for_bit() {
+        // hoisting 1.5·u·u out of the per-direction term moves no bit
+        let (rho, ux, uy, uz) = (0.93, 0.013, -0.07, 0.052);
+        for i in 0..Q {
+            let cu = CX[i] as f64 * ux + CY[i] as f64 * uy + CZ[i] as f64 * uz;
+            let uu = ux * ux + uy * uy + uz * uz;
+            let spec = WEIGHTS[i] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * uu);
+            assert_eq!(equilibrium(i, rho, ux, uy, uz).to_bits(), spec.to_bits());
+        }
     }
 
     #[test]

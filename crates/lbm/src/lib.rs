@@ -16,12 +16,12 @@
 //! demo visualized as isosurfaces of the order parameter φ = ρA − ρB).
 //!
 //! Parallelism follows the paper's platform (an SGI Onyx running the code
-//! across processors): slab decomposition over z, with a three-pass scheme
-//! (density → force → pull stream-collide) that is race-free by
-//! construction. The passes dispatch whole-z-plane chunks onto a
-//! persistent [`gridsteer_exec::ExecPool`] — no thread spawning on the
-//! step hot path — and the fixed chunk→plane mapping keeps the physics
-//! bit-identical for any thread count.
+//! across processors): slab decomposition over z, with a two-sweep step
+//! (moments, then force + collide + push-stream in one pass; see
+//! [`sim`]) that is race-free by construction. The sweeps dispatch
+//! whole-z-plane tasks onto a persistent [`gridsteer_exec::ExecPool`] —
+//! no thread spawning on the step hot path — and the fixed task→plane
+//! mapping keeps the physics bit-identical for any thread count.
 
 pub mod lattice;
 pub mod sim;

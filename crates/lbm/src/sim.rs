@@ -13,42 +13,70 @@
 //! steerer lowers m the mixture crosses the spinodal and domains form —
 //! the structures the SC2003 demo rendered as isosurfaces live.
 //!
-//! Each step runs three parallel passes (density → force/velocity → pull
-//! stream-collide), all race-free and deterministic for any thread count.
+//! # The two sweeps
+//!
+//! A step reads the 38 distribution rows twice and writes them once:
+//!
+//! 1. **moments** — one pass over `fa`/`fb` producing the densities
+//!    `rho_a`, `rho_b` and the total momentum `j`, each a sum over the
+//!    directions in ascending order.
+//! 2. **force + collide + push** — per *source* z-plane, in two stages.
+//!    *Force*: for each node the Shan–Chen gradient from the neighbours'
+//!    densities and the two shifted equilibrium velocities, kept in a
+//!    plane-sized scratch of the task's own (ten values a node, never an
+//!    `n`-sized array). *Relax*: the 19 relaxed values of each component
+//!    written straight to the node's neighbours in `fa_new`/`fb_new`, a
+//!    few directions at a time across the whole plane.
+//!
+//! The relax stage is direction-major on purpose. Taking all 19 directions
+//! at each node keeps the velocities in registers and is the fastest form
+//! on a quiet machine, but it walks 76 page-strided streams at once, 38 of
+//! them stores, and its time swings by 2–3× with the state of the cache
+//! and TLB (13–40 ms per 48³ step within one process on the reference
+//! box). A handful of long linear runs per pass costs ~2 ms of the best
+//! case and holds its time.
+//!
+//! The push is race-free in safe code. Sweep 2 runs one task per source
+//! z-plane, and for a fixed direction `i` the map `z ↦ wrap(z + CZ[i])` is
+//! a bijection on planes, so task `z` owns exactly the destination chunk
+//! `i·nz + wrap(z + CZ[i])` of the output's plane-sized chunking: every
+//! `(direction, node)` is written exactly once, by one task, at any thread
+//! count — and [`DisjointChunks`] turns any violation into a panic.
 //!
 //! # Layout and backends
 //!
 //! State is structure-of-arrays: distributions live as `f[i*n + node]`
 //! (direction-major, nodes contiguous within a direction row) and the
-//! equilibrium velocities as six flat component arrays. Every pass exists
-//! twice behind [`lanes::Backend`]:
+//! moments the same way, five rows `m[c*n + node]`. Both sweeps are
+//! written once, generic over a private `Lane` trait, and run at two
+//! widths behind [`lanes::Backend`]:
 //!
-//! * **scalar** — the readable per-node reference kernels, neighbour
-//!   indexing through `Geom::neighbor`'s `rem_euclid` wraps; this is the
-//!   executable spec.
-//! * **simd** (the default) — row-blocked kernels over [`lanes::F64x4`],
-//!   one lane per node. Periodic wraps are resolved once per lattice row
-//!   (19 neighbour row bases instead of three `rem_euclid`s per node per
-//!   direction), interior runs load contiguously, and the boundary nodes
-//!   of each row fall back to the scalar helpers.
+//! * **scalar** — one node at a time, every neighbour through
+//!   `Geom::neighbor` (the gradient read in the force stage, the push
+//!   destination in the relax stage); this is the executable spec.
+//! * **simd** (the default) — [`lanes::F64x4`], one node per lane, over
+//!   the interior of each lattice row, where a block's neighbours are
+//!   contiguous off 19 per-row bases; the row's edge nodes, where the x
+//!   wrap can fire, run the same kernel at width one.
 //!
-//! Both backends execute the *identical* floating-point operation
-//! sequence for every node — same association, no FMA, accumulations in
-//! ascending direction order — so their results are bit-identical, and CI
-//! proves it across the {1, 8} threads × {scalar, simd} matrix.
+//! Both widths execute the *identical* floating-point operation sequence
+//! for every node — same association, no FMA, accumulations in ascending
+//! direction order — so their results are bit-identical, and CI proves it
+//! across the {1, 8} threads × {scalar, simd} matrix.
 //!
-//! Parallelism: the passes dispatch onto a persistent
-//! [`gridsteer_exec::ExecPool`] in whole-z-plane chunks — a fixed
-//! chunk→node mapping independent of the pool's thread count, so the
+//! Parallelism: the sweeps dispatch onto a persistent
+//! [`gridsteer_exec::ExecPool`] in whole-z-plane tasks — a fixed
+//! task→node mapping independent of the pool's thread count, so the
 //! physics is bit-identical at any parallelism and no OS threads are
 //! spawned on the per-step hot path.
 
-use crate::lattice::{equilibrium, equilibrium_x4, CX, CY, CZ, OPPOSITE, Q, WEIGHTS};
+use crate::lattice::{equilibrium_lane, uu15, Lane, CX, CY, CZ, Q, WEIGHTS};
 use gridsteer_ckpt::{CkptError, SectionWriter, Snapshot};
 use gridsteer_exec::{DisjointChunks, ExecPool};
 use lanes::F64x4;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::array::from_fn;
 use std::sync::Arc;
 use viz::Field3;
 
@@ -138,8 +166,21 @@ pub fn demix_of_slice(phi: &[f32]) -> f64 {
         / phi.len() as f64
 }
 
-/// Copyable grid geometry shared by the parallel passes (avoids borrowing
-/// `self` inside scoped threads).
+/// `v + c` on a periodic axis of extent `n`, for a lattice offset
+/// `c ∈ {−1, 0, 1}` — a compare, never a division.
+#[inline(always)]
+fn wrap(v: usize, c: i32, n: usize) -> usize {
+    match c {
+        1 if v + 1 == n => 0,
+        1 => v + 1,
+        -1 if v == 0 => n - 1,
+        -1 => v - 1,
+        _ => v,
+    }
+}
+
+/// Copyable grid geometry shared by the parallel sweeps (avoids borrowing
+/// `self` inside pool tasks).
 #[derive(Debug, Clone, Copy)]
 struct Geom {
     nx: usize,
@@ -153,132 +194,168 @@ impl Geom {
         x + self.nx * (y + self.ny * z)
     }
 
-    /// Periodic neighbour index in direction `i` (the scalar reference
-    /// path; the SIMD kernels resolve wraps once per row instead).
+    /// Periodic neighbour index in direction `i`.
     #[inline]
     fn neighbor(&self, x: usize, y: usize, z: usize, i: usize) -> usize {
-        let px = (x as i32 + CX[i]).rem_euclid(self.nx as i32) as usize;
-        let py = (y as i32 + CY[i]).rem_euclid(self.ny as i32) as usize;
-        let pz = (z as i32 + CZ[i]).rem_euclid(self.nz as i32) as usize;
-        self.idx(px, py, pz)
+        self.idx(
+            wrap(x, CX[i], self.nx),
+            wrap(y, CY[i], self.ny),
+            wrap(z, CZ[i], self.nz),
+        )
     }
 
     /// Per-direction neighbour *row bases* for the lattice row `(y, z)`:
     /// the neighbour of `(x, y, z)` in direction `i` is
-    /// `base[i] + wrap_x(x + CX[i])`, with the x wrap only firing at the
-    /// row's two boundary nodes. One `rem_euclid` pair per direction per
-    /// row replaces three per direction per node.
+    /// `base[i] + wrap(x, CX[i], nx)`, so the y and z wraps are resolved
+    /// once per row.
     #[inline]
     fn row_bases(&self, y: usize, z: usize) -> [usize; Q] {
-        let mut base = [0usize; Q];
-        for (i, b) in base.iter_mut().enumerate() {
-            let wy = (y as i32 + CY[i]).rem_euclid(self.ny as i32) as usize;
-            let wz = (z as i32 + CZ[i]).rem_euclid(self.nz as i32) as usize;
-            *b = self.nx * (wy + self.ny * wz);
-        }
-        base
+        from_fn(|i| self.idx(0, wrap(y, CY[i], self.ny), wrap(z, CZ[i], self.nz)))
     }
 }
 
-/// Read-only per-pass context shared by the scalar helpers and the SIMD
-/// kernels (both backends call through the same node-level math).
-struct VelCtx<'a> {
-    fa: &'a [f64],
-    fb: &'a [f64],
-    rho_a: &'a [f64],
-    rho_b: &'a [f64],
+/// Sweep 1 for the node (or block of consecutive nodes, one per lane) at
+/// `node`: its moments `[ρA, ρB, jx, jy, jz]`, each summed over the
+/// directions in ascending order, stored at `k` of the five `out` slices.
+#[inline(always)]
+fn moments<T: Lane>(
+    fa: &[f64],
+    fb: &[f64],
     n: usize,
-    g: f64,
-    tau: f64,
-    geom: Geom,
+    node: usize,
+    out: &mut [&mut [f64]; 5],
+    k: usize,
+) {
+    let mut m = [T::splat(0.0); 5];
+    for i in 0..Q {
+        let a = T::load(fa, i * n + node);
+        let b = T::load(fb, i * n + node);
+        m[0] += a;
+        m[1] += b;
+        let f = a + b;
+        m[2] += f * T::splat(CX[i] as f64);
+        m[3] += f * T::splat(CY[i] as f64);
+        m[4] += f * T::splat(CZ[i] as f64);
+    }
+    for (v, o) in m.into_iter().zip(out) {
+        v.store(o, k);
+    }
 }
 
-impl VelCtx<'_> {
-    /// The reference velocity computation for one node — the executable
-    /// spec both backends must match bit for bit.
-    #[inline]
-    fn node(&self, x: usize, y: usize, z: usize, node: usize) -> ([f64; 3], [f64; 3]) {
-        let n = self.n;
-        // momenta
-        let mut j = [0.0f64; 3];
-        for i in 0..Q {
-            let f = self.fa[i * n + node] + self.fb[i * n + node];
-            j[0] += f * CX[i] as f64;
-            j[1] += f * CY[i] as f64;
-            j[2] += f * CZ[i] as f64;
-        }
-        let ra = self.rho_a[node];
-        let rb = self.rho_b[node];
-        let rho_tot = (ra + rb).max(1e-12);
-        let u = [j[0] / rho_tot, j[1] / rho_tot, j[2] / rho_tot];
-        // Shan–Chen forces
-        let mut grad_b = [0.0f64; 3];
-        let mut grad_a = [0.0f64; 3];
+/// Read-only inputs of sweep 2.
+struct PushCtx<'a> {
+    fa: &'a [f64],
+    fb: &'a [f64],
+    /// The five moment rows, as sweep 1 left them.
+    moments: &'a [f64],
+    n: usize,
+    plane: usize,
+    g: f64,
+    tau: f64,
+}
+
+/// Where one sweep-2 task writes: per direction, the destination plane's
+/// chunk of each output buffer and that plane's first global node index.
+struct PushDst<'a> {
+    a: [&'a mut [f64]; Q],
+    b: [&'a mut [f64]; Q],
+    start: [usize; Q],
+}
+
+/// Per-node values the force stage of sweep 2 hands to its relax stage, a
+/// plane-sized row each: ρA, ρB, uA (3), uB (3), 1.5·uA·uA, 1.5·uB·uB.
+const NODE_VALS: usize = 10;
+
+/// Directions the relax stage streams at a time: 4·`DIR_GROUP` linear runs
+/// (source and destination, both components) instead of all 76 at once.
+const DIR_GROUP: usize = 5;
+
+impl PushCtx<'_> {
+    /// Force stage for the source node (or block of consecutive nodes, one
+    /// per lane) at global index `node`: densities, the two shifted
+    /// equilibrium velocities and their `1.5·u·u`, stored at `k` of the
+    /// `NODE_VALS` rows of `vals`. `nb[i]` is the global index of the
+    /// first node's neighbour in direction `i` (the other lanes'
+    /// neighbours follow it), where the gradient reads the densities.
+    #[inline(always)]
+    fn force<T: Lane>(&self, node: usize, nb: &[usize; Q], vals: &mut [f64], k: usize) {
+        // moment row c (ρA, ρB, jx, jy, jz) at a node
+        let m = |c: usize, at: usize| T::load(self.moments, c * self.n + at);
+        let (ra, rb) = (m(0, node), m(1, node));
+        let rho_tot = (ra + rb).max(T::splat(1e-12));
+        let u: [T; 3] = from_fn(|k| m(2 + k, node) / rho_tot);
+        // Shan–Chen gradients of the *other* component's density
+        let mut grad_b = [T::splat(0.0); 3];
+        let mut grad_a = [T::splat(0.0); 3];
         for i in 1..Q {
-            let nb = self.geom.neighbor(x, y, z, i);
-            let w = WEIGHTS[i];
-            grad_b[0] += w * self.rho_b[nb] * CX[i] as f64;
-            grad_b[1] += w * self.rho_b[nb] * CY[i] as f64;
-            grad_b[2] += w * self.rho_b[nb] * CZ[i] as f64;
-            grad_a[0] += w * self.rho_a[nb] * CX[i] as f64;
-            grad_a[1] += w * self.rho_a[nb] * CY[i] as f64;
-            grad_a[2] += w * self.rho_a[nb] * CZ[i] as f64;
+            let w = T::splat(WEIGHTS[i]);
+            let wb = w * m(1, nb[i]);
+            let wa = w * m(0, nb[i]);
+            let c = [CX[i], CY[i], CZ[i]].map(|c| T::splat(c as f64));
+            for k in 0..3 {
+                grad_b[k] += wb * c[k];
+                grad_a[k] += wa * c[k];
+            }
         }
-        let g = self.g;
-        let fa_force = [
-            -g * ra * grad_b[0],
-            -g * ra * grad_b[1],
-            -g * ra * grad_b[2],
-        ];
-        let fb_force = [
-            -g * rb * grad_a[0],
-            -g * rb * grad_a[1],
-            -g * rb * grad_a[2],
-        ];
         // per-component equilibrium velocity (velocity-shift forcing)
-        let ra_s = ra.max(1e-12);
-        let rb_s = rb.max(1e-12);
-        let tau = self.tau;
-        (
-            [
-                u[0] + tau * fa_force[0] / ra_s,
-                u[1] + tau * fa_force[1] / ra_s,
-                u[2] + tau * fa_force[2] / ra_s,
-            ],
-            [
-                u[0] + tau * fb_force[0] / rb_s,
-                u[1] + tau * fb_force[1] / rb_s,
-                u[2] + tau * fb_force[2] / rb_s,
-            ],
-        )
+        let (ga, gb) = (T::splat(-self.g) * ra, T::splat(-self.g) * rb);
+        let (ra_s, rb_s) = (ra.max(T::splat(1e-12)), rb.max(T::splat(1e-12)));
+        let tau = T::splat(self.tau);
+        let ua: [T; 3] = from_fn(|k| u[k] + tau * (ga * grad_b[k]) / ra_s);
+        let ub: [T; 3] = from_fn(|k| u[k] + tau * (gb * grad_a[k]) / rb_s);
+        let (uu_a, uu_b) = (uu15(ua), uu15(ub));
+        let out = [ra, rb, ua[0], ua[1], ua[2], ub[0], ub[1], ub[2], uu_a, uu_b];
+        for (c, v) in out.into_iter().enumerate() {
+            v.store(vals, c * self.plane + k);
+        }
+    }
+
+    /// Relax stage for the directions `dirs`: BGK relaxation of each `f_i`
+    /// at the source node (or lane block) at global index `node`, whose
+    /// force-stage values sit at `k` of `vals`, streamed to the neighbour
+    /// `to(i)` (a global index) as it is produced.
+    #[inline(always)]
+    fn relax<T: Lane>(
+        &self,
+        dirs: std::ops::Range<usize>,
+        node: usize,
+        to: impl Fn(usize) -> usize,
+        vals: &[f64],
+        k: usize,
+        dst: &mut PushDst<'_>,
+    ) {
+        let [ra, rb, uax, uay, uaz, ubx, uby, ubz, uu_a, uu_b]: [T; NODE_VALS] =
+            from_fn(|c| T::load(vals, c * self.plane + k));
+        let omega = T::splat(1.0 / self.tau);
+        for i in dirs {
+            let sa = T::load(self.fa, i * self.n + node);
+            let sb = T::load(self.fb, i * self.n + node);
+            let ea = equilibrium_lane(i, ra, [uax, uay, uaz], uu_a);
+            let eb = equilibrium_lane(i, rb, [ubx, uby, ubz], uu_b);
+            let at = to(i) - dst.start[i];
+            (sa + omega * (ea - sa)).store(dst.a[i], at);
+            (sb + omega * (eb - sb)).store(dst.b[i], at);
+        }
     }
 }
 
 /// The two-fluid Lattice-Boltzmann simulation.
 pub struct TwoFluidLbm {
     cfg: LbmConfig,
-    /// Worker pool the three passes dispatch onto (shared across sims with
-    /// the same thread count; replaceable via [`TwoFluidLbm::set_pool`]).
+    /// Worker pool the sweeps dispatch onto (shared across sims with the
+    /// same thread count; replaceable via [`TwoFluidLbm::set_pool`]).
     pool: Arc<ExecPool>,
     n: usize,
     plane: usize,
-    nplanes: usize,
     /// Distributions, SoA layout `f[i*n + node]`, per component.
     fa: Vec<f64>,
     fb: Vec<f64>,
-    /// Scratch buffers for the pull pass (same layout).
+    /// Push targets of sweep 2 (same layout), swapped in after each step.
     fa_new: Vec<f64>,
     fb_new: Vec<f64>,
-    /// Densities (refreshed each step).
-    rho_a: Vec<f64>,
-    rho_b: Vec<f64>,
-    /// Per-component equilibrium velocities, SoA (refreshed each step).
-    ua_x: Vec<f64>,
-    ua_y: Vec<f64>,
-    ua_z: Vec<f64>,
-    ub_x: Vec<f64>,
-    ub_y: Vec<f64>,
-    ub_z: Vec<f64>,
+    /// Moments, five rows `m[c*n + node]` for c = ρA, ρB, jx, jy, jz —
+    /// derived state, rebuilt by sweep 1 of every step.
+    moments: Vec<f64>,
     /// Current miscibility m ∈ \[0,1\].
     miscibility: f64,
     /// Kernel backend (defaults to the process-wide [`lanes::backend`]).
@@ -312,32 +389,38 @@ impl TwoFluidLbm {
                 fb[i * n + node] = WEIGHTS[i] * rb;
             }
         }
+        Self::from_parts(cfg, pool, fa, fb, 1.0, 0)
+    }
+
+    /// Assemble a solver around given distributions. The derived buffers
+    /// start empty; [`TwoFluidLbm::step`] sizes them.
+    fn from_parts(
+        cfg: LbmConfig,
+        pool: Arc<ExecPool>,
+        fa: Vec<f64>,
+        fb: Vec<f64>,
+        miscibility: f64,
+        steps: u64,
+    ) -> Self {
+        let n = cfg.nx * cfg.ny * cfg.nz;
         TwoFluidLbm {
             plane: cfg.nx * cfg.ny,
-            nplanes: cfg.nz,
             n,
-            fa_new: vec![0.0; n * Q],
-            fb_new: vec![0.0; n * Q],
-            rho_a: vec![0.0; n],
-            rho_b: vec![0.0; n],
-            ua_x: vec![0.0; n],
-            ua_y: vec![0.0; n],
-            ua_z: vec![0.0; n],
-            ub_x: vec![0.0; n],
-            ub_y: vec![0.0; n],
-            ub_z: vec![0.0; n],
+            fa_new: Vec::new(),
+            fb_new: Vec::new(),
+            moments: Vec::new(),
             fa,
             fb,
-            miscibility: 1.0,
+            miscibility,
             backend: lanes::backend(),
             pool,
             cfg,
-            steps: 0,
+            steps,
         }
     }
 
-    /// Replace the executor pool (results are unaffected: chunking is
-    /// fixed per z-plane, so any pool produces identical physics).
+    /// Replace the executor pool (results are unaffected: tasks are fixed
+    /// per z-plane, so any pool produces identical physics).
     pub fn set_pool(&mut self, pool: Arc<ExecPool>) {
         self.pool = pool;
     }
@@ -392,11 +475,20 @@ impl TwoFluidLbm {
         }
     }
 
+    fn simd(&self) -> bool {
+        self.backend == lanes::Backend::Simd
+    }
+
     /// Advance one time step.
     pub fn step(&mut self) {
-        self.pass_density();
-        self.pass_velocity();
-        self.pass_stream_collide();
+        // derived buffers are sized by the first step that needs them
+        // (a no-op afterwards): a solver that is restored, forwarded or
+        // inspected but never stepped does not pay for them
+        self.fa_new.resize(self.n * Q, 0.0);
+        self.fb_new.resize(self.n * Q, 0.0);
+        self.moments.resize(self.n * 5, 0.0);
+        self.sweep_moments();
+        self.sweep_collide_push();
         std::mem::swap(&mut self.fa, &mut self.fa_new);
         std::mem::swap(&mut self.fb, &mut self.fb_new);
         self.steps += 1;
@@ -409,155 +501,111 @@ impl TwoFluidLbm {
         }
     }
 
-    fn pass_density(&mut self) {
-        let plane = self.plane;
-        let n = self.n;
-        let fa = &self.fa;
-        let fb = &self.fb;
-        let simd = self.backend == lanes::Backend::Simd;
-        // one chunk per z-plane: fixed mapping, any thread count
-        self.pool.parallel_chunks2(
-            &mut self.rho_a,
-            &mut self.rho_b,
-            plane,
-            plane,
-            |ci, ca, cb| {
-                let start = ci * plane;
-                let mut k = 0usize;
-                if simd {
-                    // lane-blocked: 4 nodes per iteration, direction sums
-                    // still in ascending i per node
-                    while k + L <= ca.len() {
-                        let node = start + k;
-                        let mut sa = F64x4::splat(0.0);
-                        let mut sb = F64x4::splat(0.0);
-                        for i in 0..Q {
-                            sa += F64x4::from_slice(&fa[i * n + node..]);
-                            sb += F64x4::from_slice(&fb[i * n + node..]);
-                        }
-                        sa.write_to(&mut ca[k..]);
-                        sb.write_to(&mut cb[k..]);
-                        k += L;
-                    }
-                }
-                for k in k..ca.len() {
-                    let node = start + k;
-                    let mut sa = 0.0;
-                    let mut sb = 0.0;
-                    for i in 0..Q {
-                        sa += fa[i * n + node];
-                        sb += fb[i * n + node];
-                    }
-                    ca[k] = sa;
-                    cb[k] = sb;
-                }
-            },
-        );
+    /// Sweep 1: one task per z-plane fills that plane of the five moment
+    /// arrays. No neighbour is read, so lane blocks run across row ends.
+    fn sweep_moments(&mut self) {
+        let (fa, fb, n, plane, simd) = (&self.fa, &self.fb, self.n, self.plane, self.simd());
+        let nz = self.cfg.nz;
+        let out = DisjointChunks::new(&mut self.moments, plane);
+        self.pool.run(nz, |z| {
+            let mut out = from_fn(|c| out.claim(c * nz + z));
+            let mut k = 0;
+            while simd && k + L <= plane {
+                moments::<F64x4>(fa, fb, n, z * plane + k, &mut out, k);
+                k += L;
+            }
+            for k in k..plane {
+                moments::<f64>(fa, fb, n, z * plane + k, &mut out, k);
+            }
+        });
     }
 
-    fn pass_velocity(&mut self) {
-        let ctx = VelCtx {
+    /// Sweep 2: the task for source plane `z` claims, per direction, the
+    /// one destination plane its nodes stream into (see the module doc),
+    /// runs the force stage over the plane into a scratch of its own, then
+    /// the relax stage a few directions at a time.
+    fn sweep_collide_push(&mut self) {
+        let ctx = PushCtx {
             fa: &self.fa,
             fb: &self.fb,
-            rho_a: &self.rho_a,
-            rho_b: &self.rho_b,
+            moments: &self.moments,
             n: self.n,
+            plane: self.plane,
             g: self.coupling(),
             tau: self.cfg.tau,
-            geom: self.geom(),
         };
-        let plane = self.plane;
-        let out = [
-            DisjointChunks::new(&mut self.ua_x, plane),
-            DisjointChunks::new(&mut self.ua_y, plane),
-            DisjointChunks::new(&mut self.ua_z, plane),
-            DisjointChunks::new(&mut self.ub_x, plane),
-            DisjointChunks::new(&mut self.ub_y, plane),
-            DisjointChunks::new(&mut self.ub_z, plane),
-        ];
-        let geom = ctx.geom;
-        let simd = self.backend == lanes::Backend::Simd;
-        self.pool.run(self.nplanes, |pz| {
-            let [uax, uay, uaz, ubx, uby, ubz] = [
-                out[0].claim(pz),
-                out[1].claim(pz),
-                out[2].claim(pz),
-                out[3].claim(pz),
-                out[4].claim(pz),
-                out[5].claim(pz),
-            ];
-            for y in 0..geom.ny {
-                let row = y * geom.nx;
-                if simd {
-                    velocity_row_simd(&ctx, y, pz, uax, uay, uaz, ubx, uby, ubz);
-                } else {
-                    for x in 0..geom.nx {
-                        let node = pz * plane + row + x;
-                        let (va, vb) = ctx.node(x, y, pz, node);
-                        uax[row + x] = va[0];
-                        uay[row + x] = va[1];
-                        uaz[row + x] = va[2];
-                        ubx[row + x] = vb[0];
-                        uby[row + x] = vb[1];
-                        ubz[row + x] = vb[2];
-                    }
-                }
-            }
-        });
-    }
-
-    fn pass_stream_collide(&mut self) {
-        let omega = 1.0 / self.cfg.tau;
-        let n = self.n;
-        let nplanes = self.nplanes;
-        let plane = self.plane;
-        let geom = self.geom();
-        let ctx = CollideCtx {
-            fa: &self.fa,
-            fb: &self.fb,
-            rho_a: &self.rho_a,
-            rho_b: &self.rho_b,
-            ua_x: &self.ua_x,
-            ua_y: &self.ua_y,
-            ua_z: &self.ua_z,
-            ub_x: &self.ub_x,
-            ub_y: &self.ub_y,
-            ub_z: &self.ub_z,
-            n,
-            omega,
-            geom,
-        };
-        // Chunk the SoA output arrays by plane: direction row i of plane pz
-        // is chunk i*nplanes + pz, so the task for plane pz claims one
-        // plane-sized chunk per direction — disjoint across tasks, fixed
-        // mapping at any thread count.
+        let (geom, plane, simd) = (self.geom(), self.plane, self.simd());
+        let Geom { nx, ny, nz } = geom;
         let out_a = DisjointChunks::new(&mut self.fa_new, plane);
         let out_b = DisjointChunks::new(&mut self.fb_new, plane);
-        let simd = self.backend == lanes::Backend::Simd;
-        self.pool.run(nplanes, |pz| {
-            for (i, &opp) in OPPOSITE.iter().enumerate() {
-                let slot_a = out_a.claim(i * nplanes + pz);
-                let slot_b = out_b.claim(i * nplanes + pz);
-                if simd {
-                    collide_rows_simd(&ctx, i, pz, slot_a, slot_b);
-                } else {
-                    for y in 0..geom.ny {
-                        let row = y * geom.nx;
-                        for x in 0..geom.nx {
-                            let src = geom.neighbor(x, y, pz, opp);
-                            let (va, vb) = ctx.value(i, src);
-                            slot_a[row + x] = va;
-                            slot_b[row + x] = vb;
-                        }
+        self.pool.run(nz, |z| {
+            let dz: [usize; Q] = from_fn(|i| wrap(z, CZ[i], nz));
+            let mut dst = PushDst {
+                a: from_fn(|i| out_a.claim(i * nz + dz[i])),
+                b: from_fn(|i| out_b.claim(i * nz + dz[i])),
+                start: dz.map(|d| d * plane),
+            };
+            // lane blocks cover x in 1..xe of every row, where x ± 1 cannot
+            // wrap; the rest of the row — all of it on the scalar backend —
+            // runs the same kernels at width one
+            let xe = if simd && nx > L + 1 {
+                1 + (nx - 2) / L * L
+            } else {
+                1
+            };
+            let edges = |xe: usize| std::iter::once(0).chain(xe..nx);
+            let mut vals = vec![0.0; NODE_VALS * plane];
+            for y in 0..ny {
+                let (k, bases) = (y * nx, geom.row_bases(y, z));
+                for x in (1..xe).step_by(L) {
+                    let nb = from_fn(|i| bases[i] + wrap(x, CX[i], nx));
+                    ctx.force::<F64x4>(z * plane + k + x, &nb, &mut vals, k + x);
+                }
+                for x in edges(xe) {
+                    let nb = from_fn(|i| geom.neighbor(x, y, z, i));
+                    ctx.force::<f64>(z * plane + k + x, &nb, &mut vals, k + x);
+                }
+            }
+            for i0 in (0..Q).step_by(DIR_GROUP) {
+                let dirs = i0..(i0 + DIR_GROUP).min(Q);
+                for y in 0..ny {
+                    let (k, bases) = (y * nx, geom.row_bases(y, z));
+                    for x in (1..xe).step_by(L) {
+                        let to = |i: usize| bases[i] + wrap(x, CX[i], nx);
+                        ctx.relax::<F64x4>(
+                            dirs.clone(),
+                            z * plane + k + x,
+                            to,
+                            &vals,
+                            k + x,
+                            &mut dst,
+                        );
+                    }
+                    for x in edges(xe) {
+                        let to = |i: usize| geom.neighbor(x, y, z, i);
+                        ctx.relax::<f64>(
+                            dirs.clone(),
+                            z * plane + k + x,
+                            to,
+                            &vals,
+                            k + x,
+                            &mut dst,
+                        );
                     }
                 }
             }
         });
     }
 
-    /// Total mass per component.
+    /// Total mass per component. One loop over both buffers, so the two
+    /// serial add chains overlap; each keeps its own element order.
     pub fn total_mass(&self) -> (f64, f64) {
-        (self.fa.iter().sum(), self.fb.iter().sum())
+        let (mut ma, mut mb) = (0.0, 0.0);
+        for (a, b) in self.fa.iter().zip(&self.fb) {
+            ma += a;
+            mb += b;
+        }
+        (ma, mb)
     }
 
     /// Total momentum (both components).
@@ -588,22 +636,30 @@ impl TwoFluidLbm {
     /// (row-major, `x` fastest) without allocating when `out` already has
     /// capacity — the monitor publish path reuses one buffer per sample.
     pub fn order_parameter_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.reserve(self.n);
-        for node in 0..self.n {
-            out.push(self.phi_node(node));
-        }
+        self.phi_into(0..self.n, out);
     }
 
-    #[inline]
-    fn phi_node(&self, node: usize) -> f32 {
-        let mut ra = 0.0;
-        let mut rb = 0.0;
-        for i in 0..Q {
-            ra += self.fa[i * self.n + node];
-            rb += self.fb[i * self.n + node];
+    /// φ over a node range. Nodes are taken a block at a time and each
+    /// distribution row is streamed across the block, so the 38 rows are
+    /// read as 38 linear runs; every node's two sums still run over the
+    /// directions in ascending order, exactly as [`moments`] forms them.
+    fn phi_into(&self, nodes: std::ops::Range<usize>, out: &mut Vec<f32>) {
+        const BLOCK: usize = 64;
+        out.clear();
+        out.reserve(nodes.len());
+        for start in nodes.clone().step_by(BLOCK) {
+            let len = BLOCK.min(nodes.end - start);
+            let (mut ra, mut rb) = ([0.0f64; BLOCK], [0.0f64; BLOCK]);
+            for i in 0..Q {
+                let at = i * self.n + start;
+                let (row_a, row_b) = (&self.fa[at..at + len], &self.fb[at..at + len]);
+                for k in 0..len {
+                    ra[k] += row_a[k];
+                    rb[k] += row_b[k];
+                }
+            }
+            out.extend((0..len).map(|k| (ra[k] - rb[k]) as f32));
         }
-        (ra - rb) as f32
     }
 
     /// One z-plane of the order parameter φ, row-major (`x` fastest) —
@@ -626,12 +682,7 @@ impl TwoFluidLbm {
             "slice plane {z} outside 0..{}",
             self.cfg.nz
         );
-        out.clear();
-        out.reserve(self.plane);
-        let base = z * self.plane;
-        for k in 0..self.plane {
-            out.push(self.phi_node(base + k));
-        }
+        self.phi_into(z * self.plane..(z + 1) * self.plane, out);
         (self.cfg.nx, self.cfg.ny)
     }
 
@@ -667,28 +718,8 @@ impl TwoFluidLbm {
         let n = ck.cfg.nx * ck.cfg.ny * ck.cfg.nz;
         assert_eq!(ck.fa.len(), n * Q, "corrupt checkpoint");
         assert_eq!(ck.fb.len(), n * Q, "corrupt checkpoint");
-        TwoFluidLbm {
-            pool: gridsteer_exec::shared(ck.cfg.threads),
-            plane: ck.cfg.nx * ck.cfg.ny,
-            nplanes: ck.cfg.nz,
-            n,
-            fa_new: vec![0.0; n * Q],
-            fb_new: vec![0.0; n * Q],
-            rho_a: vec![0.0; n],
-            rho_b: vec![0.0; n],
-            ua_x: vec![0.0; n],
-            ua_y: vec![0.0; n],
-            ua_z: vec![0.0; n],
-            ub_x: vec![0.0; n],
-            ub_y: vec![0.0; n],
-            ub_z: vec![0.0; n],
-            fa: ck.fa,
-            fb: ck.fb,
-            miscibility: ck.miscibility,
-            backend: lanes::backend(),
-            cfg: ck.cfg,
-            steps: ck.steps,
-        }
+        let pool = gridsteer_exec::shared(ck.cfg.threads);
+        Self::from_parts(ck.cfg, pool, ck.fa, ck.fb, ck.miscibility, ck.steps)
     }
 
     /// Lay the full solver state into `snap` as the sections
@@ -716,10 +747,13 @@ impl TwoFluidLbm {
     }
 
     /// Rebuild a solver from the `lbm/*` sections of `snap` — the
-    /// fresh-process restore path. Derived arrays (densities, velocities,
-    /// scratch) are recomputed on the next step; the pool comes from the
-    /// checkpointed thread count and the backend from the process-wide
-    /// default, exactly as [`TwoFluidLbm::from_checkpoint`].
+    /// fresh-process restore path. The header is validated like
+    /// [`TwoFluidLbm::with_pool`] validates a config (a blob is untrusted
+    /// input: a bad one is a typed error here, never a panic in `step`).
+    /// Derived arrays (moments, scratch) are recomputed on the next step;
+    /// the pool comes from the checkpointed thread count and the backend
+    /// from the process-wide default, exactly as
+    /// [`TwoFluidLbm::from_checkpoint`].
     pub fn from_snapshot(snap: &Snapshot) -> Result<TwoFluidLbm, CkptError> {
         let mut r = snap.reader(SEC_LBM_META)?;
         let cfg = LbmConfig {
@@ -736,9 +770,25 @@ impl TwoFluidLbm {
         let miscibility = r.get_f64()?;
         let steps = r.get_u64()?;
         r.expect_end()?;
-        let n = cfg.nx * cfg.ny * cfg.nz;
-        let fa = f64_section(snap, SEC_LBM_FA, n * Q)?;
-        let fb = f64_section(snap, SEC_LBM_FB, n * Q)?;
+        let corrupt = |what: &str| CkptError::Corrupt {
+            context: format!("{SEC_LBM_META}: {what}"),
+        };
+        if cfg.nx.min(cfg.ny).min(cfg.nz) < 2 {
+            return Err(corrupt("grid extent below 2"));
+        }
+        if !(cfg.tau.is_finite() && cfg.tau > 0.5) {
+            return Err(corrupt("tau not a finite value above 0.5"));
+        }
+        // n·Q·8 is the byte length the f sections are checked against
+        let len = cfg
+            .nx
+            .checked_mul(cfg.ny)
+            .and_then(|v| v.checked_mul(cfg.nz))
+            .and_then(|n| n.checked_mul(Q))
+            .filter(|len| len.checked_mul(8).is_some())
+            .ok_or_else(|| corrupt("grid size overflows"))?;
+        let fa = f64_section(snap, SEC_LBM_FA, len)?;
+        let fb = f64_section(snap, SEC_LBM_FB, len)?;
         Ok(TwoFluidLbm::from_checkpoint(LbmCheckpoint {
             cfg,
             fa,
@@ -796,196 +846,6 @@ fn f64_section(snap: &Snapshot, name: &str, expect: usize) -> Result<Vec<f64>, C
         .chunks_exact(8)
         .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
         .collect())
-}
-
-/// Read-only stream-collide context (both backends).
-struct CollideCtx<'a> {
-    fa: &'a [f64],
-    fb: &'a [f64],
-    rho_a: &'a [f64],
-    rho_b: &'a [f64],
-    ua_x: &'a [f64],
-    ua_y: &'a [f64],
-    ua_z: &'a [f64],
-    ub_x: &'a [f64],
-    ub_y: &'a [f64],
-    ub_z: &'a [f64],
-    n: usize,
-    omega: f64,
-    geom: Geom,
-}
-
-impl CollideCtx<'_> {
-    /// The reference streamed-and-collided value for `(direction i,
-    /// source node src)` — the spec the SIMD kernel matches bit for bit.
-    #[inline]
-    fn value(&self, i: usize, src: usize) -> (f64, f64) {
-        let (sa, sb) = (self.fa[i * self.n + src], self.fb[i * self.n + src]);
-        let ea = equilibrium(
-            i,
-            self.rho_a[src],
-            self.ua_x[src],
-            self.ua_y[src],
-            self.ua_z[src],
-        );
-        let eb = equilibrium(
-            i,
-            self.rho_b[src],
-            self.ub_x[src],
-            self.ub_y[src],
-            self.ub_z[src],
-        );
-        (sa + self.omega * (ea - sa), sb + self.omega * (eb - sb))
-    }
-}
-
-/// SIMD velocity kernel for one lattice row `(y, z)`: interior 4-node
-/// blocks load contiguously off the per-row neighbour bases; the row's
-/// boundary nodes (where the x wrap can fire) take the scalar reference
-/// helper. Output slices are the plane-local views claimed by the caller.
-#[allow(clippy::too_many_arguments)] // six SoA output components is the point
-fn velocity_row_simd(
-    ctx: &VelCtx<'_>,
-    y: usize,
-    z: usize,
-    uax: &mut [f64],
-    uay: &mut [f64],
-    uaz: &mut [f64],
-    ubx: &mut [f64],
-    uby: &mut [f64],
-    ubz: &mut [f64],
-) {
-    let geom = ctx.geom;
-    let nx = geom.nx;
-    let n = ctx.n;
-    let row = y * nx;
-    let row_node = z * nx * geom.ny + row;
-    let bases = geom.row_bases(y, z);
-    // interior lane blocks: x in [1, nx-1) so x+CX[i] never wraps
-    let hi = nx.saturating_sub(1);
-    let mut x = 1usize;
-    while L < hi && x + L <= hi {
-        let node = row_node + x;
-        let mut jx = F64x4::splat(0.0);
-        let mut jy = F64x4::splat(0.0);
-        let mut jz = F64x4::splat(0.0);
-        for i in 0..Q {
-            let f = F64x4::from_slice(&ctx.fa[i * n + node..])
-                + F64x4::from_slice(&ctx.fb[i * n + node..]);
-            jx += f * F64x4::splat(CX[i] as f64);
-            jy += f * F64x4::splat(CY[i] as f64);
-            jz += f * F64x4::splat(CZ[i] as f64);
-        }
-        let ra = F64x4::from_slice(&ctx.rho_a[node..]);
-        let rb = F64x4::from_slice(&ctx.rho_b[node..]);
-        let rho_tot = (ra + rb).max(F64x4::splat(1e-12));
-        let ux = jx / rho_tot;
-        let uy = jy / rho_tot;
-        let uz = jz / rho_tot;
-        let mut gbx = F64x4::splat(0.0);
-        let mut gby = F64x4::splat(0.0);
-        let mut gbz = F64x4::splat(0.0);
-        let mut gax = F64x4::splat(0.0);
-        let mut gay = F64x4::splat(0.0);
-        let mut gaz = F64x4::splat(0.0);
-        for i in 1..Q {
-            let src = (bases[i] as i64 + (x as i64 + CX[i] as i64)) as usize;
-            let w = F64x4::splat(WEIGHTS[i]);
-            let rbn = F64x4::from_slice(&ctx.rho_b[src..]);
-            let ran = F64x4::from_slice(&ctx.rho_a[src..]);
-            gbx += w * rbn * F64x4::splat(CX[i] as f64);
-            gby += w * rbn * F64x4::splat(CY[i] as f64);
-            gbz += w * rbn * F64x4::splat(CZ[i] as f64);
-            gax += w * ran * F64x4::splat(CX[i] as f64);
-            gay += w * ran * F64x4::splat(CY[i] as f64);
-            gaz += w * ran * F64x4::splat(CZ[i] as f64);
-        }
-        let ng = F64x4::splat(-ctx.g);
-        let fa_fx = ng * ra * gbx;
-        let fa_fy = ng * ra * gby;
-        let fa_fz = ng * ra * gbz;
-        let fb_fx = ng * rb * gax;
-        let fb_fy = ng * rb * gay;
-        let fb_fz = ng * rb * gaz;
-        let ra_s = ra.max(F64x4::splat(1e-12));
-        let rb_s = rb.max(F64x4::splat(1e-12));
-        let tau = F64x4::splat(ctx.tau);
-        (ux + tau * fa_fx / ra_s).write_to(&mut uax[row + x..]);
-        (uy + tau * fa_fy / ra_s).write_to(&mut uay[row + x..]);
-        (uz + tau * fa_fz / ra_s).write_to(&mut uaz[row + x..]);
-        (ux + tau * fb_fx / rb_s).write_to(&mut ubx[row + x..]);
-        (uy + tau * fb_fy / rb_s).write_to(&mut uby[row + x..]);
-        (uz + tau * fb_fz / rb_s).write_to(&mut ubz[row + x..]);
-        x += L;
-    }
-    // boundary and remainder nodes: the scalar reference helper
-    // (SIMD blocks covered x in [1, x); x stayed 1 if none ran)
-    for xb in (0..nx).filter(|&xb| xb == 0 || xb >= x) {
-        let node = row_node + xb;
-        let (va, vb) = ctx.node(xb, y, z, node);
-        uax[row + xb] = va[0];
-        uay[row + xb] = va[1];
-        uaz[row + xb] = va[2];
-        ubx[row + xb] = vb[0];
-        uby[row + xb] = vb[1];
-        ubz[row + xb] = vb[2];
-    }
-}
-
-/// SIMD stream-collide kernel for direction `i` over plane `z`: for each
-/// lattice row the pull source is `bases[opposite] + x + CX[opposite]`,
-/// contiguous over the row interior; boundary nodes take the scalar
-/// reference path.
-fn collide_rows_simd(
-    ctx: &CollideCtx<'_>,
-    i: usize,
-    z: usize,
-    slot_a: &mut [f64],
-    slot_b: &mut [f64],
-) {
-    let geom = ctx.geom;
-    let nx = geom.nx;
-    let n = ctx.n;
-    let opp = OPPOSITE[i];
-    let omega = F64x4::splat(ctx.omega);
-    let fa_row = &ctx.fa[i * n..(i + 1) * n];
-    let fb_row = &ctx.fb[i * n..(i + 1) * n];
-    let hi = nx.saturating_sub(1);
-    for y in 0..geom.ny {
-        let row = y * nx;
-        let bases = geom.row_bases(y, z);
-        let mut x = 1usize;
-        while L < hi && x + L <= hi {
-            let src = (bases[opp] as i64 + (x as i64 + CX[opp] as i64)) as usize;
-            let sa = F64x4::from_slice(&fa_row[src..]);
-            let sb = F64x4::from_slice(&fb_row[src..]);
-            let ea = equilibrium_x4(
-                i,
-                F64x4::from_slice(&ctx.rho_a[src..]),
-                F64x4::from_slice(&ctx.ua_x[src..]),
-                F64x4::from_slice(&ctx.ua_y[src..]),
-                F64x4::from_slice(&ctx.ua_z[src..]),
-            );
-            let eb = equilibrium_x4(
-                i,
-                F64x4::from_slice(&ctx.rho_b[src..]),
-                F64x4::from_slice(&ctx.ub_x[src..]),
-                F64x4::from_slice(&ctx.ub_y[src..]),
-                F64x4::from_slice(&ctx.ub_z[src..]),
-            );
-            (sa + omega * (ea - sa)).write_to(&mut slot_a[row + x..]);
-            (sb + omega * (eb - sb)).write_to(&mut slot_b[row + x..]);
-            x += L;
-        }
-        // boundary and remainder nodes: the scalar reference value
-        // (SIMD blocks covered x in [1, x); x stayed 1 if none ran)
-        for xb in (0..nx).filter(|&xb| xb == 0 || xb >= x) {
-            let src = geom.neighbor(xb, y, z, opp);
-            let (va, vb) = ctx.value(i, src);
-            slot_a[row + xb] = va;
-            slot_b[row + xb] = vb;
-        }
-    }
 }
 
 /// A full solver checkpoint (see [`TwoFluidLbm::checkpoint`]).
@@ -1310,6 +1170,102 @@ mod tests {
             TwoFluidLbm::from_snapshot(&short),
             Err(CkptError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn hostile_meta_headers_are_typed_errors() {
+        // `save_sections` field order: nx, ny, nz, tau, then the rest
+        let blob = |nx: u64, ny: u64, nz: u64, tau: f64, f_len: usize| {
+            let mut w = SectionWriter::with_capacity(96);
+            for d in [nx, ny, nz] {
+                w.put_u64(d);
+            }
+            for v in [tau, 2.5, 0.5, 0.01] {
+                w.put_f64(v);
+            }
+            w.put_u64(42);
+            w.put_u64(1);
+            w.put_f64(1.0);
+            w.put_u64(0);
+            let mut snap = Snapshot::new(1, 0);
+            snap.push(SEC_LBM_META, 0, w.finish());
+            snap.push(SEC_LBM_FA, 8, vec![0u8; f_len]);
+            snap.push(SEC_LBM_FB, 8, vec![0u8; f_len]);
+            snap
+        };
+        let ok = 4 * 4 * 4 * Q * 8;
+        assert!(TwoFluidLbm::from_snapshot(&blob(4, 4, 4, 1.0, ok)).is_ok());
+        let big = 1u64 << 32;
+        for (what, snap) in [
+            ("nx = 0", blob(0, 4, 4, 1.0, 0)),
+            ("ny = 0", blob(4, 0, 4, 1.0, 0)),
+            ("nz = 1", blob(4, 4, 1, 1.0, 4 * 4 * Q * 8)),
+            ("1x1x1", blob(1, 1, 1, 1.0, Q * 8)),
+            ("n wraps to 0", blob(big, big, 2, 1.0, 0)),
+            ("n*Q wraps", blob(big, 1 << 27, 2, 1.0, 0)),
+            ("only n*Q*8 wraps", blob(big, 1 << 24, 2, 1.0, 0)),
+            ("tau = 0.5", blob(4, 4, 4, 0.5, ok)),
+            ("tau < 0", blob(4, 4, 4, -1.0, ok)),
+            ("tau NaN", blob(4, 4, 4, f64::NAN, ok)),
+            ("tau inf", blob(4, 4, 4, f64::INFINITY, ok)),
+        ] {
+            assert!(
+                matches!(
+                    TwoFluidLbm::from_snapshot(&snap),
+                    Err(CkptError::Corrupt { .. })
+                ),
+                "{what} must be refused as Corrupt"
+            );
+        }
+    }
+
+    #[test]
+    fn push_writes_every_direction_of_every_node() {
+        // nz = 2 and ny = 2: both ±1 neighbours are the same plane / row
+        for (nx, ny, nz) in [(7, 2, 2), (13, 5, 3), (4, 3, 2)] {
+            for backend in [lanes::Backend::Scalar, lanes::Backend::Simd] {
+                let mut sim = TwoFluidLbm::new(LbmConfig {
+                    nx,
+                    ny,
+                    nz,
+                    threads: 4,
+                    ..LbmConfig::small()
+                });
+                sim.set_backend(backend);
+                sim.set_miscibility(0.2);
+                sim.fa_new = vec![f64::NAN; sim.n * Q];
+                sim.fb_new = vec![f64::NAN; sim.n * Q];
+                sim.step(); // swaps the pushed buffers in
+                assert!(
+                    !sim.is_unstable(),
+                    "{nx}x{ny}x{nz} {}: a slot kept its NaN sentinel",
+                    backend.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn restore_then_step_equals_the_uninterrupted_run() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut a = TwoFluidLbm::new(LbmConfig::small());
+        a.set_miscibility(0.25);
+        a.step_n(4);
+        let mut snap = Snapshot::new(1, 0);
+        a.save_sections(&mut snap);
+        // b's moments describe an unrelated state when the restore lands
+        let mut b = TwoFluidLbm::new(LbmConfig {
+            seed: 7,
+            ..LbmConfig::small()
+        });
+        b.set_miscibility(0.0);
+        b.step_n(9);
+        b.restore_sections(&snap).unwrap();
+        a.step_n(6);
+        b.step_n(6);
+        assert_eq!(bits(&a.fa), bits(&b.fa));
+        assert_eq!(bits(&a.fb), bits(&b.fb));
+        assert_eq!((a.steps(), a.miscibility()), (b.steps(), b.miscibility()));
     }
 
     #[test]
