@@ -990,8 +990,8 @@ pub fn exp_monitor_fanout() -> ExpResult {
 /// legitimately drift run to run.)
 pub fn exp_fanout_scale() -> ExpResult {
     use gridsteer_bus::{
-        LoopbackMonitor, MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame, MonitorHub,
-        MonitorPayload, RelayHub, RelayPolicy,
+        FrameChunk, LoopbackMonitor, MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame,
+        MonitorHub, MonitorPayload, RelayHub, RelayPolicy,
     };
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -1016,10 +1016,10 @@ pub fn exp_fanout_scale() -> ExpResult {
             self.caps = self.caps.intersect(viewer);
             self.caps.clone()
         }
-        fn deliver(&mut self, frames: &[MonitorFrame]) -> Result<usize, MonitorError> {
+        fn deliver(&mut self, chunk: &FrameChunk<'_>) -> Result<usize, MonitorError> {
             self.counter
-                .fetch_add(frames.len() as u64 * self.weight, Ordering::Relaxed);
-            Ok(frames.len())
+                .fetch_add(chunk.len() as u64 * self.weight, Ordering::Relaxed);
+            Ok(chunk.len())
         }
         fn recv(&mut self) -> Vec<MonitorFrame<'static>> {
             Vec::new()

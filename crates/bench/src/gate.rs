@@ -24,7 +24,9 @@
 //! borrowed, same digest), hub fan-out over encoding subscribers, and the
 //! checkpoint codec (full encode, delta encode, decode + restore).
 
-use gridsteer_bus::{MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame, MonitorHub};
+use gridsteer_bus::{
+    FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame, MonitorHub,
+};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -189,9 +191,9 @@ impl MonitorEndpoint for FoldSink {
         self.caps.clone()
     }
 
-    fn deliver(&mut self, frames: &[MonitorFrame]) -> Result<usize, MonitorError> {
+    fn deliver(&mut self, chunk: &FrameChunk<'_>) -> Result<usize, MonitorError> {
         use gridsteer_bus::MonitorPayload;
-        for f in frames {
+        for f in chunk.iter() {
             self.digest = fold(self.digest, &f.seq.to_le_bytes());
             match &f.payload {
                 MonitorPayload::Scalar { value, .. } => {
@@ -212,7 +214,7 @@ impl MonitorEndpoint for FoldSink {
                 }
             }
         }
-        Ok(frames.len())
+        Ok(chunk.len())
     }
 
     fn recv(&mut self) -> Vec<MonitorFrame<'static>> {

@@ -25,7 +25,15 @@ use gridsteer_ckpt::{CkptError, SectionReader, SectionWriter};
 ///
 /// [`CommandBatch`]: crate::command::CommandBatch
 const KNOWN_LABELS: [&str; 9] = [
-    "loopback", "visit", "ogsa", "covise", "unicore", "relay", "viewer", "client", "fold",
+    crate::loopback::LABEL,
+    crate::visit::LABEL,
+    crate::ogsa::LABEL,
+    crate::covise::LABEL,
+    crate::unicore::LABEL,
+    "relay",
+    "viewer",
+    "client",
+    "fold",
 ];
 
 /// Intern a decoded transport label as a `&'static str`.
@@ -122,7 +130,12 @@ pub fn get_caps(r: &mut SectionReader<'_>) -> Result<MonitorCaps, CkptError> {
         kinds.insert(MonitorKind::from_byte(b).ok_or_else(|| corrupt("caps kind byte"))?);
     }
     let max_batch = r.get_u64()? as usize;
-    let deliver_every = r.get_u32()?;
+    // every live constructor clamps the rate to >= 1 and the hub divides
+    // by it, so a zero can only be a corrupt or hostile section
+    let deliver_every = match r.get_u32()? {
+        0 => return Err(corrupt("caps decimation rate of zero")),
+        n => n,
+    };
     Ok(MonitorCaps {
         transport,
         kinds,

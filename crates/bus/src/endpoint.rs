@@ -109,20 +109,6 @@ impl Subscription {
     }
 }
 
-/// The shared handshake body every adapter's `negotiate` uses: narrow
-/// the endpoint's capability set to the intersection with the client's
-/// and record the result on the hub's audit log.
-pub(crate) fn negotiate_caps(
-    hub: &crate::hub::SteerHub,
-    origin: &str,
-    caps: &mut Capabilities,
-    client: &Capabilities,
-) -> Capabilities {
-    *caps = caps.intersect(client);
-    hub.record_handshake(origin, caps);
-    caps.clone()
-}
-
 /// Enforce a negotiated capability set on an outgoing batch (shared by
 /// every adapter).
 pub(crate) fn check_batch(
@@ -148,6 +134,45 @@ pub(crate) fn check_batch(
     }
     Ok(())
 }
+
+/// The [`SteerEndpoint`] methods that read the same over every
+/// middleware, written once: each adapter's `impl SteerEndpoint` expands
+/// this and adds what its wire actually does — `set_batch`, and `get`
+/// where a read is more than a hub lookup (the `hub_get` arm supplies the
+/// plain one). Expects the adapter's session half as `self.hub`,
+/// `self.origin` and `self.caps`; the label is the one the caps were
+/// built with, so it has one source.
+macro_rules! steer_endpoint_common {
+    () => {
+        fn transport(&self) -> &'static str {
+            self.caps.transport
+        }
+
+        fn negotiate(&mut self, client: &$crate::Capabilities) -> $crate::Capabilities {
+            // narrow to what both sides can do and put the result on the
+            // hub's audit log
+            self.caps = self.caps.intersect(client);
+            self.hub.record_handshake(&self.origin, &self.caps);
+            self.caps.clone()
+        }
+
+        fn describe(&self) -> Vec<$crate::ParamSpec> {
+            self.hub.describe()
+        }
+
+        fn subscribe(&mut self) -> $crate::Subscription {
+            self.hub.subscribe()
+        }
+    };
+    (hub_get) => {
+        $crate::endpoint::steer_endpoint_common!();
+
+        fn get(&self, name: &str) -> Option<$crate::ParamValue> {
+            self.hub.get(name)
+        }
+    };
+}
+pub(crate) use steer_endpoint_common;
 
 /// One attached steering client over some transport.
 pub trait SteerEndpoint: Send {

@@ -25,12 +25,19 @@
 //!   batches, the simulation-loop owner *commits* them atomically at a
 //!   step boundary, in global staging order — which is what keeps
 //!   multi-transport scenario digests byte-stable.
-//! * One [`Transport`] adapter per middleware:
-//!   [`LoopbackEndpoint`], [`VisitEndpoint`] (real §3.2 wire frames over
-//!   a frame link), [`OgsaEndpoint`] (a hosted [`BusSteeringService`]
-//!   discovered through the Figure-2 registry), [`CoviseEndpoint`] (a
-//!   genuine COVISE [`covise::Module`] parameter sink), and
-//!   [`UnicoreEndpoint`] (batches consigned as serialized AJOs).
+//! * One module per middleware, holding *both* planes of it over helpers
+//!   written once — the wire quirks (VISIT's link hop and envelope loop,
+//!   OGSA's host → publish → discover flow and result mapping, UNICORE's
+//!   consignment hop and count-prefixed payload) are each derived in one
+//!   place and shared by the steering endpoint and the monitor endpoint:
+//!   [`loopback`] ([`LoopbackEndpoint`], the in-process reference),
+//!   [`visit`] ([`VisitEndpoint`]: real §3.2 wire frames over a frame
+//!   link), [`ogsa`] ([`OgsaEndpoint`]: a hosted [`BusSteeringService`]
+//!   discovered through the Figure-2 registry), [`covise`]
+//!   ([`CoviseEndpoint`]: a genuine
+//!   [`covise::Module`](::covise::Module) parameter sink), and
+//!   [`unicore`] ([`UnicoreEndpoint`]: batches consigned as serialized
+//!   AJOs). [`Transport`] is the closed enum that selects one.
 //!
 //! Transports differ in what they can carry — COVISE module parameters
 //! are scalars, so its capability set excludes `vec3`/`str` — and the
@@ -40,25 +47,44 @@
 //! monitored simulation output streaming back out to viewers over the
 //! same five middlewares — lives in [`monitor`]: typed sequence-numbered
 //! [`MonitorFrame`]s fanned out by a [`MonitorHub`] to capability-
-//! negotiated [`MonitorEndpoint`] subscribers.
+//! negotiated [`MonitorEndpoint`] subscribers, every one of them reached
+//! through the single [`MonitorEndpoint::deliver`] path.
 
 pub mod ckpt;
 pub mod command;
-pub mod covise_ep;
+pub mod covise;
 pub mod endpoint;
 pub mod hub;
 pub mod loopback;
 pub mod monitor;
-pub mod ogsa_ep;
+pub mod ogsa;
 pub mod registry;
 pub mod spec;
 pub mod transport;
-pub mod unicore_ep;
+pub mod unicore;
 pub mod value;
-pub mod visit_ep;
+pub mod visit;
+
+// Steering-plane unit tests of the middleware modules, mounted at the
+// module paths the per-plane adapter files had (`visit_ep::tests::…`): a
+// test's path is its name in every report and in the floor the suite is
+// held to, so the fold moved the code and left the names alone. (The
+// monitor-plane halves are mounted the same way in `monitor`.)
+#[cfg(test)]
+#[path = "middleware_tests/covise_steer.rs"]
+mod covise_ep;
+#[cfg(test)]
+#[path = "middleware_tests/ogsa_steer.rs"]
+mod ogsa_ep;
+#[cfg(test)]
+#[path = "middleware_tests/unicore_steer.rs"]
+mod unicore_ep;
+#[cfg(test)]
+#[path = "middleware_tests/visit_steer.rs"]
+mod visit_ep;
 
 pub use command::{CommandBatch, CommitOutcome, SteerCommand, SteerError, SteerNotice};
-pub use covise_ep::{CoviseEndpoint, SteerParamsModule};
+pub use covise::{CoviseEndpoint, SteerParamsModule};
 pub use endpoint::{Capabilities, SteerEndpoint, Subscription};
 pub use hub::SteerHub;
 pub use loopback::LoopbackEndpoint;
@@ -68,10 +94,10 @@ pub use monitor::{
     MonitorKind, MonitorPayload, MonitorStats, OgsaMonitor, RelayHub, RelayPolicy, RelayReport,
     UnicoreMonitor, VisitMonitor,
 };
-pub use ogsa_ep::{BusSteeringService, OgsaEndpoint};
+pub use ogsa::{BusSteeringService, OgsaEndpoint};
 pub use registry::{ParamRegistry, SharedRegistry};
 pub use spec::{BoundsPolicy, ParamSpec};
 pub use transport::Transport;
-pub use unicore_ep::UnicoreEndpoint;
+pub use unicore::UnicoreEndpoint;
 pub use value::{ParamKind, ParamValue};
-pub use visit_ep::VisitEndpoint;
+pub use visit::VisitEndpoint;

@@ -1,15 +1,23 @@
-//! The in-process loopback endpoint — the reference adapter.
+//! The in-process loopback — the reference middleware, both planes.
 //!
-//! No wire, no codec: batches stage directly into the hub. Every other
-//! adapter must be observationally equivalent to this one (same staged
-//! commands for the same requested batch); the proptests in this crate
-//! pin that equivalence.
+//! No wire, no codec: steering batches stage directly into the hub, and
+//! delivered monitor frames land directly in the viewer-side inbox. Every
+//! other middleware module must be observationally equivalent to this one
+//! (same staged commands for the same requested batch, same received
+//! frames for the same delivered chunk); the conformance suite in
+//! [`transport`](crate::transport) and the proptests in this crate pin
+//! that equivalence.
 
 use crate::command::{SteerCommand, SteerError};
-use crate::endpoint::{check_batch, negotiate_caps, Capabilities, SteerEndpoint, Subscription};
+use crate::endpoint::{check_batch, steer_endpoint_common, Capabilities, SteerEndpoint};
 use crate::hub::SteerHub;
-use crate::spec::ParamSpec;
-use crate::value::ParamValue;
+use crate::monitor::endpoint::{
+    check_delivery, monitor_endpoint_common, FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError,
+};
+use crate::monitor::frame::MonitorFrame;
+
+/// The transport label on both planes.
+pub const LABEL: &str = "loopback";
 
 /// Direct in-process attachment to a [`SteerHub`].
 pub struct LoopbackEndpoint {
@@ -24,35 +32,56 @@ impl LoopbackEndpoint {
         LoopbackEndpoint {
             hub: hub.clone(),
             origin: origin.to_string(),
-            caps: Capabilities::full("loopback", 1024),
+            caps: Capabilities::full(LABEL, 1024),
         }
     }
 }
 
 impl SteerEndpoint for LoopbackEndpoint {
-    fn transport(&self) -> &'static str {
-        "loopback"
-    }
-
-    fn negotiate(&mut self, client: &Capabilities) -> Capabilities {
-        negotiate_caps(&self.hub, &self.origin, &mut self.caps, client)
-    }
-
-    fn describe(&self) -> Vec<ParamSpec> {
-        self.hub.describe()
-    }
-
-    fn get(&self, name: &str) -> Option<ParamValue> {
-        self.hub.get(name)
-    }
+    steer_endpoint_common!(hub_get);
 
     fn set_batch(&mut self, commands: Vec<SteerCommand>) -> Result<u64, SteerError> {
         check_batch(&self.caps, &commands)?;
-        self.hub.stage(&self.origin, "loopback", commands)
+        self.hub.stage(&self.origin, LABEL, commands)
+    }
+}
+
+/// Direct in-process frame delivery.
+pub struct LoopbackMonitor {
+    caps: MonitorCaps,
+    inbox: Vec<MonitorFrame<'static>>,
+}
+
+impl LoopbackMonitor {
+    /// A fresh loopback endpoint.
+    pub fn new() -> LoopbackMonitor {
+        LoopbackMonitor {
+            caps: MonitorCaps::full(LABEL, 1024),
+            inbox: Vec::new(),
+        }
+    }
+}
+
+impl Default for LoopbackMonitor {
+    fn default() -> Self {
+        LoopbackMonitor::new()
+    }
+}
+
+impl MonitorEndpoint for LoopbackMonitor {
+    monitor_endpoint_common!(inbox);
+
+    fn deliver(&mut self, chunk: &FrameChunk<'_>) -> Result<usize, MonitorError> {
+        check_delivery(&self.caps, chunk)?;
+        self.inbox
+            .extend(chunk.iter().map(|f| f.clone().into_owned()));
+        Ok(chunk.len())
     }
 
-    fn subscribe(&mut self) -> Subscription {
-        self.hub.subscribe()
+    fn close(&mut self) {
+        // the reference honours the same contract as the real wires: a
+        // departed viewer's undrained frames go with it
+        self.inbox.clear();
     }
 }
 
@@ -60,7 +89,8 @@ impl SteerEndpoint for LoopbackEndpoint {
 mod tests {
     use super::*;
     use crate::command::SteerNotice;
-    use crate::value::ParamKind;
+    use crate::spec::ParamSpec;
+    use crate::value::{ParamKind, ParamValue};
 
     fn hub() -> SteerHub {
         SteerHub::new(vec![

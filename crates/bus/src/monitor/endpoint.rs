@@ -124,18 +124,18 @@ impl From<FrameCodecError> for MonitorError {
 /// every adapter).
 pub(crate) fn check_delivery(
     caps: &MonitorCaps,
-    frames: &[MonitorFrame],
+    chunk: &FrameChunk<'_>,
 ) -> Result<(), MonitorError> {
-    if frames.is_empty() {
+    if chunk.is_empty() {
         return Err(MonitorError::EmptyBatch);
     }
-    if frames.len() > caps.max_batch {
+    if chunk.len() > caps.max_batch {
         return Err(MonitorError::TooLarge {
-            len: frames.len(),
+            len: chunk.len(),
             max: caps.max_batch,
         });
     }
-    for f in frames {
+    for f in chunk.iter() {
         if !caps.kinds.contains(&f.payload.kind()) {
             return Err(MonitorError::UnsupportedKind {
                 channel: f.payload.name().to_string(),
@@ -149,58 +149,73 @@ pub(crate) fn check_delivery(
 /// One frame's canonical codec bytes, filled lazily (see [`FrameChunk`]).
 pub type FrameBytesCell = OnceCell<Arc<Vec<u8>>>;
 
-/// A delivery chunk plus a shared per-frame encode cache.
+/// A delivery: some of one publish's frames, plus that publish's shared
+/// per-frame encode cache.
 ///
 /// The hub builds one cache slot per published frame and hands every
-/// subscriber chunk views into it: the first transport that needs a
-/// frame's reference-codec bytes encodes it once via
-/// [`frame_bytes`](FrameChunk::frame_bytes), and every later subscriber
-/// (UNICORE staging the same file payload, OGSA hexing the same frame)
-/// clones the `Arc` instead of re-encoding. Transports with their own
-/// native re-expression (VISIT, COVISE) ignore the cache and read the
-/// typed frames directly.
+/// subscriber a chunk that *views* the publish-wide frame and cache
+/// slices through the positions that subscriber is due — all of them for
+/// a full-rate viewer, every Nth or only the grids for a decimated or
+/// kind-filtered one. No payload is copied to build a chunk, and whichever
+/// subscriber first needs a frame's reference-codec bytes encodes it once
+/// via [`frame_bytes`](FrameChunk::frame_bytes); every later one (UNICORE
+/// staging the same file payload, OGSA hexing the same frame) clones the
+/// `Arc` instead of re-encoding. Transports with their own native
+/// re-expression (VISIT, COVISE) ignore the cache and read the typed
+/// frames directly.
 pub struct FrameChunk<'a> {
     frames: &'a [MonitorFrame<'a>],
     cache: &'a [FrameBytesCell],
+    picks: &'a [usize],
 }
 
 impl<'a> FrameChunk<'a> {
-    /// A chunk over `frames` backed by the parallel `cache` slice.
-    /// Panics if the two lengths disagree.
-    pub fn new(frames: &'a [MonitorFrame<'a>], cache: &'a [FrameBytesCell]) -> FrameChunk<'a> {
+    /// The frames at positions `picks` of `frames`, in that order, backed
+    /// by the parallel `cache` slice. Panics if the two slices' lengths
+    /// disagree; a pick past their end panics when the chunk is read.
+    pub fn new(
+        frames: &'a [MonitorFrame<'a>],
+        cache: &'a [FrameBytesCell],
+        picks: &'a [usize],
+    ) -> FrameChunk<'a> {
         assert_eq!(
             frames.len(),
             cache.len(),
             "encode cache must parallel the frame slice"
         );
-        FrameChunk { frames, cache }
+        FrameChunk {
+            frames,
+            cache,
+            picks,
+        }
     }
 
-    /// The typed frames in this chunk.
-    pub fn frames(&self) -> &'a [MonitorFrame<'a>] {
-        self.frames
+    /// The typed frames in this chunk, in delivery order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a MonitorFrame<'a>> + '_ {
+        self.picks.iter().map(|&at| &self.frames[at])
     }
 
     /// Number of frames.
     pub fn len(&self) -> usize {
-        self.frames.len()
+        self.picks.len()
     }
 
     /// True when the chunk carries no frames.
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.picks.is_empty()
     }
 
-    /// Canonical codec bytes of frame `i`: encoded at most once per
-    /// publish, shared across every subscriber that asks.
+    /// Canonical codec bytes of the chunk's `i`th frame: encoded at most
+    /// once per publish, shared across every subscriber that asks.
     pub fn frame_bytes(&self, i: usize) -> Result<Arc<Vec<u8>>, FrameCodecError> {
-        if let Some(bytes) = self.cache[i].get() {
+        let at = self.picks[i];
+        if let Some(bytes) = self.cache[at].get() {
             return Ok(bytes.clone());
         }
-        let bytes = Arc::new(self.frames[i].try_to_bytes()?);
+        let bytes = Arc::new(self.frames[at].try_to_bytes()?);
         // single-threaded under the hub mutex, so this set never races;
         // ignoring the result keeps the error path (above) alloc-free
-        let _ = self.cache[i].set(bytes.clone());
+        let _ = self.cache[at].set(bytes.clone());
         Ok(bytes)
     }
 }
@@ -221,18 +236,13 @@ pub trait MonitorEndpoint: Send {
     /// on subsequent deliveries.
     fn negotiate(&mut self, viewer: &MonitorCaps) -> MonitorCaps;
 
-    /// Ship a batch of frames through the transport to the viewer side.
-    /// Returns the number of frames that completed the trip.
-    fn deliver(&mut self, frames: &[MonitorFrame]) -> Result<usize, MonitorError>;
-
-    /// Ship a hub chunk, with access to the publish-wide shared encode
-    /// cache. Transports that serialize via the reference codec override
-    /// this to reuse [`FrameChunk::frame_bytes`] instead of re-encoding;
-    /// the default just forwards the typed frames to
-    /// [`deliver`](MonitorEndpoint::deliver).
-    fn deliver_chunk(&mut self, chunk: &FrameChunk<'_>) -> Result<usize, MonitorError> {
-        self.deliver(chunk.frames())
-    }
+    /// Ship a chunk of frames through the transport to the viewer side —
+    /// the one way frames reach a subscriber, whatever its rate or kind
+    /// set. Transports that serialize via the reference codec take the
+    /// bytes from [`FrameChunk::frame_bytes`], so a frame is encoded once
+    /// per publish however many subscribers carry it. Returns the number
+    /// of frames that completed the trip.
+    fn deliver(&mut self, chunk: &FrameChunk<'_>) -> Result<usize, MonitorError>;
 
     /// Drain the frames the viewer side has decoded, in delivery order.
     fn recv(&mut self) -> Vec<MonitorFrame<'static>>;
@@ -242,6 +252,43 @@ pub trait MonitorEndpoint: Send {
     /// undrained frames, reclaim middleware state. Default is a no-op
     /// for stateless transports.
     fn close(&mut self) {}
+}
+
+/// The [`MonitorEndpoint`] methods that read the same over every
+/// middleware, written once (the mirror of the steering plane's
+/// `steer_endpoint_common!`). Expects the negotiated set as `self.caps`;
+/// the `inbox` arm adds the plain drain for adapters whose viewer side
+/// is a `self.inbox` of decoded frames.
+macro_rules! monitor_endpoint_common {
+    () => {
+        fn transport(&self) -> &'static str {
+            self.caps.transport
+        }
+
+        fn negotiate(&mut self, viewer: &$crate::MonitorCaps) -> $crate::MonitorCaps {
+            self.caps = self.caps.intersect(viewer);
+            self.caps.clone()
+        }
+    };
+    (inbox) => {
+        $crate::monitor::endpoint::monitor_endpoint_common!();
+
+        fn recv(&mut self) -> Vec<$crate::MonitorFrame<'static>> {
+            std::mem::take(&mut self.inbox)
+        }
+    };
+}
+pub(crate) use monitor_endpoint_common;
+
+/// Test sugar: deliver all of `frames` as one chunk with a fresh cache.
+#[cfg(test)]
+pub(crate) fn deliver_all(
+    ep: &mut dyn MonitorEndpoint,
+    frames: &[MonitorFrame],
+) -> Result<usize, MonitorError> {
+    let cache = vec![FrameBytesCell::new(); frames.len()];
+    let all: Vec<usize> = (0..frames.len()).collect();
+    ep.deliver(&FrameChunk::new(frames, &cache, &all))
 }
 
 #[cfg(test)]
@@ -276,24 +323,29 @@ mod tests {
     fn check_delivery_enforces_negotiated_set() {
         let mut caps = MonitorCaps::full("t", 2);
         caps.kinds.remove(&MonitorKind::Frame);
-        let scalar = MonitorFrame {
-            seq: 1,
-            step: 0,
-            payload: MonitorPayload::scalar("x", 1.0),
-        };
-        let frame = MonitorFrame {
-            seq: 2,
-            step: 0,
-            payload: MonitorPayload::frame("viz", true, 0, Vec::new()),
-        };
-        assert_eq!(check_delivery(&caps, &[]), Err(MonitorError::EmptyBatch));
-        assert!(check_delivery(&caps, std::slice::from_ref(&scalar)).is_ok());
+        let frames = [
+            MonitorFrame {
+                seq: 1,
+                step: 0,
+                payload: MonitorPayload::scalar("x", 1.0),
+            },
+            MonitorFrame {
+                seq: 2,
+                step: 0,
+                payload: MonitorPayload::frame("viz", true, 0, Vec::new()),
+            },
+        ];
+        let cache = vec![FrameBytesCell::new(); 2];
+        let check =
+            |picks: &[usize]| check_delivery(&caps, &FrameChunk::new(&frames, &cache, picks));
+        assert_eq!(check(&[]), Err(MonitorError::EmptyBatch));
+        assert!(check(&[0]).is_ok());
         assert!(matches!(
-            check_delivery(&caps, &[frame]),
+            check(&[1]),
             Err(MonitorError::UnsupportedKind { .. })
         ));
         assert!(matches!(
-            check_delivery(&caps, &[scalar.clone(), scalar.clone(), scalar]),
+            check(&[0, 0, 0]),
             Err(MonitorError::TooLarge { len: 3, max: 2 })
         ));
     }

@@ -253,22 +253,10 @@ impl MonitorHub {
         let Some(sub) = st.subs.iter_mut().find(|s| s.name == name) else {
             return 0;
         };
-        let due: Vec<MonitorFrame> = frames
-            .iter()
-            .filter(|f| sub.caps.kinds.contains(&f.payload.kind()))
-            .cloned()
+        let due: Vec<usize> = (0..frames.len())
+            .filter(|&i| sub.caps.kinds.contains(&frames[i].payload.kind()))
             .collect();
-        let mut delivered = 0;
-        for chunk in due.chunks(sub.caps.max_batch.max(1)) {
-            match sub.ep.deliver(chunk) {
-                Ok(n) => {
-                    sub.stats.delivered += n as u64;
-                    delivered += n as u64;
-                }
-                Err(_) => sub.stats.errors += chunk.len() as u64,
-            }
-        }
-        delivered
+        sub.ship(frames, &fresh_cache(frames.len()), &due)
     }
 
     /// Drain the frames subscriber `name`'s viewer side has received, in
@@ -402,20 +390,43 @@ impl MonitorHub {
     }
 }
 
+/// One empty encode-cache slot per frame of a publish.
+fn fresh_cache(len: usize) -> Vec<FrameBytesCell> {
+    vec![FrameBytesCell::new(); len]
+}
+
+impl SubEntry {
+    /// Ship the frames at positions `due` to this subscriber, chunked to
+    /// its negotiated batch size — the one delivery loop behind
+    /// `fan_out` and `deliver_to`. Every chunk is a view into the
+    /// caller's `frames` and the publish-wide `cache`: no payload is
+    /// copied inside the hub whatever subset is due, and whichever
+    /// subscriber encodes a frame first encodes it for all of them.
+    /// Returns the number of frames delivered.
+    fn ship(&mut self, frames: &[MonitorFrame], cache: &[FrameBytesCell], due: &[usize]) -> u64 {
+        let mut delivered = 0;
+        for picks in due.chunks(self.caps.max_batch.max(1)) {
+            match self.ep.deliver(&FrameChunk::new(frames, cache, picks)) {
+                Ok(n) => delivered += n as u64,
+                Err(_) => self.stats.errors += picks.len() as u64,
+            }
+        }
+        self.stats.delivered += delivered;
+        delivered
+    }
+}
+
 /// Fan a frame batch out to every subscriber: filter by negotiated kinds,
 /// decimate by the negotiated rate, shed the oldest frames beyond the
 /// subscriber's send budget, chunk to the negotiated batch size, ship.
 /// Deterministic: attach order, publish order, per-subscriber admissible
 /// counters.
 fn fan_out(st: &mut HubState, frames: &[MonitorFrame]) {
-    // One shared encode cache per publish, parallel to `frames`: the
-    // first subscriber whose transport needs a frame's canonical bytes
-    // pays the encode, every later subscriber ships the same shared
-    // buffer — encode-once fan-out instead of once per subscriber.
-    // (fan_out runs under the hub mutex, so the OnceCell is race-free.)
-    let cache: Vec<FrameBytesCell> = (0..frames.len()).map(|_| FrameBytesCell::new()).collect();
+    // One shared encode cache per publish, parallel to `frames`
+    // (fan_out runs under the hub mutex, so the OnceCell is race-free).
+    let cache = fresh_cache(frames.len());
     for sub in &mut st.subs {
-        let mut due_idx: Vec<usize> = Vec::new();
+        let mut due: Vec<usize> = Vec::with_capacity(frames.len());
         for (i, frame) in frames.iter().enumerate() {
             if !sub.caps.kinds.contains(&frame.payload.kind()) {
                 sub.stats.filtered += 1;
@@ -424,49 +435,29 @@ fn fan_out(st: &mut HubState, frames: &[MonitorFrame]) {
             let take = sub.admissible % sub.caps.deliver_every as u64 == 0;
             sub.admissible += 1;
             if take {
-                due_idx.push(i);
+                due.push(i);
             } else {
                 sub.stats.decimated += 1;
             }
         }
         if let Some(budget) = sub.budget {
-            if due_idx.len() > budget {
+            if due.len() > budget {
                 // drop-oldest: the newest frames are the ones a live
                 // viewer can still use
-                let surplus = due_idx.len() - budget;
+                let surplus = due.len() - budget;
                 sub.stats.shed += surplus as u64;
-                due_idx.drain(..surplus);
+                due.drain(..surplus);
             }
         }
-        let max_batch = sub.caps.max_batch.max(1);
-        if due_idx.len() == frames.len() {
-            // fast path (full caps, no decimation — the common case):
-            // chunk the caller's slice directly, no per-subscriber clone
-            // of grid/frame payloads inside the hub, and hand each chunk
-            // the matching slice of the shared encode cache
-            for (chunk, ccache) in frames.chunks(max_batch).zip(cache.chunks(max_batch)) {
-                match sub.ep.deliver_chunk(&FrameChunk::new(chunk, ccache)) {
-                    Ok(n) => sub.stats.delivered += n as u64,
-                    Err(_) => sub.stats.errors += chunk.len() as u64,
-                }
-            }
-        } else {
-            let due: Vec<MonitorFrame> = due_idx.into_iter().map(|i| frames[i].clone()).collect();
-            for chunk in due.chunks(max_batch) {
-                match sub.ep.deliver(chunk) {
-                    Ok(n) => sub.stats.delivered += n as u64,
-                    Err(_) => sub.stats.errors += chunk.len() as u64,
-                }
-            }
-        }
+        sub.ship(frames, &cache, &due);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loopback::LoopbackMonitor;
     use crate::monitor::frame::MonitorKind;
-    use crate::monitor::loopback::LoopbackMonitor;
 
     fn hub_with(names: &[&str]) -> MonitorHub {
         let hub = MonitorHub::new();
@@ -732,6 +723,146 @@ mod tests {
             }
         }
         assert!(saw_err, "no poisoned byte produced a typed error");
+    }
+
+    /// `(seq, shared codec bytes)` of every frame a sink was handed.
+    type Seen = Arc<Mutex<Vec<(u64, Arc<Vec<u8>>)>>>;
+
+    /// A sink that keeps the shared codec bytes of everything delivered.
+    struct CaptureSink {
+        caps: MonitorCaps,
+        seen: Seen,
+    }
+
+    impl MonitorEndpoint for CaptureSink {
+        crate::monitor::endpoint::monitor_endpoint_common!();
+
+        fn deliver(
+            &mut self,
+            chunk: &FrameChunk<'_>,
+        ) -> Result<usize, crate::monitor::MonitorError> {
+            for (i, f) in chunk.iter().enumerate() {
+                self.seen.lock().push((f.seq, chunk.frame_bytes(i)?));
+            }
+            Ok(chunk.len())
+        }
+
+        fn recv(&mut self) -> Vec<MonitorFrame<'static>> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn every_subscriber_shares_one_encoding_per_published_frame() {
+        let hub = MonitorHub::new();
+        let mut grids_only = MonitorCaps::full("viewer", 64);
+        grids_only.kinds.retain(|k| *k == MonitorKind::Grid2);
+        let subs = [
+            ("full", MonitorCaps::full("viewer", 64)),
+            ("thin", MonitorCaps::full("viewer", 2).every(2)),
+            ("grids", grids_only),
+        ];
+        let mut seen = Vec::new();
+        for (name, caps) in &subs {
+            let log = Seen::default();
+            let sink = CaptureSink {
+                caps: MonitorCaps::full("capture", 64),
+                seen: log.clone(),
+            };
+            hub.attach_endpoint(name, Box::new(sink), caps);
+            seen.push(log);
+        }
+        for step in 0..3 {
+            hub.publish_batch(
+                step,
+                vec![
+                    MonitorPayload::scalar("s", step as f64),
+                    MonitorPayload::grid2("g", 2, 1, vec![0.5, step as f32]),
+                    MonitorPayload::vec3("v", [step as f64; 3]),
+                    MonitorPayload::grid2("h", 1, 2, vec![step as f32, -0.5]),
+                ],
+            );
+        }
+        hub.publish(3, MonitorPayload::scalar("s", 3.0));
+
+        // the same counts the two-path hub produced for this script
+        let stats = |name: &str| {
+            let s = hub.stats_of(name).unwrap();
+            (s.delivered, s.decimated, s.filtered, s.shed, s.errors)
+        };
+        assert_eq!(stats("full"), (13, 0, 0, 0, 0));
+        assert_eq!(stats("thin"), (7, 6, 0, 0, 0));
+        assert_eq!(stats("grids"), (6, 0, 7, 0, 0));
+
+        // encode-once holds for every subscriber, not only full-rate ones:
+        // whoever carries frame `seq` carries the *same* buffer
+        let full = seen[0].lock().clone();
+        assert_eq!(full.len(), 13);
+        for other in &seen[1..] {
+            let other = other.lock();
+            assert!(!other.is_empty());
+            for (seq, bytes) in other.iter() {
+                let (_, first) = full.iter().find(|(s, _)| s == seq).expect("full saw it");
+                assert!(Arc::ptr_eq(first, bytes), "frame {seq} was encoded twice");
+            }
+        }
+    }
+
+    /// A one-subscriber hub section as `save_sections` writes it, with
+    /// the subscriber's decimation rate set to `deliver_every`.
+    fn section_with_rate(deliver_every: u32) -> Snapshot {
+        let mut w = SectionWriter::new();
+        w.put_u64(0); // next_seq
+        w.put_u64(0); // published
+        w.put_u32(0); // handshakes
+        w.put_u32(1); // subscribers
+        w.put_str("v");
+        crate::ckpt::put_caps(
+            &mut w,
+            &MonitorCaps {
+                deliver_every,
+                ..MonitorCaps::full("loopback", 64)
+            },
+        );
+        w.put_u64(0); // admissible
+        w.put_bool(false); // no budget
+        w.put_u64(0);
+        w.put_u32(0); // keyframes served
+        for _ in 0..5 {
+            w.put_u64(0); // stats
+        }
+        let mut snap = Snapshot::new(1, 0);
+        snap.push("mon", 0, w.finish());
+        Snapshot::decode(&snap.encode()).unwrap()
+    }
+
+    #[test]
+    fn restore_rejects_a_zero_decimation_rate_instead_of_dividing_by_it() {
+        let mut loopback = |_: &str, _: &MonitorCaps| -> Box<dyn MonitorEndpoint> {
+            Box::new(LoopbackMonitor::new())
+        };
+        let hostile = MonitorHub::new();
+        assert!(matches!(
+            hostile.restore_sections(&section_with_rate(0), "mon", &mut loopback),
+            Err(CkptError::Corrupt { .. })
+        ));
+        assert_eq!(
+            hostile.subscribers(),
+            0,
+            "a refused restore installs nothing"
+        );
+        hostile.publish(0, MonitorPayload::scalar("x", 1.0)); // and still publishes
+
+        // the same section with a real rate restores and keeps its schedule
+        let hub = MonitorHub::new();
+        hub.restore_sections(&section_with_rate(2), "mon", &mut loopback)
+            .unwrap();
+        for i in 0..4 {
+            hub.publish(i, MonitorPayload::scalar("x", i as f64));
+        }
+        let st = hub.stats_of("v").unwrap();
+        assert_eq!((st.delivered, st.decimated), (2, 2));
+        assert_eq!(hub.recv("v").len(), 2);
     }
 
     #[test]

@@ -20,13 +20,22 @@
 //!   numbers and fanned out to every subscriber in attach order, filtered
 //!   and decimated per the negotiated capability set. Batched publication
 //!   ships one transport envelope per chunk instead of per frame.
-//! * One adapter per middleware, mirroring the steering set:
-//!   [`LoopbackMonitor`] (in-process reference), [`VisitMonitor`] (real
-//!   §3.2 wire frames, both byte orders), [`OgsaMonitor`] (a hosted
+//! * One delivery path: whatever a subscriber negotiated — full rate,
+//!   every Nth frame, grids only — the hub hands its endpoint
+//!   [`FrameChunk`]s that *view* the published frames and the
+//!   publish-wide encode cache through the positions that subscriber is
+//!   due. No payload is copied inside the hub, and a frame is serialized
+//!   once per publish however many subscribers carry it.
+//! * The monitor half of each middleware module, mirroring the steering
+//!   set: [`LoopbackMonitor`] (in-process reference), [`VisitMonitor`]
+//!   (real §3.2 wire frames, both byte orders), [`OgsaMonitor`] (a hosted
 //!   [`MonitorFeedService`] discovered through the Figure-2 registry and
 //!   *pulled* by the viewer), [`CoviseMonitor`] (grids-only shared data
 //!   objects — negotiation is load-bearing), and [`UnicoreMonitor`]
-//!   (batches consigned as staged-file AJOs the consumer polls).
+//!   (batches consigned as staged-file AJOs the consumer polls). They
+//!   live beside their steering twins in [`crate::loopback`],
+//!   [`crate::visit`], [`crate::ogsa`], [`crate::covise`] and
+//!   [`crate::unicore`], and are re-exported here.
 //! * [`HubFrameSink`] — reroutes the VizServer compressed-bitmap path
 //!   ([`viz::VizServerSession`]) onto the hub, so rendered frames travel
 //!   the same data plane as field slices and series points.
@@ -36,24 +45,35 @@
 //!   origin → region → edge trees where each tier applies its own
 //!   backpressure and serves late joiners from its edge cache.
 
-pub mod covise_ep;
 pub mod endpoint;
 pub mod frame;
 pub mod hub;
-pub mod loopback;
-pub mod ogsa_ep;
 pub mod relay;
-pub mod unicore_ep;
-pub mod visit_ep;
 pub mod viz_sink;
 
-pub use covise_ep::CoviseMonitor;
+// Monitor-plane unit tests of the middleware modules, at the module paths
+// they have always had (see the note on the steering-plane mounts in the
+// crate root).
+#[cfg(test)]
+#[path = "../middleware_tests/covise_monitor.rs"]
+mod covise_ep;
+#[cfg(test)]
+#[path = "../middleware_tests/ogsa_monitor.rs"]
+mod ogsa_ep;
+#[cfg(test)]
+#[path = "../middleware_tests/unicore_monitor.rs"]
+mod unicore_ep;
+#[cfg(test)]
+#[path = "../middleware_tests/visit_monitor.rs"]
+mod visit_ep;
+
+pub use crate::covise::CoviseMonitor;
+pub use crate::loopback::LoopbackMonitor;
+pub use crate::ogsa::{MonitorFeedService, OgsaMonitor};
+pub use crate::unicore::UnicoreMonitor;
+pub use crate::visit::VisitMonitor;
 pub use endpoint::{FrameBytesCell, FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError};
 pub use frame::{FrameCodecError, MonitorFrame, MonitorKind, MonitorPayload};
 pub use hub::{MonitorHub, MonitorStats};
-pub use loopback::LoopbackMonitor;
-pub use ogsa_ep::{MonitorFeedService, OgsaMonitor};
 pub use relay::{RelayHub, RelayPolicy, RelayReport};
-pub use unicore_ep::UnicoreMonitor;
-pub use visit_ep::VisitMonitor;
 pub use viz_sink::{publish_render, HubFrameSink};

@@ -32,7 +32,9 @@
 //!
 //! [`MonitorStats::shed`]: crate::monitor::hub::MonitorStats
 
-use crate::monitor::endpoint::{check_delivery, MonitorCaps, MonitorEndpoint, MonitorError};
+use crate::monitor::endpoint::{
+    check_delivery, monitor_endpoint_common, FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError,
+};
 use crate::monitor::frame::{MonitorFrame, MonitorPayload};
 use crate::monitor::hub::{MonitorHub, MonitorStats};
 use gridsteer_ckpt::{CkptError, SectionWriter, Snapshot};
@@ -388,22 +390,15 @@ struct RelayUplink {
 }
 
 impl MonitorEndpoint for RelayUplink {
-    fn transport(&self) -> &'static str {
-        "relay"
-    }
+    monitor_endpoint_common!();
 
-    fn negotiate(&mut self, viewer: &MonitorCaps) -> MonitorCaps {
-        self.caps = self.caps.intersect(viewer);
-        self.caps.clone()
-    }
-
-    fn deliver(&mut self, frames: &[MonitorFrame]) -> Result<usize, MonitorError> {
-        check_delivery(&self.caps, frames)?;
+    fn deliver(&mut self, chunk: &FrameChunk<'_>) -> Result<usize, MonitorError> {
+        check_delivery(&self.caps, chunk)?;
         self.core
             .lock()
             .ingress
-            .extend(frames.iter().map(|f| f.clone().into_owned()));
-        Ok(frames.len())
+            .extend(chunk.iter().map(|f| f.clone().into_owned()));
+        Ok(chunk.len())
     }
 
     fn recv(&mut self) -> Vec<MonitorFrame<'static>> {
@@ -422,7 +417,7 @@ impl MonitorEndpoint for RelayUplink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::loopback::LoopbackMonitor;
+    use crate::loopback::LoopbackMonitor;
 
     fn scalar(v: f64) -> MonitorPayload<'static> {
         MonitorPayload::scalar("x", v)

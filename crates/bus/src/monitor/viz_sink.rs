@@ -66,10 +66,10 @@ pub fn publish_render(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loopback::LoopbackMonitor;
     use crate::monitor::endpoint::MonitorCaps;
     use crate::monitor::frame::MonitorKind;
-    use crate::monitor::loopback::LoopbackMonitor;
-    use crate::monitor::visit_ep::VisitMonitor;
+    use crate::visit::VisitMonitor;
     use viz::{vizserver::demo_camera, DeltaRleCodec, TriMesh};
 
     #[test]

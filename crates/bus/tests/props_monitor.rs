@@ -6,8 +6,8 @@
 //! endpoints must be observationally equivalent.
 
 use gridsteer_bus::{
-    FrameCodecError, LoopbackMonitor, MonitorCaps, MonitorEndpoint, MonitorFrame, MonitorHub,
-    MonitorPayload, VisitMonitor,
+    FrameBytesCell, FrameChunk, FrameCodecError, LoopbackMonitor, MonitorCaps, MonitorEndpoint,
+    MonitorFrame, MonitorHub, MonitorPayload, VisitMonitor,
 };
 use proptest::prelude::*;
 use visit::Endianness;
@@ -55,6 +55,14 @@ fn payload_from(sel: u8, name: &str, data: &[u8]) -> MonitorPayload<'static> {
 /// A lossless lowercase channel name derived from arbitrary bytes.
 fn ascii_name(bytes: &[u8]) -> String {
     bytes.iter().map(|b| (b'a' + b % 26) as char).collect()
+}
+
+/// Drive an endpoint the way the hub does — through its one delivery
+/// method — with a chunk over all of `frames` and a fresh encode cache.
+fn deliver(ep: &mut dyn MonitorEndpoint, frames: &[MonitorFrame]) -> usize {
+    let cache = vec![FrameBytesCell::new(); frames.len()];
+    let all: Vec<usize> = (0..frames.len()).collect();
+    ep.deliver(&FrameChunk::new(frames, &cache, &all)).unwrap()
 }
 
 /// Byte-level equality witness: canonical binary encodings are compared,
@@ -122,7 +130,7 @@ proptest! {
         let order = if big { Endianness::Big } else { Endianness::Little };
         let mut ep = VisitMonitor::with_order(order);
         ep.negotiate(&MonitorCaps::full("prop", 8));
-        prop_assert_eq!(ep.deliver(std::slice::from_ref(&frame)).unwrap(), 1);
+        prop_assert_eq!(deliver(&mut ep, std::slice::from_ref(&frame)), 1);
         let got = ep.recv();
         prop_assert_eq!(got.len(), 1);
         prop_assert_eq!(bytes_of(&got[0]), bytes_of(&frame));
@@ -149,14 +157,14 @@ proptest! {
         let via_loopback = {
             let mut ep = LoopbackMonitor::new();
             ep.negotiate(&MonitorCaps::full("prop", 64));
-            ep.deliver(&frames).unwrap();
+            deliver(&mut ep, &frames);
             ep.recv().iter().map(bytes_of).collect::<Vec<_>>()
         };
         let via_visit = {
             let order = if big { Endianness::Big } else { Endianness::Little };
             let mut ep = VisitMonitor::with_order(order);
             ep.negotiate(&MonitorCaps::full("prop", 64));
-            ep.deliver(&frames).unwrap();
+            deliver(&mut ep, &frames);
             ep.recv().iter().map(bytes_of).collect::<Vec<_>>()
         };
         prop_assert_eq!(via_loopback, via_visit);

@@ -1,15 +1,18 @@
 //! The zero-copy acceptance gate for the monitor data plane: once warm,
 //! publishing a sample must perform **no grid-sized allocation** anywhere
 //! on the path — source extraction (`monitor_payloads_into` refills the
-//! caller's scratch), hub fan-out (borrowed payloads chunked in place,
-//! never cloned on the fast path), and subscriber delivery (a digesting
-//! sink that folds the frames without storing them).
+//! caller's scratch), hub fan-out (every subscriber's chunk is a view of
+//! the published frames, never a copy — full-rate, decimated or
+//! kind-filtered alike), and subscriber delivery (a digesting sink that
+//! folds the frames without storing them).
 //!
 //! The witness is a counting global allocator: every allocation at least
 //! as large as the *smaller* grid channel (the mid-plane slice) is
 //! counted, so a single hidden clone of either grid trips the gate.
 
-use gridsteer_bus::{MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame, MonitorHub};
+use gridsteer_bus::{
+    FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame, MonitorHub,
+};
 use lbm::{LbmConfig, TwoFluidLbm};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -86,9 +89,9 @@ impl MonitorEndpoint for DigestSink {
         self.caps.clone()
     }
 
-    fn deliver(&mut self, frames: &[MonitorFrame]) -> Result<usize, MonitorError> {
+    fn deliver(&mut self, chunk: &FrameChunk<'_>) -> Result<usize, MonitorError> {
         use gridsteer_bus::MonitorPayload;
-        for f in frames {
+        for f in chunk.iter() {
             self.fold(f.seq);
             match &f.payload {
                 MonitorPayload::Scalar { value, .. } => self.fold(value.to_bits()),
@@ -110,7 +113,7 @@ impl MonitorEndpoint for DigestSink {
             }
             self.frames_seen += 1;
         }
-        Ok(frames.len())
+        Ok(chunk.len())
     }
 
     fn recv(&mut self) -> Vec<MonitorFrame<'static>> {
@@ -190,4 +193,37 @@ fn owned_publish_path_does_allocate_grids() {
         GRID_ALLOCS.load(Ordering::Relaxed) >= 2,
         "owned path should allocate both grid channels"
     );
+}
+
+#[test]
+fn kind_filtered_subscriber_gets_views_not_copies_of_owned_grids() {
+    // a subscriber that takes only part of each publish used to be served
+    // from per-frame deep copies; with one delivery path its chunk views
+    // the published frames, so even *owned* grids cross the hub uncopied
+    let _serial = COUNTER_LOCK.lock().unwrap();
+    let grid = || -> Vec<gridsteer_bus::MonitorPayload<'static>> {
+        vec![
+            gridsteer_bus::MonitorPayload::scalar("demix", 0.5),
+            gridsteer_bus::MonitorPayload::grid3("phi", 16, 16, 8, vec![0.25; 16 * 16 * 8]),
+        ]
+    };
+    let hub = MonitorHub::new();
+    let mut grids_only = MonitorCaps::full("viewer", 64);
+    grids_only
+        .kinds
+        .retain(|k| *k == gridsteer_bus::MonitorKind::Grid3);
+    hub.attach_endpoint("viewer", Box::new(DigestSink::new()), &grids_only);
+    hub.publish_batch(0, grid()); // warm-up
+    let payloads = grid(); // the caller's own allocation, outside the window
+    GRID_ALLOCS.store(0, Ordering::Relaxed);
+    ARMED.store(true, Ordering::Relaxed);
+    hub.publish_batch(1, payloads);
+    ARMED.store(false, Ordering::Relaxed);
+    assert_eq!(
+        GRID_ALLOCS.load(Ordering::Relaxed),
+        0,
+        "the hub copied a grid for a kind-filtered subscriber"
+    );
+    let stats = hub.stats_of("viewer").expect("viewer attached");
+    assert_eq!((stats.delivered, stats.filtered), (2, 2));
 }
