@@ -21,7 +21,8 @@
 //! [`snapshot_all`] runs the five gated workloads — LBM collide/stream
 //! (the scalar×SIMD / 1×8-thread matrix, whose four digests must agree),
 //! the exec-pool chunk kernel, the monitor publish path (owned vs
-//! borrowed, same digest), hub fan-out over encoding subscribers, and the
+//! borrowed, same digest) and one delivery through each middleware
+//! adapter, hub fan-out over encoding subscribers, and the
 //! checkpoint codec (full encode, delta encode, decode + restore).
 
 use gridsteer_bus::{
@@ -224,7 +225,8 @@ impl MonitorEndpoint for FoldSink {
 
 /// The monitor publish path, owned vs borrowed payload construction. The
 /// two cells must produce the same delivered digest; the borrowed cell is
-/// the zero-copy steady state.
+/// the zero-copy steady state. Then the four adapter cells of
+/// [`deliver_cells`].
 pub fn snap_monitor() -> GateReport {
     use steer_core::{LbmMonitorAdapter, MonitorScratch};
     const PUBLISHES: usize = 60;
@@ -283,10 +285,91 @@ pub fn snap_monitor() -> GateReport {
         cells.iter().all(|c| c.digest == first),
         "owned and borrowed publish paths delivered different schedules: {cells:?}"
     );
+    cells.extend(deliver_cells(&sim));
     GateReport {
         id: "monitor".into(),
         cells,
     }
+}
+
+/// One `deliver` + `recv` of the LBM 16³ publish set (three scalars, a
+/// vec3, the 16² mid-plane and the 16³ field — what loopbench's
+/// `viz_fanout` publishes every tick) through each middleware adapter.
+/// The reference encoding is filled once up front, as the hub shares it
+/// across a publish's subscribers, so a cell times the adapter's own hop:
+/// the mean round of the fastest of five batches, because a 10 µs cell
+/// measured for a millisecond is at the mercy of one scheduling burst.
+/// Each digest folds the frames `recv` returned and must equal what
+/// loopback returns for the kinds that adapter negotiated.
+fn deliver_cells(sim: &lbm::TwoFluidLbm) -> Vec<GateCell> {
+    use gridsteer_bus::{FrameBytesCell, Transport};
+    use steer_core::{MonitorScratch, MonitorSource};
+    const BATCHES: usize = 5;
+    const ROUNDS: usize = 100;
+    let mut scratch = MonitorScratch::default();
+    let frames: Vec<MonitorFrame> = sim
+        .monitor_payloads_into(&mut scratch)
+        .into_iter()
+        .zip(1u64..)
+        .map(|(payload, seq)| MonitorFrame {
+            seq,
+            step: sim.monitor_step(),
+            payload,
+        })
+        .collect();
+    let cache = vec![FrameBytesCell::new(); frames.len()];
+    let all: Vec<usize> = (0..frames.len()).collect();
+    let whole = FrameChunk::new(&frames, &cache, &all);
+    for i in 0..whole.len() {
+        whole
+            .frame_bytes(i)
+            .expect("the publish set fits the codec");
+    }
+    let viewer = MonitorCaps::full("viewer", 64);
+    let digest_of =
+        |received: &[MonitorFrame]| received.iter().fold(FNV_OFFSET, |h, f| f.fold_fnv(h));
+    [
+        Transport::Visit,
+        Transport::Ogsa,
+        Transport::Covise,
+        Transport::Unicore,
+    ]
+    .into_iter()
+    .map(|transport| {
+        let mut ep = transport.attach_monitor("snap");
+        let kinds = ep.negotiate(&viewer).kinds;
+        let picks: Vec<usize> = (0..frames.len())
+            .filter(|&i| kinds.contains(&frames[i].payload.kind()))
+            .collect();
+        let chunk = FrameChunk::new(&frames, &cache, &picks);
+        let round = |ep: &mut dyn MonitorEndpoint| {
+            ep.deliver(&chunk).expect("adapter carries its own kinds");
+            ep.recv()
+        };
+        let received = round(ep.as_mut()); // warm-up
+        let wall_us = (0..BATCHES)
+            .map(|_| {
+                let t0 = Instant::now();
+                for _ in 0..ROUNDS {
+                    std::hint::black_box(round(ep.as_mut()));
+                }
+                t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64
+            })
+            .fold(f64::INFINITY, f64::min);
+        let reference = round(Transport::Loopback.attach_monitor("snap").as_mut());
+        assert_eq!(
+            digest_of(&received),
+            digest_of(&reference),
+            "{} received different frames than loopback",
+            transport.label()
+        );
+        GateCell {
+            cell: format!("deliver_{}_16c", transport.label()),
+            wall_us,
+            digest: hex(digest_of(&received)),
+        }
+    })
+    .collect()
 }
 
 /// Hub fan-out to UNICORE subscribers, whose staged-file payloads force a

@@ -7,12 +7,56 @@ mod tests {
     use crate::ogsa::{from_hex, to_hex, MonitorFeedService, OgsaMonitor};
     use ogsa::{GridService, InvokeResult, SdeValue};
 
+    /// [`from_hex`] into a fresh buffer.
+    fn unhex(s: &str) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        from_hex(s, &mut out).map(|()| out)
+    }
+
     #[test]
     fn hex_codec_roundtrip() {
         let bytes = vec![0u8, 1, 0xab, 0xff, 0x7f];
-        assert_eq!(from_hex(&to_hex(&bytes)), Some(bytes));
-        assert_eq!(from_hex("0g"), None);
-        assert_eq!(from_hex("abc"), None);
+        assert_eq!(unhex(&to_hex(&bytes)), Some(bytes));
+        assert_eq!(unhex("0g"), None);
+        assert_eq!(unhex("abc"), None);
+    }
+
+    /// The byte-wise definition the tables replaced: one digit's value.
+    fn nibble(c: u8) -> Option<u8> {
+        match c {
+            b'0'..=b'9' => Some(c - b'0'),
+            b'a'..=b'f' => Some(c - b'a' + 10),
+            b'A'..=b'F' => Some(c - b'A' + 10),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn hex_tables_agree_with_the_bytewise_definitions() {
+        let all: Vec<u8> = (0..=255).collect();
+        let lower: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(to_hex(&all), lower);
+        assert_eq!(unhex(&lower).as_ref(), Some(&all));
+        assert_eq!(unhex(&lower.to_uppercase()).as_ref(), Some(&all));
+        assert_eq!(unhex(""), Some(vec![]));
+        assert_eq!(unhex(&lower[..lower.len() - 1]), None, "odd length");
+        // every byte value in either digit position, hex digit or not
+        // (non-ASCII bytes cannot appear in a `&str` on their own; the
+        // two-byte characters below put every one of them in both places)
+        for c in 0..=127u8 {
+            let expect = |hi: u8, lo: u8| Some(vec![(nibble(hi)? << 4) | nibble(lo)?]);
+            let (hi, lo) = ([c, b'7'], [b'7', c]);
+            assert_eq!(unhex(std::str::from_utf8(&hi).unwrap()), expect(c, b'7'));
+            assert_eq!(unhex(std::str::from_utf8(&lo).unwrap()), expect(b'7', c));
+        }
+        for c in '\u{80}'..='\u{7ff}' {
+            assert_eq!(unhex(&c.to_string()), None, "{c:?}");
+            assert_eq!(unhex(&format!("00{c}00")), None, "{c:?}");
+        }
+        // a reused buffer holds exactly the last decode
+        let mut out = vec![9; 64];
+        assert_eq!(from_hex("0aFf", &mut out), Some(()));
+        assert_eq!(out, [0x0a, 0xff]);
     }
 
     #[test]
@@ -67,6 +111,42 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, MonitorError::Codec(_)), "{err}");
+    }
+
+    #[test]
+    fn one_malformed_argument_faults_the_whole_publish() {
+        let hexed = |seq: u64| {
+            let frame = MonitorFrame {
+                seq,
+                step: 0,
+                payload: MonitorPayload::grid2("g", 1, 2, vec![0.5, -1.0]),
+            };
+            to_hex(&frame.to_bytes())
+        };
+        let pending = |svc: &MonitorFeedService| svc.service_data().get("pendingFrames").cloned();
+        let good = hexed(2);
+        let mut svc = MonitorFeedService::new("x");
+        for bad in [
+            SdeValue::Str(good[..good.len() - 2].to_string()), // truncated frame
+            SdeValue::Str(format!("{good}00")),                // trailing byte
+            SdeValue::Str(good.replacen('0', "g", 1)),         // not hex
+            SdeValue::I64(7),                                  // not text
+        ] {
+            let args = [SdeValue::Str(hexed(1)), SdeValue::Str(good.clone()), bad];
+            let r = svc.invoke("publishFrames", &args);
+            assert!(matches!(r, InvokeResult::Fault(_)), "{r:?}");
+            assert_eq!(pending(&svc), Some(SdeValue::I64(0)), "nothing buffered");
+        }
+        // the service (and its reused scratch) still takes a good call
+        let args = [SdeValue::Str(hexed(1)), SdeValue::Str(good.clone())];
+        assert_eq!(
+            svc.invoke("publishFrames", &args),
+            InvokeResult::Ok(vec![SdeValue::I64(2)])
+        );
+        assert_eq!(
+            svc.invoke("pullFrames", &[]),
+            InvokeResult::Ok(vec![SdeValue::List(vec![hexed(1), good])])
+        );
     }
 
     #[test]

@@ -19,6 +19,17 @@
 //!   *pulls* with a `pullFrames` round trip — OGSA serves monitored
 //!   output on request rather than streaming it, so one invoke returns
 //!   everything published since the last poll.
+//!
+//! What the monitor hop validates: `publishFrames` takes a call only if
+//! *every* argument is text, un-hexes (even length, hex digits of either
+//! case) and decodes as exactly one frame with no byte left over —
+//! otherwise the whole call faults and nothing is buffered. The service
+//! checks with [`MonitorFrame::decode_borrowed`] over one scratch buffer
+//! it reuses and keeps the hex text it was handed; the viewer's
+//! `pullFrames` un-hexes and decodes again, strictly, into the frames it
+//! owns. The steering hop validates shape: `setBatch` faults on any
+//! argument triple that is not (name text, known kind, payload of that
+//! kind).
 
 use crate::command::{SteerCommand, SteerError};
 use crate::endpoint::{check_batch, steer_endpoint_common, Capabilities, SteerEndpoint};
@@ -260,50 +271,75 @@ impl SteerEndpoint for OgsaEndpoint {
     }
 }
 
-/// Lowercase hex digits, indexed by nibble (this codec is the per-frame
-/// hot path of the OGSA hop — table lookups, no formatter machinery).
-const HEX: &[u8; 16] = b"0123456789abcdef";
+/// Both lowercase hex digits of every byte value (this codec is the
+/// per-frame hot path of the OGSA hop — one table lookup per byte, no
+/// formatter machinery).
+const HEX: [[u8; 2]; 256] = {
+    let digits = b"0123456789abcdef";
+    let mut table = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = [digits[b >> 4], digits[b & 0x0f]];
+        b += 1;
+    }
+    table
+};
+
+/// Marks a byte that is not a hex digit in [`UNHEX`]: no digit's value
+/// has a high nibble, so OR-ing looked-up values keeps the mark.
+const NOT_HEX: u8 = 0xff;
+
+/// Every byte's value as a hex digit of either case, or [`NOT_HEX`].
+const UNHEX: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut d = 0u8;
+    while d < 16 {
+        if d < 10 {
+            table[(b'0' + d) as usize] = d;
+        } else {
+            table[(b'a' + d - 10) as usize] = d;
+            table[(b'A' + d - 10) as usize] = d;
+        }
+        d += 1;
+    }
+    table
+};
 
 /// Lowercase hex encoding of a frame's binary form.
 pub(crate) fn to_hex(bytes: &[u8]) -> String {
-    let mut s = Vec::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        s.push(HEX[(b >> 4) as usize]);
-        s.push(HEX[(b & 0x0f) as usize]);
+    let mut s = vec![0u8; bytes.len() * 2];
+    for (pair, &b) in s.chunks_exact_mut(2).zip(bytes) {
+        pair.copy_from_slice(&HEX[b as usize]);
     }
     // the table emits only ASCII hex digits
     String::from_utf8(s).expect("hex is ASCII")
 }
 
-/// One hex digit's value, or `None`.
-fn nibble(c: u8) -> Option<u8> {
-    match c {
-        b'0'..=b'9' => Some(c - b'0'),
-        b'a'..=b'f' => Some(c - b'a' + 10),
-        b'A'..=b'F' => Some(c - b'A' + 10),
-        _ => None,
-    }
-}
-
-/// Inverse of [`to_hex`]. `None` on any malformation.
-pub(crate) fn from_hex(s: &str) -> Option<Vec<u8>> {
+/// Inverse of [`to_hex`], replacing the contents of `out`. `None` (and
+/// `out` unspecified) on an odd length or any byte that is not a hex
+/// digit.
+pub(crate) fn from_hex(s: &str, out: &mut Vec<u8>) -> Option<()> {
     let bytes = s.as_bytes();
     if !bytes.len().is_multiple_of(2) {
         return None;
     }
-    let mut out = Vec::with_capacity(bytes.len() / 2);
-    for pair in bytes.chunks_exact(2) {
-        out.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
-    }
-    Some(out)
+    out.clear();
+    let mut seen = 0u8;
+    out.extend(bytes.chunks_exact(2).map(|pair| {
+        let (hi, lo) = (UNHEX[pair[0] as usize], UNHEX[pair[1] as usize]);
+        seen |= hi | lo;
+        (hi << 4) | (lo & 0x0f)
+    }));
+    (seen & 0xf0 == 0).then_some(())
 }
 
-/// One hexed frame argument → the frame, consumed exactly. `None` on any
+/// One hexed frame argument → the frame, consumed exactly and borrowing
+/// from `scratch`, which takes the un-hexed bytes. `None` on any
 /// malformation.
-fn frame_from_hex(hex: &str) -> Option<MonitorFrame<'static>> {
-    let bytes = from_hex(hex)?;
-    let mut slice: &[u8] = &bytes;
-    let frame = MonitorFrame::decode_bytes(&mut slice)?;
+fn frame_from_hex<'s>(hex: &str, scratch: &'s mut Vec<u8>) -> Option<MonitorFrame<'s>> {
+    from_hex(hex, scratch)?;
+    let mut slice: &[u8] = scratch;
+    let frame = MonitorFrame::decode_borrowed(&mut slice)?;
     slice.is_empty().then_some(frame)
 }
 
@@ -315,6 +351,9 @@ pub struct MonitorFeedService {
     /// hex form it is served back out in.
     pending: Vec<String>,
     frames_served: u64,
+    /// Un-hexed bytes of the argument under validation, reused across
+    /// arguments and calls.
+    scratch: Vec<u8>,
 }
 
 impl MonitorFeedService {
@@ -327,6 +366,7 @@ impl MonitorFeedService {
             origin: origin.to_string(),
             pending: Vec::new(),
             frames_served: 0,
+            scratch: Vec::new(),
         }
     }
 }
@@ -350,17 +390,19 @@ impl GridService for MonitorFeedService {
                 if args.is_empty() {
                     return InvokeResult::Fault("publishFrames needs (hexFrame)+".into());
                 }
-                // all or nothing: one malformed argument faults the call
-                let mut hexes = Vec::with_capacity(args.len());
-                for arg in args {
-                    match arg.as_str().filter(|hex| frame_from_hex(hex).is_some()) {
-                        Some(hex) => hexes.push(hex.to_string()),
-                        None => return InvokeResult::Fault("malformed frame payload".into()),
-                    }
+                // all or nothing: every argument must un-hex and decode
+                // as exactly one frame before any of them is buffered
+                let scratch = &mut self.scratch;
+                let well_formed = |arg: &SdeValue| {
+                    arg.as_str()
+                        .is_some_and(|hex| frame_from_hex(hex, scratch).is_some())
+                };
+                if !args.iter().all(well_formed) {
+                    return InvokeResult::Fault("malformed frame payload".into());
                 }
-                let n = hexes.len();
-                self.pending.extend(hexes);
-                InvokeResult::Ok(vec![SdeValue::I64(n as i64)])
+                self.pending
+                    .extend(args.iter().filter_map(SdeValue::as_str).map(String::from));
+                InvokeResult::Ok(vec![SdeValue::I64(args.len() as i64)])
             }
             "pullFrames" => {
                 let drained = std::mem::take(&mut self.pending);
@@ -423,7 +465,11 @@ impl MonitorEndpoint for OgsaMonitor {
         // trip, so nothing waits on the viewer side between polls
         let pulled = self.service.invoke("pullFrames", &[]).unwrap_or_default();
         let hexes = pulled.first().and_then(SdeValue::as_list).unwrap_or(&[]);
-        hexes.iter().filter_map(|hex| frame_from_hex(hex)).collect()
+        let mut scratch = Vec::new();
+        hexes
+            .iter()
+            .filter_map(|hex| frame_from_hex(hex, &mut scratch).map(MonitorFrame::into_owned))
+            .collect()
     }
 
     fn close(&mut self) {

@@ -7,11 +7,26 @@
 //! therefore becomes a two-task AJO: stage in a file carrying the
 //! binary-encoded items (`steer.cmd`, or `monitor-<n>.dat` materialized at
 //! the consumer's polling site), then an execute task (`steer-apply` /
-//! `monitor-publish`) depending on it. The AJO is serialized and
-//! deserialized (the consignment hop), its DAG validated, and the staged
-//! file decoded back into typed commands or frames on the target side.
-//! That is why batching matters most on this transport: one job per
-//! batch instead of one job per command or sample.
+//! `monitor-publish`) depending on it. That is why batching matters most
+//! on this transport: one job per batch instead of one job per command or
+//! sample.
+//!
+//! What one consignment validates, on both planes, before anything
+//! reaches the hub or the viewer's inbox:
+//!
+//! 1. the AJO crosses the hop in its binary object-stream form
+//!    ([`Ajo::to_bytes`] → [`Ajo::from_bytes`]): magic, version, every
+//!    length and count against the bytes behind it, UTF-8 texts, known
+//!    task tags, nothing trailing;
+//! 2. the consigned DAG is a DAG ([`Ajo::topo_order`]: non-empty, unique
+//!    ids, known dependencies, acyclic) and is walked in that order;
+//! 3. the staged file is the one named, and decodes with the strict item
+//!    decoder (`SteerCommand::decode_bytes` / `MonitorFrame::decode_bytes`)
+//!    into exactly the counted items with no byte left over — a count the
+//!    file cannot hold fails without reserving for it.
+//!
+//! The hop costs about what it carries: ≈ 10 µs for a 17 KB monitor
+//! delivery (`deliver_unicore_16c` in `baselines/BENCH_monitor.json`).
 
 use crate::command::{SteerCommand, SteerError};
 use crate::endpoint::{check_batch, steer_endpoint_common, Capabilities, SteerEndpoint};
@@ -45,7 +60,9 @@ pub(crate) fn decode_payload<T>(
         return None;
     }
     let count = buf.get_u16_le() as usize;
-    let mut items = Vec::with_capacity(count);
+    // an item is at least one byte, so a count the file cannot hold
+    // reserves nothing beyond the file's own length before it fails
+    let mut items = Vec::with_capacity(count.min(buf.len()));
     for _ in 0..count {
         items.push(item(&mut buf)?);
     }
@@ -100,7 +117,10 @@ fn consign<T>(
         },
         &[stage],
     );
-    let consigned = Ajo::from_bytes(&ajo.to_bytes()).ok_or("AJO serialization hop failed")?;
+    let consigned = ajo
+        .to_bytes()
+        .and_then(|wire| Ajo::from_bytes(&wire))
+        .map_err(|e| format!("AJO serialization hop failed: {e:?}"))?;
     let order = consigned
         .topo_order()
         .map_err(|e| format!("invalid {} AJO: {e:?}", plane.job))?;
@@ -225,5 +245,80 @@ impl MonitorEndpoint for UnicoreMonitor {
         // UNICORE is job-per-batch: nothing in flight to tear down, but
         // staged frames the consumer never polled are dropped with it
         self.inbox.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The largest single request the current thread has made of the
+        /// allocator since it last reset this.
+        static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn note(size: usize) {
+        // a thread being torn down has no cell left to note into
+        let _ = LARGEST_REQUEST.try_with(|l| l.set(l.get().max(size)));
+    }
+
+    /// The system allocator, noting request sizes per thread (so tests
+    /// running in parallel do not see each other's).
+    struct NotingAlloc;
+
+    // SAFETY: every operation is `System`'s, called with the arguments
+    // this one was given; the wrapper only records a size.
+    unsafe impl GlobalAlloc for NotingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: NotingAlloc = NotingAlloc;
+
+    /// A staged file whose count claims far more items than its bytes can
+    /// hold is refused without reserving for the claim.
+    fn lying_count_reserves_nothing<T>(item: impl Fn(&mut &[u8]) -> Option<T>) {
+        for junk in [&[][..], &[0xff; 3][..]] {
+            let mut file = u16::MAX.to_le_bytes().to_vec();
+            file.extend_from_slice(junk);
+            LARGEST_REQUEST.with(|l| l.set(0));
+            assert!(decode_payload(&file, &item).is_none());
+            let largest = LARGEST_REQUEST.with(Cell::get);
+            assert!(
+                largest <= junk.len() * std::mem::size_of::<T>(),
+                "{largest} bytes requested for a {}-byte file",
+                file.len()
+            );
+        }
+    }
+
+    #[test]
+    fn steer_payload_count_is_bounded_by_the_bytes_behind_it() {
+        lying_count_reserves_nothing(SteerCommand::decode_bytes);
+    }
+
+    #[test]
+    fn monitor_payload_count_is_bounded_by_the_bytes_behind_it() {
+        lying_count_reserves_nothing(MonitorFrame::decode_bytes);
     }
 }
