@@ -226,7 +226,7 @@ impl MonitorEndpoint for FoldSink {
 /// The monitor publish path, owned vs borrowed payload construction. The
 /// two cells must produce the same delivered digest; the borrowed cell is
 /// the zero-copy steady state. Then the four adapter cells of
-/// [`deliver_cells`].
+/// `deliver_cells`.
 pub fn snap_monitor() -> GateReport {
     use steer_core::{LbmMonitorAdapter, MonitorScratch};
     const PUBLISHES: usize = 60;

@@ -103,7 +103,7 @@ struct RawJob {
     panic_slot: *const PanicSlot,
 }
 // SAFETY: the raw pointers reference stack frames the dispatcher keeps
-// alive until every worker detaches (see run_persistent's barrier).
+// alive until every worker detaches (see dispatch's barrier).
 unsafe impl Send for RawJob {}
 
 /// First caught task-panic payload; re-raised by the dispatcher so the
@@ -132,24 +132,14 @@ struct Shared {
     done_cv: Condvar,
 }
 
-enum Backend {
-    /// Persistent workers parked on a condvar between jobs.
-    Persistent {
-        shared: Arc<Shared>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    /// Fresh OS threads per dispatch — the overhead the persistent pool
-    /// exists to remove. Kept only as the measurable baseline for the
-    /// `pool` criterion bench; results are identical to `Persistent`.
-    SpawnPerCall,
-}
-
 /// A persistent, deterministic worker pool (see the crate docs for the
 /// determinism contract). The dispatching thread always participates in
 /// the work, so a 1-thread pool runs jobs inline with zero synchronization.
 pub struct ExecPool {
     threads: usize,
-    backend: Backend,
+    shared: Arc<Shared>,
+    /// Persistent workers parked on a condvar between jobs.
+    workers: Vec<JoinHandle<()>>,
 }
 
 // Tasks running on this thread must not re-dispatch to the pool (the
@@ -171,15 +161,6 @@ impl ExecPool {
     /// [`default_threads`].
     pub fn new(threads: usize) -> ExecPool {
         let threads = resolve_threads(threads);
-        if threads <= 1 {
-            return ExecPool {
-                threads: 1,
-                backend: Backend::Persistent {
-                    shared: Arc::new(Shared::new()),
-                    workers: Vec::new(),
-                },
-            };
-        }
         let shared = Arc::new(Shared::new());
         let workers = (1..threads)
             .map(|i| {
@@ -192,18 +173,8 @@ impl ExecPool {
             .collect();
         ExecPool {
             threads,
-            backend: Backend::Persistent { shared, workers },
-        }
-    }
-
-    /// A spawn-per-dispatch pool: every [`ExecPool::run`] call creates and
-    /// joins fresh OS threads, exactly like the per-pass
-    /// `crossbeam::thread::scope` code this crate replaced. This is the
-    /// baseline leg of the `pool` bench — not for production use.
-    pub fn spawn_per_call(threads: usize) -> ExecPool {
-        ExecPool {
-            threads: resolve_threads(threads).max(1),
-            backend: Backend::SpawnPerCall,
+            shared,
+            workers,
         }
     }
 
@@ -236,13 +207,13 @@ impl ExecPool {
             }
             return;
         }
-        match &self.backend {
-            Backend::Persistent { shared, .. } => self.run_persistent(shared, count, &task),
-            Backend::SpawnPerCall => self.run_spawning(count, &task),
-        }
+        self.dispatch(count, &task);
     }
 
-    fn run_persistent(&self, shared: &Shared, count: usize, task: &(dyn Fn(usize) + Sync)) {
+    /// Publish one job to the parked workers, take part in it, and wait
+    /// until every worker that picked it up has let go of it.
+    fn dispatch(&self, count: usize, task: &(dyn Fn(usize) + Sync)) {
+        let shared = &*self.shared;
         let _dispatch = lock(&shared.dispatch);
         let next = AtomicUsize::new(0);
         let panic_slot: PanicSlot = Mutex::new(None);
@@ -277,21 +248,6 @@ impl ExecPool {
         let payload = lock(&panic_slot).take();
         if let Some(p) = payload {
             std::panic::resume_unwind(p); // original payload, original message
-        }
-    }
-
-    fn run_spawning(&self, count: usize, task: &(dyn Fn(usize) + Sync)) {
-        let next = AtomicUsize::new(0);
-        let panic_slot: PanicSlot = Mutex::new(None);
-        std::thread::scope(|s| {
-            for _ in 1..self.threads {
-                s.spawn(|| drain(task, count, &next, &panic_slot));
-            }
-            drain(task, count, &next, &panic_slot);
-        });
-        let payload = lock(&panic_slot).take();
-        if let Some(p) = payload {
-            std::panic::resume_unwind(p);
         }
     }
 
@@ -477,15 +433,13 @@ impl<'a, T: Send> DisjointChunks<'a, T> {
 
 impl Drop for ExecPool {
     fn drop(&mut self) {
-        if let Backend::Persistent { shared, workers } = &mut self.backend {
-            {
-                let mut slot = lock(&shared.slot);
-                slot.shutdown = true;
-                shared.work_cv.notify_all();
-            }
-            for w in workers.drain(..) {
-                let _ = w.join();
-            }
+        {
+            let mut slot = lock(&self.shared.slot);
+            slot.shutdown = true;
+            self.shared.work_cv.notify_all();
+        }
+        for w in self.workers.drain(..) {
+            let _ = w.join();
         }
     }
 }
@@ -494,10 +448,6 @@ impl std::fmt::Debug for ExecPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecPool")
             .field("threads", &self.threads)
-            .field(
-                "persistent",
-                &matches!(self.backend, Backend::Persistent { .. }),
-            )
             .finish()
     }
 }
@@ -727,25 +677,6 @@ mod tests {
         assert_eq!(p1, p8);
         assert_eq!(t1.to_bits(), t4.to_bits());
         assert_eq!(t1.to_bits(), t8.to_bits());
-    }
-
-    #[test]
-    fn spawn_per_call_matches_persistent() {
-        let a = counting_pool(4);
-        let b = ExecPool::spawn_per_call(4);
-        let mut va = vec![0u64; 100];
-        let mut vb = vec![0u64; 100];
-        a.parallel_chunks(&mut va, 7, |i, c| {
-            for (k, v) in c.iter_mut().enumerate() {
-                *v = (i * 1000 + k) as u64;
-            }
-        });
-        b.parallel_chunks(&mut vb, 7, |i, c| {
-            for (k, v) in c.iter_mut().enumerate() {
-                *v = (i * 1000 + k) as u64;
-            }
-        });
-        assert_eq!(va, vb);
     }
 
     #[test]

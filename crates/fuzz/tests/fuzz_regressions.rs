@@ -1,6 +1,6 @@
 //! Tier-1 fuzz regression suite.
 //!
-//! Three jobs, run on every `cargo test`:
+//! Four jobs, run on every `cargo test`:
 //!
 //! 1. **Corpus replay** — every `.scen` file under `crates/fuzz/corpus/`
 //!    parses, is in canonical rendered form, and still passes the
@@ -13,6 +13,13 @@
 //!    seam is caught by the oracle, shrunk to a ≤ 8-action reproducer,
 //!    survives the corpus text round-trip, and is provably absent from
 //!    the real engine.
+//! 4. **Pinned engine bytes** — the report digest of a 64-seed generated
+//!    window, and of every corpus file present at the last bless, equals
+//!    the committed `tests/fixtures/engine_digests.txt`, so an engine change that moves
+//!    every digest *consistently* (which the run-twice comparisons above
+//!    cannot see) still fails. After a deliberate behaviour change,
+//!    re-bless with `GOLDEN_BLESS=1 cargo test -p gridsteer_fuzz --test
+//!    fuzz_regressions engine_digests` and commit the fixture.
 
 use gridsteer_fuzz::{
     check, check_with, corpus, generate, shrink, FuzzConfig, Invariant, PoolRunner, Runner,
@@ -105,6 +112,88 @@ fn injected_fault_is_caught_shrunk_and_replayable() {
     // …and the real engine is clean on it: the violation was the fault,
     // not the scenario
     assert!(check(&replayed).is_empty());
+}
+
+/// Every [`gridsteer_harness::Action::label`]; the pinned window must keep
+/// exercising all of them.
+const ACTION_LABELS: [&str; 13] = [
+    "join",
+    "leave",
+    "pass",
+    "steer",
+    "partition",
+    "heal",
+    "loss",
+    "jitter",
+    "migrate",
+    "viewer-leave",
+    "viewer-join",
+    "crash",
+    "restore",
+];
+
+#[test]
+fn engine_digests_are_pinned() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/engine_digests.txt"
+    );
+    let cfg = FuzzConfig::default();
+    let files: Vec<(String, Scenario)> = corpus::load_dir(&corpus::corpus_dir())
+        .expect("corpus dir must exist")
+        .into_iter()
+        .map(|(name, text)| {
+            let entry = corpus::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            (name, entry.scenario)
+        })
+        .collect();
+    let window: Vec<(String, Scenario)> = (0..64)
+        .map(|seed| generate(seed, &cfg))
+        .map(|s| (s.label().to_string(), s))
+        .collect();
+    // the window cannot silently thin out: every action kind stays in it
+    for label in ACTION_LABELS {
+        assert!(
+            window
+                .iter()
+                .any(|(_, s)| s.actions().iter().any(|(_, a)| a.label() == label)),
+            "no scenario of the seed window schedules a {label:?} action any more"
+        );
+    }
+
+    let digests: Vec<(&str, String)> = files
+        .iter()
+        .chain(&window)
+        .map(|(name, s)| (name.as_str(), s.run().digest()))
+        .collect();
+    if std::env::var_os("GOLDEN_BLESS").is_some() {
+        let text: String = digests.iter().map(|(n, d)| format!("{n} {d}\n")).collect();
+        std::fs::create_dir_all(std::path::Path::new(fixture).parent().unwrap()).unwrap();
+        std::fs::write(fixture, text).unwrap();
+        return;
+    }
+    let pinned = std::fs::read_to_string(fixture)
+        .expect("fixture missing — run with GOLDEN_BLESS=1 to create it");
+    for line in pinned.lines() {
+        let (name, want) = line.split_once(' ').expect("fixture line is `name digest`");
+        let (_, got) = digests
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("pinned input {name} is gone"));
+        assert_eq!(got, want, "engine bytes moved on {name}");
+    }
+    // The fixture names what is pinned and a bless pins everything present:
+    // a corpus file added since the last bless (say, a reproducer of an
+    // engine panic, which has no digest on the engine it was found on) is
+    // replayed above but not pinned yet. The generated window always is.
+    for (name, _) in &window {
+        assert!(
+            pinned
+                .lines()
+                .any(|l| l.split(' ').next() == Some(name.as_str())),
+            "seed scenario {name} is not in the fixture"
+        );
+    }
 }
 
 /// Not a test of the tree — the bless workflow. Run explicitly to

@@ -20,10 +20,16 @@
 //! * a different seed re-derives every stream, so any scenario with jitter
 //!   or loss observably diverges.
 //!
+//! [`scenario`] is the builder DSL and [`script`] its text form; the
+//! private `engine` module executes a built scenario — one `World` struct
+//! owning the run state, one sample tick spelled as an ordered list of
+//! method calls — and [`report`] is what comes out.
+//!
 //! See `tests/scenarios.rs` at the workspace root for the tier-1 fault
 //! matrix and the README's "Scenario harness" section for how to add one.
 
 pub mod backend;
+mod engine;
 pub mod error;
 pub mod report;
 pub mod scenario;

@@ -1,32 +1,35 @@
-//! The scenario builder DSL and the deterministic engine behind it.
+//! The scenario builder DSL: what a run is made of and what happens in it.
+//! (The deterministic engine that executes a built scenario is the private
+//! `engine` module.)
 //!
 //! A [`Scenario`] wires N steering participants, one simulation backend,
-//! and per-participant [`FaultyLink`]s into a single run driven entirely by
-//! the virtual clock ([`EventQueue`]) and a seeded RNG — no wall-clock, no
-//! sockets, no threads. Everything that happens mid-run (client churn,
-//! master handoff, fault injection, migration) is a scripted [`Action`] at
-//! a virtual time, so a scenario replays byte-identically for a given seed.
+//! and per-participant [`netsim::FaultyLink`]s into a single run driven
+//! entirely by the virtual clock ([`netsim::EventQueue`]) and a seeded RNG
+//! — no wall-clock, no sockets, no threads. Everything that happens
+//! mid-run (client churn, master handoff, fault injection, migration) is a
+//! scripted [`Action`] at a virtual time, so a scenario replays
+//! byte-identically for a given seed.
 //!
 //! Steering runs over the `gridsteer_bus`: every participant attaches a
-//! [`SteerEndpoint`] of a chosen [`Transport`] (loopback by default;
-//! VISIT / OGSA / COVISE / UNICORE via
+//! [`gridsteer_bus::SteerEndpoint`] of a chosen [`Transport`] (loopback by
+//! default; VISIT / OGSA / COVISE / UNICORE via
 //! [`Scenario::participant_via`] / [`Scenario::route`]) to one
-//! [`SteerHub`] shared with the session, so one scenario steers the same
-//! simulation over several middlewares at once — the paper's interop
-//! demo. Steer commands that survive their link are *staged* through the
-//! endpoint on arrival and *committed atomically at the next sample/step
-//! boundary* in staging order, which keeps multi-transport digests
-//! byte-stable at any `EXEC_THREADS`.
+//! [`gridsteer_bus::SteerHub`] shared with the session, so one scenario
+//! steers the same simulation over several middlewares at once — the
+//! paper's interop demo. Steer commands that survive their link are
+//! *staged* through the endpoint on arrival and *committed atomically at
+//! the next sample/step boundary* in staging order, which keeps
+//! multi-transport digests byte-stable at any `EXEC_THREADS`.
 //!
 //! The outbound half is symmetric: [`Scenario::viewer_via`] attaches
-//! monitor-bus subscribers per transport to one [`MonitorHub`]. At every
-//! step boundary the backend publishes its monitored quantities as one
-//! batch; the hub filters and decimates per each viewer's negotiated
-//! capability set, admitted frames ride that viewer's faulted link, and
-//! every arrival is scored against the viewer's `LoopBudget` on the
-//! virtual clock — so reaction-budget violations, per-transport delivery
-//! counts, and a byte-stable fold of the received frames all land in the
-//! [`ScenarioReport`] digest.
+//! monitor-bus subscribers per transport to one
+//! [`gridsteer_bus::MonitorHub`]. At every step boundary the backend
+//! publishes its monitored quantities as one batch; the hub filters and
+//! decimates per each viewer's negotiated capability set, admitted frames
+//! ride that viewer's faulted link, and every arrival is scored against
+//! the viewer's `LoopBudget` on the virtual clock — so reaction-budget
+//! violations, per-transport delivery counts, and a byte-stable fold of
+//! the received frames all land in the [`ScenarioReport`] digest.
 //!
 //! ```
 //! use gridsteer_harness::Scenario;
@@ -51,31 +54,15 @@
 //!     .digest());
 //! ```
 
-use crate::backend::{LbmBackend, PepcBackend, ScenarioBackend};
+use crate::engine::World;
 use crate::error::ScenarioError;
-use crate::report::{MigrationRecord, RelayRecord, ScenarioReport, ViewerRecord};
-use gridsteer_bus::{
-    Capabilities, LoopbackMonitor, MonitorCaps, MonitorEndpoint, MonitorHub, MonitorStats,
-    RelayHub, RelayPolicy, SteerCommand, SteerEndpoint, SteerHub, Transport,
-};
-use gridsteer_ckpt::Snapshot;
+use crate::report::ScenarioReport;
+use gridsteer_bus::Transport;
 use lbm::LbmConfig;
-use netsim::{EventQueue, FaultyLink, Link, NetModel, SimTime};
+use netsim::{Link, SimTime};
 use pepc::PepcConfig;
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 use std::collections::BTreeMap;
-use steer_core::{LoopBudget, LoopMonitor, ParamValue, SessionEvent, SteeringSession};
-
-/// Wire size of one steer command frame.
-const STEER_BYTES: usize = 64;
-
-/// Fixed restart overhead after a migration (the UNICORE re-incarnation
-/// cost, matching `steer_core::Migrator`).
-const RESTART_OVERHEAD: SimTime = SimTime::from_secs(2);
-
-/// Runaway guard on total processed events.
-const MAX_EVENTS: usize = 1_000_000;
+use steer_core::{LoopBudget, ParamValue};
 
 /// A scripted occurrence at a virtual time.
 #[derive(Debug, Clone)]
@@ -181,8 +168,11 @@ pub enum Action {
     /// steer hub, session shards, monitor hub, relay tiers — is rebuilt
     /// from it. Steering clients and viewers reconnect over their
     /// declared transports; sequence numbering and delivery schedules
-    /// resume exactly where the checkpoint cut them. Panics if no crash
-    /// is in progress or no checkpoint was ever cut (builder misuse).
+    /// resume exactly where the checkpoint cut them. A restore with no
+    /// crash in effect is rejected by [`Scenario::validate`]; one that
+    /// comes before the first checkpoint was cut has nothing to restart
+    /// from — it is logged (`restore-miss no-checkpoint`) and the process
+    /// stays down.
     Restore,
 }
 
@@ -229,8 +219,9 @@ pub(crate) struct ViewerSpec {
     pub(crate) relay: Option<String>,
 }
 
-/// A declared relay tier: a [`RelayHub`] fed over its own (faultable)
-/// uplink, fanning the stream to children — deeper relays or viewers.
+/// A declared relay tier: a [`gridsteer_bus::RelayHub`] fed over its own
+/// (faultable) uplink, fanning the stream to children — deeper relays or
+/// viewers.
 #[derive(Debug, Clone)]
 pub(crate) struct RelaySpec {
     pub(crate) name: String,
@@ -268,79 +259,6 @@ pub struct Scenario {
     /// Executor pool the backend dispatches onto (`None` = the shared pool
     /// for the backend config's thread count). Never affects results.
     pub(crate) pool: Option<std::sync::Arc<gridsteer_exec::ExecPool>>,
-}
-
-/// One live monitor-bus viewer: its faulted link, its reaction-budget
-/// scoring, and the byte-stable fold of everything it received.
-struct ViewerState {
-    name: String,
-    transport: &'static str,
-    /// The transport variant itself — a restore reconnects the viewer's
-    /// monitor endpoint through it.
-    kind: Transport,
-    budget: LoopBudget,
-    link: FaultyLink,
-    monitor: LoopMonitor,
-    delivered: u64,
-    dropped: u64,
-    digest: u64,
-    /// Index into the engine's relay table (`None` = origin-attached).
-    relay: Option<usize>,
-    /// Oracle probe: hub-assigned seq of the last frame this viewer saw.
-    last_seq: Option<u64>,
-    /// Oracle probe: skip the seq-monotonicity check for the first
-    /// delivery batch after an attach or a restore — keyframe-cache
-    /// serves and stale-restore rewinds legitimately replay old seqs.
-    fresh_attach: bool,
-    /// False after a [`Action::ViewerLeave`] detached the subscription.
-    online: bool,
-    /// Hub-side statistics frozen at detach time (a live viewer reads
-    /// them from its hub when the report is cut).
-    final_stats: Option<MonitorStats>,
-}
-
-/// One live relay tier: its hub, its faulted uplink, and when the last
-/// uplink batch landed (the departure base for this tier's children).
-struct RelayNode {
-    name: String,
-    /// Index of the parent relay (`None` = fed by the origin hub).
-    parent: Option<usize>,
-    uplink: FaultyLink,
-    hub: RelayHub,
-    arrival: Option<SimTime>,
-    uplink_dropped: u64,
-}
-
-/// One connected (or disconnected) scenario participant.
-struct Client {
-    name: String,
-    link: FaultyLink,
-    online: bool,
-    /// Stats accumulated over previous connections (a rejoin replaces the
-    /// link — and with it the live counters — with a fresh one).
-    prior_stats: netsim::LinkStats,
-}
-
-impl Client {
-    /// Lifetime delivery statistics across all of this participant's
-    /// connections.
-    fn total_stats(&self) -> netsim::LinkStats {
-        let cur = self.link.stats();
-        netsim::LinkStats {
-            delivered: self.prior_stats.delivered + cur.delivered,
-            dropped: self.prior_stats.dropped + cur.dropped,
-        }
-    }
-}
-
-enum Ev {
-    Sample,
-    Act(usize),
-    ApplySteer {
-        who: String,
-        param: String,
-        value: ParamValue,
-    },
 }
 
 impl Scenario {
@@ -525,7 +443,7 @@ impl Scenario {
     /// Split the steering session into `n` shards: disjoint participant
     /// sets (round-robin by join order), each with its own master and
     /// audit log, all sharing one parameter authority through the same
-    /// [`SteerHub`] registry. `1` (the default) is the classic single
+    /// [`gridsteer_bus::SteerHub`] registry. `1` (the default) is the classic single
     /// session; with more shards, session events are prefixed `s{i}`.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
@@ -946,1055 +864,9 @@ impl Scenario {
         if let Err(e) = self.validate() {
             panic!("scenario {:?} is malformed: {e}", self.name);
         }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let backend_seed = rng.next_u64();
-        let mut backend: Box<dyn ScenarioBackend> = match &self.backend {
-            BackendSpec::Lbm(cfg) => {
-                let mut cfg = cfg.clone();
-                cfg.seed = backend_seed;
-                Box::new(LbmBackend::new(cfg))
-            }
-            BackendSpec::Pepc(cfg) => {
-                let mut cfg = cfg.clone();
-                cfg.seed = backend_seed;
-                Box::new(PepcBackend::new(cfg))
-            }
-        };
-        if let Some(pool) = &self.pool {
-            backend.set_pool(pool.clone());
-        }
-        // one bus hub per run: every session shard shares its registry
-        // (one parameter authority), every participant attaches an
-        // endpoint of their routed transport. Shards own disjoint
-        // participant sets, assigned round-robin by join order.
-        let hub = SteerHub::new(backend.param_specs());
-        let mut sessions: Vec<SteeringSession> = (0..self.shards)
-            .map(|_| SteeringSession::with_registry(hub.registry()))
-            .collect();
-        let mut shard_of: BTreeMap<String, usize> = BTreeMap::new();
-        let mut next_shard = 0usize;
-        let mut endpoints: BTreeMap<String, Box<dyn SteerEndpoint>> = BTreeMap::new();
-        let mut engine_events: Vec<String> = Vec::new();
-        let (net, sites) = NetModel::sc2003();
-        let mut clients: Vec<Client> = Vec::new();
-        for (name, link) in &self.participants {
-            join_client(
-                JoinCtx {
-                    clients: &mut clients,
-                    sessions: &mut sessions,
-                    shard_of: &mut shard_of,
-                    next_shard: &mut next_shard,
-                    endpoints: &mut endpoints,
-                    hub: &hub,
-                    transports: &self.transports,
-                    engine_events: &mut engine_events,
-                    now: SimTime::ZERO,
-                },
-                name,
-                link,
-                &mut rng,
-            );
-        }
-
-        // the monitor hub: the backend publishes its step-boundary output
-        // here, and every declared viewer subscribes over its transport
-        // with a negotiated capability set (logged — part of the digest)
-        let mhub = MonitorHub::new();
-        // relay tiers first (parents must exist before children attach):
-        // each relay subscribes on its parent surface as an ordinary
-        // endpoint — the engine drains that collector and ships the batch
-        // over the relay's own faulted uplink
-        let mut relays: Vec<RelayNode> = Vec::new();
-        for spec in &self.relays {
-            let parent = spec.parent.as_ref().map(|p| {
-                relays.iter().position(|r| r.name == *p).unwrap_or_else(|| {
-                    panic!(
-                        "relay_under: parent {p:?} of {:?} must be declared first",
-                        spec.name
-                    )
-                })
-            });
-            let relay_hub = RelayHub::new(RelayPolicy {
-                deliver_every: spec.every,
-                default_child_budget: spec.child_budget,
-            });
-            let negotiated = match parent {
-                None => mhub.attach_endpoint(
-                    &spec.name,
-                    Box::new(LoopbackMonitor::new()),
-                    &RelayHub::uplink_caps(),
-                ),
-                Some(p) => relays[p].hub.attach_child_with_budget(
-                    &spec.name,
-                    Box::new(LoopbackMonitor::new()),
-                    &RelayHub::uplink_caps(),
-                    None,
-                ),
-            };
-            engine_events.push(format!(
-                "{} attach-relay {} parent={} {}",
-                SimTime::ZERO,
-                spec.name,
-                spec.parent.as_deref().unwrap_or("origin"),
-                negotiated.render()
-            ));
-            let mut base = spec.uplink.clone();
-            base.seed = rng.next_u64();
-            let fault_seed = rng.next_u64();
-            relays.push(RelayNode {
-                name: spec.name.clone(),
-                parent,
-                uplink: FaultyLink::new(base, fault_seed),
-                hub: relay_hub,
-                arrival: None,
-                uplink_dropped: 0,
-            });
-        }
-        let mut viewers: Vec<ViewerState> = Vec::new();
-        for spec in &self.viewers {
-            attach_viewer(
-                &mut viewers,
-                &mhub,
-                &relays,
-                &mut engine_events,
-                &mut rng,
-                spec,
-                SimTime::ZERO,
-            );
-        }
-
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        for (i, (t, _)) in self.actions.iter().enumerate() {
-            queue.schedule(*t, Ev::Act(i));
-        }
-        if self.sample_every <= self.duration {
-            queue.schedule(self.sample_every, Ev::Sample);
-        }
-
-        let mut post = LoopMonitor::new(LoopBudget::PostProcessing);
-        let mut migrations: Vec<MigrationRecord> = Vec::new();
-        let mut broadcasts = 0u64;
-        let mut skipped = 0u64;
-        let mut steers_applied = 0u64;
-        let mut steers_lost = 0u64;
-        let mut pause_until = SimTime::ZERO;
-        let mut processed = 0usize;
-        // invariant-oracle probes: structural properties checked as the
-        // run unfolds. Not part of the rendered report (digests are
-        // unchanged) — the fuzzer reads them off the report afterwards.
-        let mut probe_violations: Vec<String> = Vec::new();
-        // crash-recovery state: while `crashed`, sample ticks black out;
-        // the checkpoint chain is one full snapshot blob plus deltas
-        let mut crashed = false;
-        let mut ckpt_chain: Vec<Vec<u8>> = Vec::new();
-        let mut last_snap: Option<Snapshot> = None;
-        let mut last_ckpt: Option<SimTime> = None;
-
-        while let Some(ev) = queue.pop() {
-            processed += 1;
-            if processed > MAX_EVENTS {
-                engine_events.push(format!("{} runaway-guard", ev.at));
-                break;
-            }
-            let now = ev.at;
-            match ev.payload {
-                Ev::Sample => {
-                    if now + self.sample_every <= self.duration {
-                        queue.schedule(now + self.sample_every, Ev::Sample);
-                    }
-                    if crashed || now < pause_until {
-                        skipped += 1;
-                        continue;
-                    }
-                    // the step boundary: staged batches apply atomically,
-                    // in staging order, before the physics advances
-                    commit_staged(
-                        &hub,
-                        &mut sessions,
-                        &shard_of,
-                        backend.as_mut(),
-                        &mut steers_applied,
-                        &mut steers_lost,
-                        &mut engine_events,
-                        now,
-                    );
-                    // oracle probe: the steering invariant — exactly one
-                    // master per non-empty shard — must hold at every
-                    // observable step boundary
-                    for (si, s) in sessions.iter().enumerate() {
-                        let masters = s.master_count();
-                        if masters != usize::from(!s.is_empty()) {
-                            probe_violations.push(format!(
-                                "{now} shard {si}: {masters} masters among {} participants",
-                                s.len()
-                            ));
-                        }
-                    }
-                    backend.advance(self.steps_per_sample);
-                    let bytes = backend.sample_bytes();
-                    for s in sessions.iter_mut() {
-                        s.broadcast_sample(bytes);
-                    }
-                    broadcasts += 1;
-                    let mut earliest: Option<SimTime> = None;
-                    let mut latest: Option<SimTime> = None;
-                    for c in clients.iter_mut().filter(|c| c.online) {
-                        if let Some(arrival) = c.link.deliver(now, bytes) {
-                            post.record(arrival.saturating_since(now));
-                            earliest = Some(earliest.map_or(arrival, |e: SimTime| {
-                                if arrival < e {
-                                    arrival
-                                } else {
-                                    e
-                                }
-                            }));
-                            latest = Some(latest.map_or(arrival, |l: SimTime| l.max(arrival)));
-                        }
-                    }
-                    if let (Some(lo), Some(hi)) = (earliest, latest) {
-                        post.record_skew(hi.saturating_since(lo));
-                    }
-                    // the data plane: the backend publishes its monitored
-                    // quantities (one batch per step boundary), the hub
-                    // fans out per negotiated caps, and each viewer's
-                    // admitted frames ride its faulted link — every
-                    // arrival scored against that viewer's budget.
-                    // Viewer-less scenarios skip the whole path: sampling
-                    // the monitor surface costs full-lattice passes.
-                    if !viewers.is_empty() || !relays.is_empty() {
-                        backend.publish_monitor(&mhub);
-                    }
-                    // relay tick, top-down (parents precede children by
-                    // declaration): drain the tier's collector on its
-                    // parent surface, ship the whole batch as one
-                    // envelope over the faulted uplink, and on arrival
-                    // fan it out to the tier's children
-                    for i in 0..relays.len() {
-                        let parent = relays[i].parent;
-                        let (frames, depart) = match parent {
-                            None => (mhub.recv(&relays[i].name), now),
-                            Some(p) => (
-                                relays[p].hub.recv_child(&relays[i].name),
-                                relays[p].arrival.unwrap_or(now),
-                            ),
-                        };
-                        if frames.is_empty() {
-                            continue;
-                        }
-                        let bytes: usize = frames.iter().map(|f| f.wire_size()).sum();
-                        match relays[i].uplink.deliver(depart, bytes) {
-                            Some(arrival) => {
-                                relays[i].arrival = Some(arrival);
-                                relays[i].hub.ingest(&frames);
-                            }
-                            None => relays[i].uplink_dropped += frames.len() as u64,
-                        }
-                    }
-                    for v in viewers.iter_mut() {
-                        if !v.online {
-                            continue;
-                        }
-                        let (frames, depart) = match v.relay {
-                            None => (mhub.recv(&v.name), now),
-                            Some(i) => (
-                                relays[i].hub.recv_child(&v.name),
-                                relays[i].arrival.unwrap_or(now),
-                            ),
-                        };
-                        let had_frames = !frames.is_empty();
-                        for frame in frames {
-                            match v.link.deliver(depart, frame.wire_size()) {
-                                Some(arrival) => {
-                                    // oracle probe: hub seqs must reach a
-                                    // subscriber strictly increasing
-                                    // (gaps from decimation/loss are fine)
-                                    if !v.fresh_attach {
-                                        if let Some(prev) = v.last_seq {
-                                            if frame.seq <= prev {
-                                                probe_violations.push(format!(
-                                                    "{now} viewer {}: seq {} after {}",
-                                                    v.name, frame.seq, prev
-                                                ));
-                                            }
-                                        }
-                                    }
-                                    v.last_seq = Some(frame.seq);
-                                    v.monitor.record(arrival.saturating_since(now));
-                                    v.delivered += 1;
-                                    v.digest = frame.fold_fnv(v.digest);
-                                }
-                                None => v.dropped += 1,
-                            }
-                        }
-                        if had_frames {
-                            v.fresh_attach = false;
-                        }
-                    }
-                    // checkpoint cut, at the very end of the tick: the
-                    // boundary state (post-commit, post-advance,
-                    // post-fanout, queues drained) is exactly what a
-                    // restore resumes from. Cutting reads state under
-                    // locks and nothing else — no RNG draws, no events.
-                    if let Some(interval) = self.checkpoint_every {
-                        let due = last_ckpt.map_or(interval, |t| t + interval);
-                        if now >= due {
-                            let mut snap = Snapshot::new(ckpt_chain.len() as u64, now.as_nanos());
-                            save_process(
-                                &mut snap,
-                                backend.as_ref(),
-                                &hub,
-                                &sessions,
-                                &mhub,
-                                &relays,
-                            );
-                            let blob = match &last_snap {
-                                None => snap.encode(),
-                                Some(base) => snap.encode_delta(base),
-                            };
-                            ckpt_chain.push(blob);
-                            last_snap = Some(snap);
-                            last_ckpt = Some(now);
-                        }
-                    }
-                }
-                Ev::Act(i) => {
-                    let action = self.actions[i].1.clone();
-                    apply_action(ActionCtx {
-                        action,
-                        now,
-                        clients: &mut clients,
-                        viewers: &mut viewers,
-                        relays: &mut relays,
-                        mhub: &mhub,
-                        sessions: &mut sessions,
-                        shard_of: &mut shard_of,
-                        next_shard: &mut next_shard,
-                        backend: backend.as_mut(),
-                        queue: &mut queue,
-                        rng: &mut rng,
-                        net: &net,
-                        sites: &sites,
-                        engine_events: &mut engine_events,
-                        migrations: &mut migrations,
-                        steers_lost: &mut steers_lost,
-                        pause_until: &mut pause_until,
-                        endpoints: &mut endpoints,
-                        hub: &hub,
-                        transports: &self.transports,
-                        crashed: &mut crashed,
-                        ckpt_chain: &ckpt_chain,
-                    });
-                }
-                Ev::ApplySteer { who, param, value } => {
-                    match shard_of.get(&who).and_then(|&s| sessions[s].index_of(&who)) {
-                        Some(_) => {
-                            let ep = endpoints
-                                .get_mut(&who)
-                                .expect("joined participants have endpoints");
-                            // ship through the middleware; staged until the
-                            // next step boundary
-                            if let Err(e) = ep.set_batch(vec![SteerCommand::new(&param, value)]) {
-                                steers_lost += 1;
-                                engine_events
-                                    .push(format!("{now} steer-unroutable {who} {param}: {e}"));
-                            }
-                        }
-                        None => {
-                            steers_lost += 1;
-                            engine_events.push(format!("{now} steer-sender-left {who}"));
-                        }
-                    }
-                }
-            }
-        }
-
-        // trailing boundary: steers arriving after the last sample tick
-        // still commit before the report is cut
-        commit_staged(
-            &hub,
-            &mut sessions,
-            &shard_of,
-            backend.as_mut(),
-            &mut steers_applied,
-            &mut steers_lost,
-            &mut engine_events,
-            self.duration,
-        );
-
-        let mut latencies = post.samples().to_vec();
-        latencies.sort();
-        let pct = |q: f64| -> SimTime {
-            if latencies.is_empty() {
-                SimTime::ZERO
-            } else {
-                latencies[((latencies.len() - 1) as f64 * q).round() as usize]
-            }
-        };
-        let loop_report = post.report();
-        let viewer_records: Vec<ViewerRecord> = viewers
-            .iter()
-            .map(|v| {
-                let lr = v.monitor.report();
-                // detached viewers report the stats frozen at leave time
-                let stats = v.final_stats.unwrap_or_else(|| {
-                    match v.relay {
-                        None => mhub.stats_of(&v.name),
-                        Some(i) => relays[i].hub.stats_of_child(&v.name),
-                    }
-                    .unwrap_or_default()
-                });
-                ViewerRecord {
-                    name: v.name.clone(),
-                    transport: v.transport,
-                    budget: v.budget.name(),
-                    delivered: v.delivered,
-                    dropped: v.dropped,
-                    decimated: stats.decimated,
-                    filtered: stats.filtered,
-                    budget_violations: lr.violations,
-                    max_latency: lr.max,
-                    frames_digest: format!("{:016x}", v.digest),
-                }
-            })
-            .collect();
-        let relay_records: Vec<RelayRecord> = relays
-            .iter()
-            .map(|r| {
-                let rep = r.hub.report();
-                RelayRecord {
-                    name: r.name.clone(),
-                    parent: r.parent.map(|p| relays[p].name.clone()),
-                    ingested: rep.ingested,
-                    forwarded: rep.forwarded,
-                    decimated: rep.decimated,
-                    shed: rep.shed,
-                    keyframes_served: rep.keyframes_served,
-                    uplink_dropped: r.uplink_dropped,
-                }
-            })
-            .collect();
-        let session_events: Vec<String> = if self.shards == 1 {
-            sessions[0].events().iter().map(render_event).collect()
-        } else {
-            sessions
-                .iter()
-                .enumerate()
-                .flat_map(|(i, s)| {
-                    s.events()
-                        .iter()
-                        .map(move |e| format!("s{i} {}", render_event(e)))
-                })
-                .collect()
-        };
-        ScenarioReport {
-            name: self.name.clone(),
-            seed: self.seed,
-            backend: backend.kind(),
-            broadcasts,
-            broadcasts_skipped: skipped,
-            p50: pct(0.5),
-            p90: pct(0.9),
-            p99: pct(0.99),
-            max: loop_report.max,
-            max_skew: loop_report.max_skew,
-            within_budget: loop_report.within_budget,
-            within_skew: loop_report.within_skew,
-            post_budget_violations: loop_report.violations,
-            steers_applied,
-            steers_lost,
-            monitor_frames: mhub.frames_published(),
-            viewers: viewer_records,
-            relays: relay_records,
-            migrations,
-            links: clients
-                .iter()
-                .map(|c| (c.name.clone(), c.total_stats()))
-                .collect(),
-            session_events,
-            engine_events,
-            final_progress: backend.progress(),
-            probe_violations: {
-                probe_violations.extend(hub.probe_violations());
-                probe_violations
-            },
-        }
-    }
-}
-
-/// Everything one action application touches (bundled to keep the
-/// dispatcher signature sane).
-struct ActionCtx<'a> {
-    action: Action,
-    now: SimTime,
-    clients: &'a mut Vec<Client>,
-    viewers: &'a mut Vec<ViewerState>,
-    relays: &'a mut Vec<RelayNode>,
-    mhub: &'a MonitorHub,
-    sessions: &'a mut Vec<SteeringSession>,
-    shard_of: &'a mut BTreeMap<String, usize>,
-    next_shard: &'a mut usize,
-    backend: &'a mut dyn ScenarioBackend,
-    queue: &'a mut EventQueue<Ev>,
-    rng: &'a mut StdRng,
-    net: &'a NetModel,
-    sites: &'a std::collections::HashMap<String, netsim::SiteId>,
-    engine_events: &'a mut Vec<String>,
-    migrations: &'a mut Vec<MigrationRecord>,
-    steers_lost: &'a mut u64,
-    pause_until: &'a mut SimTime,
-    endpoints: &'a mut BTreeMap<String, Box<dyn SteerEndpoint>>,
-    hub: &'a SteerHub,
-    transports: &'a BTreeMap<String, Transport>,
-    crashed: &'a mut bool,
-    ckpt_chain: &'a [Vec<u8>],
-}
-
-fn apply_action(ctx: ActionCtx<'_>) {
-    let ActionCtx {
-        action,
-        now,
-        clients,
-        viewers,
-        relays,
-        mhub,
-        sessions,
-        shard_of,
-        next_shard,
-        backend,
-        queue,
-        rng,
-        net,
-        sites,
-        engine_events,
-        migrations,
-        steers_lost,
-        pause_until,
-        endpoints,
-        hub,
-        transports,
-        crashed,
-        ckpt_chain,
-    } = ctx;
-    match action {
-        Action::Join { name, link } => {
-            join_client(
-                JoinCtx {
-                    clients,
-                    sessions,
-                    shard_of,
-                    next_shard,
-                    endpoints,
-                    hub,
-                    transports,
-                    engine_events,
-                    now,
-                },
-                &name,
-                &link,
-                rng,
-            );
-        }
-        Action::Leave { name } => {
-            let left = shard_of
-                .get(&name)
-                .is_some_and(|&s| sessions[s].leave_by_name(&name));
-            if left {
-                if let Some(c) = clients.iter_mut().find(|c| c.name == name) {
-                    c.online = false;
-                }
-            } else {
-                engine_events.push(format!("{now} leave-miss {name}"));
-            }
-        }
-        Action::PassMaster { from, to } => {
-            match (shard_of.get(&from).copied(), shard_of.get(&to).copied()) {
-                (Some(a), Some(b)) if a != b => {
-                    // shards own disjoint participant sets: the token
-                    // never crosses a shard boundary
-                    engine_events.push(format!("{now} pass-shard-miss {from}->{to}"));
-                }
-                (Some(a), Some(_)) => {
-                    let session = &mut sessions[a];
-                    match (session.index_of(&from), session.index_of(&to)) {
-                        (Some(f), Some(t)) => {
-                            if !session.pass_master(f, t) {
-                                engine_events.push(format!("{now} pass-refused {from}->{to}"));
-                            }
-                        }
-                        _ => engine_events.push(format!("{now} pass-miss {from}->{to}")),
-                    }
-                }
-                _ => engine_events.push(format!("{now} pass-miss {from}->{to}")),
-            }
-        }
-        Action::Steer { who, param, value } => {
-            match clients.iter_mut().find(|c| c.name == who && c.online) {
-                Some(c) => match c.link.deliver(now, STEER_BYTES) {
-                    Some(arrival) => {
-                        queue.schedule(arrival, Ev::ApplySteer { who, param, value });
-                    }
-                    None => {
-                        *steers_lost += 1;
-                        engine_events.push(format!("{now} steer-lost {who} {param}"));
-                    }
-                },
-                None => {
-                    *steers_lost += 1;
-                    engine_events.push(format!("{now} steer-offline {who} {param}"));
-                }
-            }
-        }
-        Action::Partition { who } => match fault_link(clients, viewers, relays, &who) {
-            Some(link) => {
-                link.partition();
-                engine_events.push(format!("{now} partition {who}"));
-            }
-            None => engine_events.push(format!("{now} fault-miss {who}")),
-        },
-        Action::Heal { who } => match fault_link(clients, viewers, relays, &who) {
-            Some(link) => {
-                link.heal();
-                engine_events.push(format!("{now} heal {who}"));
-            }
-            None => engine_events.push(format!("{now} fault-miss {who}")),
-        },
-        Action::SetLoss { who, ppm } => match fault_link(clients, viewers, relays, &who) {
-            Some(link) => {
-                link.set_extra_loss_ppm(ppm);
-                engine_events.push(format!("{now} loss {who} {ppm}ppm"));
-            }
-            None => engine_events.push(format!("{now} fault-miss {who}")),
-        },
-        Action::SetJitter { who, jitter } => match fault_link(clients, viewers, relays, &who) {
-            Some(link) => {
-                link.set_extra_jitter(jitter);
-                engine_events.push(format!("{now} jitter {who} {jitter}"));
-            }
-            None => engine_events.push(format!("{now} fault-miss {who}")),
-        },
-        Action::Migrate { from, to } => match (sites.get(&from), sites.get(&to)) {
-            (Some(&a), Some(&b)) => {
-                let bytes = backend.checkpoint_roundtrip();
-                let mut link = net.link(a, b);
-                link.seed = rng.next_u64();
-                let arrival = link
-                    .deliver(now, bytes)
-                    .unwrap_or_else(|| link.nominal_arrival(now, bytes));
-                let gap = arrival.saturating_since(now) + RESTART_OVERHEAD;
-                *pause_until = (now + gap).max(*pause_until);
-                engine_events.push(format!(
-                    "{now} migrate {from}->{to} bytes={bytes} gap={gap}"
-                ));
-                migrations.push(MigrationRecord {
-                    from,
-                    to,
-                    bytes,
-                    gap,
-                });
-            }
-            _ => engine_events.push(format!("{now} migrate-miss {from}->{to}")),
-        },
-        Action::ViewerLeave { name } => {
-            match viewers.iter_mut().find(|v| v.name == name && v.online) {
-                Some(v) => {
-                    v.final_stats = match v.relay {
-                        None => mhub.detach(&name),
-                        Some(i) => relays[i].hub.detach_child(&name),
-                    };
-                    v.online = false;
-                    engine_events.push(format!("{now} viewer-leave {name}"));
-                }
-                None => engine_events.push(format!("{now} viewer-leave-miss {name}")),
-            }
-        }
-        Action::Crash => {
-            // the process dies silently: no event, no counter — transparent
-            // recovery means the report cannot record the crash itself
-            *crashed = true;
-        }
-        Action::Restore => {
-            assert!(*crashed, "restore_at without a preceding crash_at");
-            restore_process(RestoreCtx {
-                chain: ckpt_chain,
-                backend,
-                hub,
-                sessions,
-                endpoints,
-                transports,
-                mhub,
-                relays,
-                viewers,
-            });
-            // a stale restore rewinds hub seq numbering — the first
-            // delivery batch each viewer sees afterwards may replay
-            // seqs, which is recovery, not a monotonicity violation
-            for v in viewers.iter_mut() {
-                v.last_seq = None;
-                v.fresh_attach = true;
-            }
-            *crashed = false;
-        }
-        Action::ViewerJoin {
-            name,
-            link,
-            transport,
-            relay,
-        } => {
-            let known_relay = relay
-                .as_ref()
-                .is_none_or(|r| relays.iter().any(|n| n.name == *r));
-            if viewers.iter().any(|v| v.name == name && v.online) || !known_relay {
-                engine_events.push(format!("{now} viewer-join-miss {name}"));
-            } else {
-                attach_viewer(
-                    viewers,
-                    mhub,
-                    relays,
-                    engine_events,
-                    rng,
-                    &ViewerSpec {
-                        name,
-                        link,
-                        transport,
-                        budget: LoopBudget::DesktopRender,
-                        every: 1,
-                        relay,
-                    },
-                    now,
-                );
-            }
-        }
-    }
-}
-
-/// Serialize the whole simulation-process state into one snapshot:
-/// backend fields (raw float bits), the steer hub (registry, staged
-/// batches, counters), every session shard, the monitor hub and each
-/// relay tier. Pure reads — the running state is not perturbed.
-fn save_process(
-    snap: &mut Snapshot,
-    backend: &dyn ScenarioBackend,
-    hub: &SteerHub,
-    sessions: &[SteeringSession],
-    mhub: &MonitorHub,
-    relays: &[RelayNode],
-) {
-    backend.save_sections(snap);
-    hub.save_sections(snap, "steer");
-    for (i, s) in sessions.iter().enumerate() {
-        s.save_sections(snap, &format!("session/{i}"));
-    }
-    mhub.save_sections(snap, "monitor");
-    for r in relays {
-        r.hub.save_sections(snap, &format!("relay/{}", r.name));
-    }
-}
-
-/// Everything a process restore rebuilds.
-struct RestoreCtx<'a> {
-    chain: &'a [Vec<u8>],
-    backend: &'a mut dyn ScenarioBackend,
-    hub: &'a SteerHub,
-    sessions: &'a mut [SteeringSession],
-    endpoints: &'a mut BTreeMap<String, Box<dyn SteerEndpoint>>,
-    transports: &'a BTreeMap<String, Transport>,
-    mhub: &'a MonitorHub,
-    relays: &'a [RelayNode],
-    viewers: &'a [ViewerState],
-}
-
-/// Rebuild the crashed process from its checkpoint chain: decode the
-/// full snapshot, apply every delta, then restore state behind the
-/// existing shared handles (backend in place, hub registry and state,
-/// session shards, monitor hub, relay tiers). Steering clients and
-/// monitor viewers reconnect — fresh endpoints over their declared
-/// transports, negotiated against the *saved* capability sets — so
-/// sequence numbering and delivery schedules continue exactly where the
-/// checkpoint cut them. Draws no randomness and logs nothing: recovery
-/// from an up-to-date checkpoint is invisible in the report.
-fn restore_process(ctx: RestoreCtx<'_>) {
-    let RestoreCtx {
-        chain,
-        backend,
-        hub,
-        sessions,
-        endpoints,
-        transports,
-        mhub,
-        relays,
-        viewers,
-    } = ctx;
-    assert!(
-        !chain.is_empty(),
-        "restore_at: no checkpoint was cut — set checkpoint_every on the scenario"
-    );
-    let mut snap = Snapshot::decode(&chain[0]).expect("checkpoint chain head decodes");
-    for delta in &chain[1..] {
-        snap = Snapshot::decode_delta(delta, &snap).expect("checkpoint delta chain applies");
-    }
-    backend
-        .restore_sections(&snap)
-        .expect("backend state restores");
-    hub.restore_sections(&snap, "steer")
-        .expect("steer hub restores");
-    for (i, s) in sessions.iter_mut().enumerate() {
-        *s = SteeringSession::restore_sections(&snap, &format!("session/{i}"), hub.registry())
-            .expect("session shard restores");
-    }
-    // the steering clients are remote and reconnect: fresh endpoints,
-    // re-subscribed to the restored hub (the old subscriptions died with
-    // the process). The handshake is the same one the original attach
-    // negotiated, so nothing new reaches the report.
-    for (name, ep) in endpoints.iter_mut() {
-        let transport = transports.get(name).copied().unwrap_or_default();
-        let mut fresh = transport.attach(hub, name);
-        fresh.negotiate(&Capabilities::full("scenario-client", 64));
-        *ep = fresh;
-    }
-    // monitor side: relay tiers re-feed through loopback collectors,
-    // viewers reconnect over their declared transports; both negotiate
-    // against the saved caps inside restore_sections
-    let relay_names: Vec<&str> = relays.iter().map(|r| r.name.as_str()).collect();
-    let mut resolver = |sub: &str, _caps: &MonitorCaps| -> Box<dyn MonitorEndpoint> {
-        if relay_names.contains(&sub) {
-            Box::new(LoopbackMonitor::new())
-        } else {
-            viewers
-                .iter()
-                .find(|v| v.name == sub)
-                .map(|v| v.kind.attach_monitor(sub))
-                .unwrap_or_else(|| Box::new(LoopbackMonitor::new()))
-        }
-    };
-    mhub.restore_sections(&snap, "monitor", &mut resolver)
-        .expect("monitor hub restores");
-    for r in relays {
-        r.hub
-            .restore_sections(&snap, &format!("relay/{}", r.name), &mut resolver)
-            .expect("relay tier restores");
-    }
-}
-
-/// Resolve a fault-action target: participants, viewers, and relay
-/// uplinks share one name space for link faults (participants win a
-/// collision, then viewers).
-fn fault_link<'a>(
-    clients: &'a mut [Client],
-    viewers: &'a mut [ViewerState],
-    relays: &'a mut [RelayNode],
-    who: &str,
-) -> Option<&'a mut FaultyLink> {
-    if let Some(c) = clients.iter_mut().find(|c| c.name == who) {
-        return Some(&mut c.link);
-    }
-    if let Some(v) = viewers.iter_mut().find(|v| v.name == who) {
-        return Some(&mut v.link);
-    }
-    relays
-        .iter_mut()
-        .find(|r| r.name == who)
-        .map(|r| &mut r.uplink)
-}
-
-/// Attach (or re-attach) a monitor viewer at the origin hub or under a
-/// relay tier, logging the capability handshake and deriving the link's
-/// deterministic streams from the scenario RNG. A re-attach after a
-/// [`Action::ViewerLeave`] reuses the viewer's record: delivery counters
-/// and the frame digest keep accumulating across connections.
-fn attach_viewer(
-    viewers: &mut Vec<ViewerState>,
-    mhub: &MonitorHub,
-    relays: &[RelayNode],
-    engine_events: &mut Vec<String>,
-    rng: &mut StdRng,
-    spec: &ViewerSpec,
-    now: SimTime,
-) {
-    let relay_idx = spec.relay.as_ref().map(|r| {
-        relays
-            .iter()
-            .position(|n| n.name == *r)
-            .unwrap_or_else(|| panic!("viewer {:?}: no relay named {r:?} declared", spec.name))
-    });
-    let caps = MonitorCaps::full("scenario-viewer", 64).every(spec.every);
-    let ep = spec.transport.attach_monitor(&spec.name);
-    let negotiated = match relay_idx {
-        None => mhub.attach_endpoint(&spec.name, ep, &caps),
-        Some(i) => relays[i].hub.attach_child(&spec.name, ep, &caps),
-    };
-    let via = match &spec.relay {
-        None => String::new(),
-        Some(r) => format!("via={r} "),
-    };
-    engine_events.push(format!(
-        "{} attach-viewer {} {}budget={} {}",
-        now,
-        spec.name,
-        via,
-        spec.budget.name(),
-        negotiated.render()
-    ));
-    let mut base = spec.link.clone();
-    base.seed = rng.next_u64();
-    let fault_seed = rng.next_u64();
-    let link = FaultyLink::new(base, fault_seed);
-    match viewers.iter_mut().find(|v| v.name == spec.name) {
-        Some(v) => {
-            v.link = link;
-            v.kind = spec.transport;
-            v.relay = relay_idx;
-            v.last_seq = None;
-            v.fresh_attach = true;
-            v.online = true;
-            v.final_stats = None;
-        }
-        None => viewers.push(ViewerState {
-            name: spec.name.clone(),
-            transport: spec.transport.label(),
-            kind: spec.transport,
-            budget: spec.budget,
-            link,
-            monitor: LoopMonitor::new(spec.budget),
-            delivered: 0,
-            dropped: 0,
-            digest: 0xcbf2_9ce4_8422_2325,
-            relay: relay_idx,
-            last_seq: None,
-            fresh_attach: true,
-            online: true,
-            final_stats: None,
-        }),
-    }
-}
-
-/// Apply every staged bus batch atomically at a step boundary: commands
-/// flow through the origin's session shard (master/bounds checks, audit
-/// events) and into the backend, in global staging order.
-#[allow(clippy::too_many_arguments)] // one call site, mirrors run()'s locals
-fn commit_staged(
-    hub: &SteerHub,
-    sessions: &mut [SteeringSession],
-    shard_of: &BTreeMap<String, usize>,
-    backend: &mut dyn ScenarioBackend,
-    steers_applied: &mut u64,
-    steers_lost: &mut u64,
-    engine_events: &mut Vec<String>,
-    now: SimTime,
-) {
-    if hub.pending() == 0 {
-        return;
-    }
-    hub.commit_with(|batch, cmd| {
-        let resolved = shard_of
-            .get(&batch.origin)
-            .copied()
-            .and_then(|s| sessions[s].index_of(&batch.origin).map(|idx| (s, idx)));
-        match resolved {
-            Some((s, idx)) => match sessions[s].steer_value(idx, &cmd.param, &cmd.value) {
-                Ok(applied) => {
-                    backend.apply_steer(&cmd.param, &applied);
-                    *steers_applied += 1;
-                    Ok(applied)
-                }
-                // refusals are already in the session audit log
-                Err(e) => Err(e),
-            },
-            None => {
-                *steers_lost += 1;
-                engine_events.push(format!("{now} steer-sender-left {}", batch.origin));
-                Err("sender left before commit".into())
-            }
-        }
-    });
-}
-
-/// Everything a join touches (session shards, link table, bus
-/// attachment).
-struct JoinCtx<'a> {
-    clients: &'a mut Vec<Client>,
-    sessions: &'a mut Vec<SteeringSession>,
-    shard_of: &'a mut BTreeMap<String, usize>,
-    next_shard: &'a mut usize,
-    endpoints: &'a mut BTreeMap<String, Box<dyn SteerEndpoint>>,
-    hub: &'a SteerHub,
-    transports: &'a BTreeMap<String, Transport>,
-    engine_events: &'a mut Vec<String>,
-    now: SimTime,
-}
-
-/// Join (or rejoin) a participant: session membership (first join
-/// assigns a shard round-robin; a rejoin returns to the same shard), a
-/// faulted link whose deterministic streams derive from the scenario
-/// RNG, and — on first join — a bus endpoint of the participant's routed
-/// transport, with its capability handshake logged (part of the report
-/// digest).
-fn join_client(ctx: JoinCtx<'_>, name: &str, link: &Link, rng: &mut StdRng) {
-    let JoinCtx {
-        clients,
-        sessions,
-        shard_of,
-        next_shard,
-        endpoints,
-        hub,
-        transports,
-        engine_events,
-        now,
-    } = ctx;
-    let shard = *shard_of.entry(name.to_string()).or_insert_with(|| {
-        let s = *next_shard % sessions.len();
-        *next_shard += 1;
-        s
-    });
-    let session = &mut sessions[shard];
-    if session.index_of(name).is_none() {
-        session.join(name);
-    }
-    if !endpoints.contains_key(name) {
-        let transport = transports.get(name).copied().unwrap_or_default();
-        let mut ep = transport.attach(hub, name);
-        let negotiated = ep.negotiate(&Capabilities::full("scenario-client", 64));
-        engine_events.push(format!("{now} attach {name} {}", negotiated.render()));
-        endpoints.insert(name.to_string(), ep);
-    }
-    let mut base = link.clone();
-    base.seed = rng.next_u64();
-    let fault_seed = rng.next_u64();
-    let fresh = FaultyLink::new(base, fault_seed);
-    match clients.iter_mut().find(|c| c.name == name) {
-        Some(c) => {
-            // a rejoin is a new connection: the given link replaces the old
-            // one, clearing any partition/loss/jitter state; delivery stats
-            // accumulate across connections
-            let old = c.link.stats();
-            c.prior_stats.delivered += old.delivered;
-            c.prior_stats.dropped += old.dropped;
-            c.link = fresh;
-            c.online = true;
-        }
-        None => {
-            clients.push(Client {
-                name: name.to_string(),
-                link: fresh,
-                online: true,
-                prior_stats: netsim::LinkStats::default(),
-            });
-        }
-    }
-}
-
-/// Canonical, stable rendering of a session event for reports/digests.
-fn render_event(e: &SessionEvent) -> String {
-    match e {
-        SessionEvent::Joined(n) => format!("Joined({n})"),
-        SessionEvent::Left(n) => format!("Left({n})"),
-        SessionEvent::MasterPassed { from, to } => format!("MasterPassed({from}->{to})"),
-        SessionEvent::Steered { who, param, value } => {
-            format!("Steered({who},{param},{})", value.render())
-        }
-        SessionEvent::SteerRefused { who, param, reason } => {
-            format!("SteerRefused({who},{param},{reason})")
-        }
-        SessionEvent::SampleBroadcast { seq, bytes } => format!("Sample({seq},{bytes})"),
+        let mut world = World::new(self);
+        while world.step() {}
+        world.into_report()
     }
 }
 
@@ -2510,6 +1382,24 @@ mod tests {
             r.broadcasts_skipped, 5,
             "ticks 600..1000 hit a dead process"
         );
+    }
+
+    #[test]
+    fn restore_before_the_first_cut_is_a_logged_miss() {
+        // validate() cannot know that no checkpoint exists yet at 250ms
+        // (the cadence is longer than the run): the engine logs the miss
+        // and the process stays down, it does not panic
+        let s = tiny("early-restore")
+            .checkpoint_every(SimTime::from_secs(10))
+            .crash_at(SimTime::from_millis(150))
+            .restore_at(SimTime::from_millis(250));
+        assert_eq!(s.validate(), Ok(()));
+        let r = s.run();
+        let line = format!("{} restore-miss no-checkpoint", SimTime::from_millis(250));
+        assert!(r.engine_events.contains(&line), "{:?}", r.engine_events);
+        assert_eq!(r.broadcasts, 1, "only the 100ms tick ran");
+        assert_eq!(r.broadcasts_skipped, 9);
+        assert_eq!(r.broadcasts + r.broadcasts_skipped, s.ticks());
     }
 
     #[test]
