@@ -18,12 +18,14 @@
 //!   in. Compared byte-exactly: any drift is a determinism break, not a
 //!   perf question, and fails the gate outright.
 //!
-//! [`snapshot_all`] runs the five gated workloads — LBM collide/stream
+//! [`snapshot_all`] runs the six gated workloads — LBM collide/stream
 //! (the scalar×SIMD / 1×8-thread matrix, whose four digests must agree),
 //! the exec-pool chunk kernel, the monitor publish path (owned vs
 //! borrowed, same digest) and one delivery through each middleware
-//! adapter, hub fan-out over encoding subscribers, and the
-//! checkpoint codec (full encode, delta encode, decode + restore).
+//! adapter, hub fan-out over encoding subscribers, the
+//! checkpoint codec (full encode, delta encode, decode + restore), and
+//! the steering commit (64 commands through a session, watched by eight
+//! subscribers and by none).
 
 use gridsteer_bus::{
     FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame, MonitorHub,
@@ -48,14 +50,14 @@ pub struct GateCell {
 /// One snapshot file (`BENCH_<id>.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GateReport {
-    /// Snapshot id: `lbm`, `pool`, `monitor`, `fanout`, `ckpt`.
+    /// Snapshot id: `lbm`, `pool`, `monitor`, `fanout`, `ckpt`, `steer`.
     pub id: String,
     /// Measured cells, in a fixed order.
     pub cells: Vec<GateCell>,
 }
 
-/// The five gated snapshot ids, in run order.
-pub const GATE_IDS: [&str; 5] = ["lbm", "pool", "monitor", "fanout", "ckpt"];
+/// The six gated snapshot ids, in run order.
+pub const GATE_IDS: [&str; 6] = ["lbm", "pool", "monitor", "fanout", "ckpt", "steer"];
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -490,7 +492,81 @@ pub fn snap_ckpt() -> GateReport {
     }
 }
 
-/// Run all five gated workloads, in [`GATE_IDS`] order.
+/// The steering write path as `steer_storm` drives it, without the
+/// simulation: one tick stages 16 batches of 4 commands over loopback,
+/// commits them through a [`SteeringSession`](steer_core::SteeringSession)
+/// (role check, registry write, audit entry) and drains every subscriber.
+/// Two cells — eight subscribers watching, and none (the harness's case:
+/// no commit record is built). A cell times the mean tick of the fastest
+/// of five batches. Each digest folds the final registry values, the
+/// notices drained and the session's event count — no timing.
+pub fn snap_steer() -> GateReport {
+    use gridsteer_bus::{SteerCommand, SteerHub, Transport};
+    use steer_core::{ParamSpec, SteeringSession};
+    const PARAMS: [&str; 4] = ["beam_theta", "damping", "laser_a0", "theta"];
+    const BATCHES: u64 = 16;
+    const ROUNDS: u64 = 200;
+    const TIMED: usize = 5;
+    let cells = [8usize, 0]
+        .into_iter()
+        .map(|watchers| {
+            let hub = SteerHub::new(PARAMS.map(|p| ParamSpec::f64(p, 0.0, 1.0, 0.5)).to_vec());
+            let mut session = SteeringSession::with_registry(hub.registry());
+            session.join("alice");
+            let mut ep = Transport::Loopback.attach(&hub, "alice");
+            let subs: Vec<_> = (0..watchers).map(|_| ep.subscribe()).collect();
+            let mut staged = 0u64;
+            let mut notices = 0u64;
+            let mut tick = || {
+                for _ in 0..BATCHES {
+                    let cmds = PARAMS
+                        .iter()
+                        .map(|p| {
+                            staged += 1;
+                            SteerCommand::f64(p, (staged % 1000) as f64 / 1000.0)
+                        })
+                        .collect();
+                    ep.set_batch(cmds).expect("loopback stages");
+                }
+                hub.commit_with(|batch, cmd| {
+                    let idx = session.index_of(&batch.origin).ok_or("sender left")?;
+                    session.steer_value(idx, &cmd.param, &cmd.value)
+                });
+                for sub in &subs {
+                    notices += sub.drain().len() as u64;
+                }
+            };
+            tick(); // warm-up
+            let wall_us = (0..TIMED)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    for _ in 0..ROUNDS {
+                        tick();
+                    }
+                    t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64
+                })
+                .fold(f64::INFINITY, f64::min);
+            let mut h = FNV_OFFSET;
+            for p in PARAMS {
+                let v = hub.get(p).and_then(|v| v.as_f64()).expect("declared f64");
+                h = fold(h, &v.to_bits().to_le_bytes());
+            }
+            h = fold(h, &notices.to_le_bytes());
+            h = fold(h, &session.audit_log().total().to_le_bytes());
+            GateCell {
+                cell: format!("commit_64c_{watchers}subs"),
+                wall_us,
+                digest: hex(h),
+            }
+        })
+        .collect();
+    GateReport {
+        id: "steer".into(),
+        cells,
+    }
+}
+
+/// Run all six gated workloads, in [`GATE_IDS`] order.
 pub fn snapshot_all() -> Vec<GateReport> {
     vec![
         snap_lbm(),
@@ -498,6 +574,7 @@ pub fn snapshot_all() -> Vec<GateReport> {
         snap_monitor(),
         snap_fanout(),
         snap_ckpt(),
+        snap_steer(),
     ]
 }
 
@@ -590,6 +667,7 @@ mod tests {
             report("monitor", &[("d", 30.0, "d4"), ("e", 20.0, "d5")]),
             report("fanout", &[("f", 60.0, "d6")]),
             report("ckpt", &[("g", 25.0, "d7")]),
+            report("steer", &[("h", 10.0, "d8")]),
         ];
         for r in &mut reports {
             for cell in &mut r.cells {
@@ -639,6 +717,8 @@ mod tests {
         write_report(&cur, &r).unwrap();
         r = report("ckpt", &[("g", 25.0, "d7")]);
         write_report(&cur, &r).unwrap();
+        r = report("steer", &[("h", 10.0, "d8")]);
+        write_report(&cur, &r).unwrap();
         let v = compare(&base, &cur);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("digest drift"), "{}", v[0]);
@@ -658,6 +738,7 @@ mod tests {
         write_report(&cur, &report("pool", &[("c", 40.0, "d3")])).unwrap();
         write_report(&cur, &report("monitor", &[("d", 30.0, "d4")])).unwrap();
         write_report(&cur, &report("ckpt", &[("g", 25.0, "d7")])).unwrap();
+        write_report(&cur, &report("steer", &[("h", 10.0, "d8")])).unwrap();
         let v = compare(&base, &cur);
         assert!(v.iter().any(|m| m.contains("cell e missing")), "{v:?}");
         assert!(

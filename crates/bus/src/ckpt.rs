@@ -70,9 +70,13 @@ pub fn get_value(r: &mut SectionReader<'_>, what: &str) -> Result<ParamValue, Ck
 }
 
 /// Write a length-prefixed [`SteerCommand`] in its shared wire encoding.
+/// Commands reaching a checkpoint were staged, and
+/// [`SteerHub::stage`](crate::SteerHub::stage) admits no name the wire
+/// cannot frame.
 pub fn put_command(w: &mut SectionWriter, c: &SteerCommand) {
     let mut b = BytesMut::new();
-    c.encode_bytes(&mut b);
+    c.encode_bytes(&mut b)
+        .expect("a staged command's name fits the wire");
     w.put_bytes(&b);
 }
 

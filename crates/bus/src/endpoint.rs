@@ -9,12 +9,12 @@
 //! sequence-numbered command batches ([`SteerEndpoint::set_batch`]), and
 //! observe committed changes through [`SteerEndpoint::subscribe`].
 
-use crate::command::{SteerCommand, SteerError, SteerNotice};
+use crate::command::{CommitRecord, SteerCommand, SteerError, SteerNotice};
 use crate::spec::ParamSpec;
 use crate::value::{ParamKind, ParamValue};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// What one side of a steering connection can do.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,15 +63,39 @@ impl Capabilities {
     }
 }
 
-/// A pollable stream of committed-steer notices.
-#[derive(Debug, Clone, Default)]
-pub struct Subscription {
-    queue: Arc<Mutex<VecDeque<SteerNotice>>>,
+/// A subscriber's undrained commits: the shared records, oldest first,
+/// and how many notices they hold together.
+#[derive(Debug, Default)]
+pub(crate) struct Pending {
+    records: VecDeque<Arc<CommitRecord>>,
+    notices: usize,
 }
 
-/// Upper bound on unpolled notices retained per subscriber; the oldest
-/// are dropped first (a steering client that has not polled for this
-/// long only cares about recent state anyway).
+impl Pending {
+    /// Queue one commit's record (hub fan-out path): a reference to the
+    /// shared record, not a copy of its notices.
+    pub(crate) fn push(&mut self, record: Arc<CommitRecord>) {
+        self.notices += record.len();
+        self.records.push_back(record);
+        while self.notices > MAX_PENDING_NOTICES {
+            let shed = self
+                .records
+                .pop_front()
+                .expect("notices are held by records");
+            self.notices -= shed.len();
+        }
+    }
+}
+
+/// A drainable stream of committed-steer notices.
+#[derive(Debug, Clone, Default)]
+pub struct Subscription {
+    queue: Arc<Mutex<Pending>>,
+}
+
+/// Upper bound on undrained notices retained per subscriber; whole
+/// commit records are shed oldest first (a steering client that has not
+/// drained for this long only cares about recent state anyway).
 pub(crate) const MAX_PENDING_NOTICES: usize = 4096;
 
 impl Subscription {
@@ -79,33 +103,43 @@ impl Subscription {
         Subscription::default()
     }
 
-    /// Rewrap an upgraded weak queue handle (hub fan-out path).
-    pub(crate) fn from_queue(queue: Arc<Mutex<VecDeque<SteerNotice>>>) -> Subscription {
-        Subscription { queue }
-    }
-
     /// Weak handle for the hub's subscriber list: the hub must not keep
     /// a dropped subscriber's queue alive.
-    pub(crate) fn downgrade(&self) -> std::sync::Weak<Mutex<VecDeque<SteerNotice>>> {
+    pub(crate) fn downgrade(&self) -> Weak<Mutex<Pending>> {
         Arc::downgrade(&self.queue)
     }
 
-    pub(crate) fn push(&self, notice: SteerNotice) {
-        let mut q = self.queue.lock();
-        if q.len() >= MAX_PENDING_NOTICES {
-            q.pop_front();
-        }
-        q.push_back(notice);
+    /// Take everything pending.
+    pub fn drain(&self) -> Drained {
+        Drained(std::mem::take(&mut *self.queue.lock()))
+    }
+}
+
+/// What one [`Subscription::drain`] took: the pending commit records,
+/// read in place. Notices borrow from the records, which every
+/// subscriber of the hub shares.
+#[derive(Debug)]
+pub struct Drained(Pending);
+
+impl Drained {
+    /// Number of notices drained.
+    pub fn len(&self) -> usize {
+        self.0.notices
     }
 
-    /// Next pending notice, if any.
-    pub fn poll(&self) -> Option<SteerNotice> {
-        self.queue.lock().pop_front()
+    /// True if nothing was pending.
+    pub fn is_empty(&self) -> bool {
+        self.0.notices == 0
     }
 
-    /// Drain everything pending.
-    pub fn drain(&self) -> Vec<SteerNotice> {
-        self.queue.lock().drain(..).collect()
+    /// The drained notices, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = SteerNotice<'_>> {
+        self.0.records.iter().flat_map(|r| r.iter())
+    }
+
+    /// The drained commit records, oldest first.
+    pub fn records(&self) -> impl Iterator<Item = &Arc<CommitRecord>> {
+        self.0.records.iter()
     }
 }
 
@@ -125,6 +159,7 @@ pub(crate) fn check_batch(
         });
     }
     for cmd in commands {
+        cmd.wire_name_len()?;
         if !caps.kinds.contains(&cmd.value.kind()) {
             return Err(SteerError::UnsupportedKind {
                 param: cmd.param.clone(),
@@ -202,6 +237,7 @@ pub trait SteerEndpoint: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::CommandBatch;
 
     #[test]
     fn intersection_is_commutative_on_content() {
@@ -230,19 +266,25 @@ mod tests {
     fn subscription_fifo() {
         let sub = Subscription::new();
         for i in 0..3 {
-            sub.push(SteerNotice::Applied {
-                commit: 1,
-                batch: i,
-                origin: "a".into(),
-                param: "x".into(),
-                value: ParamValue::I64(i as i64),
-            });
+            let record = CommitRecord {
+                commit: i + 1,
+                batches: vec![CommandBatch {
+                    seq: i,
+                    origin: "a".into(),
+                    transport: "loopback",
+                    commands: vec![SteerCommand::new("x", ParamValue::I64(i as i64))],
+                }],
+                outcomes: vec![Ok(ParamValue::I64(i as i64))],
+            };
+            sub.queue.lock().push(Arc::new(record));
         }
-        assert!(matches!(
-            sub.poll(),
-            Some(SteerNotice::Applied { batch: 0, .. })
-        ));
-        assert_eq!(sub.drain().len(), 2);
-        assert!(sub.poll().is_none());
+        let drained = sub.drain();
+        assert_eq!(drained.len(), 3);
+        let batches: Vec<u64> = drained.iter().map(|n| n.batch).collect();
+        assert_eq!(batches, [0, 1, 2], "oldest first");
+        let first = drained.iter().next().unwrap();
+        assert_eq!((first.origin, first.param), ("a", "x"));
+        assert_eq!(first.outcome, Ok(&ParamValue::I64(0)));
+        assert!(sub.drain().is_empty(), "a drain takes everything");
     }
 }

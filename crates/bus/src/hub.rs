@@ -9,14 +9,13 @@
 //! clock, and application order equals arrival order regardless of which
 //! middleware carried each command.
 
-use crate::command::{CommandBatch, CommitOutcome, SteerCommand, SteerError, SteerNotice};
-use crate::endpoint::{Capabilities, Subscription};
+use crate::command::{CommandBatch, CommitOutcome, CommitRecord, SteerCommand, SteerError};
+use crate::endpoint::{Capabilities, Pending, Subscription};
 use crate::registry::{ParamRegistry, SharedRegistry};
 use crate::spec::ParamSpec;
 use crate::value::ParamValue;
 use gridsteer_ckpt::{CkptError, SectionWriter, Snapshot};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::{Arc, Weak};
 
 #[derive(Default)]
@@ -26,7 +25,7 @@ struct HubState {
     commit_seq: u64,
     /// Weak so a dropped subscriber's queue is reclaimed (dead entries
     /// are pruned at each commit).
-    subscribers: Vec<Weak<Mutex<VecDeque<SteerNotice>>>>,
+    subscribers: Vec<Weak<Mutex<Pending>>>,
     handshakes: Vec<String>,
     /// Oracle probe: per-origin high-water mark of committed batch seqs.
     /// Cleared on restore — a restored process legitimately replays the
@@ -86,6 +85,11 @@ impl SteerHub {
         if commands.is_empty() {
             return Err(SteerError::EmptyBatch);
         }
+        // adapters refuse this before their wire; a caller with no
+        // adapter meets it here, so a staged command always encodes
+        for cmd in &commands {
+            cmd.wire_name_len()?;
+        }
         let mut st = self.state.lock();
         st.next_batch += 1;
         let seq = st.next_batch;
@@ -117,9 +121,9 @@ impl SteerHub {
     }
 
     /// Register a subscriber fed by every subsequent commit. Dropping
-    /// the returned [`Subscription`] unsubscribes; unpolled notices are
-    /// capped (oldest dropped first), so an idle subscriber cannot grow
-    /// the hub without bound.
+    /// the returned [`Subscription`] unsubscribes; undrained notices are
+    /// capped (oldest commits dropped first), so an idle subscriber
+    /// cannot grow the hub without bound.
     pub fn subscribe(&self) -> Subscription {
         let sub = Subscription::new();
         self.state.lock().subscribers.push(sub.downgrade());
@@ -129,75 +133,69 @@ impl SteerHub {
     /// Commit every staged batch atomically, in staging order, applying
     /// each command through `apply`. The closure owns authority (role
     /// checks, registry write, backend propagation) and returns the value
-    /// actually applied or a refusal reason. Outcomes fan out to all
-    /// subscribers.
+    /// actually applied or a refusal reason. The outcomes fan out as one
+    /// [`CommitRecord`] that every live subscriber shares; with nobody
+    /// subscribed none is built.
     pub fn commit_with(
         &self,
         mut apply: impl FnMut(&CommandBatch, &SteerCommand) -> Result<ParamValue, String>,
     ) -> CommitOutcome {
-        let (batches, commit) = {
-            let mut st = self.state.lock();
+        let (batches, commit, watched) = {
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
             if st.staged.is_empty() {
                 return CommitOutcome::default();
             }
             st.commit_seq += 1;
-            let batches = std::mem::take(&mut st.staged);
+            // the commit keeps the staged batches (they become its record),
+            // so the next step's staging buffer is made here, sized by the
+            // load this one carried, not regrown push by push
+            let next = Vec::with_capacity(st.staged.len());
+            let batches = std::mem::replace(&mut st.staged, next);
             for b in &batches {
-                let hw = st.last_committed.get(&b.origin).copied().unwrap_or(0);
-                if b.seq <= hw {
-                    let v = format!(
+                match st.last_committed.get_mut(b.origin.as_str()) {
+                    Some(hw) if b.seq > *hw => *hw = b.seq,
+                    None if b.seq > 0 => {
+                        st.last_committed.insert(b.origin.clone(), b.seq);
+                    }
+                    stale => st.probe_violations.push(format!(
                         "stale-seq commit: origin {} batch seq {} at/below high-water {}",
-                        b.origin, b.seq, hw
-                    );
-                    st.probe_violations.push(v);
-                } else {
-                    st.last_committed.insert(b.origin.clone(), b.seq);
+                        b.origin,
+                        b.seq,
+                        stale.map_or(0, |hw| *hw)
+                    )),
                 }
             }
-            (batches, st.commit_seq)
+            st.subscribers.retain(|w| w.strong_count() > 0);
+            (batches, st.commit_seq, !st.subscribers.is_empty())
         };
         let mut outcome = CommitOutcome {
             commit,
             ..CommitOutcome::default()
         };
-        let mut notices = Vec::new();
+        let ncmds = batches.iter().map(|b| b.commands.len()).sum();
+        let mut outcomes = Vec::with_capacity(if watched { ncmds } else { 0 });
         for batch in &batches {
             for cmd in &batch.commands {
-                match apply(batch, cmd) {
-                    Ok(value) => {
-                        outcome.applied += 1;
-                        notices.push(SteerNotice::Applied {
-                            commit,
-                            batch: batch.seq,
-                            origin: batch.origin.clone(),
-                            param: cmd.param.clone(),
-                            value,
-                        });
-                    }
-                    Err(reason) => {
-                        outcome.refused += 1;
-                        notices.push(SteerNotice::Refused {
-                            commit,
-                            batch: batch.seq,
-                            origin: batch.origin.clone(),
-                            param: cmd.param.clone(),
-                            reason,
-                        });
-                    }
+                let applied = apply(batch, cmd);
+                match applied {
+                    Ok(_) => outcome.applied += 1,
+                    Err(_) => outcome.refused += 1,
+                }
+                if watched {
+                    outcomes.push(applied);
                 }
             }
         }
-        let live: Vec<Subscription> = {
-            let mut st = self.state.lock();
-            st.subscribers.retain(|w| w.strong_count() > 0);
-            st.subscribers
-                .iter()
-                .filter_map(|w| w.upgrade().map(Subscription::from_queue))
-                .collect()
-        };
-        for sub in live {
-            for n in &notices {
-                sub.push(n.clone());
+        if watched {
+            let record = Arc::new(CommitRecord {
+                commit,
+                batches,
+                outcomes,
+            });
+            let st = self.state.lock();
+            for queue in st.subscribers.iter().filter_map(Weak::upgrade) {
+                queue.lock().push(record.clone());
             }
         }
         outcome
@@ -341,14 +339,11 @@ mod tests {
         let out = h.commit();
         assert_eq!(out.applied, 1);
         assert_eq!(out.refused, 1);
-        let notices = sub.drain();
-        assert!(
-            matches!(&notices[0], SteerNotice::Refused { param, .. } if param == "miscibility")
-        );
-        assert!(matches!(
-            &notices[1],
-            SteerNotice::Applied { value: ParamValue::F64(v), .. } if *v == 10.0
-        ));
+        let drained = sub.drain();
+        let notices: Vec<_> = drained.iter().collect();
+        assert_eq!(notices[0].param, "miscibility");
+        assert!(notices[0].outcome.is_err());
+        assert_eq!(notices[1].outcome, Ok(&ParamValue::F64(10.0)));
     }
 
     #[test]
@@ -358,6 +353,25 @@ mod tests {
             h.stage("a", "loopback", Vec::new()),
             Err(SteerError::EmptyBatch)
         );
+    }
+
+    #[test]
+    fn overlong_param_name_refused_at_stage_time() {
+        // adapters refuse this before their wire; the hub's own door
+        // does too, so whatever is staged can be checkpointed
+        let h = hub();
+        let long = "x".repeat(usize::from(u16::MAX) + 1);
+        assert_eq!(
+            h.stage("a", "loopback", vec![SteerCommand::f64(&long, 0.5)]),
+            Err(SteerError::NameTooLong {
+                len: 65_536,
+                max: 65_535
+            })
+        );
+        assert_eq!(h.pending(), 0);
+        h.stage("a", "loopback", vec![SteerCommand::f64(&long[1..], 0.5)])
+            .unwrap();
+        h.save_sections(&mut Snapshot::new(1, 0), "steer");
     }
 
     #[test]
@@ -428,6 +442,60 @@ mod tests {
             idle.drain().len(),
             crate::endpoint::MAX_PENDING_NOTICES,
             "oldest notices must be shed at the cap"
+        );
+    }
+
+    #[test]
+    fn idle_subscriber_sheds_whole_oldest_records() {
+        let h = hub();
+        let idle = h.subscribe();
+        let per_commit = 6;
+        let commits = crate::endpoint::MAX_PENDING_NOTICES / per_commit + 10;
+        for _ in 0..commits {
+            for origin in ["a", "b"] {
+                h.stage(origin, "loopback", vec![SteerCommand::f64("gain", 1.0); 3])
+                    .unwrap();
+            }
+            h.commit();
+        }
+        let drained = idle.drain();
+        assert!(drained.len() <= crate::endpoint::MAX_PENDING_NOTICES);
+        assert!(drained.len() > crate::endpoint::MAX_PENDING_NOTICES - per_commit);
+        assert_eq!(drained.len(), drained.iter().count());
+        // what is left is whole commits, and the newest ones
+        assert!(drained.records().all(|r| r.len() == per_commit));
+        let kept: Vec<u64> = drained.records().map(|r| r.commit()).collect();
+        let newest = commits as u64;
+        assert!(kept
+            .iter()
+            .copied()
+            .eq(newest + 1 - kept.len() as u64..=newest));
+    }
+
+    #[test]
+    fn with_nobody_subscribed_no_record_is_built() {
+        let h = hub();
+        h.stage("a", "loopback", vec![SteerCommand::f64("gain", 2.0)])
+            .unwrap();
+        assert_eq!(h.commit().applied, 1);
+        // a subscriber sees commits made after it subscribed, not before
+        let late = h.subscribe();
+        assert!(late.drain().is_empty());
+        h.stage("a", "loopback", vec![SteerCommand::f64("gain", 3.0)])
+            .unwrap();
+        h.commit();
+        let also = h.subscribe();
+        h.stage("a", "loopback", vec![SteerCommand::f64("gain", 4.0)])
+            .unwrap();
+        h.commit();
+        let (late, also) = (late.drain(), also.drain());
+        assert_eq!((late.len(), also.len()), (2, 1));
+        assert!(
+            Arc::ptr_eq(
+                late.records().last().unwrap(),
+                also.records().next().unwrap()
+            ),
+            "one record per commit, shared"
         );
     }
 

@@ -13,9 +13,10 @@
 //!   server, UNICORE job payloads), and canonical text.
 //! * [`ParamSpec`] / [`BoundsPolicy`] — typed declarations with an
 //!   *explicit* clamp-vs-reject policy, replacing the old f64-only specs.
-//! * [`ParamRegistry`] / [`SharedRegistry`] — the typed registry (with
-//!   f64 shims so pre-bus call sites migrate mechanically) and its
-//!   shared-authority handle.
+//! * [`ParamRegistry`] / [`SharedRegistry`] — the typed registry and its
+//!   shared-authority handle. Its change log, like the session's event
+//!   log, is a [`BoundedLog`]: a window of the newest entries plus a
+//!   count and fold of everything evicted ([`AUDIT_WINDOW`]).
 //! * [`SteerEndpoint`] — the one client contract: capability
 //!   [`SteerEndpoint::negotiate`] handshake, typed
 //!   [`SteerEndpoint::describe`] / [`SteerEndpoint::get`],
@@ -24,7 +25,9 @@
 //! * [`SteerHub`] — the session-side anchor: endpoints *stage* decoded
 //!   batches, the simulation-loop owner *commits* them atomically at a
 //!   step boundary, in global staging order — which is what keeps
-//!   multi-transport scenario digests byte-stable.
+//!   multi-transport scenario digests byte-stable. A commit's outcomes
+//!   reach subscribers as one shared [`CommitRecord`]; a
+//!   [`Subscription::drain`] reads [`SteerNotice`]s out of it in place.
 //! * One module per middleware, holding *both* planes of it over helpers
 //!   written once — the wire quirks (VISIT's link hop and envelope loop,
 //!   OGSA's host → publish → discover flow and result mapping, UNICORE's
@@ -55,6 +58,7 @@ pub mod command;
 pub mod covise;
 pub mod endpoint;
 pub mod hub;
+pub mod log;
 pub mod loopback;
 pub mod monitor;
 pub mod ogsa;
@@ -83,10 +87,13 @@ mod unicore_ep;
 #[path = "middleware_tests/visit_steer.rs"]
 mod visit_ep;
 
-pub use command::{CommandBatch, CommitOutcome, SteerCommand, SteerError, SteerNotice};
+pub use command::{
+    CommandBatch, CommitOutcome, CommitRecord, SteerCommand, SteerError, SteerNotice,
+};
 pub use covise::{CoviseEndpoint, SteerParamsModule};
-pub use endpoint::{Capabilities, SteerEndpoint, Subscription};
+pub use endpoint::{Capabilities, Drained, SteerEndpoint, Subscription};
 pub use hub::SteerHub;
+pub use log::{BoundedLog, LogEntry, Names, AUDIT_WINDOW};
 pub use loopback::LoopbackEndpoint;
 pub use monitor::{
     CoviseMonitor, FrameBytesCell, FrameChunk, FrameCodecError, HubFrameSink, LoopbackMonitor,
@@ -95,7 +102,7 @@ pub use monitor::{
     UnicoreMonitor, VisitMonitor,
 };
 pub use ogsa::{BusSteeringService, OgsaEndpoint};
-pub use registry::{ParamRegistry, SharedRegistry};
+pub use registry::{Change, ParamRegistry, SharedRegistry};
 pub use spec::{BoundsPolicy, ParamSpec};
 pub use transport::Transport;
 pub use unicore::UnicoreEndpoint;

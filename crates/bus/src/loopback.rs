@@ -88,7 +88,6 @@ impl MonitorEndpoint for LoopbackMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::SteerNotice;
     use crate::spec::ParamSpec;
     use crate::value::{ParamKind, ParamValue};
 
@@ -152,6 +151,6 @@ mod tests {
         ep.set_batch(vec![SteerCommand::f64("miscibility", 7.0)])
             .unwrap();
         h.commit();
-        assert!(matches!(sub.poll(), Some(SteerNotice::Refused { .. })));
+        assert!(sub.drain().iter().next().unwrap().outcome.is_err());
     }
 }

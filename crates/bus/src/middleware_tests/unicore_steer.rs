@@ -42,7 +42,7 @@ mod tests {
         ];
         let mut bytes = begin_payload(cmds.len()).unwrap();
         for cmd in &cmds {
-            cmd.encode_bytes(&mut bytes);
+            cmd.encode_bytes(&mut bytes).unwrap();
         }
         let decode = |buf: &[u8]| decode_payload(buf, SteerCommand::decode_bytes);
         assert_eq!(decode(&bytes), Some(cmds));

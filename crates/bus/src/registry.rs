@@ -9,6 +9,7 @@
 //! lost `Vec3`/`Str` parameters and dropped the applied clamped value)
 //! went through a `#[deprecated]` cycle and are now removed.
 
+use crate::log::{BoundedLog, LogEntry, Names};
 use crate::spec::ParamSpec;
 use crate::value::ParamValue;
 use gridsteer_ckpt::{CkptError, SectionReader, SectionWriter};
@@ -16,13 +17,33 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A typed registry of steerable parameters with change history.
+/// One change-log entry: `(sequence, name, applied value)`. The name is
+/// the registry's own allocation of it (see [`ParamRegistry::intern`]),
+/// so logging a change allocates nothing for it.
+pub type Change = (u64, Arc<str>, ParamValue);
+
+impl LogEntry for Change {
+    fn put(&self, w: &mut SectionWriter) {
+        let (seq, name, v) = self;
+        w.put_u64(*seq);
+        w.put_str(name);
+        crate::ckpt::put_value(w, v);
+    }
+
+    fn get(r: &mut SectionReader<'_>, names: &mut Names) -> Result<Change, CkptError> {
+        let seq = r.get_u64()?;
+        let name = names.intern(r.get_str_ref()?);
+        Ok((seq, name, crate::ckpt::get_value(r, "registry history")?))
+    }
+}
+
+/// A typed registry of steerable parameters with a bounded change log.
 #[derive(Debug, Default)]
 pub struct ParamRegistry {
-    specs: BTreeMap<String, ParamSpec>,
-    values: BTreeMap<String, ParamValue>,
-    /// `(sequence, name, applied value)` change log.
-    history: Vec<(u64, String, ParamValue)>,
+    /// Keyed by the one shared allocation of each declared name.
+    specs: BTreeMap<Arc<str>, ParamSpec>,
+    values: BTreeMap<Arc<str>, ParamValue>,
+    history: BoundedLog<Change>,
     seq: u64,
 }
 
@@ -34,13 +55,24 @@ impl ParamRegistry {
 
     /// Declare a parameter.
     pub fn declare(&mut self, spec: ParamSpec) {
-        self.values.insert(spec.name.clone(), spec.initial.clone());
-        self.specs.insert(spec.name.clone(), spec);
+        let name = self.intern(&spec.name);
+        self.values.insert(name.clone(), spec.initial.clone());
+        self.specs.insert(name, spec);
     }
 
     /// Parameter names (sorted — `BTreeMap` order).
     pub fn names(&self) -> Vec<String> {
-        self.specs.keys().cloned().collect()
+        self.specs.keys().map(|k| k.to_string()).collect()
+    }
+
+    /// `name` as a shared string: a declared parameter's is the
+    /// allocation made when it was declared (audit entries naming it hold
+    /// clones of that), an undeclared one's is fresh.
+    pub fn intern(&self, name: &str) -> Arc<str> {
+        match self.specs.get_key_value(name) {
+            Some((key, _)) => key.clone(),
+            None => Arc::from(name),
+        }
     }
 
     /// The declared spec for a parameter.
@@ -70,16 +102,31 @@ impl ParamRegistry {
     /// Apply a typed steer. Returns the value actually applied (possibly
     /// clamped, per the spec's [`crate::BoundsPolicy`]) or the refusal.
     pub fn set_value(&mut self, name: &str, value: &ParamValue) -> Result<ParamValue, String> {
-        let applied = self.validate(name, value)?;
-        self.values.insert(name.to_string(), applied.clone());
+        let (key, spec) = self
+            .specs
+            .get_key_value(name)
+            .ok_or_else(|| format!("unknown parameter: {name}"))?;
+        let applied = spec.admit(value)?;
+        match self.values.get_mut(name) {
+            Some(slot) => slot.clone_from(&applied),
+            None => {
+                self.values.insert(key.clone(), applied.clone());
+            }
+        }
         self.seq += 1;
-        self.history
-            .push((self.seq, name.to_string(), applied.clone()));
+        self.history.push((self.seq, key.clone(), applied.clone()));
         Ok(applied)
     }
 
-    /// Change log (oldest first).
-    pub fn history(&self) -> &[(u64, String, ParamValue)] {
+    /// The retained tail of the change log (oldest first) — at least the
+    /// newest [`AUDIT_WINDOW`](crate::AUDIT_WINDOW) changes.
+    pub fn history(&self) -> &[Change] {
+        self.history.retained()
+    }
+
+    /// The whole change log: the retained tail plus the count and fold
+    /// of what it has evicted.
+    pub fn change_log(&self) -> &BoundedLog<Change> {
         &self.history
     }
 
@@ -88,8 +135,9 @@ impl ParamRegistry {
         self.seq
     }
 
-    /// Serialize specs, current values, the change log and the change
-    /// counter into a section body (checkpoint path — see
+    /// Serialize specs, current values, the change log (its retained
+    /// tail, evicted count and fold) and the change counter into a
+    /// section body (checkpoint path — see
     /// [`SteerHub::save_sections`](crate::SteerHub::save_sections)).
     pub fn save_into(&self, w: &mut SectionWriter) {
         w.put_u32(self.specs.len() as u32);
@@ -101,12 +149,7 @@ impl ParamRegistry {
             w.put_str(name);
             crate::ckpt::put_value(w, v);
         }
-        w.put_u32(self.history.len() as u32);
-        for (seq, name, v) in &self.history {
-            w.put_u64(*seq);
-            w.put_str(name);
-            crate::ckpt::put_value(w, v);
-        }
+        self.history.save_into(w);
         w.put_u64(self.seq);
     }
 
@@ -116,21 +159,18 @@ impl ParamRegistry {
     /// which would reset values to their initials.
     pub fn restore_from(r: &mut SectionReader<'_>) -> Result<ParamRegistry, CkptError> {
         let mut reg = ParamRegistry::new();
+        // keys, values and change-log entries share one allocation per name
+        let mut names = Names::default();
         for _ in 0..r.get_u32()? {
             let spec = crate::ckpt::get_spec(r)?;
-            reg.specs.insert(spec.name.clone(), spec);
+            reg.specs.insert(names.intern(&spec.name), spec);
         }
         for _ in 0..r.get_u32()? {
-            let name = r.get_str()?;
+            let name = names.intern(r.get_str_ref()?);
             let v = crate::ckpt::get_value(r, "registry value")?;
             reg.values.insert(name, v);
         }
-        for _ in 0..r.get_u32()? {
-            let seq = r.get_u64()?;
-            let name = r.get_str()?;
-            let v = crate::ckpt::get_value(r, "registry history")?;
-            reg.history.push((seq, name, v));
-        }
+        reg.history = BoundedLog::restore_from(r, &mut names)?;
         reg.seq = r.get_u64()?;
         Ok(reg)
     }
@@ -188,8 +228,13 @@ impl SharedRegistry {
         self.inner.lock().set_value(name, value)
     }
 
-    /// Snapshot of the change log.
-    pub fn history(&self) -> Vec<(u64, String, ParamValue)> {
+    /// `name` as a shared string (see [`ParamRegistry::intern`]).
+    pub fn intern(&self, name: &str) -> Arc<str> {
+        self.inner.lock().intern(name)
+    }
+
+    /// Snapshot of the change log's retained tail.
+    pub fn history(&self) -> Vec<Change> {
         self.inner.lock().history().to_vec()
     }
 
@@ -286,6 +331,7 @@ mod tests {
         rd.expect_end().unwrap();
         assert_eq!(back.specs(), r.specs());
         assert_eq!(back.history(), r.history());
+        assert_eq!(back.change_log(), r.change_log());
         assert_eq!(back.seq(), r.seq());
         assert_eq!(
             back.get_value("miscibility"),
@@ -295,6 +341,55 @@ mod tests {
         assert_eq!(
             back.get_value("site"),
             Some(&ParamValue::Str("phoenix".into()))
+        );
+    }
+
+    #[test]
+    fn change_log_holds_a_window_whatever_the_run_length() {
+        use crate::log::AUDIT_WINDOW;
+        let mut sizes = Vec::new();
+        for changes in [3 * AUDIT_WINDOW, 12 * AUDIT_WINDOW] {
+            let mut r = ParamRegistry::new();
+            r.declare(ParamSpec::f64("gain", 0.0, 8.0, 1.0));
+            r.declare(ParamSpec::text("site", "london"));
+            // the unbounded log the registry used to keep
+            let mut reference: Vec<Change> = Vec::new();
+            for i in 0..changes {
+                if i % 8 == 7 {
+                    r.set_value("site", &ParamValue::Str("phoenix".into()))
+                        .unwrap();
+                } else {
+                    r.set_value("gain", &ParamValue::F64((i % 8) as f64))
+                        .unwrap();
+                }
+                reference.push(r.history().last().unwrap().clone());
+                assert!(r.history().len() < 2 * AUDIT_WINDOW);
+                // refusals are not changes
+                assert!(r.set_value("gain", &ParamValue::F64(9.0)).is_err());
+            }
+            let log = r.change_log();
+            assert_eq!(log.total(), changes as u64);
+            assert_eq!(log.evicted() as usize + r.history().len(), changes);
+            let (evicted, tail) = reference.split_at(log.evicted() as usize);
+            assert_eq!(r.history(), tail);
+            assert!(
+                tail.iter()
+                    .all(|(_, name, _)| name.len() == 4 && Arc::ptr_eq(name, &r.intern(name))),
+                "entries share the declared name's allocation"
+            );
+            let mut w = SectionWriter::new();
+            evicted.iter().for_each(|c| c.put(&mut w));
+            let fold = w.as_bytes().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            assert_eq!(log.fold(), fold);
+            let mut w = SectionWriter::new();
+            r.save_into(&mut w);
+            sizes.push(w.len());
+        }
+        assert!(
+            sizes[1] <= sizes[0],
+            "registry section grew with the run: {sizes:?}"
         );
     }
 

@@ -76,7 +76,7 @@ impl Transport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::{SteerCommand, SteerError, SteerNotice};
+    use crate::command::{SteerCommand, SteerError};
     use crate::endpoint::Capabilities;
     use crate::monitor::endpoint::deliver_all;
     use crate::monitor::{
@@ -322,19 +322,14 @@ mod tests {
             let notices = sub.drain();
             assert_eq!(notices.len(), batch.len(), "{}", t.label());
             for (notice, cmd) in notices.iter().zip(&batch) {
-                match notice {
-                    SteerNotice::Applied {
-                        batch,
-                        origin,
-                        param,
-                        value,
-                        ..
-                    } => {
-                        assert_eq!((*batch, origin.as_str()), (seq, "alice"), "{}", t.label());
-                        assert_eq!((param, value), (&cmd.param, &cmd.value), "{}", t.label());
-                    }
-                    other => panic!("{}: expected Applied, got {other:?}", t.label()),
-                }
+                assert_eq!(
+                    (notice.batch, notice.origin),
+                    (seq, "alice"),
+                    "{}",
+                    t.label()
+                );
+                assert_eq!(notice.param, cmd.param, "{}", t.label());
+                assert_eq!(notice.outcome, Ok(&cmd.value), "{}", t.label());
             }
 
             // monitoring: everything the transport carries, as a whole
@@ -376,17 +371,46 @@ mod tests {
                 .unwrap();
             let out = hub.commit();
             assert_eq!((out.applied, out.refused), (0, 1), "{}", t.label());
-            assert!(
-                matches!(sub.poll(), Some(SteerNotice::Refused { .. })),
-                "{}",
-                t.label()
-            );
+            let refused = sub.drain();
+            assert_eq!(refused.len(), 1, "{}", t.label());
+            assert!(refused.iter().all(|n| n.outcome.is_err()), "{}", t.label());
             assert_eq!(
                 hub.get("miscibility"),
                 Some(ParamValue::F64(1.0)),
                 "{}",
                 t.label()
             );
+        }
+    }
+
+    /// A name the wire's `u16` length field cannot hold is refused whole
+    /// and typed before any transport frames it — over UNICORE the wrapped
+    /// length used to corrupt `steer.cmd` and take the valid command down
+    /// with it, while the other four staged both.
+    #[test]
+    fn conformance_overlong_param_name_is_refused_before_the_wire() {
+        let long = "x".repeat(70_000);
+        for t in Transport::ALL {
+            let hub = every_kind_hub();
+            let mut ep = t.attach(&hub, "alice");
+            let err = ep.set_batch(vec![
+                SteerCommand::f64(&long, 0.5),
+                SteerCommand::f64("miscibility", 0.25),
+            ]);
+            assert_eq!(
+                err,
+                Err(SteerError::NameTooLong {
+                    len: 70_000,
+                    max: 65_535
+                }),
+                "{}",
+                t.label()
+            );
+            assert_eq!(hub.pending(), 0, "{}: nothing staged", t.label());
+            // the refusal left the endpoint usable
+            ep.set_batch(vec![SteerCommand::f64("miscibility", 0.25)])
+                .unwrap();
+            assert_eq!(hub.commit().applied, 1, "{}", t.label());
         }
     }
 

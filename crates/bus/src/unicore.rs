@@ -171,7 +171,7 @@ impl SteerEndpoint for UnicoreEndpoint {
             max: u16::MAX as usize,
         })?;
         for cmd in &commands {
-            cmd.encode_bytes(&mut payload);
+            cmd.encode_bytes(&mut payload)?;
         }
         let decoded = consign(
             &STEER,

@@ -42,6 +42,13 @@
 //! [`CkptError::UnsupportedVersion`] rather than guessing. There is no
 //! cross-version migration — a checkpoint is a *short-lived* artifact
 //! (crash recovery, migration transfer), not an archive format.
+//!
+//! Version 2 (current): the framing above is unchanged from version 1;
+//! the bump records a layout change *inside* two sections the steering
+//! layers write — the session's event log and the registry's change log
+//! became bounded windows (`evicted u64 | fold u64 | n u32 | entries`
+//! where version 1 had `n u32 | entries`). A version-1 blob is refused
+//! with [`CkptError::UnsupportedVersion`] like any other foreign version.
 
 use std::fmt;
 
@@ -49,7 +56,7 @@ use std::fmt;
 pub const MAGIC: [u8; 6] = *b"GSCKPT";
 
 /// Current format version. Bumps on any layout change.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Header flag bit: the blob is a delta against a base snapshot.
 const FLAG_DELTA: u8 = 1;
@@ -254,6 +261,17 @@ impl SectionWriter {
         self.buf
     }
 
+    /// The bytes written so far, in place.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forget what was written and keep the buffer (a writer reused to
+    /// encode many small items one at a time).
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -352,9 +370,15 @@ impl<'a> SectionReader<'a> {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, CkptError> {
+        self.get_str_ref().map(str::to_string)
+    }
+
+    /// Read a length-prefixed UTF-8 string in place, borrowed from the
+    /// section's bytes.
+    pub fn get_str_ref(&mut self) -> Result<&'a str, CkptError> {
         let len = self.get_u32()? as usize;
         let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| CkptError::Corrupt {
+        std::str::from_utf8(raw).map_err(|_| CkptError::Corrupt {
             context: format!("{}: utf-8 string", self.context),
         })
     }

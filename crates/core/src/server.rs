@@ -367,7 +367,7 @@ impl ClientHandle {
         req.put_u64_le(self.next_batch_seq);
         req.put_u16_le(commands.len() as u16);
         for cmd in commands {
-            cmd.encode_bytes(&mut req);
+            cmd.encode_bytes(&mut req).map_err(|e| e.to_string())?;
         }
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
         let mut body: &[u8] = &reply;

@@ -8,9 +8,10 @@
 //! role is just for passive viewers").
 
 use crate::params::{ParamRegistry, ParamValue, SharedRegistry};
-use gridsteer_bus::SteerCommand;
+use gridsteer_bus::{BoundedLog, LogEntry, Names, SteerCommand};
 use gridsteer_ckpt::{CkptError, SectionReader, SectionWriter, Snapshot};
 use netsim::SimTime;
+use std::sync::Arc;
 
 /// What a participant may do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +36,9 @@ pub struct Participant {
     /// Monotone join sequence number — lower means longer-joined. A
     /// participant that leaves and rejoins gets a fresh (higher) number.
     pub joined_seq: u64,
+    /// `name` as the audit log holds it: allocated once at join, cloned
+    /// (a reference count) into every steer entry.
+    who: Arc<str>,
 }
 
 /// Auditable session events.
@@ -47,16 +51,17 @@ pub enum SessionEvent {
     /// The master token moved.
     MasterPassed { from: String, to: String },
     /// A steer was applied; `value` is what the registry actually
-    /// applied (post clamp/coercion).
+    /// applied (post clamp/coercion). The names are shared with the
+    /// participant and the registry — an entry allocates neither.
     Steered {
-        who: String,
-        param: String,
+        who: Arc<str>,
+        param: Arc<str>,
         value: ParamValue,
     },
     /// A steer was refused (not master / bad value).
     SteerRefused {
-        who: String,
-        param: String,
+        who: Arc<str>,
+        param: Arc<str>,
         reason: String,
     },
     /// A sample was fanned out to all participants.
@@ -69,7 +74,7 @@ pub struct SteeringSession {
     /// The shared parameter registry — a [`SharedRegistry`] handle, so a
     /// steering-bus hub and this session can be one authority.
     pub params: SharedRegistry,
-    events: Vec<SessionEvent>,
+    events: BoundedLog<SessionEvent>,
     sample_seq: u64,
     join_counter: u64,
     /// Total bytes fanned out (bytes × recipients).
@@ -89,7 +94,7 @@ impl SteeringSession {
         SteeringSession {
             participants: Vec::new(),
             params,
-            events: Vec::new(),
+            events: BoundedLog::default(),
             sample_seq: 0,
             join_counter: 0,
             fanout_bytes: 0,
@@ -111,6 +116,7 @@ impl SteeringSession {
             role,
             samples_received: 0,
             joined_seq,
+            who: Arc::from(name),
         });
         self.events.push(SessionEvent::Joined(name.to_string()));
         self.participants.len() - 1
@@ -218,34 +224,26 @@ impl SteeringSession {
         let Some(p) = self.participants.get(idx) else {
             return Err("no such participant".into());
         };
-        let who = p.name.clone();
-        if p.role != Role::Master {
-            let reason = "not the master".to_string();
-            self.events.push(SessionEvent::SteerRefused {
+        let who = p.who.clone();
+        let param = self.params.intern(param);
+        let outcome = if p.role == Role::Master {
+            self.params.set_value(&param, value)
+        } else {
+            Err("not the master".to_string())
+        };
+        self.events.push(match &outcome {
+            Ok(applied) => SessionEvent::Steered {
                 who,
-                param: param.to_string(),
+                param,
+                value: applied.clone(),
+            },
+            Err(reason) => SessionEvent::SteerRefused {
+                who,
+                param,
                 reason: reason.clone(),
-            });
-            return Err(reason);
-        }
-        match self.params.set_value(param, value) {
-            Ok(applied) => {
-                self.events.push(SessionEvent::Steered {
-                    who,
-                    param: param.to_string(),
-                    value: applied.clone(),
-                });
-                Ok(applied)
-            }
-            Err(reason) => {
-                self.events.push(SessionEvent::SteerRefused {
-                    who,
-                    param: param.to_string(),
-                    reason: reason.clone(),
-                });
-                Err(reason)
-            }
-        }
+            },
+        });
+        outcome
     }
 
     /// Apply an f64 steer (shim over [`SteeringSession::steer_value`]).
@@ -262,7 +260,7 @@ impl SteeringSession {
         let Some(p) = self.participants.get(idx) else {
             return Err("no such participant".into());
         };
-        let who = p.name.clone();
+        let who = p.who.clone();
         if p.role != Role::Master {
             let reason = "not the master".to_string();
             // log every refused command, not just the first — the audit
@@ -270,7 +268,7 @@ impl SteeringSession {
             for cmd in commands {
                 self.events.push(SessionEvent::SteerRefused {
                     who: who.clone(),
-                    param: cmd.param.clone(),
+                    param: self.params.intern(&cmd.param),
                     reason: reason.clone(),
                 });
             }
@@ -281,7 +279,7 @@ impl SteeringSession {
             if let Err(reason) = self.params.validate(&cmd.param, &cmd.value) {
                 self.events.push(SessionEvent::SteerRefused {
                     who,
-                    param: cmd.param.clone(),
+                    param: self.params.intern(&cmd.param),
                     reason: reason.clone(),
                 });
                 return Err(reason);
@@ -291,7 +289,7 @@ impl SteeringSession {
             let applied = self.params.set_value(&cmd.param, &cmd.value)?;
             self.events.push(SessionEvent::Steered {
                 who: who.clone(),
-                param: cmd.param.clone(),
+                param: self.params.intern(&cmd.param),
                 value: applied,
             });
         }
@@ -314,13 +312,21 @@ impl SteeringSession {
         self.sample_seq
     }
 
-    /// The audit log.
+    /// The retained tail of the audit log (oldest first) — at least the
+    /// newest [`AUDIT_WINDOW`](gridsteer_bus::AUDIT_WINDOW) events.
     pub fn events(&self) -> &[SessionEvent] {
+        self.events.retained()
+    }
+
+    /// The whole audit log: the retained tail plus the count and fold of
+    /// what it has evicted.
+    pub fn audit_log(&self) -> &BoundedLog<SessionEvent> {
         &self.events
     }
 
     /// Serialize the session — participants (names, roles, seniority,
-    /// per-participant sample counts), the audit log, and the sample /
+    /// per-participant sample counts), the audit log (its retained tail,
+    /// evicted count and fold), and the sample /
     /// join / fan-out counters — into snapshot section `name`. The
     /// parameter registry is *not* serialized here: it is shared with
     /// the steering hub, which owns its checkpoint section.
@@ -340,10 +346,7 @@ impl SteeringSession {
             w.put_u64(p.samples_received);
             w.put_u64(p.joined_seq);
         }
-        w.put_u32(self.events.len() as u32);
-        for e in &self.events {
-            put_event(&mut w, e);
-        }
+        self.events.save_into(&mut w);
         snap.push(name, 0, w.finish());
     }
 
@@ -364,6 +367,8 @@ impl SteeringSession {
         let fanout_bytes = r.get_u64()?;
         let nparts = r.get_u32()?;
         let mut participants = Vec::new();
+        // participants and audit entries share one allocation per name
+        let mut names = Names::default();
         for _ in 0..nparts {
             let pname = r.get_str()?;
             let role = match r.get_u8()? {
@@ -377,17 +382,14 @@ impl SteeringSession {
                 }
             };
             participants.push(Participant {
+                who: names.intern(&pname),
                 name: pname,
                 role,
                 samples_received: r.get_u64()?,
                 joined_seq: r.get_u64()?,
             });
         }
-        let nevents = r.get_u32()?;
-        let mut events = Vec::new();
-        for _ in 0..nevents {
-            events.push(get_event(&mut r, name)?);
-        }
+        let events = BoundedLog::restore_from(&mut r, &mut names)?;
         r.expect_end()?;
         Ok(SteeringSession {
             participants,
@@ -414,69 +416,73 @@ impl SteeringSession {
     }
 }
 
-fn put_event(w: &mut SectionWriter, e: &SessionEvent) {
-    match e {
-        SessionEvent::Joined(name) => {
-            w.put_u8(0);
-            w.put_str(name);
-        }
-        SessionEvent::Left(name) => {
-            w.put_u8(1);
-            w.put_str(name);
-        }
-        SessionEvent::MasterPassed { from, to } => {
-            w.put_u8(2);
-            w.put_str(from);
-            w.put_str(to);
-        }
-        SessionEvent::Steered { who, param, value } => {
-            w.put_u8(3);
-            w.put_str(who);
-            w.put_str(param);
-            gridsteer_bus::ckpt::put_value(w, value);
-        }
-        SessionEvent::SteerRefused { who, param, reason } => {
-            w.put_u8(4);
-            w.put_str(who);
-            w.put_str(param);
-            w.put_str(reason);
-        }
-        SessionEvent::SampleBroadcast { seq, bytes } => {
-            w.put_u8(5);
-            w.put_u64(*seq);
-            w.put_u64(*bytes as u64);
+/// The event's checkpoint encoding — also what the audit log's eviction
+/// fold runs over.
+impl LogEntry for SessionEvent {
+    fn put(&self, w: &mut SectionWriter) {
+        match self {
+            SessionEvent::Joined(name) => {
+                w.put_u8(0);
+                w.put_str(name);
+            }
+            SessionEvent::Left(name) => {
+                w.put_u8(1);
+                w.put_str(name);
+            }
+            SessionEvent::MasterPassed { from, to } => {
+                w.put_u8(2);
+                w.put_str(from);
+                w.put_str(to);
+            }
+            SessionEvent::Steered { who, param, value } => {
+                w.put_u8(3);
+                w.put_str(who);
+                w.put_str(param);
+                gridsteer_bus::ckpt::put_value(w, value);
+            }
+            SessionEvent::SteerRefused { who, param, reason } => {
+                w.put_u8(4);
+                w.put_str(who);
+                w.put_str(param);
+                w.put_str(reason);
+            }
+            SessionEvent::SampleBroadcast { seq, bytes } => {
+                w.put_u8(5);
+                w.put_u64(*seq);
+                w.put_u64(*bytes as u64);
+            }
         }
     }
-}
 
-fn get_event(r: &mut SectionReader<'_>, section: &str) -> Result<SessionEvent, CkptError> {
-    Ok(match r.get_u8()? {
-        0 => SessionEvent::Joined(r.get_str()?),
-        1 => SessionEvent::Left(r.get_str()?),
-        2 => SessionEvent::MasterPassed {
-            from: r.get_str()?,
-            to: r.get_str()?,
-        },
-        3 => SessionEvent::Steered {
-            who: r.get_str()?,
-            param: r.get_str()?,
-            value: gridsteer_bus::ckpt::get_value(r, "session event value")?,
-        },
-        4 => SessionEvent::SteerRefused {
-            who: r.get_str()?,
-            param: r.get_str()?,
-            reason: r.get_str()?,
-        },
-        5 => SessionEvent::SampleBroadcast {
-            seq: r.get_u64()?,
-            bytes: r.get_u64()? as usize,
-        },
-        _ => {
-            return Err(CkptError::Corrupt {
-                context: format!("session {section}: event tag"),
-            })
-        }
-    })
+    fn get(r: &mut SectionReader<'_>, names: &mut Names) -> Result<SessionEvent, CkptError> {
+        Ok(match r.get_u8()? {
+            0 => SessionEvent::Joined(r.get_str()?),
+            1 => SessionEvent::Left(r.get_str()?),
+            2 => SessionEvent::MasterPassed {
+                from: r.get_str()?,
+                to: r.get_str()?,
+            },
+            3 => SessionEvent::Steered {
+                who: names.intern(r.get_str_ref()?),
+                param: names.intern(r.get_str_ref()?),
+                value: gridsteer_bus::ckpt::get_value(r, "session event value")?,
+            },
+            4 => SessionEvent::SteerRefused {
+                who: names.intern(r.get_str_ref()?),
+                param: names.intern(r.get_str_ref()?),
+                reason: r.get_str()?,
+            },
+            5 => SessionEvent::SampleBroadcast {
+                seq: r.get_u64()?,
+                bytes: r.get_u64()? as usize,
+            },
+            _ => {
+                return Err(CkptError::Corrupt {
+                    context: "session event tag".into(),
+                })
+            }
+        })
+    }
 }
 
 #[cfg(test)]
@@ -772,6 +778,115 @@ mod tests {
             SteeringSession::restore_sections(&poisoned, "ghost", s.params.clone()),
             Err(CkptError::MissingSection { .. })
         ));
+    }
+
+    // ---- bounded audit state ------------------------------------------
+
+    use gridsteer_bus::{SteerHub, AUDIT_WINDOW};
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    fn fnv(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A hub and the session sharing its registry, with master `a` joined.
+    fn hub_and_session() -> (SteerHub, SteeringSession) {
+        let hub = SteerHub::new(vec![ParamSpec::f64("miscibility", 0.0, 1.0, 1.0)]);
+        let mut s = SteeringSession::with_registry(hub.registry());
+        s.join("a");
+        (hub, s)
+    }
+
+    /// Steer number `i` of a fixed pattern with period 8: seven applied
+    /// values and one out-of-bounds refusal — so any two windows of the
+    /// log that start at the same phase encode to the same size.
+    fn steer_nth(s: &mut SteeringSession, i: usize) {
+        let v = match i % 8 {
+            7 => 5.0,
+            k => k as f64 / 8.0,
+        };
+        let _ = s.steer(0, "miscibility", v);
+    }
+
+    /// `(session section, steer section)` as a checkpoint would hold them.
+    fn sections(hub: &SteerHub, s: &SteeringSession) -> (Vec<u8>, Vec<u8>) {
+        let mut snap = Snapshot::new(1, 0);
+        s.save_sections(&mut snap, "session/0");
+        hub.save_sections(&mut snap, "steer");
+        let snap = Snapshot::decode(&snap.encode()).unwrap();
+        (
+            snap.section("session/0").unwrap().to_vec(),
+            snap.section("steer").unwrap().to_vec(),
+        )
+    }
+
+    #[test]
+    fn audit_log_holds_a_window_whatever_the_run_length() {
+        let mut sizes = Vec::new();
+        for steers in [3 * AUDIT_WINDOW, 12 * AUDIT_WINDOW] {
+            let (hub, mut s) = hub_and_session();
+            // the unbounded log the session used to keep
+            let mut reference = vec![s.events()[0].clone()];
+            for i in 0..steers {
+                steer_nth(&mut s, i);
+                reference.push(s.events().last().unwrap().clone());
+                assert!(s.events().len() < 2 * AUDIT_WINDOW);
+            }
+            let log = s.audit_log();
+            assert_eq!(log.total(), reference.len() as u64);
+            assert_eq!(log.evicted() as usize + s.events().len(), reference.len());
+            assert!(s.events().len() >= AUDIT_WINDOW);
+            let (evicted, tail) = reference.split_at(log.evicted() as usize);
+            assert_eq!(s.events(), tail);
+            let mut w = SectionWriter::new();
+            evicted.iter().for_each(|e| e.put(&mut w));
+            assert_eq!(log.fold(), fnv(FNV_OFFSET, w.as_bytes()));
+            sizes.push(sections(&hub, &s));
+        }
+        let (short, long) = (&sizes[0], &sizes[1]);
+        assert!(
+            long.0.len() <= short.0.len() && long.1.len() <= short.1.len(),
+            "sections grew with the run: session {} -> {} B, steer {} -> {} B",
+            short.0.len(),
+            long.0.len(),
+            short.1.len(),
+            long.1.len()
+        );
+    }
+
+    #[test]
+    fn restore_after_an_eviction_resumes_the_same_window() {
+        let (hub, mut s) = hub_and_session();
+        let past_first_eviction = 2 * AUDIT_WINDOW + 100;
+        (0..past_first_eviction).for_each(|i| steer_nth(&mut s, i));
+        assert!(s.audit_log().evicted() > 0);
+
+        let mut snap = Snapshot::new(1, 0);
+        hub.save_sections(&mut snap, "steer");
+        s.save_sections(&mut snap, "session/0");
+        let snap = Snapshot::decode(&snap.encode()).unwrap();
+        let hub2 = SteerHub::default();
+        hub2.restore_sections(&snap, "steer").unwrap();
+        let mut s2 =
+            SteeringSession::restore_sections(&snap, "session/0", hub2.registry()).unwrap();
+        assert_eq!(s2.events(), s.events(), "the tail at its saved length");
+
+        // both copies run on across the next eviction and stay twins
+        for i in past_first_eviction..past_first_eviction + AUDIT_WINDOW {
+            steer_nth(&mut s, i);
+            steer_nth(&mut s2, i);
+        }
+        assert!(s.audit_log().evicted() > AUDIT_WINDOW as u64);
+        assert_eq!(s2.audit_log(), s.audit_log());
+        assert_eq!(
+            hub2.registry().history(),
+            hub.registry().history(),
+            "the change log too"
+        );
+        assert_eq!(sections(&hub2, &s2), sections(&hub, &s));
     }
 
     #[test]

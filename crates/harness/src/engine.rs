@@ -1028,19 +1028,31 @@ impl<'s> World<'s> {
     }
 
     /// Every shard's audit log; with more than one shard each line is
-    /// prefixed `s{i}`.
+    /// prefixed `s{i}`. The log retains a window: a shard that has evicted
+    /// entries says so in a leading `Evicted(count,fold)` line, so a
+    /// report never passes a tail off as the whole history.
     fn session_events(&self) -> Vec<String> {
-        if self.sc.shards == 1 {
-            return self.sessions[0].events().iter().map(render_event).collect();
-        }
-        let shards = self.sessions.iter().enumerate();
-        shards
-            .flat_map(|(i, s)| {
-                s.events()
+        let mut lines = Vec::new();
+        for (i, s) in self.sessions.iter().enumerate() {
+            let prefix = match self.sc.shards {
+                1 => String::new(),
+                _ => format!("s{i} "),
+            };
+            let log = s.audit_log();
+            if log.evicted() > 0 {
+                lines.push(format!(
+                    "{prefix}Evicted({},{:016x})",
+                    log.evicted(),
+                    log.fold()
+                ));
+            }
+            lines.extend(
+                log.retained()
                     .iter()
-                    .map(move |e| format!("s{i} {}", render_event(e)))
-            })
-            .collect()
+                    .map(|e| prefix.clone() + &render_event(e)),
+            );
+        }
+        lines
     }
 }
 

@@ -1351,6 +1351,46 @@ mod tests {
     }
 
     #[test]
+    fn crash_restore_after_an_audit_eviction_matches_the_uncrashed_twin() {
+        // the session's audit log holds a window; this run pushes enough
+        // steers through one shard to evict twice — once before the
+        // checkpoint that gets restored, once after the restore — and the
+        // restored process must evict at exactly the entries its uncrashed
+        // twin does (the report's Evicted line carries the fold of both)
+        const WINDOW: usize = gridsteer_bus::AUDIT_WINDOW;
+        let build = || {
+            let mut sc = tiny("evict")
+                .duration(SimTime::from_secs(2))
+                .checkpoint_every(SimTime::from_millis(500));
+            let waves = [
+                (0..2 * WINDOW + 64, SimTime::from_millis(10)),
+                (0..WINDOW + 64, SimTime::from_millis(1100)),
+            ];
+            for (wave, start) in waves {
+                for i in wave {
+                    let at = start + SimTime::from_micros(40 * i as u64);
+                    sc = sc.steer_at(at, "alice", "miscibility", (i % 8) as f64 / 8.0);
+                }
+            }
+            sc
+        };
+        let smooth = build().run();
+        let recovered = build()
+            .crash_at(SimTime::from_millis(1050))
+            .restore_at(SimTime::from_millis(1080))
+            .run();
+        assert_eq!(smooth.render(), recovered.render());
+        assert_eq!(smooth.digest(), recovered.digest());
+        let evicted = format!("Evicted({},", 2 * WINDOW);
+        assert!(
+            recovered.session_events[0].starts_with(&evicted),
+            "the report says what the window dropped: {}",
+            recovered.session_events[0]
+        );
+        assert!(recovered.session_events.len() < 2 * WINDOW + 1);
+    }
+
+    #[test]
     fn stale_checkpoint_restore_rewinds_state() {
         // sample ticks at 1100ms and 1200ms ran *past* the 1000ms cut
         // before the crash, so the restore rewinds the backend: progress

@@ -94,7 +94,7 @@ fn main() {
         "session: {} participants, {} samples fanned out, {} events logged",
         s.len(),
         s.fanout_bytes,
-        s.events().len()
+        s.audit_log().total()
     );
     println!("quickstart OK");
 }
