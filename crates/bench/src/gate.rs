@@ -20,10 +20,10 @@
 //!
 //! [`snapshot_all`] runs the six gated workloads — LBM collide/stream
 //! (the scalar×SIMD / 1×8-thread matrix, whose four digests must agree),
-//! the exec-pool chunk kernel, the monitor publish path (owned vs
-//! borrowed, same digest) and one delivery through each middleware
-//! adapter, hub fan-out over encoding subscribers, the
-//! checkpoint codec (full encode, delta encode, decode + restore), and
+//! the exec-pool chunk kernel, the monitor publish path, the payload
+//! build alone and one delivery through each middleware adapter, hub
+//! fan-out over encoding subscribers, the checkpoint codec (section
+//! save, full encode, delta encode, decode + restore), and
 //! the steering commit (64 commands through a session, watched by eight
 //! subscribers and by none).
 
@@ -225,10 +225,10 @@ impl MonitorEndpoint for FoldSink {
     }
 }
 
-/// The monitor publish path, owned vs borrowed payload construction. The
-/// two cells must produce the same delivered digest; the borrowed cell is
-/// the zero-copy steady state. Then the four adapter cells of
-/// `deliver_cells`.
+/// The monitor publish path — the LBM 16³ surface built into a retained
+/// scratch and fanned out as borrowed payloads, the one path there is —
+/// then the warm payload build alone at 32³ (`payloads_into_cell`) and the
+/// four adapter cells of `deliver_cells`.
 pub fn snap_monitor() -> GateReport {
     use steer_core::{LbmMonitorAdapter, MonitorScratch};
     const PUBLISHES: usize = 60;
@@ -240,57 +240,82 @@ pub fn snap_monitor() -> GateReport {
         ..Default::default()
     });
     sim.step_n(2);
-    let mut cells = Vec::new();
-    for &borrowed in &[false, true] {
-        let hub = MonitorHub::new();
-        hub.attach_endpoint(
-            "viewer",
-            Box::new(FoldSink::new()),
-            &MonitorCaps::full("viewer", 64),
-        );
-        let mut adapter = LbmMonitorAdapter::new();
-        let mut scratch = MonitorScratch::default();
-        // warm-up publish (scratch takes capacity, hub takes shape)
-        if borrowed {
-            adapter.publish_borrowed(&sim, &hub, &mut scratch);
-        } else {
-            adapter.publish(&sim, &hub);
-        }
-        let t0 = Instant::now();
-        for _ in 0..PUBLISHES {
-            if borrowed {
-                adapter.publish_borrowed(&sim, &hub, &mut scratch);
-            } else {
-                adapter.publish(&sim, &hub);
-            }
-        }
-        let wall_us = t0.elapsed().as_secs_f64() * 1e6 / PUBLISHES as f64;
-        // fold the delivered-frame accounting, not the sink's internal
-        // digest (seq numbers differ between runs of different lengths
-        // only if the schedule drifted — which is exactly what to catch)
-        let stats = hub.stats_of("viewer").expect("viewer attached");
-        let mut h = FNV_OFFSET;
-        h = fold(h, &stats.delivered.to_le_bytes());
-        h = fold(h, &stats.errors.to_le_bytes());
-        cells.push(GateCell {
-            cell: if borrowed {
-                "publish_borrowed".into()
-            } else {
-                "publish_owned".into()
-            },
-            wall_us,
-            digest: hex(h),
-        });
-    }
-    let first = cells[0].digest.clone();
-    assert!(
-        cells.iter().all(|c| c.digest == first),
-        "owned and borrowed publish paths delivered different schedules: {cells:?}"
+    let hub = MonitorHub::new();
+    hub.attach_endpoint(
+        "viewer",
+        Box::new(FoldSink::new()),
+        &MonitorCaps::full("viewer", 64),
     );
+    let mut adapter = LbmMonitorAdapter::new();
+    let mut scratch = MonitorScratch::default();
+    // warm-up publish (scratch takes capacity, hub takes shape)
+    adapter.publish_borrowed(&sim, &hub, &mut scratch);
+    let t0 = Instant::now();
+    for _ in 0..PUBLISHES {
+        adapter.publish_borrowed(&sim, &hub, &mut scratch);
+    }
+    let wall_us = t0.elapsed().as_secs_f64() * 1e6 / PUBLISHES as f64;
+    // fold the delivered-frame accounting, not the sink's internal
+    // digest (seq numbers differ between runs of different lengths
+    // only if the schedule drifted — which is exactly what to catch)
+    let stats = hub.stats_of("viewer").expect("viewer attached");
+    let mut h = FNV_OFFSET;
+    h = fold(h, &stats.delivered.to_le_bytes());
+    h = fold(h, &stats.errors.to_le_bytes());
+    let mut cells = vec![GateCell {
+        cell: "publish_borrowed".into(),
+        wall_us,
+        digest: hex(h),
+    }];
+    cells.push(payloads_into_cell());
     cells.extend(deliver_cells(&sim));
     GateReport {
         id: "monitor".into(),
         cells,
+    }
+}
+
+/// One warm `monitor_payloads_into` of the LBM at 32³ — what the engine
+/// pays after every step to name its six monitored channels, before any
+/// frame is encoded. The digest folds the six payloads' canonical frame
+/// bytes.
+fn payloads_into_cell() -> GateCell {
+    use steer_core::{MonitorScratch, MonitorSource};
+    const ROUNDS: usize = 40;
+    let mut sim = lbm::TwoFluidLbm::new(lbm::LbmConfig {
+        nx: 32,
+        ny: 32,
+        nz: 32,
+        threads: 1,
+        ..Default::default()
+    });
+    sim.step_n(2);
+    let mut scratch = MonitorScratch::default();
+    sim.monitor_payloads_into(&mut scratch); // the scratch takes capacity
+    let t0 = Instant::now();
+    for _ in 0..ROUNDS {
+        std::hint::black_box(sim.monitor_payloads_into(&mut scratch));
+    }
+    let wall_us = t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64;
+    let digest = sim
+        .monitor_payloads_into(&mut scratch)
+        .into_iter()
+        .zip(1u64..)
+        .fold(FNV_OFFSET, |h, (payload, seq)| {
+            let frame = MonitorFrame {
+                seq,
+                step: sim.monitor_step(),
+                payload,
+            };
+            fold(
+                h,
+                &frame.try_to_bytes().expect("the surface fits the codec"),
+            )
+        });
+    GateCell {
+        cell: "payloads_into_32c".into(),
+        wall_us,
+        digest: hex(digest),
     }
 }
 
@@ -420,9 +445,10 @@ pub fn snap_fanout() -> GateReport {
     }
 }
 
-/// The checkpoint codec over a demo-scale LBM field (32³): full-snapshot
-/// encode, delta encode after one more step, and full decode + restore.
-/// Digests fold the encoded blob bytes (full/delta) and the restored
+/// The checkpoint codec over a demo-scale LBM field (32³): laying the
+/// solver state into sections, full-snapshot encode, delta encode after
+/// one more step, and full decode + restore. Digests fold the section
+/// bytes (save), the encoded blob bytes (full/delta) and the restored
 /// field's distribution bits (restore) — all byte-stable for a fixed
 /// field, so any drift is a codec determinism break.
 pub fn snap_ckpt() -> GateReport {
@@ -442,6 +468,20 @@ pub fn snap_ckpt() -> GateReport {
     let mut next = Snapshot::new(1, 1);
     sim.save_sections(&mut next);
     let mut cells = Vec::new();
+    // laying the solver state into sections (two fresh 5 MB buffers a
+    // round: in this process the wall is mostly their page faults)
+    let t0 = Instant::now();
+    for _ in 0..ROUNDS {
+        next = Snapshot::new(1, 1);
+        sim.save_sections(&mut next);
+    }
+    let wall_us = t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64;
+    let section_bytes = next.sections.iter().map(|s| s.bytes.as_slice());
+    cells.push(GateCell {
+        cell: "save_sections_32c".into(),
+        wall_us,
+        digest: hex(section_bytes.fold(FNV_OFFSET, fold)),
+    });
     // full encode
     let blob = base.encode(); // warm-up
     let t0 = Instant::now();

@@ -35,6 +35,24 @@
 //! replays them over the base; a chain `[full, delta, delta…]` restores
 //! by decoding the full snapshot and applying each delta in order.
 //!
+//! A section with more than half of its chunks dirty is not worth a chunk
+//! list: the delta carries it whole, with the `full` body a full snapshot
+//! would give it (as it always has for a section the base lacks or holds
+//! at another length). Classifying a section stops at the first chunk
+//! past the half-way mark, so a delta in which everything changed — an
+//! LBM after a step — costs one copy to write, is never larger than the
+//! full snapshot, and decodes with one copy per section instead of a copy
+//! of the base plus an overwrite. The threshold is fixed; it is not a
+//! setting. [`Snapshot::dirty_bytes`] reports what a delta would ship
+//! without encoding it, so the keeper of a chain can cut a fresh full
+//! snapshot once the deltas it holds would outweigh one.
+//!
+//! Both encoders reserve their output once, at its exact encoded size.
+//! Section names are bounded by the header's `u16` length:
+//! [`Snapshot::push`] panics on a longer one ([`MAX_SECTION_NAME`]), at
+//! the cut, rather than letting the length wrap into a blob that fails at
+//! the restore.
+//!
 //! # Version policy
 //!
 //! [`VERSION`] bumps on any layout change; a reader rejects snapshots
@@ -60,6 +78,12 @@ pub const VERSION: u16 = 2;
 
 /// Header flag bit: the blob is a delta against a base snapshot.
 const FLAG_DELTA: u8 = 1;
+
+/// Encoded length of the snapshot header (see the module doc's layout).
+const HEADER_BYTES: usize = MAGIC.len() + 2 + 1 + 8 + 8 + 8 + 4;
+
+/// Longest section name the format's `u16` name length can carry.
+pub const MAX_SECTION_NAME: usize = u16::MAX as usize;
 
 /// Section body kind: complete bytes follow.
 const KIND_FULL: u8 = 0;
@@ -241,19 +265,16 @@ impl SectionWriter {
     /// Append a length-prefixed `f64` slice as raw bit patterns.
     pub fn put_f64_slice(&mut self, vs: &[f64]) {
         self.put_u64(vs.len() as u64);
-        self.buf.reserve(vs.len() * 8);
-        for v in vs {
-            self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        // an exact-size iterator: one reservation, then a straight copy
+        let bytes = vs.iter().flat_map(|v| v.to_bits().to_le_bytes());
+        self.buf.extend(bytes);
     }
 
     /// Append a length-prefixed `f32` slice as raw bit patterns.
     pub fn put_f32_slice(&mut self, vs: &[f32]) {
         self.put_u64(vs.len() as u64);
-        self.buf.reserve(vs.len() * 4);
-        for v in vs {
-            self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        let bytes = vs.iter().flat_map(|v| v.to_bits().to_le_bytes());
+        self.buf.extend(bytes);
     }
 
     /// The accumulated body bytes.
@@ -465,7 +486,18 @@ impl Snapshot {
     }
 
     /// Append a section.
+    ///
+    /// Section names are code-chosen prefixes over validated names, so a
+    /// name past the format's `u16` length is a programming error: it
+    /// fails here, at the cut that made it, not at the restore that would
+    /// read a wrapped length.
     pub fn push(&mut self, name: &str, chunk: u32, bytes: Vec<u8>) {
+        assert!(
+            name.len() <= MAX_SECTION_NAME,
+            "section name {:?}… is {} bytes, over the format's {MAX_SECTION_NAME}",
+            name.chars().take(32).collect::<String>(),
+            name.len(),
+        );
         self.sections.push(Section {
             name: name.to_string(),
             chunk,
@@ -496,80 +528,90 @@ impl Snapshot {
         self.sections.iter().map(|s| s.bytes.len()).sum()
     }
 
-    fn encode_header(&self, flags: u8, base_seq: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.state_bytes());
+    /// The blob's header, in a buffer reserved once for the header, every
+    /// section head and `body_bytes` of section bodies — what the caller
+    /// is about to append, so no blob is ever re-grown.
+    fn encode_header(&self, flags: u8, base_seq: u64, body_bytes: usize) -> Vec<u8> {
+        let heads: usize = self.sections.iter().map(|s| 2 + s.name.len() + 4).sum();
+        let mut out = Vec::with_capacity(HEADER_BYTES + heads + body_bytes);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.push(flags);
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&base_seq.to_le_bytes());
         out.extend_from_slice(&self.time_ns.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        let count =
+            u32::try_from(self.sections.len()).expect("section count fits the format's u32");
+        out.extend_from_slice(&count.to_le_bytes());
         out
     }
 
     /// Serialize as a full snapshot.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = self.encode_header(0, 0);
+        let bodies = (self.sections.iter()).map(|s| DeltaBody::Full.encoded_len(s.bytes.len()));
+        let mut out = self.encode_header(0, 0, bodies.sum());
         for s in &self.sections {
             put_section_head(&mut out, s);
-            out.push(KIND_FULL);
-            out.extend_from_slice(&(s.bytes.len() as u64).to_le_bytes());
-            out.extend_from_slice(&s.bytes);
+            put_full_body(&mut out, &s.bytes);
         }
         out
     }
 
-    /// Serialize as a delta against `base`: sections carry only the
-    /// chunks whose bytes changed. Sections absent from `base` (or whose
-    /// length changed — chunk indices would not line up) fall back to
-    /// full bodies inside the delta.
+    /// Serialize as a delta against `base`: a section carries only the
+    /// chunks whose bytes changed, unless more than half of them did —
+    /// then it is written whole, exactly as in a full snapshot, so an
+    /// all-dirty delta costs one copy to write and one to read back.
+    /// Sections absent from `base` (or whose length changed — chunk
+    /// indices would not line up) are written whole as well.
     pub fn encode_delta(&self, base: &Snapshot) -> Vec<u8> {
-        let mut out = self.encode_header(FLAG_DELTA, base.seq);
-        for s in &self.sections {
+        let plans: Vec<DeltaBody> = self.sections.iter().map(|s| s.plan(base)).collect();
+        let bodies = (plans.iter().zip(&self.sections)).map(|(p, s)| p.encoded_len(s.bytes.len()));
+        let mut out = self.encode_header(FLAG_DELTA, base.seq, bodies.sum());
+        for (s, plan) in self.sections.iter().zip(plans) {
             put_section_head(&mut out, s);
-            match base.section(&s.name) {
-                Some(old) if old.len() == s.bytes.len() => {
-                    out.push(KIND_SPARSE);
-                    out.extend_from_slice(&(s.bytes.len() as u64).to_le_bytes());
-                    let grain = effective_chunk(s.chunk, s.bytes.len());
-                    let dirty: Vec<(u32, &[u8])> = s
-                        .bytes
-                        .chunks(grain)
-                        .zip(old.chunks(grain))
-                        .enumerate()
-                        .filter(|(_, (new, old))| new != old)
-                        .map(|(i, (new, _))| (i as u32, new))
-                        .collect();
-                    out.extend_from_slice(&(dirty.len() as u32).to_le_bytes());
-                    for (idx, bytes) in dirty {
-                        out.extend_from_slice(&idx.to_le_bytes());
-                        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                        out.extend_from_slice(bytes);
-                    }
-                }
-                _ => {
-                    out.push(KIND_FULL);
-                    out.extend_from_slice(&(s.bytes.len() as u64).to_le_bytes());
-                    out.extend_from_slice(&s.bytes);
-                }
+            let DeltaBody::Sparse { old, ndirty, .. } = plan else {
+                put_full_body(&mut out, &s.bytes);
+                continue;
+            };
+            out.push(KIND_SPARSE);
+            out.extend_from_slice(&(s.bytes.len() as u64).to_le_bytes());
+            out.extend_from_slice(&ndirty.to_le_bytes());
+            let grain = effective_chunk(s.chunk, s.bytes.len());
+            let chunks = s.bytes.chunks(grain).zip(old.chunks(grain));
+            for (i, (new, _)) in chunks.enumerate().filter(|(_, (new, old))| new != old) {
+                let idx = u32::try_from(i).expect("chunk index fits the format's u32");
+                let len = u32::try_from(new.len()).expect("a sparse chunk is at most `chunk` long");
+                out.extend_from_slice(&idx.to_le_bytes());
+                out.extend_from_slice(&len.to_le_bytes());
+                out.extend_from_slice(new);
             }
         }
         out
     }
 
+    /// Section-body bytes [`Snapshot::encode_delta`] against `base` would
+    /// ship, from the same cheap classification it starts with — nothing
+    /// is encoded. A chain keeper compares this with
+    /// [`Snapshot::state_bytes`] to decide when a full cut is cheaper to
+    /// hold than one more delta.
+    pub fn dirty_bytes(&self, base: &Snapshot) -> usize {
+        let shipped = self.sections.iter().map(|s| match s.plan(base) {
+            DeltaBody::Full => s.bytes.len(),
+            DeltaBody::Sparse { bytes, .. } => bytes,
+        });
+        shipped.sum()
+    }
+
     /// Decode a full snapshot. Rejects deltas with [`CkptError::IsDelta`].
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, CkptError> {
-        let (snap, flags, _base_seq) = decode_common(bytes, false)?;
-        debug_assert_eq!(flags & FLAG_DELTA, 0);
-        Ok(snap)
+        decode_blob(bytes, None).map(|(snap, _)| snap)
     }
 
     /// Decode a delta blob and apply it over `base`, producing the full
     /// state at the delta's cut point. The delta must have been encoded
     /// against a base with `base.seq` ([`CkptError::BaseMismatch`]).
     pub fn decode_delta(bytes: &[u8], base: &Snapshot) -> Result<Snapshot, CkptError> {
-        let (snap, _flags, base_seq) = decode_common_delta(bytes, base)?;
+        let (snap, base_seq) = decode_blob(bytes, Some(base))?;
         if base_seq != base.seq {
             return Err(CkptError::BaseMismatch {
                 expected: base_seq,
@@ -588,10 +630,70 @@ impl Snapshot {
     }
 }
 
+/// How a delta writes one section.
+enum DeltaBody<'a> {
+    /// Whole, as in a full snapshot.
+    Full,
+    /// Only the `ndirty` chunks that differ from the base's bytes `old`,
+    /// `bytes` long together.
+    Sparse {
+        old: &'a [u8],
+        ndirty: u32,
+        bytes: usize,
+    },
+}
+
+impl DeltaBody<'_> {
+    /// Encoded length of this body for a section of `len` bytes: kind and
+    /// length, then the bytes — or the dirty count and, per dirty chunk,
+    /// its index, length and bytes.
+    fn encoded_len(&self, len: usize) -> usize {
+        match *self {
+            DeltaBody::Full => 1 + 8 + len,
+            DeltaBody::Sparse { ndirty, bytes, .. } => 1 + 8 + 4 + 8 * ndirty as usize + bytes,
+        }
+    }
+}
+
+impl Section {
+    /// Classify this section against `base` for a delta: whole when the
+    /// base has no section of this name and length, or as soon as more
+    /// than half of the chunks are seen to differ (slice `!=` stops at the
+    /// first differing byte, so an all-dirty section is classified after
+    /// touching a cache line in each of half its chunks).
+    fn plan<'a>(&self, base: &'a Snapshot) -> DeltaBody<'a> {
+        let same_len = |old: &&[u8]| old.len() == self.bytes.len();
+        let Some(old) = base.section(&self.name).filter(same_len) else {
+            return DeltaBody::Full;
+        };
+        let grain = effective_chunk(self.chunk, self.bytes.len());
+        let nchunks = self.bytes.len().div_ceil(grain);
+        let (mut ndirty, mut bytes) = (0usize, 0usize);
+        for (new, old) in self.bytes.chunks(grain).zip(old.chunks(grain)) {
+            if new != old {
+                ndirty += 1;
+                bytes += new.len();
+                if 2 * ndirty > nchunks {
+                    return DeltaBody::Full;
+                }
+            }
+        }
+        let ndirty = u32::try_from(ndirty).expect("chunk count fits the format's u32");
+        DeltaBody::Sparse { old, ndirty, bytes }
+    }
+}
+
 fn put_section_head(out: &mut Vec<u8>, s: &Section) {
-    out.extend_from_slice(&(s.name.len() as u16).to_le_bytes());
+    let name_len = u16::try_from(s.name.len()).expect("push bounds the section name");
+    out.extend_from_slice(&name_len.to_le_bytes());
     out.extend_from_slice(s.name.as_bytes());
     out.extend_from_slice(&s.chunk.to_le_bytes());
+}
+
+fn put_full_body(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.push(KIND_FULL);
+    out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+    out.extend_from_slice(bytes);
 }
 
 /// The working dirty-chunk grain: `chunk` bytes, or the whole section
@@ -619,12 +721,16 @@ fn check_magic_version(r: &mut SectionReader<'_>) -> Result<(), CkptError> {
     Ok(())
 }
 
-fn decode_common(bytes: &[u8], _want_delta: bool) -> Result<(Snapshot, u8, u64), CkptError> {
+/// Decode a blob into the snapshot it describes and the base seq its
+/// header records: a full snapshot when `base` is `None`, a delta applied
+/// over `base` otherwise. The other kind of blob is refused.
+fn decode_blob(bytes: &[u8], base: Option<&Snapshot>) -> Result<(Snapshot, u64), CkptError> {
     let mut r = SectionReader::new(bytes, "header");
     check_magic_version(&mut r)?;
-    let flags = r.get_u8()?;
-    if flags & FLAG_DELTA != 0 {
-        return Err(CkptError::IsDelta);
+    match (r.get_u8()? & FLAG_DELTA != 0, base) {
+        (true, None) => return Err(CkptError::IsDelta),
+        (false, Some(_)) => return Err(CkptError::NotADelta),
+        _ => {}
     }
     let seq = r.get_u64()?;
     let base_seq = r.get_u64()?;
@@ -633,42 +739,15 @@ fn decode_common(bytes: &[u8], _want_delta: bool) -> Result<(Snapshot, u8, u64),
     let mut snap = Snapshot::new(seq, time_ns);
     for _ in 0..count {
         let (name, chunk) = get_section_head(&mut r)?;
-        match r.get_u8()? {
-            KIND_FULL => {
-                let bytes = r.get_byte_vec()?;
-                snap.push(&name, chunk, bytes);
+        let corrupt = |what: std::fmt::Arguments<'_>| CkptError::Corrupt {
+            context: format!("section {name}: {what}"),
+        };
+        let body = match (r.get_u8()?, base) {
+            (KIND_FULL, _) => r.get_byte_vec()?,
+            (KIND_SPARSE, None) => {
+                return Err(corrupt(format_args!("sparse body in full snapshot")))
             }
-            _ => {
-                return Err(CkptError::Corrupt {
-                    context: format!("section {name}: sparse body in full snapshot"),
-                })
-            }
-        }
-    }
-    r.expect_end()?;
-    Ok((snap, flags, base_seq))
-}
-
-fn decode_common_delta(bytes: &[u8], base: &Snapshot) -> Result<(Snapshot, u8, u64), CkptError> {
-    let mut r = SectionReader::new(bytes, "header");
-    check_magic_version(&mut r)?;
-    let flags = r.get_u8()?;
-    if flags & FLAG_DELTA == 0 {
-        return Err(CkptError::NotADelta);
-    }
-    let seq = r.get_u64()?;
-    let base_seq = r.get_u64()?;
-    let time_ns = r.get_u64()?;
-    let count = r.get_u32()?;
-    let mut snap = Snapshot::new(seq, time_ns);
-    for _ in 0..count {
-        let (name, chunk) = get_section_head(&mut r)?;
-        match r.get_u8()? {
-            KIND_FULL => {
-                let bytes = r.get_byte_vec()?;
-                snap.push(&name, chunk, bytes);
-            }
-            KIND_SPARSE => {
+            (KIND_SPARSE, Some(base)) => {
                 let total = r.get_u64()? as usize;
                 let old = base
                     .section(&name)
@@ -686,23 +765,18 @@ fn decode_common_delta(bytes: &[u8], base: &Snapshot) -> Result<(Snapshot, u8, u
                         .checked_add(len)
                         .is_some_and(|end| end <= total && len <= grain);
                     if !ok {
-                        return Err(CkptError::Corrupt {
-                            context: format!("section {name}: dirty chunk {idx} out of bounds"),
-                        });
+                        return Err(corrupt(format_args!("dirty chunk {idx} out of bounds")));
                     }
                     body[start..start + len].copy_from_slice(bytes);
                 }
-                snap.push(&name, chunk, body);
+                body
             }
-            k => {
-                return Err(CkptError::Corrupt {
-                    context: format!("section {name}: unknown body kind {k}"),
-                })
-            }
-        }
+            (k, _) => return Err(corrupt(format_args!("unknown body kind {k}"))),
+        };
+        snap.push(&name, chunk, body);
     }
     r.expect_end()?;
-    Ok((snap, flags, base_seq))
+    Ok((snap, base_seq))
 }
 
 fn get_section_head(r: &mut SectionReader<'_>) -> Result<(String, u32), CkptError> {
@@ -790,6 +864,193 @@ mod tests {
                 "cut at {cut}: {err}"
             );
         }
+        // and of a delta that carries a whole-written and a sparse section
+        let (base, next) = (sample(), all_dirty_field());
+        let delta = next.encode_delta(&base);
+        assert_eq!(body_kinds(&delta), [KIND_SPARSE, KIND_FULL, KIND_SPARSE]);
+        for cut in 0..delta.len() {
+            let err = Snapshot::decode_delta(&delta[..cut], &base).unwrap_err();
+            assert!(
+                matches!(err, CkptError::Truncated { .. } | CkptError::BadMagic),
+                "delta cut at {cut}: {err}"
+            );
+        }
+    }
+
+    /// [`sample`] one cut later, with every chunk of `field` changed.
+    fn all_dirty_field() -> Snapshot {
+        let mut next = sample();
+        next.seq = 4;
+        for b in &mut next.sections[1].bytes {
+            *b ^= 0x5a;
+        }
+        next
+    }
+
+    /// The body kind byte of every section of an encoded blob, in order.
+    fn body_kinds(blob: &[u8]) -> Vec<u8> {
+        let mut r = SectionReader::new(&blob[HEADER_BYTES - 4..], "test");
+        let count = r.get_u32().unwrap();
+        let mut kinds = Vec::new();
+        for _ in 0..count {
+            get_section_head(&mut r).unwrap();
+            kinds.push(r.get_u8().unwrap());
+            let len = r.get_u64().unwrap() as usize;
+            if *kinds.last().unwrap() == KIND_FULL {
+                r.take(len).unwrap();
+                continue;
+            }
+            for _ in 0..r.get_u32().unwrap() {
+                r.get_u32().unwrap();
+                let len = r.get_u32().unwrap() as usize;
+                r.take(len).unwrap();
+            }
+        }
+        r.expect_end().unwrap();
+        kinds
+    }
+
+    #[test]
+    fn an_all_dirty_section_is_written_whole_and_nothing_is_regrown() {
+        let (base, next) = (sample(), all_dirty_field());
+        let (full, delta) = (next.encode(), next.encode_delta(&base));
+        assert_eq!(full.capacity(), full.len(), "full blob reserved exactly");
+        assert_eq!(delta.capacity(), delta.len(), "delta blob reserved exactly");
+        assert!(
+            delta.len() <= full.len(),
+            "all-dirty delta {} outweighs the full cut {}",
+            delta.len(),
+            full.len()
+        );
+        assert_eq!(Snapshot::decode_delta(&delta, &base).unwrap(), next);
+        let shipped = next.sections[1].bytes.len();
+        assert_eq!(next.dirty_bytes(&base), shipped, "only `field` ships");
+        assert_eq!(next.dirty_bytes(&next), 0);
+        assert_eq!(next.dirty_bytes(&Snapshot::new(0, 0)), next.state_bytes());
+    }
+
+    #[test]
+    fn a_half_dirty_section_stays_sparse() {
+        let base = sample();
+        let mut next = base.clone();
+        next.seq = 4;
+        // `field` is 520 bytes in 64-byte chunks: nine of them. Four dirty
+        // is under half; a fifth tips it over.
+        let field = &mut next.sections[1].bytes;
+        for chunk in [0, 2, 5, 8] {
+            field[chunk * 64] ^= 1;
+        }
+        let delta = next.encode_delta(&base);
+        assert_eq!(body_kinds(&delta), [KIND_SPARSE; 3]);
+        assert_eq!(delta.capacity(), delta.len());
+        assert_eq!(next.dirty_bytes(&base), 3 * 64 + 8);
+        assert_eq!(Snapshot::decode_delta(&delta, &base).unwrap(), next);
+        next.sections[1].bytes[6 * 64] ^= 1;
+        let delta = next.encode_delta(&base);
+        assert_eq!(body_kinds(&delta), [KIND_SPARSE, KIND_FULL, KIND_SPARSE]);
+        assert_eq!(Snapshot::decode_delta(&delta, &base).unwrap(), next);
+    }
+
+    #[test]
+    fn a_delta_listing_every_chunk_as_sparse_still_decodes() {
+        // what `encode_delta` wrote for an all-dirty section before it
+        // learned to write such a section whole — same format version
+        let (base, next) = (sample(), all_dirty_field());
+        let mut blob = next.encode_header(FLAG_DELTA, base.seq, 0);
+        for s in &next.sections {
+            put_section_head(&mut blob, s);
+            blob.push(KIND_SPARSE);
+            blob.extend_from_slice(&(s.bytes.len() as u64).to_le_bytes());
+            let grain = effective_chunk(s.chunk, s.bytes.len());
+            let chunks: Vec<&[u8]> = s.bytes.chunks(grain).collect();
+            blob.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
+            for (i, chunk) in chunks.into_iter().enumerate() {
+                blob.extend_from_slice(&(i as u32).to_le_bytes());
+                blob.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+                blob.extend_from_slice(chunk);
+            }
+        }
+        assert_eq!(body_kinds(&blob), [KIND_SPARSE; 3]);
+        assert_eq!(Snapshot::decode_delta(&blob, &base).unwrap(), next);
+    }
+
+    #[test]
+    fn bulk_float_slices_roundtrip_every_bit_pattern() {
+        let f64s = [
+            f64::from_bits(0x7ff8_dead_beef_0001), // quiet NaN with a payload
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+            f64::from_bits(0xfff8_0000_0000_0000), // negative NaN
+            -0.0,
+            0.0,
+            f64::from_bits(1),                      // smallest subnormal
+            f64::MIN_POSITIVE / 2.0,                // a subnormal
+            -f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal, negated
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            1.0 / 3.0,
+        ];
+        let f32s = [
+            f32::from_bits(0x7fc0_beef),
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0xffc0_0000),
+            -0.0,
+            0.0,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE / 2.0,
+            f32::INFINITY,
+            f32::MIN,
+            0.1,
+        ];
+        let mut w = SectionWriter::new();
+        w.put_u8(9); // the slices need not start aligned
+        w.put_f64_slice(&f64s);
+        w.put_f32_slice(&f32s);
+        w.put_f64_slice(&[]);
+        let body = w.finish();
+        assert_eq!(body.len(), 1 + 8 + f64s.len() * 8 + 8 + f32s.len() * 4 + 8);
+        let mut r = SectionReader::new(&body, "floats");
+        assert_eq!(r.get_u8().unwrap(), 9);
+        let back64: Vec<u64> = r
+            .get_f64_vec()
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(back64, f64s.map(f64::to_bits));
+        let back32: Vec<u32> = r
+            .get_f32_vec()
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(back32, f32s.map(f32::to_bits));
+        assert!(r.get_f64_vec().unwrap().is_empty());
+        r.expect_end().unwrap();
+        // element by element, the bulk writer lays down what `put_f64` does
+        let mut one_by_one = SectionWriter::new();
+        one_by_one.put_u64(f64s.len() as u64);
+        f64s.iter().for_each(|&v| one_by_one.put_f64(v));
+        assert_eq!(&body[1..1 + 8 + f64s.len() * 8], one_by_one.as_bytes());
+    }
+
+    #[test]
+    fn the_longest_section_name_roundtrips() {
+        let mut snap = Snapshot::new(0, 0);
+        snap.push(&"r".repeat(MAX_SECTION_NAME), 0, vec![1, 2, 3]);
+        assert_eq!(Snapshot::decode(&snap.encode()).unwrap(), snap);
+        assert_eq!(
+            Snapshot::decode_delta(&snap.encode_delta(&snap), &snap).unwrap(),
+            snap
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "is 65536 bytes, over the format's 65535")]
+    fn a_section_name_the_format_cannot_carry_fails_at_the_cut() {
+        // the u16 name length used to wrap: `encode` wrote a blob its own
+        // `decode` refused, and the first to find out was a restore
+        Snapshot::new(0, 0).push(&"r".repeat(MAX_SECTION_NAME + 1), 0, vec![1, 2, 3]);
     }
 
     #[test]

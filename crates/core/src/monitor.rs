@@ -195,20 +195,21 @@ impl LoopMonitor {
 pub trait MonitorSource {
     /// The monitored payloads at the current state, in a fixed channel
     /// order (scenario digests fold these bytes, so order is contract).
-    fn monitor_payloads(&self) -> Vec<MonitorPayload<'static>>;
+    /// Grid channels are filled into `scratch` in place and returned as
+    /// *borrowed* payloads, so a warm publish makes no grid-sized
+    /// allocation.
+    fn monitor_payloads_into<'a>(&self, scratch: &'a mut MonitorScratch)
+        -> Vec<MonitorPayload<'a>>;
 
-    /// The same surface through caller-retained buffers: grid channels
-    /// are filled into `scratch` in place and returned as *borrowed*
-    /// payloads, so a warm publish makes no grid-sized allocation. Must
-    /// produce bit-identical channel values to
-    /// [`monitor_payloads`](MonitorSource::monitor_payloads) — the
-    /// default falls back to the owned surface.
-    fn monitor_payloads_into<'a>(
-        &self,
-        scratch: &'a mut MonitorScratch,
-    ) -> Vec<MonitorPayload<'a>> {
-        let _ = scratch;
-        self.monitor_payloads()
+    /// The same surface as owned payloads, for callers that keep them
+    /// past the next sample.
+    fn monitor_payloads(&self) -> Vec<MonitorPayload<'static>> {
+        let mut scratch = MonitorScratch::default();
+        let payloads = self.monitor_payloads_into(&mut scratch);
+        payloads
+            .into_iter()
+            .map(MonitorPayload::into_owned)
+            .collect()
     }
 
     /// Monotone progress counter (simulation steps taken) — stamped onto
@@ -229,29 +230,6 @@ pub struct MonitorScratch {
 }
 
 impl MonitorSource for TwoFluidLbm {
-    fn monitor_payloads(&self) -> Vec<MonitorPayload<'static>> {
-        let (nx, ny, nz) = self.dims();
-        let (mass_a, mass_b) = self.total_mass();
-        let phi = self.order_parameter();
-        // the mid-plane slice is a view of the full field just computed —
-        // never a second pass over the distributions (the standalone
-        // `order_parameter_slice` exists for callers that want *only* a
-        // plane)
-        let mid = nz / 2;
-        let slice: Vec<f32> = (0..ny)
-            .flat_map(|y| (0..nx).map(move |x| (x, y)))
-            .map(|(x, y)| phi.get(x, y, mid))
-            .collect();
-        vec![
-            MonitorPayload::scalar("demix", lbm::demix_of(&phi)),
-            MonitorPayload::scalar("mass_a", mass_a),
-            MonitorPayload::scalar("mass_b", mass_b),
-            MonitorPayload::vec3("momentum", self.total_momentum()),
-            MonitorPayload::grid2("phi_mid", nx as u32, ny as u32, slice),
-            MonitorPayload::grid3("phi", nx as u32, ny as u32, nz as u32, phi.data().to_vec()),
-        ]
-    }
-
     fn monitor_payloads_into<'a>(
         &self,
         scratch: &'a mut MonitorScratch,
@@ -261,8 +239,7 @@ impl MonitorSource for TwoFluidLbm {
         let (mass_a, mass_b) = self.total_mass();
         self.order_parameter_into(field);
         // the mid-plane slice is the contiguous z = nz/2 plane of the
-        // row-major field just computed — same values as the owned
-        // surface, no second distribution pass
+        // row-major field just computed
         let plane = nx * ny;
         let mid = nz / 2;
         slice.clear();
@@ -283,7 +260,7 @@ impl MonitorSource for TwoFluidLbm {
 }
 
 impl MonitorSource for PepcSim {
-    fn monitor_payloads(&self) -> Vec<MonitorPayload<'static>> {
+    fn monitor_payloads_into<'a>(&self, _: &'a mut MonitorScratch) -> Vec<MonitorPayload<'a>> {
         let mut out = vec![
             MonitorPayload::scalar("kinetic", self.kinetic_energy()),
             MonitorPayload::scalar("potential", self.potential_energy()),
@@ -321,17 +298,10 @@ impl<T: MonitorSource + ?Sized> GenericMonitorAdapter<T> {
 
     /// Publish the source's step-boundary payloads as one batch — the
     /// delivery mode scenario runs use (one transport envelope per
-    /// subscriber chunk). Returns the number of frames published.
-    pub fn publish(&mut self, sim: &T, hub: &MonitorHub) -> u64 {
-        let n = hub.publish_batch(sim.monitor_step(), sim.monitor_payloads());
-        self.frames_published += n;
-        n
-    }
-
-    /// [`publish`](GenericMonitorAdapter::publish) through caller-retained
-    /// scratch buffers — the zero-copy steady state: grid channels are
-    /// refilled in place and fanned out as borrowed payloads, so a warm
-    /// publish performs no grid-sized allocation anywhere on the path.
+    /// subscriber chunk) — through caller-retained scratch buffers: grid
+    /// channels are refilled in place and fanned out as borrowed
+    /// payloads, so a warm publish performs no grid-sized allocation
+    /// anywhere on the path. Returns the number of frames published.
     pub fn publish_borrowed(
         &mut self,
         sim: &T,
@@ -569,6 +539,43 @@ mod tests {
     }
 
     #[test]
+    fn the_surface_right_after_a_restore_is_the_uncrashed_twins() {
+        use gridsteer_ckpt::Snapshot;
+        let cfg = lbm::LbmConfig {
+            nx: 6,
+            ny: 5,
+            nz: 4,
+            threads: 1,
+            ..Default::default()
+        };
+        let wire = |sim: &TwoFluidLbm| -> Vec<Vec<u8>> {
+            let mut scratch = MonitorScratch::default();
+            let payloads = sim.monitor_payloads_into(&mut scratch);
+            let frame = |payload| gridsteer_bus::MonitorFrame {
+                seq: 1,
+                step: sim.monitor_step(),
+                payload,
+            };
+            let frames = payloads.into_iter().map(frame);
+            frames.map(|f| f.try_to_bytes().unwrap()).collect()
+        };
+        let mut twin = TwoFluidLbm::new(cfg.clone());
+        twin.set_miscibility(0.2);
+        twin.step_n(5);
+        let mut snap = Snapshot::new(0, 0);
+        twin.save_sections(&mut snap);
+        // a fresh process, and a live one whose state is somewhere else —
+        // neither takes a step between the restore and the sample
+        let blob = Snapshot::decode(&snap.encode()).unwrap();
+        let fresh = TwoFluidLbm::from_snapshot(&blob).unwrap();
+        let mut live = TwoFluidLbm::new(lbm::LbmConfig { seed: 9, ..cfg });
+        live.step_n(2);
+        live.restore_sections(&blob).unwrap();
+        assert_eq!(wire(&fresh), wire(&twin), "fresh-process restore");
+        assert_eq!(wire(&live), wire(&twin), "in-place restore");
+    }
+
+    #[test]
     fn generic_adapter_publishes_borrowed_and_owned_identically() {
         use gridsteer_bus::{MonitorCaps, MonitorHub, Transport};
         let mut sim = TwoFluidLbm::new(lbm::LbmConfig {
@@ -586,12 +593,11 @@ mod tests {
                 Transport::Unicore.attach_monitor("v"),
                 &MonitorCaps::full("viewer", 64),
             );
-            let mut adapter = LbmMonitorAdapter::new();
             let n = if borrowed {
                 let mut scratch = MonitorScratch::default();
-                adapter.publish_borrowed(&sim, &hub, &mut scratch)
+                LbmMonitorAdapter::new().publish_borrowed(&sim, &hub, &mut scratch)
             } else {
-                adapter.publish(&sim, &hub)
+                hub.publish_batch(sim.monitor_step(), sim.monitor_payloads())
             };
             assert_eq!(n, 6);
             hub.recv("v")
@@ -618,7 +624,7 @@ mod tests {
             );
             let mut adapter = LbmMonitorAdapter::new();
             let n = if batched {
-                adapter.publish(&sim, &hub)
+                adapter.publish_borrowed(&sim, &hub, &mut MonitorScratch::default())
             } else {
                 adapter.publish_per_sample(&sim, &hub)
             };

@@ -16,7 +16,7 @@ use gridsteer_bus::{
 use lbm::{LbmConfig, TwoFluidLbm};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use steer_core::{LbmMonitorAdapter, MonitorScratch};
+use steer_core::{LbmMonitorAdapter, MonitorScratch, MonitorSource};
 
 /// 16×16 mid-plane slice of f32 = 1 KiB: the smallest grid buffer on the
 /// monitor surface for the lattice below. Anything this large allocated
@@ -167,7 +167,7 @@ fn warm_monitor_publish_makes_no_grid_sized_allocation() {
 
 #[test]
 fn owned_publish_path_does_allocate_grids() {
-    // control experiment: the pre-existing owned path trips the same
+    // control experiment: publishing the owned surface trips the same
     // counter, proving the instrument can detect what the zero-copy
     // assertion above claims is absent
     let _serial = COUNTER_LOCK.lock().unwrap();
@@ -184,10 +184,9 @@ fn owned_publish_path_does_allocate_grids() {
         Box::new(DigestSink::new()),
         &MonitorCaps::full("viewer", 64),
     );
-    let mut adapter = LbmMonitorAdapter::new();
     GRID_ALLOCS.store(0, Ordering::Relaxed);
     ARMED.store(true, Ordering::Relaxed);
-    adapter.publish(&sim, &hub);
+    hub.publish_batch(sim.monitor_step(), sim.monitor_payloads());
     ARMED.store(false, Ordering::Relaxed);
     assert!(
         GRID_ALLOCS.load(Ordering::Relaxed) >= 2,

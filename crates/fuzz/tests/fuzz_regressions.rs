@@ -24,7 +24,7 @@
 use gridsteer_fuzz::{
     check, check_with, corpus, generate, shrink, FuzzConfig, Invariant, PoolRunner, Runner,
 };
-use gridsteer_harness::{Scenario, ScenarioReport};
+use gridsteer_harness::{Scenario, ScenarioError, ScenarioReport, MAX_NAME_LEN};
 
 #[test]
 fn corpus_replays_forever() {
@@ -51,6 +51,28 @@ fn corpus_files_are_canonical() {
             text,
             "corpus file {name} is not in canonical rendered form"
         );
+    }
+}
+
+#[test]
+fn rejected_corpus_files_are_typed_errors() {
+    // `corpus/rejected/` holds scripts that once reached the engine and
+    // panicked there; each must parse as a script and then be refused by
+    // `Scenario::validate`, with the reason the file is named after
+    let dir = corpus::corpus_dir().join("rejected");
+    let files = corpus::load_dir(&dir).expect("rejected corpus dir must exist");
+    assert!(!files.is_empty(), "rejected corpus went missing");
+    for (name, text) in files {
+        let scenario = Scenario::from_script(&text)
+            .unwrap_or_else(|e| panic!("{name} is no longer a well-formed script: {e}"));
+        let refused = scenario.validate().expect_err(&name);
+        assert_eq!(Err(refused.to_string()), corpus::parse(&text).map(|_| ()));
+        if name == "relay-name-too-long.scen" {
+            let ScenarioError::NameTooLong { len, .. } = refused else {
+                panic!("{name}: refused for the wrong reason: {refused}");
+            };
+            assert_eq!(len, MAX_NAME_LEN + 1);
+        }
     }
 }
 

@@ -11,7 +11,9 @@ use gridsteer_exec::ExecPool;
 use lbm::{LbmConfig, TwoFluidLbm};
 use pepc::{PepcConfig, PepcSim};
 use std::sync::Arc;
-use steer_core::{GenericMonitorAdapter, MonitorHub, ParamSpec, ParamValue, SteerTarget};
+use steer_core::{
+    GenericMonitorAdapter, MonitorHub, MonitorScratch, ParamSpec, ParamValue, SteerTarget,
+};
 
 /// A steerable simulation driven by the scenario engine.
 pub trait ScenarioBackend {
@@ -41,8 +43,8 @@ pub trait ScenarioBackend {
 
     /// Publish the backend's monitored quantities for the current step
     /// through the hub, as one batch (both backends route through the
-    /// shared [`GenericMonitorAdapter`], never a per-simulation path).
-    /// Returns the number of frames published.
+    /// shared [`GenericMonitorAdapter`] over a scratch they keep, never a
+    /// per-simulation path). Returns the number of frames published.
     fn publish_monitor(&mut self, hub: &MonitorHub) -> u64;
 
     /// Size of one sample on the wire, in bytes.
@@ -80,6 +82,7 @@ pub trait ScenarioBackend {
 pub struct LbmBackend {
     sim: TwoFluidLbm,
     monitor: GenericMonitorAdapter<TwoFluidLbm>,
+    scratch: MonitorScratch,
 }
 
 impl LbmBackend {
@@ -88,6 +91,7 @@ impl LbmBackend {
         LbmBackend {
             sim: TwoFluidLbm::new(cfg),
             monitor: GenericMonitorAdapter::new(),
+            scratch: MonitorScratch::default(),
         }
     }
 
@@ -120,7 +124,8 @@ impl ScenarioBackend for LbmBackend {
     }
 
     fn publish_monitor(&mut self, hub: &MonitorHub) -> u64 {
-        self.monitor.publish(&self.sim, hub)
+        self.monitor
+            .publish_borrowed(&self.sim, hub, &mut self.scratch)
     }
 
     fn sample_bytes(&self) -> usize {
@@ -148,6 +153,7 @@ impl ScenarioBackend for LbmBackend {
 pub struct PepcBackend {
     sim: PepcSim,
     monitor: GenericMonitorAdapter<PepcSim>,
+    scratch: MonitorScratch,
 }
 
 /// Bytes per particle on the wire: position + velocity as f32 triples,
@@ -160,6 +166,7 @@ impl PepcBackend {
         PepcBackend {
             sim: PepcSim::new(cfg),
             monitor: GenericMonitorAdapter::new(),
+            scratch: MonitorScratch::default(),
         }
     }
 
@@ -192,7 +199,8 @@ impl ScenarioBackend for PepcBackend {
     }
 
     fn publish_monitor(&mut self, hub: &MonitorHub) -> u64 {
-        self.monitor.publish(&self.sim, hub)
+        self.monitor
+            .publish_borrowed(&self.sim, hub, &mut self.scratch)
     }
 
     fn sample_bytes(&self) -> usize {

@@ -118,10 +118,19 @@ enum Ev {
 
 /// Crash-recovery state: one full snapshot blob plus deltas, and the last
 /// snapshot cut — the base of the next delta, stamped with its cut time.
+/// The deltas of a chain never add up to a full snapshot's bytes: the cut
+/// that would take them there starts a new chain instead.
 #[derive(Default)]
 struct Checkpoints {
     chain: Vec<Vec<u8>>,
     last_snap: Option<Snapshot>,
+}
+
+impl Checkpoints {
+    /// Bytes held in the chain's deltas.
+    fn delta_bytes(&self) -> usize {
+        self.chain.iter().skip(1).map(Vec::len).sum()
+    }
 }
 
 /// The surface a monitor subscriber hangs off — the origin hub or a relay
@@ -489,7 +498,11 @@ impl<'s> World<'s> {
     /// (post-commit, post-advance, post-fanout, queues drained) is exactly
     /// what a restore resumes from. Cutting reads state under locks and
     /// nothing else — no RNG draws, no events. The first cut is a full
-    /// snapshot, later ones are deltas against the previous cut.
+    /// snapshot; a later one is a delta against the previous cut while the
+    /// chain's deltas, this one included, stay under one full snapshot's
+    /// bytes, and otherwise a full snapshot that starts the chain afresh —
+    /// so a restore never replays more than it would cost to read the
+    /// state once, and the chain stops growing.
     fn cut_checkpoint(&mut self, now: SimTime) {
         let Some(interval) = self.sc.checkpoint_every else {
             return;
@@ -501,11 +514,17 @@ impl<'s> World<'s> {
         if now < due {
             return;
         }
-        let mut snap = Snapshot::new(self.ckpt.chain.len() as u64, now.as_nanos());
+        let seq = self.ckpt.last_snap.as_ref().map_or(0, |last| last.seq + 1);
+        let mut snap = Snapshot::new(seq, now.as_nanos());
         self.save_process(&mut snap);
-        let blob = match &self.ckpt.last_snap {
-            None => snap.encode(),
+        let held = self.ckpt.delta_bytes();
+        let base = self.ckpt.last_snap.as_ref();
+        let blob = match base.filter(|b| held + snap.dirty_bytes(b) < snap.state_bytes()) {
             Some(base) => snap.encode_delta(base),
+            None => {
+                self.ckpt.chain.clear();
+                snap.encode()
+            }
         };
         self.ckpt.chain.push(blob);
         self.ckpt.last_snap = Some(snap);
@@ -1139,11 +1158,75 @@ mod tests {
         let (mut cut, mut plain) = (World::new(&cutting), World::new(&never));
         while cut.step() {}
         while plain.step() {}
-        assert_eq!(cut.ckpt.chain.len(), 10, "one full cut, then nine deltas");
+        let last = cut.ckpt.last_snap.as_ref().expect("ten ticks, ten cuts");
+        assert_eq!(last.seq, 9, "one cut per tick");
+        assert!(
+            !cut.ckpt.chain.is_empty() && cut.ckpt.delta_bytes() < last.state_bytes(),
+            "a full cut, then deltas that stay under one full cut's bytes"
+        );
         assert!(plain.ckpt.chain.is_empty());
         assert_eq!(cut.engine_events, plain.engine_events);
         assert_eq!(process_bytes(&cut), process_bytes(&plain));
         assert_eq!(cut.rng.next_u64(), plain.rng.next_u64());
+    }
+
+    #[test]
+    fn a_chain_rebases_before_its_deltas_outweigh_a_full_cut() {
+        // a plasma of eight particles under four relay tiers, each with six
+        // viewers, cut off after the first tick: what changes per tick
+        // (particles, session log, origin hub) is a third of the process
+        // state, the quiet tiers are the rest — so deltas really chain
+        let mut sc = Scenario::named("quiet-tiers")
+            .pepc(pepc::PepcConfig {
+                n_target: 8,
+                ranks: 1,
+                ..pepc::PepcConfig::small()
+            })
+            .duration(SimTime::from_secs(1))
+            .checkpoint_every(TICK);
+        for r in 0..4 {
+            let tier = format!("edge{r}");
+            sc = sc
+                .relay(&tier, Link::campus())
+                .partition_at(SimTime::from_millis(150), &tier);
+            for v in 0..6 {
+                sc =
+                    sc.viewer_at_relay(&format!("v{r}-{v}"), &tier, Link::gwin(), Transport::Visit);
+            }
+        }
+        let smooth = sc.without_checkpoints().run();
+        let crashing = sc
+            .crash_at(SimTime::from_millis(450))
+            .restore_at(SimTime::from_millis(480));
+        let mut w = World::new(&crashing);
+        let (mut longest, mut rebased, mut replayed) = (0, 0, 0);
+        loop {
+            let (was_down, held) = (w.crashed, w.ckpt.chain.len());
+            let more = w.step();
+            if let Some(last) = &w.ckpt.last_snap {
+                assert!(
+                    w.ckpt.delta_bytes() < last.state_bytes(),
+                    "chain {:?} outweighs the {} bytes of a full cut",
+                    w.ckpt.chain.iter().map(Vec::len).collect::<Vec<_>>(),
+                    last.state_bytes()
+                );
+                rebased += usize::from(held > 1 && w.ckpt.chain.len() == 1);
+            }
+            longest = longest.max(w.ckpt.chain.len());
+            if was_down && !w.crashed {
+                replayed = w.ckpt.chain.len();
+            }
+            if !more {
+                break;
+            }
+        }
+        assert!(
+            longest >= 3,
+            "no multi-delta chain formed: longest {longest}"
+        );
+        assert!(rebased >= 1, "the chain never re-based");
+        assert!(replayed >= 3, "the restore replayed {replayed} blobs");
+        assert_eq!(w.into_report().render(), smooth.render());
     }
 
     #[test]

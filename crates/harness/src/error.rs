@@ -10,11 +10,25 @@
 use netsim::SimTime;
 use std::fmt;
 
+/// Longest participant, viewer or relay name a scenario may declare, in
+/// bytes.
+pub const MAX_NAME_LEN: usize = 255;
+
 /// A structural defect in a built [`crate::Scenario`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioError {
     /// The sample interval is zero — the engine would never tick.
     ZeroSampleInterval,
+    /// A participant, viewer or relay name (declared, or joining mid-run)
+    /// is longer than [`MAX_NAME_LEN`] bytes. Names end up inside
+    /// checkpoint section names (`relay/<name>/core`) and wire fields with
+    /// 16-bit lengths, so the bound is enforced where names enter.
+    NameTooLong {
+        /// The first characters of the offending name.
+        prefix: String,
+        /// Its length in bytes.
+        len: usize,
+    },
     /// Two t=0 participants share a name (a mid-run rejoin is the
     /// [`crate::Action::Join`] action, not a second declaration).
     DuplicateParticipant(String),
@@ -66,6 +80,10 @@ impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScenarioError::ZeroSampleInterval => write!(f, "sample interval must be positive"),
+            ScenarioError::NameTooLong { prefix, len } => write!(
+                f,
+                "name {prefix:?}… is {len} bytes long, over the {MAX_NAME_LEN}-byte limit"
+            ),
             ScenarioError::DuplicateParticipant(n) => {
                 write!(f, "duplicate participant declaration {n:?}")
             }

@@ -36,7 +36,7 @@ pub mod scenario;
 pub mod script;
 
 pub use backend::{LbmBackend, PepcBackend, ScenarioBackend};
-pub use error::ScenarioError;
+pub use error::{ScenarioError, MAX_NAME_LEN};
 pub use gridsteer_bus::Transport;
 pub use report::{MigrationRecord, RelayRecord, ScenarioReport, ViewerRecord};
 pub use scenario::{Action, Scenario};

@@ -55,7 +55,7 @@
 //! ```
 
 use crate::engine::World;
-use crate::error::ScenarioError;
+use crate::error::{ScenarioError, MAX_NAME_LEN};
 use crate::report::ScenarioReport;
 use gridsteer_bus::Transport;
 use lbm::LbmConfig;
@@ -665,6 +665,19 @@ impl Scenario {
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.sample_every <= SimTime::ZERO {
             return Err(ScenarioError::ZeroSampleInterval);
+        }
+        let declared = (self.participants.iter().map(|(name, _)| name))
+            .chain(self.viewers.iter().map(|v| &v.name))
+            .chain(self.relays.iter().map(|r| &r.name));
+        let joining = self.actions.iter().filter_map(|(_, a)| match a {
+            Action::Join { name, .. } | Action::ViewerJoin { name, .. } => Some(name),
+            _ => None,
+        });
+        if let Some(name) = declared.chain(joining).find(|n| n.len() > MAX_NAME_LEN) {
+            return Err(ScenarioError::NameTooLong {
+                prefix: name.chars().take(16).collect(),
+                len: name.len(),
+            });
         }
         let mut participant_names: Vec<&str> = Vec::new();
         for (name, _) in &self.participants {
@@ -1490,6 +1503,32 @@ mod tests {
         assert_eq!(
             tiny("dup-p").participant("alice", Link::wan()).validate(),
             Err(E::DuplicateParticipant("alice".into()))
+        );
+        let (fits, long) = ("n".repeat(MAX_NAME_LEN), "n".repeat(MAX_NAME_LEN + 1));
+        let too_long = Err(E::NameTooLong {
+            prefix: "n".repeat(16),
+            len: MAX_NAME_LEN + 1,
+        });
+        assert_eq!(tiny("fits").relay(&fits, Link::campus()).validate(), Ok(()));
+        assert_eq!(
+            tiny("long-r").relay(&long, Link::campus()).validate(),
+            too_long
+        );
+        assert_eq!(
+            tiny("long-p").participant(&long, Link::wan()).validate(),
+            too_long
+        );
+        assert_eq!(
+            tiny("long-v")
+                .viewer_via(&long, Link::wan(), Transport::Visit)
+                .validate(),
+            too_long
+        );
+        assert_eq!(
+            tiny("long-j")
+                .join_at(SimTime::from_millis(100), &long, Link::wan())
+                .validate(),
+            too_long
         );
         assert_eq!(
             tiny("dup-v")

@@ -17,16 +17,26 @@
 //!
 //! A step reads the 38 distribution rows twice and writes them once:
 //!
-//! 1. **moments** — one pass over `fa`/`fb` producing the densities
-//!    `rho_a`, `rho_b` and the total momentum `j`, each a sum over the
-//!    directions in ascending order.
-//! 2. **force + collide + push** — per *source* z-plane, in two stages.
+//! 1. **force + collide + push** — per *source* z-plane, in two stages.
 //!    *Force*: for each node the Shan–Chen gradient from the neighbours'
 //!    densities and the two shifted equilibrium velocities, kept in a
 //!    plane-sized scratch of the task's own (ten values a node, never an
 //!    `n`-sized array). *Relax*: the 19 relaxed values of each component
 //!    written straight to the node's neighbours in `fa_new`/`fb_new`, a
 //!    few directions at a time across the whole plane.
+//! 2. **moments** — after the swap, one pass over the new `fa`/`fb`
+//!    producing the densities `rho_a`, `rho_b` and the total momentum
+//!    `j`, each a sum over the directions in ascending order.
+//!
+//! The moments close the step instead of opening it, so they always
+//! describe the current distributions — at construction, after a step,
+//! after a restore. The next step's force stage reads them, and so does
+//! everything that observes the lattice: the order parameter is
+//! `ρA − ρB` over two moment rows (the same ascending-direction sums a
+//! pass over the 38 rows would form, so φ has the bits it always had),
+//! total mass is the sum of a ρ row and total momentum the sum of a `j`
+//! row, each one serial chain in ascending node order — 5·n values read
+//! where three passes over 38·n were.
 //!
 //! The relax stage is direction-major on purpose. Taking all 19 directions
 //! at each node keeps the velocities in registers and is the fastest form
@@ -36,8 +46,8 @@
 //! box). A handful of long linear runs per pass costs ~2 ms of the best
 //! case and holds its time.
 //!
-//! The push is race-free in safe code. Sweep 2 runs one task per source
-//! z-plane, and for a fixed direction `i` the map `z ↦ wrap(z + CZ[i])` is
+//! The push is race-free in safe code. The push sweep runs one task per
+//! source z-plane, and for a fixed direction `i` the map `z ↦ wrap(z + CZ[i])` is
 //! a bijection on planes, so task `z` owns exactly the destination chunk
 //! `i·nz + wrap(z + CZ[i])` of the output's plane-sized chunking: every
 //! `(direction, node)` is written exactly once, by one task, at any thread
@@ -214,8 +224,8 @@ impl Geom {
     }
 }
 
-/// Sweep 1 for the node (or block of consecutive nodes, one per lane) at
-/// `node`: its moments `[ρA, ρB, jx, jy, jz]`, each summed over the
+/// The moments sweep for the node (or block of consecutive nodes, one per
+/// lane) at `node`: its moments `[ρA, ρB, jx, jy, jz]`, each summed over the
 /// directions in ascending order, stored at `k` of the five `out` slices.
 #[inline(always)]
 fn moments<T: Lane>(
@@ -242,11 +252,11 @@ fn moments<T: Lane>(
     }
 }
 
-/// Read-only inputs of sweep 2.
+/// Read-only inputs of the push sweep.
 struct PushCtx<'a> {
     fa: &'a [f64],
     fb: &'a [f64],
-    /// The five moment rows, as sweep 1 left them.
+    /// The five moment rows of `fa`/`fb`.
     moments: &'a [f64],
     n: usize,
     plane: usize,
@@ -254,7 +264,7 @@ struct PushCtx<'a> {
     tau: f64,
 }
 
-/// Where one sweep-2 task writes: per direction, the destination plane's
+/// Where one push-sweep task writes: per direction, the destination plane's
 /// chunk of each output buffer and that plane's first global node index.
 struct PushDst<'a> {
     a: [&'a mut [f64]; Q],
@@ -262,8 +272,8 @@ struct PushDst<'a> {
     start: [usize; Q],
 }
 
-/// Per-node values the force stage of sweep 2 hands to its relax stage, a
-/// plane-sized row each: ρA, ρB, uA (3), uB (3), 1.5·uA·uA, 1.5·uB·uB.
+/// Per-node values the force stage of the push sweep hands to its relax
+/// stage, a plane-sized row each: ρA, ρB, uA (3), uB (3), 1.5·uA·uA, 1.5·uB·uB.
 const NODE_VALS: usize = 10;
 
 /// Directions the relax stage streams at a time: 4·`DIR_GROUP` linear runs
@@ -350,11 +360,12 @@ pub struct TwoFluidLbm {
     /// Distributions, SoA layout `f[i*n + node]`, per component.
     fa: Vec<f64>,
     fb: Vec<f64>,
-    /// Push targets of sweep 2 (same layout), swapped in after each step.
+    /// Targets of the push sweep (same layout), swapped in after each step.
     fa_new: Vec<f64>,
     fb_new: Vec<f64>,
-    /// Moments, five rows `m[c*n + node]` for c = ρA, ρB, jx, jy, jz —
-    /// derived state, rebuilt by sweep 1 of every step.
+    /// Moments of `fa`/`fb`, five rows `m[c*n + node]` for c = ρA, ρB,
+    /// jx, jy, jz. Always current: [`TwoFluidLbm::from_parts`] and every
+    /// step end with the moments sweep, and nothing else writes `fa`/`fb`.
     moments: Vec<f64>,
     /// Current miscibility m ∈ \[0,1\].
     miscibility: f64,
@@ -392,8 +403,9 @@ impl TwoFluidLbm {
         Self::from_parts(cfg, pool, fa, fb, 1.0, 0)
     }
 
-    /// Assemble a solver around given distributions. The derived buffers
-    /// start empty; [`TwoFluidLbm::step`] sizes them.
+    /// Assemble a solver around given distributions and take their
+    /// moments. The push targets start empty; [`TwoFluidLbm::step`] sizes
+    /// them.
     fn from_parts(
         cfg: LbmConfig,
         pool: Arc<ExecPool>,
@@ -403,12 +415,12 @@ impl TwoFluidLbm {
         steps: u64,
     ) -> Self {
         let n = cfg.nx * cfg.ny * cfg.nz;
-        TwoFluidLbm {
+        let mut sim = TwoFluidLbm {
             plane: cfg.nx * cfg.ny,
             n,
             fa_new: Vec::new(),
             fb_new: Vec::new(),
-            moments: Vec::new(),
+            moments: vec![0.0; n * 5],
             fa,
             fb,
             miscibility,
@@ -416,7 +428,9 @@ impl TwoFluidLbm {
             pool,
             cfg,
             steps,
-        }
+        };
+        sim.sweep_moments();
+        sim
     }
 
     /// Replace the executor pool (results are unaffected: tasks are fixed
@@ -481,16 +495,15 @@ impl TwoFluidLbm {
 
     /// Advance one time step.
     pub fn step(&mut self) {
-        // derived buffers are sized by the first step that needs them
-        // (a no-op afterwards): a solver that is restored, forwarded or
-        // inspected but never stepped does not pay for them
+        // the push targets are sized by the first step (a no-op
+        // afterwards): a solver that is restored, forwarded or inspected
+        // but never stepped does not pay for them
         self.fa_new.resize(self.n * Q, 0.0);
         self.fb_new.resize(self.n * Q, 0.0);
-        self.moments.resize(self.n * 5, 0.0);
-        self.sweep_moments();
         self.sweep_collide_push();
         std::mem::swap(&mut self.fa, &mut self.fa_new);
         std::mem::swap(&mut self.fb, &mut self.fb_new);
+        self.sweep_moments();
         self.steps += 1;
     }
 
@@ -501,8 +514,9 @@ impl TwoFluidLbm {
         }
     }
 
-    /// Sweep 1: one task per z-plane fills that plane of the five moment
-    /// arrays. No neighbour is read, so lane blocks run across row ends.
+    /// The moments sweep: one task per z-plane fills that plane of the
+    /// five moment arrays. No neighbour is read, so lane blocks run across
+    /// row ends.
     fn sweep_moments(&mut self) {
         let (fa, fb, n, plane, simd) = (&self.fa, &self.fb, self.n, self.plane, self.simd());
         let nz = self.cfg.nz;
@@ -520,7 +534,7 @@ impl TwoFluidLbm {
         });
     }
 
-    /// Sweep 2: the task for source plane `z` claims, per direction, the
+    /// The push sweep: the task for source plane `z` claims, per direction, the
     /// one destination plane its nodes stream into (see the module doc),
     /// runs the force stage over the plane into a scratch of its own, then
     /// the relax stage a few directions at a time.
@@ -597,29 +611,24 @@ impl TwoFluidLbm {
         });
     }
 
-    /// Total mass per component. One loop over both buffers, so the two
-    /// serial add chains overlap; each keeps its own element order.
-    pub fn total_mass(&self) -> (f64, f64) {
-        let (mut ma, mut mb) = (0.0, 0.0);
-        for (a, b) in self.fa.iter().zip(&self.fb) {
-            ma += a;
-            mb += b;
-        }
-        (ma, mb)
+    /// Moment row `c` (ρA, ρB, jx, jy, jz) over the whole lattice.
+    fn moment_row(&self, c: usize) -> &[f64] {
+        &self.moments[c * self.n..(c + 1) * self.n]
     }
 
-    /// Total momentum (both components).
+    /// Total mass per component: each density row summed over the nodes
+    /// in ascending order.
+    pub fn total_mass(&self) -> (f64, f64) {
+        (
+            self.moment_row(0).iter().sum(),
+            self.moment_row(1).iter().sum(),
+        )
+    }
+
+    /// Total momentum (both components): each `j` row summed over the
+    /// nodes in ascending order.
     pub fn total_momentum(&self) -> [f64; 3] {
-        let mut p = [0.0f64; 3];
-        for node in 0..self.n {
-            for i in 0..Q {
-                let f = self.fa[i * self.n + node] + self.fb[i * self.n + node];
-                p[0] += f * CX[i] as f64;
-                p[1] += f * CY[i] as f64;
-                p[2] += f * CZ[i] as f64;
-            }
-        }
-        p
+        from_fn(|k| self.moment_row(2 + k).iter().sum())
     }
 
     /// The order parameter φ = ρA − ρB as a renderable field — the
@@ -639,27 +648,14 @@ impl TwoFluidLbm {
         self.phi_into(0..self.n, out);
     }
 
-    /// φ over a node range. Nodes are taken a block at a time and each
-    /// distribution row is streamed across the block, so the 38 rows are
-    /// read as 38 linear runs; every node's two sums still run over the
-    /// directions in ascending order, exactly as [`moments`] forms them.
+    /// φ over a node range: ρA − ρB from the two density rows.
     fn phi_into(&self, nodes: std::ops::Range<usize>, out: &mut Vec<f32>) {
-        const BLOCK: usize = 64;
+        let (ra, rb) = (
+            &self.moment_row(0)[nodes.clone()],
+            &self.moment_row(1)[nodes],
+        );
         out.clear();
-        out.reserve(nodes.len());
-        for start in nodes.clone().step_by(BLOCK) {
-            let len = BLOCK.min(nodes.end - start);
-            let (mut ra, mut rb) = ([0.0f64; BLOCK], [0.0f64; BLOCK]);
-            for i in 0..Q {
-                let at = i * self.n + start;
-                let (row_a, row_b) = (&self.fa[at..at + len], &self.fb[at..at + len]);
-                for k in 0..len {
-                    ra[k] += row_a[k];
-                    rb[k] += row_b[k];
-                }
-            }
-            out.extend((0..len).map(|k| (ra[k] - rb[k]) as f32));
-        }
+        out.extend(ra.iter().zip(rb).map(|(a, b)| (a - b) as f32));
     }
 
     /// One z-plane of the order parameter φ, row-major (`x` fastest) —
@@ -750,8 +746,8 @@ impl TwoFluidLbm {
     /// fresh-process restore path. The header is validated like
     /// [`TwoFluidLbm::with_pool`] validates a config (a blob is untrusted
     /// input: a bad one is a typed error here, never a panic in `step`).
-    /// Derived arrays (moments, scratch) are recomputed on the next step;
-    /// the pool comes from the checkpointed thread count and the backend
+    /// The moments are taken here, from the restored distributions; the
+    /// pool comes from the checkpointed thread count and the backend
     /// from the process-wide default, exactly as
     /// [`TwoFluidLbm::from_checkpoint`].
     pub fn from_snapshot(snap: &Snapshot) -> Result<TwoFluidLbm, CkptError> {
@@ -820,11 +816,9 @@ pub const SEC_LBM_FB: &str = "lbm/fb";
 /// A float slice as unprefixed raw little-endian bit patterns (section
 /// length carries the count, so chunk boundaries stay plane-aligned).
 fn f64_raw_bytes(vs: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vs.len() * 8);
-    for v in vs {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    out
+    // an exact-size iterator: one allocation, then a straight copy
+    let bytes = vs.iter().flat_map(|v| v.to_bits().to_le_bytes());
+    bytes.collect()
 }
 
 /// Decode an unprefixed raw-bits float section, checking the exact
@@ -873,6 +867,145 @@ impl LbmCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The observers as they were before the moment rows served them:
+    /// three passes over the 38 distribution rows. The spec the moment-row
+    /// forms are checked against.
+    mod reference {
+        use super::*;
+
+        pub fn total_mass(sim: &TwoFluidLbm) -> (f64, f64) {
+            let (mut ma, mut mb) = (0.0, 0.0);
+            for (a, b) in sim.fa.iter().zip(&sim.fb) {
+                ma += a;
+                mb += b;
+            }
+            (ma, mb)
+        }
+
+        pub fn total_momentum(sim: &TwoFluidLbm) -> [f64; 3] {
+            let mut p = [0.0f64; 3];
+            for node in 0..sim.n {
+                for i in 0..Q {
+                    let f = sim.fa[i * sim.n + node] + sim.fb[i * sim.n + node];
+                    p[0] += f * CX[i] as f64;
+                    p[1] += f * CY[i] as f64;
+                    p[2] += f * CZ[i] as f64;
+                }
+            }
+            p
+        }
+
+        /// φ over the whole lattice, a block of nodes at a time, each
+        /// node's two sums over the directions in ascending order.
+        pub fn phi(sim: &TwoFluidLbm) -> Vec<f32> {
+            const BLOCK: usize = 64;
+            let mut out = Vec::with_capacity(sim.n);
+            for start in (0..sim.n).step_by(BLOCK) {
+                let len = BLOCK.min(sim.n - start);
+                let (mut ra, mut rb) = ([0.0f64; BLOCK], [0.0f64; BLOCK]);
+                for i in 0..Q {
+                    let at = i * sim.n + start;
+                    let (row_a, row_b) = (&sim.fa[at..at + len], &sim.fb[at..at + len]);
+                    for k in 0..len {
+                        ra[k] += row_a[k];
+                        rb[k] += row_b[k];
+                    }
+                }
+                out.extend((0..len).map(|k| (ra[k] - rb[k]) as f32));
+            }
+            out
+        }
+    }
+
+    /// What the observers read off `sim` right now, as bit patterns.
+    fn observed(sim: &TwoFluidLbm) -> (Vec<u32>, [u64; 5]) {
+        let phi = sim.order_parameter();
+        let ((ma, mb), p) = (sim.total_mass(), sim.total_momentum());
+        (
+            phi.data().iter().map(|v| v.to_bits()).collect(),
+            [ma, mb, p[0], p[1], p[2]].map(f64::to_bits),
+        )
+    }
+
+    /// The moments describe `fa`/`fb` as they are now: φ equals the
+    /// 38-row reference bit for bit, mass and momentum to rounding.
+    fn assert_moments_current(sim: &TwoFluidLbm, when: &str) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(sim.order_parameter().data()),
+            bits(&reference::phi(sim)),
+            "{when}: φ moved off the 38-row sums"
+        );
+        let mid = sim.cfg.nz / 2;
+        let (_, _, slice) = sim.order_parameter_slice(mid);
+        assert_eq!(
+            bits(&slice),
+            bits(&reference::phi(sim)[mid * sim.plane..(mid + 1) * sim.plane]),
+            "{when}: mid-plane slice"
+        );
+        let ((ma, mb), (ra, rb)) = (sim.total_mass(), reference::total_mass(sim));
+        let scale = 1e-12 * (ra + rb);
+        assert!((ma - ra).abs() <= scale, "{when}: mass A {ma} vs {ra}");
+        assert!((mb - rb).abs() <= scale, "{when}: mass B {mb} vs {rb}");
+        for (p, r) in sim
+            .total_momentum()
+            .iter()
+            .zip(reference::total_momentum(sim))
+        {
+            assert!((p - r).abs() <= scale, "{when}: momentum {p} vs {r}");
+        }
+    }
+
+    #[test]
+    fn moments_always_describe_the_distributions() {
+        let mut seen = Vec::new();
+        for backend in [lanes::Backend::Scalar, lanes::Backend::Simd] {
+            for threads in [1, 8] {
+                let cfg = LbmConfig {
+                    threads,
+                    // odd x extent: the SIMD remainder path forms moments too
+                    nx: 13,
+                    ny: 10,
+                    nz: 6,
+                    ..LbmConfig::small()
+                };
+                let mut sim = TwoFluidLbm::new(cfg);
+                sim.set_backend(backend);
+                sim.set_miscibility(0.15);
+                assert_moments_current(&sim, "after new");
+                sim.step_n(7);
+                assert_moments_current(&sim, "after step_n(7)");
+                let stepped = observed(&sim);
+
+                let resumed = TwoFluidLbm::from_checkpoint(sim.checkpoint());
+                assert_moments_current(&resumed, "after from_checkpoint");
+                assert_eq!(observed(&resumed), stepped, "from_checkpoint");
+
+                let mut snap = Snapshot::new(1, 0);
+                sim.save_sections(&mut snap);
+                let fresh = TwoFluidLbm::from_snapshot(&snap).unwrap();
+                assert_moments_current(&fresh, "after from_snapshot");
+                assert_eq!(observed(&fresh), stepped, "from_snapshot");
+
+                // the moments of an unrelated state must not survive a restore
+                let mut other = TwoFluidLbm::new(LbmConfig {
+                    seed: 7,
+                    ..sim.cfg.clone()
+                });
+                other.set_backend(backend);
+                other.step_n(3);
+                other.restore_sections(&snap).unwrap();
+                assert_moments_current(&other, "after restore_sections");
+                assert_eq!(observed(&other), stepped, "restore_sections");
+                seen.push(stepped);
+            }
+        }
+        assert!(
+            seen.windows(2).all(|w| w[0] == w[1]),
+            "φ, mass or momentum differ across backends or pool widths"
+        );
+    }
 
     #[test]
     fn mass_conserved_over_steps() {
