@@ -1,5 +1,6 @@
-//! Experiment implementations (see DESIGN.md §4 for the index).
+//! The experiment table ([`EXPERIMENTS`]) and the function behind each row.
 
+use crate::{fnv_fold, FNV_OFFSET};
 use covise::{
     CollabSession, Controller, CutPlane, IsoSurface, ModuleId, ReadField, Renderer, SyncMode,
 };
@@ -9,6 +10,8 @@ use lbm::{LbmConfig, TwoFluidLbm};
 use netsim::{Link, NetModel, SimTime};
 use ogsa::{HostingEnv, Registry, SdeValue, SteeringService, VisControl, VisService};
 use pepc::{direct_forces, Octree, PepcConfig, PepcSim, TreeConfig};
+use serde::Serialize;
+use std::path::Path;
 use std::time::{Duration, Instant};
 use steer_core::{LbmSteerAdapter, LoopBudget, Migrator};
 use visit::link::FrameLink;
@@ -16,12 +19,69 @@ use visit::{Frame, MemLink, MsgKind, Password, SteeringClient, VBroker, VisitVal
 use viz::codec::DeltaRleCodec;
 use viz::{mc, Camera, Rasterizer, Vec3};
 
-/// A printed experiment result: named series of rows.
-pub struct ExpResult {
-    /// Experiment id (DESIGN.md §4).
+/// One row of the experiment table: everything `gridsteer_bench exp`
+/// knows about an experiment before running it.
+pub struct Experiment {
+    /// What `exp <id>` takes and `EXP_<id>.json` is named after.
     pub id: &'static str,
-    /// Markdown-ish rows already printed to stdout.
+    /// One line on what it measures: the header printed above its rows,
+    /// and its line in `exp list`.
+    pub summary: &'static str,
+    /// Runs it and returns the rows.
+    pub rows: fn() -> Vec<String>,
+}
+
+impl Experiment {
+    /// Run the experiment and print its id, summary and rows.
+    pub fn run(&self) -> ExpResult {
+        let t0 = Instant::now();
+        let rows = (self.rows)();
+        let wall = t0.elapsed();
+        println!("== {} ==", self.id);
+        println!("{}", self.summary);
+        for r in &rows {
+            println!("{r}");
+        }
+        println!();
+        ExpResult {
+            id: self.id,
+            wall,
+            rows,
+        }
+    }
+}
+
+/// The file [`ExpResult::write_json`] writes for experiment `id`.
+pub fn json_name(id: &str) -> String {
+    format!("EXP_{id}.json")
+}
+
+/// What one run of an [`Experiment`] printed.
+pub struct ExpResult {
+    /// The table row's id.
+    pub id: &'static str,
+    /// Wall time of the whole experiment.
+    pub wall: Duration,
+    /// The rows, as printed to stdout.
     pub rows: Vec<String>,
+}
+
+#[derive(Serialize)]
+struct JsonCell {
+    /// The printed row (most rows embed their own timing measurements).
+    row: String,
+    /// FNV-1a 64 of the row text.
+    digest: String,
+}
+
+#[derive(Serialize)]
+struct JsonReport {
+    id: String,
+    /// Wall time of the whole experiment, in milliseconds.
+    wall_ms: f64,
+    /// FNV-1a 64 over all rows (same value as [`ExpResult::digest`]).
+    digest: String,
+    cells: Vec<JsonCell>,
 }
 
 impl ExpResult {
@@ -32,36 +92,27 @@ impl ExpResult {
     /// legitimately change it run to run.
     pub fn digest(&self) -> u64 {
         self.rows.iter().fold(FNV_OFFSET, |h, row| {
-            fnv1a64_with(fnv1a64_with(h, row.as_bytes()), b"\n")
+            fnv_fold(fnv_fold(h, row.as_bytes()), b"\n")
         })
     }
-}
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Fold bytes into a running FNV-1a 64 state.
-fn fnv1a64_with(mut h: u64, data: &[u8]) -> u64 {
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+    /// Write `EXP_<id>.json` into `dir`: the wall time, every row with its
+    /// own digest, and the overall digest.
+    pub fn write_json(&self, dir: &Path) -> std::io::Result<()> {
+        let report = JsonReport {
+            id: self.id.to_string(),
+            wall_ms: self.wall.as_secs_f64() * 1e3,
+            digest: format!("{:016x}", self.digest()),
+            cells: (self.rows.iter())
+                .map(|row| JsonCell {
+                    row: row.clone(),
+                    digest: format!("{:016x}", fnv_fold(FNV_OFFSET, row.as_bytes())),
+                })
+                .collect(),
+        };
+        let body = serde_json::to_string(&report).expect("experiment report serializes");
+        std::fs::write(dir.join(json_name(self.id)), body + "\n")
     }
-    h
-}
-
-/// FNV-1a 64 of a byte string (per-cell digests in `BENCH_*.json`).
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    fnv1a64_with(FNV_OFFSET, data)
-}
-
-fn emit(id: &'static str, header: &str, rows: Vec<String>) -> ExpResult {
-    println!("== {id} ==");
-    println!("{header}");
-    for r in &rows {
-        println!("{r}");
-    }
-    println!();
-    ExpResult { id, rows }
 }
 
 fn sphere_pipeline(
@@ -82,7 +133,7 @@ fn sphere_pipeline(
 /// F1 — the RealityGrid Figure-1 pipeline across three sites. Every stage
 /// (LBM step, isosurface, raster, codec) dispatches on one shared executor
 /// pool — no thread spawning anywhere in the loop.
-pub fn exp_f1_realitygrid() -> ExpResult {
+pub fn exp_f1_realitygrid() -> Vec<String> {
     let pool = gridsteer_exec::global();
     let (net, ids) = NetModel::sc2003();
     let compute = ids["london"];
@@ -135,15 +186,11 @@ pub fn exp_f1_realitygrid() -> ExpResult {
     // steering round trip client → compute
     let rtt = net.rtt(client, compute);
     rows.push(format!("steering round trip (sheffield <-> london): {rtt}"));
-    emit(
-        "F1",
-        "RealityGrid pipeline: compute(london) -> vis(manchester) -> laptop(sheffield)",
-        rows,
-    )
+    rows
 }
 
 /// F2 — OGSA steering service: discover, bind, steer both services.
-pub fn exp_f2_ogsa_service() -> ExpResult {
+pub fn exp_f2_ogsa_service() -> Vec<String> {
     let sim = std::sync::Arc::new(parking_lot_mutex(TwoFluidLbm::new(LbmConfig::small())));
     let vis_state = std::sync::Arc::new(parking_lot_mutex(VisControl::default()));
     let mut env = HostingEnv::new();
@@ -220,11 +267,7 @@ pub fn exp_f2_ogsa_service() -> ExpResult {
         "soft-state sweep after 601 s reaped {} services",
         dead.len()
     ));
-    emit(
-        "F2",
-        "OGSA steering architecture: registry -> bind -> steer sim + vis",
-        rows,
-    )
+    rows
 }
 
 fn parking_lot_mutex<T>(v: T) -> parking_lot::Mutex<T> {
@@ -232,7 +275,7 @@ fn parking_lot_mutex<T>(v: T) -> parking_lot::Mutex<T> {
 }
 
 /// F3 — PEPC shipped through VISIT: frames, bytes, beam steering effect.
-pub fn exp_f3_pepc_visit() -> ExpResult {
+pub fn exp_f3_pepc_visit() -> Vec<String> {
     const TAG_SNAP: u32 = 1;
     const TAG_BEAM: u32 = 2;
     let (sim_link, vis_link) = MemLink::pair();
@@ -283,15 +326,11 @@ pub fn exp_f3_pepc_visit() -> ExpResult {
         "sim-side: {} sends / {} requests, {:?} inside VISIT; vis-side received {} frames / {} B",
         st.sends, st.requests, st.time_in_calls, sst.data_frames, sst.bytes_received
     ));
-    emit(
-        "F3",
-        "PEPC online visualization via VISIT (particles + domain boxes + live beam steer)",
-        rows,
-    )
+    rows
 }
 
 /// F4 — AG/COVISE collaborative session: skew + consistency vs site count.
-pub fn exp_f4_ag_covise() -> ExpResult {
+pub fn exp_f4_ag_covise() -> Vec<String> {
     let field = demo_field(20);
     let mut rows = Vec::new();
     for n in [2usize, 4, 8, 16] {
@@ -317,11 +356,7 @@ pub fn exp_f4_ag_covise() -> ExpResult {
             r.skew, r.bytes_sent, r.consistent
         ));
     }
-    emit(
-        "F4",
-        "collaborative VR session: frame divergence vs participating sites (param-sync)",
-        rows,
-    )
+    rows
 }
 
 fn demo_field(n: usize) -> viz::Field3 {
@@ -347,7 +382,7 @@ fn standard_pipeline(
 }
 
 /// E42 — rendering feedback loop: remote round trip vs local redraw.
-pub fn exp_e42_render_loop() -> ExpResult {
+pub fn exp_e42_render_loop() -> Vec<String> {
     let field = demo_field(24);
     let mesh = mc::isosurface_smooth(&field, 0.0);
     // measure one local redraw (wall)
@@ -398,15 +433,11 @@ pub fn exp_e42_render_loop() -> ExpResult {
         LoopBudget::VrRender.budget(),
         LoopBudget::DesktopRender.budget()
     ));
-    emit(
-        "E42",
-        "rendering feedback loop: viewer moves -> scene redrawn",
-        rows,
-    )
+    rows
 }
 
 /// E43 — post-processing loop: cutting-plane change, local vs remote.
-pub fn exp_e43_postproc_loop() -> ExpResult {
+pub fn exp_e43_postproc_loop() -> Vec<String> {
     let mut rows = Vec::new();
     for n in [16usize, 32, 48] {
         let field = demo_field(n);
@@ -437,15 +468,11 @@ pub fn exp_e43_postproc_loop() -> ExpResult {
             local.as_secs_f64() * 1e3, frame.wire_size(), remote_ship
         ));
     }
-    emit(
-        "E43",
-        "post-processing loop: cutting-plane parameter -> updated scene",
-        rows,
-    )
+    rows
 }
 
 /// E44 — simulation feedback loop: steer -> visible change, with budget.
-pub fn exp_e44_sim_loop() -> ExpResult {
+pub fn exp_e44_sim_loop() -> Vec<String> {
     let mut sim = TwoFluidLbm::new(LbmConfig {
         nx: 16,
         ny: 16,
@@ -473,15 +500,11 @@ pub fn exp_e44_sim_loop() -> ExpResult {
     rows.push(
         "with intermediate samples every few steps the perceived latency is one sample interval (§4.4 tolerance doubles)".into(),
     );
-    emit(
-        "E44",
-        "simulation feedback loop: miscibility steer -> observable demixing",
-        rows,
-    )
+    rows
 }
 
 /// EV1 — VISIT's minimal-load guarantee under responsive/slow/dead servers.
-pub fn exp_ev1_visit_overhead() -> ExpResult {
+pub fn exp_ev1_visit_overhead() -> Vec<String> {
     let run = |server_kind: &str| -> (Duration, Duration) {
         const TAG: u32 = 1;
         let (sim_link, vis_link) = MemLink::pair();
@@ -554,15 +577,11 @@ pub fn exp_ev1_visit_overhead() -> ExpResult {
             total < base + Duration::from_millis(10 * 20 + 150)
         ));
     }
-    emit(
-        "EV1",
-        "VISIT design goal: a slow or dead visualization cannot stall the simulation",
-        rows,
-    )
+    rows
 }
 
 /// EV2 — vbroker fan-out cost vs viewer count.
-pub fn exp_ev2_vbroker() -> ExpResult {
+pub fn exp_ev2_vbroker() -> Vec<String> {
     let mut rows = Vec::new();
     for n in [1usize, 4, 16, 32] {
         let (mut sim_side, broker_sim) = MemLink::pair();
@@ -590,16 +609,12 @@ pub fn exp_ev2_vbroker() -> ExpResult {
             st.bytes_in, st.bytes_out, st.bytes_out / st.bytes_in.max(1)
         ));
     }
-    emit(
-        "EV2",
-        "vbroker multiplexer: broadcast cost scales with viewers; master alone steers",
-        rows,
-    )
+    rows
 }
 
 /// EV3 — proxy polling emulation vs direct VISIT: steering latency vs
 /// poll interval.
-pub fn exp_ev3_proxy() -> ExpResult {
+pub fn exp_ev3_proxy() -> Vec<String> {
     // direct: one WAN hop; proxy: expected wait of poll/2 + gateway hop
     let hop = Link::gwin().latency;
     let mut rows = Vec::new();
@@ -614,15 +629,11 @@ pub fn exp_ev3_proxy() -> ExpResult {
         ));
     }
     rows.push("trade-off (paper §3.3): the polling plugin buys firewall traversal + UNICORE auth for one poll interval of latency".into());
-    emit(
-        "EV3",
-        "VISIT-UNICORE proxy pair: polling emulation latency vs poll interval",
-        rows,
-    )
+    rows
 }
 
 /// EP1 — PEPC O(N log N) vs direct O(N²).
-pub fn exp_ep1_pepc_scaling() -> ExpResult {
+pub fn exp_ep1_pepc_scaling() -> Vec<String> {
     use rand::{Rng, SeedableRng};
     let mut rows = Vec::new();
     let mut crossover_seen = false;
@@ -664,15 +675,11 @@ pub fn exp_ep1_pepc_scaling() -> ExpResult {
         ));
     }
     rows.push(format!("tree wins beyond the crossover: {crossover_seen}"));
-    emit(
-        "EP1",
-        "PEPC hierarchical tree O(N log N) vs direct O(N^2) force summation",
-        rows,
-    )
+    rows
 }
 
 /// EC1 — collaboration traffic: geometry vs pixels vs parameters.
-pub fn exp_ec1_collab_traffic() -> ExpResult {
+pub fn exp_ec1_collab_traffic() -> Vec<String> {
     let mut rows = Vec::new();
     let wan = Link::transatlantic();
     for n in [16usize, 24, 32, 48] {
@@ -693,15 +700,11 @@ pub fn exp_ec1_collab_traffic() -> ExpResult {
         ));
     }
     rows.push("shape check: geometry grows with scene; pixels ~constant per resolution; params constant (the §4.6 claim)".into());
-    emit(
-        "EC1",
-        "collaboration traffic per update over a 45 Mbit transatlantic link",
-        rows,
-    )
+    rows
 }
 
 /// EU1 — UNICORE single-port gateway under concurrent clients.
-pub fn exp_eu1_unicore() -> ExpResult {
+pub fn exp_eu1_unicore() -> Vec<String> {
     use unicore::{Ajo, CertAuthority, Gateway, Njs, Task, TrustStore, Tsi, UnicoreClient};
     let ca = CertAuthority::new("CA", 1);
     let mut trust = TrustStore::new();
@@ -746,15 +749,11 @@ pub fn exp_eu1_unicore() -> ExpResult {
             (clients as f64 * 30.0) / wall.as_secs_f64()
         ));
     }
-    emit(
-        "EU1",
-        "UNICORE job path through one authenticated gateway port",
-        rows,
-    )
+    rows
 }
 
 /// EM1 — mid-session migration: frame gap vs §4.4 budget.
-pub fn exp_em1_migration() -> ExpResult {
+pub fn exp_em1_migration() -> Vec<String> {
     let (net, ids) = NetModel::sc2003();
     let migrator = Migrator::new(&net);
     let mut rows = Vec::new();
@@ -773,18 +772,14 @@ pub fn exp_em1_migration() -> ExpResult {
         ));
     }
     rows.push("clients keep their connections; only the sample stream pauses for the gap".into());
-    emit(
-        "EM1",
-        "mid-session computation migration (the §2.4 capability)",
-        rows,
-    )
+    rows
 }
 
 /// E50 — soak the scenario engine: sweep participant count × loss rate
 /// through the same deterministic harness the tier-1 matrix uses, with
 /// churn and a mid-run steer in every cell. Every row ends with the run's
 /// report digest, so a soak regression is visible as a digest change.
-pub fn exp_e50_soak() -> ExpResult {
+pub fn exp_e50_soak() -> Vec<String> {
     // every cell of the sweep reuses one shared worker pool
     let pool = gridsteer_exec::global();
     let mut rows = Vec::new();
@@ -827,11 +822,7 @@ pub fn exp_e50_soak() -> ExpResult {
             ));
         }
     }
-    emit(
-        "E50",
-        "scenario-engine soak: participants x loss rate, deterministic digests",
-        rows,
-    )
+    rows
 }
 
 /// BUS — steering-bus throughput: batched vs one-at-a-time command
@@ -841,7 +832,7 @@ pub fn exp_e50_soak() -> ExpResult {
 /// (Rows embed wall-clock rates, so this experiment's digest legitimately
 /// changes run to run; the per-transport applied counts are asserted
 /// deterministic in the unit tests.)
-pub fn exp_bus() -> ExpResult {
+pub fn exp_bus() -> Vec<String> {
     const CMDS: usize = 2000;
     const BATCH: usize = 32;
     let mut rows = Vec::new();
@@ -871,11 +862,7 @@ pub fn exp_bus() -> ExpResult {
             ));
         }
     }
-    emit(
-        "bus",
-        "steering-bus throughput: batched vs one-at-a-time commands per transport",
-        rows,
-    )
+    rows
 }
 
 /// MONITOR — monitor-bus fan-out throughput: batched (one transport
@@ -886,7 +873,7 @@ pub fn exp_bus() -> ExpResult {
 /// (Rows embed wall-clock rates, so this experiment's digest legitimately
 /// changes run to run; the delivered counts are asserted deterministic in
 /// the unit tests.)
-pub fn exp_monitor_fanout() -> ExpResult {
+pub fn exp_monitor_fanout() -> Vec<String> {
     use gridsteer_bus::{MonitorCaps, MonitorHub, MonitorPayload};
     const FRAMES: usize = 1200;
     const BATCH: usize = 32;
@@ -969,11 +956,7 @@ pub fn exp_monitor_fanout() -> ExpResult {
             ));
         }
     }
-    emit(
-        "monitor",
-        "monitor-bus fan-out: batched vs per-sample delivery per transport x subscribers",
-        rows,
-    )
+    rows
 }
 
 /// FANOUT — hierarchical relay fan-out scaling (ROADMAP fan-out item):
@@ -988,7 +971,7 @@ pub fn exp_monitor_fanout() -> ExpResult {
 /// `digest=`/`delivered=` cells are the deterministic columns CI
 /// compares across `EXEC_THREADS`. (Walls are wall-clock; those cells
 /// legitimately drift run to run.)
-pub fn exp_fanout_scale() -> ExpResult {
+pub fn exp_fanout_scale() -> Vec<String> {
     use gridsteer_bus::{
         FrameChunk, LoopbackMonitor, MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame,
         MonitorHub, MonitorPayload, RelayHub, RelayPolicy,
@@ -1154,11 +1137,7 @@ pub fn exp_fanout_scale() -> ExpResult {
             pump_wall.as_secs_f64() * 1e6 / STEPS as f64
         ));
     }
-    emit(
-        "fanout",
-        "relay-fabric fan-out: flat hub vs 4x8 relay tree, origin publish cost vs subscribers",
-        rows,
-    )
+    rows
 }
 
 /// FUZZ — generative scenario soak: run the invariant oracle over a
@@ -1169,10 +1148,8 @@ pub fn exp_fanout_scale() -> ExpResult {
 /// CI diffs the output between `GRIDSTEER_SIMD=0` and `=1` runs — the
 /// cross-process half of the scalar-vs-SIMD digest invariant (the SIMD
 /// switch is a process-wide `OnceLock`, so one process can't compare
-/// both). `FUZZ_TIME_BUDGET_MS` (default 0 = unlimited) stops the sweep
-/// early on slow machines; the cut is recorded in its own row so a
-/// budget-stopped run is visibly not comparable.
-pub fn exp_fuzz_soak() -> ExpResult {
+/// both).
+pub fn exp_fuzz_soak() -> Vec<String> {
     let env_u64 = |key: &str, default: u64| {
         std::env::var(key)
             .ok()
@@ -1181,7 +1158,6 @@ pub fn exp_fuzz_soak() -> ExpResult {
     };
     let start = env_u64("FUZZ_SEED_START", 0);
     let count = env_u64("FUZZ_SEEDS", 500);
-    let budget_ms = env_u64("FUZZ_TIME_BUDGET_MS", 0);
     let cfg = gridsteer_fuzz::FuzzConfig::default();
     let runner = gridsteer_fuzz::PoolRunner;
 
@@ -1191,19 +1167,13 @@ pub fn exp_fuzz_soak() -> ExpResult {
     let mut digest_fold = FNV_OFFSET;
     let mut mix: std::collections::BTreeMap<&'static str, u64> = std::collections::BTreeMap::new();
     let mut failures: Vec<String> = Vec::new();
-    let mut ran = 0u64;
-    let mut cut = false;
     for seed in start..start + count {
-        if budget_ms > 0 && t0.elapsed() >= Duration::from_millis(budget_ms) {
-            cut = true;
-            break;
-        }
         let s = gridsteer_fuzz::generate(seed, &cfg);
         for (_, a) in s.actions() {
             *mix.entry(a.label()).or_insert(0) += 1;
         }
         let audit = gridsteer_fuzz::audit_with(&runner, &s);
-        digest_fold = fnv1a64_with(digest_fold, audit.digest.as_bytes());
+        digest_fold = fnv_fold(digest_fold, audit.digest.as_bytes());
         if audit.violations.is_empty() {
             pass += 1;
         } else {
@@ -1214,12 +1184,11 @@ pub fn exp_fuzz_soak() -> ExpResult {
                 }
             }
         }
-        ran += 1;
     }
 
     let mut rows = vec![format!(
         "seeds {start}..{}: pass={pass} fail={fail} digest={digest_fold:016x}",
-        start + ran
+        start + count
     )];
     rows.push(format!(
         "action mix: {}",
@@ -1229,78 +1198,166 @@ pub fn exp_fuzz_soak() -> ExpResult {
             .join(" ")
     ));
     rows.extend(failures);
-    if cut {
-        rows.push(format!(
-            "time budget {budget_ms}ms cut the sweep after {ran} of {count} seeds"
-        ));
-    }
     let secs = t0.elapsed().as_secs_f64();
     rows.push(format!(
-        "wall: {ran} scenarios in {:.0} ms ({:.1}/s)",
+        "wall: {count} scenarios in {:.0} ms ({:.1}/s)",
         secs * 1e3,
-        ran as f64 / secs.max(1e-9)
+        count as f64 / secs.max(1e-9)
     ));
-    emit(
-        "fuzz",
-        "generative scenario soak: invariant oracle over a seeded window",
-        rows,
-    )
+    rows
 }
 
-/// Every experiment in index order (driven by [`crate::cli::run_all`],
-/// which times each entry and emits its `BENCH_*.json`).
-pub const ALL: &[fn() -> ExpResult] = &[
-    exp_f1_realitygrid,
-    exp_f2_ogsa_service,
-    exp_f3_pepc_visit,
-    exp_f4_ag_covise,
-    exp_e42_render_loop,
-    exp_e43_postproc_loop,
-    exp_e44_sim_loop,
-    exp_ev1_visit_overhead,
-    exp_ev2_vbroker,
-    exp_ev3_proxy,
-    exp_ep1_pepc_scaling,
-    exp_ec1_collab_traffic,
-    exp_eu1_unicore,
-    exp_em1_migration,
-    exp_e50_soak,
-    exp_bus,
-    exp_monitor_fanout,
-    exp_fanout_scale,
-    exp_fuzz_soak,
+/// The experiment table, in index order: one row per figure or
+/// quantitative claim of the paper, then the four engineering sweeps.
+/// `gridsteer_bench exp` resolves ids, lists and runs from this table and
+/// nothing else.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        id: "F1",
+        rows: exp_f1_realitygrid,
+        summary: "RealityGrid pipeline: compute(london) -> vis(manchester) -> laptop(sheffield)",
+    },
+    Experiment {
+        id: "F2",
+        rows: exp_f2_ogsa_service,
+        summary: "OGSA steering architecture: registry -> bind -> steer sim + vis",
+    },
+    Experiment {
+        id: "F3",
+        rows: exp_f3_pepc_visit,
+        summary: "PEPC online visualization via VISIT (particles + domain boxes + live beam steer)",
+    },
+    Experiment {
+        id: "F4",
+        rows: exp_f4_ag_covise,
+        summary: "collaborative VR session: frame divergence vs participating sites (param-sync)",
+    },
+    Experiment {
+        id: "E42",
+        rows: exp_e42_render_loop,
+        summary: "rendering feedback loop: viewer moves -> scene redrawn",
+    },
+    Experiment {
+        id: "E43",
+        rows: exp_e43_postproc_loop,
+        summary: "post-processing loop: cutting-plane parameter -> updated scene",
+    },
+    Experiment {
+        id: "E44",
+        rows: exp_e44_sim_loop,
+        summary: "simulation feedback loop: miscibility steer -> observable demixing",
+    },
+    Experiment {
+        id: "EV1",
+        rows: exp_ev1_visit_overhead,
+        summary: "VISIT design goal: a slow or dead visualization cannot stall the simulation",
+    },
+    Experiment {
+        id: "EV2",
+        rows: exp_ev2_vbroker,
+        summary: "vbroker multiplexer: broadcast cost scales with viewers; master alone steers",
+    },
+    Experiment {
+        id: "EV3",
+        rows: exp_ev3_proxy,
+        summary: "VISIT-UNICORE proxy pair: polling emulation latency vs poll interval",
+    },
+    Experiment {
+        id: "EP1",
+        rows: exp_ep1_pepc_scaling,
+        summary: "PEPC hierarchical tree O(N log N) vs direct O(N^2) force summation",
+    },
+    Experiment {
+        id: "EC1",
+        rows: exp_ec1_collab_traffic,
+        summary: "collaboration traffic per update over a 45 Mbit transatlantic link",
+    },
+    Experiment {
+        id: "EU1",
+        rows: exp_eu1_unicore,
+        summary: "UNICORE job path through one authenticated gateway port",
+    },
+    Experiment {
+        id: "EM1",
+        rows: exp_em1_migration,
+        summary: "mid-session computation migration (the §2.4 capability)",
+    },
+    Experiment {
+        id: "E50",
+        rows: exp_e50_soak,
+        summary: "scenario-engine soak: participants x loss rate, deterministic digests",
+    },
+    Experiment {
+        id: "bus",
+        rows: exp_bus,
+        summary: "steering-bus throughput: batched vs one-at-a-time commands per transport",
+    },
+    Experiment {
+        id: "monitor",
+        rows: exp_monitor_fanout,
+        summary: "monitor-bus fan-out: batched vs per-sample delivery per transport x subscribers",
+    },
+    Experiment {
+        id: "fanout",
+        rows: exp_fanout_scale,
+        summary:
+            "relay-fabric fan-out: flat hub vs 4x8 relay tree, origin publish cost vs subscribers",
+    },
+    Experiment {
+        id: "fuzz",
+        rows: exp_fuzz_soak,
+        summary: "generative scenario soak: invariant oracle over a seeded window",
+    },
 ];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn experiment_ids_are_unique() {
+        let ids: BTreeSet<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        assert_eq!(ids.len(), EXPERIMENTS.len());
+    }
+
+    /// `exp all --out d` and `snap --out d` may share `d`: no file has two
+    /// writers.
+    #[test]
+    fn exp_and_snap_write_disjoint_files() {
+        let exp: BTreeSet<String> = EXPERIMENTS.iter().map(|e| json_name(e.id)).collect();
+        let snap: BTreeSet<String> = (crate::gate::GATES.iter())
+            .map(|g| crate::gate::json_name(g.id))
+            .collect();
+        assert_eq!(exp.len(), EXPERIMENTS.len());
+        assert_eq!(snap.len(), crate::gate::GATES.len());
+        assert!(exp.is_disjoint(&snap), "{exp:?} vs {snap:?}");
+    }
 
     #[test]
     fn bus_throughput_covers_every_transport_and_mode() {
-        let r = exp_bus();
-        assert_eq!(r.rows.len(), Transport::ALL.len() * 2);
+        let rows = exp_bus();
+        assert_eq!(rows.len(), Transport::ALL.len() * 2);
         for t in Transport::ALL {
             assert!(
-                r.rows
-                    .iter()
+                rows.iter()
                     .any(|row| row.contains(&format!("transport={}", t.label()))),
                 "missing transport {}",
                 t.label()
             );
         }
         // every command must actually apply (clamped spec, in-bounds values)
-        assert!(r.rows.iter().all(|row| row.contains("applied=2000")));
+        assert!(rows.iter().all(|row| row.contains("applied=2000")));
     }
 
     #[test]
     fn monitor_fanout_covers_every_transport_and_sub_count() {
-        let r = exp_monitor_fanout();
-        assert_eq!(r.rows.len(), Transport::ALL.len() * 3);
+        let rows = exp_monitor_fanout();
+        assert_eq!(rows.len(), Transport::ALL.len() * 3);
         for t in Transport::ALL {
             for subs in [1usize, 4, 16] {
                 assert!(
-                    r.rows
-                        .iter()
+                    rows.iter()
                         .any(|row| row.contains(&format!("transport={} subs={subs} ", t.label()))),
                     "missing cell {} x {subs}",
                     t.label()
@@ -1308,7 +1365,7 @@ mod tests {
             }
         }
         // delivery is deterministic: every subscriber gets every frame
-        for row in &r.rows {
+        for row in &rows {
             let subs: u64 = row
                 .split("subs=")
                 .nth(1)
@@ -1325,46 +1382,39 @@ mod tests {
 
     #[test]
     fn fanout_scale_is_flat_at_the_origin_and_byte_stable_at_the_edge() {
-        let r = exp_fanout_scale();
-        assert_eq!(r.rows.len(), 6, "3 flat widths + 3 relay widths");
-        assert!(r
-            .rows
-            .iter()
-            .take(3)
-            .all(|row| row.starts_with("topo=flat")));
-        assert!(r
-            .rows
+        let rows = exp_fanout_scale();
+        assert_eq!(rows.len(), 6, "3 flat widths + 3 relay widths");
+        assert!(rows.iter().take(3).all(|row| row.starts_with("topo=flat")));
+        assert!(rows
             .iter()
             .skip(3)
             .all(|row| row.contains("regions=4 edges=32")));
         // every digest cell carries the same 16-hex value: the stream is
         // byte-identical at the origin and two relay tiers down
-        let digests: Vec<&str> = r
-            .rows
+        let digests: Vec<&str> = rows
             .iter()
             .map(|row| row.split("digest=").nth(1).unwrap())
             .collect();
         assert!(digests.windows(2).all(|w| w[0] == w[1]), "{digests:?}");
         // the simulated-subscriber math holds at the million-leaf row
-        assert!(r
-            .rows
+        assert!(rows
             .iter()
             .any(|row| row.contains("subs=1000000 ") && row.contains("delivered=256000000")));
     }
 
     #[test]
     fn e50_soak_sweeps_every_cell() {
-        let r = exp_e50_soak();
-        assert_eq!(r.rows.len(), 9, "3 participant counts x 3 loss rates");
-        assert!(r.rows.iter().all(|row| row.contains("digest=")));
+        let rows = exp_e50_soak();
+        assert_eq!(rows.len(), 9, "3 participant counts x 3 loss rates");
+        assert!(rows.iter().all(|row| row.contains("digest=")));
         // lossless cells drop nothing
-        assert!(r.rows[0].contains(" 0 dropped"));
+        assert!(rows[0].contains(" 0 dropped"));
     }
 
     #[test]
     fn e50_soak_is_deterministic() {
         let a = exp_e50_soak();
         let b = exp_e50_soak();
-        assert_eq!(a.rows, b.rows, "soak rows must replay identically");
+        assert_eq!(a, b, "soak rows must replay identically");
     }
 }

@@ -1,10 +1,10 @@
 //! The perf-regression gate: snapshot format, measured workloads, and the
 //! baseline comparison CI enforces.
 //!
-//! The exp binaries' `BENCH_*.json` rows embed their own wall-clock
+//! The experiments' `EXP_*.json` rows embed their own wall-clock
 //! numbers, so their digests change run to run — useless for an exact
-//! compare. The gate uses its own snapshot shape instead, keeping the two
-//! concerns separate per cell:
+//! compare. The gate uses its own snapshot shape (`BENCH_*.json`) instead,
+//! keeping the two concerns separate per cell:
 //!
 //! * `wall_us` — the timing, compared *ratiometrically* against the
 //!   committed baseline. Raw ratios would gate on machine speed, so every
@@ -18,7 +18,7 @@
 //!   in. Compared byte-exactly: any drift is a determinism break, not a
 //!   perf question, and fails the gate outright.
 //!
-//! [`snapshot_all`] runs the six gated workloads — LBM collide/stream
+//! [`snapshot_all`] runs the gated workloads of [`GATES`] — LBM collide/stream
 //! (the scalar×SIMD / 1×8-thread matrix, whose four digests must agree),
 //! the exec-pool chunk kernel, the monitor publish path, the payload
 //! build alone and one delivery through each middleware adapter, hub
@@ -27,10 +27,12 @@
 //! the steering commit (64 commands through a session, watched by eight
 //! subscribers and by none).
 
+use crate::{fnv_fold as fold, FNV_OFFSET};
 use gridsteer_bus::{
     FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame, MonitorHub,
 };
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 use std::time::Instant;
 
 /// Maximum tolerated normalized per-cell wall ratio (1.25 = +25%).
@@ -50,38 +52,76 @@ pub struct GateCell {
 /// One snapshot file (`BENCH_<id>.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GateReport {
-    /// Snapshot id: `lbm`, `pool`, `monitor`, `fanout`, `ckpt`, `steer`.
+    /// Snapshot id: a row of [`GATES`].
     pub id: String,
     /// Measured cells, in a fixed order.
     pub cells: Vec<GateCell>,
 }
 
-/// The six gated snapshot ids, in run order.
-pub const GATE_IDS: [&str; 6] = ["lbm", "pool", "monitor", "fanout", "ckpt", "steer"];
+/// One row of the gate table.
+pub struct Gate {
+    /// Snapshot id: `BENCH_<id>.json` here and under `baselines/`.
+    pub id: &'static str,
+    /// Measures the workload's cells.
+    pub cells: fn() -> Vec<GateCell>,
+}
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The gate table, in run order. [`snapshot_all`] and [`compare`] walk
+/// this and nothing else; every row has a committed
+/// `baselines/BENCH_<id>.json`.
+pub const GATES: &[Gate] = &[
+    Gate {
+        id: "lbm",
+        cells: snap_lbm,
+    },
+    Gate {
+        id: "pool",
+        cells: snap_pool,
+    },
+    Gate {
+        id: "monitor",
+        cells: snap_monitor,
+    },
+    Gate {
+        id: "fanout",
+        cells: snap_fanout,
+    },
+    Gate {
+        id: "ckpt",
+        cells: snap_ckpt,
+    },
+    Gate {
+        id: "steer",
+        cells: snap_steer,
+    },
+];
 
-fn fold(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+/// Run every gated workload, in [`GATES`] order.
+pub fn snapshot_all() -> impl Iterator<Item = GateReport> {
+    GATES.iter().map(|g| GateReport {
+        id: g.id.to_string(),
+        cells: (g.cells)(),
+    })
 }
 
 fn hex(h: u64) -> String {
     format!("{h:016x}")
 }
 
+/// The snapshot file of gate `id`.
+pub fn json_name(id: &str) -> String {
+    format!("BENCH_{id}.json")
+}
+
 /// Write `BENCH_<id>.json` into `dir`.
-pub fn write_report(dir: &std::path::Path, report: &GateReport) -> std::io::Result<()> {
-    let path = dir.join(format!("BENCH_{}.json", report.id));
+pub fn write_report(dir: &Path, report: &GateReport) -> std::io::Result<()> {
     let body = serde_json::to_string(report).expect("gate report serializes");
-    std::fs::write(path, body + "\n")
+    std::fs::write(dir.join(json_name(&report.id)), body + "\n")
 }
 
 /// Read `BENCH_<id>.json` from `dir`.
-pub fn read_report(dir: &std::path::Path, id: &str) -> Result<GateReport, String> {
-    let path = dir.join(format!("BENCH_{id}.json"));
+pub fn read_report(dir: &Path, id: &str) -> Result<GateReport, String> {
+    let path = dir.join(json_name(id));
     let body = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     serde_json::from_str(&body).map_err(|e| format!("{}: {e}", path.display()))
 }
@@ -93,7 +133,7 @@ pub fn read_report(dir: &std::path::Path, id: &str) -> Result<GateReport, String
 /// LBM collide/stream over the {scalar, SIMD} × {1, 8 threads} matrix.
 /// All four digests fold the full post-run distribution bits and must be
 /// identical — the determinism contract extended to the SIMD axis.
-pub fn snap_lbm() -> GateReport {
+fn snap_lbm() -> Vec<GateCell> {
     const STEPS: usize = 12;
     let mut cells = Vec::new();
     for &threads in &[1usize, 8] {
@@ -127,14 +167,11 @@ pub fn snap_lbm() -> GateReport {
         cells.iter().all(|c| c.digest == first),
         "LBM digests diverged across the thread × backend matrix: {cells:?}"
     );
-    GateReport {
-        id: "lbm".into(),
-        cells,
-    }
+    cells
 }
 
 /// The exec-pool deterministic chunk kernel at 8 workers.
-pub fn snap_pool() -> GateReport {
+fn snap_pool() -> Vec<GateCell> {
     const N: usize = 1 << 16;
     const ROUNDS: usize = 40;
     let pool = gridsteer_exec::shared(8);
@@ -158,14 +195,11 @@ pub fn snap_pool() -> GateReport {
     for v in &data {
         h = fold(h, &v.to_bits().to_le_bytes());
     }
-    GateReport {
-        id: "pool".into(),
-        cells: vec![GateCell {
-            cell: "chunks_t8".into(),
-            wall_us,
-            digest: hex(h),
-        }],
-    }
+    vec![GateCell {
+        cell: "chunks_t8".into(),
+        wall_us,
+        digest: hex(h),
+    }]
 }
 
 /// A subscriber that digests delivered frames in place, storing nothing —
@@ -229,7 +263,7 @@ impl MonitorEndpoint for FoldSink {
 /// scratch and fanned out as borrowed payloads, the one path there is —
 /// then the warm payload build alone at 32³ (`payloads_into_cell`) and the
 /// four adapter cells of `deliver_cells`.
-pub fn snap_monitor() -> GateReport {
+fn snap_monitor() -> Vec<GateCell> {
     use steer_core::{LbmMonitorAdapter, MonitorScratch};
     const PUBLISHES: usize = 60;
     let mut sim = lbm::TwoFluidLbm::new(lbm::LbmConfig {
@@ -269,10 +303,7 @@ pub fn snap_monitor() -> GateReport {
     }];
     cells.push(payloads_into_cell());
     cells.extend(deliver_cells(&sim));
-    GateReport {
-        id: "monitor".into(),
-        cells,
-    }
+    cells
 }
 
 /// One warm `monitor_payloads_into` of the LBM at 32³ — what the engine
@@ -402,7 +433,7 @@ fn deliver_cells(sim: &lbm::TwoFluidLbm) -> Vec<GateCell> {
 /// Hub fan-out to UNICORE subscribers, whose staged-file payloads force a
 /// real frame encode — the workload the encode-once chunk cache serves.
 /// The digest folds every subscriber's received frames' canonical bytes.
-pub fn snap_fanout() -> GateReport {
+fn snap_fanout() -> Vec<GateCell> {
     const SUBS: usize = 4;
     const PUBLISHES: usize = 30;
     let hub = MonitorHub::new();
@@ -435,14 +466,11 @@ pub fn snap_fanout() -> GateReport {
             h = fold(h, &frame.try_to_bytes().expect("canonical frame bytes"));
         }
     }
-    GateReport {
-        id: "fanout".into(),
-        cells: vec![GateCell {
-            cell: format!("unicore_subs{SUBS}_batched"),
-            wall_us,
-            digest: hex(h),
-        }],
-    }
+    vec![GateCell {
+        cell: format!("unicore_subs{SUBS}_batched"),
+        wall_us,
+        digest: hex(h),
+    }]
 }
 
 /// The checkpoint codec over a demo-scale LBM field (32³): laying the
@@ -451,7 +479,7 @@ pub fn snap_fanout() -> GateReport {
 /// bytes (save), the encoded blob bytes (full/delta) and the restored
 /// field's distribution bits (restore) — all byte-stable for a fixed
 /// field, so any drift is a codec determinism break.
-pub fn snap_ckpt() -> GateReport {
+fn snap_ckpt() -> Vec<GateCell> {
     use gridsteer_ckpt::Snapshot;
     const ROUNDS: usize = 8;
     let mut sim = lbm::TwoFluidLbm::new(lbm::LbmConfig {
@@ -526,10 +554,7 @@ pub fn snap_ckpt() -> GateReport {
         wall_us,
         digest: hex(h),
     });
-    GateReport {
-        id: "ckpt".into(),
-        cells,
-    }
+    cells
 }
 
 /// The steering write path as `steer_storm` drives it, without the
@@ -540,14 +565,14 @@ pub fn snap_ckpt() -> GateReport {
 /// no commit record is built). A cell times the mean tick of the fastest
 /// of five batches. Each digest folds the final registry values, the
 /// notices drained and the session's event count — no timing.
-pub fn snap_steer() -> GateReport {
+fn snap_steer() -> Vec<GateCell> {
     use gridsteer_bus::{SteerCommand, SteerHub, Transport};
     use steer_core::{ParamSpec, SteeringSession};
     const PARAMS: [&str; 4] = ["beam_theta", "damping", "laser_a0", "theta"];
     const BATCHES: u64 = 16;
     const ROUNDS: u64 = 200;
     const TIMED: usize = 5;
-    let cells = [8usize, 0]
+    [8usize, 0]
         .into_iter()
         .map(|watchers| {
             let hub = SteerHub::new(PARAMS.map(|p| ParamSpec::f64(p, 0.0, 1.0, 0.5)).to_vec());
@@ -599,23 +624,7 @@ pub fn snap_steer() -> GateReport {
                 digest: hex(h),
             }
         })
-        .collect();
-    GateReport {
-        id: "steer".into(),
-        cells,
-    }
-}
-
-/// Run all six gated workloads, in [`GATE_IDS`] order.
-pub fn snapshot_all() -> Vec<GateReport> {
-    vec![
-        snap_lbm(),
-        snap_pool(),
-        snap_monitor(),
-        snap_fanout(),
-        snap_ckpt(),
-        snap_steer(),
-    ]
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -626,11 +635,11 @@ pub fn snapshot_all() -> Vec<GateReport> {
 /// in `baseline_dir`. Returns the list of violations (empty = gate
 /// passes). Missing files, missing cells, digest drift, and normalized
 /// wall regressions beyond [`MAX_REGRESSION`] are all violations.
-pub fn compare(baseline_dir: &std::path::Path, current_dir: &std::path::Path) -> Vec<String> {
+pub fn compare(baseline_dir: &Path, current_dir: &Path) -> Vec<String> {
     let mut violations = Vec::new();
     // (id, cell, baseline wall, current wall) for every matched pair
     let mut pairs: Vec<(String, String, f64, f64)> = Vec::new();
-    for id in GATE_IDS {
+    for id in GATES.iter().map(|g| g.id) {
         let base = match read_report(baseline_dir, id) {
             Ok(r) => r,
             Err(e) => {
@@ -785,6 +794,29 @@ mod tests {
             v.iter().any(|m| m.contains("current snapshot unreadable")),
             "{v:?}"
         );
+    }
+
+    #[test]
+    fn gate_ids_are_unique() {
+        let ids: std::collections::BTreeSet<&str> = GATES.iter().map(|g| g.id).collect();
+        assert_eq!(ids.len(), GATES.len());
+    }
+
+    /// Every row of the table has a committed baseline that parses, and
+    /// `baselines/` holds no file the table does not know.
+    #[test]
+    fn baselines_and_gate_table_match() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines");
+        for g in GATES {
+            assert_eq!(read_report(&dir, g.id).unwrap().id, g.id);
+        }
+        let mut committed: Vec<String> = (std::fs::read_dir(&dir).unwrap())
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        committed.sort();
+        let mut expected: Vec<String> = GATES.iter().map(|g| json_name(g.id)).collect();
+        expected.sort();
+        assert_eq!(committed, expected);
     }
 
     fn tempdir(tag: &str) -> std::path::PathBuf {

@@ -11,12 +11,15 @@
 //! `OP_BATCH` carries a sequence-numbered command batch applied
 //! atomically under one session lock (stale sequence numbers are
 //! refused), so TCP clients speak the same typed, batched surface as the
-//! in-process `gridsteer_bus` endpoints.
+//! in-process `gridsteer_bus` endpoints. The server keeps its own op
+//! stream rather than being a bus endpoint over [`visit::TcpLink`] because
+//! hello/welcome and pass-master are session operations the bus envelope
+//! (a command batch staged for the next commit) has no frame for.
 
 use crate::params::ParamValue;
 use crate::session::SteeringSession;
 use bytes::{Buf, BufMut, BytesMut};
-use gridsteer_bus::SteerCommand;
+use gridsteer_bus::{SteerCommand, SteerError};
 use parking_lot::Mutex;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,9 +39,27 @@ const OP_VALUE: u8 = 8;
 const OP_WELCOME: u8 = 9;
 const OP_BATCH: u8 = 10;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u16_le(s.len() as u16);
+/// Write a `u16`-length-prefixed string, refusing one the prefix cannot
+/// hold before any of it is written.
+fn put_str(buf: &mut BytesMut, s: &str) -> Result<(), String> {
+    let len = u16::try_from(s.len()).map_err(|_| {
+        let (len, max) = (s.len(), usize::from(u16::MAX));
+        SteerError::NameTooLong { len, max }.to_string()
+    })?;
+    buf.put_u16_le(len);
     buf.put_slice(s.as_bytes());
+    Ok(())
+}
+
+/// A server reply's text: whatever [`put_str`] would refuse is cut at the
+/// last char boundary the prefix can hold (an error text may quote a
+/// client's 65,535-byte name back at it).
+fn put_text(buf: &mut BytesMut, s: &str) {
+    let mut end = s.len().min(usize::from(u16::MAX));
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    put_str(buf, &s[..end]).expect("cut to fit the prefix");
 }
 
 fn get_str(buf: &mut &[u8]) -> Option<String> {
@@ -167,7 +188,7 @@ fn serve_client(
                 my_name = Some(name.clone());
                 reply.put_u8(OP_WELCOME);
                 reply.put_u8(u8::from(is_master));
-                put_str(&mut reply, &name);
+                put_text(&mut reply, &name);
             }
             Some(OP_SET) => {
                 let (Some(name), Some(value)) =
@@ -188,7 +209,7 @@ fn serve_client(
                     Ok(()) => reply.put_u8(OP_OK),
                     Err(e) => {
                         reply.put_u8(OP_ERR);
-                        put_str(&mut reply, &e);
+                        put_text(&mut reply, &e);
                     }
                 }
             }
@@ -216,10 +237,10 @@ fn serve_client(
                 if count == 0 {
                     // match the bus's EmptyBatch semantics
                     reply.put_u8(OP_ERR);
-                    put_str(&mut reply, "empty batch");
+                    put_text(&mut reply, "empty batch");
                 } else if seq <= last_batch_seq {
                     reply.put_u8(OP_ERR);
-                    put_str(&mut reply, &format!("stale batch seq {seq}"));
+                    put_text(&mut reply, &format!("stale batch seq {seq}"));
                 } else {
                     last_batch_seq = seq;
                     let who = my_name.clone().unwrap_or_default();
@@ -235,7 +256,7 @@ fn serve_client(
                         }
                         Err(e) => {
                             reply.put_u8(OP_ERR);
-                            put_str(&mut reply, &e);
+                            put_text(&mut reply, &e);
                         }
                     }
                 }
@@ -252,7 +273,7 @@ fn serve_client(
                     }
                     None => {
                         reply.put_u8(OP_ERR);
-                        put_str(&mut reply, &format!("unknown parameter: {name}"));
+                        put_text(&mut reply, &format!("unknown parameter: {name}"));
                     }
                 }
             }
@@ -270,7 +291,7 @@ fn serve_client(
                     reply.put_u8(OP_OK);
                 } else {
                     reply.put_u8(OP_ERR);
-                    put_str(&mut reply, "pass refused");
+                    put_text(&mut reply, "pass refused");
                 }
             }
             _ => break Err(LinkError::Io("unknown op".into())),
@@ -303,10 +324,10 @@ pub struct ClientHandle {
 impl ClientHandle {
     /// Connect and join with the requested name.
     pub fn connect(addr: &str, name: &str) -> Result<ClientHandle, LinkError> {
-        let mut link = TcpLink::connect(addr, Duration::from_secs(2))?;
         let mut req = BytesMut::new();
         req.put_u8(OP_HELLO);
-        put_str(&mut req, name);
+        put_str(&mut req, name).map_err(LinkError::Io)?;
+        let mut link = TcpLink::connect(addr, Duration::from_secs(2))?;
         link.send(&req)?;
         let reply = link.recv_timeout(Duration::from_secs(2))?;
         let mut body: &[u8] = &reply;
@@ -333,7 +354,7 @@ impl ClientHandle {
     pub fn set_value(&mut self, param: &str, value: &ParamValue) -> Result<(), String> {
         let mut req = BytesMut::new();
         req.put_u8(OP_SET);
-        put_str(&mut req, param);
+        put_str(&mut req, param)?;
         value.encode_bytes(&mut req);
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
         let mut body: &[u8] = &reply;
@@ -355,17 +376,13 @@ impl ClientHandle {
         if commands.is_empty() {
             return Err("empty batch".into());
         }
-        if commands.len() > u16::MAX as usize {
-            return Err(format!(
-                "batch of {} exceeds wire limit 65535",
-                commands.len()
-            ));
-        }
+        let count = u16::try_from(commands.len())
+            .map_err(|_| format!("batch of {} exceeds wire limit 65535", commands.len()))?;
         self.next_batch_seq += 1;
         let mut req = BytesMut::new();
         req.put_u8(OP_BATCH);
         req.put_u64_le(self.next_batch_seq);
-        req.put_u16_le(commands.len() as u16);
+        req.put_u16_le(count);
         for cmd in commands {
             cmd.encode_bytes(&mut req).map_err(|e| e.to_string())?;
         }
@@ -382,7 +399,7 @@ impl ClientHandle {
     pub fn get_value(&mut self, param: &str) -> Result<ParamValue, String> {
         let mut req = BytesMut::new();
         req.put_u8(OP_GET);
-        put_str(&mut req, param);
+        put_str(&mut req, param)?;
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
         let mut body: &[u8] = &reply;
         match body.get_u8() {
@@ -403,7 +420,7 @@ impl ClientHandle {
     pub fn pass_master(&mut self, to: &str) -> Result<(), String> {
         let mut req = BytesMut::new();
         req.put_u8(OP_PASS);
-        put_str(&mut req, to);
+        put_str(&mut req, to)?;
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
         let mut body: &[u8] = &reply;
         match body.get_u8() {
@@ -502,6 +519,34 @@ mod tests {
         let mut a = ClientHandle::connect(&addr, "x").unwrap();
         assert!(a.get("ghost").is_err());
         assert!(a.set("miscibility", 4.0).unwrap_err().contains("outside"));
+    }
+
+    #[test]
+    fn oversize_strings_are_refused_client_side_and_the_connection_survives() {
+        let srv = server();
+        let addr = srv.addr().to_string();
+        let mut a = ClientHandle::connect(&addr, "alice").unwrap();
+        let _b = ClientHandle::connect(&addr, "bob").unwrap();
+        let long = "n".repeat(usize::from(u16::MAX) + 1);
+        let refusal = "parameter name of 65536 bytes exceeds wire limit 65535";
+        assert_eq!(
+            a.set_value(&long, &ParamValue::F64(0.5)),
+            Err(refusal.into())
+        );
+        assert_eq!(a.get("miscibility"), Ok(1.0));
+        assert_eq!(a.get_value(&long), Err(refusal.into()));
+        assert_eq!(a.get("miscibility"), Ok(1.0));
+        assert_eq!(a.pass_master(&long), Err(refusal.into()));
+        assert_eq!(a.get("miscibility"), Ok(1.0));
+        assert!(ClientHandle::connect(&addr, &long).is_err());
+        // the server's error text quotes the longest name that fits after
+        // a 19-byte prefix: cut below the limit at a char boundary, not
+        // wrapped to 18 bytes
+        let fits = "n".to_string() + &"é".repeat(usize::from(u16::MAX) / 2);
+        let reply = a.get_value(&fits).unwrap_err();
+        assert!(reply.starts_with("unknown parameter: néé"));
+        assert_eq!(reply.len(), usize::from(u16::MAX) - 1);
+        assert_eq!(a.get("miscibility"), Ok(1.0));
     }
 
     #[test]

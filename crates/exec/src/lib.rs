@@ -31,7 +31,7 @@
 //! ## Pool sharing
 //!
 //! [`shared`] hands out process-wide pools keyed by thread count, so every
-//! simulation, scenario run and `exp_*` binary that asks for the same
+//! simulation, scenario run and experiment that asks for the same
 //! parallelism reuses one set of persistent workers instead of re-spawning.
 //! [`global`] is the default-sized shared pool.
 

@@ -25,7 +25,7 @@
 //! the same invariant still fails, and [`corpus`] serializes the survivor
 //! to a human-readable `.scen` file under `crates/fuzz/corpus/` — replayed
 //! forever by `tests/fuzz_regressions.rs`. The soak driver lives in
-//! `gridsteer_bench::exp_fuzz_soak` (`exp_fuzz_soak` binary).
+//! `gridsteer_bench::experiments::exp_fuzz_soak` (`gridsteer_bench exp fuzz`).
 //!
 //! Everything here is seeded: same seed + same [`FuzzConfig`] ⇒ the same
 //! scenario, byte for byte. No wall clocks, no ambient entropy.

