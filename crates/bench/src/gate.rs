@@ -23,9 +23,10 @@
 //! the exec-pool chunk kernel, the monitor publish path, the payload
 //! build alone and one delivery through each middleware adapter, hub
 //! fan-out over encoding subscribers, the checkpoint codec (section
-//! save, full encode, delta encode, decode + restore), and
+//! save, full encode, delta encode, decode + restore),
 //! the steering commit (64 commands through a session, watched by eight
-//! subscribers and by none).
+//! subscribers and by none), and the Figure-1 frame (raster, delta encode
+//! and delta decode of `viz_fanout`'s scene).
 
 use crate::{fnv_fold as fold, FNV_OFFSET};
 use gridsteer_bus::{
@@ -93,6 +94,10 @@ pub const GATES: &[Gate] = &[
     Gate {
         id: "steer",
         cells: snap_steer,
+    },
+    Gate {
+        id: "viz",
+        cells: snap_viz,
     },
 ];
 
@@ -627,6 +632,139 @@ fn snap_steer() -> Vec<GateCell> {
         .collect()
 }
 
+/// The side of `viz_fanout`'s square render target.
+const VIZ_SIZE: usize = 256;
+
+/// One `viz_fanout` frame of `mesh` (an isosurface of its 16³ lattice):
+/// the workload's camera outside a corner, its clear and surface colours,
+/// a fresh rasterizer as the loop makes one per frame.
+fn viz_fanout_frame(pool: &gridsteer_exec::ExecPool, mesh: &viz::TriMesh) -> viz::Framebuffer {
+    use viz::{Camera, Rasterizer, Vec3};
+    let n = 16.0;
+    let cam = Camera::look_at(
+        Vec3::new(2.2 * n, 1.7 * n, -1.4 * n),
+        Vec3::new(0.5 * n, 0.5 * n, 0.5 * n),
+    );
+    let mut r = Rasterizer::new(VIZ_SIZE, VIZ_SIZE);
+    r.clear([10, 10, 30, 255]);
+    r.draw_mesh_with(pool, &cam, mesh, [90, 170, 230, 255]);
+    r.into_framebuffer()
+}
+
+/// The Figure-1 branch as loopbench's `viz_fanout` runs it, on a one-wide
+/// pool as loopbench does: LBM 16³ (seed 2003, 400 steps at miscibility 0
+/// — the workload's preroll), its φ = 0 isosurface (3 600 triangles)
+/// rendered from the workload's camera into 256² (`raster_16c_3600t`:
+/// rasterizer, clear and draw, as the `viz.raster` span times them), then
+/// the delta stream of that scene — the frames of the next `STREAM` steps
+/// at miscibility 0.2, the middle of the steered range — encoded after a
+/// keyframe (`encode_delta_256`) and decoded in order
+/// (`decode_delta_256`), one delta frame per unit. A cell is the mean of
+/// the fastest of five batches. Digests fold the rendered framebuffer,
+/// the stream's payload bytes and the decoded framebuffers.
+fn snap_viz() -> Vec<GateCell> {
+    use viz::{DeltaRleCodec, Framebuffer};
+    const STREAM: usize = 16;
+    const ROUNDS: usize = 20;
+    const BATCHES: usize = 5;
+    let pool = gridsteer_exec::shared(1);
+    let mut sim = lbm::TwoFluidLbm::new(lbm::LbmConfig {
+        nx: 16,
+        ny: 16,
+        nz: 16,
+        seed: 2003,
+        threads: 1,
+        ..Default::default()
+    });
+    sim.set_miscibility(0.0);
+    sim.step_n(400);
+    let surface =
+        |sim: &lbm::TwoFluidLbm| viz::mc::isosurface_with(&pool, &sim.order_parameter(), 0.0);
+    let draw = |mesh: &viz::TriMesh| viz_fanout_frame(&pool, mesh);
+    // the fastest of five batches, in µs per unit; `batch` returns seconds
+    let fastest = |units: usize, batch: &mut dyn FnMut() -> f64| {
+        (0..BATCHES)
+            .map(|_| batch() * 1e6 / units as f64)
+            .fold(f64::INFINITY, f64::min)
+    };
+
+    let mesh = surface(&sim);
+    assert_eq!(mesh.tri_count(), 3600, "viz_fanout's scene changed");
+    let frame = draw(&mesh); // warm-up
+    let raster_us = fastest(ROUNDS, &mut || {
+        let t0 = Instant::now();
+        for _ in 0..ROUNDS {
+            std::hint::black_box(draw(&mesh));
+        }
+        t0.elapsed().as_secs_f64()
+    });
+
+    sim.set_miscibility(0.2);
+    let mut frames: Vec<Framebuffer> = vec![frame];
+    for _ in 0..STREAM {
+        sim.step_n(1);
+        frames.push(draw(&surface(&sim)));
+    }
+    // one pass over the stream: a keyframe, untimed, then every delta
+    let encode_pass = || {
+        let mut codec = DeltaRleCodec::new();
+        let mut stream = vec![codec.encode_with(&pool, &frames[0])];
+        let mut secs = 0.0;
+        for fb in &frames[1..] {
+            let t0 = Instant::now();
+            stream.push(codec.encode_with(&pool, fb));
+            secs += t0.elapsed().as_secs_f64();
+        }
+        (secs, stream)
+    };
+    let (_, stream) = encode_pass(); // warm-up
+    assert!(stream[0].keyframe && stream[1..].iter().all(|f| !f.keyframe));
+    let encode_us = fastest(STREAM, &mut || encode_pass().0);
+    let decode_pass = || {
+        let mut codec = DeltaRleCodec::new();
+        codec
+            .decode(&stream[0], VIZ_SIZE, VIZ_SIZE)
+            .expect("keyframe decodes");
+        let mut secs = 0.0;
+        let mut decoded = Vec::with_capacity(STREAM);
+        for f in &stream[1..] {
+            let t0 = Instant::now();
+            let fb = codec.decode(f, VIZ_SIZE, VIZ_SIZE);
+            secs += t0.elapsed().as_secs_f64();
+            decoded.push(fb.expect("in-order delta decodes"));
+        }
+        (secs, decoded)
+    };
+    let (_, decoded) = decode_pass(); // warm-up
+    assert!(
+        decoded == frames[1..],
+        "the delta stream decodes to the rendered frames"
+    );
+    let decode_us = fastest(STREAM, &mut || decode_pass().0);
+
+    let payloads = stream.iter().map(|f| f.payload.as_slice());
+    vec![
+        GateCell {
+            cell: "raster_16c_3600t".into(),
+            wall_us: raster_us,
+            digest: hex(fold(FNV_OFFSET, frames[0].bytes())),
+        },
+        GateCell {
+            cell: "encode_delta_256".into(),
+            wall_us: encode_us,
+            digest: hex(payloads.fold(FNV_OFFSET, fold)),
+        },
+        GateCell {
+            cell: "decode_delta_256".into(),
+            wall_us: decode_us,
+            digest: hex(decoded
+                .iter()
+                .map(Framebuffer::bytes)
+                .fold(FNV_OFFSET, fold)),
+        },
+    ]
+}
+
 // ---------------------------------------------------------------------------
 // comparison
 // ---------------------------------------------------------------------------
@@ -717,6 +855,7 @@ mod tests {
             report("fanout", &[("f", 60.0, "d6")]),
             report("ckpt", &[("g", 25.0, "d7")]),
             report("steer", &[("h", 10.0, "d8")]),
+            report("viz", &[("i", 90.0, "d9")]),
         ];
         for r in &mut reports {
             for cell in &mut r.cells {
@@ -768,6 +907,8 @@ mod tests {
         write_report(&cur, &r).unwrap();
         r = report("steer", &[("h", 10.0, "d8")]);
         write_report(&cur, &r).unwrap();
+        r = report("viz", &[("i", 90.0, "d9")]);
+        write_report(&cur, &r).unwrap();
         let v = compare(&base, &cur);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("digest drift"), "{}", v[0]);
@@ -788,6 +929,7 @@ mod tests {
         write_report(&cur, &report("monitor", &[("d", 30.0, "d4")])).unwrap();
         write_report(&cur, &report("ckpt", &[("g", 25.0, "d7")])).unwrap();
         write_report(&cur, &report("steer", &[("h", 10.0, "d8")])).unwrap();
+        write_report(&cur, &report("viz", &[("i", 90.0, "d9")])).unwrap();
         let v = compare(&base, &cur);
         assert!(v.iter().any(|m| m.contains("cell e missing")), "{v:?}");
         assert!(
@@ -817,6 +959,32 @@ mod tests {
         let mut expected: Vec<String> = GATES.iter().map(|g| json_name(g.id)).collect();
         expected.sort();
         assert_eq!(committed, expected);
+    }
+
+    /// The φ fixture `viz`'s reference-fill tests render is the field
+    /// behind the gated `raster_16c_3600t` frame: rendered the way the gate
+    /// renders it, it folds to the committed digest, which the gate itself
+    /// recomputes from the LBM on every run.
+    #[test]
+    fn the_viz_raster_fixture_is_the_gated_scene() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let bytes =
+            std::fs::read(root.join("crates/viz/tests/fixtures/phi_16c_seed2003_400steps.f32"))
+                .unwrap();
+        let phi = bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect();
+        let pool = gridsteer_exec::shared(1);
+        let mesh = viz::mc::isosurface_with(&pool, &viz::Field3::from_vec(16, 16, 16, phi), 0.0);
+        let frame = viz_fanout_frame(&pool, &mesh);
+        let committed = read_report(&root.join("baselines"), "viz").unwrap();
+        let cell = committed
+            .cells
+            .iter()
+            .find(|c| c.cell == "raster_16c_3600t")
+            .unwrap();
+        assert_eq!(hex(fold(FNV_OFFSET, frame.bytes())), cell.digest);
     }
 
     fn tempdir(tag: &str) -> std::path::PathBuf {

@@ -18,7 +18,17 @@
 //! are identical at any parallelism — and frames smaller than one band
 //! (including the committed golden fixture) encode exactly as the serial
 //! codec did. A run crossing a band boundary is emitted as two pairs,
-//! which [`rle_decode`] reassembles transparently.
+//! which [`rle_decode`] reassembles transparently. The delta is never
+//! built: the run scan reads `frame ^ previous` as it goes, and the
+//! encoder's copy of the previous frame is refreshed in place.
+//!
+//! [`DeltaRleCodec::decode`] costs the runs it applies. It first checks
+//! the whole run list against the frame size — even length, no zero
+//! count, runs covering exactly `w×h×4` bytes — reading only the counts,
+//! so a malformed or hostile payload is refused before anything is
+//! reserved or written and the decoder's history is left as it was. A
+//! delta's runs are then XORed into the history in place (runs of zero,
+//! most of a delta, are skipped), and the caller gets one copy of it.
 
 use crate::framebuffer::Framebuffer;
 
@@ -69,11 +79,61 @@ impl EncodedFrame {
 /// [`lanes::backend`]; both produce exactly the same run lengths, so the
 /// wire bytes are identical on either backend.
 pub fn rle_encode(data: &[u8]) -> Vec<u8> {
+    rle_encode_src(data)
+}
+
+/// A byte sequence the run scan reads: a plain slice, or the XOR of two
+/// equal-length slices — a delta frame, scanned without being built.
+trait RunSource {
+    fn len(&self) -> usize;
+    fn byte(&self, i: usize) -> u8;
+    /// The eight bytes from `j`, loaded little-endian (so byte order
+    /// matches memory order).
+    fn word(&self, j: usize) -> u64;
+}
+
+impl RunSource for [u8] {
+    fn len(&self) -> usize {
+        <[u8]>::len(self)
+    }
+
+    #[inline(always)]
+    fn byte(&self, i: usize) -> u8 {
+        self[i]
+    }
+
+    #[inline(always)]
+    fn word(&self, j: usize) -> u64 {
+        u64::from_le_bytes(self[j..j + 8].try_into().expect("an eight-byte slice"))
+    }
+}
+
+/// `frame ^ previous`, byte by byte, read where it is needed.
+struct Xor<'a>(&'a [u8], &'a [u8]);
+
+impl RunSource for Xor<'_> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    #[inline(always)]
+    fn byte(&self, i: usize) -> u8 {
+        self.0[i] ^ self.1[i]
+    }
+
+    #[inline(always)]
+    fn word(&self, j: usize) -> u64 {
+        self.0.word(j) ^ self.1.word(j)
+    }
+}
+
+/// [`rle_encode`] of whatever `data` reads as.
+fn rle_encode_src<S: RunSource + ?Sized>(data: &S) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 4 + 16);
     let swar = lanes::simd_enabled();
     let mut i = 0;
     while i < data.len() {
-        let b = data[i];
+        let b = data.byte(i);
         let run = if swar {
             run_len_swar(data, i, b)
         } else {
@@ -89,9 +149,9 @@ pub fn rle_encode(data: &[u8]) -> Vec<u8> {
 /// Reference run scan: length of the run of `b` starting at `data[i]`,
 /// capped at 255.
 #[inline(always)]
-fn run_len_scalar(data: &[u8], i: usize, b: u8) -> usize {
+fn run_len_scalar<S: RunSource + ?Sized>(data: &S, i: usize, b: u8) -> usize {
     let mut run = 1usize;
-    while run < 255 && i + run < data.len() && data[i + run] == b {
+    while run < 255 && i + run < data.len() && data.byte(i + run) == b {
         run += 1;
     }
     run
@@ -103,26 +163,28 @@ fn run_len_scalar(data: &[u8], i: usize, b: u8) -> usize {
 /// order). Returns exactly [`run_len_scalar`]'s answer — this changes scan
 /// speed, never the emitted pairs.
 #[inline(always)]
-fn run_len_swar(data: &[u8], i: usize, b: u8) -> usize {
+fn run_len_swar<S: RunSource + ?Sized>(data: &S, i: usize, b: u8) -> usize {
     const W: usize = 8;
     let limit = data.len().min(i + 255);
     let splat = (b as u64) * 0x0101_0101_0101_0101;
     let mut j = i + 1;
     while j + W <= limit {
-        let word = u64::from_le_bytes(data[j..j + W].try_into().unwrap());
-        let diff = word ^ splat;
+        let diff = data.word(j) ^ splat;
         if diff != 0 {
             return j - i + diff.trailing_zeros() as usize / 8;
         }
         j += W;
     }
-    while j < limit && data[j] == b {
+    while j < limit && data.byte(j) == b {
         j += 1;
     }
     j - i
 }
 
-/// Inverse of [`rle_encode`]. Returns `None` on malformed input.
+/// Inverse of [`rle_encode`]. Returns `None` on malformed input. The
+/// reference expansion, bounded by nothing but its input (up to 255 bytes
+/// per pair); [`DeltaRleCodec::decode`] checks a frame's runs against the
+/// frame size before expanding them.
 pub fn rle_decode(data: &[u8]) -> Option<Vec<u8>> {
     if !data.len().is_multiple_of(2) {
         return None;
@@ -183,69 +245,88 @@ impl DeltaRleCodec {
         self.frame_count += 1;
         let bl = band_len(fb.width());
         let bands = raw.len().div_ceil(bl);
-        match (&self.prev, force_key) {
-            (Some(prev), false) if prev.len() == raw.len() => {
-                let encoded = pool.map(bands, |i| {
-                    let lo = i * bl;
-                    let hi = (lo + bl).min(raw.len());
-                    let delta: Vec<u8> = raw[lo..hi]
-                        .iter()
-                        .zip(&prev[lo..hi])
-                        .map(|(a, b)| a ^ b)
-                        .collect();
-                    rle_encode(&delta)
-                });
-                let payload = encoded.concat(); // ordered band concatenation
-                self.prev = Some(raw.to_vec());
-                EncodedFrame {
-                    keyframe: false,
-                    payload,
-                    raw_size: raw.len(),
-                }
-            }
-            _ => {
-                let encoded = pool.map(bands, |i| {
-                    let lo = i * bl;
-                    rle_encode(&raw[lo..(lo + bl).min(raw.len())])
-                });
-                let payload = encoded.concat();
-                self.prev = Some(raw.to_vec());
-                EncodedFrame {
-                    keyframe: true,
-                    payload,
-                    raw_size: raw.len(),
-                }
-            }
+        let band = |i: usize| i * bl..((i + 1) * bl).min(raw.len());
+        let delta_base = self.prev.as_deref().filter(|prev| prev.len() == raw.len());
+        let (keyframe, encoded) = match delta_base {
+            Some(prev) if !force_key => (
+                false,
+                pool.map(bands, |i| {
+                    rle_encode_src(&Xor(&raw[band(i)], &prev[band(i)]))
+                }),
+            ),
+            _ => (true, pool.map(bands, |i| rle_encode(&raw[band(i)]))),
+        };
+        match &mut self.prev {
+            Some(prev) if prev.len() == raw.len() => prev.copy_from_slice(raw),
+            prev => *prev = Some(raw.to_vec()),
+        }
+        EncodedFrame {
+            keyframe,
+            payload: encoded.concat(), // ordered band concatenation
+            raw_size: raw.len(),
         }
     }
 
     /// Decode into a framebuffer of the given dimensions. Returns `None` if
     /// the payload is malformed, sizes mismatch, or a delta frame arrives
-    /// without history.
+    /// without history; the history is then left as it was.
     pub fn decode(
         &mut self,
         frame: &EncodedFrame,
         width: usize,
         height: usize,
     ) -> Option<Framebuffer> {
-        let body = rle_decode(&frame.payload)?;
-        if body.len() != width * height * 4 {
+        let len = width.checked_mul(height)?.checked_mul(4)?;
+        if !runs_cover(&frame.payload, len) {
             return None;
         }
-        let raw = if frame.keyframe {
-            body
-        } else {
-            let prev = self.prev.as_ref()?;
-            if prev.len() != body.len() {
-                return None;
+        let runs = frame
+            .payload
+            .chunks_exact(2)
+            .map(|p| (usize::from(p[0]), p[1]));
+        let history = if frame.keyframe {
+            let history = self.prev.get_or_insert_with(Vec::new);
+            history.clear();
+            history.reserve_exact(len);
+            for (count, b) in runs {
+                history.extend(std::iter::repeat_n(b, count));
             }
-            body.iter().zip(prev.iter()).map(|(d, p)| d ^ p).collect()
+            history
+        } else {
+            let history = self.prev.as_mut().filter(|prev| prev.len() == len)?;
+            let mut at = 0;
+            for (count, b) in runs {
+                if b != 0 {
+                    for p in &mut history[at..at + count] {
+                        *p ^= b;
+                    }
+                }
+                at += count;
+            }
+            history
         };
-        self.prev = Some(raw.clone());
-        let mut fb = Framebuffer::new(width, height);
-        fb.bytes_mut().copy_from_slice(&raw);
-        Some(fb)
+        Some(Framebuffer::from_pixels(width, height, history.clone()))
     }
+}
+
+/// Whether `payload` is a well-formed run list — `(count, byte)` pairs,
+/// no count zero — expanding to exactly `len` bytes. Reads the counts
+/// only and stops at the first run past `len`.
+fn runs_cover(payload: &[u8], len: usize) -> bool {
+    if !payload.len().is_multiple_of(2) {
+        return false;
+    }
+    let mut total = 0usize;
+    for pair in payload.chunks_exact(2) {
+        if pair[0] == 0 {
+            return false;
+        }
+        total += usize::from(pair[0]);
+        if total > len {
+            return false;
+        }
+    }
+    total == len
 }
 
 #[cfg(test)]
@@ -268,8 +349,8 @@ mod props {
             let start = start % data.len();
             let b = data[start];
             prop_assert_eq!(
-                run_len_swar(&data, start, b),
-                run_len_scalar(&data, start, b)
+                run_len_swar(&data[..], start, b),
+                run_len_scalar(&data[..], start, b)
             );
         }
 
@@ -401,7 +482,7 @@ mod tests {
             v.extend(vec![7u8; 3]);
             cases.push(v);
         }
-        for data in &cases {
+        for data in cases.iter().map(Vec::as_slice) {
             let mut i = 0;
             while i < data.len() {
                 let b = data[i];
@@ -501,6 +582,43 @@ mod tests {
         let fb = Framebuffer::new(4, 4);
         let kinds: Vec<bool> = (0..7).map(|_| enc.encode(&fb).keyframe).collect();
         assert_eq!(kinds, vec![true, false, false, true, false, false, true]);
+    }
+
+    #[test]
+    fn malformed_frames_are_refused_and_leave_the_history_alone() {
+        let (w, h) = (16, 8);
+        let len = w * h * 4;
+        let mut enc = DeltaRleCodec::new();
+        let mut dec = DeltaRleCodec::new();
+        let mut fb = Framebuffer::new(w, h);
+        fb.set(1, 1, [9, 8, 7, 255]);
+        assert_eq!(dec.decode(&enc.encode(&fb), w, h).unwrap(), fb);
+        // a well-formed delta that would flip every byte, then broken: were
+        // any of it applied before the refusal, the history would show it
+        let flip = rle_encode(&vec![0x5a; len]);
+        let with = |tail: &[u8]| [&flip[..], tail].concat();
+        let malformed = [
+            with(&[1]),                        // odd length
+            with(&[0, 0x5a]),                  // a zero count
+            with(&[1, 0x5a]),                  // runs past w×h×4
+            flip[..flip.len() - 2].to_vec(),   // runs short of it
+            [255, 0x5a].repeat(len / 255 + 2), // far past it
+            Vec::new(),                        // no runs at all
+        ];
+        for (k, payload) in malformed.into_iter().enumerate() {
+            for keyframe in [false, true] {
+                let frame = EncodedFrame {
+                    keyframe,
+                    payload: payload.clone(),
+                    raw_size: len,
+                };
+                assert!(dec.decode(&frame, w, h).is_none(), "case {k}");
+            }
+            fb.set(k, 2, [k as u8, 1, 2, 255]);
+            let next = enc.encode(&fb);
+            assert!(!next.keyframe);
+            assert_eq!(dec.decode(&next, w, h).unwrap(), fb, "after case {k}");
+        }
     }
 
     #[test]

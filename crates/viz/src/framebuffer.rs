@@ -18,10 +18,12 @@ pub struct Framebuffer {
 impl Framebuffer {
     /// A black, opaque framebuffer.
     pub fn new(width: usize, height: usize) -> Self {
-        let mut pixels = vec![0u8; width * height * 4];
-        for p in pixels.chunks_exact_mut(4) {
-            p[3] = 255;
-        }
+        Framebuffer::from_pixels(width, height, [0, 0, 0, 255].repeat(width * height))
+    }
+
+    /// Wrap `width × height` RGBA bytes, row-major.
+    pub(crate) fn from_pixels(width: usize, height: usize, pixels: Vec<u8>) -> Self {
+        debug_assert_eq!(pixels.len(), width * height * 4);
         Framebuffer {
             width,
             height,
