@@ -4,16 +4,18 @@ use crate::{fnv_fold, FNV_OFFSET};
 use covise::{
     CollabSession, Controller, CutPlane, IsoSurface, ModuleId, ReadField, Renderer, SyncMode,
 };
-use gridsteer_bus::{ParamSpec as BusParamSpec, SteerCommand, SteerHub, Transport};
+use gridsteer_bus::{
+    BusSteeringService, ParamSpec as BusParamSpec, SteerCommand, SteerHub, Transport,
+};
 use gridsteer_harness::Scenario;
 use lbm::{LbmConfig, TwoFluidLbm};
 use netsim::{Link, NetModel, SimTime};
-use ogsa::{HostingEnv, Registry, SdeValue, SteeringService, VisControl, VisService};
+use ogsa::{HostingEnv, Registry, SdeValue, VisControl, VisService};
 use pepc::{direct_forces, Octree, PepcConfig, PepcSim, TreeConfig};
 use serde::Serialize;
 use std::path::Path;
 use std::time::{Duration, Instant};
-use steer_core::{LbmSteerAdapter, LoopBudget, Migrator};
+use steer_core::{LoopBudget, Migrator, SteerTarget};
 use visit::link::FrameLink;
 use visit::{Frame, MemLink, MsgKind, Password, SteeringClient, VBroker, VisitValue};
 use viz::codec::DeltaRleCodec;
@@ -189,18 +191,18 @@ pub fn exp_f1_realitygrid() -> Vec<String> {
     rows
 }
 
-/// F2 — OGSA steering service: discover, bind, steer both services.
+/// F2 — the Figure-2 flow: a bus steering service and a visualization
+/// service published in one registry, discovered by port type, bound and
+/// steered; the staged steers land in the live LBM at a step boundary.
 pub fn exp_f2_ogsa_service() -> Vec<String> {
-    let sim = std::sync::Arc::new(parking_lot_mutex(TwoFluidLbm::new(LbmConfig::small())));
-    let vis_state = std::sync::Arc::new(parking_lot_mutex(VisControl::default()));
+    let mut sim = TwoFluidLbm::new(LbmConfig::small());
+    let hub = SteerHub::new(TwoFluidLbm::specs());
+    let vis_state = std::sync::Arc::new(parking_lot::Mutex::new(VisControl::default()));
     let mut env = HostingEnv::new();
     let reg = env.host("registry", Box::new(Registry::new()), None);
     let steer = env.host(
         "steer",
-        Box::new(SteeringService::new(
-            "lbm",
-            std::sync::Arc::new(parking_lot_mutex(LbmSteerAdapter::new(sim.clone()))) as _,
-        )),
+        Box::new(BusSteeringService::new(&hub, "client")),
         Some(600),
     );
     let viss = env.host(
@@ -209,7 +211,7 @@ pub fn exp_f2_ogsa_service() -> Vec<String> {
         Some(600),
     );
     for (h, t) in [
-        (&steer, SteeringService::PORT_TYPE),
+        (&steer, BusSteeringService::PORT_TYPE),
         (&viss, VisService::PORT_TYPE),
     ] {
         env.invoke(
@@ -229,7 +231,7 @@ pub fn exp_f2_ogsa_service() -> Vec<String> {
         .invoke(
             &reg,
             "discover",
-            &[SdeValue::Str(SteeringService::PORT_TYPE.into())],
+            &[SdeValue::Str(BusSteeringService::PORT_TYPE.into())],
         )
         .unwrap();
     let handle = found.first().unwrap().as_list().unwrap()[0].clone();
@@ -241,25 +243,37 @@ pub fn exp_f2_ogsa_service() -> Vec<String> {
     for k in 0..100 {
         env.invoke(
             &handle,
-            "setParam",
+            "setBatch",
             &[
                 SdeValue::Str("miscibility".into()),
+                SdeValue::Str("f64".into()),
                 SdeValue::F64((k % 10) as f64 / 10.0),
             ],
         )
         .unwrap();
     }
     rows.push(format!(
-        "100 setParam invocations: {:?} total ({:?}/op)",
+        "100 setBatch invocations: {:?} total ({:?}/op)",
         t0.elapsed(),
         t0.elapsed() / 100
     ));
+    // the step boundary: the staged batches commit in staging order
+    // through the registry's bounds and into the live simulation
+    let registry = hub.registry();
+    let committed = hub.commit_with(|_, cmd| {
+        let applied = registry.set_value(&cmd.param, &cmd.value)?;
+        sim.write(&cmd.param, &applied)?;
+        Ok(applied)
+    });
+    sim.step();
     env.invoke(&viss, "setIsovalue", &[SdeValue::F64(0.25)])
         .unwrap();
     rows.push(format!(
-        "vis service steered: isovalue={}, sim steered: miscibility={}",
+        "vis service steered: isovalue={}, sim steered: miscibility={} ({} commands committed before step {})",
         vis_state.lock().isovalue,
-        sim.lock().miscibility()
+        sim.miscibility(),
+        committed.applied,
+        sim.steps()
     ));
     // soft state: unextended services die
     let dead = env.sweep(601);
@@ -268,10 +282,6 @@ pub fn exp_f2_ogsa_service() -> Vec<String> {
         dead.len()
     ));
     rows
-}
-
-fn parking_lot_mutex<T>(v: T) -> parking_lot::Mutex<T> {
-    parking_lot::Mutex::new(v)
 }
 
 /// F3 — PEPC shipped through VISIT: frames, bytes, beam steering effect.
@@ -711,7 +721,7 @@ pub fn exp_eu1_unicore() -> Vec<String> {
     trust.trust(&ca);
     let mut gw = Gateway::new("gw", trust);
     gw.add_vsite(Njs::new("csar", Tsi::with_builtins()));
-    let gw = std::sync::Arc::new(parking_lot_mutex(gw));
+    let gw = std::sync::Arc::new(parking_lot::Mutex::new(gw));
     let mut rows = Vec::new();
     for clients in [1usize, 8, 32, 64] {
         let t0 = Instant::now();

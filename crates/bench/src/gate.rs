@@ -155,15 +155,10 @@ fn snap_lbm() -> Vec<GateCell> {
             let t0 = Instant::now();
             sim.step_n(STEPS);
             let wall_us = t0.elapsed().as_secs_f64() * 1e6 / STEPS as f64;
-            let ck = sim.checkpoint();
-            let mut h = FNV_OFFSET;
-            for v in ck.fa.iter().chain(ck.fb.iter()) {
-                h = fold(h, &v.to_bits().to_le_bytes());
-            }
             cells.push(GateCell {
                 cell: format!("collide_stream_t{threads}_{}", backend.label()),
                 wall_us,
-                digest: hex(h),
+                digest: hex(lbm_state_digest(&sim)),
             });
         }
     }
@@ -173,6 +168,18 @@ fn snap_lbm() -> Vec<GateCell> {
         "LBM digests diverged across the thread × backend matrix: {cells:?}"
     );
     cells
+}
+
+/// FNV-1a 64 over the solver's `lbm/fa` + `lbm/fb` checkpoint sections:
+/// the bits of every distribution, component A then B.
+fn lbm_state_digest(sim: &lbm::TwoFluidLbm) -> u64 {
+    let mut snap = gridsteer_ckpt::Snapshot::new(0, 0);
+    sim.save_sections(&mut snap);
+    [lbm::SEC_LBM_FA, lbm::SEC_LBM_FB]
+        .iter()
+        .fold(FNV_OFFSET, |h, name| {
+            fold(h, snap.section(name).expect("saved by save_sections"))
+        })
 }
 
 /// The exec-pool deterministic chunk kernel at 8 workers.
@@ -269,7 +276,7 @@ impl MonitorEndpoint for FoldSink {
 /// then the warm payload build alone at 32³ (`payloads_into_cell`) and the
 /// four adapter cells of `deliver_cells`.
 fn snap_monitor() -> Vec<GateCell> {
-    use steer_core::{LbmMonitorAdapter, MonitorScratch};
+    use steer_core::{MonitorScratch, MonitorSource};
     const PUBLISHES: usize = 60;
     let mut sim = lbm::TwoFluidLbm::new(lbm::LbmConfig {
         nx: 16,
@@ -285,13 +292,14 @@ fn snap_monitor() -> Vec<GateCell> {
         Box::new(FoldSink::new()),
         &MonitorCaps::full("viewer", 64),
     );
-    let mut adapter = LbmMonitorAdapter::new();
     let mut scratch = MonitorScratch::default();
+    let mut publish =
+        || hub.publish_batch(sim.monitor_step(), sim.monitor_payloads_into(&mut scratch));
     // warm-up publish (scratch takes capacity, hub takes shape)
-    adapter.publish_borrowed(&sim, &hub, &mut scratch);
+    publish();
     let t0 = Instant::now();
     for _ in 0..PUBLISHES {
-        adapter.publish_borrowed(&sim, &hub, &mut scratch);
+        publish();
     }
     let wall_us = t0.elapsed().as_secs_f64() * 1e6 / PUBLISHES as f64;
     // fold the delivered-frame accounting, not the sink's internal
@@ -549,15 +557,10 @@ fn snap_ckpt() -> Vec<GateCell> {
         restored = lbm::TwoFluidLbm::from_snapshot(&decoded).expect("gate blob restores");
     }
     let wall_us = t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64;
-    let ck = restored.checkpoint();
-    let mut h = FNV_OFFSET;
-    for v in ck.fa.iter().chain(ck.fb.iter()) {
-        h = fold(h, &v.to_bits().to_le_bytes());
-    }
     cells.push(GateCell {
         cell: "decode_restore_32c".into(),
         wall_us,
-        digest: hex(h),
+        digest: hex(lbm_state_digest(&restored)),
     });
     cells
 }

@@ -6,8 +6,9 @@
 //! (§1). This crate is that combination layer:
 //!
 //! * [`params`] — the typed steerable-parameter registry with bounds and
-//!   history, plus [`ogsa::Steerable`] adapters for the two paper codes
-//!   (the LB fluid's miscibility, §2.2; PEPC's beam/laser/damping, §3.4).
+//!   history, plus [`params::SteerTarget`], the one steering surface both
+//!   paper codes implement (the LB fluid's miscibility, §2.2; PEPC's
+//!   beam/laser/damping, §3.4).
 //! * [`session`] — [`session::SteeringSession`]: participants with roles
 //!   (master / steerer / viewer), master-token passing (the vbroker
 //!   semantics lifted to session level), sample fan-out accounting, and an
@@ -16,8 +17,8 @@
 //!   desktop rendering, post-processing, simulation) as checkable
 //!   [`monitor::LoopBudget`]s with measurement recording and violation
 //!   counts, plus the outbound data plane's application side: the
-//!   [`monitor::MonitorSource`] surface both paper codes implement and
-//!   the [`monitor::GenericMonitorAdapter`] that publishes it through a
+//!   [`monitor::MonitorSource`] surface both paper codes implement, which
+//!   a step boundary publishes as one batch through a
 //!   [`gridsteer_bus::MonitorHub`].
 //! * [`server`] — [`server::CollabServer`]: a real multi-threaded TCP
 //!   steering server speaking a small framed protocol, so multiple client
@@ -25,8 +26,9 @@
 //! * [`migrate`] — mid-session migration of the computation between sites
 //!   (§2.4: "migrate both computation and visualization within a session
 //!   without any disturbance or intervention on the part of the
-//!   participating clients"), built on LB checkpoints and the netsim cost
-//!   model.
+//!   participating clients"), built on `gridsteer_ckpt` snapshots and the
+//!   netsim cost model; the scenario engine charges its migrations through
+//!   the same [`migrate::Migrator::frame_gap`].
 
 pub mod migrate;
 pub mod monitor;
@@ -39,13 +41,10 @@ pub use gridsteer_bus::{
     MonitorStats,
 };
 pub use migrate::{MigrationReport, Migrator};
-pub use monitor::{
-    GenericMonitorAdapter, LbmMonitorAdapter, LoopBudget, LoopMonitor, LoopReport, MonitorScratch,
-    MonitorSource, PepcMonitorAdapter,
-};
+pub use monitor::{LoopBudget, LoopMonitor, LoopReport, MonitorScratch, MonitorSource};
 pub use params::{
-    BoundsPolicy, GenericSteerAdapter, LbmSteerAdapter, ParamKind, ParamRegistry, ParamSpec,
-    ParamValue, PepcSteerAdapter, SharedRegistry, SteerCommand, SteerTarget,
+    BoundsPolicy, ParamKind, ParamRegistry, ParamSpec, ParamValue, SharedRegistry, SteerCommand,
+    SteerTarget,
 };
 pub use server::{ClientHandle, CollabServer};
 pub use session::{Participant, Role, SessionEvent, SteeringSession};

@@ -7,7 +7,8 @@
 //! the source site, ship the checkpoint over the inter-site link, resume
 //! at the destination — and report the *frame gap* the participating
 //! clients would observe (experiment EM1 checks it against the §4.4
-//! budget).
+//! budget). [`Migrator::frame_gap`] is the one definition of that gap:
+//! the scenario engine charges its `migrate` actions through it too.
 //!
 //! The transfer artifact is a [`gridsteer_ckpt::Snapshot`] — the same
 //! versioned, endianness-explicit format crash recovery uses — so the
@@ -17,7 +18,7 @@
 
 use gridsteer_ckpt::Snapshot;
 use lbm::TwoFluidLbm;
-use netsim::{NetModel, SimTime, SiteId};
+use netsim::{Link, NetModel, SimTime, SiteId};
 
 /// Outcome of one migration.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,6 +56,16 @@ impl<'a> Migrator<'a> {
         }
     }
 
+    /// The time clients see no new samples while `bytes` of checkpoint
+    /// cross `link`: the transfer (its nominal arrival if the link drops
+    /// the message) plus the restart overhead.
+    pub fn frame_gap(&self, mut link: Link, bytes: usize) -> SimTime {
+        let arrival = link
+            .deliver(SimTime::ZERO, bytes)
+            .unwrap_or_else(|| link.nominal_arrival(SimTime::ZERO, bytes));
+        arrival + self.restart_overhead
+    }
+
     /// Move `sim` from `from` to `to`. Returns the resumed simulation and
     /// the report. The session's clients keep their connections; only the
     /// sample source pauses for `frame_gap`.
@@ -68,11 +79,7 @@ impl<'a> Migrator<'a> {
         sim.save_sections(&mut snap);
         let blob = snap.encode();
         let bytes = blob.len();
-        let mut link = self.net.link(from, to);
-        let transfer_done = link
-            .deliver(SimTime::ZERO, bytes)
-            .unwrap_or_else(|| link.nominal_arrival(SimTime::ZERO, bytes));
-        let frame_gap = transfer_done + self.restart_overhead;
+        let frame_gap = self.frame_gap(self.net.link(from, to), bytes);
         let shipped = Snapshot::decode(&blob).expect("self-encoded snapshot must decode");
         let resumed =
             TwoFluidLbm::from_snapshot(&shipped).expect("self-saved sections must restore");

@@ -1,4 +1,4 @@
-//! Feedback-loop budgets of §4.2–4.4, and the monitored-output adapters.
+//! Feedback-loop budgets of §4.2–4.4, and the monitored-output surface.
 //!
 //! The paper's only quantitative requirements table, in prose:
 //!
@@ -16,17 +16,15 @@
 //! The budgets are what monitored output is *scored against*; the second
 //! half of this module is what produces that output: [`MonitorSource`] is
 //! the one trait a simulation implements to name its monitored quantities
-//! (the outbound mirror of [`SteerTarget`](crate::SteerTarget)), and
-//! [`GenericMonitorAdapter`] publishes any source's step-boundary payloads
-//! through a [`gridsteer_bus::MonitorHub`] — replacing per-simulation
-//! publishing code exactly as `GenericSteerAdapter` replaced the
-//! per-simulation steering adapters.
+//! (the outbound mirror of [`SteerTarget`](crate::SteerTarget)). A step
+//! boundary publishes them as one batch,
+//! `hub.publish_batch(sim.monitor_step(), sim.monitor_payloads_into(&mut scratch))`,
+//! and the [`gridsteer_bus::MonitorHub`] counts and fans out the frames.
 
-use gridsteer_bus::{MonitorHub, MonitorPayload};
+use gridsteer_bus::MonitorPayload;
 use lbm::TwoFluidLbm;
 use netsim::SimTime;
 use pepc::PepcSim;
-use std::marker::PhantomData;
 
 /// One of the paper's reaction-time budgets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,8 +215,8 @@ pub trait MonitorSource {
     fn monitor_step(&self) -> u64;
 }
 
-/// Reusable grid buffers for the zero-copy monitor path. The adapter
-/// owner keeps one of these alive across samples; each publish refills
+/// Reusable grid buffers for the zero-copy monitor path. The publisher
+/// keeps one of these alive across samples; each publish refills
 /// the buffers in place and ships payloads borrowing them, so
 /// steady-state monitoring performs no per-sample grid allocation.
 #[derive(Debug, Default)]
@@ -276,73 +274,6 @@ impl MonitorSource for PepcSim {
         self.step_count()
     }
 }
-
-/// One publishing adapter for every [`MonitorSource`] simulation — the
-/// data-plane counterpart of [`GenericSteerAdapter`](crate::GenericSteerAdapter):
-/// LBM and PEPC publish their monitored quantities through *this*, never
-/// through per-simulation one-offs.
-#[derive(Debug)]
-pub struct GenericMonitorAdapter<T: ?Sized> {
-    frames_published: u64,
-    _source: PhantomData<fn(&T)>,
-}
-
-impl<T: MonitorSource + ?Sized> GenericMonitorAdapter<T> {
-    /// A fresh adapter.
-    pub fn new() -> Self {
-        GenericMonitorAdapter {
-            frames_published: 0,
-            _source: PhantomData,
-        }
-    }
-
-    /// Publish the source's step-boundary payloads as one batch — the
-    /// delivery mode scenario runs use (one transport envelope per
-    /// subscriber chunk) — through caller-retained scratch buffers: grid
-    /// channels are refilled in place and fanned out as borrowed
-    /// payloads, so a warm publish performs no grid-sized allocation
-    /// anywhere on the path. Returns the number of frames published.
-    pub fn publish_borrowed(
-        &mut self,
-        sim: &T,
-        hub: &MonitorHub,
-        scratch: &mut MonitorScratch,
-    ) -> u64 {
-        let step = sim.monitor_step();
-        let n = hub.publish_batch(step, sim.monitor_payloads_into(scratch));
-        self.frames_published += n;
-        n
-    }
-
-    /// Publish the same payloads one frame at a time — the per-sample
-    /// baseline the fan-out bench compares against batched delivery.
-    pub fn publish_per_sample(&mut self, sim: &T, hub: &MonitorHub) -> u64 {
-        let step = sim.monitor_step();
-        let payloads = sim.monitor_payloads();
-        let n = payloads.len() as u64;
-        for p in payloads {
-            hub.publish(step, p);
-        }
-        self.frames_published += n;
-        n
-    }
-
-    /// Frames this adapter has published.
-    pub fn frames_published(&self) -> u64 {
-        self.frames_published
-    }
-}
-
-impl<T: MonitorSource + ?Sized> Default for GenericMonitorAdapter<T> {
-    fn default() -> Self {
-        GenericMonitorAdapter::new()
-    }
-}
-
-/// Monitor adapter for the Lattice-Boltzmann fluid (§2.2).
-pub type LbmMonitorAdapter = GenericMonitorAdapter<TwoFluidLbm>;
-/// Monitor adapter for PEPC (§3.4).
-pub type PepcMonitorAdapter = GenericMonitorAdapter<PepcSim>;
 
 #[cfg(test)]
 mod tests {
@@ -593,13 +524,14 @@ mod tests {
                 Transport::Unicore.attach_monitor("v"),
                 &MonitorCaps::full("viewer", 64),
             );
+            let mut scratch = MonitorScratch::default();
             let n = if borrowed {
-                let mut scratch = MonitorScratch::default();
-                LbmMonitorAdapter::new().publish_borrowed(&sim, &hub, &mut scratch)
+                hub.publish_batch(sim.monitor_step(), sim.monitor_payloads_into(&mut scratch))
             } else {
                 hub.publish_batch(sim.monitor_step(), sim.monitor_payloads())
             };
             assert_eq!(n, 6);
+            assert_eq!(hub.frames_published(), 6);
             hub.recv("v")
         };
         assert_eq!(run(true), run(false));
@@ -615,6 +547,8 @@ mod tests {
             threads: 1,
             ..Default::default()
         });
+        // the surface as one batch, or one frame at a time: a subscriber
+        // cannot tell the difference
         let run = |batched: bool| {
             let hub = MonitorHub::new();
             hub.attach_endpoint(
@@ -622,14 +556,15 @@ mod tests {
                 Transport::Visit.attach_monitor("v"),
                 &MonitorCaps::full("viewer", 64),
             );
-            let mut adapter = LbmMonitorAdapter::new();
-            let n = if batched {
-                adapter.publish_borrowed(&sim, &hub, &mut MonitorScratch::default())
+            let (step, payloads) = (sim.monitor_step(), sim.monitor_payloads());
+            if batched {
+                hub.publish_batch(step, payloads);
             } else {
-                adapter.publish_per_sample(&sim, &hub)
-            };
-            assert_eq!(n, 6);
-            assert_eq!(adapter.frames_published(), 6);
+                for p in payloads {
+                    hub.publish(step, p);
+                }
+            }
+            assert_eq!(hub.frames_published(), 6);
             hub.recv("v")
         };
         assert_eq!(run(true), run(false));

@@ -1,29 +1,26 @@
-//! Steerable parameters: the bus registry plus application adapters.
+//! Steering parameters: the bus registry plus the one application
+//! surface.
 //!
 //! §2.3: "the RealityGrid project has defined APIs for the steering calls
 //! which can be used to link from the application to the services." The
-//! registry half of that API now lives in [`gridsteer_bus`] (typed
+//! registry half of that API lives in [`gridsteer_bus`] (typed
 //! [`ParamValue`]s with explicit clamp-vs-reject [`BoundsPolicy`]) and is
-//! re-exported here so pre-bus call sites keep compiling; this module
-//! keeps the application-side half: one [`GenericSteerAdapter`] exposing
-//! any [`SteerTarget`] simulation as bounded named parameters behind
-//! [`ogsa::Steerable`], replacing the per-simulation copy-pasted
-//! adapters (the old `LbmSteerAdapter` / `PepcSteerAdapter` are now type
-//! aliases of it).
+//! re-exported here; this module keeps the application-side half,
+//! [`SteerTarget`], which both paper codes implement. Every steering path
+//! — the scenario engine, an OGSA `setBatch`, the loop benchmark — admits
+//! a value through the registry at a step boundary and then writes it
+//! through [`SteerTarget::write`].
 
 use lbm::TwoFluidLbm;
-use ogsa::Steerable;
-use parking_lot::Mutex;
 use pepc::PepcSim;
-use std::sync::Arc;
 
 pub use gridsteer_bus::{
     BoundsPolicy, ParamKind, ParamRegistry, ParamSpec, ParamValue, SharedRegistry, SteerCommand,
 };
 
 /// A simulation steerable through typed specs: the single trait both
-/// paper codes implement, from which every adapter and scenario backend
-/// derives its parameter surface.
+/// paper codes implement, from which the steering bus, the scenario engine
+/// and the loop benchmark derive their parameter surface.
 pub trait SteerTarget {
     /// The typed registry specs this simulation accepts.
     fn specs() -> Vec<ParamSpec>;
@@ -32,8 +29,6 @@ pub trait SteerTarget {
     /// Apply an already-admitted value (bounds-checked against
     /// [`SteerTarget::specs`] by the caller).
     fn write(&mut self, name: &str, value: &ParamValue) -> Result<(), String>;
-    /// Monotone progress counter (simulation steps taken).
-    fn progress(&self) -> u64;
 }
 
 impl SteerTarget for TwoFluidLbm {
@@ -54,10 +49,6 @@ impl SteerTarget for TwoFluidLbm {
             }
             _ => Err(format!("unknown parameter: {name}")),
         }
-    }
-
-    fn progress(&self) -> u64 {
-        self.steps()
     }
 }
 
@@ -105,77 +96,7 @@ impl SteerTarget for PepcSim {
         self.set_params(p);
         Ok(())
     }
-
-    fn progress(&self) -> u64 {
-        self.step_count()
-    }
 }
-
-/// One [`Steerable`] adapter for every [`SteerTarget`] simulation —
-/// bounds come from the typed specs, so clamp-vs-reject policies apply
-/// uniformly and per-simulation adapter code no longer exists.
-pub struct GenericSteerAdapter<T> {
-    sim: Arc<Mutex<T>>,
-    /// Cached [`SteerTarget::specs`] — steers are per-command hot path,
-    /// so the spec surface is derived once at construction.
-    cached_specs: Vec<ParamSpec>,
-}
-
-impl<T: SteerTarget> GenericSteerAdapter<T> {
-    /// Wrap a shared simulation.
-    pub fn new(sim: Arc<Mutex<T>>) -> Self {
-        GenericSteerAdapter {
-            sim,
-            cached_specs: T::specs(),
-        }
-    }
-
-    /// The registry specs matching this adapter.
-    pub fn specs() -> Vec<ParamSpec> {
-        T::specs()
-    }
-
-    /// Typed read.
-    pub fn get_value(&self, name: &str) -> Option<ParamValue> {
-        self.sim.lock().read(name)
-    }
-
-    /// Typed write: admit against the spec (clamp/reject/coerce), then
-    /// apply. Returns the value actually applied.
-    pub fn set_value(&mut self, name: &str, value: &ParamValue) -> Result<ParamValue, String> {
-        let spec = self
-            .cached_specs
-            .iter()
-            .find(|s| s.name == name)
-            .ok_or_else(|| format!("unknown parameter: {name}"))?;
-        let applied = spec.admit(value)?;
-        self.sim.lock().write(name, &applied)?;
-        Ok(applied)
-    }
-}
-
-impl<T: SteerTarget + Send> Steerable for GenericSteerAdapter<T> {
-    fn param_names(&self) -> Vec<String> {
-        self.cached_specs.iter().map(|s| s.name.clone()).collect()
-    }
-
-    fn get_param(&self, name: &str) -> Option<f64> {
-        self.sim.lock().read(name).and_then(|v| v.as_f64())
-    }
-
-    fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        self.set_value(name, &ParamValue::F64(value)).map(|_| ())
-    }
-
-    fn sequence_number(&self) -> u64 {
-        self.sim.lock().progress()
-    }
-}
-
-/// [`Steerable`] adapter for the Lattice-Boltzmann fluid (§2.2).
-pub type LbmSteerAdapter = GenericSteerAdapter<TwoFluidLbm>;
-/// [`Steerable`] adapter for PEPC (§3.4).
-pub type PepcSteerAdapter = GenericSteerAdapter<PepcSim>;
 
 #[cfg(test)]
 mod tests {
@@ -219,71 +140,70 @@ mod tests {
         assert_eq!(r.get_value("ghost"), None);
     }
 
+    /// Admit `value` through a registry declared from `T`'s specs, then
+    /// write what was applied — the commit path every steer takes.
+    fn steer<T: SteerTarget>(sim: &mut T, name: &str, value: ParamValue) -> Result<(), String> {
+        let mut registry = ParamRegistry::new();
+        for spec in T::specs() {
+            registry.declare(spec);
+        }
+        let applied = registry.set_value(name, &value)?;
+        sim.write(name, &applied)
+    }
+
     #[test]
     fn lbm_adapter_steers_the_simulation() {
-        let sim = Arc::new(Mutex::new(TwoFluidLbm::new(LbmConfig::small())));
-        let mut a = LbmSteerAdapter::new(sim.clone());
-        a.set_param("miscibility", 0.1).unwrap();
-        assert_eq!(sim.lock().miscibility(), 0.1);
-        assert!(a.set_param("miscibility", 2.0).is_err());
-        assert!(a.set_param("temperature", 1.0).is_err());
-        assert_eq!(a.get_param("miscibility"), Some(0.1));
+        let mut sim = TwoFluidLbm::new(LbmConfig::small());
+        steer(&mut sim, "miscibility", ParamValue::F64(0.1)).unwrap();
+        assert_eq!(sim.miscibility(), 0.1);
+        assert!(steer(&mut sim, "miscibility", ParamValue::F64(2.0)).is_err());
+        assert!(steer(&mut sim, "temperature", ParamValue::F64(1.0)).is_err());
+        assert_eq!(sim.read("miscibility"), Some(ParamValue::F64(0.1)));
     }
 
     #[test]
     fn pepc_adapter_round_trips_all_params() {
-        let sim = Arc::new(Mutex::new(PepcSim::new(PepcConfig::small())));
-        let mut a = PepcSteerAdapter::new(sim.clone());
-        a.set_param("beam_intensity", 2.0).unwrap();
-        a.set_param("laser_amplitude", 1.5).unwrap();
-        a.set_param("damping", 0.3).unwrap();
-        a.set_param("beam_theta", std::f64::consts::FRAC_PI_2)
-            .unwrap();
-        assert_eq!(a.get_param("beam_intensity"), Some(2.0));
-        assert_eq!(a.get_param("laser_amplitude"), Some(1.5));
-        assert_eq!(a.get_param("damping"), Some(0.3));
-        let th = a.get_param("beam_theta").unwrap();
-        assert!((th - std::f64::consts::FRAC_PI_2).abs() < 1e-9);
+        let mut sim = PepcSim::new(PepcConfig::small());
+        for (name, v) in [
+            ("beam_intensity", 2.0),
+            ("laser_amplitude", 1.5),
+            ("damping", 0.3),
+            ("beam_theta", std::f64::consts::FRAC_PI_2),
+        ] {
+            steer(&mut sim, name, ParamValue::F64(v)).unwrap();
+        }
+        let read = |name| sim.read(name).and_then(|v| v.as_f64()).unwrap();
+        assert_eq!(read("beam_intensity"), 2.0);
+        assert_eq!(read("laser_amplitude"), 1.5);
+        assert_eq!(read("damping"), 0.3);
+        assert!((read("beam_theta") - std::f64::consts::FRAC_PI_2).abs() < 1e-9);
         // the underlying sim actually changed
-        let p = sim.lock().params();
-        assert!(p.beam_dir[2] > 0.99);
+        assert!(sim.params().beam_dir[2] > 0.99);
     }
 
     #[test]
     fn pepc_adapter_rejects_bad_values() {
-        let sim = Arc::new(Mutex::new(PepcSim::new(PepcConfig::small())));
-        let mut a = PepcSteerAdapter::new(sim);
-        assert!(a.set_param("damping", 5.0).is_err());
-        assert!(a.set_param("warp_factor", 9.0).is_err());
-    }
-
-    #[test]
-    fn sequence_number_tracks_sim_progress() {
-        let sim = Arc::new(Mutex::new(TwoFluidLbm::new(LbmConfig::small())));
-        let a = LbmSteerAdapter::new(sim.clone());
-        assert_eq!(a.sequence_number(), 0);
-        sim.lock().step_n(3);
-        assert_eq!(a.sequence_number(), 3);
+        let mut sim = PepcSim::new(PepcConfig::small());
+        assert!(steer(&mut sim, "damping", ParamValue::F64(5.0)).is_err());
+        assert!(steer(&mut sim, "warp_factor", ParamValue::F64(9.0)).is_err());
+        assert!(sim.write("warp_factor", &ParamValue::F64(9.0)).is_err());
     }
 
     #[test]
     fn generic_adapter_typed_surface() {
-        let sim = Arc::new(Mutex::new(TwoFluidLbm::new(LbmConfig::small())));
-        let mut a = LbmSteerAdapter::new(sim);
-        let applied = a.set_value("miscibility", &ParamValue::F64(0.5)).unwrap();
-        assert_eq!(applied, ParamValue::F64(0.5));
-        assert_eq!(a.get_value("miscibility"), Some(ParamValue::F64(0.5)));
-        assert!(a
-            .set_value("miscibility", &ParamValue::Str("x".into()))
-            .is_err());
+        let mut sim = TwoFluidLbm::new(LbmConfig::small());
+        steer(&mut sim, "miscibility", ParamValue::F64(0.5)).unwrap();
+        assert_eq!(sim.read("miscibility"), Some(ParamValue::F64(0.5)));
+        assert_eq!(sim.read("temperature"), None);
+        let text = ParamValue::Str("x".into());
+        assert!(steer(&mut sim, "miscibility", text.clone()).is_err());
+        assert!(sim.write("miscibility", &text).is_err(), "non-numeric");
+        assert_eq!(sim.miscibility(), 0.5);
     }
 
     #[test]
     fn both_targets_declare_consistent_specs() {
-        for spec in LbmSteerAdapter::specs()
-            .iter()
-            .chain(PepcSteerAdapter::specs().iter())
-        {
+        for spec in TwoFluidLbm::specs().iter().chain(PepcSim::specs().iter()) {
             let initial = spec.initial.as_f64().unwrap();
             assert!(spec.min.unwrap() <= initial && initial <= spec.max.unwrap());
         }

@@ -168,10 +168,14 @@ fn serve_client(
             Err(LinkError::Timeout) => continue,
             Err(e) => break Err(e),
         };
+        // the length prefix is the peer's: a zero-length frame carries no
+        // op and drops the connection like any other malformed frame
+        let Some((&op, mut body)) = frame.split_first() else {
+            break Err(LinkError::Io("empty frame".into()));
+        };
         let mut reply = BytesMut::new();
-        let mut body: &[u8] = &frame[1..];
-        match frame.first().copied() {
-            Some(OP_HELLO) => {
+        match op {
+            OP_HELLO => {
                 let Some(base) = get_str(&mut body) else {
                     break Err(LinkError::Io("bad hello".into()));
                 };
@@ -190,7 +194,7 @@ fn serve_client(
                 reply.put_u8(u8::from(is_master));
                 put_text(&mut reply, &name);
             }
-            Some(OP_SET) => {
+            OP_SET => {
                 let (Some(name), Some(value)) =
                     (get_str(&mut body), ParamValue::decode_bytes(&mut body))
                 else {
@@ -213,7 +217,7 @@ fn serve_client(
                     }
                 }
             }
-            Some(OP_BATCH) => {
+            OP_BATCH => {
                 // u64 client sequence + u16 count + (name, value)*
                 if body.len() < 10 {
                     break Err(LinkError::Io("bad batch header".into()));
@@ -261,7 +265,7 @@ fn serve_client(
                     }
                 }
             }
-            Some(OP_GET) => {
+            OP_GET => {
                 let Some(name) = get_str(&mut body) else {
                     break Err(LinkError::Io("bad get".into()));
                 };
@@ -277,7 +281,7 @@ fn serve_client(
                     }
                 }
             }
-            Some(OP_PASS) => {
+            OP_PASS => {
                 let Some(target) = get_str(&mut body) else {
                     break Err(LinkError::Io("bad pass".into()));
                 };
@@ -330,12 +334,13 @@ impl ClientHandle {
         let mut link = TcpLink::connect(addr, Duration::from_secs(2))?;
         link.send(&req)?;
         let reply = link.recv_timeout(Duration::from_secs(2))?;
-        let mut body: &[u8] = &reply;
-        if body.is_empty() || body.get_u8() != OP_WELCOME {
+        // the length prefix is the server's: an empty or short welcome is
+        // an error, never a read past the end
+        let Some((&OP_WELCOME, [master, body @ ..])) = reply.split_first() else {
             return Err(LinkError::Io("bad welcome".into()));
-        }
-        let is_master = body.get_u8() != 0;
-        let assigned = get_str(&mut body).ok_or(LinkError::Io("bad welcome name".into()))?;
+        };
+        let is_master = *master != 0;
+        let assigned = get_str(&mut { body }).ok_or(LinkError::Io("bad welcome name".into()))?;
         Ok(ClientHandle {
             link,
             name: assigned,
@@ -357,10 +362,9 @@ impl ClientHandle {
         put_str(&mut req, param)?;
         value.encode_bytes(&mut req);
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
-        let mut body: &[u8] = &reply;
-        match body.get_u8() {
-            OP_OK => Ok(()),
-            OP_ERR => Err(get_str(&mut body).unwrap_or_default()),
+        match reply.split_first() {
+            Some((&OP_OK, _)) => Ok(()),
+            Some((&OP_ERR, mut body)) => Err(get_str(&mut body).unwrap_or_default()),
             _ => Err("protocol error".into()),
         }
     }
@@ -387,10 +391,9 @@ impl ClientHandle {
             cmd.encode_bytes(&mut req).map_err(|e| e.to_string())?;
         }
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
-        let mut body: &[u8] = &reply;
-        match body.get_u8() {
-            OP_OK if body.len() == 2 => Ok(body.get_u16_le() as usize),
-            OP_ERR => Err(get_str(&mut body).unwrap_or_default()),
+        match reply.split_first() {
+            Some((&OP_OK, &[lo, hi])) => Ok(usize::from(u16::from_le_bytes([lo, hi]))),
+            Some((&OP_ERR, mut body)) => Err(get_str(&mut body).unwrap_or_default()),
             _ => Err("protocol error".into()),
         }
     }
@@ -401,10 +404,11 @@ impl ClientHandle {
         req.put_u8(OP_GET);
         put_str(&mut req, param)?;
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
-        let mut body: &[u8] = &reply;
-        match body.get_u8() {
-            OP_VALUE => ParamValue::decode_bytes(&mut body).ok_or("bad value".into()),
-            OP_ERR => Err(get_str(&mut body).unwrap_or_default()),
+        match reply.split_first() {
+            Some((&OP_VALUE, mut body)) => {
+                ParamValue::decode_bytes(&mut body).ok_or("bad value".into())
+            }
+            Some((&OP_ERR, mut body)) => Err(get_str(&mut body).unwrap_or_default()),
             _ => Err("protocol error".into()),
         }
     }
@@ -422,10 +426,9 @@ impl ClientHandle {
         req.put_u8(OP_PASS);
         put_str(&mut req, to)?;
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
-        let mut body: &[u8] = &reply;
-        match body.get_u8() {
-            OP_OK => Ok(()),
-            OP_ERR => Err(get_str(&mut body).unwrap_or_default()),
+        match reply.split_first() {
+            Some((&OP_OK, _)) => Ok(()),
+            Some((&OP_ERR, mut body)) => Err(get_str(&mut body).unwrap_or_default()),
             _ => Err("protocol error".into()),
         }
     }
@@ -569,6 +572,73 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(20));
         }
+    }
+
+    #[test]
+    fn an_empty_frame_drops_its_sender_and_promotes_the_survivor() {
+        let srv = server();
+        let addr = srv.addr().to_string();
+        // a raw peer joins first, so it holds the master token
+        let mut raw = TcpLink::connect(&addr, Duration::from_secs(2)).unwrap();
+        let mut hello = BytesMut::new();
+        hello.put_u8(OP_HELLO);
+        put_str(&mut hello, "raw").unwrap();
+        raw.send(&hello).unwrap();
+        let welcome = raw.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert_eq!(welcome[..2], [OP_WELCOME, 1], "the raw peer is master");
+        let mut b = ClientHandle::connect(&addr, "survivor").unwrap();
+        assert!(b.set("miscibility", 0.5).is_err());
+        // a zero-length frame; the raw link itself stays open, so only
+        // the frame can end the raw peer's membership
+        raw.send(&[]).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while b.set("miscibility", 0.5).is_err() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the sender of an empty frame kept the master token"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        drop(raw);
+    }
+
+    /// A one-connection server that answers each request with the next of
+    /// `replies`, byte for byte.
+    fn scripted_server(replies: Vec<Vec<u8>>) -> (String, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut link = TcpLink::new(stream).unwrap();
+            for reply in replies {
+                if link.recv_timeout(Duration::from_secs(2)).is_err() {
+                    return;
+                }
+                let _ = link.send(&reply);
+            }
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn empty_or_short_replies_are_errors_not_panics() {
+        for welcome in [vec![], vec![OP_WELCOME]] {
+            let (addr, server) = scripted_server(vec![welcome]);
+            assert!(ClientHandle::connect(&addr, "c").is_err());
+            server.join().unwrap();
+        }
+        let welcome = vec![OP_WELCOME, 1, 1, 0, b'c'];
+        let (addr, server) = scripted_server(vec![welcome, vec![], vec![], vec![], vec![]]);
+        let mut c = ClientHandle::connect(&addr, "c").unwrap();
+        assert_eq!((c.name.as_str(), c.joined_as_master), ("c", true));
+        assert!(c.set("miscibility", 0.5).is_err());
+        assert!(c
+            .set_batch(&[SteerCommand::f64("miscibility", 0.5)])
+            .is_err());
+        assert!(c.get_value("miscibility").is_err());
+        assert!(c.pass_master("other").is_err());
+        drop(c);
+        server.join().unwrap();
     }
 
     #[test]

@@ -16,7 +16,7 @@ use gridsteer_bus::{
 use lbm::{LbmConfig, TwoFluidLbm};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use steer_core::{LbmMonitorAdapter, MonitorScratch, MonitorSource};
+use steer_core::{MonitorScratch, MonitorSource};
 
 /// 16×16 mid-plane slice of f32 = 1 KiB: the smallest grid buffer on the
 /// monitor surface for the lattice below. Anything this large allocated
@@ -139,19 +139,20 @@ fn warm_monitor_publish_makes_no_grid_sized_allocation() {
         Box::new(DigestSink::new()),
         &MonitorCaps::full("viewer", 64),
     );
-    let mut adapter = LbmMonitorAdapter::new();
     let mut scratch = MonitorScratch::default();
+    let mut publish =
+        || hub.publish_batch(sim.monitor_step(), sim.monitor_payloads_into(&mut scratch));
 
     // warm-up: the scratch buffers take their grid-sized capacity here
     for _ in 0..2 {
-        assert_eq!(adapter.publish_borrowed(&sim, &hub, &mut scratch), 6);
+        assert_eq!(publish(), 6);
     }
 
     // steady state: many publishes, zero grid-sized allocations
     GRID_ALLOCS.store(0, Ordering::Relaxed);
     ARMED.store(true, Ordering::Relaxed);
     for _ in 0..32 {
-        assert_eq!(adapter.publish_borrowed(&sim, &hub, &mut scratch), 6);
+        assert_eq!(publish(), 6);
     }
     ARMED.store(false, Ordering::Relaxed);
     assert_eq!(

@@ -57,7 +57,7 @@ impl Default for FuzzConfig {
     }
 }
 
-/// Steerable parameters per backend: `(name, lo, hi)`. Mostly the real
+/// The steerable parameters per backend: `(name, lo, hi)`. Mostly the real
 /// registry; the generator occasionally strays outside it on purpose
 /// (unknown parameters must be refused gracefully, not crash the run).
 const LBM_PARAMS: &[(&str, f64, f64)] = &[("miscibility", 0.0, 1.0)];

@@ -10,28 +10,24 @@
 //! only together with a deliberate re-bless of
 //! `crates/fuzz/tests/fixtures/engine_digests.txt`.
 
-use crate::backend::{LbmBackend, PepcBackend, ScenarioBackend};
+use crate::backend::Backend;
 use crate::report::{MigrationRecord, RelayRecord, ScenarioReport, ViewerRecord};
-use crate::scenario::{Action, BackendSpec, RelaySpec, Scenario, ViewerSpec};
+use crate::scenario::{Action, RelaySpec, Scenario, ViewerSpec};
 use gridsteer_bus::{
     Capabilities, LoopbackMonitor, MonitorCaps, MonitorEndpoint, MonitorFrame, MonitorHub,
     MonitorStats, RelayHub, RelayPolicy, SteerCommand, SteerEndpoint, SteerHub, Transport,
 };
 use gridsteer_ckpt::Snapshot;
-use lbm::LbmConfig;
 use netsim::{EventQueue, FaultyLink, Link, NetModel, SimTime, SiteId};
-use pepc::PepcConfig;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
-use steer_core::{LoopBudget, LoopMonitor, ParamValue, SessionEvent, SteeringSession};
+use steer_core::{
+    LoopBudget, LoopMonitor, Migrator, MonitorScratch, ParamValue, SessionEvent, SteeringSession,
+};
 
 /// Wire size of one steer command frame.
 const STEER_BYTES: usize = 64;
-
-/// Fixed restart overhead after a migration (the UNICORE re-incarnation
-/// cost, matching `steer_core::Migrator`).
-const RESTART_OVERHEAD: SimTime = SimTime::from_secs(2);
 
 /// Runaway guard on total processed events.
 const MAX_EVENTS: usize = 1_000_000;
@@ -195,7 +191,7 @@ pub(crate) struct World<'s> {
     /// The script: schedule, cadences, routing table.
     sc: &'s Scenario,
     rng: StdRng,
-    backend: Box<dyn ScenarioBackend>,
+    backend: Backend,
     /// One bus hub per run: every session shard shares its registry (one
     /// parameter authority), every participant attaches an endpoint of
     /// their routed transport.
@@ -210,6 +206,9 @@ pub(crate) struct World<'s> {
     /// The backend publishes its step-boundary output here; viewers and
     /// top-level relay tiers subscribe.
     mhub: MonitorHub,
+    /// The grid buffers the backend's monitor payloads borrow, refilled
+    /// in place by every publish.
+    scratch: MonitorScratch,
     /// Declaration order, parents before children — also the pump order.
     relays: Vec<RelayNode>,
     viewers: Vec<ViewerState>,
@@ -240,17 +239,7 @@ impl<'s> World<'s> {
     /// Every RNG draw is in declaration order.
     pub(crate) fn new(sc: &'s Scenario) -> World<'s> {
         let mut rng = StdRng::seed_from_u64(sc.seed);
-        let backend_seed = rng.next_u64();
-        let mut backend: Box<dyn ScenarioBackend> = match &sc.backend {
-            BackendSpec::Lbm(cfg) => Box::new(LbmBackend::new(LbmConfig {
-                seed: backend_seed,
-                ..cfg.clone()
-            })),
-            BackendSpec::Pepc(cfg) => Box::new(PepcBackend::new(PepcConfig {
-                seed: backend_seed,
-                ..cfg.clone()
-            })),
-        };
+        let mut backend = Backend::new(&sc.backend, rng.next_u64());
         if let Some(pool) = &sc.pool {
             backend.set_pool(pool.clone());
         }
@@ -277,6 +266,7 @@ impl<'s> World<'s> {
             endpoints: BTreeMap::new(),
             clients: Vec::new(),
             mhub: MonitorHub::new(),
+            scratch: MonitorScratch::default(),
             relays: Vec::new(),
             viewers: Vec::new(),
             queue,
@@ -429,7 +419,7 @@ impl<'s> World<'s> {
     /// costs full-lattice passes.
     fn publish_monitor(&mut self) {
         if !self.viewers.is_empty() || !self.relays.is_empty() {
-            self.backend.publish_monitor(&self.mhub);
+            self.backend.publish_monitor(&self.mhub, &mut self.scratch);
         }
     }
 
@@ -727,8 +717,8 @@ impl<'s> World<'s> {
     }
 
     /// Migrate the computation between two `sc2003` sites: the checkpoint
-    /// crosses the inter-site link and sampling pauses for the transfer
-    /// plus the restart overhead.
+    /// crosses the inter-site link and sampling pauses for the
+    /// [`Migrator::frame_gap`] — the transfer plus the restart overhead.
     fn migrate(&mut self, now: SimTime, from: &str, to: &str) {
         let (Some(&a), Some(&b)) = (self.sites.get(from), self.sites.get(to)) else {
             return self.log(now, format_args!("migrate-miss {from}->{to}"));
@@ -736,10 +726,7 @@ impl<'s> World<'s> {
         let bytes = self.backend.checkpoint_roundtrip();
         let mut link = self.net.link(a, b);
         link.seed = self.rng.next_u64();
-        let arrival = link
-            .deliver(now, bytes)
-            .unwrap_or_else(|| link.nominal_arrival(now, bytes));
-        let gap = arrival.saturating_since(now) + RESTART_OVERHEAD;
+        let gap = Migrator::new(&self.net).frame_gap(link, bytes);
         self.pause_until = (now + gap).max(self.pause_until);
         self.log(
             now,
@@ -992,7 +979,7 @@ impl<'s> World<'s> {
                 .map(|c| (c.name.clone(), c.total_stats()))
                 .collect(),
             session_events: self.session_events(),
-            final_progress: self.backend.progress(),
+            final_progress: self.backend.steps(),
             migrations: self.migrations,
             engine_events: self.engine_events,
             probe_violations: self.probe_violations,
@@ -1089,6 +1076,7 @@ fn render_event(e: &SessionEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lbm::LbmConfig;
 
     const TICK: SimTime = SimTime::from_millis(100);
 

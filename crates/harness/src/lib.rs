@@ -23,7 +23,8 @@
 //! [`scenario`] is the builder DSL and [`script`] its text form; the
 //! private `engine` module executes a built scenario — one `World` struct
 //! owning the run state, one sample tick spelled as an ordered list of
-//! method calls — and [`report`] is what comes out.
+//! method calls — over the private `backend` module's `Backend`, one enum
+//! over the two paper codes; [`report`] is what comes out.
 //!
 //! See `tests/scenarios.rs` at the workspace root for the tier-1 fault
 //! matrix and the README's "Scenario harness" section for how to add one.
@@ -34,14 +35,13 @@
 // and unit-testable on its own.
 #![deny(clippy::too_many_lines)]
 
-pub mod backend;
+mod backend;
 mod engine;
 pub mod error;
 pub mod report;
 pub mod scenario;
 pub mod script;
 
-pub use backend::{LbmBackend, PepcBackend, ScenarioBackend};
 pub use error::{ScenarioError, MAX_NAME_LEN};
 pub use gridsteer_bus::Transport;
 pub use report::{MigrationRecord, RelayRecord, ScenarioReport, ViewerRecord};

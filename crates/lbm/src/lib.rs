@@ -29,6 +29,5 @@ pub mod sim;
 
 pub use lattice::{CX, CY, CZ, OPPOSITE, Q, WEIGHTS};
 pub use sim::{
-    demix_of, demix_of_slice, LbmCheckpoint, LbmConfig, TwoFluidLbm, SEC_LBM_FA, SEC_LBM_FB,
-    SEC_LBM_META,
+    demix_of, demix_of_slice, LbmConfig, TwoFluidLbm, SEC_LBM_FA, SEC_LBM_FB, SEC_LBM_META,
 };

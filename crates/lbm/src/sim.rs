@@ -693,31 +693,6 @@ impl TwoFluidLbm {
         self.fa.iter().chain(self.fb.iter()).any(|v| !v.is_finite())
     }
 
-    /// Snapshot the full solver state for migration — §2.4: "RealityGrid
-    /// is developing the ability to migrate both computation and
-    /// visualization within a session without any disturbance or
-    /// intervention on the part of the participating clients."
-    ///
-    /// `fa`/`fb` are in the solver's SoA layout (`f[i*n + node]`).
-    pub fn checkpoint(&self) -> LbmCheckpoint {
-        LbmCheckpoint {
-            cfg: self.cfg.clone(),
-            fa: self.fa.clone(),
-            fb: self.fb.clone(),
-            miscibility: self.miscibility,
-            steps: self.steps,
-        }
-    }
-
-    /// Resume a checkpointed run, bit-identically.
-    pub fn from_checkpoint(ck: LbmCheckpoint) -> TwoFluidLbm {
-        let n = ck.cfg.nx * ck.cfg.ny * ck.cfg.nz;
-        assert_eq!(ck.fa.len(), n * Q, "corrupt checkpoint");
-        assert_eq!(ck.fb.len(), n * Q, "corrupt checkpoint");
-        let pool = gridsteer_exec::shared(ck.cfg.threads);
-        Self::from_parts(ck.cfg, pool, ck.fa, ck.fb, ck.miscibility, ck.steps)
-    }
-
     /// Lay the full solver state into `snap` as the sections
     /// `lbm/meta` + `lbm/fa` + `lbm/fb`. The distribution sections use a
     /// dirty-chunk grain of one z-plane of doubles — the same fixed
@@ -743,13 +718,14 @@ impl TwoFluidLbm {
     }
 
     /// Rebuild a solver from the `lbm/*` sections of `snap` — the
-    /// fresh-process restore path. The header is validated like
+    /// fresh-process restore path, and the migration path of §2.4 ("migrate
+    /// both computation and visualization within a session without any
+    /// disturbance"). The header is validated like
     /// [`TwoFluidLbm::with_pool`] validates a config (a blob is untrusted
     /// input: a bad one is a typed error here, never a panic in `step`).
     /// The moments are taken here, from the restored distributions; the
     /// pool comes from the checkpointed thread count and the backend
-    /// from the process-wide default, exactly as
-    /// [`TwoFluidLbm::from_checkpoint`].
+    /// from the process-wide default.
     pub fn from_snapshot(snap: &Snapshot) -> Result<TwoFluidLbm, CkptError> {
         let mut r = snap.reader(SEC_LBM_META)?;
         let cfg = LbmConfig {
@@ -785,13 +761,8 @@ impl TwoFluidLbm {
             .ok_or_else(|| corrupt("grid size overflows"))?;
         let fa = f64_section(snap, SEC_LBM_FA, len)?;
         let fb = f64_section(snap, SEC_LBM_FB, len)?;
-        Ok(TwoFluidLbm::from_checkpoint(LbmCheckpoint {
-            cfg,
-            fa,
-            fb,
-            miscibility,
-            steps,
-        }))
+        let pool = gridsteer_exec::shared(cfg.threads);
+        Ok(Self::from_parts(cfg, pool, fa, fb, miscibility, steps))
     }
 
     /// Replace this solver's physics state from the `lbm/*` sections of
@@ -840,28 +811,6 @@ fn f64_section(snap: &Snapshot, name: &str, expect: usize) -> Result<Vec<f64>, C
         .chunks_exact(8)
         .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
         .collect())
-}
-
-/// A full solver checkpoint (see [`TwoFluidLbm::checkpoint`]).
-#[derive(Debug, Clone)]
-pub struct LbmCheckpoint {
-    /// Solver configuration.
-    pub cfg: LbmConfig,
-    /// Component-A distributions, SoA layout `f[i*n + node]`.
-    pub fa: Vec<f64>,
-    /// Component-B distributions, SoA layout `f[i*n + node]`.
-    pub fb: Vec<f64>,
-    /// Steering parameter at checkpoint time.
-    pub miscibility: f64,
-    /// Step counter at checkpoint time.
-    pub steps: u64,
-}
-
-impl LbmCheckpoint {
-    /// Serialized size in bytes (what migration must move between sites).
-    pub fn byte_size(&self) -> usize {
-        (self.fa.len() + self.fb.len()) * 8 + 64
-    }
 }
 
 #[cfg(test)]
@@ -977,10 +926,6 @@ mod tests {
                 sim.step_n(7);
                 assert_moments_current(&sim, "after step_n(7)");
                 let stepped = observed(&sim);
-
-                let resumed = TwoFluidLbm::from_checkpoint(sim.checkpoint());
-                assert_moments_current(&resumed, "after from_checkpoint");
-                assert_eq!(observed(&resumed), stepped, "from_checkpoint");
 
                 let mut snap = Snapshot::new(1, 0);
                 sim.save_sections(&mut snap);
@@ -1118,7 +1063,7 @@ mod tests {
             sim.set_backend(backend);
             sim.set_miscibility(0.1);
             sim.step_n(12);
-            sim.checkpoint()
+            sim
         };
         let scalar = run(lanes::Backend::Scalar, 1);
         for (backend, threads) in [
@@ -1243,16 +1188,20 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_is_bit_identical() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut a = TwoFluidLbm::new(LbmConfig::small());
         a.set_miscibility(0.3);
         a.step_n(7);
-        let ck = a.checkpoint();
-        let mut b = TwoFluidLbm::from_checkpoint(ck);
-        assert_eq!(b.steps(), 7);
-        assert_eq!(b.miscibility(), 0.3);
+        // the `lbm/*` sections are the one checkpoint format: the
+        // distributions come back bit for bit, and so does the run
+        let mut snap = Snapshot::new(1, 0);
+        a.save_sections(&mut snap);
+        let mut b = TwoFluidLbm::from_snapshot(&snap).unwrap();
+        assert_eq!((b.steps(), b.miscibility()), (7, 0.3));
+        assert_eq!((bits(&a.fa), bits(&a.fb)), (bits(&b.fa), bits(&b.fb)));
         a.step_n(5);
         b.step_n(5);
-        assert_eq!(a.order_parameter().data(), b.order_parameter().data());
+        assert_eq!((bits(&a.fa), bits(&a.fb)), (bits(&b.fa), bits(&b.fb)));
     }
 
     #[test]

@@ -5,20 +5,22 @@
 //! operation sequence per lane, so this is equality of `f64` bits, not a
 //! tolerance check.
 
-use lbm::{LbmConfig, TwoFluidLbm};
+use gridsteer_ckpt::Snapshot;
+use lbm::{LbmConfig, TwoFluidLbm, SEC_LBM_FA, SEC_LBM_FB};
 use proptest::prelude::*;
 
-fn run(cfg: &LbmConfig, backend: lanes::Backend, steps: usize) -> (Vec<u64>, Vec<u64>) {
+/// The `lbm/fa` and `lbm/fb` checkpoint sections after `steps`, a steer,
+/// and `steps` more: raw little-endian distribution bits.
+fn run(cfg: &LbmConfig, backend: lanes::Backend, steps: usize) -> (Vec<u8>, Vec<u8>) {
     let mut sim = TwoFluidLbm::new(cfg.clone());
     sim.set_backend(backend);
     sim.step_n(steps);
     sim.set_miscibility(0.15); // a mid-run steer, as the loop delivers them
     sim.step_n(steps);
-    let ck = sim.checkpoint();
-    (
-        ck.fa.iter().map(|v| v.to_bits()).collect(),
-        ck.fb.iter().map(|v| v.to_bits()).collect(),
-    )
+    let mut snap = Snapshot::new(0, 0);
+    sim.save_sections(&mut snap);
+    let section = |name| snap.section(name).expect("saved").to_vec();
+    (section(SEC_LBM_FA), section(SEC_LBM_FB))
 }
 
 proptest! {

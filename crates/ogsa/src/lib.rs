@@ -22,10 +22,11 @@
 //!   `(handle, port type)` entries; clients discover by port type and then
 //!   bind to the handles ("the client chooses the services it will require
 //!   and binds them to the client", §2.3).
-//! * [`steering`] — the steering-service and visualization-service port
-//!   types of Figure 2, exposing the RealityGrid-style steering API
-//!   (`listParams` / `getParam` / `setParam` / `sequenceNumber`) over any
-//!   [`steering::Steerable`] application.
+//! * [`steering`] — the visualization-service port type of Figure 2
+//!   (`setIsovalue` / `setYaw` over shared [`steering::VisControl`]). The
+//!   application's steering service is `gridsteer_bus::BusSteeringService`
+//!   (`describe` / `getParam` / `setBatch`), hosted in this environment by
+//!   the bus's OGSA adapter.
 
 pub mod hosting;
 pub mod registry;
@@ -35,4 +36,4 @@ pub mod steering;
 pub use hosting::{HostingEnv, HostingError};
 pub use registry::Registry;
 pub use service::{GridService, Gsh, InvokeResult, SdeValue, ServiceData};
-pub use steering::{Steerable, SteeringService, VisControl, VisService};
+pub use steering::{VisControl, VisService};

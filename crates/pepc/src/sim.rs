@@ -65,7 +65,7 @@ impl PepcConfig {
     }
 }
 
-/// Steerable parameters (§3.4: alterable "while the application is
+/// The steerable parameters (§3.4: alterable "while the application is
 /// running").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SteerParams {

@@ -1,16 +1,17 @@
 //! Cross-crate integration tests: each exercises a full path through
 //! several subsystems, mirroring the paper's demonstrations.
 
+use gridsteer::bus::{BusSteeringService, SteerHub};
 use gridsteer::covise::{
     CollabSession, Controller, IsoSurface, ModuleId, ReadField, Renderer, SyncMode,
 };
 use gridsteer::lbm::{LbmConfig, TwoFluidLbm};
 use gridsteer::netsim::{Link, NetModel};
-use gridsteer::ogsa::{HostingEnv, Registry, SdeValue, SteeringService};
+use gridsteer::ogsa::{HostingEnv, Registry, SdeValue, VisControl, VisService};
 use gridsteer::pepc::{PepcConfig, PepcSim};
 use gridsteer::steer_core::{
-    ClientHandle, CollabServer, LbmSteerAdapter, LoopBudget, LoopMonitor, Migrator, ParamRegistry,
-    ParamSpec, SteeringSession,
+    ClientHandle, CollabServer, LoopBudget, LoopMonitor, Migrator, ParamRegistry, ParamSpec,
+    ParamValue, SteerTarget, SteeringSession,
 };
 use gridsteer::unicore::{Ajo, CertAuthority, Gateway, Njs, Task, TrustStore, Tsi, UnicoreClient};
 use gridsteer::visit::{MemLink, Password, SteeringClient, VisServer, VisitValue};
@@ -55,6 +56,10 @@ fn figure1_pipeline_end_to_end() {
 #[test]
 fn visit_steering_changes_running_lbm() {
     const TAG_MISC: u32 = 2;
+    // the solver is built before the server starts its idle clock, so the
+    // first request leaves right after the connect, not after a debug-build
+    // constructor has eaten the server's idle window
+    let mut sim = TwoFluidLbm::new(LbmConfig::small());
     let (sim_link, vis_link) = MemLink::pair();
     let pw = Password::Keyed("job".into());
     let vis = std::thread::spawn(move || {
@@ -70,7 +75,6 @@ fn visit_steering_changes_running_lbm() {
         server
     });
     let mut client = SteeringClient::connect(sim_link, &pw, 9, Duration::from_secs(2)).unwrap();
-    let mut sim = TwoFluidLbm::new(LbmConfig::small());
     for _ in 0..3 {
         if let Ok(Some(v)) = client.request(TAG_MISC) {
             sim.set_miscibility(v.to_f64().unwrap()[0]);
@@ -134,50 +138,63 @@ fn unicore_job_runs_simulation_and_spools_result() {
     assert!(metric > 0.0, "simulation produced no demixing metric");
 }
 
-/// Figure-2 flow against a *live* simulation: registry discovery, bind,
-/// steer through the OGSA service — and the physics responds.
+/// The Figure-2 flow against a *live* simulation: a steering service and a
+/// visualization service published in one registry, discovered by port
+/// type and bound; the steer commits at a step boundary, and both the
+/// physics and the visualization respond.
 #[test]
 fn ogsa_service_steers_live_simulation() {
-    let sim = Arc::new(Mutex::new(TwoFluidLbm::new(LbmConfig::small())));
+    let mut sim = TwoFluidLbm::new(LbmConfig::small());
+    let hub = SteerHub::new(TwoFluidLbm::specs());
+    let vis = Arc::new(Mutex::new(VisControl::default()));
     let mut env = HostingEnv::new();
+    let reg = env.host("registry", Box::new(Registry::new()), None);
     let steer_gsh = env.host(
         "steer",
-        Box::new(SteeringService::new(
-            "lbm",
-            Arc::new(Mutex::new(LbmSteerAdapter::new(sim.clone())))
-                as Arc<Mutex<dyn gridsteer::ogsa::Steerable>>,
-        )),
+        Box::new(BusSteeringService::new(&hub, "client")),
         Some(300),
     );
-    let reg = env.host("registry", Box::new(Registry::new()), None);
-    env.invoke(
-        &reg,
-        "publish",
-        &[
-            SdeValue::Str(steer_gsh.clone()),
-            SdeValue::Str(SteeringService::PORT_TYPE.into()),
-            SdeValue::Str("LB demo".into()),
-        ],
-    )
-    .unwrap();
-    // client side: discover + bind + steer
-    let found = env
-        .invoke(
-            &reg,
-            "discover",
-            &[SdeValue::Str(SteeringService::PORT_TYPE.into())],
-        )
-        .unwrap();
-    let handle = found.first().unwrap().as_list().unwrap()[0].clone();
-    let r = env
-        .invoke(
-            &handle,
-            "setParam",
-            &[SdeValue::Str("miscibility".into()), SdeValue::F64(0.25)],
-        )
-        .unwrap();
-    assert!(r.is_ok());
-    assert_eq!(sim.lock().miscibility(), 0.25);
+    let vis_gsh = env.host("vis", Box::new(VisService::new(vis.clone())), Some(300));
+    for (gsh, port) in [
+        (&steer_gsh, BusSteeringService::PORT_TYPE),
+        (&vis_gsh, VisService::PORT_TYPE),
+    ] {
+        let entry = [gsh.clone(), port.into(), "LB demo".into()].map(SdeValue::Str);
+        env.invoke(&reg, "publish", &entry).unwrap();
+    }
+    // client side: discover each service by its port type and bind it
+    let mut discover = |port: &str| {
+        let found = env
+            .invoke(&reg, "discover", &[SdeValue::Str(port.into())])
+            .unwrap();
+        found.first().unwrap().as_list().unwrap()[0].clone()
+    };
+    let steer = discover(BusSteeringService::PORT_TYPE);
+    let vis_handle = discover(VisService::PORT_TYPE);
+    assert_eq!((&steer, &vis_handle), (&steer_gsh, &vis_gsh));
+    let batch = [
+        SdeValue::Str("miscibility".into()),
+        SdeValue::Str("f64".into()),
+        SdeValue::F64(0.25),
+    ];
+    assert!(env.invoke(&steer, "setBatch", &batch).unwrap().is_ok());
+    assert!(env
+        .invoke(&vis_handle, "setIsovalue", &[SdeValue::F64(0.3)])
+        .unwrap()
+        .is_ok());
+    // staged, not applied: the steer waits for the next step boundary
+    assert_eq!((hub.pending(), sim.miscibility()), (1, 1.0));
+    let registry = hub.registry();
+    let committed = hub.commit_with(|_, cmd| {
+        let applied = registry.set_value(&cmd.param, &cmd.value)?;
+        sim.write(&cmd.param, &applied)?;
+        Ok(applied)
+    });
+    assert_eq!((committed.applied, committed.refused), (1, 0));
+    sim.step();
+    assert_eq!(sim.miscibility(), 0.25);
+    assert_eq!(hub.get("miscibility"), Some(ParamValue::F64(0.25)));
+    assert_eq!(vis.lock().isovalue, 0.3);
 }
 
 /// Multi-process-shaped TCP steering with a real simulation thread: the
