@@ -50,7 +50,7 @@ impl Capabilities {
         }
     }
 
-    /// Stable one-line rendering (handshake audit lines, digests).
+    /// Stable one-line rendering (scenario `attach` lines, digests).
     pub fn render(&self) -> String {
         let kinds: Vec<&str> = self.kinds.iter().map(|k| k.name()).collect();
         format!(
@@ -174,9 +174,9 @@ pub(crate) fn check_batch(
 /// middleware, written once: each adapter's `impl SteerEndpoint` expands
 /// this and adds what its wire actually does — `set_batch`, and `get`
 /// where a read is more than a hub lookup (the `hub_get` arm supplies the
-/// plain one). Expects the adapter's session half as `self.hub`,
-/// `self.origin` and `self.caps`; the label is the one the caps were
-/// built with, so it has one source.
+/// plain one). Expects the adapter's session half as `self.hub` and
+/// `self.caps`; the label is the one the caps were built with, so it has
+/// one source.
 macro_rules! steer_endpoint_common {
     () => {
         fn transport(&self) -> &'static str {
@@ -184,10 +184,8 @@ macro_rules! steer_endpoint_common {
         }
 
         fn negotiate(&mut self, client: &$crate::Capabilities) -> $crate::Capabilities {
-            // narrow to what both sides can do and put the result on the
-            // hub's audit log
+            // narrow to what both sides can do
             self.caps = self.caps.intersect(client);
-            self.hub.record_handshake(&self.origin, &self.caps);
             self.caps.clone()
         }
 

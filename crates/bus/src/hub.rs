@@ -10,7 +10,7 @@
 //! middleware carried each command.
 
 use crate::command::{CommandBatch, CommitOutcome, CommitRecord, SteerCommand, SteerError};
-use crate::endpoint::{Capabilities, Pending, Subscription};
+use crate::endpoint::{Pending, Subscription};
 use crate::registry::{ParamRegistry, SharedRegistry};
 use crate::spec::ParamSpec;
 use crate::value::ParamValue;
@@ -26,7 +26,6 @@ struct HubState {
     /// Weak so a dropped subscriber's queue is reclaimed (dead entries
     /// are pruned at each commit).
     subscribers: Vec<Weak<Mutex<Pending>>>,
-    handshakes: Vec<String>,
     /// Oracle probe: per-origin high-water mark of committed batch seqs.
     /// Cleared on restore — a restored process legitimately replays the
     /// staged batches the checkpoint captured.
@@ -105,19 +104,6 @@ impl SteerHub {
     /// Number of batches waiting for the next commit.
     pub fn pending(&self) -> usize {
         self.state.lock().staged.len()
-    }
-
-    /// Record a completed capability handshake (audit + scenario digest).
-    pub fn record_handshake(&self, origin: &str, negotiated: &Capabilities) {
-        self.state
-            .lock()
-            .handshakes
-            .push(format!("{origin} {}", negotiated.render()));
-    }
-
-    /// Handshake audit lines, in attach order.
-    pub fn handshakes(&self) -> Vec<String> {
-        self.state.lock().handshakes.clone()
     }
 
     /// Register a subscriber fed by every subsequent commit. Dropping
@@ -215,11 +201,10 @@ impl SteerHub {
         self.commit_with(|_batch, cmd| registry.set_value(&cmd.param, &cmd.value))
     }
 
-    /// Serialize the full hub state — registry (specs, values, change
-    /// log, counter), staged batches, batch/commit sequence counters and
-    /// the handshake audit log — into snapshot section `name`.
-    /// Subscriber notice queues are process-local and are not
-    /// serialized: endpoints re-subscribe after a restore.
+    /// Serialize the full hub state — registry (specs, values), staged
+    /// batches and the batch/commit sequence counters — into snapshot
+    /// section `name`. Subscriber notice queues are process-local and are
+    /// not serialized: endpoints re-subscribe after a restore.
     pub fn save_sections(&self, snap: &mut Snapshot, name: &str) {
         let mut w = SectionWriter::new();
         self.registry.save_into(&mut w);
@@ -236,21 +221,16 @@ impl SteerHub {
                 crate::ckpt::put_command(&mut w, c);
             }
         }
-        w.put_u32(st.handshakes.len() as u32);
-        for h in &st.handshakes {
-            w.put_str(h);
-        }
         drop(st);
         snap.push(name, 0, w.finish());
     }
 
     /// Restore hub state from snapshot section `name`, replacing the
-    /// registry contents, staged batches, counters and handshake log
-    /// behind the existing shared handles — clones held by sessions and
-    /// endpoints observe the restored state. Subscribers are cleared
-    /// (their queues did not survive the process); endpoints
-    /// re-subscribe on reattach. Batch and commit numbering resume
-    /// exactly where the checkpoint cut them.
+    /// registry contents, staged batches and counters behind the existing
+    /// shared handles — clones held by sessions and endpoints observe the
+    /// restored state. Subscribers are cleared (their queues did not
+    /// survive the process); endpoints re-subscribe on reattach. Batch
+    /// and commit numbering resume exactly where the checkpoint cut them.
     pub fn restore_sections(&self, snap: &Snapshot, name: &str) -> Result<(), CkptError> {
         let mut r = snap.reader(name)?;
         let registry = ParamRegistry::restore_from(&mut r)?;
@@ -274,18 +254,12 @@ impl SteerHub {
                 commands,
             });
         }
-        let nhs = r.get_u32()?;
-        let mut handshakes = Vec::new();
-        for _ in 0..nhs {
-            handshakes.push(r.get_str()?);
-        }
         r.expect_end()?;
         self.registry.replace(registry);
         let mut st = self.state.lock();
         st.staged = staged;
         st.next_batch = next_batch;
         st.commit_seq = commit_seq;
-        st.handshakes = handshakes;
         st.subscribers.clear();
         // batch numbering may rewind past commits the pre-crash process
         // made — replaying them is correct recovery, not a stale commit
@@ -298,6 +272,7 @@ impl SteerHub {
 mod tests {
     use super::*;
     use crate::spec::ParamSpec;
+    use crate::{Capabilities, Transport};
 
     fn hub() -> SteerHub {
         SteerHub::new(vec![
@@ -502,7 +477,6 @@ mod tests {
     #[test]
     fn hub_state_survives_snapshot_roundtrip() {
         let h = hub();
-        h.record_handshake("alice", &Capabilities::full("visit", 64));
         h.stage("alice", "visit", vec![SteerCommand::f64("gain", 2.0)])
             .unwrap();
         h.commit();
@@ -518,8 +492,6 @@ mod tests {
         assert_eq!(restored.describe(), h.describe());
         assert_eq!(restored.get("gain"), Some(ParamValue::F64(2.0)));
         assert_eq!(restored.pending(), 1, "staged batch survives");
-        assert_eq!(restored.handshakes(), h.handshakes());
-        assert_eq!(restored.registry.history(), h.registry.history());
         // numbering resumes, not restarts: the next batch seq is unique
         let s = restored
             .stage("carol", "loopback", vec![SteerCommand::f64("gain", 3.0)])
@@ -547,13 +519,28 @@ mod tests {
     }
 
     #[test]
-    fn handshake_log_is_ordered() {
-        let h = hub();
-        h.record_handshake("alice", &Capabilities::full("visit", 64));
-        h.record_handshake("bob", &Capabilities::full("ogsa", 32));
-        let log = h.handshakes();
-        assert_eq!(log.len(), 2);
-        assert!(log[0].starts_with("alice transport=visit"));
-        assert!(log[1].starts_with("bob transport=ogsa"));
+    fn attach_detach_cycles_leave_no_trace_in_the_section() {
+        let section = |h: &SteerHub| {
+            let mut snap = Snapshot::new(1, 0);
+            h.save_sections(&mut snap, "steer");
+            snap.section("steer").unwrap().to_vec()
+        };
+        // attach = negotiate + subscribe; detach = drop both
+        let attach = |h: &SteerHub, t: Transport, who: &str| {
+            let mut ep = t.attach(h, who);
+            let caps = ep.negotiate(&Capabilities::full("client", 64));
+            assert_eq!(caps.transport, t.label());
+            let sub = ep.subscribe();
+            (ep, sub)
+        };
+        let fresh = hub();
+        let _live = attach(&fresh, Transport::Visit, "alice");
+        let churned = hub();
+        for i in 0..100 {
+            let t = Transport::ALL[i % Transport::ALL.len()];
+            drop(attach(&churned, t, &format!("guest{i}")));
+        }
+        let _live = attach(&churned, Transport::Visit, "alice");
+        assert_eq!(section(&churned), section(&fresh));
     }
 }

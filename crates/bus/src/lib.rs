@@ -13,10 +13,11 @@
 //!   server, UNICORE job payloads), and canonical text.
 //! * [`ParamSpec`] / [`BoundsPolicy`] — typed declarations with an
 //!   *explicit* clamp-vs-reject policy, replacing the old f64-only specs.
-//! * [`ParamRegistry`] / [`SharedRegistry`] — the typed registry and its
-//!   shared-authority handle. Its change log, like the session's event
-//!   log, is a [`BoundedLog`]: a window of the newest entries plus a
-//!   count and fold of everything evicted ([`AUDIT_WINDOW`]).
+//! * [`ParamRegistry`] / [`SharedRegistry`] — the typed registry (specs
+//!   and current values) and its shared-authority handle. The one record
+//!   of applied steers is the session's event log, a [`BoundedLog`]: a
+//!   window of the newest entries plus a count and fold of everything
+//!   evicted ([`AUDIT_WINDOW`]).
 //! * [`SteerEndpoint`] — the one client contract: capability
 //!   [`SteerEndpoint::negotiate`] handshake, typed
 //!   [`SteerEndpoint::describe`] / [`SteerEndpoint::get`],
@@ -102,7 +103,7 @@ pub use monitor::{
     UnicoreMonitor, VisitMonitor,
 };
 pub use ogsa::{BusSteeringService, OgsaEndpoint};
-pub use registry::{Change, ParamRegistry, SharedRegistry};
+pub use registry::{ParamRegistry, SharedRegistry};
 pub use spec::{BoundsPolicy, ParamSpec};
 pub use transport::Transport;
 pub use unicore::UnicoreEndpoint;

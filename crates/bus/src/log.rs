@@ -1,9 +1,9 @@
 //! A bounded audit log: the newest entries as a slice, everything older
 //! as a count and a fold.
 //!
-//! The session's event log and the registry's change log both grow by
-//! one entry per committed command. Neither may grow with the run, and
-//! neither may silently forget: a [`BoundedLog`] keeps between
+//! The session's event log grows by one entry per committed command. It
+//! may not grow with the run, and it may not silently forget: a
+//! [`BoundedLog`] keeps between
 //! [`AUDIT_WINDOW`] and 2 × [`AUDIT_WINDOW`] of the newest entries and
 //! accounts for the rest with [`BoundedLog::evicted`] and
 //! [`BoundedLog::fold`] — FNV-1a 64 over the evicted entries' checkpoint

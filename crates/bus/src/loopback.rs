@@ -122,7 +122,7 @@ mod tests {
         client.kinds.remove(&ParamKind::Str);
         let negotiated = ep.negotiate(&client);
         assert!(!negotiated.kinds.contains(&ParamKind::Str));
-        assert_eq!(negotiated.max_batch, 8);
+        assert_eq!((negotiated.transport, negotiated.max_batch), (LABEL, 8));
         let err = ep
             .set_batch(vec![SteerCommand::new(
                 "label",
@@ -130,7 +130,7 @@ mod tests {
             )])
             .unwrap_err();
         assert!(matches!(err, SteerError::UnsupportedKind { .. }));
-        assert_eq!(h.handshakes().len(), 1);
+        assert_eq!(h.pending(), 0);
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl MonitorCaps {
         }
     }
 
-    /// Stable one-line rendering (handshake audit lines, digests).
+    /// Stable one-line rendering (scenario `attach` lines, digests).
     pub fn render(&self) -> String {
         let kinds: Vec<&str> = self.kinds.iter().map(|k| k.name()).collect();
         format!(

@@ -109,7 +109,7 @@ impl MonitorKind {
         })
     }
 
-    /// Stable lowercase name (capability sets, handshake logs).
+    /// Stable lowercase name (capability sets, attach lines).
     pub fn name(self) -> &'static str {
         match self {
             MonitorKind::Scalar => "scalar",

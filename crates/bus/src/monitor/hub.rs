@@ -62,7 +62,6 @@ struct HubState {
     subs: Vec<SubEntry>,
     next_seq: u64,
     published: u64,
-    handshakes: Vec<String>,
 }
 
 /// The shared monitor hub. Cheap to clone; all clones are one hub.
@@ -78,8 +77,7 @@ impl MonitorHub {
     }
 
     /// Attach a subscriber endpoint as `name`, negotiating against the
-    /// viewer's offered capabilities. Returns the negotiated set; the
-    /// handshake is recorded on the audit log (part of scenario digests).
+    /// viewer's offered capabilities. Returns the negotiated set.
     pub fn attach_endpoint(
         &self,
         name: &str,
@@ -108,8 +106,6 @@ impl MonitorHub {
             "duplicate monitor subscriber name {name:?} — \
              recv()/stats_of() resolve by name, so names must be unique"
         );
-        st.handshakes
-            .push(format!("{name} {}", negotiated.render()));
         st.subs.push(SubEntry {
             name: name.to_string(),
             ep,
@@ -122,19 +118,17 @@ impl MonitorHub {
         negotiated
     }
 
-    /// Detach subscriber `name`: the endpoint's transport is closed, the
-    /// entry (including its per-channel keyframe state) is dropped, and a
-    /// `detach` line joins the handshake audit log. Returns the final
-    /// delivery statistics, or `None` if the name is unknown. Frames
-    /// published after detach never reach the departed endpoint — before
-    /// this existed, a viewer that left kept costing fan-out work and its
-    /// keyframe bookkeeping grew without bound.
+    /// Detach subscriber `name`: the endpoint's transport is closed and
+    /// the entry (including its per-channel keyframe state) is dropped.
+    /// Returns the final delivery statistics, or `None` if the name is
+    /// unknown. Frames published after detach never reach the departed
+    /// endpoint — before this existed, a viewer that left kept costing
+    /// fan-out work and its keyframe bookkeeping grew without bound.
     pub fn detach(&self, name: &str) -> Option<MonitorStats> {
         let mut st = self.state.lock();
         let idx = st.subs.iter().position(|s| s.name == name)?;
         let mut sub = st.subs.remove(idx);
         sub.ep.close();
-        st.handshakes.push(format!("{name} detach"));
         Some(sub.stats)
     }
 
@@ -146,11 +140,6 @@ impl MonitorHub {
     /// Frames published so far.
     pub fn frames_published(&self) -> u64 {
         self.state.lock().published
-    }
-
-    /// Handshake audit lines, in attach order.
-    pub fn handshakes(&self) -> Vec<String> {
-        self.state.lock().handshakes.clone()
     }
 
     /// True once per `channel` after each new subscriber attach — frame
@@ -290,10 +279,10 @@ impl MonitorHub {
             .map(|s| s.stats)
     }
 
-    /// Serialize the full hub state — sequence counters, handshake audit
-    /// log, and every subscriber's negotiated caps, decimation phase,
-    /// send budget, keyframe bookkeeping and delivery statistics — into
-    /// snapshot section `name`. Endpoint objects themselves are
+    /// Serialize the full hub state — sequence counters and every
+    /// subscriber's negotiated caps, decimation phase, send budget,
+    /// keyframe bookkeeping and delivery statistics — into snapshot
+    /// section `name`. Endpoint objects themselves are
     /// process-local middleware handles and are not serialized; restore
     /// rebuilds them through a resolver.
     pub fn save_sections(&self, snap: &mut Snapshot, name: &str) {
@@ -301,10 +290,6 @@ impl MonitorHub {
         let st = self.state.lock();
         w.put_u64(st.next_seq);
         w.put_u64(st.published);
-        w.put_u32(st.handshakes.len() as u32);
-        for h in &st.handshakes {
-            w.put_str(h);
-        }
         w.put_u32(st.subs.len() as u32);
         for sub in &st.subs {
             w.put_str(&sub.name);
@@ -328,12 +313,12 @@ impl MonitorHub {
     /// Restore hub state from snapshot section `name`. The `resolver`
     /// builds a fresh endpoint per `(subscriber name, saved caps)`; the
     /// endpoint negotiates against the saved caps and the *saved* set
-    /// then stands as the subscriber's negotiated result. Restore pushes
-    /// no new handshake lines and perturbs no counters, so a restored
-    /// hub's delivery schedule (decimation phase, sequence numbers,
-    /// per-subscriber stats) continues exactly where the checkpoint cut
-    /// it — that is what keeps a crashed-and-restored scenario digest
-    /// byte-identical to an uncrashed one.
+    /// then stands as the subscriber's negotiated result. Restore perturbs
+    /// no counters, so a restored hub's delivery schedule (decimation
+    /// phase, sequence numbers, per-subscriber stats) continues exactly
+    /// where the checkpoint cut it — that is what keeps a
+    /// crashed-and-restored scenario digest byte-identical to an
+    /// uncrashed one.
     pub fn restore_sections(
         &self,
         snap: &Snapshot,
@@ -343,11 +328,6 @@ impl MonitorHub {
         let mut r = snap.reader(name)?;
         let next_seq = r.get_u64()?;
         let published = r.get_u64()?;
-        let nhs = r.get_u32()?;
-        let mut handshakes = Vec::new();
-        for _ in 0..nhs {
-            handshakes.push(r.get_str()?);
-        }
         let nsubs = r.get_u32()?;
         let mut subs = Vec::new();
         for _ in 0..nsubs {
@@ -385,7 +365,6 @@ impl MonitorHub {
         st.subs = subs;
         st.next_seq = next_seq;
         st.published = published;
-        st.handshakes = handshakes;
         Ok(())
     }
 }
@@ -459,14 +438,15 @@ mod tests {
     use crate::loopback::LoopbackMonitor;
     use crate::monitor::frame::MonitorKind;
 
+    fn attach(hub: &MonitorHub, name: &str) -> MonitorCaps {
+        let ep = Box::new(LoopbackMonitor::new());
+        hub.attach_endpoint(name, ep, &MonitorCaps::full("viewer", 64))
+    }
+
     fn hub_with(names: &[&str]) -> MonitorHub {
         let hub = MonitorHub::new();
         for n in names {
-            hub.attach_endpoint(
-                n,
-                Box::new(LoopbackMonitor::new()),
-                &MonitorCaps::full("viewer", 64),
-            );
+            attach(&hub, n);
         }
         hub
     }
@@ -562,12 +542,30 @@ mod tests {
     }
 
     #[test]
-    fn handshake_log_is_ordered_and_stable() {
-        let hub = hub_with(&["alice", "bob"]);
-        let log = hub.handshakes();
-        assert_eq!(log.len(), 2);
-        assert!(log[0].starts_with("alice transport=loopback"));
-        assert!(log[1].starts_with("bob transport=loopback"));
+    fn attach_returns_the_negotiated_caps() {
+        let hub = MonitorHub::new();
+        let viewer = MonitorCaps::full("viewer", 8).every(3);
+        let caps = hub.attach_endpoint("alice", Box::new(LoopbackMonitor::new()), &viewer);
+        assert_eq!(caps.transport, "loopback");
+        assert_eq!((caps.max_batch, caps.deliver_every), (8, 3));
+        assert_eq!(hub.subscribers(), 1);
+    }
+
+    #[test]
+    fn attach_detach_cycles_leave_no_trace_in_the_section() {
+        let section = |h: &MonitorHub| {
+            let mut snap = Snapshot::new(1, 0);
+            h.save_sections(&mut snap, "mon");
+            snap.section("mon").unwrap().to_vec()
+        };
+        let churned = MonitorHub::new();
+        for i in 0..100 {
+            let guest = format!("guest{i}");
+            attach(&churned, &guest);
+            assert!(churned.detach(&guest).is_some());
+        }
+        attach(&churned, "alice");
+        assert_eq!(section(&churned), section(&hub_with(&["alice"])));
     }
 
     #[test]
@@ -592,8 +590,6 @@ mod tests {
         );
         assert_eq!(hub.stats_of("b").unwrap().delivered, 2, "b unaffected");
         assert_eq!(hub.detach("a"), None, "double detach is a miss");
-        let log = hub.handshakes();
-        assert_eq!(log.last().unwrap(), "a detach");
     }
 
     #[test]
@@ -687,7 +683,6 @@ mod tests {
 
         publish_phase(&reference, 5);
         publish_phase(&restored, 5);
-        assert_eq!(restored.handshakes(), reference.handshakes());
         assert_eq!(restored.stats_of("v"), reference.stats_of("v"));
         assert_eq!(restored.frames_published(), reference.frames_published());
         // decimation phase survived: drained frames concatenate to the
@@ -814,7 +809,6 @@ mod tests {
         let mut w = SectionWriter::new();
         w.put_u64(0); // next_seq
         w.put_u64(0); // published
-        w.put_u32(0); // handshakes
         w.put_u32(1); // subscribers
         w.put_str("v");
         crate::ckpt::put_caps(

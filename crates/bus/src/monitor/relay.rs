@@ -243,11 +243,6 @@ impl RelayHub {
         self.children.subscribers()
     }
 
-    /// Child handshake audit lines, in attach order.
-    pub fn handshakes(&self) -> Vec<String> {
-        self.children.handshakes()
-    }
-
     /// Channels currently held in the keyframe cache.
     pub fn cached_channels(&self) -> Vec<String> {
         self.core.lock().cache.keys().cloned().collect()
@@ -602,7 +597,6 @@ mod tests {
         assert_eq!(restored.report(), relay.report());
         assert_eq!(restored.cached_channels(), relay.cached_channels());
         assert_eq!(restored.children_count(), 1);
-        assert_eq!(restored.handshakes(), relay.handshakes());
         // the unpumped ingress frame survives and fans out after restore
         relay.pump();
         restored.pump();
@@ -628,5 +622,30 @@ mod tests {
         relay.pump();
         assert!(relay.recv_child("v").is_empty());
         assert_eq!(relay.children_count(), 0);
+    }
+
+    #[test]
+    fn attach_detach_cycles_leave_no_trace_in_the_section() {
+        let sections = |r: &RelayHub| {
+            let mut snap = gridsteer_ckpt::Snapshot::new(1, 0);
+            r.save_sections(&mut snap, "relay/r");
+            snap.sections
+        };
+        let attach = |r: &RelayHub, name: &str| {
+            let caps = r.attach_child(name, Box::new(LoopbackMonitor::new()), &viewer_caps());
+            assert_eq!(caps.max_batch, 64);
+        };
+        let (fresh, churned) = (
+            RelayHub::new(RelayPolicy::default()),
+            RelayHub::new(RelayPolicy::default()),
+        );
+        attach(&fresh, "alice");
+        for i in 0..100 {
+            let name = format!("guest{i}");
+            attach(&churned, &name);
+            assert!(churned.detach_child(&name).is_some());
+        }
+        attach(&churned, "alice");
+        assert_eq!(sections(&churned), sections(&fresh));
     }
 }

@@ -214,7 +214,6 @@ impl GridService for BusSteeringService {
 /// Steering through the OGSA hosting environment.
 pub struct OgsaEndpoint {
     hub: SteerHub,
-    origin: String,
     caps: Capabilities,
     service: Binding,
 }
@@ -225,7 +224,6 @@ impl OgsaEndpoint {
     pub fn attach(hub: &SteerHub, origin: &str) -> OgsaEndpoint {
         OgsaEndpoint {
             hub: hub.clone(),
-            origin: origin.to_string(),
             caps: Capabilities::full(LABEL, 128),
             service: Binding::host(
                 "bus-steer",

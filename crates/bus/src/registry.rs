@@ -9,7 +9,6 @@
 //! lost `Vec3`/`Str` parameters and dropped the applied clamped value)
 //! went through a `#[deprecated]` cycle and are now removed.
 
-use crate::log::{BoundedLog, LogEntry, Names};
 use crate::spec::ParamSpec;
 use crate::value::ParamValue;
 use gridsteer_ckpt::{CkptError, SectionReader, SectionWriter};
@@ -17,34 +16,13 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// One change-log entry: `(sequence, name, applied value)`. The name is
-/// the registry's own allocation of it (see [`ParamRegistry::intern`]),
-/// so logging a change allocates nothing for it.
-pub type Change = (u64, Arc<str>, ParamValue);
-
-impl LogEntry for Change {
-    fn put(&self, w: &mut SectionWriter) {
-        let (seq, name, v) = self;
-        w.put_u64(*seq);
-        w.put_str(name);
-        crate::ckpt::put_value(w, v);
-    }
-
-    fn get(r: &mut SectionReader<'_>, names: &mut Names) -> Result<Change, CkptError> {
-        let seq = r.get_u64()?;
-        let name = names.intern(r.get_str_ref()?);
-        Ok((seq, name, crate::ckpt::get_value(r, "registry history")?))
-    }
-}
-
-/// A typed registry of steerable parameters with a bounded change log.
+/// A typed registry of steerable parameters: declared specs and current
+/// values. The record of who applied what is the session's audit log.
 #[derive(Debug, Default)]
 pub struct ParamRegistry {
     /// Keyed by the one shared allocation of each declared name.
     specs: BTreeMap<Arc<str>, ParamSpec>,
     values: BTreeMap<Arc<str>, ParamValue>,
-    history: BoundedLog<Change>,
-    seq: u64,
 }
 
 impl ParamRegistry {
@@ -113,31 +91,11 @@ impl ParamRegistry {
                 self.values.insert(key.clone(), applied.clone());
             }
         }
-        self.seq += 1;
-        self.history.push((self.seq, key.clone(), applied.clone()));
         Ok(applied)
     }
 
-    /// The retained tail of the change log (oldest first) — at least the
-    /// newest [`AUDIT_WINDOW`](crate::AUDIT_WINDOW) changes.
-    pub fn history(&self) -> &[Change] {
-        self.history.retained()
-    }
-
-    /// The whole change log: the retained tail plus the count and fold
-    /// of what it has evicted.
-    pub fn change_log(&self) -> &BoundedLog<Change> {
-        &self.history
-    }
-
-    /// Monotone change counter.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Serialize specs, current values, the change log (its retained
-    /// tail, evicted count and fold) and the change counter into a
-    /// section body (checkpoint path — see
+    /// Serialize specs and current values into a section body
+    /// (checkpoint path — see
     /// [`SteerHub::save_sections`](crate::SteerHub::save_sections)).
     pub fn save_into(&self, w: &mut SectionWriter) {
         w.put_u32(self.specs.len() as u32);
@@ -149,29 +107,24 @@ impl ParamRegistry {
             w.put_str(name);
             crate::ckpt::put_value(w, v);
         }
-        self.history.save_into(w);
-        w.put_u64(self.seq);
     }
 
     /// Decode the [`save_into`](ParamRegistry::save_into) layout back
-    /// into a registry. Values and history are restored verbatim —
-    /// *not* re-declared through [`declare`](ParamRegistry::declare),
-    /// which would reset values to their initials.
+    /// into a registry. Values are restored verbatim — *not* re-declared
+    /// through [`declare`](ParamRegistry::declare), which would reset
+    /// them to their initials.
     pub fn restore_from(r: &mut SectionReader<'_>) -> Result<ParamRegistry, CkptError> {
         let mut reg = ParamRegistry::new();
-        // keys, values and change-log entries share one allocation per name
-        let mut names = Names::default();
         for _ in 0..r.get_u32()? {
             let spec = crate::ckpt::get_spec(r)?;
-            reg.specs.insert(names.intern(&spec.name), spec);
+            reg.specs.insert(Arc::from(spec.name.as_str()), spec);
         }
         for _ in 0..r.get_u32()? {
-            let name = names.intern(r.get_str_ref()?);
+            // a value's key is its spec's allocation (see `intern`)
+            let name = reg.intern(r.get_str_ref()?);
             let v = crate::ckpt::get_value(r, "registry value")?;
             reg.values.insert(name, v);
         }
-        reg.history = BoundedLog::restore_from(r, &mut names)?;
-        reg.seq = r.get_u64()?;
         Ok(reg)
     }
 }
@@ -233,16 +186,6 @@ impl SharedRegistry {
         self.inner.lock().intern(name)
     }
 
-    /// Snapshot of the change log's retained tail.
-    pub fn history(&self) -> Vec<Change> {
-        self.inner.lock().history().to_vec()
-    }
-
-    /// Monotone change counter.
-    pub fn seq(&self) -> u64 {
-        self.inner.lock().seq()
-    }
-
     /// Serialize the registry into a section body (checkpoint path).
     pub fn save_into(&self, w: &mut SectionWriter) {
         self.inner.lock().save_into(w);
@@ -269,12 +212,11 @@ mod tests {
         r.set_value("miscibility", &ParamValue::F64(0.25)).unwrap();
         r.set_value("site", &ParamValue::Str("phoenix".into()))
             .unwrap();
+        assert_eq!(r.get_value("miscibility"), Some(&ParamValue::F64(0.25)));
         assert_eq!(
             r.get_value("site"),
             Some(&ParamValue::Str("phoenix".into()))
         );
-        assert_eq!(r.seq(), 2);
-        assert_eq!(r.history().len(), 2);
     }
 
     #[test]
@@ -283,18 +225,17 @@ mod tests {
         r.declare(ParamSpec::f64("x", 0.0, 1.0, 0.5));
         assert!(r.set_value("x", &ParamValue::F64(2.0)).is_err());
         assert_eq!(r.get_value("x"), Some(&ParamValue::F64(0.5)));
-        assert_eq!(r.seq(), 0, "refusals must not consume sequence numbers");
     }
 
     #[test]
     fn clamp_spec_applies_pinned_value_and_logs_it() {
         let mut r = ParamRegistry::new();
         r.declare(ParamSpec::f64_clamped("gain", 0.0, 10.0, 1.0));
+        // the caller's audit entry records the returned value: what was
+        // *applied*, not what was asked
         let applied = r.set_value("gain", &ParamValue::F64(25.0)).unwrap();
         assert_eq!(applied, ParamValue::F64(10.0));
         assert_eq!(r.get_value("gain"), Some(&ParamValue::F64(10.0)));
-        // history records what was *applied*, not what was asked
-        assert_eq!(r.history().last().unwrap().2, ParamValue::F64(10.0));
     }
 
     #[test]
@@ -311,28 +252,29 @@ mod tests {
         let alias = shared.clone();
         alias.set_value("x", &ParamValue::F64(0.75)).unwrap();
         assert_eq!(shared.get_value("x"), Some(ParamValue::F64(0.75)));
-        assert_eq!(shared.seq(), 1);
         assert_eq!(shared.spec("x").unwrap().policy, BoundsPolicy::Reject);
     }
 
+    /// The registry's section body, as a checkpoint holds it.
+    fn section(r: &ParamRegistry) -> Vec<u8> {
+        let mut w = SectionWriter::new();
+        r.save_into(&mut w);
+        w.finish()
+    }
+
     #[test]
-    fn snapshot_roundtrip_preserves_values_history_and_seq() {
+    fn snapshot_roundtrip_preserves_specs_and_values() {
         let mut r = ParamRegistry::new();
         r.declare(ParamSpec::f64("miscibility", 0.0, 1.0, 1.0));
         r.declare(ParamSpec::text("site", "london"));
         r.set_value("miscibility", &ParamValue::F64(0.25)).unwrap();
         r.set_value("site", &ParamValue::Str("phoenix".into()))
             .unwrap();
-        let mut w = SectionWriter::new();
-        r.save_into(&mut w);
-        let body = w.finish();
+        let body = section(&r);
         let mut rd = SectionReader::new(&body, "registry");
         let back = ParamRegistry::restore_from(&mut rd).unwrap();
         rd.expect_end().unwrap();
         assert_eq!(back.specs(), r.specs());
-        assert_eq!(back.history(), r.history());
-        assert_eq!(back.change_log(), r.change_log());
-        assert_eq!(back.seq(), r.seq());
         assert_eq!(
             back.get_value("miscibility"),
             Some(&ParamValue::F64(0.25)),
@@ -342,55 +284,33 @@ mod tests {
             back.get_value("site"),
             Some(&ParamValue::Str("phoenix".into()))
         );
+        assert_eq!(section(&back), body);
     }
 
     #[test]
-    fn change_log_holds_a_window_whatever_the_run_length() {
-        use crate::log::AUDIT_WINDOW;
-        let mut sizes = Vec::new();
-        for changes in [3 * AUDIT_WINDOW, 12 * AUDIT_WINDOW] {
+    fn the_section_holds_values_not_the_steers_that_set_them() {
+        let declared = || {
             let mut r = ParamRegistry::new();
             r.declare(ParamSpec::f64("gain", 0.0, 8.0, 1.0));
             r.declare(ParamSpec::text("site", "london"));
-            // the unbounded log the registry used to keep
-            let mut reference: Vec<Change> = Vec::new();
-            for i in 0..changes {
-                if i % 8 == 7 {
-                    r.set_value("site", &ParamValue::Str("phoenix".into()))
-                        .unwrap();
-                } else {
-                    r.set_value("gain", &ParamValue::F64((i % 8) as f64))
-                        .unwrap();
-                }
-                reference.push(r.history().last().unwrap().clone());
-                assert!(r.history().len() < 2 * AUDIT_WINDOW);
-                // refusals are not changes
-                assert!(r.set_value("gain", &ParamValue::F64(9.0)).is_err());
-            }
-            let log = r.change_log();
-            assert_eq!(log.total(), changes as u64);
-            assert_eq!(log.evicted() as usize + r.history().len(), changes);
-            let (evicted, tail) = reference.split_at(log.evicted() as usize);
-            assert_eq!(r.history(), tail);
-            assert!(
-                tail.iter()
-                    .all(|(_, name, _)| name.len() == 4 && Arc::ptr_eq(name, &r.intern(name))),
-                "entries share the declared name's allocation"
-            );
-            let mut w = SectionWriter::new();
-            evicted.iter().for_each(|c| c.put(&mut w));
-            let fold = w.as_bytes().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            });
-            assert_eq!(log.fold(), fold);
-            let mut w = SectionWriter::new();
-            r.save_into(&mut w);
-            sizes.push(w.len());
+            r
+        };
+        let mut steered = declared();
+        for i in 0..3 * crate::log::AUDIT_WINDOW {
+            steered
+                .set_value("gain", &ParamValue::F64((i % 8) as f64))
+                .unwrap();
+            assert!(steered.set_value("gain", &ParamValue::F64(9.0)).is_err());
         }
-        assert!(
-            sizes[1] <= sizes[0],
-            "registry section grew with the run: {sizes:?}"
-        );
+        steered
+            .set_value("site", &ParamValue::Str("phoenix".into()))
+            .unwrap();
+        let mut once = declared();
+        once.set_value("gain", steered.get_value("gain").unwrap())
+            .unwrap();
+        once.set_value("site", &ParamValue::Str("phoenix".into()))
+            .unwrap();
+        assert_eq!(section(&steered), section(&once));
     }
 
     /// The typed API preserves what the removed f64 shims threw away:

@@ -37,7 +37,7 @@ impl Transport {
         Transport::Unicore,
     ];
 
-    /// Stable lowercase label (handshake lines, reports).
+    /// Stable lowercase label (attach lines, reports).
     pub fn label(self) -> &'static str {
         match self {
             Transport::Loopback => loopback::LABEL,
@@ -206,7 +206,7 @@ mod tests {
             assert!(!n.kinds.contains(&ParamKind::Bool), "{}", t.label());
             assert!(n.kinds.contains(&ParamKind::F64), "{}", t.label());
             assert_eq!(n.max_batch, 2, "{}", t.label());
-            assert_eq!(hub.handshakes(), vec![format!("alice {}", n.render())]);
+            assert!(n.subscribe, "{}", t.label());
             let err = ep.set_batch(vec![SteerCommand::new("paused", ParamValue::Bool(true))]);
             assert!(
                 matches!(err, Err(SteerError::UnsupportedKind { .. })),

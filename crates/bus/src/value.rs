@@ -48,7 +48,7 @@ impl ParamKind {
         })
     }
 
-    /// Stable lowercase name (capability sets, handshake logs).
+    /// Stable lowercase name (capability sets, attach lines).
     pub fn name(self) -> &'static str {
         match self {
             ParamKind::F64 => "f64",

@@ -49,6 +49,10 @@ const END: u32 = 4;
 /// Base of the typed-value frames; the low byte carries the kind's wire
 /// code so the receiver decodes without guessing.
 const VALUE: u32 = 0x1000;
+/// Most items one envelope carries, on either plane: both endpoints
+/// offer it as their `max_batch`, and a receiver refuses a larger count
+/// before reserving anything for it.
+const MAX_BATCH: usize = 256;
 
 /// The link hop both planes share: the sender writes an envelope into
 /// `near`, the receiver drains it synchronously from `far`.
@@ -120,9 +124,9 @@ impl Hop {
         &mut self,
         mut item: impl FnMut(&mut Hop, String) -> Result<T, String>,
     ) -> Result<Vec<T>, String> {
-        let count = match self.recv_words(BEGIN, 1)?[0] {
-            n if n >= 0 => n as usize,
-            _ => return Err("negative item count".into()),
+        let count = match usize::try_from(self.recv_words(BEGIN, 1)?[0]) {
+            Ok(n) if n <= MAX_BATCH => n,
+            _ => return Err(format!("item count outside 0..={MAX_BATCH}")),
         };
         let mut items = Vec::with_capacity(count);
         for _ in 0..count {
@@ -173,7 +177,7 @@ impl VisitEndpoint {
         VisitEndpoint {
             hub: hub.clone(),
             origin: origin.to_string(),
-            caps: Capabilities::full(LABEL, 256),
+            caps: Capabilities::full(LABEL, MAX_BATCH),
             hop: Hop::new(STEER, order),
         }
     }
@@ -224,7 +228,7 @@ impl VisitMonitor {
     /// cross-endian tests force the mismatched case).
     pub fn with_order(order: Endianness) -> VisitMonitor {
         VisitMonitor {
-            caps: MonitorCaps::full(LABEL, 256),
+            caps: MonitorCaps::full(LABEL, MAX_BATCH),
             hop: Hop::new(MONITOR, order),
             inbox: Vec::new(),
         }
@@ -362,5 +366,29 @@ impl MonitorEndpoint for VisitMonitor {
         // pair — a departed viewer's end must not hold decoded payloads
         self.inbox.clear();
         while self.hop.far.recv_timeout(Duration::from_millis(0)).is_ok() {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Send a `BEGIN` announcing `count` items, then close the envelope.
+    fn announce(count: i64) -> Hop {
+        let mut hop = Hop::new(STEER, Endianness::native());
+        hop.send_value(BEGIN, VisitValue::I64(vec![count])).unwrap();
+        hop.send_end().unwrap();
+        hop
+    }
+
+    #[test]
+    fn a_count_past_the_batch_limit_is_refused_before_anything_is_reserved() {
+        for count in [i64::MAX, MAX_BATCH as i64 + 1, -1] {
+            let got = announce(count).recv_envelope(|_, name| Ok(name));
+            assert!(got.is_err(), "count {count}");
+        }
+        // an empty envelope is well formed
+        let got = announce(0).recv_envelope(|_, name| Ok(name));
+        assert_eq!(got, Ok(Vec::new()));
     }
 }

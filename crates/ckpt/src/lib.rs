@@ -43,9 +43,10 @@
 //! LBM after a step — costs one copy to write, is never larger than the
 //! full snapshot, and decodes with one copy per section instead of a copy
 //! of the base plus an overwrite. The threshold is fixed; it is not a
-//! setting. [`Snapshot::dirty_bytes`] reports what a delta would ship
+//! setting. [`Snapshot::delta_len`] is the exact length of that delta
+//! blob — header, section heads, bodies and chunk index/length words —
 //! without encoding it, so the keeper of a chain can cut a fresh full
-//! snapshot once the deltas it holds would outweigh one.
+//! snapshot once the blobs it holds would outweigh one.
 //!
 //! Both encoders reserve their output once, at its exact encoded size.
 //! Section names are bounded by the header's `u16` length:
@@ -61,12 +62,15 @@
 //! cross-version migration — a checkpoint is a *short-lived* artifact
 //! (crash recovery, migration transfer), not an archive format.
 //!
-//! Version 2 (current): the framing above is unchanged from version 1;
-//! the bump records a layout change *inside* two sections the steering
-//! layers write — the session's event log and the registry's change log
-//! became bounded windows (`evicted u64 | fold u64 | n u32 | entries`
-//! where version 1 had `n u32 | entries`). A version-1 blob is refused
-//! with [`CkptError::UnsupportedVersion`] like any other foreign version.
+//! The framing above has not changed since version 1; each bump records
+//! a layout change *inside* sections. Version 2 made the session's event
+//! log and the registry's change log bounded windows (`evicted u64 |
+//! fold u64 | n u32 | entries`). Version 3 (current) drops state nothing
+//! read back: the registry's change log and counter and the handshake
+//! lines from `steer`, the handshake lines from `monitor` and
+//! `relay/*/children`, the fan-out and per-participant sample counters
+//! from `session/*`. A blob of another version is refused with
+//! [`CkptError::UnsupportedVersion`].
 
 use std::fmt;
 
@@ -74,7 +78,7 @@ use std::fmt;
 pub const MAGIC: [u8; 6] = *b"GSCKPT";
 
 /// Current format version. Bumps on any layout change.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 /// Header flag bit: the blob is a delta against a base snapshot.
 const FLAG_DELTA: u8 = 1;
@@ -528,12 +532,17 @@ impl Snapshot {
         self.sections.iter().map(|s| s.bytes.len()).sum()
     }
 
+    /// Encoded length of the header and every section head.
+    fn frame_len(&self) -> usize {
+        let heads: usize = self.sections.iter().map(|s| 2 + s.name.len() + 4).sum();
+        HEADER_BYTES + heads
+    }
+
     /// The blob's header, in a buffer reserved once for the header, every
     /// section head and `body_bytes` of section bodies — what the caller
     /// is about to append, so no blob is ever re-grown.
     fn encode_header(&self, flags: u8, base_seq: u64, body_bytes: usize) -> Vec<u8> {
-        let heads: usize = self.sections.iter().map(|s| 2 + s.name.len() + 4).sum();
-        let mut out = Vec::with_capacity(HEADER_BYTES + heads + body_bytes);
+        let mut out = Vec::with_capacity(self.frame_len() + body_bytes);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.push(flags);
@@ -589,17 +598,14 @@ impl Snapshot {
         out
     }
 
-    /// Section-body bytes [`Snapshot::encode_delta`] against `base` would
-    /// ship, from the same cheap classification it starts with — nothing
-    /// is encoded. A chain keeper compares this with
+    /// The exact length of [`Snapshot::encode_delta`] against `base`,
+    /// from the same cheap classification it starts with — nothing is
+    /// encoded. A chain keeper compares what it holds plus this with
     /// [`Snapshot::state_bytes`] to decide when a full cut is cheaper to
     /// hold than one more delta.
-    pub fn dirty_bytes(&self, base: &Snapshot) -> usize {
-        let shipped = self.sections.iter().map(|s| match s.plan(base) {
-            DeltaBody::Full => s.bytes.len(),
-            DeltaBody::Sparse { bytes, .. } => bytes,
-        });
-        shipped.sum()
+    pub fn delta_len(&self, base: &Snapshot) -> usize {
+        let bodies = (self.sections.iter()).map(|s| s.plan(base).encoded_len(s.bytes.len()));
+        self.frame_len() + bodies.sum::<usize>()
     }
 
     /// Decode a full snapshot. Rejects deltas with [`CkptError::IsDelta`].
@@ -923,10 +929,10 @@ mod tests {
             full.len()
         );
         assert_eq!(Snapshot::decode_delta(&delta, &base).unwrap(), next);
-        let shipped = next.sections[1].bytes.len();
-        assert_eq!(next.dirty_bytes(&base), shipped, "only `field` ships");
-        assert_eq!(next.dirty_bytes(&next), 0);
-        assert_eq!(next.dirty_bytes(&Snapshot::new(0, 0)), next.state_bytes());
+        assert_eq!(next.delta_len(&base), delta.len());
+        // against a base without the sections, a delta is a full cut
+        // with the delta flag set
+        assert_eq!(next.delta_len(&Snapshot::new(0, 0)), full.len());
     }
 
     #[test]
@@ -943,12 +949,49 @@ mod tests {
         let delta = next.encode_delta(&base);
         assert_eq!(body_kinds(&delta), [KIND_SPARSE; 3]);
         assert_eq!(delta.capacity(), delta.len());
-        assert_eq!(next.dirty_bytes(&base), 3 * 64 + 8);
+        // four chunk records of `field`, each an index and a length word
+        // before its bytes (the last chunk is 8 long), and `meta` and
+        // `empty` listing none
+        let field = 1 + 8 + 4 + 4 * (4 + 4) + 3 * 64 + 8;
+        let clean = 1 + 8 + 4;
+        assert_eq!(next.delta_len(&base), next.frame_len() + field + 2 * clean);
         assert_eq!(Snapshot::decode_delta(&delta, &base).unwrap(), next);
         next.sections[1].bytes[6 * 64] ^= 1;
         let delta = next.encode_delta(&base);
         assert_eq!(body_kinds(&delta), [KIND_SPARSE, KIND_FULL, KIND_SPARSE]);
         assert_eq!(Snapshot::decode_delta(&delta, &base).unwrap(), next);
+    }
+
+    #[test]
+    fn delta_len_is_the_length_encode_delta_writes() {
+        let (base, empty) = (sample(), Snapshot::new(0, 0));
+        let edited = |edit: fn(&mut Snapshot)| {
+            let mut next = base.clone();
+            edit(&mut next);
+            next
+        };
+        let cases = [
+            ("unchanged", &base, base.clone()),
+            ("sparse", &base, edited(|n| n.sections[1].bytes[64] ^= 1)),
+            ("all-dirty", &base, all_dirty_field()),
+            (
+                "new section",
+                &base,
+                edited(|n| n.push("fresh", 4, vec![7; 10])),
+            ),
+            (
+                "resized",
+                &base,
+                edited(|n| n.sections[1].bytes.truncate(100)),
+            ),
+            ("empty base", &empty, base.clone()),
+            ("empty", &empty, Snapshot::new(1, 0)),
+        ];
+        for (what, base, next) in cases {
+            let delta = next.encode_delta(base);
+            assert_eq!(next.delta_len(base), delta.len(), "{what}");
+            assert_eq!(Snapshot::decode_delta(&delta, base), Ok(next), "{what}");
+        }
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //! a visualization of a running simulation and can steer the application"
 //! (§1). This crate is that combination layer:
 //!
-//! * [`params`] — the typed steerable-parameter registry with bounds and
-//!   history, plus [`params::SteerTarget`], the one steering surface both
+//! * [`params`] — the typed steerable-parameter registry with bounds,
+//!   plus [`params::SteerTarget`], the one steering surface both
 //!   paper codes implement (the LB fluid's miscibility, §2.2; PEPC's
 //!   beam/laser/damping, §3.4).
 //! * [`session`] — [`session::SteeringSession`]: participants with roles
 //!   (master / steerer / viewer), master-token passing (the vbroker
-//!   semantics lifted to session level), sample fan-out accounting, and an
-//!   event log.
+//!   semantics lifted to session level), and the event log that is the one
+//!   record of every applied steer and broadcast sample.
 //! * [`monitor`] — the feedback-loop budgets of §4.2–4.4 (VR rendering,
 //!   desktop rendering, post-processing, simulation) as checkable
 //!   [`monitor::LoopBudget`]s with measurement recording and violation

@@ -77,13 +77,18 @@ impl LoopBudget {
 }
 
 /// Records measurements of one feedback loop and checks them against the
-/// budget.
+/// budget. Keeps what [`LoopMonitor::report`] needs — count, sum, max,
+/// over-budget count, max skew — not the samples, so it is the same size
+/// after a minute of updates as after a day.
 #[derive(Debug, Clone)]
 pub struct LoopMonitor {
     /// Which loop is measured.
     pub budget: LoopBudget,
-    samples: Vec<SimTime>,
-    skews: Vec<SimTime>,
+    count: usize,
+    sum_ns: u64,
+    max: SimTime,
+    violations: u64,
+    max_skew: SimTime,
 }
 
 /// Summary of a monitored loop.
@@ -117,55 +122,31 @@ impl LoopMonitor {
     pub fn new(budget: LoopBudget) -> Self {
         LoopMonitor {
             budget,
-            samples: Vec::new(),
-            skews: Vec::new(),
+            count: 0,
+            sum_ns: 0,
+            max: SimTime::ZERO,
+            violations: 0,
+            max_skew: SimTime::ZERO,
         }
     }
 
     /// Record one loop latency.
     pub fn record(&mut self, latency: SimTime) {
-        self.samples.push(latency);
+        self.count += 1;
+        self.sum_ns += latency.as_nanos();
+        self.max = self.max.max(latency);
+        self.violations += u64::from(latency > self.budget.budget());
     }
 
     /// Record one cross-site skew observation.
     pub fn record_skew(&mut self, skew: SimTime) {
-        self.skews.push(skew);
-    }
-
-    /// Number of latency samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// The recorded latency samples, in recording order (so callers can
-    /// derive percentiles without keeping a parallel copy).
-    pub fn samples(&self) -> &[SimTime] {
-        &self.samples
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Number of recorded latencies that busted the budget.
-    pub fn violations(&self) -> u64 {
-        let bound = self.budget.budget();
-        self.samples.iter().filter(|&&t| t > bound).count() as u64
+        self.max_skew = self.max_skew.max(skew);
     }
 
     /// Summarize.
     pub fn report(&self) -> LoopReport {
-        let count = self.samples.len();
-        let sum: u64 = self.samples.iter().map(|t| t.as_nanos()).sum();
-        let mean = SimTime::from_nanos(if count > 0 { sum / count as u64 } else { 0 });
-        let max = self.samples.iter().copied().max().unwrap_or(SimTime::ZERO);
-        let max_skew = self.skews.iter().copied().max().unwrap_or(SimTime::ZERO);
-        let within_budget = count > 0 && max <= self.budget.budget();
-        let within_skew = match self.budget.max_skew() {
-            Some(bound) => max_skew <= bound,
-            None => true,
-        };
+        let count = self.count;
+        let mean = SimTime::from_nanos(self.sum_ns.checked_div(count as u64).unwrap_or(0));
         let rate_hz = if mean.as_nanos() > 0 {
             1e9 / mean.as_nanos() as f64
         } else {
@@ -175,11 +156,11 @@ impl LoopMonitor {
             budget: self.budget,
             count,
             mean,
-            max,
-            max_skew,
-            within_budget,
-            violations: self.violations(),
-            within_skew,
+            max: self.max,
+            max_skew: self.max_skew,
+            within_budget: count > 0 && self.max <= self.budget.budget(),
+            violations: self.violations,
+            within_skew: self.budget.max_skew().is_none_or(|b| self.max_skew <= b),
             rate_hz,
         }
     }
@@ -275,6 +256,39 @@ impl MonitorSource for PepcSim {
     }
 }
 
+/// The monitor as it was written first: every sample kept, the report a
+/// fold over all of them. [`LoopMonitor`] must agree with it exactly.
+#[cfg(test)]
+mod reference {
+    use super::{LoopBudget, LoopReport};
+    use netsim::SimTime;
+
+    pub(super) fn report(budget: LoopBudget, samples: &[SimTime], skews: &[SimTime]) -> LoopReport {
+        let count = samples.len();
+        let sum: u64 = samples.iter().map(|t| t.as_nanos()).sum();
+        let mean = SimTime::from_nanos(if count > 0 { sum / count as u64 } else { 0 });
+        let max = samples.iter().copied().max().unwrap_or(SimTime::ZERO);
+        let max_skew = skews.iter().copied().max().unwrap_or(SimTime::ZERO);
+        let bound = budget.budget();
+        let rate_hz = if mean.as_nanos() > 0 {
+            1e9 / mean.as_nanos() as f64
+        } else {
+            f64::INFINITY
+        };
+        LoopReport {
+            budget,
+            count,
+            mean,
+            max,
+            max_skew,
+            within_budget: count > 0 && max <= bound,
+            violations: samples.iter().filter(|&&t| t > bound).count() as u64,
+            within_skew: budget.max_skew().is_none_or(|b| max_skew <= b),
+            rate_hz,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,27 +336,54 @@ mod tests {
         assert!(!r.within_skew, "multi-frame divergence must fail");
     }
 
+    /// Feed `samples` and `skews` to a fresh monitor and check its report
+    /// against the reference fold over the whole lists.
+    fn check(budget: LoopBudget, samples: &[SimTime], skews: &[SimTime]) -> LoopReport {
+        let mut m = LoopMonitor::new(budget);
+        samples.iter().for_each(|&t| m.record(t));
+        skews.iter().for_each(|&t| m.record_skew(t));
+        let (got, want) = (m.report(), reference::report(budget, samples, skews));
+        assert_eq!(got, want, "{} over {samples:?}", budget.name());
+        got
+    }
+
     #[test]
-    fn samples_accessor_exposes_recordings_in_order() {
-        let mut m = LoopMonitor::new(LoopBudget::VrRender);
-        for ms in [30, 10, 20] {
-            m.record(SimTime::from_millis(ms));
+    fn report_equals_the_reference_fold_over_every_sample() {
+        let budgets = [
+            LoopBudget::VrRender,
+            LoopBudget::DesktopRender,
+            LoopBudget::PostProcessing,
+            LoopBudget::Simulation,
+        ];
+        for budget in budgets {
+            let bound = budget.budget().as_nanos();
+            // the empty monitor, a tie at the budget, one nanosecond over
+            check(budget, &[], &[]);
+            let tie = check(budget, &[SimTime::from_nanos(bound)], &[]);
+            assert!(tie.within_budget && tie.violations == 0);
+            let over = check(budget, &[SimTime::from_nanos(bound + 1)], &[]);
+            assert_eq!(over.violations, 1);
+            // seeded streams straddling the budget, with skews around the
+            // divergence bound
+            for seed in 1..=16u64 {
+                let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let mut next = |span: u64| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    SimTime::from_nanos(x % span)
+                };
+                let samples: Vec<SimTime> = (0..seed * 40).map(|_| next(2 * bound + 2)).collect();
+                let skews: Vec<SimTime> = (0..seed * 3).map(|_| next(700_000_000)).collect();
+                check(budget, &samples, &skews);
+            }
         }
-        assert_eq!(
-            m.samples(),
-            &[
-                SimTime::from_millis(30),
-                SimTime::from_millis(10),
-                SimTime::from_millis(20)
-            ]
-        );
     }
 
     #[test]
     fn empty_monitor_not_within_budget() {
-        let m = LoopMonitor::new(LoopBudget::Simulation);
-        assert!(m.is_empty());
-        let r = m.report();
+        let r = LoopMonitor::new(LoopBudget::Simulation).report();
+        assert_eq!(r.count, 0);
         assert!(!r.within_budget, "no evidence ⇒ no pass");
         assert_eq!(r.violations, 0);
     }
@@ -353,9 +394,8 @@ mod tests {
         for ms in [100, 400, 200, 500, 600] {
             m.record(SimTime::from_millis(ms));
         }
-        assert_eq!(m.violations(), 3, "333ms budget busted thrice");
         let r = m.report();
-        assert_eq!(r.violations, 3);
+        assert_eq!(r.violations, 3, "333ms budget busted thrice");
         assert!(!r.within_budget);
     }
 

@@ -111,8 +111,6 @@ mod tests {
         assert_eq!(r.get_value("miscibility"), Some(&ParamValue::F64(1.0)));
         r.set_value("miscibility", &ParamValue::F64(0.25)).unwrap();
         assert_eq!(r.get_value("miscibility"), Some(&ParamValue::F64(0.25)));
-        assert_eq!(r.seq(), 1);
-        assert_eq!(r.history().len(), 1);
     }
 
     #[test]
@@ -121,7 +119,6 @@ mod tests {
         r.declare(ParamSpec::f64("x", 0.0, 1.0, 0.5));
         assert!(r.set_value("x", &ParamValue::F64(2.0)).is_err());
         assert_eq!(r.get_value("x"), Some(&ParamValue::F64(0.5)));
-        assert_eq!(r.seq(), 0);
     }
 
     #[test]

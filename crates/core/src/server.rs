@@ -10,7 +10,7 @@
 //! the bus's tagged typed encoding ([`ParamValue::encode_bytes`]), and
 //! `OP_BATCH` carries a sequence-numbered command batch applied
 //! atomically under one session lock (stale sequence numbers are
-//! refused), so TCP clients speak the same typed, batched surface as the
+//! refused) — a single steer is a one-command batch — so TCP clients speak the same typed, batched surface as the
 //! in-process `gridsteer_bus` endpoints. The server keeps its own op
 //! stream rather than being a bus endpoint over [`visit::TcpLink`] because
 //! hello/welcome and pass-master are session operations the bus envelope
@@ -30,7 +30,6 @@ use visit::link::{FrameLink, LinkError, TcpLink};
 
 /// Protocol ops.
 const OP_HELLO: u8 = 4;
-const OP_SET: u8 = 1;
 const OP_GET: u8 = 2;
 const OP_PASS: u8 = 3;
 const OP_OK: u8 = 6;
@@ -194,29 +193,6 @@ fn serve_client(
                 reply.put_u8(u8::from(is_master));
                 put_text(&mut reply, &name);
             }
-            OP_SET => {
-                let (Some(name), Some(value)) =
-                    (get_str(&mut body), ParamValue::decode_bytes(&mut body))
-                else {
-                    break Err(LinkError::Io("bad set".into()));
-                };
-                if !body.is_empty() {
-                    break Err(LinkError::Io("bad set trailer".into()));
-                }
-                let who = my_name.clone().unwrap_or_default();
-                let mut s = session.lock();
-                let r = match s.index_of(&who) {
-                    Some(idx) => s.steer_value(idx, &name, &value).map(|_| ()),
-                    None => Err("not joined".into()),
-                };
-                match r {
-                    Ok(()) => reply.put_u8(OP_OK),
-                    Err(e) => {
-                        reply.put_u8(OP_ERR);
-                        put_text(&mut reply, &e);
-                    }
-                }
-            }
             OP_BATCH => {
                 // u64 client sequence + u16 count + (name, value)*
                 if body.len() < 10 {
@@ -354,19 +330,11 @@ impl ClientHandle {
         self.link.recv_timeout(Duration::from_secs(2))
     }
 
-    /// Steer a parameter with a typed value. `Err` carries the server's
-    /// refusal reason.
+    /// Steer a parameter with a typed value: a one-command batch. `Err`
+    /// carries the server's refusal reason.
     pub fn set_value(&mut self, param: &str, value: &ParamValue) -> Result<(), String> {
-        let mut req = BytesMut::new();
-        req.put_u8(OP_SET);
-        put_str(&mut req, param)?;
-        value.encode_bytes(&mut req);
-        let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
-        match reply.split_first() {
-            Some((&OP_OK, _)) => Ok(()),
-            Some((&OP_ERR, mut body)) => Err(get_str(&mut body).unwrap_or_default()),
-            _ => Err("protocol error".into()),
-        }
+        self.set_batch(&[SteerCommand::new(param, value.clone())])
+            .map(|_| ())
     }
 
     /// Steer an f64 parameter (shim over [`ClientHandle::set_value`]).

@@ -31,8 +31,6 @@ pub struct Participant {
     pub name: String,
     /// Current role.
     pub role: Role,
-    /// Samples delivered to this participant.
-    pub samples_received: u64,
     /// Monotone join sequence number — lower means longer-joined. A
     /// participant that leaves and rejoins gets a fresh (higher) number.
     pub joined_seq: u64,
@@ -77,8 +75,6 @@ pub struct SteeringSession {
     events: BoundedLog<SessionEvent>,
     sample_seq: u64,
     join_counter: u64,
-    /// Total bytes fanned out (bytes × recipients).
-    pub fanout_bytes: u64,
 }
 
 impl SteeringSession {
@@ -97,7 +93,6 @@ impl SteeringSession {
             events: BoundedLog::default(),
             sample_seq: 0,
             join_counter: 0,
-            fanout_bytes: 0,
         }
     }
 
@@ -114,7 +109,6 @@ impl SteeringSession {
         self.participants.push(Participant {
             name: name.to_string(),
             role,
-            samples_received: 0,
             joined_seq,
             who: Arc::from(name),
         });
@@ -296,15 +290,11 @@ impl SteeringSession {
         Ok(commands.len())
     }
 
-    /// Broadcast one sample of `bytes` to every participant (accounting
-    /// only; transport lives in the server/vbroker layers). Returns the
-    /// sample sequence number.
+    /// Log one sample of `bytes` broadcast to every participant
+    /// (transport lives in the server/vbroker layers). Returns the sample
+    /// sequence number.
     pub fn broadcast_sample(&mut self, bytes: usize) -> u64 {
         self.sample_seq += 1;
-        for p in &mut self.participants {
-            p.samples_received += 1;
-            self.fanout_bytes += bytes as u64;
-        }
         self.events.push(SessionEvent::SampleBroadcast {
             seq: self.sample_seq,
             bytes,
@@ -324,17 +314,15 @@ impl SteeringSession {
         &self.events
     }
 
-    /// Serialize the session — participants (names, roles, seniority,
-    /// per-participant sample counts), the audit log (its retained tail,
-    /// evicted count and fold), and the sample /
-    /// join / fan-out counters — into snapshot section `name`. The
+    /// Serialize the session — participants (names, roles, seniority),
+    /// the audit log (its retained tail, evicted count and fold), and the
+    /// sample and join counters — into snapshot section `name`. The
     /// parameter registry is *not* serialized here: it is shared with
     /// the steering hub, which owns its checkpoint section.
     pub fn save_sections(&self, snap: &mut Snapshot, name: &str) {
         let mut w = SectionWriter::new();
         w.put_u64(self.sample_seq);
         w.put_u64(self.join_counter);
-        w.put_u64(self.fanout_bytes);
         w.put_u32(self.participants.len() as u32);
         for p in &self.participants {
             w.put_str(&p.name);
@@ -343,7 +331,6 @@ impl SteeringSession {
                 Role::Steerer => 1,
                 Role::Viewer => 2,
             });
-            w.put_u64(p.samples_received);
             w.put_u64(p.joined_seq);
         }
         self.events.save_into(&mut w);
@@ -364,7 +351,6 @@ impl SteeringSession {
         let mut r = snap.reader(name)?;
         let sample_seq = r.get_u64()?;
         let join_counter = r.get_u64()?;
-        let fanout_bytes = r.get_u64()?;
         let nparts = r.get_u32()?;
         let mut participants = Vec::new();
         // participants and audit entries share one allocation per name
@@ -385,7 +371,6 @@ impl SteeringSession {
                 who: names.intern(&pname),
                 name: pname,
                 role,
-                samples_received: r.get_u64()?,
                 joined_seq: r.get_u64()?,
             });
         }
@@ -397,7 +382,6 @@ impl SteeringSession {
             events,
             sample_seq,
             join_counter,
-            fanout_bytes,
         })
     }
 
@@ -716,8 +700,11 @@ mod tests {
         s.join("c");
         let seq = s.broadcast_sample(1000);
         assert_eq!(seq, 1);
-        assert_eq!(s.fanout_bytes, 3000);
-        assert!(s.participant(0).unwrap().samples_received == 1);
+        assert_eq!(
+            s.events().last(),
+            Some(&SessionEvent::SampleBroadcast { seq, bytes: 1000 })
+        );
+        assert_eq!(s.broadcast_sample(1000), 2);
     }
 
     #[test]
@@ -749,7 +736,6 @@ mod tests {
         assert_eq!(restored.len(), 1);
         assert_eq!(restored.master(), restored.index_of("b"));
         assert_eq!(restored.events(), s.events());
-        assert_eq!(restored.fanout_bytes, s.fanout_bytes);
         // counters resume, not restart
         assert_eq!(restored.broadcast_sample(100), 2);
         let idx = restored.join("a");
@@ -881,11 +867,6 @@ mod tests {
         }
         assert!(s.audit_log().evicted() > AUDIT_WINDOW as u64);
         assert_eq!(s2.audit_log(), s.audit_log());
-        assert_eq!(
-            hub2.registry().history(),
-            hub.registry().history(),
-            "the change log too"
-        );
         assert_eq!(sections(&hub2, &s2), sections(&hub, &s));
     }
 

@@ -9,15 +9,13 @@
 //!   fan-out pays two `String`s per notice per subscriber.
 //! * Audit state is a window. Live heap after 4 N ticks is within one
 //!   window of entries of live heap after N, once N is past the first
-//!   eviction — the logs neither grow with the run nor allocate per entry.
+//!   eviction — the log neither grows with the run nor allocates per entry.
 //!
 //! The witness is a counting global allocator with per-thread counters,
 //! so the tests in this file can run in parallel without seeing each
 //! other's traffic.
 
-use gridsteer_bus::{
-    Change, SteerCommand, SteerEndpoint, SteerHub, Subscription, Transport, AUDIT_WINDOW,
-};
+use gridsteer_bus::{SteerCommand, SteerEndpoint, SteerHub, Subscription, Transport, AUDIT_WINDOW};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -168,7 +166,7 @@ fn two_subscribers_drain_the_same_record() {
 
 #[test]
 fn live_heap_is_flat_once_the_audit_window_has_filled() {
-    // 64 entries a tick into both logs: the first eviction is at tick 128
+    // 64 entries a tick into the audit log: the first eviction is at tick 128
     const N: usize = 2 * AUDIT_WINDOW / (BATCHES * CMDS) + 32;
     let mut rig = Rig::new(8);
     for _ in 0..N {
@@ -183,8 +181,8 @@ fn live_heap_is_flat_once_the_audit_window_has_filled() {
         rig.tick();
     }
     let after_4n = LIVE.get();
-    // both logs hold between one and two windows; nothing else may grow
-    let window = AUDIT_WINDOW * (size_of::<SessionEvent>() + size_of::<Change>());
+    // the log holds between one and two windows; nothing else may grow
+    let window = AUDIT_WINDOW * size_of::<SessionEvent>();
     assert!(
         (after_4n - after_n).unsigned_abs() as usize <= window,
         "live heap {after_n} B after {N} ticks, {after_4n} B after {} \

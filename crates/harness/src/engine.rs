@@ -217,6 +217,9 @@ pub(crate) struct World<'s> {
     net: NetModel,
     sites: HashMap<String, SiteId>,
     post: LoopMonitor,
+    /// Every post-processing latency `post` has recorded: the report
+    /// prints their p50/p90/p99, which a running fold cannot give.
+    post_latencies: Vec<SimTime>,
     migrations: Vec<MigrationRecord>,
     broadcasts: u64,
     skipped: u64,
@@ -274,6 +277,7 @@ impl<'s> World<'s> {
             net,
             sites,
             post: LoopMonitor::new(LoopBudget::PostProcessing),
+            post_latencies: Vec::new(),
             migrations: Vec::new(),
             broadcasts: 0,
             skipped: 0,
@@ -402,7 +406,9 @@ impl<'s> World<'s> {
         let mut span: Option<(SimTime, SimTime)> = None;
         for c in self.clients.iter_mut().filter(|c| c.online) {
             if let Some(arrival) = c.link.deliver(now, bytes) {
-                self.post.record(arrival.saturating_since(now));
+                let latency = arrival.saturating_since(now);
+                self.post.record(latency);
+                self.post_latencies.push(latency);
                 span = Some(span.map_or((arrival, arrival), |(lo, hi)| {
                     (lo.min(arrival), hi.max(arrival))
                 }));
@@ -504,7 +510,7 @@ impl<'s> World<'s> {
         self.save_process(&mut snap);
         let held = self.ckpt.delta_bytes();
         let base = self.ckpt.last_snap.as_ref();
-        let blob = match base.filter(|b| held + snap.dirty_bytes(b) < snap.state_bytes()) {
+        let blob = match base.filter(|b| held + snap.delta_len(b) < snap.state_bytes()) {
             Some(base) => snap.encode_delta(base),
             None => {
                 self.ckpt.chain.clear();
@@ -943,7 +949,7 @@ impl<'s> World<'s> {
     /// still commit first (the trailing boundary).
     pub(crate) fn into_report(mut self) -> ScenarioReport {
         self.commit_staged(self.sc.duration);
-        let mut latencies = self.post.samples().to_vec();
+        let mut latencies = std::mem::take(&mut self.post_latencies);
         latencies.sort();
         let pct = |q: f64| -> SimTime {
             if latencies.is_empty() {
@@ -1155,10 +1161,11 @@ mod tests {
 
     #[test]
     fn a_chain_rebases_before_its_deltas_outweigh_a_full_cut() {
-        // a plasma of eight particles under four relay tiers, each with six
-        // viewers, cut off after the first tick: what changes per tick
-        // (particles, session log, origin hub) is a third of the process
-        // state, the quiet tiers are the rest — so deltas really chain
+        // a plasma of eight particles under four relay tiers, each with
+        // twelve viewers, cut off after the first tick: what changes per
+        // tick (particles, session log, origin hub) is a quarter of the
+        // process state, the quiet tiers are the rest — so deltas really
+        // chain
         let mut sc = Scenario::named("quiet-tiers")
             .pepc(pepc::PepcConfig {
                 n_target: 8,
@@ -1172,7 +1179,7 @@ mod tests {
             sc = sc
                 .relay(&tier, Link::campus())
                 .partition_at(SimTime::from_millis(150), &tier);
-            for v in 0..6 {
+            for v in 0..12 {
                 sc =
                     sc.viewer_at_relay(&format!("v{r}-{v}"), &tier, Link::gwin(), Transport::Visit);
             }

@@ -91,9 +91,8 @@ fn main() {
     sim_thread.join().unwrap();
     let s = session.lock();
     println!(
-        "session: {} participants, {} samples fanned out, {} events logged",
+        "session: {} participants, {} events logged",
         s.len(),
-        s.fanout_bytes,
         s.audit_log().total()
     );
     println!("quickstart OK");
