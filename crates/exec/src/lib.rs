@@ -47,6 +47,11 @@ use std::thread::JoinHandle;
 /// (config field or `EXEC_THREADS`) may exceed it.
 pub const MAX_AUTO_THREADS: usize = 8;
 
+/// The most workers a checkpointed configuration may ask for. A restore
+/// reads `threads` from an untrusted blob and [`shared`] spawns what it is
+/// given, so restore paths refuse a larger count before any pool is built.
+pub const MAX_RESTORED_THREADS: usize = 1024;
+
 /// The auto-detected-but-overridable default worker count:
 /// `EXEC_THREADS` if set and parseable, else `available_parallelism()`
 /// clamped to `1..=MAX_AUTO_THREADS`.

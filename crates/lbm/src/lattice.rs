@@ -5,7 +5,7 @@
 //! 1/36) and sound speed c_s² = 1/3.
 
 use lanes::F64x4;
-use std::ops::{Add, AddAssign, Div, Mul, Sub};
+use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Number of discrete velocities.
 pub const Q: usize = 19;
@@ -67,7 +67,14 @@ pub const OPPOSITE: [usize; Q] = {
 /// association, no FMA — so the two backends agree bit for bit by
 /// construction, node for node.
 pub(crate) trait Lane:
-    Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> + Div<Output = Self> + AddAssign
+    Copy
+    + Default
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + AddAssign
+    + SubAssign
 {
     /// Every lane set to `v`.
     fn splat(v: f64) -> Self;

@@ -21,7 +21,12 @@
 //!    *Force*: for each node the Shan–Chen gradient from the neighbours'
 //!    densities and the two shifted equilibrium velocities, kept in a
 //!    plane-sized scratch of the task's own (ten values a node, never an
-//!    `n`-sized array). *Relax*: the 19 relaxed values of each component
+//!    `n`-sized array). The gradient skips the ×0 terms of the velocity
+//!    set: each direction's `wᵢ·ρ` is added to a component where cᵢ is
+//!    +1, subtracted where it is −1 and left out where it is 0 (60 adds
+//!    or subtracts a node where multiplying by cᵢ costs 108 multiplies
+//!    and 108 adds), bit-identical to the multiply-by-cᵢ sum on every
+//!    finite state. *Relax*: the 19 relaxed values of each component
 //!    written straight to the node's neighbours in `fa_new`/`fb_new`, a
 //!    few directions at a time across the whole plane.
 //! 2. **moments** — after the swap, one pass over the new `fa`/`fb`
@@ -64,15 +69,21 @@
 //! * **scalar** — one node at a time, every neighbour through
 //!   `Geom::neighbor` (the gradient read in the force stage, the push
 //!   destination in the relax stage); this is the executable spec.
-//! * **simd** (the default) — [`lanes::F64x4`], one node per lane, over
-//!   the interior of each lattice row, where a block's neighbours are
-//!   contiguous off 19 per-row bases; the row's edge nodes, where the x
-//!   wrap can fire, run the same kernel at width one.
+//! * **simd** — [`lanes::F64x4`], one node per lane, over the interior of
+//!   each lattice row, where a block's neighbours are contiguous off 19
+//!   per-row bases; the row's edge nodes, where the x wrap can fire, run
+//!   the same kernel at width one.
+//! * **wide** (the default on a CPU with AVX2) — the simd sweeps, compiled
+//!   a second time under `#[target_feature(enable = "avx2")]`: each sweep's
+//!   per-plane task is one `#[inline(always)]` function, called directly
+//!   for `simd` and through an AVX2 wrapper for `wide`, so an `F64x4`
+//!   operation is one 256-bit instruction instead of two 128-bit ones.
+//!   [`lanes::Backend::resolve`] lets `wide` run only where AVX2 exists.
 //!
-//! Both widths execute the *identical* floating-point operation sequence
+//! All three execute the *identical* floating-point operation sequence
 //! for every node — same association, no FMA, accumulations in ascending
 //! direction order — so their results are bit-identical, and CI proves it
-//! across the {1, 8} threads × {scalar, simd} matrix.
+//! across the {1, 8} threads × {scalar, simd, wide} matrix.
 //!
 //! Parallelism: the sweeps dispatch onto a persistent
 //! [`gridsteer_exec::ExecPool`] in whole-z-plane tasks — a fixed
@@ -189,6 +200,19 @@ fn wrap(v: usize, c: i32, n: usize) -> usize {
     }
 }
 
+/// [`from_fn`] for the plane kernels, inlined wherever it is called. A
+/// plane kernel is compiled twice (the baseline build and the AVX2 one);
+/// left to its own judgement the inliner then turns some per-node arrays
+/// into calls, ~20 % on the baseline step at 48³.
+#[inline(always)]
+fn kernel_array<T: Copy + Default, const N: usize>(mut f: impl FnMut(usize) -> T) -> [T; N] {
+    let mut out = [T::default(); N];
+    for (i, v) in out.iter_mut().enumerate() {
+        *v = f(i);
+    }
+    out
+}
+
 /// Copyable grid geometry shared by the parallel sweeps (avoids borrowing
 /// `self` inside pool tasks).
 #[derive(Debug, Clone, Copy)]
@@ -199,13 +223,13 @@ struct Geom {
 }
 
 impl Geom {
-    #[inline]
+    #[inline(always)]
     fn idx(&self, x: usize, y: usize, z: usize) -> usize {
         x + self.nx * (y + self.ny * z)
     }
 
     /// Periodic neighbour index in direction `i`.
-    #[inline]
+    #[inline(always)]
     fn neighbor(&self, x: usize, y: usize, z: usize, i: usize) -> usize {
         self.idx(
             wrap(x, CX[i], self.nx),
@@ -218,9 +242,9 @@ impl Geom {
     /// the neighbour of `(x, y, z)` in direction `i` is
     /// `base[i] + wrap(x, CX[i], nx)`, so the y and z wraps are resolved
     /// once per row.
-    #[inline]
+    #[inline(always)]
     fn row_bases(&self, y: usize, z: usize) -> [usize; Q] {
-        from_fn(|i| self.idx(0, wrap(y, CY[i], self.ny), wrap(z, CZ[i], self.nz)))
+        kernel_array(|i| self.idx(0, wrap(y, CY[i], self.ny), wrap(z, CZ[i], self.nz)))
     }
 }
 
@@ -280,7 +304,18 @@ const NODE_VALS: usize = 10;
 /// (source and destination, both components) instead of all 76 at once.
 const DIR_GROUP: usize = 5;
 
+/// The Shan–Chen gradients Σᵢ wᵢ ρ(x+cᵢ) cᵢ of both densities at one node
+/// (or lane block), `(∇ρA, ∇ρB)`.
+type Gradients<T> = ([T; 3], [T; 3]);
+
 impl PushCtx<'_> {
+    /// Moment row `c` (ρA, ρB, jx, jy, jz) at global node `at`, one node
+    /// per lane.
+    #[inline(always)]
+    fn moment<T: Lane>(&self, c: usize, at: usize) -> T {
+        T::load(self.moments, c * self.n + at)
+    }
+
     /// Force stage for the source node (or block of consecutive nodes, one
     /// per lane) at global index `node`: densities, the two shifted
     /// equilibrium velocities and their `1.5·u·u`, stored at `k` of the
@@ -289,30 +324,77 @@ impl PushCtx<'_> {
     /// neighbours follow it), where the gradient reads the densities.
     #[inline(always)]
     fn force<T: Lane>(&self, node: usize, nb: &[usize; Q], vals: &mut [f64], k: usize) {
-        // moment row c (ρA, ρB, jx, jy, jz) at a node
-        let m = |c: usize, at: usize| T::load(self.moments, c * self.n + at);
-        let (ra, rb) = (m(0, node), m(1, node));
-        let rho_tot = (ra + rb).max(T::splat(1e-12));
-        let u: [T; 3] = from_fn(|k| m(2 + k, node) / rho_tot);
-        // Shan–Chen gradients of the *other* component's density
-        let mut grad_b = [T::splat(0.0); 3];
-        let mut grad_a = [T::splat(0.0); 3];
-        for i in 1..Q {
-            let w = T::splat(WEIGHTS[i]);
-            let wb = w * m(1, nb[i]);
-            let wa = w * m(0, nb[i]);
-            let c = [CX[i], CY[i], CZ[i]].map(|c| T::splat(c as f64));
-            for k in 0..3 {
-                grad_b[k] += wb * c[k];
-                grad_a[k] += wa * c[k];
+        self.node_vals(node, self.gradients::<T>(nb), vals, k);
+    }
+
+    /// The Shan–Chen gradients at the node (or lane block) whose
+    /// neighbours `nb` lists, one [`PushCtx::grad_term`] per moving
+    /// direction in ascending order.
+    #[inline(always)]
+    fn gradients<T: Lane>(&self, nb: &[usize; Q]) -> Gradients<T> {
+        let mut grads = ([T::splat(0.0); 3], [T::splat(0.0); 3]);
+        self.grad_term::<T, 1>(nb, &mut grads);
+        self.grad_term::<T, 2>(nb, &mut grads);
+        self.grad_term::<T, 3>(nb, &mut grads);
+        self.grad_term::<T, 4>(nb, &mut grads);
+        self.grad_term::<T, 5>(nb, &mut grads);
+        self.grad_term::<T, 6>(nb, &mut grads);
+        self.grad_term::<T, 7>(nb, &mut grads);
+        self.grad_term::<T, 8>(nb, &mut grads);
+        self.grad_term::<T, 9>(nb, &mut grads);
+        self.grad_term::<T, 10>(nb, &mut grads);
+        self.grad_term::<T, 11>(nb, &mut grads);
+        self.grad_term::<T, 12>(nb, &mut grads);
+        self.grad_term::<T, 13>(nb, &mut grads);
+        self.grad_term::<T, 14>(nb, &mut grads);
+        self.grad_term::<T, 15>(nb, &mut grads);
+        self.grad_term::<T, 16>(nb, &mut grads);
+        self.grad_term::<T, 17>(nb, &mut grads);
+        self.grad_term::<T, 18>(nb, &mut grads);
+        grads
+    }
+
+    /// Direction `I`'s terms of the two gradients: `wᵢ·ρ` at the
+    /// neighbour, added to a component where cᵢ is +1, subtracted where it
+    /// is −1 and skipped where it is 0. `I` is a constant, so every branch
+    /// folds away and the 18 calls are straight-line code. Bit-identical
+    /// to the multiply-by-cᵢ form (`reference::gradients`) on every finite
+    /// state: `x·±1` and `a + (−b) = a − b` are exact, and a `±0` term only
+    /// picks the sign of a zero sum, which starts at `+0` and stays there.
+    #[inline(always)]
+    fn grad_term<T: Lane, const I: usize>(&self, nb: &[usize; Q], grads: &mut Gradients<T>) {
+        let w = T::splat(WEIGHTS[I]);
+        let (wa, wb) = (w * self.moment(0, nb[I]), w * self.moment(1, nb[I]));
+        let (grad_a, grad_b) = grads;
+        for (k, c) in [CX[I], CY[I], CZ[I]].into_iter().enumerate() {
+            match c {
+                1 => {
+                    grad_b[k] += wb;
+                    grad_a[k] += wa;
+                }
+                -1 => {
+                    grad_b[k] -= wb;
+                    grad_a[k] -= wa;
+                }
+                _ => {}
             }
         }
+    }
+
+    /// The rest of the force stage, from the node's gradients: densities,
+    /// shifted velocities and `1.5·u·u`, stored at `k` of `vals`.
+    #[inline(always)]
+    fn node_vals<T: Lane>(&self, node: usize, grads: Gradients<T>, vals: &mut [f64], k: usize) {
+        let (grad_a, grad_b) = grads;
+        let (ra, rb) = (self.moment::<T>(0, node), self.moment::<T>(1, node));
+        let rho_tot = (ra + rb).max(T::splat(1e-12));
+        let u: [T; 3] = kernel_array(|k| self.moment::<T>(2 + k, node) / rho_tot);
         // per-component equilibrium velocity (velocity-shift forcing)
         let (ga, gb) = (T::splat(-self.g) * ra, T::splat(-self.g) * rb);
         let (ra_s, rb_s) = (ra.max(T::splat(1e-12)), rb.max(T::splat(1e-12)));
         let tau = T::splat(self.tau);
-        let ua: [T; 3] = from_fn(|k| u[k] + tau * (ga * grad_b[k]) / ra_s);
-        let ub: [T; 3] = from_fn(|k| u[k] + tau * (gb * grad_a[k]) / rb_s);
+        let ua: [T; 3] = kernel_array(|k| u[k] + tau * (ga * grad_b[k]) / ra_s);
+        let ub: [T; 3] = kernel_array(|k| u[k] + tau * (gb * grad_a[k]) / rb_s);
         let (uu_a, uu_b) = (uu15(ua), uu15(ub));
         let out = [ra, rb, ua[0], ua[1], ua[2], ub[0], ub[1], ub[2], uu_a, uu_b];
         for (c, v) in out.into_iter().enumerate() {
@@ -335,7 +417,7 @@ impl PushCtx<'_> {
         dst: &mut PushDst<'_>,
     ) {
         let [ra, rb, uax, uay, uaz, ubx, uby, ubz, uu_a, uu_b]: [T; NODE_VALS] =
-            from_fn(|c| T::load(vals, c * self.plane + k));
+            kernel_array(|c| T::load(vals, c * self.plane + k));
         let omega = T::splat(1.0 / self.tau);
         for i in dirs {
             let sa = T::load(self.fa, i * self.n + node);
@@ -347,6 +429,89 @@ impl PushCtx<'_> {
             (sb + omega * (eb - sb)).store(dst.b[i], at);
         }
     }
+}
+
+/// The moments sweep's task for plane `z`: the plane's moments into the
+/// five plane-sized rows of `out`, in lane blocks when `lanes` (no
+/// neighbour is read, so blocks run across row ends), the tail at width
+/// one.
+#[inline(always)]
+fn moments_plane(
+    fa: &[f64],
+    fb: &[f64],
+    n: usize,
+    lanes: bool,
+    z: usize,
+    mut out: [&mut [f64]; 5],
+) {
+    let plane = out[0].len();
+    let mut k = 0;
+    while lanes && k + L <= plane {
+        moments::<F64x4>(fa, fb, n, z * plane + k, &mut out, k);
+        k += L;
+    }
+    for k in k..plane {
+        moments::<f64>(fa, fb, n, z * plane + k, &mut out, k);
+    }
+}
+
+/// The push sweep's task for source plane `z`: the force stage over the
+/// plane into a scratch of its own, then the relax stage a few directions
+/// at a time into `dst`. With `lanes`, lane blocks cover x in `1..xe` of
+/// every row, where x ± 1 cannot wrap; the rest of the row — all of it
+/// without `lanes` — runs the same kernels at width one.
+#[inline(always)]
+fn push_plane(ctx: &PushCtx<'_>, geom: Geom, lanes: bool, z: usize, mut dst: PushDst<'_>) {
+    let Geom { nx, ny, .. } = geom;
+    let plane = ctx.plane;
+    let xe = if lanes && nx > L + 1 {
+        1 + (nx - 2) / L * L
+    } else {
+        1
+    };
+    let edges = || std::iter::once(0).chain(xe..nx);
+    let mut vals = vec![0.0; NODE_VALS * plane];
+    for y in 0..ny {
+        let (k, bases) = (y * nx, geom.row_bases(y, z));
+        for x in (1..xe).step_by(L) {
+            let nb = kernel_array(|i| bases[i] + wrap(x, CX[i], nx));
+            ctx.force::<F64x4>(z * plane + k + x, &nb, &mut vals, k + x);
+        }
+        for x in edges() {
+            let nb = kernel_array(|i| geom.neighbor(x, y, z, i));
+            ctx.force::<f64>(z * plane + k + x, &nb, &mut vals, k + x);
+        }
+    }
+    for i0 in (0..Q).step_by(DIR_GROUP) {
+        let dirs = i0..(i0 + DIR_GROUP).min(Q);
+        for y in 0..ny {
+            let (k, bases) = (y * nx, geom.row_bases(y, z));
+            for x in (1..xe).step_by(L) {
+                let to = |i: usize| bases[i] + wrap(x, CX[i], nx);
+                let node = z * plane + k + x;
+                ctx.relax::<F64x4>(dirs.clone(), node, to, &vals, k + x, &mut dst);
+            }
+            for x in edges() {
+                let to = |i: usize| geom.neighbor(x, y, z, i);
+                let node = z * plane + k + x;
+                ctx.relax::<f64>(dirs.clone(), node, to, &vals, k + x, &mut dst);
+            }
+        }
+    }
+}
+
+/// [`moments_plane`] with lane blocks, compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn moments_plane_avx2(fa: &[f64], fb: &[f64], n: usize, z: usize, out: [&mut [f64]; 5]) {
+    moments_plane(fa, fb, n, true, z, out);
+}
+
+/// [`push_plane`] with lane blocks, compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn push_plane_avx2(ctx: &PushCtx<'_>, geom: Geom, z: usize, dst: PushDst<'_>) {
+    push_plane(ctx, geom, true, z, dst);
 }
 
 /// The two-fluid Lattice-Boltzmann simulation.
@@ -370,6 +535,8 @@ pub struct TwoFluidLbm {
     /// Current miscibility m ∈ \[0,1\].
     miscibility: f64,
     /// Kernel backend (defaults to the process-wide [`lanes::backend`]).
+    /// Always a value [`lanes::Backend::resolve`] returned: the sweeps
+    /// run their AVX2 builds on `Wide` without checking the CPU again.
     backend: lanes::Backend,
     steps: u64,
 }
@@ -449,11 +616,13 @@ impl TwoFluidLbm {
         self.backend
     }
 
-    /// Override the kernel backend. Results are unaffected — the two
-    /// backends are bit-identical (tested, proptested, and CI-gated);
-    /// benches use this to measure both in one process.
+    /// Override the kernel backend, as [`lanes::Backend::on_this_cpu`]
+    /// resolves it (`Wide` on a CPU without AVX2 runs `Simd`). Results
+    /// are unaffected — the backends are bit-identical (tested,
+    /// proptested, and CI-gated); benches use this to measure each in one
+    /// process.
     pub fn set_backend(&mut self, backend: lanes::Backend) {
-        self.backend = backend;
+        self.backend = backend.on_this_cpu();
     }
 
     /// Grid dimensions.
@@ -489,10 +658,6 @@ impl TwoFluidLbm {
         }
     }
 
-    fn simd(&self) -> bool {
-        self.backend == lanes::Backend::Simd
-    }
-
     /// Advance one time step.
     pub fn step(&mut self) {
         // the push targets are sized by the first step (a no-op
@@ -518,26 +683,26 @@ impl TwoFluidLbm {
     /// five moment arrays. No neighbour is read, so lane blocks run across
     /// row ends.
     fn sweep_moments(&mut self) {
-        let (fa, fb, n, plane, simd) = (&self.fa, &self.fb, self.n, self.plane, self.simd());
-        let nz = self.cfg.nz;
+        let (fa, fb, n, plane) = (&self.fa[..], &self.fb[..], self.n, self.plane);
+        let (nz, backend) = (self.cfg.nz, self.backend);
         let out = DisjointChunks::new(&mut self.moments, plane);
         self.pool.run(nz, |z| {
-            let mut out = from_fn(|c| out.claim(c * nz + z));
-            let mut k = 0;
-            while simd && k + L <= plane {
-                moments::<F64x4>(fa, fb, n, z * plane + k, &mut out, k);
-                k += L;
-            }
-            for k in k..plane {
-                moments::<f64>(fa, fb, n, z * plane + k, &mut out, k);
+            let out = from_fn(|c| out.claim(c * nz + z));
+            match backend {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `self.backend` is always what `Backend::resolve`
+                // returned for this CPU (the field's invariant), and that is
+                // `Wide` only when the CPU has AVX2, the one feature
+                // `moments_plane_avx2` enables.
+                lanes::Backend::Wide => unsafe { moments_plane_avx2(fa, fb, n, z, out) },
+                b => moments_plane(fa, fb, n, b.lane_blocked(), z, out),
             }
         });
     }
 
     /// The push sweep: the task for source plane `z` claims, per direction, the
-    /// one destination plane its nodes stream into (see the module doc),
-    /// runs the force stage over the plane into a scratch of its own, then
-    /// the relax stage a few directions at a time.
+    /// one destination plane its nodes stream into (see the module doc)
+    /// and runs [`push_plane`].
     fn sweep_collide_push(&mut self) {
         let ctx = PushCtx {
             fa: &self.fa,
@@ -548,65 +713,25 @@ impl TwoFluidLbm {
             g: self.coupling(),
             tau: self.cfg.tau,
         };
-        let (geom, plane, simd) = (self.geom(), self.plane, self.simd());
-        let Geom { nx, ny, nz } = geom;
+        let (geom, plane, backend) = (self.geom(), self.plane, self.backend);
+        let nz = geom.nz;
         let out_a = DisjointChunks::new(&mut self.fa_new, plane);
         let out_b = DisjointChunks::new(&mut self.fb_new, plane);
         self.pool.run(nz, |z| {
             let dz: [usize; Q] = from_fn(|i| wrap(z, CZ[i], nz));
-            let mut dst = PushDst {
+            let dst = PushDst {
                 a: from_fn(|i| out_a.claim(i * nz + dz[i])),
                 b: from_fn(|i| out_b.claim(i * nz + dz[i])),
                 start: dz.map(|d| d * plane),
             };
-            // lane blocks cover x in 1..xe of every row, where x ± 1 cannot
-            // wrap; the rest of the row — all of it on the scalar backend —
-            // runs the same kernels at width one
-            let xe = if simd && nx > L + 1 {
-                1 + (nx - 2) / L * L
-            } else {
-                1
-            };
-            let edges = |xe: usize| std::iter::once(0).chain(xe..nx);
-            let mut vals = vec![0.0; NODE_VALS * plane];
-            for y in 0..ny {
-                let (k, bases) = (y * nx, geom.row_bases(y, z));
-                for x in (1..xe).step_by(L) {
-                    let nb = from_fn(|i| bases[i] + wrap(x, CX[i], nx));
-                    ctx.force::<F64x4>(z * plane + k + x, &nb, &mut vals, k + x);
-                }
-                for x in edges(xe) {
-                    let nb = from_fn(|i| geom.neighbor(x, y, z, i));
-                    ctx.force::<f64>(z * plane + k + x, &nb, &mut vals, k + x);
-                }
-            }
-            for i0 in (0..Q).step_by(DIR_GROUP) {
-                let dirs = i0..(i0 + DIR_GROUP).min(Q);
-                for y in 0..ny {
-                    let (k, bases) = (y * nx, geom.row_bases(y, z));
-                    for x in (1..xe).step_by(L) {
-                        let to = |i: usize| bases[i] + wrap(x, CX[i], nx);
-                        ctx.relax::<F64x4>(
-                            dirs.clone(),
-                            z * plane + k + x,
-                            to,
-                            &vals,
-                            k + x,
-                            &mut dst,
-                        );
-                    }
-                    for x in edges(xe) {
-                        let to = |i: usize| geom.neighbor(x, y, z, i);
-                        ctx.relax::<f64>(
-                            dirs.clone(),
-                            z * plane + k + x,
-                            to,
-                            &vals,
-                            k + x,
-                            &mut dst,
-                        );
-                    }
-                }
+            match backend {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `self.backend` is always what `Backend::resolve`
+                // returned for this CPU (the field's invariant), and that is
+                // `Wide` only when the CPU has AVX2, the one feature
+                // `push_plane_avx2` enables.
+                lanes::Backend::Wide => unsafe { push_plane_avx2(&ctx, geom, z, dst) },
+                b => push_plane(&ctx, geom, b.lane_blocked(), z, dst),
             }
         });
     }
@@ -751,6 +876,9 @@ impl TwoFluidLbm {
         if !(cfg.tau.is_finite() && cfg.tau > 0.5) {
             return Err(corrupt("tau not a finite value above 0.5"));
         }
+        if cfg.threads > gridsteer_exec::MAX_RESTORED_THREADS {
+            return Err(corrupt("thread count above MAX_RESTORED_THREADS"));
+        }
         // n·Q·8 is the byte length the f sections are checked against
         let len = cfg
             .nx
@@ -865,6 +993,123 @@ mod tests {
             }
             out
         }
+
+        /// The Shan–Chen gradients in their textbook form: every
+        /// direction's `wᵢ·ρ` times each component of cᵢ, zeros included,
+        /// summed in ascending i.
+        pub fn gradients<T: Lane>(ctx: &PushCtx<'_>, nb: &[usize; Q]) -> Gradients<T> {
+            let mut grad_b = [T::splat(0.0); 3];
+            let mut grad_a = [T::splat(0.0); 3];
+            for i in 1..Q {
+                let w = T::splat(WEIGHTS[i]);
+                let wb = w * ctx.moment(1, nb[i]);
+                let wa = w * ctx.moment(0, nb[i]);
+                let c = [CX[i], CY[i], CZ[i]].map(|c| T::splat(c as f64));
+                for k in 0..3 {
+                    grad_b[k] += wb * c[k];
+                    grad_a[k] += wa * c[k];
+                }
+            }
+            (grad_a, grad_b)
+        }
+
+        /// The force stage over [`gradients`] — the spec
+        /// `PushCtx::force` is checked against.
+        pub fn force<T: Lane>(
+            ctx: &PushCtx<'_>,
+            node: usize,
+            nb: &[usize; Q],
+            vals: &mut [f64],
+            k: usize,
+        ) {
+            ctx.node_vals(node, gradients::<T>(ctx, nb), vals, k);
+        }
+    }
+
+    /// The force stage without its ×0 terms equals [`reference::force`]
+    /// bit for bit, at width 4 on the lane blocks and at width 1 on every
+    /// node, over seeded random moment planes mixing ordinary values with
+    /// ±0, subnormals and ±1e300-scale densities. The lattice is 7 wide,
+    /// so its row edges (x = 0, 5, 6) are the width-1 nodes of the SIMD
+    /// sweep. The gradients, always finite here, match exactly; the
+    /// velocities built from them may overflow at these scales, and a
+    /// NaN matches a NaN whatever its payload. Non-finite *states* are
+    /// outside the contract: at ρ = ∞ the reference's `wᵢ·ρ·0` is a NaN
+    /// the lean form never forms.
+    #[test]
+    fn lean_force_matches_the_reference_bit_for_bit() {
+        let geom = Geom {
+            nx: 7,
+            ny: 3,
+            nz: 3,
+        };
+        let (plane, n) = (geom.nx * geom.ny, geom.nx * geom.ny * geom.nz);
+        let xe = 1 + (geom.nx - 2) / L * L;
+        let mut rng = StdRng::seed_from_u64(0x5c_f0ce);
+        let mut pick = || match rng.gen_range(0..6) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::MIN_POSITIVE * rng.gen_range(-1.0..1.0),
+            3 => 1e300 * rng.gen_range(-1.0..1.0),
+            _ => rng.gen_range(-0.5..2.0),
+        };
+        // one f64 per value, `NaN` for any NaN
+        let bits = |v: &[f64]| {
+            v.iter()
+                .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let grad_bits = |(a, b): Gradients<F64x4>| {
+            a.iter()
+                .chain(&b)
+                .flat_map(|v| v.0.map(f64::to_bits))
+                .collect::<Vec<_>>()
+        };
+        let widen = |(a, b): Gradients<f64>| (a.map(F64x4::splat), b.map(F64x4::splat));
+        for _ in 0..16 {
+            let moments: Vec<f64> = (0..5 * n).map(|_| pick()).collect();
+            let ctx = PushCtx {
+                fa: &[],
+                fb: &[],
+                moments: &moments,
+                n,
+                plane,
+                g: 2.5,
+                tau: 0.9,
+            };
+            let (mut lean, mut spec) = (vec![0.0; NODE_VALS * plane], vec![0.0; NODE_VALS * plane]);
+            for z in 0..geom.nz {
+                for y in 0..geom.ny {
+                    let (k, bases) = (y * geom.nx, geom.row_bases(y, z));
+                    for x in (1..xe).step_by(L) {
+                        let nb = from_fn(|i| bases[i] + wrap(x, CX[i], geom.nx));
+                        let at = format!("width 4 at ({x}, {y}, {z})");
+                        assert_eq!(
+                            grad_bits(ctx.gradients(&nb)),
+                            grad_bits(reference::gradients(&ctx, &nb)),
+                            "{at}"
+                        );
+                        let node = z * plane + k + x;
+                        ctx.force::<F64x4>(node, &nb, &mut lean, k + x);
+                        reference::force::<F64x4>(&ctx, node, &nb, &mut spec, k + x);
+                        assert_eq!(bits(&lean), bits(&spec), "{at}");
+                    }
+                    for x in 0..geom.nx {
+                        let nb = from_fn(|i| geom.neighbor(x, y, z, i));
+                        let at = format!("width 1 at ({x}, {y}, {z})");
+                        assert_eq!(
+                            grad_bits(widen(ctx.gradients(&nb))),
+                            grad_bits(widen(reference::gradients(&ctx, &nb))),
+                            "{at}"
+                        );
+                        let node = z * plane + k + x;
+                        ctx.force::<f64>(node, &nb, &mut lean, k + x);
+                        reference::force::<f64>(&ctx, node, &nb, &mut spec, k + x);
+                        assert_eq!(bits(&lean), bits(&spec), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     /// What the observers read off `sim` right now, as bit patterns.
@@ -909,7 +1154,7 @@ mod tests {
     #[test]
     fn moments_always_describe_the_distributions() {
         let mut seen = Vec::new();
-        for backend in [lanes::Backend::Scalar, lanes::Backend::Simd] {
+        for backend in lanes::Backend::ALL {
             for threads in [1, 8] {
                 let cfg = LbmConfig {
                     threads,
@@ -1066,11 +1311,8 @@ mod tests {
             sim
         };
         let scalar = run(lanes::Backend::Scalar, 1);
-        for (backend, threads) in [
-            (lanes::Backend::Simd, 1),
-            (lanes::Backend::Simd, 4),
-            (lanes::Backend::Scalar, 4),
-        ] {
+        let matrix = lanes::Backend::ALL.map(|b| [(b, 1), (b, 4)]);
+        for (backend, threads) in matrix.into_iter().flatten() {
             let other = run(backend, threads);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
@@ -1099,19 +1341,22 @@ mod tests {
                 nz,
                 ..LbmConfig::small()
             };
-            let mut simd = TwoFluidLbm::new(cfg.clone());
-            simd.set_backend(lanes::Backend::Simd);
-            let mut scalar = TwoFluidLbm::new(cfg);
-            scalar.set_backend(lanes::Backend::Scalar);
-            simd.set_miscibility(0.2);
-            scalar.set_miscibility(0.2);
-            simd.step_n(5);
-            scalar.step_n(5);
-            assert_eq!(
-                simd.order_parameter().data(),
-                scalar.order_parameter().data(),
-                "{nx}x{ny}x{nz}"
-            );
+            let phi = |backend| {
+                let mut sim = TwoFluidLbm::new(cfg.clone());
+                sim.set_backend(backend);
+                sim.set_miscibility(0.2);
+                sim.step_n(5);
+                sim.order_parameter()
+            };
+            let scalar = phi(lanes::Backend::Scalar);
+            for backend in lanes::Backend::ALL {
+                assert_eq!(
+                    phi(backend).data(),
+                    scalar.data(),
+                    "{nx}x{ny}x{nz} {}",
+                    backend.label()
+                );
+            }
         }
     }
 
@@ -1256,8 +1501,8 @@ mod tests {
 
     #[test]
     fn hostile_meta_headers_are_typed_errors() {
-        // `save_sections` field order: nx, ny, nz, tau, then the rest
-        let blob = |nx: u64, ny: u64, nz: u64, tau: f64, f_len: usize| {
+        // `save_sections` field order: nx, ny, nz, tau, .., seed, threads, ..
+        let header = |[nx, ny, nz]: [u64; 3], tau: f64, threads: u64, f_len: usize| {
             let mut w = SectionWriter::with_capacity(96);
             for d in [nx, ny, nz] {
                 w.put_u64(d);
@@ -1266,7 +1511,7 @@ mod tests {
                 w.put_f64(v);
             }
             w.put_u64(42);
-            w.put_u64(1);
+            w.put_u64(threads);
             w.put_f64(1.0);
             w.put_u64(0);
             let mut snap = Snapshot::new(1, 0);
@@ -1275,9 +1520,11 @@ mod tests {
             snap.push(SEC_LBM_FB, 8, vec![0u8; f_len]);
             snap
         };
+        let blob = |nx, ny, nz, tau, f_len| header([nx, ny, nz], tau, 1, f_len);
         let ok = 4 * 4 * 4 * Q * 8;
         assert!(TwoFluidLbm::from_snapshot(&blob(4, 4, 4, 1.0, ok)).is_ok());
         let big = 1u64 << 32;
+        let over = gridsteer_exec::MAX_RESTORED_THREADS as u64 + 1;
         for (what, snap) in [
             ("nx = 0", blob(0, 4, 4, 1.0, 0)),
             ("ny = 0", blob(4, 0, 4, 1.0, 0)),
@@ -1290,6 +1537,10 @@ mod tests {
             ("tau < 0", blob(4, 4, 4, -1.0, ok)),
             ("tau NaN", blob(4, 4, 4, f64::NAN, ok)),
             ("tau inf", blob(4, 4, 4, f64::INFINITY, ok)),
+            // refused before `gridsteer_exec::shared` spawns a worker
+            ("threads past the ceiling", header([4, 4, 4], 1.0, over, ok)),
+            ("threads = 2^40", header([4, 4, 4], 1.0, 1 << 40, ok)),
+            ("threads = u64::MAX", header([4, 4, 4], 1.0, u64::MAX, ok)),
         ] {
             assert!(
                 matches!(
@@ -1305,7 +1556,7 @@ mod tests {
     fn push_writes_every_direction_of_every_node() {
         // nz = 2 and ny = 2: both ±1 neighbours are the same plane / row
         for (nx, ny, nz) in [(7, 2, 2), (13, 5, 3), (4, 3, 2)] {
-            for backend in [lanes::Backend::Scalar, lanes::Backend::Simd] {
+            for backend in lanes::Backend::ALL {
                 let mut sim = TwoFluidLbm::new(LbmConfig {
                     nx,
                     ny,

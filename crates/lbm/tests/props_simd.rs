@@ -1,5 +1,6 @@
-//! Property: the SIMD backend is **bit-identical** to the scalar one over
-//! arbitrary configurations — grid shapes that exercise every
+//! Property: every lane-blocked backend (the baseline build and the AVX2
+//! one) is **bit-identical** to the scalar one over arbitrary
+//! configurations — grid shapes that exercise every
 //! remainder-lane path, perturbation seeds, relaxation times, and
 //! multi-step evolution. The vectorized kernel executes the exact scalar
 //! operation sequence per lane, so this is equality of `f64` bits, not a
@@ -45,9 +46,11 @@ proptest! {
             ..Default::default()
         };
         let scalar = run(&cfg, lanes::Backend::Scalar, steps);
-        let simd = run(&cfg, lanes::Backend::Simd, steps);
-        prop_assert_eq!(scalar.0, simd.0, "fa bits diverged");
-        prop_assert_eq!(scalar.1, simd.1, "fb bits diverged");
+        for backend in lanes::Backend::ALL {
+            let lane = run(&cfg, backend, steps);
+            prop_assert_eq!(&scalar.0, &lane.0, "{}: fa bits diverged", backend.label());
+            prop_assert_eq!(&scalar.1, &lane.1, "{}: fb bits diverged", backend.label());
+        }
     }
 }
 
@@ -78,17 +81,15 @@ fn edge_shapes_are_bit_identical_across_backends_and_threads() {
             ..Default::default()
         };
         let spec = run(&cfg(1), lanes::Backend::Scalar, 3);
-        for (backend, threads) in [
-            (lanes::Backend::Simd, 1),
-            (lanes::Backend::Scalar, 8),
-            (lanes::Backend::Simd, 8),
-        ] {
-            assert_eq!(
-                spec,
-                run(&cfg(threads), backend, 3),
-                "{nx}x{ny}x{nz} {} at {threads} threads",
-                backend.label()
-            );
+        for backend in lanes::Backend::ALL {
+            for threads in [1, 8] {
+                assert_eq!(
+                    spec,
+                    run(&cfg(threads), backend, 3),
+                    "{nx}x{ny}x{nz} {} at {threads} threads",
+                    backend.label()
+                );
+            }
         }
     }
 }

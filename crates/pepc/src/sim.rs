@@ -488,6 +488,11 @@ impl PepcSim {
             ranks: r.get_u16()?,
             seed: r.get_u64()?,
         };
+        if cfg.tree.threads > gridsteer_exec::MAX_RESTORED_THREADS {
+            return Err(CkptError::Corrupt {
+                context: format!("{SEC_PEPC_META}: thread count above MAX_RESTORED_THREADS"),
+            });
+        }
         let params = SteerParams {
             beam_intensity: r.get_f64()?,
             beam_dir: [r.get_f64()?, r.get_f64()?, r.get_f64()?],
@@ -740,6 +745,37 @@ mod tests {
             PepcSim::from_snapshot(&snap),
             Err(CkptError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn hostile_thread_counts_are_corrupt() {
+        // `save_sections` meta order: n_target, radius, dt, theta, eps,
+        // leaf_cap, then threads at byte 48
+        let sim = PepcSim::new(PepcConfig::small());
+        let mut snap = CkptSnapshot::new(1, 0);
+        sim.save_sections(&mut snap);
+        let meta = snap
+            .sections
+            .iter()
+            .position(|s| s.name == SEC_PEPC_META)
+            .unwrap();
+        let threads = (sim.cfg.tree.threads as u64).to_le_bytes();
+        assert_eq!(
+            snap.sections[meta].bytes[48..56],
+            threads,
+            "byte 48 is threads"
+        );
+        let over = gridsteer_exec::MAX_RESTORED_THREADS as u64 + 1;
+        for threads in [over, 1 << 40, u64::MAX] {
+            let mut bad = snap.clone();
+            bad.sections[meta].bytes[48..56].copy_from_slice(&threads.to_le_bytes());
+            // refused before `gridsteer_exec::shared` spawns a worker
+            assert!(
+                matches!(PepcSim::from_snapshot(&bad), Err(CkptError::Corrupt { .. })),
+                "threads = {threads} must be refused as Corrupt"
+            );
+        }
+        assert!(PepcSim::from_snapshot(&snap).is_ok());
     }
 
     #[test]

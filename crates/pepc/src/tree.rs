@@ -238,10 +238,12 @@ impl Octree {
         self.backend
     }
 
-    /// Override the leaf-kernel backend (benches and bit-identity tests
-    /// compare both in one process).
+    /// Override the leaf-kernel backend, as
+    /// [`lanes::Backend::on_this_cpu`] resolves it (benches and
+    /// bit-identity tests compare them all in one process). The leaf
+    /// kernel has no AVX2 build: `Wide` runs the lane-blocked kernel.
     pub fn set_backend(&mut self, backend: lanes::Backend) {
-        self.backend = backend;
+        self.backend = backend.on_this_cpu();
     }
 
     /// One pairwise contribution of the leaf direct sum — the scalar
@@ -314,7 +316,7 @@ impl Octree {
         let pi = &particles[i];
         let theta = self.cfg.theta;
         let eps2 = self.cfg.eps * self.cfg.eps;
-        let simd = self.backend == lanes::Backend::Simd;
+        let simd = self.backend.lane_blocked();
         let mut f = [0.0f64; 3];
         let mut work = 0u64;
         let mut stack: Vec<u32> = vec![0];
@@ -554,7 +556,7 @@ mod tests {
         };
         let mut t = Octree::build(&p, cfg);
         let mut runs: Vec<(String, Vec<[f64; 3]>, u64)> = Vec::new();
-        for backend in [lanes::Backend::Scalar, lanes::Backend::Simd] {
+        for backend in lanes::Backend::ALL {
             t.set_backend(backend);
             for threads in [1usize, 4] {
                 let pool = gridsteer_exec::shared(threads);

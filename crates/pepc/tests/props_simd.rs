@@ -54,20 +54,23 @@ proptest! {
         let scalar = tree.forces(&particles);
         let work_scalar = tree.last_interactions();
 
-        tree.set_backend(lanes::Backend::Simd);
-        let simd = tree.forces(&particles);
-        let work_simd = tree.last_interactions();
+        for backend in lanes::Backend::ALL {
+            tree.set_backend(backend);
+            let lane = tree.forces(&particles);
+            let work_lane = tree.last_interactions();
 
-        prop_assert_eq!(work_scalar, work_simd, "backends walked different trees");
-        for (i, (a, b)) in scalar.iter().zip(&simd).enumerate() {
-            for c in 0..3 {
-                prop_assert_eq!(
-                    a[c].to_bits(),
-                    b[c].to_bits(),
-                    "particle {} component {} diverged",
-                    i,
-                    c
-                );
+            prop_assert_eq!(work_scalar, work_lane, "{} walked a different tree", backend.label());
+            for (i, (a, b)) in scalar.iter().zip(&lane).enumerate() {
+                for c in 0..3 {
+                    prop_assert_eq!(
+                        a[c].to_bits(),
+                        b[c].to_bits(),
+                        "{}: particle {} component {} diverged",
+                        backend.label(),
+                        i,
+                        c
+                    );
+                }
             }
         }
     }
