@@ -5,23 +5,13 @@ mod tests {
     use crate::command::{SteerCommand, SteerError};
     use crate::covise::{CoviseEndpoint, SteerParamsModule};
     use crate::endpoint::SteerEndpoint;
-    use crate::hub::SteerHub;
-    use crate::spec::ParamSpec;
+    use crate::transport::tests::every_kind_hub;
     use crate::value::ParamValue;
     use covise::Module;
 
-    fn hub() -> SteerHub {
-        SteerHub::new(vec![
-            ParamSpec::f64("miscibility", 0.0, 1.0, 1.0),
-            ParamSpec::i64("ranks", 1, 64, 4),
-            ParamSpec::flag("paused", false),
-            ParamSpec::text("site", "london"),
-        ])
-    }
-
     #[test]
     fn scalar_kinds_flow_through_the_module() {
-        let h = hub();
+        let h = every_kind_hub();
         let mut ep = CoviseEndpoint::attach(&h, "hlrs");
         ep.set_batch(vec![
             SteerCommand::f64("miscibility", 0.4),
@@ -37,7 +27,7 @@ mod tests {
 
     #[test]
     fn str_excluded_by_capability_set() {
-        let h = hub();
+        let h = every_kind_hub();
         let mut ep = CoviseEndpoint::attach(&h, "hlrs");
         let err = ep
             .set_batch(vec![SteerCommand::new(
@@ -51,7 +41,7 @@ mod tests {
 
     #[test]
     fn refused_module_change_aborts_whole_batch() {
-        let h = hub();
+        let h = every_kind_hub();
         let mut ep = CoviseEndpoint::attach(&h, "hlrs");
         let err = ep
             .set_batch(vec![
@@ -67,7 +57,7 @@ mod tests {
 
     #[test]
     fn module_reads_current_values() {
-        let h = hub();
+        let h = every_kind_hub();
         let module = SteerParamsModule::new(&h);
         assert_eq!(module.param("miscibility"), Some(1.0));
         assert_eq!(module.param("ghost"), None);

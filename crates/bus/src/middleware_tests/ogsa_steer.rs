@@ -4,25 +4,14 @@ mod tests {
 
     use crate::command::SteerCommand;
     use crate::endpoint::SteerEndpoint;
-    use crate::hub::SteerHub;
     use crate::ogsa::{from_sde, OgsaEndpoint};
-    use crate::spec::ParamSpec;
+    use crate::transport::tests::every_kind_hub;
     use crate::value::ParamValue;
     use ogsa::SdeValue;
 
-    fn hub() -> SteerHub {
-        SteerHub::new(vec![
-            ParamSpec::f64("miscibility", 0.0, 1.0, 1.0),
-            ParamSpec::i64("ranks", 1, 64, 4),
-            ParamSpec::flag("paused", false),
-            ParamSpec::vec3("beam_dir", -1.0, 1.0, [1.0, 0.0, 0.0]),
-            ParamSpec::text("site", "london"),
-        ])
-    }
-
     #[test]
     fn every_kind_survives_the_service_hop() {
-        let h = hub();
+        let h = every_kind_hub();
         let mut ep = OgsaEndpoint::attach(&h, "alice");
         ep.set_batch(vec![
             SteerCommand::f64("miscibility", 0.25),
@@ -43,7 +32,7 @@ mod tests {
 
     #[test]
     fn get_goes_through_the_service() {
-        let h = hub();
+        let h = every_kind_hub();
         let ep = OgsaEndpoint::attach(&h, "a");
         assert_eq!(ep.get("ranks"), Some(ParamValue::I64(4)));
         assert_eq!(ep.get("ghost"), None);

@@ -4,22 +4,13 @@ mod tests {
 
     use crate::command::SteerCommand;
     use crate::endpoint::SteerEndpoint;
-    use crate::hub::SteerHub;
-    use crate::spec::ParamSpec;
+    use crate::transport::tests::every_kind_hub;
     use crate::unicore::{begin_payload, decode_payload, UnicoreEndpoint};
     use crate::value::ParamValue;
 
-    fn hub() -> SteerHub {
-        SteerHub::new(vec![
-            ParamSpec::f64("miscibility", 0.0, 1.0, 1.0),
-            ParamSpec::vec3("beam_dir", -1.0, 1.0, [1.0, 0.0, 0.0]),
-            ParamSpec::text("site", "london"),
-        ])
-    }
-
     #[test]
     fn batch_rides_an_ajo_and_applies() {
-        let h = hub();
+        let h = every_kind_hub();
         let mut ep = UnicoreEndpoint::attach(&h, "juelich");
         ep.set_batch(vec![
             SteerCommand::f64("miscibility", 0.3),
@@ -57,7 +48,7 @@ mod tests {
 
     #[test]
     fn each_batch_is_one_job() {
-        let h = hub();
+        let h = every_kind_hub();
         let mut ep = UnicoreEndpoint::attach(&h, "j");
         for i in 0..3 {
             ep.set_batch(vec![SteerCommand::f64("miscibility", 0.1 * (i + 1) as f64)])

@@ -4,25 +4,14 @@ mod tests {
 
     use crate::command::SteerCommand;
     use crate::endpoint::SteerEndpoint;
-    use crate::hub::SteerHub;
-    use crate::spec::ParamSpec;
+    use crate::transport::tests::every_kind_hub;
     use crate::value::ParamValue;
     use crate::visit::VisitEndpoint;
     use visit::Endianness;
 
-    fn hub() -> SteerHub {
-        SteerHub::new(vec![
-            ParamSpec::f64("miscibility", 0.0, 1.0, 1.0),
-            ParamSpec::i64("ranks", 1, 64, 4),
-            ParamSpec::flag("paused", false),
-            ParamSpec::vec3("beam_dir", -1.0, 1.0, [1.0, 0.0, 0.0]),
-            ParamSpec::text("site", "london"),
-        ])
-    }
-
     #[test]
     fn every_kind_survives_the_wire() {
-        let h = hub();
+        let h = every_kind_hub();
         let mut ep = VisitEndpoint::attach(&h, "alice");
         ep.set_batch(vec![
             SteerCommand::f64("miscibility", 0.05),
@@ -45,7 +34,7 @@ mod tests {
     fn big_endian_client_decoded_transparently() {
         // the paper's Cray/SGI case: client encodes big-endian, the
         // receiving side converts (§3.2) — values must be identical.
-        let h = hub();
+        let h = every_kind_hub();
         let mut ep = VisitEndpoint::attach_with_order(&h, "t3e", Endianness::Big);
         ep.set_batch(vec![
             SteerCommand::f64("miscibility", 0.123456789),
@@ -59,7 +48,7 @@ mod tests {
 
     #[test]
     fn batch_is_one_staging_unit() {
-        let h = hub();
+        let h = every_kind_hub();
         let mut ep = VisitEndpoint::attach(&h, "a");
         ep.set_batch(vec![
             SteerCommand::f64("miscibility", 0.1),

@@ -1,9 +1,8 @@
 //! The vizserver → monitor-hub bridge.
 //!
 //! §2.4's remote-rendering path ("only compressed bitmaps need to be sent
-//! to the participating sites") used to terminate inside
-//! [`VizServerSession`]'s private per-viewer codec table. [`HubFrameSink`]
-//! reroutes it onto the typed data plane: the session encodes each frame
+//! to the participating sites") runs over the typed data plane through
+//! [`HubFrameSink`]: a [`VizServerSession`] encodes each frame
 //! *once* through its broadcast codec and publishes it as a
 //! [`MonitorPayload::Frame`], and the [`MonitorHub`] owns fan-out — every
 //! subscriber gets the frame over its own middleware, with the hub's

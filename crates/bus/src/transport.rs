@@ -74,7 +74,7 @@ impl Transport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::command::{SteerCommand, SteerError};
     use crate::endpoint::Capabilities;
@@ -151,8 +151,9 @@ mod tests {
     // batch, SDS reclaim, service faults, COVISE's narrowed kind sets)
     // stays with that middleware's own tests.
 
-    /// A session declaring one parameter of every kind.
-    fn every_kind_hub() -> SteerHub {
+    /// A session declaring one parameter of every kind (the adapters' own
+    /// tests share it).
+    pub(crate) fn every_kind_hub() -> SteerHub {
         SteerHub::new(vec![
             ParamSpec::f64("miscibility", 0.0, 1.0, 1.0),
             ParamSpec::i64("ranks", 1, 64, 4),

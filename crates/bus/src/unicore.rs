@@ -251,49 +251,10 @@ impl MonitorEndpoint for UnicoreMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    thread_local! {
-        /// The largest single request the current thread has made of the
-        /// allocator since it last reset this.
-        static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
-    }
-
-    fn note(size: usize) {
-        // a thread being torn down has no cell left to note into
-        let _ = LARGEST_REQUEST.try_with(|l| l.set(l.get().max(size)));
-    }
-
-    /// The system allocator, noting request sizes per thread (so tests
-    /// running in parallel do not see each other's).
-    struct NotingAlloc;
-
-    // SAFETY: every operation is `System`'s, called with the arguments
-    // this one was given; the wrapper only records a size.
-    unsafe impl GlobalAlloc for NotingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            note(layout.size());
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            note(layout.size());
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            note(new_size);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
+    use gridsteer_testkit::{measure, CountingAlloc};
 
     #[global_allocator]
-    static ALLOC: NotingAlloc = NotingAlloc;
+    static ALLOC: CountingAlloc = CountingAlloc;
 
     /// A staged file whose count claims far more items than its bytes can
     /// hold is refused without reserving for the claim.
@@ -301,12 +262,12 @@ mod tests {
         for junk in [&[][..], &[0xff; 3][..]] {
             let mut file = u16::MAX.to_le_bytes().to_vec();
             file.extend_from_slice(junk);
-            LARGEST_REQUEST.with(|l| l.set(0));
-            assert!(decode_payload(&file, &item).is_none());
-            let largest = LARGEST_REQUEST.with(Cell::get);
+            let (got, usage) = measure(|| decode_payload(&file, &item));
+            assert!(got.is_none());
             assert!(
-                largest <= junk.len() * std::mem::size_of::<T>(),
-                "{largest} bytes requested for a {}-byte file",
+                usage.largest <= junk.len() * std::mem::size_of::<T>(),
+                "{} bytes requested for a {}-byte file",
+                usage.largest,
                 file.len()
             );
         }

@@ -1,9 +1,10 @@
 //! Property tests for the snapshot codec: arbitrary section sets —
 //! including NaN-bearing float grids and zero-length bodies — round-trip
 //! bit-exactly through full encode/decode, deltas reconstruct the same
-//! state as fulls, and random mutations never panic the decoder.
+//! state as fulls, the wrong version, decode path or base is a typed
+//! refusal, and random mutations never panic the decoder.
 
-use gridsteer_ckpt::{CkptError, Section, SectionReader, SectionWriter, Snapshot};
+use gridsteer_ckpt::{CkptError, Section, SectionReader, SectionWriter, Snapshot, VERSION};
 use proptest::prelude::*;
 
 /// Build a snapshot from flat drawn primitives: `sizes[i]` bytes of body
@@ -35,10 +36,19 @@ proptest! {
         sizes in collection::vec(0usize..300, 0..6),
         chunks in collection::vec(0u32..=128, 6),
         pool in collection::vec(any::<u8>(), 1..512),
+        version in any::<u16>(),
     ) {
         let snap = build_snapshot(seq, time_ns, &sizes, &chunks, &pool);
-        let back = Snapshot::decode(&snap.encode()).unwrap();
+        let mut bytes = snap.encode();
+        let back = Snapshot::decode(&bytes).unwrap();
         prop_assert_eq!(back, snap);
+        // any version but the reader's own is refused, never guessed at
+        let version = if version == VERSION { version.wrapping_add(1) } else { version };
+        bytes[6..8].copy_from_slice(&version.to_le_bytes());
+        prop_assert_eq!(
+            Snapshot::decode(&bytes),
+            Err(CkptError::UnsupportedVersion { found: version, supported: VERSION })
+        );
     }
 
     #[test]
@@ -77,11 +87,23 @@ proptest! {
             body[b] ^= (f >> 40) as u8 | 1;
         }
         let delta = next.encode_delta(&base);
+        let full = next.encode();
+        prop_assert!(Snapshot::is_delta(&delta).unwrap());
+        prop_assert!(!Snapshot::is_delta(&full).unwrap());
         let applied = Snapshot::decode_delta(&delta, &base).unwrap();
         prop_assert_eq!(&applied, &next);
         // and the delta path agrees exactly with the full path
-        let via_full = Snapshot::decode(&next.encode()).unwrap();
+        let via_full = Snapshot::decode(&full).unwrap();
         prop_assert_eq!(applied, via_full);
+        // the wrong decode path and the wrong base are typed refusals
+        prop_assert_eq!(Snapshot::decode(&delta), Err(CkptError::IsDelta));
+        prop_assert_eq!(Snapshot::decode_delta(&full, &base), Err(CkptError::NotADelta));
+        let mut stranger = base.clone();
+        stranger.seq = 99;
+        prop_assert_eq!(
+            Snapshot::decode_delta(&delta, &stranger),
+            Err(CkptError::BaseMismatch { expected: 7, found: 99 })
+        );
     }
 
     #[test]

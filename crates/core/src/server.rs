@@ -200,7 +200,8 @@ fn serve_client(
                 }
                 let seq = body.get_u64_le();
                 let count = body.get_u16_le() as usize;
-                let mut commands = Vec::with_capacity(count);
+                // every command takes at least one byte of what is left
+                let mut commands = Vec::with_capacity(count.min(body.len()));
                 let mut ok = true;
                 for _ in 0..count {
                     match SteerCommand::decode_bytes(&mut body) {
@@ -568,6 +569,34 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         drop(raw);
+    }
+
+    #[global_allocator]
+    static ALLOC: gridsteer_testkit::CountingAlloc = gridsteer_testkit::CountingAlloc;
+
+    #[test]
+    fn a_batch_count_is_bounded_by_the_bytes_behind_it() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut raw = TcpLink::connect(&addr, Duration::from_secs(2)).unwrap();
+        // sequence 1 and a count of 65,535, with no command behind it
+        let mut frame = BytesMut::new();
+        frame.put_u8(OP_BATCH);
+        frame.put_u64_le(1);
+        frame.put_u16_le(u16::MAX);
+        raw.send(&frame).unwrap();
+        // served on this thread, so the counters see its allocations
+        let (stream, _) = listener.accept().unwrap();
+        let session = Arc::new(Mutex::new(SteeringSession::new(ParamRegistry::new())));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (got, usage) = gridsteer_testkit::measure(|| serve_client(stream, session, stop));
+        assert_eq!(got, Err(LinkError::Io("bad batch".into())));
+        assert!(
+            usage.largest <= frame.len() * size_of::<SteerCommand>(),
+            "{} bytes requested for an {}-byte frame",
+            usage.largest,
+            frame.len()
+        );
     }
 
     /// A one-connection server that answers each request with the next of

@@ -6,55 +6,25 @@
 //! kind-filtered alike), and subscriber delivery (a digesting sink that
 //! folds the frames without storing them).
 //!
-//! The witness is a counting global allocator: every allocation at least
-//! as large as the *smaller* grid channel (the mid-plane slice) is
-//! counted, so a single hidden clone of either grid trips the gate.
+//! The witness is the largest allocator request the publish makes: it
+//! must stay below the *smaller* grid channel (the mid-plane slice), so a
+//! single hidden clone of either grid trips the gate. The counters are per
+//! thread, and the 1-wide LBM pool runs its sweeps on the test's own.
 
 use gridsteer_bus::{
     FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame, MonitorHub,
 };
+use gridsteer_testkit::{measure, CountingAlloc};
 use lbm::{LbmConfig, TwoFluidLbm};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use steer_core::{MonitorScratch, MonitorSource};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// 16×16 mid-plane slice of f32 = 1 KiB: the smallest grid buffer on the
 /// monitor surface for the lattice below. Anything this large allocated
 /// during a warm publish is a zero-copy regression.
 const GRID_BYTES: usize = 16 * 16 * 4;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static GRID_ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// Both tests arm the same global counter; the parallel test runner must
-/// not interleave their measurement windows.
-static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-struct CountingAlloc;
-
-// SAFETY: defers to `System` for every operation; the wrapper only counts.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) && layout.size() >= GRID_BYTES {
-            GRID_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) && new_size >= GRID_BYTES {
-            GRID_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 /// A viewer that digests delivered frames in place — FNV-1a over the
 /// payload floats' bit patterns — storing nothing, allocating nothing.
@@ -123,7 +93,6 @@ impl MonitorEndpoint for DigestSink {
 
 #[test]
 fn warm_monitor_publish_makes_no_grid_sized_allocation() {
-    let _serial = COUNTER_LOCK.lock().unwrap();
     let mut sim = TwoFluidLbm::new(LbmConfig {
         nx: 16,
         ny: 16,
@@ -149,16 +118,15 @@ fn warm_monitor_publish_makes_no_grid_sized_allocation() {
     }
 
     // steady state: many publishes, zero grid-sized allocations
-    GRID_ALLOCS.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
-    for _ in 0..32 {
-        assert_eq!(publish(), 6);
-    }
-    ARMED.store(false, Ordering::Relaxed);
-    assert_eq!(
-        GRID_ALLOCS.load(Ordering::Relaxed),
-        0,
-        "warm publish path allocated a grid-sized buffer"
+    let ((), usage) = measure(|| {
+        for _ in 0..32 {
+            assert_eq!(publish(), 6);
+        }
+    });
+    assert!(
+        usage.largest < GRID_BYTES,
+        "warm publish path allocated a grid-sized buffer ({} B)",
+        usage.largest
     );
 
     // the frames really arrived (the gate must not pass vacuously)
@@ -168,10 +136,10 @@ fn warm_monitor_publish_makes_no_grid_sized_allocation() {
 
 #[test]
 fn owned_publish_path_does_allocate_grids() {
-    // control experiment: publishing the owned surface trips the same
-    // counter, proving the instrument can detect what the zero-copy
-    // assertion above claims is absent
-    let _serial = COUNTER_LOCK.lock().unwrap();
+    // control experiment: the owned surface trips the same counter,
+    // proving the instrument can detect what the zero-copy assertion
+    // above claims is absent
+    const FIELD_BYTES: usize = 16 * 16 * 8 * 4;
     let sim = TwoFluidLbm::new(LbmConfig {
         nx: 16,
         ny: 16,
@@ -179,19 +147,11 @@ fn owned_publish_path_does_allocate_grids() {
         threads: 1,
         ..Default::default()
     });
-    let hub = MonitorHub::new();
-    hub.attach_endpoint(
-        "viewer",
-        Box::new(DigestSink::new()),
-        &MonitorCaps::full("viewer", 64),
-    );
-    GRID_ALLOCS.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
-    hub.publish_batch(sim.monitor_step(), sim.monitor_payloads());
-    ARMED.store(false, Ordering::Relaxed);
+    // both grid channels are owned copies, held by the returned payloads
+    let (_payloads, usage) = measure(|| sim.monitor_payloads());
     assert!(
-        GRID_ALLOCS.load(Ordering::Relaxed) >= 2,
-        "owned path should allocate both grid channels"
+        usage.largest >= FIELD_BYTES && usage.live >= (FIELD_BYTES + GRID_BYTES) as i64,
+        "owned path should allocate both grid channels ({usage:?})"
     );
 }
 
@@ -200,7 +160,6 @@ fn kind_filtered_subscriber_gets_views_not_copies_of_owned_grids() {
     // a subscriber that takes only part of each publish used to be served
     // from per-frame deep copies; with one delivery path its chunk views
     // the published frames, so even *owned* grids cross the hub uncopied
-    let _serial = COUNTER_LOCK.lock().unwrap();
     let grid = || -> Vec<gridsteer_bus::MonitorPayload<'static>> {
         vec![
             gridsteer_bus::MonitorPayload::scalar("demix", 0.5),
@@ -215,14 +174,11 @@ fn kind_filtered_subscriber_gets_views_not_copies_of_owned_grids() {
     hub.attach_endpoint("viewer", Box::new(DigestSink::new()), &grids_only);
     hub.publish_batch(0, grid()); // warm-up
     let payloads = grid(); // the caller's own allocation, outside the window
-    GRID_ALLOCS.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
-    hub.publish_batch(1, payloads);
-    ARMED.store(false, Ordering::Relaxed);
-    assert_eq!(
-        GRID_ALLOCS.load(Ordering::Relaxed),
-        0,
-        "the hub copied a grid for a kind-filtered subscriber"
+    let (_, usage) = measure(|| hub.publish_batch(1, payloads));
+    assert!(
+        usage.largest < GRID_BYTES,
+        "the hub copied a grid for a kind-filtered subscriber ({} B)",
+        usage.largest
     );
     let stats = hub.stats_of("viewer").expect("viewer attached");
     assert_eq!((stats.delivered, stats.filtered), (2, 2));

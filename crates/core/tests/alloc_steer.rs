@@ -11,54 +11,14 @@
 //!   window of entries of live heap after N, once N is past the first
 //!   eviction — the log neither grows with the run nor allocates per entry.
 //!
-//! The witness is a counting global allocator with per-thread counters,
-//! so the tests in this file can run in parallel without seeing each
-//! other's traffic.
+//! The witness is `gridsteer_testkit`'s counting allocator, whose
+//! counters are per thread, so the tests in this file can run in parallel
+//! without seeing each other's traffic.
 
 use gridsteer_bus::{SteerCommand, SteerEndpoint, SteerHub, Subscription, Transport, AUDIT_WINDOW};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use gridsteer_testkit::{measure, CountingAlloc};
 use std::sync::Arc;
 use steer_core::{ParamSpec, SessionEvent, SteeringSession};
-
-thread_local! {
-    /// Allocator calls that can return new memory, on this thread.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-    /// Bytes this thread has allocated and not yet freed.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-}
-
-fn note(calls: u64, bytes: i64) {
-    // a thread being torn down has no cells left to note into
-    let _ = CALLS.try_with(|c| c.set(c.get() + calls));
-    let _ = LIVE.try_with(|l| l.set(l.get() + bytes));
-}
-
-struct CountingAlloc;
-
-// SAFETY: every operation is `System`'s, called with the arguments this
-// one was given; the wrapper only counts.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(1, layout.size() as i64);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(1, layout.size() as i64);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(0, -(layout.size() as i64));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(1, new_size as i64 - layout.size() as i64);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -120,11 +80,9 @@ impl Rig {
         for _ in 0..4 {
             self.tick();
         }
-        let before = CALLS.get();
-        let drained = self.tick();
-        let calls = CALLS.get() - before;
+        let (drained, usage) = measure(|| self.tick());
         assert_eq!(drained, self.subs.len() * BATCHES * CMDS);
-        calls
+        usage.calls
     }
 }
 
@@ -176,17 +134,18 @@ fn live_heap_is_flat_once_the_audit_window_has_filled() {
         rig.session.audit_log().evicted() > 0,
         "N is past an eviction"
     );
-    let after_n = LIVE.get();
-    for _ in N..4 * N {
-        rig.tick();
-    }
-    let after_4n = LIVE.get();
+    let ((), usage) = measure(|| {
+        for _ in N..4 * N {
+            rig.tick();
+        }
+    });
     // the log holds between one and two windows; nothing else may grow
     let window = AUDIT_WINDOW * size_of::<SessionEvent>();
     assert!(
-        (after_4n - after_n).unsigned_abs() as usize <= window,
-        "live heap {after_n} B after {N} ticks, {after_4n} B after {} \
+        usage.live.unsigned_abs() as usize <= window,
+        "live heap moved {} B from tick {N} to tick {} \
          (one window of entries is {window} B)",
+        usage.live,
         4 * N
     );
     let log = rig.session.audit_log();

@@ -509,6 +509,11 @@ impl PepcSim {
         r.expect_end()?;
         let mut r = snap.reader(SEC_PEPC_PARTICLES)?;
         let count = r.get_u64()? as usize;
+        if count > r.remaining() / PARTICLE_REC {
+            return Err(CkptError::Corrupt {
+                context: format!("{SEC_PEPC_PARTICLES}: {count} records claimed past its end"),
+            });
+        }
         let mut particles = Vec::with_capacity(count);
         for _ in 0..count {
             particles.push(Particle {
@@ -528,7 +533,7 @@ impl PepcSim {
                 context: format!("{SEC_PEPC_FORCES}: {fcount} forces for {count} particles"),
             });
         }
-        let mut forces = Vec::with_capacity(fcount);
+        let mut forces = Vec::with_capacity(fcount.min(r.remaining() / 24));
         for _ in 0..fcount {
             forces.push([r.get_f64()?, r.get_f64()?, r.get_f64()?]);
         }
@@ -776,6 +781,38 @@ mod tests {
             );
         }
         assert!(PepcSim::from_snapshot(&snap).is_ok());
+    }
+
+    #[global_allocator]
+    static ALLOC: gridsteer_testkit::CountingAlloc = gridsteer_testkit::CountingAlloc;
+
+    #[test]
+    fn a_hostile_particle_count_is_refused_before_reserving_for_it() {
+        let sim = PepcSim::new(PepcConfig::small());
+        let mut snap = CkptSnapshot::new(1, 0);
+        sim.save_sections(&mut snap);
+        let at = snap
+            .sections
+            .iter()
+            .position(|s| s.name == SEC_PEPC_PARTICLES)
+            .unwrap();
+        // a section that is its count and nothing behind it
+        for count in [u64::MAX, 1 << 20] {
+            let mut bad = snap.clone();
+            bad.sections[at].bytes = count.to_le_bytes().to_vec();
+            let (got, usage) = gridsteer_testkit::measure(|| PepcSim::from_snapshot(&bad));
+            assert!(
+                matches!(got, Err(CkptError::Corrupt { .. })),
+                "count = {count}"
+            );
+            // not one record reserved per byte of the section, let alone per claim
+            let bound = std::mem::size_of::<Particle>() * bad.sections[at].bytes.len();
+            assert!(
+                usage.largest <= bound,
+                "count = {count}: {} bytes requested for an 8-byte section",
+                usage.largest
+            );
+        }
     }
 
     #[test]

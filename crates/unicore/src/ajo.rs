@@ -456,9 +456,11 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridsteer_testkit::{measure, CountingAlloc};
     use proptest::prelude::*;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
+
+    #[global_allocator]
+    static ALLOC: CountingAlloc = CountingAlloc;
 
     #[test]
     fn linear_chain_orders_correctly() {
@@ -749,47 +751,6 @@ mod tests {
         assert_eq!(Ajo::from_bytes(&[]), malformed("truncated"));
     }
 
-    thread_local! {
-        /// The largest single request the current thread has made of the
-        /// allocator since it last reset this.
-        static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
-    }
-
-    fn note(size: usize) {
-        // a thread being torn down has no cell left to note into
-        let _ = LARGEST_REQUEST.try_with(|l| l.set(l.get().max(size)));
-    }
-
-    /// The system allocator, noting request sizes per thread (so tests
-    /// running in parallel do not see each other's).
-    struct NotingAlloc;
-
-    // SAFETY: every operation is `System`'s, called with the arguments
-    // this one was given; the wrapper only records a size.
-    unsafe impl GlobalAlloc for NotingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            note(layout.size());
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            note(layout.size());
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            note(new_size);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static ALLOC: NotingAlloc = NotingAlloc;
-
     #[test]
     fn a_length_or_count_of_u32_max_is_refused_before_allocating() {
         let wire = Ajo::steered_simulation("j", "v", "lbm", &["-x"], b"cfg")
@@ -804,12 +765,11 @@ mod tests {
         for at in 0..wire.len() - 3 {
             let mut hit = wire.clone();
             hit[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            LARGEST_REQUEST.with(|l| l.set(0));
-            let got = Ajo::from_bytes(&hit);
-            let largest = LARGEST_REQUEST.with(Cell::get);
+            let (got, usage) = measure(|| Ajo::from_bytes(&hit));
             assert!(
-                largest <= ratio * hit.len(),
-                "at={at}: {largest} bytes requested"
+                usage.largest <= ratio * hit.len(),
+                "at={at}: {} bytes requested",
+                usage.largest
             );
             if got == Err(AjoError::Malformed("count exceeds the bytes remaining")) {
                 refused += 1;

@@ -4,9 +4,10 @@
 //! visual supercomputer to be accessed remotely … which allows multiple
 //! users to share the same login session on a remote machine", with only
 //! compressed bitmaps crossing the network. [`VizServerSession`] models
-//! exactly that: one render host, N attached viewers, per-viewer codec
-//! state, shared control of the camera ("Participating sites able to run
-//! OpenGL VizServer will be able to share control of the visualization").
+//! exactly that: one render host, N attached viewers, shared control of
+//! the camera ("Participating sites able to run OpenGL VizServer will be
+//! able to share control of the visualization"), and each frame encoded
+//! once into a [`FrameSink`] that owns fan-out to the viewers.
 
 use crate::camera::Camera;
 use crate::codec::{DeltaRleCodec, EncodedFrame};
@@ -14,20 +15,15 @@ use crate::framebuffer::Framebuffer;
 use crate::mesh::TriMesh;
 use crate::raster::Rasterizer;
 use crate::Vec3;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// Identifies an attached viewer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ViewerId(pub u32);
 
-/// Where a render session publishes its encoded output.
-///
-/// Historically the session shipped frames only through its private
-/// per-viewer codec table ([`VizServerSession::ship_frame`]); a
-/// `FrameSink` is the outward-facing half of that API, so the same render
-/// host can instead hand each encoded frame to an external data plane
-/// (the `gridsteer_bus` monitor hub implements this) that owns fan-out,
-/// capability filtering, and delivery accounting.
+/// Where a render session publishes its encoded output: an external data
+/// plane (the `gridsteer_bus` monitor hub implements this) that owns
+/// fan-out, capability filtering, and delivery accounting.
 pub trait FrameSink {
     /// True if the next frame must be a keyframe (e.g. a subscriber
     /// joined downstream and has no codec history).
@@ -57,7 +53,7 @@ impl FrameSink for CollectSink {
 pub struct SessionStats {
     /// Frames rendered.
     pub frames: u64,
-    /// Total bytes that would cross the network (sum over viewers).
+    /// Encoded bytes handed to the sink.
     pub bytes_shipped: u64,
     /// Total uncompressed bytes those frames represent.
     pub bytes_raw: u64,
@@ -73,9 +69,8 @@ pub struct VizServerSession {
     /// Which viewer currently holds camera control (VizServer collaborative
     /// mode shares one login session; one participant drives at a time).
     controller: Option<ViewerId>,
-    viewers: BTreeMap<ViewerId, DeltaRleCodec>,
-    /// Codec state of the broadcast path ([`VizServerSession::ship_frame_to`]):
-    /// one encode per frame regardless of downstream fan-out.
+    viewers: BTreeSet<ViewerId>,
+    /// One encode per frame regardless of downstream fan-out.
     broadcast: DeltaRleCodec,
     next_id: u32,
     stats: SessionStats,
@@ -89,7 +84,7 @@ impl VizServerSession {
             height,
             camera,
             controller: None,
-            viewers: BTreeMap::new(),
+            viewers: BTreeSet::new(),
             broadcast: DeltaRleCodec::new(),
             next_id: 0,
             stats: SessionStats::default(),
@@ -100,7 +95,7 @@ impl VizServerSession {
     pub fn attach(&mut self) -> ViewerId {
         let id = ViewerId(self.next_id);
         self.next_id += 1;
-        self.viewers.insert(id, DeltaRleCodec::new());
+        self.viewers.insert(id);
         if self.controller.is_none() {
             self.controller = Some(id);
         }
@@ -111,7 +106,7 @@ impl VizServerSession {
     pub fn detach(&mut self, id: ViewerId) {
         self.viewers.remove(&id);
         if self.controller == Some(id) {
-            self.controller = self.viewers.keys().min().copied();
+            self.controller = self.viewers.first().copied();
         }
     }
 
@@ -127,7 +122,7 @@ impl VizServerSession {
 
     /// Hand camera control to another attached viewer.
     pub fn pass_control(&mut self, to: ViewerId) -> bool {
-        if self.viewers.contains_key(&to) {
+        if self.viewers.contains(&to) {
             self.controller = Some(to);
             true
         } else {
@@ -161,42 +156,6 @@ impl VizServerSession {
         self.camera
     }
 
-    /// Render `meshes` server-side and encode one frame per viewer.
-    /// Every viewer sees the *same* image (the shared-session semantics);
-    /// each has independent codec state (late joiners get keyframes).
-    /// Returns the per-viewer encoded frames, sorted by viewer id.
-    pub fn render_and_ship(
-        &mut self,
-        meshes: &[(&TriMesh, [u8; 4])],
-    ) -> Vec<(ViewerId, EncodedFrame)> {
-        let mut r = Rasterizer::new(self.width, self.height);
-        r.clear([10, 10, 30, 255]);
-        for (mesh, color) in meshes {
-            r.draw_mesh(&self.camera, mesh, *color);
-        }
-        let fb = r.into_framebuffer();
-        self.ship_frame(&fb)
-    }
-
-    /// Encode an externally-rendered framebuffer for every viewer.
-    pub fn ship_frame(&mut self, fb: &Framebuffer) -> Vec<(ViewerId, EncodedFrame)> {
-        self.stats.frames += 1;
-        // BTreeMap: viewers encode (and ship) in ascending id order
-        let out: Vec<(ViewerId, EncodedFrame)> = self
-            .viewers
-            .iter_mut()
-            .map(|(&id, codec)| {
-                let f = codec.encode(fb);
-                (id, f)
-            })
-            .collect();
-        for (_, f) in &out {
-            self.stats.bytes_shipped += f.wire_size() as u64;
-            self.stats.bytes_raw += f.raw_size as u64;
-        }
-        out
-    }
-
     /// Render `meshes` server-side and publish one encoded frame to an
     /// external sink — the data-plane path: the sink (e.g. a monitor hub)
     /// owns fan-out and per-subscriber state, so the session encodes each
@@ -217,8 +176,7 @@ impl VizServerSession {
 
     /// Encode an externally-rendered framebuffer once and publish it to
     /// the sink. Emits a keyframe whenever the sink asks for one (a
-    /// downstream subscriber with no history), mirroring the late-joiner
-    /// behaviour of the per-viewer path.
+    /// downstream subscriber with no history).
     pub fn ship_frame_to(&mut self, fb: &Framebuffer, sink: &mut dyn FrameSink) -> EncodedFrame {
         if sink.wants_keyframe() {
             self.broadcast.reset();
@@ -285,34 +243,53 @@ mod tests {
 
     #[test]
     fn all_viewers_receive_identical_images() {
+        // one frame per render however many viewers are attached: the
+        // sink fans that one encoding out, so every viewer decodes it
         let mut s = VizServerSession::new(48, 48, demo_camera());
-        let a = s.attach();
-        let b = s.attach();
+        let _a = s.attach();
+        let _b = s.attach();
         let cube = TriMesh::unit_cube();
-        let frames = s.render_and_ship(&[(&cube, [200, 50, 50, 255])]);
-        assert_eq!(frames.len(), 2);
-        let mut dec_a = DeltaRleCodec::new();
-        let mut dec_b = DeltaRleCodec::new();
-        let fa = &frames.iter().find(|(id, _)| *id == a).unwrap().1;
-        let fb_ = &frames.iter().find(|(id, _)| *id == b).unwrap().1;
-        let img_a = dec_a.decode(fa, 48, 48).unwrap();
-        let img_b = dec_b.decode(fb_, 48, 48).unwrap();
-        assert_eq!(img_a, img_b);
+        let mut sink = CollectSink::default();
+        let frame = s.render_to_sink(&[(&cube, [200, 50, 50, 255])], &mut sink);
+        assert_eq!(sink.frames, [frame]);
+        assert_eq!(
+            s.stats().bytes_raw,
+            48 * 48 * 4,
+            "encoded once, not per viewer"
+        );
     }
 
     #[test]
     fn late_joiner_gets_keyframe() {
+        /// A sink whose downstream viewer has no codec history until a
+        /// frame reaches it.
+        struct Joins {
+            joined: bool,
+        }
+        impl FrameSink for Joins {
+            fn wants_keyframe(&self) -> bool {
+                self.joined
+            }
+            fn publish_frame(&mut self, _: &EncodedFrame) {
+                self.joined = false;
+            }
+        }
         let mut s = VizServerSession::new(32, 32, demo_camera());
         let _a = s.attach();
         let cube = TriMesh::unit_cube();
-        let _ = s.render_and_ship(&[(&cube, [255; 4])]);
-        let _ = s.render_and_ship(&[(&cube, [255; 4])]);
-        let b = s.attach();
-        let frames = s.render_and_ship(&[(&cube, [255; 4])]);
-        let fb_frame = &frames.iter().find(|(id, _)| *id == b).unwrap().1;
+        let scene = [(&cube, [255; 4])];
+        let mut sink = Joins { joined: false };
+        assert!(s.render_to_sink(&scene, &mut sink).keyframe);
+        assert!(!s.render_to_sink(&scene, &mut sink).keyframe);
+        let _b = s.attach();
+        sink.joined = true;
         assert!(
-            fb_frame.keyframe,
+            s.render_to_sink(&scene, &mut sink).keyframe,
             "late joiner's first frame must be a keyframe"
+        );
+        assert!(
+            !s.render_to_sink(&scene, &mut sink).keyframe,
+            "and only its first"
         );
     }
 
@@ -321,9 +298,10 @@ mod tests {
         let mut s = VizServerSession::new(64, 64, demo_camera());
         let _a = s.attach();
         let cube = TriMesh::unit_cube();
-        let first = s.render_and_ship(&[(&cube, [200, 50, 50, 255])]);
-        let second = s.render_and_ship(&[(&cube, [200, 50, 50, 255])]);
-        assert!(second[0].1.wire_size() < first[0].1.wire_size() / 10);
+        let mut sink = CollectSink::default();
+        let first = s.render_to_sink(&[(&cube, [200, 50, 50, 255])], &mut sink);
+        let second = s.render_to_sink(&[(&cube, [200, 50, 50, 255])], &mut sink);
+        assert!(second.wire_size() < first.wire_size() / 10);
     }
 
     #[test]
@@ -359,42 +337,17 @@ mod tests {
     }
 
     #[test]
-    fn sink_and_viewer_paths_decode_to_the_same_image() {
-        let mut s = VizServerSession::new(32, 32, demo_camera());
-        let a = s.attach();
-        let cube = TriMesh::unit_cube();
-        let mut sink = CollectSink::default();
-        let mut r = Rasterizer::new(32, 32);
-        r.clear([10, 10, 30, 255]);
-        r.draw_mesh(&s.camera(), &cube, [90, 200, 90, 255]);
-        let fb = r.into_framebuffer();
-        let per_viewer = s.ship_frame(&fb);
-        s.ship_frame_to(&fb, &mut sink);
-        let mut dec_a = DeltaRleCodec::new();
-        let mut dec_b = DeltaRleCodec::new();
-        let via_viewer = dec_a
-            .decode(
-                &per_viewer.iter().find(|(id, _)| *id == a).unwrap().1,
-                32,
-                32,
-            )
-            .unwrap();
-        let via_sink = dec_b.decode(&sink.frames[0], 32, 32).unwrap();
-        assert_eq!(via_viewer, via_sink);
-    }
-
-    #[test]
     fn stats_accumulate() {
         let mut s = VizServerSession::new(16, 16, demo_camera());
         let a = s.attach();
         let _ = s.attach();
         let cube = TriMesh::unit_cube();
-        let _ = s.render_and_ship(&[(&cube, [255; 4])]);
+        let frame = s.render_to_sink(&[(&cube, [255; 4])], &mut CollectSink::default());
         s.orbit(a, 0.3);
         let st = s.stats();
         assert_eq!(st.frames, 1);
         assert_eq!(st.control_msgs, 1);
-        assert_eq!(st.bytes_raw, 2 * 16 * 16 * 4);
-        assert!(st.bytes_shipped > 0);
+        assert_eq!(st.bytes_raw, 16 * 16 * 4);
+        assert_eq!(st.bytes_shipped, frame.wire_size() as u64);
     }
 }

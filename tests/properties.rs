@@ -1,6 +1,5 @@
 //! Property-based tests over the core invariants (proptest).
 
-use gridsteer::ckpt::{CkptError, SectionWriter, Snapshot, VERSION};
 use gridsteer::lbm::{LbmConfig, TwoFluidLbm};
 use gridsteer::netsim::{EventQueue, SimTime};
 use gridsteer::pepc::{decompose, morton_key, morton_unkey, Particle};
@@ -120,111 +119,6 @@ proptest! {
                 prop_assert!(pos(d) < pos(t.id));
             }
         }
-    }
-
-    /// Snapshots roundtrip for arbitrary section sets — any chunk
-    /// granularity, zero-length bodies included.
-    #[test]
-    fn ckpt_snapshot_roundtrip(
-        bodies in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..96), 0..6),
-        chunk in 0u32..48,
-        seq in any::<u64>(),
-        t in any::<u64>(),
-    ) {
-        let mut snap = Snapshot::new(seq, t);
-        for (i, b) in bodies.iter().enumerate() {
-            snap.push(&format!("sec/{i}"), chunk, b.clone());
-        }
-        let back = Snapshot::decode(&snap.encode()).unwrap();
-        prop_assert_eq!(&back, &snap);
-        for (i, b) in bodies.iter().enumerate() {
-            prop_assert_eq!(back.section(&format!("sec/{i}")).unwrap(), &b[..]);
-        }
-    }
-
-    /// Float state survives the wire bit-exactly — NaN payloads,
-    /// signed zeros, infinities, subnormals, anything a grid can hold.
-    #[test]
-    fn ckpt_float_sections_bit_exact(bits in proptest::collection::vec(any::<u64>(), 0..64)) {
-        let field: Vec<f64> = bits.iter().copied().map(f64::from_bits).collect();
-        let mut w = SectionWriter::new();
-        w.put_f64_slice(&field);
-        let mut snap = Snapshot::new(1, 2);
-        snap.push("grid", 0, w.finish());
-        let back = Snapshot::decode(&snap.encode()).unwrap();
-        let mut r = back.reader("grid").unwrap();
-        let out = r.get_f64_vec().unwrap();
-        r.expect_end().unwrap();
-        let out_bits: Vec<u64> = out.iter().copied().map(f64::to_bits).collect();
-        prop_assert_eq!(out_bits, bits);
-    }
-
-    /// Any version but the reader's own is rejected with the typed
-    /// error — never a guessy partial decode.
-    #[test]
-    fn ckpt_version_mismatch_rejected(v in any::<u16>(), body in proptest::collection::vec(any::<u8>(), 0..32)) {
-        let v = if v == VERSION { v.wrapping_add(1) } else { v };
-        let mut snap = Snapshot::new(0, 0);
-        snap.push("s", 0, body);
-        let mut bytes = snap.encode();
-        bytes[6..8].copy_from_slice(&v.to_le_bytes()); // version field
-        prop_assert_eq!(
-            Snapshot::decode(&bytes),
-            Err(CkptError::UnsupportedVersion { found: v, supported: VERSION })
-        );
-    }
-
-    /// Every possible truncation of a valid snapshot fails with a typed
-    /// error — no panic, no silent short read, and never a bogus Ok.
-    #[test]
-    fn ckpt_truncation_rejected(
-        bodies in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..48), 1..4),
-        frac in 0.0f64..1.0,
-    ) {
-        let mut snap = Snapshot::new(3, 4);
-        for (i, b) in bodies.iter().enumerate() {
-            snap.push(&format!("s{i}"), 8, b.clone());
-        }
-        let bytes = snap.encode();
-        let cut = ((bytes.len() - 1) as f64 * frac) as usize;
-        let err = Snapshot::decode(&bytes[..cut]).unwrap_err();
-        prop_assert!(matches!(err, CkptError::Truncated { .. } | CkptError::BadMagic));
-    }
-
-    /// A delta applied over its base reconstructs exactly the state a
-    /// full snapshot carries — for any base, any mutation pattern, any
-    /// chunk size — and full/delta blobs refuse to decode as each other.
-    #[test]
-    fn ckpt_delta_equals_full(
-        base_body in proptest::collection::vec(any::<u8>(), 1..128),
-        flips in proptest::collection::vec(any::<usize>(), 0..8),
-        chunk in 1u32..32,
-    ) {
-        let mut base = Snapshot::new(10, 100);
-        base.push("field", chunk, base_body.clone());
-        let mut mutated = base_body;
-        for f in &flips {
-            let i = f % mutated.len();
-            mutated[i] ^= 0x5a;
-        }
-        let mut next = Snapshot::new(11, 200);
-        next.push("field", chunk, mutated);
-        let full = next.encode();
-        let delta = next.encode_delta(&base);
-        prop_assert!(!Snapshot::is_delta(&full).unwrap());
-        prop_assert!(Snapshot::is_delta(&delta).unwrap());
-        let via_full = Snapshot::decode(&full).unwrap();
-        let via_delta = Snapshot::decode_delta(&delta, &base).unwrap();
-        prop_assert_eq!(&via_delta, &via_full);
-        // the wrong decode path and the wrong base are typed rejections
-        prop_assert_eq!(Snapshot::decode(&delta), Err(CkptError::IsDelta));
-        prop_assert_eq!(Snapshot::decode_delta(&full, &base), Err(CkptError::NotADelta));
-        let mut stranger = Snapshot::new(99, 100);
-        stranger.push("field", chunk, base.section("field").unwrap().to_vec());
-        prop_assert_eq!(
-            Snapshot::decode_delta(&delta, &stranger),
-            Err(CkptError::BaseMismatch { expected: 10, found: 99 })
-        );
     }
 
     /// Event queues deliver in nondecreasing time order for any schedule.
