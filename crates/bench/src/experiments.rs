@@ -1,11 +1,11 @@
 //! The experiment table ([`EXPERIMENTS`]) and the function behind each row.
 
-use crate::{fnv_fold, FNV_OFFSET};
 use covise::{
     CollabSession, Controller, CutPlane, IsoSurface, ModuleId, ReadField, Renderer, SyncMode,
 };
 use gridsteer_bus::{
-    BusSteeringService, ParamSpec as BusParamSpec, SteerCommand, SteerHub, Transport,
+    fnv1a, BusSteeringService, ParamSpec as BusParamSpec, SteerCommand, SteerHub, Transport,
+    FNV_OFFSET,
 };
 use gridsteer_harness::Scenario;
 use lbm::{LbmConfig, TwoFluidLbm};
@@ -93,9 +93,9 @@ impl ExpResult {
     /// PR can diff for output drift; rows that embed wall-clock timings
     /// legitimately change it run to run.
     pub fn digest(&self) -> u64 {
-        self.rows.iter().fold(FNV_OFFSET, |h, row| {
-            fnv_fold(fnv_fold(h, row.as_bytes()), b"\n")
-        })
+        self.rows
+            .iter()
+            .fold(FNV_OFFSET, |h, row| fnv1a(fnv1a(h, row.as_bytes()), b"\n"))
     }
 
     /// Write `EXP_<id>.json` into `dir`: the wall time, every row with its
@@ -108,7 +108,7 @@ impl ExpResult {
             cells: (self.rows.iter())
                 .map(|row| JsonCell {
                     row: row.clone(),
-                    digest: format!("{:016x}", fnv_fold(FNV_OFFSET, row.as_bytes())),
+                    digest: format!("{:016x}", fnv1a(FNV_OFFSET, row.as_bytes())),
                 })
                 .collect(),
         };
@@ -1183,7 +1183,7 @@ pub fn exp_fuzz_soak() -> Vec<String> {
             *mix.entry(a.label()).or_insert(0) += 1;
         }
         let audit = gridsteer_fuzz::audit_with(&runner, &s);
-        digest_fold = fnv_fold(digest_fold, audit.digest.as_bytes());
+        digest_fold = fnv1a(digest_fold, audit.digest.as_bytes());
         if audit.violations.is_empty() {
             pass += 1;
         } else {

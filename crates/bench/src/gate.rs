@@ -29,9 +29,9 @@
 //! subscribers and by none), and the Figure-1 frame (raster, delta encode
 //! and delta decode of `viz_fanout`'s scene).
 
-use crate::{fnv_fold as fold, FNV_OFFSET};
 use gridsteer_bus::{
-    FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame, MonitorHub,
+    fnv1a as fold, FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame,
+    MonitorHub, FNV_OFFSET,
 };
 use serde::{Deserialize, Serialize};
 use std::path::Path;

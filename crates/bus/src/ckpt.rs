@@ -6,8 +6,10 @@
 //! [`RelayHub`](crate::monitor::RelayHub) — their state is private
 //! there); this module is the shared vocabulary they encode with.
 //! [`ParamValue`], [`SteerCommand`] and [`MonitorFrame`] bodies reuse the
-//! existing wire codecs verbatim (length-prefixed, so a malformed body is
-//! a typed [`CkptError::Corrupt`], never a desync of the outer stream).
+//! wire codecs verbatim, length-prefixed: each body is read in place
+//! through its own [`SectionReader`], so a malformed body is a typed error
+//! (a body that runs short names itself), never a desync of the outer
+//! stream.
 
 use crate::command::SteerCommand;
 use crate::monitor::endpoint::MonitorCaps;
@@ -58,15 +60,39 @@ pub fn put_value(w: &mut SectionWriter, v: &ParamValue) {
     w.put_bytes(&b);
 }
 
+/// Read one length-prefixed body in place with `read`, through a reader
+/// whose truncations name `what`; the body must be read to its end.
+fn get_body<T>(
+    r: &mut SectionReader<'_>,
+    what: &str,
+    read: impl FnOnce(&mut SectionReader<'_>) -> Result<T, CkptError>,
+) -> Result<T, CkptError> {
+    let len = r.get_u64()? as usize;
+    let mut body = SectionReader::new(r.take(len)?, what);
+    let v = read(&mut body)?;
+    body.expect_end()?;
+    Ok(v)
+}
+
+/// Read a `u16` count, then that many items with `item` — the framing of
+/// a UNICORE staged file and of the TCP server's command batch. Every
+/// item takes at least one byte, so a count the bytes cannot hold
+/// reserves nothing beyond them before it fails.
+pub fn get_counted<'a, T>(
+    r: &mut SectionReader<'a>,
+    item: impl Fn(&mut SectionReader<'a>) -> Result<T, CkptError>,
+) -> Result<Vec<T>, CkptError> {
+    let count = usize::from(r.get_u16()?);
+    let mut items = Vec::with_capacity(count.min(r.remaining()));
+    for _ in 0..count {
+        items.push(item(r)?);
+    }
+    Ok(items)
+}
+
 /// Read back one [`put_value`] encoding.
 pub fn get_value(r: &mut SectionReader<'_>, what: &str) -> Result<ParamValue, CkptError> {
-    let raw = r.get_byte_vec()?;
-    let mut buf = raw.as_slice();
-    let v = ParamValue::decode_bytes(&mut buf).ok_or_else(|| corrupt(what))?;
-    if !buf.is_empty() {
-        return Err(corrupt(what));
-    }
-    Ok(v)
+    get_body(r, what, ParamValue::read)
 }
 
 /// Write a length-prefixed [`SteerCommand`] in its shared wire encoding.
@@ -82,13 +108,7 @@ pub fn put_command(w: &mut SectionWriter, c: &SteerCommand) {
 
 /// Read back one [`put_command`] encoding.
 pub fn get_command(r: &mut SectionReader<'_>, what: &str) -> Result<SteerCommand, CkptError> {
-    let raw = r.get_byte_vec()?;
-    let mut buf = raw.as_slice();
-    let c = SteerCommand::decode_bytes(&mut buf).ok_or_else(|| corrupt(what))?;
-    if !buf.is_empty() {
-        return Err(corrupt(what));
-    }
-    Ok(c)
+    get_body(r, what, SteerCommand::read)
 }
 
 /// Write a length-prefixed [`MonitorFrame`] in the reference codec.
@@ -103,13 +123,9 @@ pub fn get_frame(
     r: &mut SectionReader<'_>,
     what: &str,
 ) -> Result<MonitorFrame<'static>, CkptError> {
-    let raw = r.get_byte_vec()?;
-    let mut buf = raw.as_slice();
-    let f = MonitorFrame::decode_bytes(&mut buf).ok_or_else(|| corrupt(what))?;
-    if !buf.is_empty() {
-        return Err(corrupt(what));
-    }
-    Ok(f)
+    get_body(r, what, |b| {
+        MonitorFrame::read(b).map(MonitorFrame::into_owned)
+    })
 }
 
 /// Write a [`MonitorCaps`] (transport label, kind set, batch size,
@@ -195,7 +211,7 @@ fn get_opt_f64(r: &mut SectionReader<'_>) -> Result<Option<f64>, CkptError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::monitor::frame::MonitorPayload;
 
@@ -233,15 +249,20 @@ mod tests {
             SteerCommand::f64("gain", 0.5)
         );
         r.expect_end().unwrap();
-        // a truncated inner body is Corrupt, not a panic or a desync
+        // a truncated inner body is a typed error naming the body, not a
+        // panic or a desync
         let mut w = SectionWriter::new();
         w.put_bytes(&[1, 2]);
         let body = w.finish();
         let mut r = SectionReader::new(&body, "t");
-        assert!(matches!(
+        assert_eq!(
             get_value(&mut r, "v"),
-            Err(CkptError::Corrupt { .. })
-        ));
+            Err(CkptError::Truncated {
+                context: "v".into(),
+                needed: 8,
+                have: 1
+            })
+        );
     }
 
     #[test]
@@ -264,6 +285,81 @@ mod tests {
         assert_eq!(get_spec(&mut r).unwrap(), spec);
         assert_eq!(get_frame(&mut r, "f").unwrap(), frame);
         r.expect_end().unwrap();
+    }
+
+    /// `read` over the front of `bytes`, and the count of bytes it took.
+    pub(crate) fn front<'b, T>(
+        bytes: &'b [u8],
+        read: impl FnOnce(&mut SectionReader<'b>) -> Result<T, CkptError>,
+    ) -> Result<(T, usize), CkptError> {
+        let mut r = SectionReader::new(bytes, "front");
+        let v = read(&mut r)?;
+        Ok((v, bytes.len() - r.remaining()))
+    }
+
+    #[test]
+    fn decoder_sweep_over_every_bus_codec() {
+        use gridsteer_testkit::sweep_decoder;
+        let put_value = |v: &ParamValue| {
+            let mut out = BytesMut::new();
+            v.encode_bytes(&mut out);
+            out.to_vec()
+        };
+        let vec3 = ParamValue::Vec3([1.0, f64::NAN, -0.0]);
+        for v in [vec3, ParamValue::Str("φ".into()), ParamValue::Bool(true)] {
+            sweep_decoder(&put_value(&v), |b| front(b, ParamValue::read), put_value);
+        }
+        let put_command = |c: &SteerCommand| {
+            let mut out = BytesMut::new();
+            c.encode_bytes(&mut out).unwrap();
+            out.to_vec()
+        };
+        let cmd = SteerCommand::new("beam_dir", ParamValue::I64(-3));
+        sweep_decoder(
+            &put_command(&cmd),
+            |b| front(b, SteerCommand::read),
+            put_command,
+        );
+        let frames = [
+            MonitorFrame {
+                seq: 3,
+                step: 9,
+                payload: MonitorPayload::grid3("phi", 2, 1, 2, vec![0.5, f32::NAN, -1.0, 2.0]),
+            },
+            MonitorFrame {
+                seq: 4,
+                step: 9,
+                payload: MonitorPayload::frame("viz", true, 64, vec![1, 255, 0]),
+            },
+        ];
+        let read_frame = |b: &[u8]| {
+            let (f, used) = front(b, MonitorFrame::read)?;
+            Ok::<_, CkptError>((f.into_owned(), used))
+        };
+        for f in &frames {
+            sweep_decoder(&f.to_bytes(), read_frame, MonitorFrame::to_bytes);
+        }
+        // the UNICORE staged files: a counted run of either, each item
+        // kept as its own encoding
+        let staged = |items: &Vec<Vec<u8>>| {
+            let mut out = crate::unicore::begin_payload(items.len()).unwrap();
+            items.iter().for_each(|i| out.extend_from_slice(i));
+            out.to_vec()
+        };
+        let steer_file = |b: &[u8]| {
+            let item = |r: &mut SectionReader<'_>| SteerCommand::read(r).map(|c| put_command(&c));
+            Ok::<_, CkptError>((
+                crate::unicore::decode_payload("steer.cmd", b, item)?,
+                b.len(),
+            ))
+        };
+        sweep_decoder(&staged(&vec![put_command(&cmd); 2]), steer_file, staged);
+        let monitor_file = |b: &[u8]| {
+            let item = |r: &mut SectionReader<'_>| MonitorFrame::read(r).map(|f| f.to_bytes());
+            Ok::<_, CkptError>((crate::unicore::decode_payload("m.dat", b, item)?, b.len()))
+        };
+        let frames = frames.iter().map(MonitorFrame::to_bytes).collect();
+        sweep_decoder(&staged(&frames), monitor_file, staged);
     }
 
     #[test]

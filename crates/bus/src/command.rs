@@ -1,7 +1,8 @@
 //! Steer commands, sequence-numbered batches, and commit outcomes.
 
 use crate::value::ParamValue;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
+use gridsteer_ckpt::{CkptError, SectionReader};
 
 /// One requested parameter change.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,19 +50,11 @@ impl SteerCommand {
         Ok(())
     }
 
-    /// Decode one `(name, value)` pair, advancing `buf` past it.
-    pub fn decode_bytes(buf: &mut &[u8]) -> Option<SteerCommand> {
-        if buf.len() < 2 {
-            return None;
-        }
-        let len = buf.get_u16_le() as usize;
-        if buf.len() < len {
-            return None;
-        }
-        let param = String::from_utf8(buf[..len].to_vec()).ok()?;
-        buf.advance(len);
-        let value = ParamValue::decode_bytes(buf)?;
-        Some(SteerCommand { param, value })
+    /// Read one [`encode_bytes`](SteerCommand::encode_bytes) encoding.
+    pub fn read(r: &mut SectionReader<'_>) -> Result<SteerCommand, CkptError> {
+        let param = r.get_name()?.to_string();
+        let value = ParamValue::read(r)?;
+        Ok(SteerCommand { param, value })
     }
 }
 

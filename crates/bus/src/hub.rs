@@ -244,8 +244,9 @@ impl SteerHub {
             let transport = crate::ckpt::intern_label(&r.get_str()?);
             let ncmds = r.get_u32()?;
             let mut commands = Vec::new();
-            for _ in 0..ncmds {
-                commands.push(crate::ckpt::get_command(&mut r, "staged command")?);
+            for i in 0..ncmds {
+                let what = format!("{name}: batch {seq} command {i}");
+                commands.push(crate::ckpt::get_command(&mut r, &what)?);
             }
             staged.push(CommandBatch {
                 seq,
@@ -516,6 +517,33 @@ mod tests {
         let mut cut = Snapshot::new(1, 0);
         cut.push("steer", 0, body[..body.len() - 4].to_vec());
         assert!(h.restore_sections(&cut, "steer").is_err());
+    }
+
+    #[test]
+    fn a_staged_command_cut_short_restores_as_truncated_naming_it() {
+        let h = hub();
+        let cmd = SteerCommand::f64("miscibility", 0.5);
+        h.stage("bob", "ogsa", vec![cmd.clone()]).unwrap();
+        let mut snap = Snapshot::new(1, 0);
+        h.save_sections(&mut snap, "steer");
+        // the section ends with the command's length-prefixed encoding:
+        // rewrite it one byte short, length prefix included
+        let mut encoded = bytes::BytesMut::new();
+        cmd.encode_bytes(&mut encoded).unwrap();
+        let body = snap.section("steer").unwrap();
+        let mut short = body[..body.len() - 8 - encoded.len()].to_vec();
+        short.extend_from_slice(&(encoded.len() as u64 - 1).to_le_bytes());
+        short.extend_from_slice(&encoded[..encoded.len() - 1]);
+        let mut cut = Snapshot::new(1, 0);
+        cut.push("steer", 0, short);
+        assert_eq!(
+            h.restore_sections(&cut, "steer"),
+            Err(CkptError::Truncated {
+                context: "steer: batch 1 command 0".into(),
+                needed: 8,
+                have: 7
+            })
+        );
     }
 
     #[test]

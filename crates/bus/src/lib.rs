@@ -94,7 +94,7 @@ pub use command::{
 pub use covise::{CoviseEndpoint, SteerParamsModule};
 pub use endpoint::{Capabilities, Drained, SteerEndpoint, Subscription};
 pub use hub::SteerHub;
-pub use log::{BoundedLog, LogEntry, Names, AUDIT_WINDOW};
+pub use log::{fnv1a, BoundedLog, LogEntry, Names, AUDIT_WINDOW, FNV_OFFSET};
 pub use loopback::LoopbackEndpoint;
 pub use monitor::{
     CoviseMonitor, FrameBytesCell, FrameChunk, FrameCodecError, HubFrameSink, LoopbackMonitor,

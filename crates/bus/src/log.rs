@@ -19,10 +19,14 @@ use std::sync::Arc;
 /// twice this, so it holds fewer than `2 × AUDIT_WINDOW` between pushes.
 pub const AUDIT_WINDOW: usize = 4096;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64 offset basis: the state a digest starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+/// Fold `bytes` into a running FNV-1a 64 state — the one fold behind the
+/// audit-log fold, monitor-frame digests, scenario-report digests and
+/// bench cells.
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))

@@ -62,10 +62,14 @@ mod tests {
         for f in &frames {
             f.encode_bytes(&mut bytes).unwrap();
         }
-        let decode = |buf: &[u8]| decode_payload(buf, MonitorFrame::decode_bytes);
-        assert_eq!(decode(&bytes), Some(frames));
+        let decode = |buf: &[u8]| {
+            decode_payload("m.dat", buf, |r| {
+                MonitorFrame::read(r).map(MonitorFrame::into_owned)
+            })
+        };
+        assert_eq!(decode(&bytes), Ok(frames));
         for cut in 0..bytes.len() {
-            assert_eq!(decode(&bytes[..cut]), None, "cut={cut}");
+            assert!(decode(&bytes[..cut]).is_err(), "cut={cut}");
         }
     }
 

@@ -35,10 +35,10 @@ mod tests {
         for cmd in &cmds {
             cmd.encode_bytes(&mut bytes).unwrap();
         }
-        let decode = |buf: &[u8]| decode_payload(buf, SteerCommand::decode_bytes);
-        assert_eq!(decode(&bytes), Some(cmds));
+        let decode = |buf: &[u8]| decode_payload("steer.cmd", buf, SteerCommand::read);
+        assert_eq!(decode(&bytes), Ok(cmds));
         for cut in 0..bytes.len() {
-            assert_eq!(decode(&bytes[..cut]), None, "cut={cut}");
+            assert!(decode(&bytes[..cut]).is_err(), "cut={cut}");
         }
         assert!(
             begin_payload(u16::MAX as usize + 1).is_none(),

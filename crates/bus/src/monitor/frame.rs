@@ -18,7 +18,9 @@
 //! payloads in their own native machinery and must round-trip losslessly
 //! (floats travel as raw bits, so NaN-filled grids survive bit-exactly).
 
-use bytes::{Buf, BufMut, BytesMut};
+use crate::log::fnv1a;
+use bytes::{BufMut, BytesMut};
+use gridsteer_ckpt::{CkptError, SectionReader};
 use std::borrow::Cow;
 
 /// A frame that cannot be represented in the tagged binary codec. Before
@@ -285,21 +287,6 @@ impl<'a> MonitorPayload<'a> {
         }
     }
 
-    /// Zero-copy encoded-frame constructor: borrows the codec's payload.
-    pub fn frame_borrowed(
-        name: &'a str,
-        keyframe: bool,
-        raw_size: u32,
-        data: &'a [u8],
-    ) -> MonitorPayload<'a> {
-        MonitorPayload::Frame {
-            name: Cow::Borrowed(name),
-            keyframe,
-            raw_size,
-            data: Cow::Borrowed(data),
-        }
-    }
-
     /// The payload's kind tag.
     pub fn kind(&self) -> MonitorKind {
         match self {
@@ -503,80 +490,42 @@ impl<'a> MonitorFrame<'a> {
             .expect("frame exceeds the codec's length fields")
     }
 
-    /// Decode the tagged binary encoding, advancing `buf` past it.
-    /// Returns `None` on any malformation (truncation, bad kind byte,
-    /// shape/length mismatch, non-UTF-8 name). The result owns all its
-    /// data; transit-only consumers use
-    /// [`decode_borrowed`](MonitorFrame::decode_borrowed) instead.
-    pub fn decode_bytes(buf: &mut &[u8]) -> Option<MonitorFrame<'static>> {
-        MonitorFrame::decode_borrowed(buf).map(MonitorFrame::into_owned)
-    }
-
-    /// Decode the tagged binary encoding *borrowing* from `buf`: the
-    /// channel name and encoded-frame payload stay slices of the input
-    /// (no per-frame allocation for them — this is the fix for the old
-    /// `to_vec()`-per-decode hot path). Grid values still materialize a
-    /// `Vec<f32>` because `f32` lanes cannot alias an arbitrary byte
-    /// buffer's alignment. Consumers that keep the frame past the
-    /// buffer's life call [`into_owned`](MonitorFrame::into_owned).
-    pub fn decode_borrowed<'b>(buf: &mut &'b [u8]) -> Option<MonitorFrame<'b>> {
-        if buf.len() < 8 + 8 + 1 + 2 {
-            return None;
-        }
-        let seq = buf.get_u64_le();
-        let step = buf.get_u64_le();
-        let kind = MonitorKind::from_byte(buf.get_u8())?;
-        let name_len = buf.get_u16_le() as usize;
-        if buf.len() < name_len {
-            return None;
-        }
-        let cur: &'b [u8] = buf;
-        let name = Cow::Borrowed(std::str::from_utf8(&cur[..name_len]).ok()?);
-        *buf = &cur[name_len..];
+    /// Read one [`encode_bytes`](MonitorFrame::encode_bytes) encoding
+    /// *borrowing* from the reader's bytes: the channel name and
+    /// encoded-frame payload stay slices of the input (no per-frame
+    /// allocation for them). Grid values still materialize a `Vec<f32>`
+    /// because `f32` lanes cannot alias an arbitrary byte buffer's
+    /// alignment, and only once the bytes behind the declared extents are
+    /// there. Consumers that keep the frame past the buffer's life call
+    /// [`into_owned`](MonitorFrame::into_owned).
+    pub fn read<'b>(r: &mut SectionReader<'b>) -> Result<MonitorFrame<'b>, CkptError> {
+        let seq = r.get_u64()?;
+        let step = r.get_u64()?;
+        let b = r.get_u8()?;
+        let kind = MonitorKind::from_byte(b).ok_or_else(|| CkptError::Corrupt {
+            context: format!("frame kind byte {b}"),
+        })?;
+        let name = Cow::Borrowed(r.get_name()?);
+        // a cell count past `usize` saturates: no buffer holds that many
+        let cells = |nx: u32, ny: u32| (nx as usize).saturating_mul(ny as usize);
         let payload = match kind {
-            MonitorKind::Scalar => {
-                if buf.len() < 8 {
-                    return None;
-                }
-                MonitorPayload::Scalar {
-                    name,
-                    value: f64::from_bits(buf.get_u64_le()),
-                }
-            }
-            MonitorKind::Vec3 => {
-                if buf.len() < 24 {
-                    return None;
-                }
-                MonitorPayload::Vec3 {
-                    name,
-                    value: [
-                        f64::from_bits(buf.get_u64_le()),
-                        f64::from_bits(buf.get_u64_le()),
-                        f64::from_bits(buf.get_u64_le()),
-                    ],
-                }
-            }
+            MonitorKind::Scalar => MonitorPayload::Scalar {
+                name,
+                value: r.get_f64()?,
+            },
+            MonitorKind::Vec3 => MonitorPayload::Vec3 {
+                name,
+                value: [r.get_f64()?, r.get_f64()?, r.get_f64()?],
+            },
             MonitorKind::Grid2 => {
-                if buf.len() < 8 {
-                    return None;
-                }
-                let nx = buf.get_u32_le();
-                let ny = buf.get_u32_le();
-                let count = (nx as usize).checked_mul(ny as usize)?;
-                let data = Cow::Owned(decode_f32s(buf, count)?);
+                let (nx, ny) = (r.get_u32()?, r.get_u32()?);
+                let data = Cow::Owned(r.get_f32_run(cells(nx, ny))?);
                 MonitorPayload::Grid2 { name, nx, ny, data }
             }
             MonitorKind::Grid3 => {
-                if buf.len() < 12 {
-                    return None;
-                }
-                let nx = buf.get_u32_le();
-                let ny = buf.get_u32_le();
-                let nz = buf.get_u32_le();
-                let count = (nx as usize)
-                    .checked_mul(ny as usize)?
-                    .checked_mul(nz as usize)?;
-                let data = Cow::Owned(decode_f32s(buf, count)?);
+                let (nx, ny, nz) = (r.get_u32()?, r.get_u32()?, r.get_u32()?);
+                let count = cells(nx, ny).saturating_mul(nz as usize);
+                let data = Cow::Owned(r.get_f32_run(count)?);
                 MonitorPayload::Grid3 {
                     name,
                     nx,
@@ -586,31 +535,25 @@ impl<'a> MonitorFrame<'a> {
                 }
             }
             MonitorKind::Frame => {
-                if buf.len() < 9 {
-                    return None;
-                }
-                let keyframe = match buf.get_u8() {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                };
-                let raw_size = buf.get_u32_le();
-                let len = buf.get_u32_le() as usize;
-                if buf.len() < len {
-                    return None;
-                }
-                let cur: &'b [u8] = buf;
-                let data = Cow::Borrowed(&cur[..len]);
-                *buf = &cur[len..];
+                let keyframe = r.get_bool()?;
+                let raw_size = r.get_u32()?;
+                let len = r.get_u32()? as usize;
                 MonitorPayload::Frame {
                     name,
                     keyframe,
                     raw_size,
-                    data,
+                    data: Cow::Borrowed(r.take(len)?),
                 }
             }
         };
-        Some(MonitorFrame { seq, step, payload })
+        Ok(MonitorFrame { seq, step, payload })
+    }
+
+    /// [`read`](MonitorFrame::read) from the front of `buf`, advancing it
+    /// past the frame; `None` on any malformation.
+    pub fn decode_borrowed<'b>(buf: &mut &'b [u8]) -> Option<MonitorFrame<'b>> {
+        let mut r = SectionReader::new(buf, "monitor frame");
+        MonitorFrame::read(&mut r).ok().inspect(|_| *buf = r.rest())
     }
 
     /// Encoded size in bytes — what one frame costs on a byte-counted
@@ -629,30 +572,15 @@ impl<'a> MonitorFrame<'a> {
 
     /// Fold this frame's canonical bytes into a running FNV-1a 64 hash —
     /// the byte-stable digest viewers and scenario reports accumulate.
-    pub fn fold_fnv(&self, mut h: u64) -> u64 {
-        for b in self.to_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+    pub fn fold_fnv(&self, h: u64) -> u64 {
+        fnv1a(h, &self.to_bytes())
     }
-}
-
-/// Decode exactly `count` bit-exact `f32`s.
-fn decode_f32s(buf: &mut &[u8], count: usize) -> Option<Vec<f32>> {
-    if buf.len() < count.checked_mul(4)? {
-        return None;
-    }
-    let mut data = Vec::with_capacity(count);
-    for _ in 0..count {
-        data.push(f32::from_bits(buf.get_u32_le()));
-    }
-    Some(data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::FNV_OFFSET;
 
     fn samples() -> Vec<MonitorFrame<'static>> {
         vec![
@@ -694,13 +622,20 @@ mod tests {
         ]
     }
 
+    /// One frame read from the front of `bytes`, and the bytes it took.
+    fn read(bytes: &[u8]) -> Result<(MonitorFrame<'_>, usize), CkptError> {
+        crate::ckpt::tests::front(bytes, MonitorFrame::read)
+    }
+
     #[test]
     fn binary_roundtrip_every_kind() {
         for f in samples() {
             let bytes = f.to_bytes();
             assert_eq!(bytes.len(), f.wire_size(), "{f:?}");
+            assert_eq!(read(&bytes), Ok((f.clone(), bytes.len())));
+            // the `Option` adapter advances past exactly the frame
             let mut slice: &[u8] = &bytes;
-            assert_eq!(MonitorFrame::decode_bytes(&mut slice), Some(f.clone()));
+            assert_eq!(MonitorFrame::decode_borrowed(&mut slice), Some(f.clone()));
             assert!(slice.is_empty(), "decode must consume exactly: {f:?}");
         }
     }
@@ -714,8 +649,7 @@ mod tests {
             payload: MonitorPayload::grid2("nan", 2, 1, vec![f32::from_bits(bits), 1.0]),
         };
         let bytes = f.to_bytes();
-        let mut slice: &[u8] = &bytes;
-        match MonitorFrame::decode_bytes(&mut slice).unwrap().payload {
+        match read(&bytes).unwrap().0.payload {
             MonitorPayload::Grid2 { data, .. } => {
                 assert_eq!(data[0].to_bits(), bits);
                 assert_eq!(data[1], 1.0);
@@ -729,8 +663,13 @@ mod tests {
         for f in samples() {
             let bytes = f.to_bytes();
             for cut in 0..bytes.len() {
+                let err = read(&bytes[..cut]).unwrap_err();
+                assert!(
+                    matches!(err, CkptError::Truncated { .. }),
+                    "cut={cut}: {err}"
+                );
                 let mut slice: &[u8] = &bytes[..cut];
-                assert_eq!(MonitorFrame::decode_bytes(&mut slice), None, "cut={cut}");
+                assert_eq!(MonitorFrame::decode_borrowed(&mut slice), None);
             }
         }
     }
@@ -748,8 +687,13 @@ mod tests {
         buf.put_u32_le(u32::MAX);
         buf.put_u32_le(u32::MAX);
         buf.put_u32_le(u32::MAX);
-        let mut slice: &[u8] = &buf;
-        assert_eq!(MonitorFrame::decode_bytes(&mut slice), None);
+        let (got, usage) = gridsteer_testkit::measure(|| read(&buf).map(|_| ()));
+        assert!(matches!(got, Err(CkptError::Truncated { have: 0, .. })));
+        assert!(
+            usage.largest <= buf.len(),
+            "{} bytes requested",
+            usage.largest
+        );
     }
 
     #[test]
@@ -759,13 +703,19 @@ mod tests {
         }
         assert_eq!(MonitorKind::from_byte(0), None);
         assert_eq!(MonitorKind::from_byte(6), None);
+        let mut bytes = samples()[0].to_bytes();
+        bytes[16] = 6;
+        assert_eq!(
+            read(&bytes).unwrap_err().to_string(),
+            "corrupt bytes at frame kind byte 6"
+        );
     }
 
     #[test]
     fn fold_fnv_is_order_sensitive() {
         let s = samples();
-        let a = s[1].fold_fnv(s[0].fold_fnv(0xcbf2_9ce4_8422_2325));
-        let b = s[0].fold_fnv(s[1].fold_fnv(0xcbf2_9ce4_8422_2325));
+        let a = s[1].fold_fnv(s[0].fold_fnv(FNV_OFFSET));
+        let b = s[0].fold_fnv(s[1].fold_fnv(FNV_OFFSET));
         assert_ne!(a, b, "frame order must be part of the digest");
     }
 

@@ -452,9 +452,7 @@ mod tests {
             "sequence numbers and payloads survive two tiers"
         );
         let fold = |frames: &[MonitorFrame]| {
-            frames
-                .iter()
-                .fold(0xcbf2_9ce4_8422_2325u64, |h, f| f.fold_fnv(h))
+            (frames.iter()).fold(crate::log::FNV_OFFSET, |h, f| f.fold_fnv(h))
         };
         assert_eq!(fold(&direct), fold(&relayed), "digests byte-identical");
     }

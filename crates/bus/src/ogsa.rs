@@ -24,8 +24,8 @@
 //! *every* argument is text, un-hexes (even length, hex digits of either
 //! case) and decodes as exactly one frame with no byte left over —
 //! otherwise the whole call faults and nothing is buffered. The service
-//! checks with [`MonitorFrame::decode_borrowed`] over one scratch buffer
-//! it reuses and keeps the hex text it was handed; the viewer's
+//! checks with [`MonitorFrame::read`] over one scratch buffer it reuses
+//! and keeps the hex text it was handed; the viewer's
 //! `pullFrames` un-hexes and decodes again, strictly, into the frames it
 //! owns. The steering hop validates shape: `setBatch` faults on any
 //! argument triple that is not (name text, known kind, payload of that
@@ -39,6 +39,7 @@ use crate::monitor::endpoint::{
 };
 use crate::monitor::frame::MonitorFrame;
 use crate::value::{ParamKind, ParamValue};
+use gridsteer_ckpt::SectionReader;
 use ogsa::{GridService, Gsh, HostingEnv, InvokeResult, Registry, SdeValue, ServiceData};
 use parking_lot::Mutex;
 
@@ -336,9 +337,9 @@ pub(crate) fn from_hex(s: &str, out: &mut Vec<u8>) -> Option<()> {
 /// malformation.
 fn frame_from_hex<'s>(hex: &str, scratch: &'s mut Vec<u8>) -> Option<MonitorFrame<'s>> {
     from_hex(hex, scratch)?;
-    let mut slice: &[u8] = scratch;
-    let frame = MonitorFrame::decode_borrowed(&mut slice)?;
-    slice.is_empty().then_some(frame)
+    let mut r = SectionReader::new(scratch, "frame");
+    let frame = MonitorFrame::read(&mut r).ok()?;
+    r.expect_end().ok().map(|()| frame)
 }
 
 /// The hosted monitor service: a [`GridService`] buffering published

@@ -20,10 +20,12 @@
 //!    task tags, nothing trailing;
 //! 2. the consigned DAG is a DAG ([`Ajo::topo_order`]: non-empty, unique
 //!    ids, known dependencies, acyclic) and is walked in that order;
-//! 3. the staged file is the one named, and decodes with the strict item
-//!    decoder (`SteerCommand::decode_bytes` / `MonitorFrame::decode_bytes`)
-//!    into exactly the counted items with no byte left over — a count the
-//!    file cannot hold fails without reserving for it.
+//! 3. the staged file is the one named, and decodes through the bounded
+//!    reader ([`SteerCommand::read`] / [`MonitorFrame::read`]) into
+//!    exactly the counted items with no byte left over — a count the file
+//!    cannot hold fails without reserving for it, and the transport error
+//!    is the reader's reason (the field that failed; the file, when its
+//!    bytes ran out).
 //!
 //! The hop costs about what it carries: ≈ 10 µs for a 17 KB monitor
 //! delivery (`deliver_unicore_16c` in `baselines/BENCH_monitor.json`).
@@ -35,7 +37,8 @@ use crate::monitor::endpoint::{
     check_delivery, monitor_endpoint_common, FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError,
 };
 use crate::monitor::frame::MonitorFrame;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
+use gridsteer_ckpt::{CkptError, SectionReader};
 use unicore::{Ajo, Task};
 
 /// The transport label on both planes.
@@ -50,23 +53,17 @@ pub(crate) fn begin_payload(count: usize) -> Option<BytesMut> {
     Some(buf)
 }
 
-/// Decode a staged-file payload, reading each counted item with `item`.
-/// `None` on any malformation, trailing bytes included.
+/// Decode the staged file `file`, reading each counted item with `item`
+/// and refusing trailing bytes; a truncation names `file`.
 pub(crate) fn decode_payload<T>(
-    mut buf: &[u8],
-    item: impl Fn(&mut &[u8]) -> Option<T>,
-) -> Option<Vec<T>> {
-    if buf.len() < 2 {
-        return None;
-    }
-    let count = buf.get_u16_le() as usize;
-    // an item is at least one byte, so a count the file cannot hold
-    // reserves nothing beyond the file's own length before it fails
-    let mut items = Vec::with_capacity(count.min(buf.len()));
-    for _ in 0..count {
-        items.push(item(&mut buf)?);
-    }
-    buf.is_empty().then_some(items)
+    file: &str,
+    bytes: &[u8],
+    item: impl Fn(&mut SectionReader<'_>) -> Result<T, CkptError>,
+) -> Result<Vec<T>, CkptError> {
+    let mut r = SectionReader::new(bytes, file);
+    let items = crate::ckpt::get_counted(&mut r, item)?;
+    r.expect_end()?;
+    Ok(items)
 }
 
 /// The job shape of one plane.
@@ -100,7 +97,7 @@ fn consign<T>(
     origin: &str,
     file: &str,
     payload: Vec<u8>,
-    item: impl Fn(&mut &[u8]) -> Option<T>,
+    item: impl Fn(&mut SectionReader<'_>) -> Result<T, CkptError>,
 ) -> Result<Vec<T>, String> {
     let mut ajo = Ajo::new(&format!("{}-{origin}", plane.job), plane.vsite);
     let stage = ajo.add_task(
@@ -129,11 +126,12 @@ fn consign<T>(
     for id in order {
         if let Some(Task::StageIn { path, data }) = consigned.task(id).map(|t| &t.task) {
             if path == file {
-                decoded = decode_payload(data, &item);
+                decoded = Some(decode_payload(file, data, &item));
             }
         }
     }
-    decoded.ok_or_else(|| format!("{file} missing or malformed"))
+    let decoded = decoded.ok_or_else(|| format!("{file} not staged"))?;
+    decoded.map_err(|e| e.to_string())
 }
 
 /// Steering through UNICORE job consignment.
@@ -178,7 +176,7 @@ impl SteerEndpoint for UnicoreEndpoint {
             &self.origin,
             "steer.cmd",
             payload.to_vec(),
-            SteerCommand::decode_bytes,
+            SteerCommand::read,
         )
         .map_err(SteerError::Transport)?;
         self.jobs_consigned += 1;
@@ -232,7 +230,7 @@ impl MonitorEndpoint for UnicoreMonitor {
             &self.origin,
             &format!("monitor-{}.dat", self.jobs_consigned),
             payload.to_vec(),
-            MonitorFrame::decode_bytes,
+            |r| MonitorFrame::read(r).map(MonitorFrame::into_owned),
         )
         .map_err(MonitorError::Transport)?;
         self.jobs_consigned += 1;
@@ -258,12 +256,15 @@ mod tests {
 
     /// A staged file whose count claims far more items than its bytes can
     /// hold is refused without reserving for the claim.
-    fn lying_count_reserves_nothing<T>(item: impl Fn(&mut &[u8]) -> Option<T>) {
+    fn lying_count_reserves_nothing<T>(
+        item: impl Fn(&mut SectionReader<'_>) -> Result<T, CkptError>,
+    ) {
         for junk in [&[][..], &[0xff; 3][..]] {
             let mut file = u16::MAX.to_le_bytes().to_vec();
             file.extend_from_slice(junk);
-            let (got, usage) = measure(|| decode_payload(&file, &item));
-            assert!(got.is_none());
+            // an unnamed file: the error's context allocates nothing
+            let (got, usage) = measure(|| decode_payload("", &file, &item).map(|_| ()));
+            assert!(matches!(got, Err(CkptError::Truncated { .. })));
             assert!(
                 usage.largest <= junk.len() * std::mem::size_of::<T>(),
                 "{} bytes requested for a {}-byte file",
@@ -275,11 +276,39 @@ mod tests {
 
     #[test]
     fn steer_payload_count_is_bounded_by_the_bytes_behind_it() {
-        lying_count_reserves_nothing(SteerCommand::decode_bytes);
+        lying_count_reserves_nothing(SteerCommand::read);
     }
 
     #[test]
     fn monitor_payload_count_is_bounded_by_the_bytes_behind_it() {
-        lying_count_reserves_nothing(MonitorFrame::decode_bytes);
+        lying_count_reserves_nothing(|r| MonitorFrame::read(r).map(MonitorFrame::into_owned));
+    }
+
+    #[test]
+    fn a_malformed_staged_file_names_what_failed() {
+        let consign = |payload: &[u8]| {
+            consign(
+                &STEER,
+                "o",
+                "steer.cmd",
+                payload.to_vec(),
+                SteerCommand::read,
+            )
+            .unwrap_err()
+        };
+        // one command named "a" whose value kind byte is 9
+        assert_eq!(
+            consign(&[1, 0, 1, 0, b'a', 9]),
+            "corrupt bytes at value kind byte 9"
+        );
+        // the same command, its f64 cut to three bytes
+        assert_eq!(
+            consign(&[1, 0, 1, 0, b'a', 1, 0, 0, 0]),
+            "truncated at steer.cmd: need 8 bytes, have 3"
+        );
+        assert_eq!(
+            consign(&[0, 0, 7]),
+            "trailing bytes after the last field: 1"
+        );
     }
 }

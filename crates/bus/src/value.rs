@@ -7,7 +7,8 @@
 //! frames, OGSA service-data text, COVISE module parameters, UNICORE job
 //! payloads) and must round-trip it losslessly.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
+use gridsteer_ckpt::{CkptError, SectionReader};
 use visit::VisitValue;
 
 /// The declared type of a steerable parameter.
@@ -195,54 +196,18 @@ impl ParamValue {
         }
     }
 
-    /// Decode the tagged binary encoding, advancing `buf` past it.
-    /// Returns `None` on any malformation.
-    pub fn decode_bytes(buf: &mut &[u8]) -> Option<ParamValue> {
-        if buf.is_empty() {
-            return None;
-        }
-        let kind = ParamKind::from_byte(buf.get_u8())?;
-        Some(match kind {
-            ParamKind::F64 => {
-                if buf.len() < 8 {
-                    return None;
-                }
-                ParamValue::F64(buf.get_f64_le())
-            }
-            ParamKind::I64 => {
-                if buf.len() < 8 {
-                    return None;
-                }
-                ParamValue::I64(buf.get_i64_le())
-            }
-            ParamKind::Bool => {
-                if buf.is_empty() {
-                    return None;
-                }
-                match buf.get_u8() {
-                    0 => ParamValue::Bool(false),
-                    1 => ParamValue::Bool(true),
-                    _ => return None,
-                }
-            }
-            ParamKind::Vec3 => {
-                if buf.len() < 24 {
-                    return None;
-                }
-                ParamValue::Vec3([buf.get_f64_le(), buf.get_f64_le(), buf.get_f64_le()])
-            }
-            ParamKind::Str => {
-                if buf.len() < 4 {
-                    return None;
-                }
-                let len = buf.get_u32_le() as usize;
-                if buf.len() < len {
-                    return None;
-                }
-                let s = String::from_utf8(buf[..len].to_vec()).ok()?;
-                buf.advance(len);
-                ParamValue::Str(s)
-            }
+    /// Read one [`encode_bytes`](ParamValue::encode_bytes) encoding.
+    pub fn read(r: &mut SectionReader<'_>) -> Result<ParamValue, CkptError> {
+        let b = r.get_u8()?;
+        let kind = ParamKind::from_byte(b).ok_or_else(|| CkptError::Corrupt {
+            context: format!("value kind byte {b}"),
+        })?;
+        Ok(match kind {
+            ParamKind::F64 => ParamValue::F64(r.get_f64()?),
+            ParamKind::I64 => ParamValue::I64(r.get_i64()?),
+            ParamKind::Bool => ParamValue::Bool(r.get_bool()?),
+            ParamKind::Vec3 => ParamValue::Vec3([r.get_f64()?, r.get_f64()?, r.get_f64()?]),
+            ParamKind::Str => ParamValue::Str(r.get_str()?),
         })
     }
 }
@@ -264,14 +229,18 @@ mod tests {
         ]
     }
 
+    /// One value read from the front of `bytes`, and the bytes it took.
+    fn read(bytes: &[u8]) -> Result<(ParamValue, usize), CkptError> {
+        crate::ckpt::tests::front(bytes, ParamValue::read)
+    }
+
     #[test]
     fn binary_roundtrip_every_variant() {
         for v in samples() {
             let mut buf = BytesMut::new();
             v.encode_bytes(&mut buf);
-            let mut slice: &[u8] = &buf;
-            assert_eq!(ParamValue::decode_bytes(&mut slice), Some(v.clone()));
-            assert!(slice.is_empty(), "decode must consume exactly: {v:?}");
+            // decode must consume exactly
+            assert_eq!(read(&buf), Ok((v.clone(), buf.len())));
         }
     }
 
@@ -296,9 +265,8 @@ mod tests {
         let v = ParamValue::F64(f64::from_bits(bits));
         let mut buf = BytesMut::new();
         v.encode_bytes(&mut buf);
-        let mut slice: &[u8] = &buf;
-        match ParamValue::decode_bytes(&mut slice) {
-            Some(ParamValue::F64(x)) => assert_eq!(x.to_bits(), bits),
+        match read(&buf) {
+            Ok((ParamValue::F64(x), 9)) => assert_eq!(x.to_bits(), bits),
             other => panic!("expected F64, got {other:?}"),
         }
     }
@@ -325,8 +293,11 @@ mod tests {
             let mut buf = BytesMut::new();
             v.encode_bytes(&mut buf);
             for cut in 0..buf.len() {
-                let mut slice: &[u8] = &buf[..cut];
-                assert_eq!(ParamValue::decode_bytes(&mut slice), None, "cut={cut}");
+                let err = read(&buf[..cut]).unwrap_err();
+                assert!(
+                    matches!(err, CkptError::Truncated { .. }),
+                    "cut={cut}: {err}"
+                );
             }
         }
     }
@@ -338,6 +309,10 @@ mod tests {
         }
         assert_eq!(ParamKind::from_byte(0), None);
         assert_eq!(ParamKind::from_byte(9), None);
+        assert_eq!(
+            read(&[9]).unwrap_err().to_string(),
+            "corrupt bytes at value kind byte 9"
+        );
     }
 
     #[test]

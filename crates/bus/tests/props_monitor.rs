@@ -9,6 +9,7 @@ use gridsteer_bus::{
     FrameBytesCell, FrameChunk, FrameCodecError, LoopbackMonitor, MonitorCaps, MonitorEndpoint,
     MonitorFrame, MonitorHub, MonitorPayload, VisitMonitor,
 };
+use gridsteer_ckpt::SectionReader;
 use proptest::prelude::*;
 use visit::Endianness;
 
@@ -88,9 +89,9 @@ proptest! {
         let frame = MonitorFrame { seq, step, payload: payload_from(sel, &name, &data) };
         let bytes = bytes_of(&frame);
         prop_assert_eq!(bytes.len(), frame.wire_size());
-        let mut slice: &[u8] = &bytes;
-        let back = MonitorFrame::decode_bytes(&mut slice).expect("own encoding must parse");
-        prop_assert!(slice.is_empty(), "decode must consume exactly");
+        let mut r = SectionReader::new(&bytes, "frame");
+        let back = MonitorFrame::read(&mut r).expect("own encoding must parse");
+        prop_assert!(r.expect_end().is_ok(), "decode must consume exactly");
         prop_assert_eq!(bytes_of(&back), bytes);
         prop_assert_eq!(back.seq, seq);
         prop_assert_eq!(back.step, step);
@@ -109,8 +110,8 @@ proptest! {
         let frame = MonitorFrame { seq: 1, step: 2, payload: payload_from(sel, &name, &data) };
         let bytes = bytes_of(&frame);
         let cut = cut_sel as usize % bytes.len();
-        let mut slice: &[u8] = &bytes[..cut];
-        prop_assert!(MonitorFrame::decode_bytes(&mut slice).is_none(), "cut={}", cut);
+        let mut r = SectionReader::new(&bytes[..cut], "frame");
+        prop_assert!(MonitorFrame::read(&mut r).is_err(), "cut={}", cut);
     }
 
     /// VISIT wire round-trip, both byte orders: the frames a viewer

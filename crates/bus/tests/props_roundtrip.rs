@@ -6,6 +6,7 @@
 use gridsteer_bus::{
     BoundsPolicy, ParamSpec, ParamValue, SteerCommand, SteerEndpoint, SteerHub, Transport,
 };
+use gridsteer_ckpt::SectionReader;
 use proptest::prelude::*;
 use visit::{Endianness, Frame, MsgKind};
 
@@ -89,9 +90,9 @@ proptest! {
         let v = value_from(sel, &data);
         let mut buf = bytes::BytesMut::new();
         v.encode_bytes(&mut buf);
-        let mut slice: &[u8] = &buf;
-        let back = ParamValue::decode_bytes(&mut slice).expect("own encoding must parse");
-        prop_assert!(slice.is_empty(), "decode must consume exactly");
+        let mut r = SectionReader::new(&buf, "value");
+        let back = ParamValue::read(&mut r).expect("own encoding must parse");
+        prop_assert!(r.expect_end().is_ok(), "decode must consume exactly");
         let mut buf2 = bytes::BytesMut::new();
         back.encode_bytes(&mut buf2);
         prop_assert_eq!(&buf2[..], &buf[..]);
@@ -112,8 +113,8 @@ proptest! {
         let mut buf = bytes::BytesMut::new();
         v.encode_bytes(&mut buf);
         let cut = cut_sel as usize % buf.len();
-        let mut slice: &[u8] = &buf[..cut];
-        prop_assert!(ParamValue::decode_bytes(&mut slice).is_none(), "cut={}", cut);
+        let mut r = SectionReader::new(&buf[..cut], "value");
+        prop_assert!(ParamValue::read(&mut r).is_err(), "cut={}", cut);
     }
 
     /// Loopback-endpoint round-trip: a staged + committed value of every

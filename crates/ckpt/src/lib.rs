@@ -94,9 +94,10 @@ const KIND_FULL: u8 = 0;
 /// Section body kind: sparse dirty chunks over a base section follow.
 const KIND_SPARSE: u8 = 1;
 
-/// Typed decode failures. Every variant names what the reader was doing
-/// when the bytes ran out or disagreed, so a corrupt snapshot produces an
-/// attributable error instead of a panic.
+/// Typed decode failures of the tree's bounded reader ([`SectionReader`]):
+/// snapshots, and every wire codec that reads through it. Every variant
+/// names what the reader was doing when the bytes ran out or disagreed,
+/// so corrupt bytes produce an attributable error instead of a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CkptError {
     /// The blob does not start with [`MAGIC`].
@@ -140,8 +141,8 @@ pub enum CkptError {
         /// The section name.
         name: String,
     },
-    /// A structural invariant failed (bad UTF-8 name, dirty chunk out of
-    /// bounds, unknown body kind).
+    /// A structural invariant failed (bad UTF-8, an unknown kind byte, a
+    /// dirty chunk out of bounds).
     Corrupt {
         /// What was being read.
         context: String,
@@ -164,10 +165,10 @@ impl fmt::Display for CkptError {
                 have,
             } => write!(
                 f,
-                "truncated snapshot at {context}: need {needed} bytes, have {have}"
+                "truncated at {context}: need {needed} bytes, have {have}"
             ),
             CkptError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after snapshot")
+                write!(f, "trailing bytes after the last field: {extra}")
             }
             CkptError::IsDelta => write!(f, "blob is a delta; decode it against its base"),
             CkptError::NotADelta => write!(f, "blob is a full snapshot, not a delta"),
@@ -183,7 +184,7 @@ impl fmt::Display for CkptError {
                     "delta references section {name:?} absent or resized in base"
                 )
             }
-            CkptError::Corrupt { context } => write!(f, "corrupt snapshot at {context}"),
+            CkptError::Corrupt { context } => write!(f, "corrupt bytes at {context}"),
         }
     }
 }
@@ -308,9 +309,13 @@ impl SectionWriter {
     }
 }
 
-/// Checked reader over one section's body bytes — the decode twin of
-/// [`SectionWriter`]. Every read returns [`CkptError::Truncated`] instead
-/// of panicking when the bytes run out.
+/// The tree's one bounded little-endian reader — the decode twin of
+/// [`SectionWriter`], and what checkpoint sections and the bus and core
+/// wire codecs (values, commands, monitor frames, UNICORE staged files,
+/// TCP session frames) decode through. Every read checks the bytes behind
+/// it first and returns [`CkptError::Truncated`] instead of panicking when
+/// they run out; a count is checked against the bytes before anything is
+/// reserved for it.
 #[derive(Debug)]
 pub struct SectionReader<'a> {
     rest: &'a [u8],
@@ -318,7 +323,7 @@ pub struct SectionReader<'a> {
 }
 
 impl<'a> SectionReader<'a> {
-    /// A reader over `bytes`; `context` names the section in errors.
+    /// A reader over `bytes`; `context` names what is read in errors.
     pub fn new(bytes: &'a [u8], context: &'a str) -> SectionReader<'a> {
         SectionReader {
             rest: bytes,
@@ -326,7 +331,8 @@ impl<'a> SectionReader<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
+    /// Read the next `n` bytes in place.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
         if self.rest.len() < n {
             return Err(CkptError::Truncated {
                 context: self.context.to_string(),
@@ -402,9 +408,20 @@ impl<'a> SectionReader<'a> {
     /// section's bytes.
     pub fn get_str_ref(&mut self) -> Result<&'a str, CkptError> {
         let len = self.get_u32()? as usize;
+        self.utf8(len, "utf-8 string")
+    }
+
+    /// Read a `u16`-length-prefixed UTF-8 name in place — the wire's
+    /// short string (parameter and channel names, session names).
+    pub fn get_name(&mut self) -> Result<&'a str, CkptError> {
+        let len = usize::from(self.get_u16()?);
+        self.utf8(len, "utf-8 name")
+    }
+
+    fn utf8(&mut self, len: usize, what: &str) -> Result<&'a str, CkptError> {
         let raw = self.take(len)?;
         std::str::from_utf8(raw).map_err(|_| CkptError::Corrupt {
-            context: format!("{}: utf-8 string", self.context),
+            context: format!("{}: {what}", self.context),
         })
     }
 
@@ -427,6 +444,13 @@ impl<'a> SectionReader<'a> {
     /// Read a length-prefixed `f32` slice from raw bit patterns.
     pub fn get_f32_vec(&mut self) -> Result<Vec<f32>, CkptError> {
         let count = self.get_u64()? as usize;
+        self.get_f32_run(count)
+    }
+
+    /// Read `count` `f32`s from raw bit patterns, with no length prefix
+    /// (the count came from elsewhere, e.g. a grid's extents). Nothing is
+    /// reserved unless the bytes are there.
+    pub fn get_f32_run(&mut self, count: usize) -> Result<Vec<f32>, CkptError> {
         let raw = self.take(count.saturating_mul(4))?;
         Ok(raw
             .chunks_exact(4)
@@ -437,6 +461,11 @@ impl<'a> SectionReader<'a> {
     /// Unread bytes left.
     pub fn remaining(&self) -> usize {
         self.rest.len()
+    }
+
+    /// The unread tail, in place.
+    pub fn rest(&self) -> &'a [u8] {
+        self.rest
     }
 
     /// Succeed only if every byte was consumed.
@@ -786,11 +815,7 @@ fn decode_blob(bytes: &[u8], base: Option<&Snapshot>) -> Result<(Snapshot, u64),
 }
 
 fn get_section_head(r: &mut SectionReader<'_>) -> Result<(String, u32), CkptError> {
-    let name_len = r.get_u16()? as usize;
-    let raw = r.take(name_len)?;
-    let name = String::from_utf8(raw.to_vec()).map_err(|_| CkptError::Corrupt {
-        context: "section name: utf-8".to_string(),
-    })?;
+    let name = r.get_name()?.to_string();
     let chunk = r.get_u32()?;
     Ok((name, chunk))
 }

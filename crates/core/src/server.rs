@@ -14,12 +14,16 @@
 //! in-process `gridsteer_bus` endpoints. The server keeps its own op
 //! stream rather than being a bus endpoint over [`visit::TcpLink`] because
 //! hello/welcome and pass-master are session operations the bus envelope
-//! (a command batch staged for the next commit) has no frame for.
+//! (a command batch staged for the next commit) has no frame for. Both
+//! ends read frames through the bounded [`SectionReader`]: a frame that
+//! does not parse drops its sender with the reason, and a malformed reply
+//! is an error that says what was wrong with it.
 
 use crate::params::ParamValue;
 use crate::session::SteeringSession;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use gridsteer_bus::{SteerCommand, SteerError};
+use gridsteer_ckpt::{CkptError, SectionReader};
 use parking_lot::Mutex;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -61,17 +65,34 @@ fn put_text(buf: &mut BytesMut, s: &str) {
     put_str(buf, &s[..end]).expect("cut to fit the prefix");
 }
 
-fn get_str(buf: &mut &[u8]) -> Option<String> {
-    if buf.len() < 2 {
-        return None;
+/// The [`put_str`] string at the front of `body`; errors name `what`.
+fn get_str(body: &[u8], what: &str) -> Result<String, CkptError> {
+    SectionReader::new(body, what)
+        .get_name()
+        .map(str::to_string)
+}
+
+/// Write an `OP_BATCH` body: the client's `u64` sequence, a `u16` count
+/// and that many `(name, value)` commands. A count or a name the wire
+/// cannot hold is refused, never wrapped.
+fn put_batch(buf: &mut BytesMut, seq: u64, commands: &[SteerCommand]) -> Result<(), String> {
+    let count = u16::try_from(commands.len())
+        .map_err(|_| format!("batch of {} exceeds wire limit 65535", commands.len()))?;
+    buf.put_u64_le(seq);
+    buf.put_u16_le(count);
+    for cmd in commands {
+        cmd.encode_bytes(buf).map_err(|e| e.to_string())?;
     }
-    let len = buf.get_u16_le() as usize;
-    if buf.len() < len {
-        return None;
-    }
-    let s = String::from_utf8(buf[..len].to_vec()).ok()?;
-    buf.advance(len);
-    Some(s)
+    Ok(())
+}
+
+/// Read back one [`put_batch`] body, with nothing after it.
+fn get_batch(body: &[u8]) -> Result<(u64, Vec<SteerCommand>), CkptError> {
+    let mut r = SectionReader::new(body, "batch");
+    let seq = r.get_u64()?;
+    let commands = gridsteer_bus::ckpt::get_counted(&mut r, SteerCommand::read)?;
+    r.expect_end()?;
+    Ok((seq, commands))
 }
 
 /// The server: owns the listener and the per-client threads.
@@ -167,116 +188,11 @@ fn serve_client(
             Err(LinkError::Timeout) => continue,
             Err(e) => break Err(e),
         };
-        // the length prefix is the peer's: a zero-length frame carries no
-        // op and drops the connection like any other malformed frame
-        let Some((&op, mut body)) = frame.split_first() else {
-            break Err(LinkError::Io("empty frame".into()));
+        // a frame that does not parse drops the connection, with the reason
+        let reply = match answer(&frame, &session, &mut my_name, &mut last_batch_seq) {
+            Ok(reply) => reply,
+            Err(e) => break Err(LinkError::Io(e.to_string())),
         };
-        let mut reply = BytesMut::new();
-        match op {
-            OP_HELLO => {
-                let Some(base) = get_str(&mut body) else {
-                    break Err(LinkError::Io("bad hello".into()));
-                };
-                let mut s = session.lock();
-                // names must be unique: disambiguate with a counter
-                let mut name = base.clone();
-                let mut k = 1;
-                while s.index_of(&name).is_some() {
-                    name = format!("{base}-{k}");
-                    k += 1;
-                }
-                let idx = s.join(&name);
-                let is_master = s.master() == Some(idx);
-                my_name = Some(name.clone());
-                reply.put_u8(OP_WELCOME);
-                reply.put_u8(u8::from(is_master));
-                put_text(&mut reply, &name);
-            }
-            OP_BATCH => {
-                // u64 client sequence + u16 count + (name, value)*
-                if body.len() < 10 {
-                    break Err(LinkError::Io("bad batch header".into()));
-                }
-                let seq = body.get_u64_le();
-                let count = body.get_u16_le() as usize;
-                // every command takes at least one byte of what is left
-                let mut commands = Vec::with_capacity(count.min(body.len()));
-                let mut ok = true;
-                for _ in 0..count {
-                    match SteerCommand::decode_bytes(&mut body) {
-                        Some(cmd) => commands.push(cmd),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok || !body.is_empty() {
-                    break Err(LinkError::Io("bad batch".into()));
-                }
-                if count == 0 {
-                    // match the bus's EmptyBatch semantics
-                    reply.put_u8(OP_ERR);
-                    put_text(&mut reply, "empty batch");
-                } else if seq <= last_batch_seq {
-                    reply.put_u8(OP_ERR);
-                    put_text(&mut reply, &format!("stale batch seq {seq}"));
-                } else {
-                    last_batch_seq = seq;
-                    let who = my_name.clone().unwrap_or_default();
-                    let mut s = session.lock();
-                    let r = match s.index_of(&who) {
-                        Some(idx) => s.steer_batch(idx, &commands),
-                        None => Err("not joined".into()),
-                    };
-                    match r {
-                        Ok(n) => {
-                            reply.put_u8(OP_OK);
-                            reply.put_u16_le(n as u16);
-                        }
-                        Err(e) => {
-                            reply.put_u8(OP_ERR);
-                            put_text(&mut reply, &e);
-                        }
-                    }
-                }
-            }
-            OP_GET => {
-                let Some(name) = get_str(&mut body) else {
-                    break Err(LinkError::Io("bad get".into()));
-                };
-                let s = session.lock();
-                match s.params.get_value(&name) {
-                    Some(v) => {
-                        reply.put_u8(OP_VALUE);
-                        v.encode_bytes(&mut reply);
-                    }
-                    None => {
-                        reply.put_u8(OP_ERR);
-                        put_text(&mut reply, &format!("unknown parameter: {name}"));
-                    }
-                }
-            }
-            OP_PASS => {
-                let Some(target) = get_str(&mut body) else {
-                    break Err(LinkError::Io("bad pass".into()));
-                };
-                let who = my_name.clone().unwrap_or_default();
-                let mut s = session.lock();
-                let ok = match (s.index_of(&who), s.index_of(&target)) {
-                    (Some(from), Some(to)) => s.pass_master(from, to),
-                    _ => false,
-                };
-                if ok {
-                    reply.put_u8(OP_OK);
-                } else {
-                    reply.put_u8(OP_ERR);
-                    put_text(&mut reply, "pass refused");
-                }
-            }
-            _ => break Err(LinkError::Io("unknown op".into())),
-        }
         if link.send(&reply).is_err() {
             break Ok(());
         }
@@ -289,6 +205,102 @@ fn serve_client(
         }
     }
     result
+}
+
+/// The reply to one request frame from the client joined as `my_name`
+/// (set by its hello), or why the frame does not parse. The length prefix
+/// is the peer's: an empty frame carries no op and fails like any other
+/// malformed one.
+fn answer(
+    frame: &[u8],
+    session: &Mutex<SteeringSession>,
+    my_name: &mut Option<String>,
+    last_batch_seq: &mut u64,
+) -> Result<BytesMut, CkptError> {
+    let mut r = SectionReader::new(frame, "op");
+    let op = r.get_u8()?;
+    let body = r.rest();
+    let mut reply = BytesMut::new();
+    match op {
+        OP_HELLO => {
+            let base = get_str(body, "hello")?;
+            let mut s = session.lock();
+            // names must be unique: disambiguate with a counter
+            let mut name = base.clone();
+            let mut k = 1;
+            while s.index_of(&name).is_some() {
+                name = format!("{base}-{k}");
+                k += 1;
+            }
+            let idx = s.join(&name);
+            let is_master = s.master() == Some(idx);
+            reply.put_u8(OP_WELCOME);
+            reply.put_u8(u8::from(is_master));
+            put_text(&mut reply, &name);
+            *my_name = Some(name);
+        }
+        OP_BATCH => {
+            let (seq, commands) = get_batch(body)?;
+            let outcome = if commands.is_empty() {
+                // match the bus's EmptyBatch semantics
+                Err("empty batch".to_string())
+            } else if seq <= *last_batch_seq {
+                Err(format!("stale batch seq {seq}"))
+            } else {
+                *last_batch_seq = seq;
+                let who = my_name.as_deref().unwrap_or_default();
+                let mut s = session.lock();
+                match s.index_of(who) {
+                    Some(idx) => s.steer_batch(idx, &commands),
+                    None => Err("not joined".into()),
+                }
+            };
+            match outcome {
+                Ok(n) => {
+                    reply.put_u8(OP_OK);
+                    reply.put_u16_le(n as u16);
+                }
+                Err(e) => {
+                    reply.put_u8(OP_ERR);
+                    put_text(&mut reply, &e);
+                }
+            }
+        }
+        OP_GET => {
+            let name = get_str(body, "get")?;
+            match session.lock().params.get_value(&name) {
+                Some(v) => {
+                    reply.put_u8(OP_VALUE);
+                    v.encode_bytes(&mut reply);
+                }
+                None => {
+                    reply.put_u8(OP_ERR);
+                    put_text(&mut reply, &format!("unknown parameter: {name}"));
+                }
+            }
+        }
+        OP_PASS => {
+            let target = get_str(body, "pass")?;
+            let who = my_name.as_deref().unwrap_or_default();
+            let mut s = session.lock();
+            let ok = match (s.index_of(who), s.index_of(&target)) {
+                (Some(from), Some(to)) => s.pass_master(from, to),
+                _ => false,
+            };
+            if ok {
+                reply.put_u8(OP_OK);
+            } else {
+                reply.put_u8(OP_ERR);
+                put_text(&mut reply, "pass refused");
+            }
+        }
+        _ => {
+            return Err(CkptError::Corrupt {
+                context: format!("op byte {op}"),
+            })
+        }
+    }
+    Ok(reply)
 }
 
 /// Client-side handle speaking the protocol.
@@ -317,7 +329,7 @@ impl ClientHandle {
             return Err(LinkError::Io("bad welcome".into()));
         };
         let is_master = *master != 0;
-        let assigned = get_str(&mut { body }).ok_or(LinkError::Io("bad welcome name".into()))?;
+        let assigned = get_str(body, "welcome").map_err(|e| LinkError::Io(e.to_string()))?;
         Ok(ClientHandle {
             link,
             name: assigned,
@@ -349,20 +361,14 @@ impl ClientHandle {
         if commands.is_empty() {
             return Err("empty batch".into());
         }
-        let count = u16::try_from(commands.len())
-            .map_err(|_| format!("batch of {} exceeds wire limit 65535", commands.len()))?;
-        self.next_batch_seq += 1;
         let mut req = BytesMut::new();
         req.put_u8(OP_BATCH);
-        req.put_u64_le(self.next_batch_seq);
-        req.put_u16_le(count);
-        for cmd in commands {
-            cmd.encode_bytes(&mut req).map_err(|e| e.to_string())?;
-        }
+        self.next_batch_seq += 1;
+        put_batch(&mut req, self.next_batch_seq, commands)?;
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
         match reply.split_first() {
             Some((&OP_OK, &[lo, hi])) => Ok(usize::from(u16::from_le_bytes([lo, hi]))),
-            Some((&OP_ERR, mut body)) => Err(get_str(&mut body).unwrap_or_default()),
+            Some((&OP_ERR, body)) => Err(refusal(body)),
             _ => Err("protocol error".into()),
         }
     }
@@ -374,10 +380,10 @@ impl ClientHandle {
         put_str(&mut req, param)?;
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
         match reply.split_first() {
-            Some((&OP_VALUE, mut body)) => {
-                ParamValue::decode_bytes(&mut body).ok_or("bad value".into())
+            Some((&OP_VALUE, body)) => {
+                ParamValue::read(&mut SectionReader::new(body, "value")).map_err(|e| e.to_string())
             }
-            Some((&OP_ERR, mut body)) => Err(get_str(&mut body).unwrap_or_default()),
+            Some((&OP_ERR, body)) => Err(refusal(body)),
             _ => Err("protocol error".into()),
         }
     }
@@ -397,10 +403,16 @@ impl ClientHandle {
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
         match reply.split_first() {
             Some((&OP_OK, _)) => Ok(()),
-            Some((&OP_ERR, mut body)) => Err(get_str(&mut body).unwrap_or_default()),
+            Some((&OP_ERR, body)) => Err(refusal(body)),
             _ => Err("protocol error".into()),
         }
     }
+}
+
+/// The server's refusal text in an `OP_ERR` reply body, or what was
+/// wrong with the reply.
+fn refusal(body: &[u8]) -> String {
+    get_str(body, "error text").unwrap_or_else(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -590,13 +602,43 @@ mod tests {
         let session = Arc::new(Mutex::new(SteeringSession::new(ParamRegistry::new())));
         let stop = Arc::new(AtomicBool::new(false));
         let (got, usage) = gridsteer_testkit::measure(|| serve_client(stream, session, stop));
-        assert_eq!(got, Err(LinkError::Io("bad batch".into())));
+        let reason = "truncated at batch: need 2 bytes, have 0";
+        assert_eq!(got, Err(LinkError::Io(reason.into())));
         assert!(
             usage.largest <= frame.len() * size_of::<SteerCommand>(),
             "{} bytes requested for an {}-byte frame",
             usage.largest,
             frame.len()
         );
+    }
+
+    #[test]
+    fn decoder_sweep_over_the_server_frames() {
+        let commands = [
+            SteerCommand::f64("miscibility", 0.25),
+            SteerCommand::new("tracer", ParamValue::Str("dye".into())),
+        ];
+        let put = |(seq, cmds): &(u64, Vec<SteerCommand>)| {
+            let mut out = BytesMut::new();
+            put_batch(&mut out, *seq, cmds).unwrap();
+            out.to_vec()
+        };
+        let batch = put(&(7, commands.to_vec()));
+        let read = |b: &[u8]| get_batch(b).map(|v| (v, b.len()));
+        let refused = gridsteer_testkit::sweep_decoder(&batch, read, put);
+        assert!(refused >= batch.len(), "every strict prefix is refused");
+        // the string of a hello, get, pass, welcome or refusal
+        let put = |s: &String| {
+            let mut out = BytesMut::new();
+            put_str(&mut out, s).unwrap();
+            out.to_vec()
+        };
+        let read = |b: &[u8]| {
+            let s = get_str(b, "text")?;
+            let used = 2 + s.len();
+            Ok::<_, CkptError>((s, used))
+        };
+        gridsteer_testkit::sweep_decoder(&put(&"brooke".into()), read, put);
     }
 
     /// A one-connection server that answers each request with the next of

@@ -768,15 +768,7 @@ mod tests {
 
     // ---- bounded audit state ------------------------------------------
 
-    use gridsteer_bus::{SteerHub, AUDIT_WINDOW};
-
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-    fn fnv(h: u64, bytes: &[u8]) -> u64 {
-        bytes.iter().fold(h, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
+    use gridsteer_bus::{fnv1a, SteerHub, AUDIT_WINDOW, FNV_OFFSET};
 
     /// A hub and the session sharing its registry, with master `a` joined.
     fn hub_and_session() -> (SteerHub, SteeringSession) {
@@ -829,7 +821,7 @@ mod tests {
             assert_eq!(s.events(), tail);
             let mut w = SectionWriter::new();
             evicted.iter().for_each(|e| e.put(&mut w));
-            assert_eq!(log.fold(), fnv(FNV_OFFSET, w.as_bytes()));
+            assert_eq!(log.fold(), fnv1a(FNV_OFFSET, w.as_bytes()));
             sizes.push(sections(&hub, &s));
         }
         let (short, long) = (&sizes[0], &sizes[1]);

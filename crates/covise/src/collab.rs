@@ -61,9 +61,6 @@ pub struct SyncReport {
 pub const PARAM_MSG_BYTES: usize = 32;
 
 struct Site {
-    // kept for debugging dumps; not read on any code path yet
-    #[allow(dead_code)]
-    name: String,
     controller: Controller,
     broker: RequestBroker,
     clock: VClock,
@@ -106,7 +103,6 @@ impl CollabSession {
             let mut controller = Controller::new();
             render_id = build(&mut controller, host);
             sites.push(Site {
-                name: name.to_string(),
                 controller,
                 broker,
                 clock: VClock::new(),
@@ -122,11 +118,6 @@ impl CollabSession {
             render_id,
             encoder: DeltaRleCodec::new(),
         }
-    }
-
-    /// Number of sites.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
     }
 
     /// Move the master role ("collaborating partners … need to be able to

@@ -276,17 +276,8 @@ impl ExecPool {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        let len = data.len();
-        let cl = chunk_len.max(1);
-        let tasks = len.div_ceil(cl);
-        let base = SendPtr(data.as_mut_ptr());
-        self.run(tasks, move |i| {
-            let start = i * cl;
-            let n = cl.min(len - start);
-            // disjoint by construction: chunk i covers [i*cl, i*cl + n)
-            let chunk = unsafe { std::slice::from_raw_parts_mut(base.add(start), n) };
-            f(i, chunk);
-        });
+        let chunks = DisjointChunks::new(data, chunk_len);
+        self.run(chunks.chunk_count(), |i| f(i, chunks.claim(i)));
     }
 
     /// Like [`ExecPool::parallel_chunks`] but over two slices chunked with
@@ -304,26 +295,16 @@ impl ExecPool {
         U: Send,
         F: Fn(usize, &mut [T], &mut [U]) + Sync,
     {
-        let (la, lb) = (a.len(), b.len());
-        let ca = chunk_len_a.max(1);
-        let cb = chunk_len_b.max(1);
-        let tasks = la.div_ceil(ca);
+        let (a, b) = (
+            DisjointChunks::new(a, chunk_len_a),
+            DisjointChunks::new(b, chunk_len_b),
+        );
         assert_eq!(
-            tasks,
-            lb.div_ceil(cb),
+            a.chunk_count(),
+            b.chunk_count(),
             "parallel_chunks2: slices disagree on chunk count"
         );
-        let pa = SendPtr(a.as_mut_ptr());
-        let pb = SendPtr(b.as_mut_ptr());
-        self.run(tasks, move |i| {
-            let (sa, sb) = (i * ca, i * cb);
-            let (na, nb) = (ca.min(la - sa), cb.min(lb - sb));
-            // SAFETY: chunk i of each slice covers [i*c, i*c + n) — the
-            // regions handed to distinct tasks are disjoint by construction.
-            let chunk_a = unsafe { std::slice::from_raw_parts_mut(pa.add(sa), na) };
-            let chunk_b = unsafe { std::slice::from_raw_parts_mut(pb.add(sb), nb) };
-            f(i, chunk_a, chunk_b);
-        });
+        self.run(a.chunk_count(), |i| f(i, a.claim(i), b.claim(i)));
     }
 
     /// Run `tasks` independent tasks and collect their results **in task
@@ -337,15 +318,8 @@ impl ExecPool {
     {
         let mut out: Vec<Option<R>> = Vec::new();
         out.resize_with(tasks, || None);
-        {
-            let base = SendPtr(out.as_mut_ptr());
-            self.run(tasks, move |i| {
-                // SAFETY: task i writes only slot i; slots are disjoint
-                // and `out` outlives the scoped dispatch.
-                let slot = unsafe { &mut *base.add(i) };
-                *slot = Some(f(i));
-            });
-        }
+        let slots = DisjointChunks::new(&mut out, 1);
+        self.run(tasks, |i| slots.claim(i)[0] = Some(f(i)));
         out.into_iter()
             .map(|r| r.expect("pool task completed"))
             .collect()
@@ -353,8 +327,9 @@ impl ExecPool {
 }
 
 /// A mutable slice pre-split into fixed chunks that [`ExecPool::run`]
-/// tasks claim by index — the n-buffer companion to
-/// [`ExecPool::parallel_chunks2`]. A structure-of-arrays kernel updates
+/// tasks claim by index — the pool's one slice splitter:
+/// [`ExecPool::parallel_chunks`], [`ExecPool::parallel_chunks2`] and
+/// [`ExecPool::map`] are built on it. A structure-of-arrays kernel updates
 /// many parallel buffers per chunk (six velocity components, nineteen
 /// distribution rows); rather than grow a `parallel_chunksN` for every
 /// arity, each buffer wraps itself in a `DisjointChunks` and the task for
@@ -390,7 +365,10 @@ pub struct DisjointChunks<'a, T> {
     len: usize,
     chunk_len: usize,
     taken: Vec<AtomicBool>,
-    _borrow: std::marker::PhantomData<&'a mut [T]>,
+    /// The exclusive borrow, as a marker that leaves `Send`/`Sync` to
+    /// `base`: tasks on other threads receive chunks (`T: Send`), they
+    /// never share an element, so `T: Sync` is not needed.
+    _borrow: std::marker::PhantomData<fn() -> &'a mut [T]>,
 }
 
 impl<'a, T: Send> DisjointChunks<'a, T> {
@@ -524,10 +502,9 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// A raw pointer that may cross threads. Safety rests on the chunk math in
-/// the `parallel_*` helpers handing out disjoint regions. Accessed only
-/// through [`SendPtr::add`] so closures capture the wrapper (with its
-/// `Sync` impl), not the bare pointer field.
+/// A raw pointer that may cross threads. Safety rests on
+/// [`DisjointChunks`] handing out each disjoint region at most once.
+/// Accessed only through [`SendPtr::add`].
 struct SendPtr<T>(*mut T);
 // SAFETY: see above — disjoint-region chunk math is the whole contract.
 unsafe impl<T: Send> Send for SendPtr<T> {}

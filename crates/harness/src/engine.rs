@@ -16,6 +16,7 @@ use crate::scenario::{Action, RelaySpec, Scenario, ViewerSpec};
 use gridsteer_bus::{
     Capabilities, LoopbackMonitor, MonitorCaps, MonitorEndpoint, MonitorFrame, MonitorHub,
     MonitorStats, RelayHub, RelayPolicy, SteerCommand, SteerEndpoint, SteerHub, Transport,
+    FNV_OFFSET,
 };
 use gridsteer_ckpt::Snapshot;
 use netsim::{EventQueue, FaultyLink, Link, NetModel, SimTime, SiteId};
@@ -861,7 +862,7 @@ impl<'s> World<'s> {
                 monitor: LoopMonitor::new(spec.budget),
                 delivered: 0,
                 dropped: 0,
-                digest: 0xcbf2_9ce4_8422_2325,
+                digest: FNV_OFFSET,
                 relay,
                 last_seq: None,
                 fresh_attach: true,

@@ -7,6 +7,7 @@
 //! is an FNV-1a 64 over that rendering; regression tests pin a scenario's
 //! behaviour by pinning the digest.
 
+use gridsteer_bus::{fnv1a, FNV_OFFSET};
 use netsim::{LinkStats, SimTime};
 use std::fmt;
 
@@ -259,11 +260,7 @@ impl ScenarioReport {
 
     /// FNV-1a 64 digest of [`ScenarioReport::render`], as 16 hex digits.
     pub fn digest(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.render().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = fnv1a(FNV_OFFSET, self.render().as_bytes());
         format!("{h:016x}")
     }
 }

@@ -807,11 +807,6 @@ impl Scenario {
         self.sample_every
     }
 
-    /// The scripted run length.
-    pub fn duration_of(&self) -> SimTime {
-        self.duration
-    }
-
     /// The checkpoint cadence, if checkpointing is on.
     pub fn checkpoint_interval(&self) -> Option<SimTime> {
         self.checkpoint_every

@@ -152,11 +152,6 @@ impl SimEndpoint {
         }
     }
 
-    /// Peek at the arrival time of the next queued message.
-    pub fn next_arrival(&self) -> Option<SimTime> {
-        self.inc.lock().msgs.front().map(|m| m.arrival)
-    }
-
     /// Number of queued inbound messages.
     pub fn pending(&self) -> usize {
         self.inc.lock().msgs.len()

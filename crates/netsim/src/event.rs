@@ -107,11 +107,6 @@ impl<T> EventQueue<T> {
         })
     }
 
-    /// Time of the next event without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()

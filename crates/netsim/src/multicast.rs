@@ -9,7 +9,7 @@
 //! members at the cost of an extra hop and duplicated upstream bytes.
 
 use crate::link::Link;
-use crate::model::{NetModel, SiteId};
+use crate::model::SiteId;
 use crate::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -104,18 +104,6 @@ impl MulticastGroup {
     /// True if the group has no members.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Build a group for `members` using the pairwise links of `model`,
-    /// with `sender` as the implied source (star topology).
-    pub fn from_model(model: &NetModel, sender: SiteId, members: &[SiteId]) -> Self {
-        let mut g = MulticastGroup::new();
-        for &m in members {
-            if m != sender {
-                g.join_native(m, model.link(sender, m));
-            }
-        }
-        g
     }
 
     /// Send one datagram of `size` bytes at `departure` to every member

@@ -144,11 +144,6 @@ impl VClock {
         self.now = self.now.max(arrival);
         self.now
     }
-
-    /// Block until `t` (no-op if already past). Returns the new local time.
-    pub fn wait_until(&mut self, t: SimTime) -> SimTime {
-        self.merge(t)
-    }
 }
 
 #[cfg(test)]

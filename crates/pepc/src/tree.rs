@@ -211,11 +211,6 @@ impl Octree {
         self.nodes[idx].cocharge = c;
     }
 
-    /// Number of nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Maximum leaf depth (diagnostics).
     pub fn depth(&self) -> usize {
         fn walk(nodes: &[Node], idx: usize, d: usize) -> usize {

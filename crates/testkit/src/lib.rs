@@ -22,9 +22,13 @@
 //! each other's traffic — and work another thread does is not seen
 //! either: keep the measured path on the calling thread (a 1-wide
 //! `gridsteer_exec` pool runs inline).
+//!
+//! Beside it, the decoder sweep: [`sweep_decoder`] feeds a decoder every
+//! strict prefix and every single-byte flip of one valid encoding.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fmt::Debug;
 
 thread_local! {
     /// Allocator calls that can return new memory, on this thread.
@@ -114,4 +118,36 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Usage) {
         largest,
     };
     (out, usage)
+}
+
+/// The decoder sweep over one `valid` encoding. `decode` returns a value
+/// and the count of bytes it read; `encode` writes a value back. `valid`
+/// must decode whole and round-trip. Then every strict prefix of it, and
+/// every copy with one byte XORed with `0x01`, `0x80` or `0xff`, must
+/// either be refused or decode to a value whose encoding is exactly the
+/// bytes it read — a decoder that panics fails the calling test. Returns
+/// how many of those inputs were refused.
+pub fn sweep_decoder<T: Debug, E: Debug>(
+    valid: &[u8],
+    decode: impl Fn(&[u8]) -> Result<(T, usize), E>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) -> usize {
+    let whole = decode(valid).expect("the valid encoding decodes");
+    assert_eq!((encode(&whole.0), whole.1), (valid.to_vec(), valid.len()));
+    let prefixes = (0..valid.len()).map(|n| valid[..n].to_vec());
+    let flips = (0..valid.len()).flat_map(|i| {
+        [0x01, 0x80, 0xff].map(|mask| {
+            let mut v = valid.to_vec();
+            v[i] ^= mask;
+            v
+        })
+    });
+    let mut refused = 0;
+    for input in prefixes.chain(flips) {
+        match decode(&input) {
+            Ok((v, used)) => assert_eq!(encode(&v), input[..used], "{input:?} read as {v:?}"),
+            Err(_) => refused += 1,
+        }
+    }
+    refused
 }

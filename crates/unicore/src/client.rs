@@ -244,6 +244,100 @@ mod tests {
     }
 
     #[test]
+    fn collaborators_steer_through_the_gateway_proxy() {
+        use crate::proxy::VisitProxyServer;
+        use std::time::Duration;
+        use visit::link::{FrameLink, MemLink};
+        use visit::{Endianness, Frame, MsgKind, Password, VisitValue};
+        const DATA: u32 = 1;
+        const PARAM: u32 = 2;
+        // two collaborators holding certificates from one trusted CA
+        let ca = CertAuthority::new("CA", 1);
+        let mut trust = TrustStore::new();
+        trust.trust(&ca);
+        let (porter, pkey) = ca.issue("CN=porter");
+        let (woessner, wkey) = ca.issue("CN=woessner");
+        let (alice, bob) = (
+            UnicoreClient::new(porter, pkey),
+            UnicoreClient::new(woessner, wkey),
+        );
+        let mut gw = Gateway::new("gw", trust);
+        gw.add_vsite(Njs::new("csar", Tsi::with_builtins()));
+        // the simulation's VISIT link ends in a proxy behind the gateway
+        let (mut sim, proxy_end) = MemLink::pair();
+        let pw = Password::Keyed("job-secret".into());
+        let challenge = gw.challenge("csar", "lbm");
+        let proxy_end: Box<dyn FrameLink> = Box::new(proxy_end);
+        let proxy = VisitProxyServer::new("lbm", proxy_end, pw.clone(), challenge);
+        gw.register_proxy("csar", proxy);
+        // one frame from the simulation, handled by the proxy in place
+        let pump = |gw: &mut Gateway| {
+            let proxy = gw.proxy_mut("csar", "lbm").unwrap();
+            assert!(proxy.pump(Duration::from_secs(1)).unwrap());
+        };
+        let send = |sim: &mut MemLink, kind, tag, value: Option<VisitValue>| {
+            let frame = match value {
+                Some(v) => Frame::with_value(kind, tag, Endianness::native(), v),
+                None => Frame::bare(kind, tag),
+            };
+            sim.send(&frame.encode()).unwrap();
+        };
+        let recv = |sim: &mut MemLink| {
+            let frame = Frame::decode(&sim.recv_timeout(Duration::from_secs(1)).unwrap());
+            frame.map(|f| (f.kind, f.value)).unwrap()
+        };
+        // it authenticates with the per-job challenge and publishes a sample
+        let token = VisitValue::Bytes(pw.client_token(challenge));
+        send(&mut sim, MsgKind::Hello, 0, Some(token));
+        pump(&mut gw);
+        assert_eq!(recv(&mut sim), (MsgKind::HelloAck, None));
+        send(
+            &mut sim,
+            MsgKind::Data,
+            DATA,
+            Some(VisitValue::scalar_f64(0.5)),
+        );
+        pump(&mut gw);
+        // two collaborators attach with signed requests; the first is master
+        let mut a = alice.proxy_attach(&mut gw, "csar", "lbm").unwrap();
+        let mut b = bob.proxy_attach(&mut gw, "csar", "lbm").unwrap();
+        // both polls see the broadcast
+        assert_eq!(alice.proxy_poll(&mut gw, "csar", "lbm", &mut a), Ok(1));
+        assert_eq!(bob.proxy_poll(&mut gw, "csar", "lbm", &mut b), Ok(1));
+        let sample = Some(&VisitValue::scalar_f64(0.5));
+        assert_eq!((a.latest(DATA), b.latest(DATA)), (sample, sample));
+        // the simulation asks for its parameter after each round of polls
+        let mut request = |gw: &mut Gateway| {
+            send(&mut sim, MsgKind::Request, PARAM, None);
+            pump(gw);
+            recv(&mut sim)
+        };
+        let steer = |who: &UnicoreClient, plugin: &mut VisitProxyClient, gw: &mut Gateway, v| {
+            plugin.queue_param(PARAM, VisitValue::scalar_f64(v));
+            assert_eq!(who.proxy_poll(gw, "csar", "lbm", plugin), Ok(0));
+        };
+        // only the master's parameter reaches the simulation
+        steer(&bob, &mut b, &mut gw, 0.75);
+        steer(&alice, &mut a, &mut gw, 0.25);
+        let steered = (MsgKind::Reply, Some(VisitValue::scalar_f64(0.25)));
+        assert_eq!(request(&mut gw), steered);
+        assert_eq!(request(&mut gw), (MsgKind::NoData, None));
+        // passing the master role moves the right to steer
+        assert_eq!(
+            alice.proxy_pass_master(&mut gw, "csar", "lbm", b.session),
+            Ok(true)
+        );
+        steer(&alice, &mut a, &mut gw, 0.1);
+        steer(&bob, &mut b, &mut gw, 0.9);
+        let steered = (MsgKind::Reply, Some(VisitValue::scalar_f64(0.9)));
+        assert_eq!(request(&mut gw), steered);
+        assert_eq!(request(&mut gw), (MsgKind::NoData, None));
+        let stats = gw.proxy_mut("csar", "lbm").unwrap().stats();
+        assert_eq!((stats.params_accepted, stats.params_rejected), (2, 2));
+        assert_eq!(gw.stats().proxy_exchanges, 6);
+    }
+
+    #[test]
     fn proxy_attach_to_missing_service_denied() {
         let (client, mut gw) = rig();
         let r = client.proxy_attach(&mut gw, "csar", "no-service");

@@ -151,17 +151,6 @@ impl Gateway {
         self.vsites.insert(njs.vsite.clone(), njs);
     }
 
-    /// Vsite names behind this gateway (sorted — `BTreeMap` key order).
-    pub fn vsite_names(&self) -> Vec<String> {
-        self.vsites.keys().cloned().collect()
-    }
-
-    /// Mutable access to a Vsite's NJS (operator-side, inside the
-    /// protected domain — not reachable through the port).
-    pub fn njs_mut(&mut self, vsite: &str) -> Option<&mut Njs> {
-        self.vsites.get_mut(vsite)
-    }
-
     /// Register a live VISIT proxy for `(vsite, service)`. Called by the
     /// session orchestration when a job with a `StartVisitProxy` task
     /// starts (the TSI records the service name; the simulation's link is

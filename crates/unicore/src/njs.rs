@@ -187,11 +187,6 @@ impl Njs {
     pub fn job_count(&self) -> usize {
         self.jobs.len()
     }
-
-    /// Access the underlying target system (to install applications).
-    pub fn tsi_mut(&mut self) -> &mut Tsi {
-        &mut self.tsi
-    }
 }
 
 #[cfg(test)]

@@ -111,11 +111,6 @@ impl Tsi {
         t
     }
 
-    /// Installed application names (sorted — `BTreeMap` key order).
-    pub fn app_names(&self) -> Vec<String> {
-        self.apps.keys().cloned().collect()
-    }
-
     /// Execute a script in a fresh job directory. Execution stops at the
     /// first failing line (matching batch-script semantics under `set -e`).
     pub fn run(&self, lines: &[ScriptLine]) -> TsiOutcome {

@@ -195,21 +195,6 @@ impl SimLink {
         )
     }
 
-    /// A connected pair with asymmetric links (`ab` shapes this→peer).
-    pub fn pair_asym(ab: Link, ba: Link) -> (SimLink, SimLink) {
-        let (a, b) = SimChannel::pair(ab, ba);
-        (
-            SimLink {
-                ep: a,
-                clock: VClock::new(),
-            },
-            SimLink {
-                ep: b,
-                clock: VClock::new(),
-            },
-        )
-    }
-
     /// Local virtual time elapsed.
     pub fn elapsed(&self) -> SimTime {
         self.clock.now()

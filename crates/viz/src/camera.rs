@@ -85,10 +85,6 @@ impl Camera {
         let rotated = Vec3::new(d.x * c + d.z * s, d.y, -d.x * s + d.z * c);
         self.eye = self.target.add(rotated);
     }
-
-    /// Serialized size of the camera as sync state (bytes) — what the
-    /// parameter-sync collaboration mode pays per update.
-    pub const SYNC_BYTES: usize = 4 * (3 + 3 + 3 + 1 + 1);
 }
 
 /// `d` (a point relative to the eye) in the view basis `(r, u, f)`.

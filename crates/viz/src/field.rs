@@ -77,11 +77,6 @@ impl Field3 {
         &self.data
     }
 
-    /// Mutable raw data slice.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Linear index for `(x,y,z)`.
     #[inline]
     pub fn idx(&self, x: usize, y: usize, z: usize) -> usize {

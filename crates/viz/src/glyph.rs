@@ -10,17 +10,6 @@
 use crate::mesh::TriMesh;
 use crate::Vec3;
 
-/// How a particle cloud is displayed (the three modes of §3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GlyphMode {
-    /// One splat per particle.
-    Points,
-    /// A small octahedron ("diamond") per particle.
-    Diamonds,
-    /// A line segment along the velocity per particle.
-    Vectors,
-}
-
 /// A renderable line segment with colour.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {

@@ -27,7 +27,7 @@ use std::ops::RangeInclusive;
 pub struct Rasterizer {
     fb: Framebuffer,
     zbuf: Vec<f32>,
-    /// Directional light (towards the scene), normalized on set.
+    /// Directional light (towards the scene), unit length.
     light: Vec3,
     /// Triangles actually rasterized in the last `draw_mesh` call (after
     /// clipping/backface culling) — a cheap complexity metric.
@@ -43,11 +43,6 @@ impl Rasterizer {
             light: Vec3::new(0.4, 0.7, -0.6).normalized(),
             tris_drawn: 0,
         }
-    }
-
-    /// Set the directional light.
-    pub fn set_light(&mut self, dir: Vec3) {
-        self.light = dir.normalized();
     }
 
     /// Clear colour and depth.
