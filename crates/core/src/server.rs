@@ -224,6 +224,13 @@ fn answer(
     match op {
         OP_HELLO => {
             let base = get_str(body, "hello")?;
+            // a second join would leave the first name in the session when
+            // this connection drops, master token and all
+            if let Some(name) = my_name {
+                reply.put_u8(OP_ERR);
+                put_text(&mut reply, &format!("already joined as {name}"));
+                return Ok(reply);
+            }
             let mut s = session.lock();
             // names must be unique: disambiguate with a counter
             let mut name = base.clone();
@@ -541,46 +548,63 @@ mod tests {
         let mut b = ClientHandle::connect(&addr, "second").unwrap();
         assert!(b.set("miscibility", 0.5).is_err());
         drop(a); // master walks away
-                 // wait for the server to notice the disconnect
+        promoted_within_deadline(&mut b, "survivor never promoted");
+    }
+
+    /// Steer from `b` until the server lets it, failing with `why` after 2 s.
+    fn promoted_within_deadline(b: &mut ClientHandle, why: &str) {
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        loop {
-            if b.set("miscibility", 0.5).is_ok() {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "survivor never promoted"
-            );
+        while b.set("miscibility", 0.5).is_err() {
+            assert!(std::time::Instant::now() < deadline, "{why}");
             std::thread::sleep(Duration::from_millis(20));
         }
     }
 
-    #[test]
-    fn an_empty_frame_drops_its_sender_and_promotes_the_survivor() {
-        let srv = server();
-        let addr = srv.addr().to_string();
-        // a raw peer joins first, so it holds the master token
-        let mut raw = TcpLink::connect(&addr, Duration::from_secs(2)).unwrap();
+    /// A raw peer that joins first as "raw", so it holds the master token;
+    /// its link and its hello frame.
+    fn raw_master(addr: &str) -> (TcpLink, BytesMut) {
+        let mut raw = TcpLink::connect(addr, Duration::from_secs(2)).unwrap();
         let mut hello = BytesMut::new();
         hello.put_u8(OP_HELLO);
         put_str(&mut hello, "raw").unwrap();
         raw.send(&hello).unwrap();
         let welcome = raw.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(welcome[..2], [OP_WELCOME, 1], "the raw peer is master");
+        (raw, hello)
+    }
+
+    #[test]
+    fn an_empty_frame_drops_its_sender_and_promotes_the_survivor() {
+        let srv = server();
+        let addr = srv.addr().to_string();
+        let (mut raw, _) = raw_master(&addr);
         let mut b = ClientHandle::connect(&addr, "survivor").unwrap();
         assert!(b.set("miscibility", 0.5).is_err());
         // a zero-length frame; the raw link itself stays open, so only
         // the frame can end the raw peer's membership
         raw.send(&[]).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while b.set("miscibility", 0.5).is_err() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "the sender of an empty frame kept the master token"
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let why = "the sender of an empty frame kept the master token";
+        promoted_within_deadline(&mut b, why);
         drop(raw);
+    }
+
+    #[test]
+    fn a_second_hello_is_refused_and_the_first_name_leaves_on_disconnect() {
+        let srv = server();
+        let addr = srv.addr().to_string();
+        let (mut raw, hello) = raw_master(&addr);
+        let mut b = ClientHandle::connect(&addr, "survivor").unwrap();
+        // the same connection says hello again: refused, session unchanged
+        raw.send(&hello).unwrap();
+        let reply = raw.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert_eq!(reply[0], OP_ERR);
+        assert_eq!(refusal(&reply[1..]), "already joined as raw");
+        assert_eq!(srv.session().lock().len(), 2);
+        assert!(b.set("miscibility", 0.5).is_err());
+        // the master walks away; its one name leaves and the token moves
+        drop(raw);
+        let why = "a second hello left the first name holding the master token";
+        promoted_within_deadline(&mut b, why);
     }
 
     #[global_allocator]

@@ -25,7 +25,6 @@
 use crate::broker::{HostArch, RequestBroker};
 use crate::controller::{Controller, ExecError, ModuleId};
 use netsim::{Link, SimTime, VClock};
-use std::time::Duration;
 use viz::codec::DeltaRleCodec;
 use viz::Framebuffer;
 
@@ -50,8 +49,6 @@ pub struct SyncReport {
     /// max − min arrival (the §4.2/§4.3 divergence bound — should stay
     /// within a frame).
     pub skew: SimTime,
-    /// Wall time the *master* spent recomputing.
-    pub master_wall: Duration,
     /// True if every site's final image equals the master's.
     pub consistent: bool,
 }
@@ -175,15 +172,12 @@ impl CollabSession {
         let render_id = self.render_id;
         let master = self.master;
         // master applies + recomputes
-        // detlint::allow(R1, "measures real pipeline wall time for SyncReport stats; never feeds a digest")
-        let t0 = std::time::Instant::now();
         {
             let m = &mut self.sites[master];
             m.controller.set_param(module, key, value);
             m.controller.execute(&mut m.broker)?;
             m.display = m.controller.image(&m.broker, render_id);
         }
-        let master_wall = t0.elapsed();
         let depart = self.sites[master].clock.now();
         let mut arrivals = Vec::new();
         let mut bytes = 0u64;
@@ -204,7 +198,7 @@ impl CollabSession {
             s.display = s.controller.image(&s.broker, render_id);
             arrivals.push(arrival);
         }
-        Ok(self.finish_report(SyncMode::ParamSync, bytes, arrivals, master_wall))
+        Ok(self.finish_report(SyncMode::ParamSync, bytes, arrivals))
     }
 
     fn change_pixel_stream(
@@ -215,8 +209,6 @@ impl CollabSession {
     ) -> Result<SyncReport, ExecError> {
         let render_id = self.render_id;
         let master = self.master;
-        // detlint::allow(R1, "measures real pipeline wall time for SyncReport stats; never feeds a digest")
-        let t0 = std::time::Instant::now();
         let frame = {
             let m = &mut self.sites[master];
             m.controller.set_param(module, key, value);
@@ -229,7 +221,6 @@ impl CollabSession {
             img
         };
         let encoded = self.encoder.encode(&frame);
-        let master_wall = t0.elapsed();
         let depart = self.sites[master].clock.now();
         let (w, h) = (frame.width(), frame.height());
         let mut arrivals = Vec::new();
@@ -249,16 +240,10 @@ impl CollabSession {
             s.display = s.decoder.decode(&encoded, w, h);
             arrivals.push(arrival);
         }
-        Ok(self.finish_report(SyncMode::PixelStream, bytes, arrivals, master_wall))
+        Ok(self.finish_report(SyncMode::PixelStream, bytes, arrivals))
     }
 
-    fn finish_report(
-        &self,
-        mode: SyncMode,
-        bytes_sent: u64,
-        arrivals: Vec<SimTime>,
-        master_wall: Duration,
-    ) -> SyncReport {
+    fn finish_report(&self, mode: SyncMode, bytes_sent: u64, arrivals: Vec<SimTime>) -> SyncReport {
         let skew = match (arrivals.iter().min(), arrivals.iter().max()) {
             (Some(&lo), Some(&hi)) => hi - lo,
             _ => SimTime::ZERO,
@@ -274,7 +259,6 @@ impl CollabSession {
             bytes_sent,
             arrivals,
             skew,
-            master_wall,
             consistent,
         }
     }

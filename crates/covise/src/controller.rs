@@ -6,8 +6,8 @@
 //! [`Controller`] owns the module network (modules placed on broker
 //! hosts, port-to-port connections), fires modules in dependency order,
 //! routes cross-host objects through the [`RequestBroker`], and reports
-//! wall time and transfer cost per execution — the measurements behind
-//! experiments E42/E43.
+//! transfer bytes and virtual finish time per execution — the measurements
+//! behind experiments E42/E43.
 
 use crate::broker::RequestBroker;
 use crate::data::{DataObject, Payload};
@@ -15,7 +15,6 @@ use crate::module::Module;
 use netsim::SimTime;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Identifies a module within a controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -48,10 +47,6 @@ struct Wire {
 /// Per-execution report.
 #[derive(Debug, Clone, Default)]
 pub struct ExecReport {
-    /// Wall time per module, in firing order.
-    pub module_wall: Vec<(ModuleId, Duration)>,
-    /// Total wall time of the execution.
-    pub total_wall: Duration,
     /// Bytes moved between hosts.
     pub bytes_transferred: u64,
     /// Latest virtual arrival time across all hosts after execution.
@@ -191,8 +186,6 @@ impl Controller {
     pub fn execute(&mut self, broker: &mut RequestBroker) -> Result<ExecReport, ExecError> {
         let order = self.firing_order()?;
         let mut report = ExecReport::default();
-        // detlint::allow(R1, "ExecReport wall-time stats are advisory output, never digest input")
-        let t0 = Instant::now();
         let bytes0 = broker.stats().bytes;
         for id in order {
             // gather inputs
@@ -231,13 +224,10 @@ impl Controller {
                 })
                 .collect::<Result<_, _>>()?;
             // fire
-            // detlint::allow(R1, "per-module wall time for ExecReport stats; advisory only")
-            let tm = Instant::now();
             let outputs = self.modules[id.0]
                 .module
                 .execute(&gathered)
                 .map_err(|e| ExecError::ModuleFailed(id, e))?;
-            report.module_wall.push((id, tm.elapsed()));
             // publish outputs into this host's SDS
             let mut names = Vec::with_capacity(outputs.len());
             for o in outputs {
@@ -246,7 +236,6 @@ impl Controller {
             }
             self.modules[id.0].last_outputs = names;
         }
-        report.total_wall = t0.elapsed();
         report.bytes_transferred = broker.stats().bytes - bytes0;
         report.virtual_finish = (0..broker.host_count())
             .map(|h| broker.host(h).clock.now())
@@ -313,7 +302,6 @@ mod tests {
     fn pipeline_executes_end_to_end() {
         let (mut ctl, mut rb, _read, render) = two_host_pipeline();
         let report = ctl.execute(&mut rb).unwrap();
-        assert_eq!(report.module_wall.len(), 3);
         assert!(report.bytes_transferred >= 16 * 16 * 16 * 4);
         assert!(report.virtual_finish > SimTime::from_millis(5));
         let img = ctl.image(&rb, render).unwrap();

@@ -4,11 +4,15 @@
 //! Only `src/` trees are linted: `tests/`, `benches/`, and `examples/`
 //! are dynamic-check territory (and host the lint's own known-bad fixture
 //! corpus). Excluded prefixes from the policy (`vendor/`, `target/`) are
-//! never walked.
+//! never walked. R9 is the one rule that reads beyond `src/`: a `pub` item
+//! declared in a crate's `src/` counts as used if any `.rs` file in the
+//! tree, test code included, spells its name.
 
+use crate::lexer::TokKind;
 use crate::policy::Policy;
-use crate::rules::{lint_source, Finding, RuleId};
-use std::collections::BTreeSet;
+use crate::rules::{lint_source, pub_item_names, Finding, RuleId};
+use crate::source::SourceFile;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -65,10 +69,6 @@ fn walk_for_crates(
     policy: &Policy,
     out: &mut BTreeSet<CrateDir>,
 ) -> Result<(), EngineError> {
-    let rel = rel_str(root, dir);
-    if policy.is_excluded(&rel) {
-        return Ok(());
-    }
     let manifest = dir.join("Cargo.toml");
     if manifest.is_file() {
         if let Some(name) = package_name(&manifest) {
@@ -83,17 +83,20 @@ fn walk_for_crates(
     let mut subdirs: Vec<PathBuf> = entries
         .filter_map(|e| e.ok())
         .map(|e| e.path())
-        .filter(|p| p.is_dir())
+        .filter(|p| p.is_dir() && walked(root, policy, p))
         .collect();
     subdirs.sort();
     for sub in subdirs {
-        let base = sub.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if base.starts_with('.') || base == "target" {
-            continue;
-        }
         walk_for_crates(root, &sub, policy, out)?;
     }
     Ok(())
+}
+
+/// True for a subdirectory the workspace walks: not a dot-dir, not a
+/// `target/` build tree, not under an excluded prefix.
+fn walked(root: &Path, policy: &Policy, dir: &Path) -> bool {
+    let base = dir.file_name().and_then(|n| n.to_str()).unwrap_or("");
+    !(base.starts_with('.') || base == "target" || policy.is_excluded(&rel_str(root, dir)))
 }
 
 /// Pull `name = "..."` out of a manifest's `[package]` section.
@@ -121,6 +124,7 @@ fn package_name(manifest: &Path) -> Option<String> {
 /// sorted by (file, line, rule).
 pub fn lint_workspace(root: &Path, policy: &Policy) -> Result<Vec<FileFinding>, EngineError> {
     let mut out = Vec::new();
+    let mut declaring = Vec::new();
     for cr in discover_crates(root, policy)? {
         let rules = policy.enabled_rules(&cr.name);
         if rules.is_empty() {
@@ -131,7 +135,11 @@ pub fn lint_workspace(root: &Path, policy: &Policy) -> Result<Vec<FileFinding>, 
             continue;
         }
         lint_tree(root, &src_dir, &rules, &mut out)?;
+        if rules.contains(&RuleId::R9) {
+            declaring.push(src_dir);
+        }
     }
+    r9_unreferenced(root, policy, &declaring, &mut out)?;
     out.sort_by(|a, b| {
         (&a.file, a.finding.line, a.finding.rule).cmp(&(&b.file, b.finding.line, b.finding.rule))
     });
@@ -148,11 +156,10 @@ pub fn lint_tree(
     out: &mut Vec<FileFinding>,
 ) -> Result<(), EngineError> {
     let mut files = Vec::new();
-    collect_rs(dir, &mut files)?;
+    collect_rs(dir, &|_| true, &mut files)?;
     files.sort();
     for f in files {
-        let src = fs::read_to_string(&f)
-            .map_err(|e| EngineError(format!("read {}: {e}", f.display())))?;
+        let src = read(&f)?;
         let rel = rel_str(root, &f);
         for finding in lint_source(&src, rules) {
             out.push(FileFinding {
@@ -164,13 +171,69 @@ pub fn lint_tree(
     Ok(())
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), EngineError> {
+/// R9 — a `pub` item declared under one of the `declaring` trees whose
+/// name no other identifier token in the walked tree spells. Comments and
+/// strings do not count; test code, examples and other packages' sources
+/// (`benchmark/src`) do. The check is by name alone, so any second use of
+/// the same spelling keeps an item: conservative on purpose.
+fn r9_unreferenced(
+    root: &Path,
+    policy: &Policy,
+    declaring: &[PathBuf],
+    out: &mut Vec<FileFinding>,
+) -> Result<(), EngineError> {
+    let mut files = Vec::new();
+    collect_rs(root, &|d| walked(root, policy, d), &mut files)?;
+    let mut uses: BTreeMap<String, usize> = BTreeMap::new();
+    let mut decls = Vec::new();
+    for f in files {
+        let file = SourceFile::parse(&read(&f)?);
+        let toks = &file.lexed.tokens;
+        for t in toks.iter().filter(|t| t.kind == TokKind::Ident) {
+            *uses.entry(t.text.clone()).or_default() += 1;
+        }
+        if declaring.iter().any(|d| f.starts_with(d)) {
+            decls.push((rel_str(root, &f), file));
+        }
+    }
+    for (rel, file) in decls {
+        for (name, line) in pub_item_names(&file) {
+            if uses[&name] > 1 || file.suppression_for(RuleId::R9, line).is_some() {
+                continue;
+            }
+            out.push(FileFinding {
+                file: rel.clone(),
+                finding: Finding {
+                    rule: RuleId::R9,
+                    line,
+                    message: format!("pub item `{name}` is referenced nowhere in the tree"),
+                    hint: "delete it, or keep it with detlint::allow(R9, \"who needs it\")".into(),
+                },
+            });
+        }
+    }
+    Ok(())
+}
+
+fn read(f: &Path) -> Result<String, EngineError> {
+    fs::read_to_string(f).map_err(|e| EngineError(format!("read {}: {e}", f.display())))
+}
+
+/// Every `.rs` file under `dir`, descending into the subdirectories
+/// `descend` accepts.
+fn collect_rs(
+    dir: &Path,
+    descend: &dyn Fn(&Path) -> bool,
+    out: &mut Vec<PathBuf>,
+) -> Result<(), EngineError> {
     let entries =
         fs::read_dir(dir).map_err(|e| EngineError(format!("read_dir {}: {e}", dir.display())))?;
     for e in entries.filter_map(|e| e.ok()) {
         let p = e.path();
         if p.is_dir() {
-            collect_rs(&p, out)?;
+            if descend(&p) {
+                collect_rs(&p, descend, out)?;
+            }
         } else if p.extension().is_some_and(|x| x == "rs") {
             out.push(p);
         }

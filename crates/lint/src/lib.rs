@@ -19,7 +19,9 @@
 //! Rules (see [`rules::RuleId`]): R1 wall clocks, R2 hash-order
 //! iteration, R3 raw threads, R4 unseeded RNG, R5 unordered parallel
 //! reduction, R6 unjustified `#[allow]`/`unsafe`, R7 float reassociation
-//! (fast-math intrinsics, lane-width-dependent horizontal reductions).
+//! (fast-math intrinsics, lane-width-dependent horizontal reductions), R9
+//! a `pub` item whose name no other `.rs` file in the tree spells (a
+//! whole-workspace rule; `--root` fixture mode runs only R1–R7).
 //! Per-crate waivers live
 //! in `detlint.toml`; individual sites can carry
 //! `// detlint::allow(Rn, "reason")` — the reason string is mandatory.

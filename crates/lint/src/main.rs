@@ -26,7 +26,8 @@ fn main() -> ExitCode {
                     "detlint: workspace determinism lint\n\n\
                      USAGE:\n  detlint [--workspace DIR]   lint the workspace under DIR \
                      (default .) with its detlint.toml\n  detlint --root DIR          \
-                     lint every .rs under DIR with all rules (fixture mode)"
+                     lint every .rs under DIR with every per-file rule (fixture mode; \
+                     R9 needs a workspace)"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -35,7 +36,8 @@ fn main() -> ExitCode {
     }
 
     let findings = if let Some(dir) = root {
-        // Fixture mode: every rule, no policy, paths relative to DIR.
+        // Fixture mode: every per-file rule, no policy, paths relative to
+        // DIR. R9 is a whole-workspace rule and does not run here.
         let rules = RuleId::ALL.iter().copied().collect();
         let mut out = Vec::new();
         match lint_tree(&dir, &dir, &rules, &mut out) {

@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn unknown_rule_id_is_an_error() {
-        let e = Policy::parse("[crate.x]\nallow = [\"R9\"]\n").unwrap_err();
+        let e = Policy::parse("[crate.x]\nallow = [\"R99\"]\n").unwrap_err();
         assert_eq!(e.line, 2);
     }
 

@@ -1,11 +1,13 @@
-//! The determinism rules R1–R7.
+//! The determinism rules R1–R7, and R9's declaration scan.
 //!
-//! Each rule walks the token stream of one [`SourceFile`] and reports
-//! hazards with a line, message, and fix hint. Test-only code (lines
+//! Each of R1–R7 walks the token stream of one [`SourceFile`] and reports
+//! hazards with a line, message, and fix hint. R9 needs the whole file set,
+//! so the engine runs it over `pub_item_names`. Test-only code (lines
 //! inside `#[cfg(test)]` modules / `#[test]` fns) is exempt from every
 //! rule: the contract protects the digest-producing paths, and the
 //! dynamic 1-vs-8-thread matrix already covers tests.
 
+use crate::lexer::TokKind;
 use crate::source::{match_paren, path_ends_at, SourceFile};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -29,6 +31,9 @@ pub enum RuleId {
     /// dependent horizontal reductions (`hsum`-style) whose result bits
     /// change with lane count or association order.
     R7,
+    /// A `pub` item whose name no other token in the tree spells (a
+    /// whole-tree rule: [`lint_source`] never reports it).
+    R9,
     /// A `detlint::allow` that carries no reason string (meta rule —
     /// cannot itself be suppressed).
     BadAllow,
@@ -36,7 +41,7 @@ pub enum RuleId {
 
 impl RuleId {
     /// All suppressible rules, in report order.
-    pub const ALL: [RuleId; 7] = [
+    pub const ALL: [RuleId; 8] = [
         RuleId::R1,
         RuleId::R2,
         RuleId::R3,
@@ -44,9 +49,10 @@ impl RuleId {
         RuleId::R5,
         RuleId::R6,
         RuleId::R7,
+        RuleId::R9,
     ];
 
-    /// Parse `"R1"`..`"R7"`.
+    /// Parse `"R1"`..`"R7"` and `"R9"`.
     pub fn parse(s: &str) -> Option<RuleId> {
         match s.trim() {
             "R1" => Some(RuleId::R1),
@@ -56,6 +62,7 @@ impl RuleId {
             "R5" => Some(RuleId::R5),
             "R6" => Some(RuleId::R6),
             "R7" => Some(RuleId::R7),
+            "R9" => Some(RuleId::R9),
             _ => None,
         }
     }
@@ -71,6 +78,7 @@ impl fmt::Display for RuleId {
             RuleId::R5 => "R5",
             RuleId::R6 => "R6",
             RuleId::R7 => "R7",
+            RuleId::R9 => "R9",
             RuleId::BadAllow => "R0",
         };
         f.write_str(s)
@@ -266,14 +274,14 @@ fn hash_collection_names(file: &SourceFile) -> BTreeSet<String> {
             if p == ":" && j >= 2 && toks[j - 2].text == ":" {
                 j -= 2; // `::` path separator
             } else if ["std", "collections", "&", "mut", "'"].contains(&p)
-                || toks[j - 1].kind == crate::lexer::TokKind::Lifetime
+                || toks[j - 1].kind == TokKind::Lifetime
             {
                 j -= 1;
             } else {
                 break;
             }
         }
-        if j >= 2 && toks[j - 1].text == ":" && toks[j - 2].kind == crate::lexer::TokKind::Ident {
+        if j >= 2 && toks[j - 1].text == ":" && toks[j - 2].kind == TokKind::Ident {
             names.insert(toks[j - 2].text.clone());
         }
     }
@@ -289,7 +297,7 @@ fn hash_collection_names(file: &SourceFile) -> BTreeSet<String> {
         let Some(name_tok) = toks.get(j) else {
             continue;
         };
-        if name_tok.kind != crate::lexer::TokKind::Ident {
+        if name_tok.kind != TokKind::Ident {
             continue;
         }
         let mut k = j + 1;
@@ -489,6 +497,42 @@ fn r7_reassociation(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
+/// Item kinds R9 covers.
+const PUB_ITEMS: [&str; 7] = ["fn", "struct", "enum", "trait", "const", "static", "type"];
+
+/// R9's declarations: the name and line of every `pub` fn, struct, enum,
+/// trait, const, static and type outside test code. `pub(crate)` items are
+/// rustc's `dead_code` territory and are not listed.
+pub(crate) fn pub_item_names(file: &SourceFile) -> Vec<(String, u32)> {
+    let toks = &file.lexed.tokens;
+    let text = |k: usize| toks.get(k).map_or("", |t| t.text.as_str());
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if t.text != "pub" || file.is_test_line(t.line) {
+            continue;
+        }
+        // qualifiers: `const fn`, `unsafe fn`, `async fn`, `extern "C" fn`
+        let mut k = i + 1;
+        loop {
+            match text(k) {
+                "unsafe" | "async" => k += 1,
+                "const" if ["fn", "unsafe"].contains(&text(k + 1)) => k += 1,
+                "extern" if text(k + 1).starts_with('"') => k += 2,
+                "extern" => k += 1,
+                _ => break,
+            }
+        }
+        if !PUB_ITEMS.contains(&text(k)) {
+            continue;
+        }
+        let at = k + 1 + usize::from(text(k) == "static" && text(k + 1) == "mut");
+        if let Some(name) = toks.get(at).filter(|n| n.kind == TokKind::Ident) {
+            out.push((name.text.clone(), t.line));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,6 +622,19 @@ mod tests {
         let src = "fn a() { let t = Instant::now(); } // detlint::allow(R1, \"io timeout\")\n\
                    fn b() { let t = Instant::now(); } // detlint::allow(R1)\n";
         assert_eq!(rules_of(src), vec![(RuleId::BadAllow, 2)]);
+    }
+
+    #[test]
+    fn r9_declarations_are_pub_items_outside_tests() {
+        let src = "pub fn a() {}\npub(crate) fn b() {}\npub const unsafe fn c() {}\n\
+                   pub extern \"C\" fn d() {}\npub static mut E: u8 = 0;\npub const F: u8 = 0;\n\
+                   pub struct G { pub h: u8 }\npub use x::I;\nfn j() {}\n\
+                   #[cfg(test)]\nmod tests {\n  pub fn k() {}\n}\n";
+        let want = [("a", 1), ("c", 3), ("d", 4), ("E", 5), ("F", 6), ("G", 7)];
+        let want = want.map(|(n, l)| (n.to_string(), l));
+        assert_eq!(pub_item_names(&SourceFile::parse(src)), want);
+        // a per-file run never reports R9
+        assert!(rules_of(src).iter().all(|&(r, _)| r != RuleId::R9));
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! * every `tests/corpus/bad/*.rs` fixture must report exactly the
 //!   `rule:line` pairs in its paired `.expect` file;
 //! * every `tests/corpus/good/*.rs` fixture must lint clean;
+//! * every `tests/corpus/r9/*` miniature workspace must report exactly its
+//!   `expect` lines;
 //! * the real workspace (under its `detlint.toml` policy) must lint clean;
 //! * the `detlint` binary must exit nonzero on the bad corpus and zero on
 //!   the workspace — the exact invocations the CI gate runs.
@@ -93,6 +95,39 @@ fn good_fixtures_lint_clean() {
             "good fixture is dirty:\n{}",
             findings.join("\n")
         );
+    }
+}
+
+/// R9 needs a whole tree, so its fixtures are sets: each directory under
+/// `tests/corpus/r9` is a miniature workspace linted under the default
+/// policy. Its `expect` file lists `FILE:LINE: RULE` findings; a `good_`
+/// set has none. Each set's `lib.rs` says what it pins.
+#[test]
+fn r9_fixture_sets_report_exactly_the_expected_findings() {
+    let mut sets: Vec<PathBuf> = std::fs::read_dir(corpus_dir().join("r9"))
+        .expect("r9 corpus")
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .collect();
+    sets.sort();
+    assert_eq!(sets.len(), 4, "r9 corpus is missing sets");
+    for set in sets {
+        let want: Vec<String> = std::fs::read_to_string(set.join("expect"))
+            .unwrap_or_default()
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .map(str::to_string)
+            .collect();
+        let bad = set
+            .file_name()
+            .is_some_and(|n| n.to_string_lossy().starts_with("bad_"));
+        assert_eq!(bad, !want.is_empty(), "{}: expectations", set.display());
+        let got: Vec<String> = lint_workspace(&set, &Policy::default())
+            .expect("fixture walk")
+            .iter()
+            .map(|f| format!("{}:{}: {}", f.file, f.finding.line, f.finding.rule))
+            .collect();
+        assert_eq!(got, want, "findings mismatch for {}", set.display());
     }
 }
 

@@ -16,20 +16,18 @@
 //!   virtual-time co-simulation rule and is sufficient for the round-trip
 //!   experiments.
 //! * **A discrete-event scheduler** ([`event::EventQueue`]) for multi-party
-//!   scenarios (venue broadcast, collaboration skew across many sites).
+//!   scenarios (collaboration skew across many sites).
 //!
 //! Link behaviour (latency, bandwidth, deterministic jitter, loss) lives in
 //! [`link::Link`]; scriptable mid-run faults (partition/heal, injected
 //! loss/jitter) in [`fault::FaultyLink`]; named-site topologies with RTT
-//! matrices in [`model::NetModel`]; multicast groups and unicast bridges in
-//! [`multicast`].
+//! matrices in [`model::NetModel`].
 
 pub mod channel;
 pub mod event;
 pub mod fault;
 pub mod link;
 pub mod model;
-pub mod multicast;
 pub mod time;
 
 pub use channel::{SimChannel, SimEndpoint};
@@ -37,5 +35,4 @@ pub use event::{Event, EventQueue};
 pub use fault::{FaultyLink, LinkStats};
 pub use link::{Link, LinkBuilder};
 pub use model::{NetModel, SiteId};
-pub use multicast::{Bridge, MulticastGroup};
 pub use time::{SimTime, VClock};

@@ -211,11 +211,6 @@ impl<L: FrameLink> VisitProxyServer<L> {
         self.stats
     }
 
-    /// Attached session count.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// Drop log entries already delivered to every session (memory bound
     /// for long-running jobs).
     pub fn compact(&mut self) {
@@ -267,11 +262,6 @@ impl VisitProxyClient {
     pub fn queue_param(&mut self, tag: u32, value: VisitValue) {
         let frame = Frame::with_value(MsgKind::Reply, tag, visit::Endianness::native(), value);
         self.pending.push(frame.encode());
-    }
-
-    /// Number of parameters waiting to be sent.
-    pub fn pending_params(&self) -> usize {
-        self.pending.len()
     }
 
     /// Perform one poll: ship pending params, ingest returned data frames.

@@ -70,16 +70,15 @@ fn main() {
     println!("3-site collaborative session up (param-sync mode)");
 
     // the architects sweep the cutting plane through the hall
-    println!("z_frac  bytes  skew        consistent  master_wall");
+    println!("z_frac  bytes  skew        consistent");
     for step in 0..5 {
         let zf = step as f64 / 4.0;
         let r = session.change_param(CUT, "z_fraction", zf).unwrap();
         println!(
-            "{zf:.2}    {:5}  {:10}  {}        {:?}",
+            "{zf:.2}    {:5}  {:10}  {}",
             r.bytes_sent,
             format!("{}", r.skew),
-            r.consistent,
-            r.master_wall
+            r.consistent
         );
         assert!(r.consistent, "sites diverged");
     }

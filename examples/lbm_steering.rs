@@ -63,13 +63,12 @@ fn main() {
             _ => 0,
         };
         println!(
-            "{:4}  {:.2}   {:.3e}  {:6}  {:10}  wall={:?} wan={} bytes={}",
+            "{:4}  {:.2}   {:.3e}  {:6}  {:10}  wan={} bytes={}",
             sim.steps(),
             sim.miscibility(),
             sim.demix_metric(),
             tris,
             frame.wire_size(),
-            report.total_wall,
             report.virtual_finish,
             report.bytes_transferred,
         );
@@ -82,4 +81,5 @@ fn main() {
     std::fs::create_dir_all("target").ok();
     std::fs::write(&out, image.to_ppm()).ok();
     println!("final frame written to {}", out.display());
+    println!("lbm_steering OK");
 }

@@ -28,7 +28,6 @@
 //! cargo build --release && cargo test -q
 //! ```
 
-pub use accessgrid;
 pub use covise;
 pub use gridsteer_bus as bus;
 pub use gridsteer_ckpt as ckpt;
