@@ -75,7 +75,7 @@ fn get_body<T>(
 }
 
 /// Read a `u16` count, then that many items with `item` — the framing of
-/// a UNICORE staged file and of the TCP server's command batch. Every
+/// a UNICORE staged file. Every
 /// item takes at least one byte, so a count the bytes cannot hold
 /// reserves nothing beyond them before it fails.
 pub fn get_counted<'a, T>(

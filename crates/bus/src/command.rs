@@ -27,20 +27,14 @@ impl SteerCommand {
         SteerCommand::new(param, ParamValue::F64(value))
     }
 
-    /// The name's length as the wire's `u16` field carries it, or the
-    /// refusal — the one place the limit is checked (before a batch
-    /// leaves an adapter, at the hub's door, and by the codec itself).
+    /// The parameter name's [`name_len`].
     pub(crate) fn wire_name_len(&self) -> Result<u16, SteerError> {
-        u16::try_from(self.param.len()).map_err(|_| SteerError::NameTooLong {
-            len: self.param.len(),
-            max: usize::from(u16::MAX),
-        })
+        name_len(&self.param)
     }
 
-    /// The shared `(name, value)` wire codec: u16-LE name length + UTF-8
-    /// name + tagged [`ParamValue`] bytes. Used by both the core TCP
-    /// server's `OP_BATCH` and the UNICORE `steer.cmd` job payload, so
-    /// the framing lives in exactly one place. A name the length field
+    /// The `(name, value)` binary codec: u16-LE name length + UTF-8 name +
+    /// tagged [`ParamValue`] bytes — the UNICORE `steer.cmd` job payload
+    /// and the checkpointed staged batches. A name the length field
     /// cannot hold is refused ([`SteerError::NameTooLong`]) with nothing
     /// written, never wrapped.
     pub fn encode_bytes(&self, out: &mut BytesMut) -> Result<(), SteerError> {
@@ -56,6 +50,16 @@ impl SteerCommand {
         let value = ParamValue::read(r)?;
         Ok(SteerCommand { param, value })
     }
+}
+
+/// A name's length as the wire's `u16` field carries it, or the refusal —
+/// the one place the limit is checked (before a batch or a session
+/// request leaves an adapter, at the hub's door, and by the codec itself).
+pub(crate) fn name_len(name: &str) -> Result<u16, SteerError> {
+    u16::try_from(name.len()).map_err(|_| SteerError::NameTooLong {
+        len: name.len(),
+        max: usize::from(u16::MAX),
+    })
 }
 
 /// A staged batch: the unit of atomic application at a step boundary.

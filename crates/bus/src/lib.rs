@@ -9,8 +9,8 @@
 //!
 //! * [`ParamValue`] / [`ParamKind`] — the typed value currency
 //!   (`F64`/`I64`/`Bool`/`Vec3`/`Str`), with lossless codecs onto VISIT
-//!   payloads, OGSA service arguments, a tagged binary form (core TCP
-//!   server, UNICORE job payloads), and canonical text.
+//!   payloads, OGSA service arguments, a tagged binary form (UNICORE job
+//!   payloads, checkpoints), and canonical text.
 //! * [`ParamSpec`] / [`BoundsPolicy`] — typed declarations with an
 //!   *explicit* clamp-vs-reject policy, replacing the old f64-only specs.
 //! * [`ParamRegistry`] / [`SharedRegistry`] — the typed registry (specs
@@ -36,7 +36,8 @@
 //!   place and shared by the steering endpoint and the monitor endpoint:
 //!   [`loopback`] ([`LoopbackEndpoint`], the in-process reference),
 //!   [`visit`] ([`VisitEndpoint`]: real §3.2 wire frames over a frame
-//!   link), [`ogsa`] ([`OgsaEndpoint`]: a hosted [`BusSteeringService`]
+//!   link; the same envelope, as [`visit::VisitWire`], is the core TCP
+//!   collab server's wire), [`ogsa`] ([`OgsaEndpoint`]: a hosted [`BusSteeringService`]
 //!   discovered through the Figure-2 registry), [`covise`]
 //!   ([`CoviseEndpoint`]: a genuine
 //!   [`covise::Module`](::covise::Module) parameter sink), and

@@ -177,7 +177,7 @@ impl ParamValue {
     }
 
     /// Compact tagged binary encoding (kind byte + payload, little-endian)
-    /// — the format the core TCP server and the UNICORE job payload use.
+    /// — the format the UNICORE job payload and checkpoints use.
     pub fn encode_bytes(&self, out: &mut BytesMut) {
         out.put_u8(self.kind() as u8);
         match self {

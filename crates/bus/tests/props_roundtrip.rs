@@ -1,7 +1,7 @@
 //! Property tests for the typed-value codecs (ISSUE 4 satellite):
 //! every [`ParamValue`] variant must ride the VISIT wire codec and the
 //! loopback endpoint byte-stably and losslessly, and the tagged binary
-//! codec (core TCP server / UNICORE payloads) must reject truncation.
+//! codec (UNICORE payloads, checkpoints) must reject truncation.
 
 use gridsteer_bus::{
     BoundsPolicy, ParamSpec, ParamValue, SteerCommand, SteerEndpoint, SteerHub, Transport,
@@ -79,7 +79,7 @@ proptest! {
         }
     }
 
-    /// Tagged binary codec round-trip (core TCP server / UNICORE
+    /// Tagged binary codec round-trip (UNICORE / checkpoint
     /// payloads): decode(encode(v)) re-encodes byte-identically and
     /// consumes the buffer exactly.
     #[test]

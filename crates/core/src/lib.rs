@@ -21,8 +21,9 @@
 //!   a step boundary publishes as one batch through a
 //!   [`gridsteer_bus::MonitorHub`].
 //! * [`server`] — [`server::CollabServer`]: a real multi-threaded TCP
-//!   steering server speaking a small framed protocol, so multiple client
-//!   processes on loopback genuinely steer one simulation concurrently.
+//!   steering server speaking the bus's VISIT steering envelope, so
+//!   multiple client processes on loopback genuinely steer one simulation
+//!   concurrently.
 //! * [`migrate`] — mid-session migration of the computation between sites
 //!   (§2.4: "migrate both computation and visualization within a session
 //!   without any disturbance or intervention on the part of the

@@ -4,96 +4,38 @@
 //! environment" path made concrete: one process owns the
 //! [`SteeringSession`]; any number of client processes connect over TCP
 //! (loopback in the examples, but the protocol is location-transparent),
-//! join with a name, and steer subject to the master-token rules. The
-//! wire format is a tiny hand-rolled binary protocol over the
-//! length-prefixed [`visit::TcpLink`] framing. Values travel in
-//! the bus's tagged typed encoding ([`ParamValue::encode_bytes`]), and
-//! `OP_BATCH` carries a sequence-numbered command batch applied
-//! atomically under one session lock (stale sequence numbers are
-//! refused) — a single steer is a one-command batch — so TCP clients speak the same typed, batched surface as the
-//! in-process `gridsteer_bus` endpoints. The server keeps its own op
-//! stream rather than being a bus endpoint over [`visit::TcpLink`] because
-//! hello/welcome and pass-master are session operations the bus envelope
-//! (a command batch staged for the next commit) has no frame for. Both
-//! ends read frames through the bounded [`SectionReader`]: a frame that
-//! does not parse drops its sender with the reason, and a malformed reply
-//! is an error that says what was wrong with it.
+//! join with a name, and steer subject to the master-token rules.
+//!
+//! The wire is the bus's VISIT steering envelope
+//! ([`gridsteer_bus::visit`]) over the length-prefixed [`TcpLink`]
+//! framing: a join, a command batch, a read and a master-token pass are
+//! each one [`Request`] answered by one [`Reply`], and a batch travels in
+//! exactly the frames an in-process
+//! [`VisitEndpoint`](gridsteer_bus::VisitEndpoint) ships — client-native
+//! byte order, converted by the receiver (§3.2). The server is a broker:
+//! it accepts a connection, attaches it to the session on its join, pumps
+//! its requests into the session and detaches it when it goes. Name
+//! assignment and the master-token rules are the session's. A batch is
+//! applied atomically under one session lock, so its reply carries the
+//! outcome; a batch number the connection has already used is refused,
+//! and a frame that does not parse drops its sender with the reason.
 
 use crate::params::ParamValue;
-use crate::session::SteeringSession;
-use bytes::{BufMut, BytesMut};
+use crate::session::{Role, SteeringSession};
+use gridsteer_bus::visit::{Reply, Request, VisitWire};
 use gridsteer_bus::{SteerCommand, SteerError};
-use gridsteer_ckpt::{CkptError, SectionReader};
 use parking_lot::Mutex;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use visit::link::{FrameLink, LinkError, TcpLink};
+use visit::link::{LinkError, TcpLink};
 
-/// Protocol ops.
-const OP_HELLO: u8 = 4;
-const OP_GET: u8 = 2;
-const OP_PASS: u8 = 3;
-const OP_OK: u8 = 6;
-const OP_ERR: u8 = 7;
-const OP_VALUE: u8 = 8;
-const OP_WELCOME: u8 = 9;
-const OP_BATCH: u8 = 10;
-
-/// Write a `u16`-length-prefixed string, refusing one the prefix cannot
-/// hold before any of it is written.
-fn put_str(buf: &mut BytesMut, s: &str) -> Result<(), String> {
-    let len = u16::try_from(s.len()).map_err(|_| {
-        let (len, max) = (s.len(), usize::from(u16::MAX));
-        SteerError::NameTooLong { len, max }.to_string()
-    })?;
-    buf.put_u16_le(len);
-    buf.put_slice(s.as_bytes());
-    Ok(())
-}
-
-/// A server reply's text: whatever [`put_str`] would refuse is cut at the
-/// last char boundary the prefix can hold (an error text may quote a
-/// client's 65,535-byte name back at it).
-fn put_text(buf: &mut BytesMut, s: &str) {
-    let mut end = s.len().min(usize::from(u16::MAX));
-    while !s.is_char_boundary(end) {
-        end -= 1;
-    }
-    put_str(buf, &s[..end]).expect("cut to fit the prefix");
-}
-
-/// The [`put_str`] string at the front of `body`; errors name `what`.
-fn get_str(body: &[u8], what: &str) -> Result<String, CkptError> {
-    SectionReader::new(body, what)
-        .get_name()
-        .map(str::to_string)
-}
-
-/// Write an `OP_BATCH` body: the client's `u64` sequence, a `u16` count
-/// and that many `(name, value)` commands. A count or a name the wire
-/// cannot hold is refused, never wrapped.
-fn put_batch(buf: &mut BytesMut, seq: u64, commands: &[SteerCommand]) -> Result<(), String> {
-    let count = u16::try_from(commands.len())
-        .map_err(|_| format!("batch of {} exceeds wire limit 65535", commands.len()))?;
-    buf.put_u64_le(seq);
-    buf.put_u16_le(count);
-    for cmd in commands {
-        cmd.encode_bytes(buf).map_err(|e| e.to_string())?;
-    }
-    Ok(())
-}
-
-/// Read back one [`put_batch`] body, with nothing after it.
-fn get_batch(body: &[u8]) -> Result<(u64, Vec<SteerCommand>), CkptError> {
-    let mut r = SectionReader::new(body, "batch");
-    let seq = r.get_u64()?;
-    let commands = gridsteer_bus::ckpt::get_counted(&mut r, SteerCommand::read)?;
-    r.expect_end()?;
-    Ok((seq, commands))
-}
+/// How long a reply, or the rest of a request already begun, may take.
+const PATIENCE: Duration = Duration::from_secs(2);
+/// How long an idle connection waits before it checks for a stop.
+const IDLE: Duration = Duration::from_millis(100);
 
 /// The server: owns the listener and the per-client threads.
 pub struct CollabServer {
@@ -169,150 +111,94 @@ impl Drop for CollabServer {
     }
 }
 
-/// One client connection's server-side loop.
+/// One connection's standing with the session.
+#[derive(Default)]
+struct Attachment {
+    /// The name the session assigned at this connection's join.
+    name: Option<String>,
+    /// Highest batch number this connection has sent.
+    last_batch: u64,
+}
+
+/// One client connection's server-side loop: pump requests into the
+/// session until the peer goes, a frame does not parse, or the server
+/// stops; then detach.
 fn serve_client(
     stream: TcpStream,
     session: Arc<Mutex<SteeringSession>>,
     stop: Arc<AtomicBool>,
-) -> Result<(), LinkError> {
-    let mut link = TcpLink::new(stream).map_err(|e| LinkError::Io(e.to_string()))?;
-    let mut my_name: Option<String> = None;
-    // highest batch sequence number seen on this connection
-    let mut last_batch_seq: u64 = 0;
+) -> Result<(), String> {
+    let link = TcpLink::new(stream).map_err(|e| e.to_string())?;
+    let mut wire = VisitWire::steering(link, PATIENCE);
+    let mut attachment = Attachment::default();
     let result = loop {
         if stop.load(Ordering::Relaxed) {
             break Ok(());
         }
-        let frame = match link.recv_timeout(Duration::from_millis(100)) {
-            Ok(f) => f,
-            Err(LinkError::Timeout) => continue,
+        let request = match wire.recv_request(IDLE) {
+            Ok(Some(request)) => request,
+            Ok(None) => continue,
             Err(e) => break Err(e),
         };
-        // a frame that does not parse drops the connection, with the reason
-        let reply = match answer(&frame, &session, &mut my_name, &mut last_batch_seq) {
-            Ok(reply) => reply,
-            Err(e) => break Err(LinkError::Io(e.to_string())),
-        };
-        if link.send(&reply).is_err() {
+        let reply = attachment.answer(request, &session);
+        if wire.send_reply(&reply).is_err() {
             break Ok(());
         }
     };
-    // departure: remove from the session (auto-promotes a new master)
-    if let Some(name) = my_name {
-        let mut s = session.lock();
-        if let Some(idx) = s.index_of(&name) {
-            s.leave(idx);
-        }
+    // departure: leave the session (auto-promotes a new master)
+    if let Some(name) = attachment.name {
+        session.lock().leave_by_name(&name);
     }
     result
 }
 
-/// The reply to one request frame from the client joined as `my_name`
-/// (set by its hello), or why the frame does not parse. The length prefix
-/// is the peer's: an empty frame carries no op and fails like any other
-/// malformed one.
-fn answer(
-    frame: &[u8],
-    session: &Mutex<SteeringSession>,
-    my_name: &mut Option<String>,
-    last_batch_seq: &mut u64,
-) -> Result<BytesMut, CkptError> {
-    let mut r = SectionReader::new(frame, "op");
-    let op = r.get_u8()?;
-    let body = r.rest();
-    let mut reply = BytesMut::new();
-    match op {
-        OP_HELLO => {
-            let base = get_str(body, "hello")?;
-            // a second join would leave the first name in the session when
-            // this connection drops, master token and all
-            if let Some(name) = my_name {
-                reply.put_u8(OP_ERR);
-                put_text(&mut reply, &format!("already joined as {name}"));
-                return Ok(reply);
-            }
-            let mut s = session.lock();
-            // names must be unique: disambiguate with a counter
-            let mut name = base.clone();
-            let mut k = 1;
-            while s.index_of(&name).is_some() {
-                name = format!("{base}-{k}");
-                k += 1;
-            }
-            let idx = s.join(&name);
-            let is_master = s.master() == Some(idx);
-            reply.put_u8(OP_WELCOME);
-            reply.put_u8(u8::from(is_master));
-            put_text(&mut reply, &name);
-            *my_name = Some(name);
+impl Attachment {
+    /// The session's answer to one request from this connection.
+    fn answer(&mut self, request: Request, session: &Mutex<SteeringSession>) -> Reply {
+        // a second join would leave the first name in the session when
+        // this connection drops, master token and all
+        if let (Request::Join(_), Some(name)) = (&request, &self.name) {
+            return Reply::Refused(format!("already joined as {name}"));
         }
-        OP_BATCH => {
-            let (seq, commands) = get_batch(body)?;
-            let outcome = if commands.is_empty() {
-                // match the bus's EmptyBatch semantics
-                Err("empty batch".to_string())
-            } else if seq <= *last_batch_seq {
+        let mut s = session.lock();
+        let me = self.name.as_deref().and_then(|name| s.index_of(name));
+        let outcome = match request {
+            Request::Join(base) => {
+                let joined = s.join_unique(&base);
+                let master = joined.role == Role::Master;
+                let name = joined.name.clone();
+                self.name = Some(name.clone());
+                Ok(Reply::Welcome { name, master })
+            }
+            Request::Batch { commands, .. } if commands.is_empty() => {
+                Err(SteerError::EmptyBatch.to_string())
+            }
+            Request::Batch { seq, .. } if seq <= self.last_batch => {
                 Err(format!("stale batch seq {seq}"))
-            } else {
-                *last_batch_seq = seq;
-                let who = my_name.as_deref().unwrap_or_default();
-                let mut s = session.lock();
-                match s.index_of(who) {
-                    Some(idx) => s.steer_batch(idx, &commands),
+            }
+            Request::Batch { seq, commands } => {
+                self.last_batch = seq;
+                match me {
+                    Some(idx) => s.steer_batch(idx, &commands).map(|n| Reply::Done(n as u64)),
                     None => Err("not joined".into()),
                 }
-            };
-            match outcome {
-                Ok(n) => {
-                    reply.put_u8(OP_OK);
-                    reply.put_u16_le(n as u16);
-                }
-                Err(e) => {
-                    reply.put_u8(OP_ERR);
-                    put_text(&mut reply, &e);
-                }
             }
-        }
-        OP_GET => {
-            let name = get_str(body, "get")?;
-            match session.lock().params.get_value(&name) {
-                Some(v) => {
-                    reply.put_u8(OP_VALUE);
-                    v.encode_bytes(&mut reply);
-                }
-                None => {
-                    reply.put_u8(OP_ERR);
-                    put_text(&mut reply, &format!("unknown parameter: {name}"));
-                }
-            }
-        }
-        OP_PASS => {
-            let target = get_str(body, "pass")?;
-            let who = my_name.as_deref().unwrap_or_default();
-            let mut s = session.lock();
-            let ok = match (s.index_of(who), s.index_of(&target)) {
-                (Some(from), Some(to)) => s.pass_master(from, to),
-                _ => false,
-            };
-            if ok {
-                reply.put_u8(OP_OK);
-            } else {
-                reply.put_u8(OP_ERR);
-                put_text(&mut reply, "pass refused");
-            }
-        }
-        _ => {
-            return Err(CkptError::Corrupt {
-                context: format!("op byte {op}"),
-            })
-        }
+            Request::Get(name) => match s.params.get_value(&name) {
+                Some(value) => Ok(Reply::Value(value)),
+                None => Err(format!("unknown parameter: {name}")),
+            },
+            Request::Pass(target) => match (me, s.index_of(&target)) {
+                (Some(from), Some(to)) if s.pass_master(from, to) => Ok(Reply::Done(0)),
+                _ => Err("pass refused".into()),
+            },
+        };
+        outcome.unwrap_or_else(Reply::Refused)
     }
-    Ok(reply)
 }
 
 /// Client-side handle speaking the protocol.
 pub struct ClientHandle {
-    link: TcpLink,
+    wire: VisitWire<TcpLink>,
     /// Server-assigned unique name.
     pub name: String,
     /// True if this client held the master token at join time.
@@ -324,30 +210,27 @@ pub struct ClientHandle {
 impl ClientHandle {
     /// Connect and join with the requested name.
     pub fn connect(addr: &str, name: &str) -> Result<ClientHandle, LinkError> {
-        let mut req = BytesMut::new();
-        req.put_u8(OP_HELLO);
-        put_str(&mut req, name).map_err(LinkError::Io)?;
-        let mut link = TcpLink::connect(addr, Duration::from_secs(2))?;
-        link.send(&req)?;
-        let reply = link.recv_timeout(Duration::from_secs(2))?;
-        // the length prefix is the server's: an empty or short welcome is
-        // an error, never a read past the end
-        let Some((&OP_WELCOME, [master, body @ ..])) = reply.split_first() else {
-            return Err(LinkError::Io("bad welcome".into()));
-        };
-        let is_master = *master != 0;
-        let assigned = get_str(body, "welcome").map_err(|e| LinkError::Io(e.to_string()))?;
-        Ok(ClientHandle {
-            link,
-            name: assigned,
-            joined_as_master: is_master,
-            next_batch_seq: 0,
-        })
+        let link = TcpLink::connect(addr, PATIENCE)?;
+        let mut wire = VisitWire::steering(link, PATIENCE);
+        match wire.call(&Request::Join(name.to_string())) {
+            Ok(Reply::Welcome { name, master }) => Ok(ClientHandle {
+                wire,
+                name,
+                joined_as_master: master,
+                next_batch_seq: 0,
+            }),
+            Ok(other) => Err(LinkError::Io(format!("bad welcome: {other:?}"))),
+            Err(e) => Err(LinkError::Io(e)),
+        }
     }
 
-    fn roundtrip(&mut self, req: BytesMut) -> Result<Vec<u8>, LinkError> {
-        self.link.send(&req)?;
-        self.link.recv_timeout(Duration::from_secs(2))
+    /// Send `request` and read its reply; `Err` carries the server's
+    /// refusal or what went wrong on the wire.
+    fn call(&mut self, request: &Request) -> Result<Reply, String> {
+        match self.wire.call(request)? {
+            Reply::Refused(why) => Err(why),
+            reply => Ok(reply),
+        }
     }
 
     /// Steer a parameter with a typed value: a one-command batch. `Err`
@@ -366,31 +249,21 @@ impl ClientHandle {
     /// server (all-or-nothing). Returns the number of commands applied.
     pub fn set_batch(&mut self, commands: &[SteerCommand]) -> Result<usize, String> {
         if commands.is_empty() {
-            return Err("empty batch".into());
+            return Err(SteerError::EmptyBatch.to_string());
         }
-        let mut req = BytesMut::new();
-        req.put_u8(OP_BATCH);
         self.next_batch_seq += 1;
-        put_batch(&mut req, self.next_batch_seq, commands)?;
-        let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
-        match reply.split_first() {
-            Some((&OP_OK, &[lo, hi])) => Ok(usize::from(u16::from_le_bytes([lo, hi]))),
-            Some((&OP_ERR, body)) => Err(refusal(body)),
+        let seq = self.next_batch_seq;
+        let commands = commands.to_vec();
+        match self.call(&Request::Batch { seq, commands })? {
+            Reply::Done(n) => usize::try_from(n).map_err(|e| e.to_string()),
             _ => Err("protocol error".into()),
         }
     }
 
     /// Read a parameter's typed value.
     pub fn get_value(&mut self, param: &str) -> Result<ParamValue, String> {
-        let mut req = BytesMut::new();
-        req.put_u8(OP_GET);
-        put_str(&mut req, param)?;
-        let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
-        match reply.split_first() {
-            Some((&OP_VALUE, body)) => {
-                ParamValue::read(&mut SectionReader::new(body, "value")).map_err(|e| e.to_string())
-            }
-            Some((&OP_ERR, body)) => Err(refusal(body)),
+        match self.call(&Request::Get(param.to_string()))? {
+            Reply::Value(value) => Ok(value),
             _ => Err("protocol error".into()),
         }
     }
@@ -404,28 +277,19 @@ impl ClientHandle {
 
     /// Pass the master token to another named client.
     pub fn pass_master(&mut self, to: &str) -> Result<(), String> {
-        let mut req = BytesMut::new();
-        req.put_u8(OP_PASS);
-        put_str(&mut req, to)?;
-        let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
-        match reply.split_first() {
-            Some((&OP_OK, _)) => Ok(()),
-            Some((&OP_ERR, body)) => Err(refusal(body)),
+        match self.call(&Request::Pass(to.to_string()))? {
+            Reply::Done(_) => Ok(()),
             _ => Err("protocol error".into()),
         }
     }
-}
-
-/// The server's refusal text in an `OP_ERR` reply body, or what was
-/// wrong with the reply.
-fn refusal(body: &[u8]) -> String {
-    get_str(body, "error text").unwrap_or_else(|e| e.to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::{ParamRegistry, ParamSpec};
+    use visit::link::FrameLink;
+    use visit::{Frame, MemLink, VisitValue};
 
     fn server() -> CollabServer {
         let mut reg = ParamRegistry::new();
@@ -463,8 +327,8 @@ mod tests {
             .unwrap();
         assert_eq!(n, 2);
         assert_eq!(a.get("miscibility").unwrap(), 0.25);
-        // a batch beyond the u16 wire count is refused client-side, and
-        // the connection survives
+        // a batch beyond the envelope's item limit is refused client-side,
+        // and the connection survives
         let huge: Vec<SteerCommand> = (0..=u16::MAX as usize + 1)
             .map(|_| SteerCommand::f64("miscibility", 0.5))
             .collect();
@@ -530,13 +394,11 @@ mod tests {
         assert_eq!(a.pass_master(&long), Err(refusal.into()));
         assert_eq!(a.get("miscibility"), Ok(1.0));
         assert!(ClientHandle::connect(&addr, &long).is_err());
-        // the server's error text quotes the longest name that fits after
-        // a 19-byte prefix: cut below the limit at a char boundary, not
-        // wrapped to 18 bytes
+        // the longest name that fits comes back whole in the refusal: a
+        // VISIT text frame counts its bytes in a u32, so nothing is cut
         let fits = "n".to_string() + &"é".repeat(usize::from(u16::MAX) / 2);
         let reply = a.get_value(&fits).unwrap_err();
-        assert!(reply.starts_with("unknown parameter: néé"));
-        assert_eq!(reply.len(), usize::from(u16::MAX) - 1);
+        assert_eq!(reply, format!("unknown parameter: {fits}"));
         assert_eq!(a.get("miscibility"), Ok(1.0));
     }
 
@@ -560,29 +422,36 @@ mod tests {
         }
     }
 
-    /// A raw peer that joins first as "raw", so it holds the master token;
-    /// its link and its hello frame.
-    fn raw_master(addr: &str) -> (TcpLink, BytesMut) {
-        let mut raw = TcpLink::connect(addr, Duration::from_secs(2)).unwrap();
-        let mut hello = BytesMut::new();
-        hello.put_u8(OP_HELLO);
-        put_str(&mut hello, "raw").unwrap();
-        raw.send(&hello).unwrap();
-        let welcome = raw.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(welcome[..2], [OP_WELCOME, 1], "the raw peer is master");
-        (raw, hello)
+    /// A raw peer that joins first as "raw", so it holds the master token.
+    fn raw_master(addr: &str) -> VisitWire<TcpLink> {
+        let link = TcpLink::connect(addr, PATIENCE).unwrap();
+        let mut raw = VisitWire::steering(link, PATIENCE);
+        let welcome = raw.call(&Request::Join("raw".into()));
+        let master = Reply::Welcome {
+            name: "raw".into(),
+            master: true,
+        };
+        assert_eq!(welcome, Ok(master), "the raw peer is master");
+        raw
+    }
+
+    /// The frames `send` puts on a wire, each as its bytes.
+    fn frames(send: impl FnOnce(&mut VisitWire<MemLink>)) -> Vec<Vec<u8>> {
+        let mut wire = VisitWire::steering(MemLink::looped(), PATIENCE);
+        send(&mut wire);
+        std::iter::from_fn(|| wire.link_mut().recv_timeout(Duration::ZERO).ok()).collect()
     }
 
     #[test]
     fn an_empty_frame_drops_its_sender_and_promotes_the_survivor() {
         let srv = server();
         let addr = srv.addr().to_string();
-        let (mut raw, _) = raw_master(&addr);
+        let mut raw = raw_master(&addr);
         let mut b = ClientHandle::connect(&addr, "survivor").unwrap();
         assert!(b.set("miscibility", 0.5).is_err());
         // a zero-length frame; the raw link itself stays open, so only
         // the frame can end the raw peer's membership
-        raw.send(&[]).unwrap();
+        raw.link_mut().send(&[]).unwrap();
         let why = "the sender of an empty frame kept the master token";
         promoted_within_deadline(&mut b, why);
         drop(raw);
@@ -592,19 +461,37 @@ mod tests {
     fn a_second_hello_is_refused_and_the_first_name_leaves_on_disconnect() {
         let srv = server();
         let addr = srv.addr().to_string();
-        let (mut raw, hello) = raw_master(&addr);
+        let mut raw = raw_master(&addr);
         let mut b = ClientHandle::connect(&addr, "survivor").unwrap();
         // the same connection says hello again: refused, session unchanged
-        raw.send(&hello).unwrap();
-        let reply = raw.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(reply[0], OP_ERR);
-        assert_eq!(refusal(&reply[1..]), "already joined as raw");
+        let reply = raw.call(&Request::Join("raw".into()));
+        assert_eq!(reply, Ok(Reply::Refused("already joined as raw".into())));
         assert_eq!(srv.session().lock().len(), 2);
         assert!(b.set("miscibility", 0.5).is_err());
         // the master walks away; its one name leaves and the token moves
         drop(raw);
         let why = "a second hello left the first name holding the master token";
         promoted_within_deadline(&mut b, why);
+    }
+
+    #[test]
+    fn a_stale_or_empty_batch_is_refused_and_the_connection_survives() {
+        let srv = server();
+        let mut raw = raw_master(&srv.addr().to_string());
+        let batch = |seq| Request::Batch {
+            seq,
+            commands: vec![SteerCommand::f64("miscibility", 0.5)],
+        };
+        let refused = |why: &str| Ok(Reply::Refused(why.into()));
+        assert_eq!(raw.call(&batch(2)), Ok(Reply::Done(1)));
+        assert_eq!(raw.call(&batch(2)), refused("stale batch seq 2"));
+        assert_eq!(raw.call(&batch(1)), refused("stale batch seq 1"));
+        let empty = Request::Batch {
+            seq: 3,
+            commands: Vec::new(),
+        };
+        assert_eq!(raw.call(&empty), refused("empty batch"));
+        assert_eq!(raw.call(&batch(3)), Ok(Reply::Done(1)));
     }
 
     #[global_allocator]
@@ -614,59 +501,57 @@ mod tests {
     fn a_batch_count_is_bounded_by_the_bytes_behind_it() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let mut raw = TcpLink::connect(&addr, Duration::from_secs(2)).unwrap();
-        // sequence 1 and a count of 65,535, with no command behind it
-        let mut frame = BytesMut::new();
-        frame.put_u8(OP_BATCH);
-        frame.put_u64_le(1);
-        frame.put_u16_le(u16::MAX);
-        raw.send(&frame).unwrap();
+        let mut raw = TcpLink::connect(&addr, PATIENCE).unwrap();
+        // a batch whose begin frame announces the envelope's limit of 256
+        // commands, with only the end frame behind it
+        let sent = frames(|w| {
+            let commands = vec![SteerCommand::f64("miscibility", 0.5)];
+            w.send_request(&Request::Batch { seq: 1, commands })
+                .unwrap()
+        });
+        let mut begin = Frame::decode(&sent[0]).unwrap();
+        begin.value = Some(VisitValue::I64(vec![256, 1]));
+        let (begin, end) = (begin.encode(), sent.last().unwrap());
+        raw.send(&begin).unwrap();
+        raw.send(end).unwrap();
         // served on this thread, so the counters see its allocations
         let (stream, _) = listener.accept().unwrap();
         let session = Arc::new(Mutex::new(SteeringSession::new(ParamRegistry::new())));
         let stop = Arc::new(AtomicBool::new(false));
         let (got, usage) = gridsteer_testkit::measure(|| serve_client(stream, session, stop));
-        let reason = "truncated at batch: need 2 bytes, have 0";
-        assert_eq!(got, Err(LinkError::Io(reason.into())));
+        assert_eq!(got, Err("expected name frame".into()));
+        let bytes = begin.len() + end.len();
         assert!(
-            usage.largest <= frame.len() * size_of::<SteerCommand>(),
-            "{} bytes requested for an {}-byte frame",
+            usage.largest <= bytes * size_of::<SteerCommand>(),
+            "{} bytes requested for {bytes} bytes of frames",
             usage.largest,
-            frame.len()
         );
     }
 
     #[test]
     fn decoder_sweep_over_the_server_frames() {
-        let commands = [
-            SteerCommand::f64("miscibility", 0.25),
-            SteerCommand::new("tracer", ParamValue::Str("dye".into())),
-        ];
-        let put = |(seq, cmds): &(u64, Vec<SteerCommand>)| {
-            let mut out = BytesMut::new();
-            put_batch(&mut out, *seq, cmds).unwrap();
-            out.to_vec()
-        };
-        let batch = put(&(7, commands.to_vec()));
-        let read = |b: &[u8]| get_batch(b).map(|v| (v, b.len()));
-        let refused = gridsteer_testkit::sweep_decoder(&batch, read, put);
-        assert!(refused >= batch.len(), "every strict prefix is refused");
-        // the string of a hello, get, pass, welcome or refusal
-        let put = |s: &String| {
-            let mut out = BytesMut::new();
-            put_str(&mut out, s).unwrap();
-            out.to_vec()
-        };
-        let read = |b: &[u8]| {
-            let s = get_str(b, "text")?;
-            let used = 2 + s.len();
-            Ok::<_, CkptError>((s, used))
-        };
-        gridsteer_testkit::sweep_decoder(&put(&"brooke".into()), read, put);
+        // every frame of a batch, a join and a refusal
+        let sent = frames(|w| {
+            let commands = vec![
+                SteerCommand::f64("miscibility", 0.25),
+                SteerCommand::new("tracer", ParamValue::Str("dye".into())),
+            ];
+            w.send_request(&Request::Batch { seq: 7, commands })
+                .unwrap();
+            w.send_request(&Request::Join("brooke".into())).unwrap();
+            w.send_reply(&Reply::Refused("not the master".into()))
+                .unwrap();
+        });
+        assert_eq!(sent.len(), 8);
+        let read = |b: &[u8]| Frame::decode(b).map(|f| (f, b.len())).ok_or("malformed");
+        for frame in &sent {
+            let refused = gridsteer_testkit::sweep_decoder(frame, read, Frame::encode);
+            assert!(refused >= frame.len(), "every strict prefix is refused");
+        }
     }
 
-    /// A one-connection server that answers each request with the next of
-    /// `replies`, byte for byte.
+    /// A one-connection server that answers each frame it receives with
+    /// the next of `replies`, byte for byte.
     fn scripted_server(replies: Vec<Vec<u8>>) -> (String, JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -674,7 +559,7 @@ mod tests {
             let (stream, _) = listener.accept().unwrap();
             let mut link = TcpLink::new(stream).unwrap();
             for reply in replies {
-                if link.recv_timeout(Duration::from_secs(2)).is_err() {
+                if link.recv_timeout(PATIENCE).is_err() {
                     return;
                 }
                 let _ = link.send(&reply);
@@ -685,13 +570,19 @@ mod tests {
 
     #[test]
     fn empty_or_short_replies_are_errors_not_panics() {
-        for welcome in [vec![], vec![OP_WELCOME]] {
-            let (addr, server) = scripted_server(vec![welcome]);
+        let welcome = |master| {
+            let name = "c".to_string();
+            let reply = Reply::Welcome { name, master };
+            frames(|w| w.send_reply(&reply).unwrap()).remove(0)
+        };
+        let refusal = frames(|w| w.send_reply(&Reply::Refused("no".into())).unwrap());
+        let short = welcome(true)[..visit::wire::HEADER_LEN].to_vec();
+        for bad in [vec![], short, refusal[0].clone()] {
+            let (addr, server) = scripted_server(vec![bad]);
             assert!(ClientHandle::connect(&addr, "c").is_err());
             server.join().unwrap();
         }
-        let welcome = vec![OP_WELCOME, 1, 1, 0, b'c'];
-        let (addr, server) = scripted_server(vec![welcome, vec![], vec![], vec![], vec![]]);
+        let (addr, server) = scripted_server(vec![welcome(true), vec![], vec![], vec![], vec![]]);
         let mut c = ClientHandle::connect(&addr, "c").unwrap();
         assert_eq!((c.name.as_str(), c.joined_as_master), ("c", true));
         assert!(c.set("miscibility", 0.5).is_err());

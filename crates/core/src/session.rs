@@ -116,6 +116,20 @@ impl SteeringSession {
         self.participants.len() - 1
     }
 
+    /// Join under `base`, or under `base-1`, `base-2`, … if the name is
+    /// taken: names identify participants, so they stay unique. Returns
+    /// the new participant.
+    pub fn join_unique(&mut self, base: &str) -> &Participant {
+        let mut name = base.to_string();
+        let mut k = 1;
+        while self.index_of(&name).is_some() {
+            name = format!("{base}-{k}");
+            k += 1;
+        }
+        let idx = self.join(&name);
+        &self.participants[idx]
+    }
+
     /// Leave. If the master leaves, the token deterministically passes to
     /// the longest-joined remaining participant — smallest `joined_seq`,
     /// not vector position — and a [`SessionEvent::MasterPassed`] is
@@ -519,6 +533,24 @@ mod tests {
                 .filter(|e| matches!(e, SessionEvent::Steered { .. }))
                 .count(),
             2
+        );
+    }
+
+    #[test]
+    fn join_unique_suffixes_a_taken_name() {
+        let mut s = session();
+        assert_eq!(s.join_unique("node").role, Role::Master);
+        let second = s.join_unique("node");
+        assert_eq!(
+            (second.name.as_str(), second.role),
+            ("node-1", Role::Viewer)
+        );
+        assert_eq!(s.join_unique("node").name, "node-2");
+        assert!(s.leave_by_name("node-1"));
+        assert_eq!(
+            s.join_unique("node").name,
+            "node-1",
+            "a freed name is reused"
         );
     }
 

@@ -6,7 +6,8 @@
 //! * [`TcpLink`] — real TCP with 4-byte length-prefix framing and socket
 //!   read timeouts; used by the multi-process examples and the TCP steering
 //!   server.
-//! * [`MemLink`] — crossbeam channels; used by threaded in-process tests.
+//! * [`MemLink`] — crossbeam channels; used by threaded in-process tests,
+//!   and (looped onto itself) by the bus's in-process VISIT endpoints.
 //! * [`SimLink`] — a [`netsim`] virtual-time channel; timeouts are charged
 //!   in *virtual* time, which makes the latency experiments deterministic
 //!   and instant.
@@ -147,6 +148,13 @@ impl MemLink {
             MemLink { tx: tx_b, rx: rx_b },
         )
     }
+
+    /// A link that receives what it sends: an in-process hop whose bytes
+    /// are read back exactly as a remote peer would see them.
+    pub fn looped() -> MemLink {
+        let (tx, rx) = bounded(1024);
+        MemLink { tx, rx }
+    }
 }
 
 impl FrameLink for MemLink {
@@ -243,6 +251,16 @@ mod tests {
         let (mut a, mut b) = MemLink::pair();
         a.send(b"hello").unwrap();
         assert_eq!(b.recv_timeout(Duration::from_millis(10)).unwrap(), b"hello");
+    }
+
+    #[test]
+    fn a_looped_memlink_reads_back_what_it_sent() {
+        let mut hop = MemLink::looped();
+        hop.send(b"one").unwrap();
+        hop.send(b"two").unwrap();
+        assert_eq!(hop.recv_timeout(Duration::ZERO).unwrap(), b"one");
+        assert_eq!(hop.recv_timeout(Duration::ZERO).unwrap(), b"two");
+        assert_eq!(hop.recv_timeout(Duration::ZERO), Err(LinkError::Timeout));
     }
 
     #[test]

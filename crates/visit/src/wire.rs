@@ -9,7 +9,7 @@
 //! 0       1     message kind (Hello/Data/Request/Reply/…)
 //! 1       1     payload byte order (Endianness)
 //! 2       1     payload dtype (DType; 0 = no payload)
-//! 3       1     reserved
+//! 3       1     reserved (must be 0)
 //! 4       4     tag (u32, little-endian — header is always LE)
 //! 8       4     element count (u32 LE)
 //! 12      n     payload bytes, in the order declared at offset 1
@@ -123,7 +123,8 @@ impl Frame {
     }
 
     /// Parse from bytes (performing the server-side byte-order conversion
-    /// for the payload). Returns `None` on any malformation.
+    /// for the payload). Returns `None` on any malformation, so a frame
+    /// that parses re-encodes to exactly its own bytes.
     pub fn decode(mut data: &[u8]) -> Option<Frame> {
         if data.len() < HEADER_LEN {
             return None;
@@ -131,7 +132,9 @@ impl Frame {
         let kind = MsgKind::from_byte(data.get_u8())?;
         let order = Endianness::from_byte(data.get_u8())?;
         let dtype_byte = data.get_u8();
-        let _reserved = data.get_u8();
+        if data.get_u8() != 0 {
+            return None;
+        }
         let tag = data.get_u32_le();
         let count = data.get_u32_le() as usize;
         let value = if dtype_byte == 0 {
@@ -212,6 +215,14 @@ mod tests {
     fn garbage_kind_rejected() {
         let mut d = Frame::bare(MsgKind::Bye, 0).encode();
         d[0] = 200;
+        assert!(Frame::decode(&d).is_none());
+    }
+
+    #[test]
+    fn a_nonzero_reserved_byte_is_rejected() {
+        let mut d = Frame::with_value(MsgKind::Data, 2, Endianness::Big, VisitValue::scalar_i32(7))
+            .encode();
+        d[3] = 1;
         assert!(Frame::decode(&d).is_none());
     }
 
