@@ -664,7 +664,7 @@ pub fn exp_ep1_pepc_scaling() -> Vec<String> {
             .collect();
         let t0 = Instant::now();
         let tree = Octree::build(&particles, TreeConfig::default());
-        let _tf = tree.forces(&particles);
+        let _tf = tree.forces();
         let tree_time = t0.elapsed();
         let t0 = Instant::now();
         let _df = direct_forces(&particles, 0.05);

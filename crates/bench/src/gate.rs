@@ -27,7 +27,9 @@
 //! save, full encode, delta encode, decode + restore),
 //! the steering commit (64 commands through a session, watched by eight
 //! subscribers and by none), and the Figure-1 frame (raster, delta encode
-//! and delta decode of `viz_fanout`'s scene).
+//! and delta decode of `viz_fanout`'s scene), and the PEPC kernels (the
+//! tree force walk at two particle counts and the O(N²) potential energy,
+//! each on every backend, whose digests must agree).
 
 use gridsteer_bus::{
     fnv1a as fold, FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame,
@@ -99,6 +101,10 @@ pub const GATES: &[Gate] = &[
     Gate {
         id: "viz",
         cells: snap_viz,
+    },
+    Gate {
+        id: "pepc",
+        cells: snap_pepc,
     },
 ];
 
@@ -774,6 +780,87 @@ fn snap_viz() -> Vec<GateCell> {
     ]
 }
 
+/// The PEPC kernels `steer_storm` runs every tick, on every backend this
+/// CPU has, one worker: the tree force walk (`Octree::forces_with`) over
+/// the §3.4 plasma target at n = 100 (the workload's size) and n = 3000
+/// (where multipoles are accepted at every level), and the O(N²)
+/// potential energy the monitor publishes, at n = 100. A cell is the mean
+/// call of the fastest of five batches. A force digest folds every force
+/// bit and the interaction count, a potential digest the energy's bits;
+/// each must be the same on every backend.
+fn snap_pepc() -> Vec<GateCell> {
+    const BATCHES: usize = 5;
+    let pool = gridsteer_exec::shared(1);
+    let plasma = |n: usize| {
+        let sim = pepc::PepcSim::new(pepc::PepcConfig {
+            n_target: n,
+            tree: pepc::TreeConfig {
+                threads: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        sim.particles().to_vec()
+    };
+    // µs per call of the fastest of five batches of `rounds` calls
+    let time = |rounds: usize, call: &mut dyn FnMut()| {
+        call(); // warm-up
+        (0..BATCHES)
+            .map(|_| {
+                let t0 = Instant::now();
+                for _ in 0..rounds {
+                    call();
+                }
+                t0.elapsed().as_secs_f64() * 1e6 / rounds as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let backends = lanes::Backend::ALL
+        .into_iter()
+        .filter(|b| b.on_this_cpu() == *b);
+    let mut cells = Vec::new();
+    for (n, rounds) in [(100usize, 200usize), (3000, 4)] {
+        let particles = plasma(n);
+        let mut tree = pepc::Octree::build(&particles, pepc::TreeConfig::default());
+        for backend in backends.clone() {
+            tree.set_backend(backend);
+            let wall_us = time(rounds, &mut || {
+                std::hint::black_box(tree.forces_with(&pool));
+            });
+            let forces = tree.forces_with(&pool);
+            let bits = forces.iter().flatten().map(|v| v.to_bits().to_le_bytes());
+            let h = bits.fold(FNV_OFFSET, |h, b| fold(h, &b));
+            cells.push(GateCell {
+                cell: format!("forces_n{n}_{}", backend.label()),
+                wall_us,
+                digest: hex(fold(h, &tree.last_interactions().to_le_bytes())),
+            });
+        }
+    }
+    let particles = plasma(100);
+    let eps = pepc::TreeConfig::default().eps;
+    for backend in backends {
+        let energy = || pepc::direct::potential_energy_on(backend, &particles, eps);
+        let wall_us = time(200, &mut || {
+            std::hint::black_box(energy());
+        });
+        cells.push(GateCell {
+            cell: format!("potential_n100_{}", backend.label()),
+            wall_us,
+            digest: hex(fold(FNV_OFFSET, &energy().to_bits().to_le_bytes())),
+        });
+    }
+    for workload in ["forces_n100_", "forces_n3000_", "potential_n100_"] {
+        let mut digests = cells.iter().filter(|c| c.cell.starts_with(workload));
+        let first = digests.next().expect("scalar always runs").digest.clone();
+        assert!(
+            digests.all(|c| c.digest == first),
+            "PEPC {workload}* digests diverged across backends: {cells:?}"
+        );
+    }
+    cells
+}
+
 // ---------------------------------------------------------------------------
 // comparison
 // ---------------------------------------------------------------------------
@@ -844,11 +931,11 @@ pub fn compare(baseline_dir: &Path, current_dir: &Path) -> Vec<String> {
 }
 
 /// Whether gate `id`'s baseline `cell` cannot be measured on a CPU with (or
-/// without) AVX2: the LBM `wide` cells without it. [`compare`] skips such
-/// a cell instead of failing it.
+/// without) AVX2: the LBM and PEPC `wide` cells without it. [`compare`]
+/// skips such a cell instead of failing it.
 fn unmeasurable(id: &str, cell: &str, has_avx2: bool) -> bool {
     use lanes::Backend::Wide;
-    id == "lbm"
+    ["lbm", "pepc"].contains(&id)
         && cell.ends_with(&format!("_{}", Wide.label()))
         && lanes::Backend::resolve(Wide, has_avx2) != Wide
 }
@@ -880,6 +967,7 @@ mod tests {
             report("ckpt", &[("g", 25.0, "d7")]),
             report("steer", &[("h", 10.0, "d8")]),
             report("viz", &[("i", 90.0, "d9")]),
+            report("pepc", &[("j", 35.0, "d10")]),
         ];
         for r in &mut reports {
             for cell in &mut r.cells {
@@ -933,6 +1021,8 @@ mod tests {
         write_report(&cur, &r).unwrap();
         r = report("viz", &[("i", 90.0, "d9")]);
         write_report(&cur, &r).unwrap();
+        r = report("pepc", &[("j", 35.0, "d10")]);
+        write_report(&cur, &r).unwrap();
         let v = compare(&base, &cur);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("digest drift"), "{}", v[0]);
@@ -954,6 +1044,7 @@ mod tests {
         write_report(&cur, &report("ckpt", &[("g", 25.0, "d7")])).unwrap();
         write_report(&cur, &report("steer", &[("h", 10.0, "d8")])).unwrap();
         write_report(&cur, &report("viz", &[("i", 90.0, "d9")])).unwrap();
+        write_report(&cur, &report("pepc", &[("j", 35.0, "d10")])).unwrap();
         let v = compare(&base, &cur);
         assert!(v.iter().any(|m| m.contains("cell e missing")), "{v:?}");
         assert!(
@@ -970,6 +1061,9 @@ mod tests {
             ("lbm", "collide_stream_t1_wide", true, false),
             ("lbm", "collide_stream_t1_simd", false, false),
             ("lbm", "collide_stream_t8_scalar", false, false),
+            ("pepc", "forces_n100_wide", false, true),
+            ("pepc", "potential_n100_wide", true, false),
+            ("pepc", "forces_n3000_simd", false, false),
             ("viz", "raster_wide", false, false),
         ] {
             assert_eq!(unmeasurable(id, cell, has_avx2), skipped, "{id} {cell}");

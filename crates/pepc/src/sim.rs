@@ -136,6 +136,8 @@ pub struct PepcSim {
     cfg: PepcConfig,
     /// Executor pool the per-step force evaluation dispatches onto.
     pool: std::sync::Arc<gridsteer_exec::ExecPool>,
+    /// The tree of the last force evaluation, rebuilt in place every step.
+    tree: Octree,
     particles: Vec<Particle>,
     forces: Vec<[f64; 3]>,
     params: SteerParams,
@@ -181,6 +183,7 @@ impl PepcSim {
         let next_label = particles.len() as u32;
         let mut sim = PepcSim {
             pool: gridsteer_exec::shared(cfg.tree.threads),
+            tree: Octree::build(&[], cfg.tree),
             forces: vec![[0.0; 3]; particles.len()],
             particles,
             params: SteerParams::default(),
@@ -300,9 +303,9 @@ impl PepcSim {
     }
 
     fn recompute_forces(&mut self) {
-        let tree = Octree::build(&self.particles, self.cfg.tree);
-        let mut forces = tree.forces_with(&self.pool, &self.particles);
-        self.last_interactions = tree.last_interactions();
+        self.tree.rebuild(&self.particles);
+        let mut forces = self.tree.forces_with(&self.pool);
+        self.last_interactions = self.tree.last_interactions();
         for (f, p) in forces.iter_mut().zip(&self.particles) {
             let ext = self.external_force(p);
             for a in 0..3 {
@@ -348,7 +351,8 @@ impl PepcSim {
         self.particles.iter().map(Particle::kinetic).sum()
     }
 
-    /// Softened potential energy — O(N²); diagnostics and tests only.
+    /// Softened potential energy — O(N²), lane-blocked on the process-wide
+    /// backend; the monitor's `potential` channel reads it every publish.
     pub fn potential_energy(&self) -> f64 {
         crate::direct::potential_energy(&self.particles, self.cfg.tree.eps)
     }
@@ -488,9 +492,22 @@ impl PepcSim {
             ranks: r.get_u16()?,
             seed: r.get_u64()?,
         };
-        if cfg.tree.threads > gridsteer_exec::MAX_RESTORED_THREADS {
+        let refused = if cfg.tree.threads > gridsteer_exec::MAX_RESTORED_THREADS {
+            Some("thread count above MAX_RESTORED_THREADS")
+        } else if cfg.ranks == 0 {
+            Some("zero ranks")
+        } else if cfg.tree.leaf_cap == 0 {
+            Some("zero leaf capacity")
+        } else if !cfg.tree.theta.is_finite() {
+            Some("non-finite theta")
+        } else if !(cfg.tree.eps.is_finite() && cfg.tree.eps >= 0.0) {
+            Some("softening not a finite non-negative length")
+        } else {
+            None
+        };
+        if let Some(why) = refused {
             return Err(CkptError::Corrupt {
-                context: format!("{SEC_PEPC_META}: thread count above MAX_RESTORED_THREADS"),
+                context: format!("{SEC_PEPC_META}: {why}"),
             });
         }
         let params = SteerParams {
@@ -540,6 +557,7 @@ impl PepcSim {
         r.expect_end()?;
         Ok(PepcSim {
             pool: gridsteer_exec::shared(cfg.tree.threads),
+            tree: Octree::build(&[], cfg.tree),
             particles,
             forces,
             params,
@@ -780,6 +798,61 @@ mod tests {
                 "threads = {threads} must be refused as Corrupt"
             );
         }
+        assert!(PepcSim::from_snapshot(&snap).is_ok());
+    }
+
+    #[test]
+    fn hostile_config_values_are_corrupt() {
+        // `save_sections` meta order: n_target, radius, dt, theta @24,
+        // eps @32, leaf_cap @40, threads @48, ranks (u16) @56
+        let sim = PepcSim::new(PepcConfig::small());
+        let mut snap = CkptSnapshot::new(1, 0);
+        sim.save_sections(&mut snap);
+        let meta = snap
+            .sections
+            .iter()
+            .position(|s| s.name == SEC_PEPC_META)
+            .unwrap();
+        let bytes = &snap.sections[meta].bytes;
+        assert_eq!(
+            bytes[24..32],
+            sim.cfg.tree.theta.to_le_bytes(),
+            "byte 24 is theta"
+        );
+        assert_eq!(
+            bytes[32..40],
+            sim.cfg.tree.eps.to_le_bytes(),
+            "byte 32 is eps"
+        );
+        assert_eq!(
+            bytes[56..58],
+            sim.cfg.ranks.to_le_bytes(),
+            "byte 56 is ranks"
+        );
+        let mut hostile = vec![
+            (56, 0u16.to_le_bytes().to_vec()),
+            (40, 0u64.to_le_bytes().to_vec()),
+            (32, (-0.05f64).to_le_bytes().to_vec()),
+        ];
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [24, 32] {
+                hostile.push((at, v.to_le_bytes().to_vec()));
+            }
+        }
+        for (at, value) in hostile {
+            let mut bad = snap.clone();
+            bad.sections[meta].bytes[at..at + value.len()].copy_from_slice(&value);
+            // refused before `snapshot()` can reach `decompose`'s assert or
+            // a step can split every particle 32 levels deep
+            assert!(
+                matches!(PepcSim::from_snapshot(&bad), Err(CkptError::Corrupt { .. })),
+                "{value:?} at byte {at} must be refused as Corrupt"
+            );
+        }
+        // a zero softening is a legal (unsoftened) configuration
+        let mut bare = snap.clone();
+        bare.sections[meta].bytes[32..40].copy_from_slice(&0.0f64.to_le_bytes());
+        assert!(PepcSim::from_snapshot(&bare).is_ok());
         assert!(PepcSim::from_snapshot(&snap).is_ok());
     }
 

@@ -2,14 +2,34 @@
 //!
 //! "The code uses a hierarchical tree algorithm to perform potential and
 //! force summation for charged particles in a time O(N log N)" (§3.4).
-//! Build: recursive octant subdivision down to small leaves; each node
-//! carries its monopole (total charge + centre of charge). Evaluation:
-//! depth-first traversal accepting a node when `size / distance < θ`
-//! (the multipole acceptance criterion), falling back to direct summation
-//! in leaves. Force evaluation is parallel over fixed-size particle chunks
+//!
+//! **Build.** Recursive octant subdivision down to small leaves, over one
+//! index array that each split partitions stably in place: a node owns a
+//! contiguous range of *leaf order* (its particles in ascending input
+//! index), a node's children are consecutive nodes in octant order, and
+//! no node owns a buffer. Each node carries its monopole (total charge +
+//! centre of charge). Positions and charges are copied into leaf order,
+//! padded with zeros to a lane multiple, so a walk reads them as
+//! contiguous runs.
+//!
+//! **Evaluation.** Depth-first traversal accepting a node when
+//! `size / distance < θ` (the multipole acceptance criterion), falling back
+//! to direct summation in leaves. The scalar backend walks the tree once
+//! per target (`walk_one`, the spec). The lane-blocked backends walk it
+//! once per four consecutive leaf-order targets, one target per lane
+//! (`walk_group`). Each lane carries a mask bit: at every node each lane
+//! accepts or opens on its own, and a lane whose bit is clear — it
+//! accepted an ancestor, or the term is its own particle's — adds +0.0.
+//! That is an exact no-op, because an accumulator that starts at +0.0 can
+//! never become −0.0, so each lane performs its scalar walk's operations
+//! in that walk's order, bit for bit. `simd` runs the group walk over the
+//! portable [`lanes::F64x4`]; `wide` runs the same source compiled for
+//! AVX2 (`chunk_groups_avx2`, the LBM sweeps' pattern).
+//!
+//! Force evaluation is parallel over fixed chunks of leaf-order positions
 //! dispatched onto a persistent [`gridsteer_exec::ExecPool`] — the tree is
 //! immutable during traversal, so this is race-free, and the fixed
-//! chunk→particle mapping makes the forces bit-identical for any thread
+//! chunk→target mapping makes the forces bit-identical for any thread
 //! count.
 
 // Component loops over `[f64; 3]` are written indexed (`for a in 0..3`);
@@ -18,6 +38,8 @@
 
 use crate::morton::bounding_cube;
 use crate::Particle;
+use lanes::{F64x4, F64_LANES};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tree-build and evaluation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -31,7 +53,7 @@ pub struct TreeConfig {
     /// Worker threads for force evaluation. Defaults to the detected
     /// parallelism (clamped; see [`gridsteer_exec::default_threads`]); an
     /// explicitly set value wins. The thread count never changes results —
-    /// particles are chunked at a fixed grain regardless.
+    /// targets are chunked at a fixed grain regardless.
     pub threads: usize,
 }
 
@@ -46,8 +68,16 @@ impl Default for TreeConfig {
     }
 }
 
+/// Depth at which subdivision stops whatever the leaf holds (coincident
+/// particles would split forever).
+const MAX_DEPTH: usize = 32;
+
+/// The deepest stack a walk needs: at most seven pending siblings on each
+/// of `MAX_DEPTH` levels, plus the eight children just pushed.
+const STACK: usize = 8 * (MAX_DEPTH + 1);
+
 /// One octree node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Node {
     /// Geometric centre of the octant.
     center: [f64; 3],
@@ -61,109 +91,177 @@ struct Node {
     cocharge: [f64; 3],
     /// Sum of |q| below this node.
     abs_charge: f64,
-    /// Children indices (internal node) — 0 means "no child" (index 0 is
-    /// the root, never a child).
-    children: [u32; 8],
-    /// Particle indices (leaf node).
-    members: Vec<u32>,
-    /// Number of particles below this node.
-    count: u32,
+    /// The leaf-order positions below this node: `start..end`.
+    start: u32,
+    end: u32,
+    /// The children: nodes `first_child..first_child + children`, in
+    /// octant order. A leaf has none.
+    first_child: u32,
+    children: u32,
 }
 
 impl Node {
     fn is_leaf(&self) -> bool {
-        self.children.iter().all(|&c| c == 0)
+        self.children == 0
+    }
+
+    fn child_range(&self) -> std::ops::Range<u32> {
+        self.first_child..self.first_child + self.children
     }
 }
 
-/// An immutable Barnes–Hut octree over a particle snapshot.
+/// A Barnes–Hut octree over a particle snapshot, immutable between
+/// [`Octree::rebuild`]s.
 pub struct Octree {
     nodes: Vec<Node>,
+    /// Leaf order: position `p` holds input particle `order[p]`.
+    order: Vec<u32>,
+    /// The partition's staging copy of `order`.
+    scratch: Vec<u32>,
+    /// Positions and charges in leaf order, zero-padded to a lane multiple.
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+    q: Vec<f64>,
     cfg: TreeConfig,
-    /// Kernel backend for the leaf direct sum (scalar reference or
-    /// lane-blocked; bit-identical by construction). Defaults to the
-    /// process-wide [`lanes::backend`] switch.
+    /// Kernel backend of the force walk (scalar reference or lane-blocked;
+    /// bit-identical by construction). Defaults to the process-wide
+    /// [`lanes::backend`] switch, and is always what
+    /// [`lanes::Backend::on_this_cpu`] resolved.
     backend: lanes::Backend,
     /// Interaction counter from the last `forces` call (Σ node/particle
     /// acceptances) — the work metric for the O(N log N) experiment.
-    pub interactions: std::sync::atomic::AtomicU64,
+    pub interactions: AtomicU64,
 }
 
 impl Octree {
     /// Build a tree over the particles.
     pub fn build(particles: &[Particle], cfg: TreeConfig) -> Octree {
+        let mut tree = Octree {
+            nodes: Vec::new(),
+            order: Vec::new(),
+            scratch: Vec::new(),
+            x: Vec::new(),
+            y: Vec::new(),
+            z: Vec::new(),
+            q: Vec::new(),
+            cfg,
+            backend: lanes::backend(),
+            interactions: AtomicU64::new(0),
+        };
+        tree.rebuild(particles);
+        tree
+    }
+
+    /// Rebuild the tree over `particles`, reusing its buffers.
+    pub fn rebuild(&mut self, particles: &[Particle]) {
+        let n = particles.len();
         let (lo, extent) = bounding_cube(particles);
         let half = extent * 0.5;
-        let root = Node {
+        self.order.clear();
+        self.order.extend(0..n as u32);
+        self.scratch.resize(n, 0);
+        self.nodes.clear();
+        self.nodes.push(Node {
             center: [lo[0] + half, lo[1] + half, lo[2] + half],
             half,
             charge: 0.0,
             cocharge: [0.0; 3],
             abs_charge: 0.0,
-            children: [0; 8],
-            members: (0..particles.len() as u32).collect(),
-            count: particles.len() as u32,
-        };
-        let mut tree = Octree {
-            nodes: vec![root],
-            cfg,
-            backend: lanes::backend(),
-            interactions: std::sync::atomic::AtomicU64::new(0),
-        };
-        tree.split(0, particles, 0);
-        tree.compute_moments(0, particles);
-        tree
+            start: 0,
+            end: n as u32,
+            first_child: 0,
+            children: 0,
+        });
+        self.grow(0, particles, 0);
+        let padded = n.next_multiple_of(F64_LANES);
+        for (a, axis) in [&mut self.x, &mut self.y, &mut self.z]
+            .into_iter()
+            .enumerate()
+        {
+            axis.clear();
+            axis.extend(self.order.iter().map(|&i| particles[i as usize].pos[a]));
+            axis.resize(padded, 0.0);
+        }
+        self.q.clear();
+        self.q
+            .extend(self.order.iter().map(|&i| particles[i as usize].charge));
+        self.q.resize(padded, 0.0);
     }
 
-    /// Recursively split node `idx` until leaves are small.
-    fn split(&mut self, idx: usize, particles: &[Particle], depth: usize) {
-        const MAX_DEPTH: usize = 32;
-        if self.nodes[idx].members.len() <= self.cfg.leaf_cap || depth >= MAX_DEPTH {
-            return;
-        }
-        let members = std::mem::take(&mut self.nodes[idx].members);
-        let center = self.nodes[idx].center;
-        let quarter = self.nodes[idx].half * 0.5;
-        let mut buckets: [Vec<u32>; 8] = Default::default();
-        for &m in &members {
-            let p = &particles[m as usize].pos;
-            let oct = (usize::from(p[0] >= center[0]))
-                | (usize::from(p[1] >= center[1]) << 1)
-                | (usize::from(p[2] >= center[2]) << 2);
-            buckets[oct].push(m);
-        }
-        for (oct, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let dx = if oct & 1 != 0 { quarter } else { -quarter };
-            let dy = if oct & 2 != 0 { quarter } else { -quarter };
-            let dz = if oct & 4 != 0 { quarter } else { -quarter };
-            let count = bucket.len() as u32;
-            let child = Node {
-                center: [center[0] + dx, center[1] + dy, center[2] + dz],
-                half: quarter,
-                charge: 0.0,
-                cocharge: [0.0; 3],
-                abs_charge: 0.0,
-                children: [0; 8],
-                members: bucket,
-                count,
+    /// Split node `idx` until its leaves are small, then set its monopole
+    /// bottom-up: a leaf folds its particles, an internal node its
+    /// children, each in order.
+    fn grow(&mut self, idx: usize, particles: &[Particle], depth: usize) {
+        let Node {
+            center,
+            half,
+            start,
+            end,
+            ..
+        } = self.nodes[idx];
+        let range = start as usize..end as usize;
+        let mut q = 0.0;
+        let mut aq = 0.0;
+        let mut c = [0.0f64; 3];
+        if range.len() > self.cfg.leaf_cap && depth < MAX_DEPTH {
+            let octant = |m: u32| {
+                let p = &particles[m as usize].pos;
+                (usize::from(p[0] >= center[0]))
+                    | (usize::from(p[1] >= center[1]) << 1)
+                    | (usize::from(p[2] >= center[2]) << 2)
             };
-            let child_idx = self.nodes.len();
-            self.nodes.push(child);
-            self.nodes[idx].children[oct] = child_idx as u32;
-            self.split(child_idx, particles, depth + 1);
-        }
-    }
-
-    /// Bottom-up monopole computation.
-    fn compute_moments(&mut self, idx: usize, particles: &[Particle]) {
-        if self.nodes[idx].is_leaf() {
-            let mut q = 0.0;
-            let mut aq = 0.0;
-            let mut c = [0.0f64; 3];
-            for &m in &self.nodes[idx].members {
+            // stable counting partition of the range into octants
+            let mut count = [0usize; 8];
+            for &m in &self.order[range.clone()] {
+                count[octant(m)] += 1;
+            }
+            let mut at = [0usize; 8];
+            let mut next = range.start;
+            for oct in 0..8 {
+                at[oct] = next;
+                next += count[oct];
+            }
+            let mut fill = at;
+            for &m in &self.order[range.clone()] {
+                let oct = octant(m);
+                self.scratch[fill[oct]] = m;
+                fill[oct] += 1;
+            }
+            self.order[range.clone()].copy_from_slice(&self.scratch[range]);
+            let first = self.nodes.len();
+            let quarter = half * 0.5;
+            for oct in (0..8).filter(|&oct| count[oct] > 0) {
+                let dx = if oct & 1 != 0 { quarter } else { -quarter };
+                let dy = if oct & 2 != 0 { quarter } else { -quarter };
+                let dz = if oct & 4 != 0 { quarter } else { -quarter };
+                self.nodes.push(Node {
+                    center: [center[0] + dx, center[1] + dy, center[2] + dz],
+                    half: quarter,
+                    charge: 0.0,
+                    cocharge: [0.0; 3],
+                    abs_charge: 0.0,
+                    start: at[oct] as u32,
+                    end: (at[oct] + count[oct]) as u32,
+                    first_child: 0,
+                    children: 0,
+                });
+            }
+            let children = first..self.nodes.len();
+            self.nodes[idx].first_child = first as u32;
+            self.nodes[idx].children = children.len() as u32;
+            for ch in children.clone() {
+                self.grow(ch, particles, depth + 1);
+            }
+            for n in &self.nodes[children] {
+                q += n.charge;
+                aq += n.abs_charge;
+                for a in 0..3 {
+                    c[a] += n.abs_charge * n.cocharge[a];
+                }
+            }
+        } else {
+            for &m in &self.order[range] {
                 let p = &particles[m as usize];
                 q += p.charge;
                 aq += p.charge.abs();
@@ -171,261 +269,289 @@ impl Octree {
                     c[a] += p.charge.abs() * p.pos[a];
                 }
             }
-            if aq > 0.0 {
-                for v in &mut c {
-                    *v /= aq;
-                }
-            } else {
-                c = self.nodes[idx].center;
-            }
-            self.nodes[idx].charge = q;
-            self.nodes[idx].abs_charge = aq;
-            self.nodes[idx].cocharge = c;
-            return;
-        }
-        let children = self.nodes[idx].children;
-        let mut q = 0.0;
-        let mut aq = 0.0;
-        let mut c = [0.0f64; 3];
-        for &ch in &children {
-            if ch == 0 {
-                continue;
-            }
-            self.compute_moments(ch as usize, particles);
-            let n = &self.nodes[ch as usize];
-            q += n.charge;
-            aq += n.abs_charge;
-            for a in 0..3 {
-                c[a] += n.abs_charge * n.cocharge[a];
-            }
         }
         if aq > 0.0 {
             for v in &mut c {
                 *v /= aq;
             }
         } else {
-            c = self.nodes[idx].center;
+            c = center;
         }
-        self.nodes[idx].charge = q;
-        self.nodes[idx].abs_charge = aq;
-        self.nodes[idx].cocharge = c;
+        let node = &mut self.nodes[idx];
+        node.charge = q;
+        node.abs_charge = aq;
+        node.cocharge = c;
     }
 
     /// Maximum leaf depth (diagnostics).
     pub fn depth(&self) -> usize {
         fn walk(nodes: &[Node], idx: usize, d: usize) -> usize {
-            let n = &nodes[idx];
-            if n.is_leaf() {
-                return d;
-            }
-            n.children
-                .iter()
-                .filter(|&&c| c != 0)
-                .map(|&c| walk(nodes, c as usize, d + 1))
+            nodes[idx]
+                .child_range()
+                .map(|c| walk(nodes, c as usize, d + 1))
                 .max()
                 .unwrap_or(d)
         }
         walk(&self.nodes, 0, 0)
     }
 
-    /// Backend used for the leaf direct sum.
+    /// Backend used for the force walk.
     pub fn backend(&self) -> lanes::Backend {
         self.backend
     }
 
-    /// Override the leaf-kernel backend, as
-    /// [`lanes::Backend::on_this_cpu`] resolves it (benches and
-    /// bit-identity tests compare them all in one process). The leaf
-    /// kernel has no AVX2 build: `Wide` runs the lane-blocked kernel.
+    /// Override the force-walk backend, as [`lanes::Backend::on_this_cpu`]
+    /// resolves it (benches and bit-identity tests compare them all in one
+    /// process). `Wide` runs the group walk's AVX2 build.
     pub fn set_backend(&mut self, backend: lanes::Backend) {
         self.backend = backend.on_this_cpu();
     }
 
-    /// One pairwise contribution of the leaf direct sum — the scalar
-    /// reference both backends must match bit for bit.
-    #[inline(always)]
-    fn accumulate_pair(pi: &Particle, pj: &Particle, eps2: f64, f: &mut [f64; 3]) {
-        let dx = pi.pos[0] - pj.pos[0];
-        let dy = pi.pos[1] - pj.pos[1];
-        let dz = pi.pos[2] - pj.pos[2];
-        let r2 = dx * dx + dy * dy + dz * dz + eps2;
-        let inv_r3 = 1.0 / (r2 * r2.sqrt());
-        let s = pi.charge * pj.charge * inv_r3;
-        f[0] += s * dx;
-        f[1] += s * dy;
-        f[2] += s * dz;
-    }
-
-    /// Leaf direct sum over four members at once: every lane performs the
-    /// exact [`Octree::accumulate_pair`] operation sequence (same
-    /// association, no FMA), and the four contributions are folded into
-    /// `f` lane by lane in member order — so the result is bit-identical
-    /// to four scalar `accumulate_pair` calls.
-    #[inline(always)]
-    fn accumulate_quad(pi: &Particle, quad: [&Particle; 4], eps2: f64, f: &mut [f64; 3]) {
-        use lanes::F64x4;
-        let px = F64x4([
-            quad[0].pos[0],
-            quad[1].pos[0],
-            quad[2].pos[0],
-            quad[3].pos[0],
-        ]);
-        let py = F64x4([
-            quad[0].pos[1],
-            quad[1].pos[1],
-            quad[2].pos[1],
-            quad[3].pos[1],
-        ]);
-        let pz = F64x4([
-            quad[0].pos[2],
-            quad[1].pos[2],
-            quad[2].pos[2],
-            quad[3].pos[2],
-        ]);
-        let qj = F64x4([
-            quad[0].charge,
-            quad[1].charge,
-            quad[2].charge,
-            quad[3].charge,
-        ]);
-        let dx = F64x4::splat(pi.pos[0]) - px;
-        let dy = F64x4::splat(pi.pos[1]) - py;
-        let dz = F64x4::splat(pi.pos[2]) - pz;
-        let r2 = dx * dx + dy * dy + dz * dz + F64x4::splat(eps2);
-        let inv_r3 = F64x4::splat(1.0) / (r2 * r2.sqrt());
-        let s = F64x4::splat(pi.charge) * qj * inv_r3;
-        let fx = s * dx;
-        let fy = s * dy;
-        let fz = s * dz;
-        // Sequential per-member fold: preserves the scalar loop's
-        // accumulation order exactly (NOT an hsum — no reassociation).
-        for l in 0..lanes::F64_LANES {
-            f[0] += fx.0[l];
-            f[1] += fy.0[l];
-            f[2] += fz.0[l];
-        }
-    }
-
-    /// Force on one particle via MAC traversal.
-    fn force_on(&self, particles: &[Particle], i: usize) -> ([f64; 3], u64) {
-        let pi = &particles[i];
-        let theta = self.cfg.theta;
+    /// Force on the particle at leaf-order position `p`, walking the tree
+    /// for it alone — the spec the group walk must match bit for bit.
+    fn walk_one(&self, p: usize) -> ([f64; 3], u64) {
+        let (tx, ty, tz, tq) = (self.x[p], self.y[p], self.z[p], self.q[p]);
+        let theta2 = self.cfg.theta * self.cfg.theta;
         let eps2 = self.cfg.eps * self.cfg.eps;
-        let simd = self.backend.lane_blocked();
         let mut f = [0.0f64; 3];
         let mut work = 0u64;
-        let mut stack: Vec<u32> = vec![0];
-        while let Some(idx) = stack.pop() {
-            let node = &self.nodes[idx as usize];
-            if node.count == 0 {
-                continue;
-            }
-            let dx = pi.pos[0] - node.cocharge[0];
-            let dy = pi.pos[1] - node.cocharge[1];
-            let dz = pi.pos[2] - node.cocharge[2];
-            let r2 = dx * dx + dy * dy + dz * dz;
-            let size = node.half * 2.0;
+        let mut stack = [0u32; STACK];
+        let mut top = 1;
+        while top > 0 {
+            top -= 1;
+            let node = &self.nodes[stack[top] as usize];
             if node.is_leaf() {
-                let members = &node.members;
-                let mut k = 0;
-                if simd {
-                    // Lane-blocked direct sum; a block containing the
-                    // target particle itself falls back to the scalar
-                    // reference so the self-skip stays exact.
-                    while k + lanes::F64_LANES <= members.len() {
-                        let blk = &members[k..k + lanes::F64_LANES];
-                        if blk.iter().any(|&m| m as usize == i) {
-                            for &m in blk {
-                                if m as usize != i {
-                                    Self::accumulate_pair(pi, &particles[m as usize], eps2, &mut f);
-                                    work += 1;
-                                }
-                            }
-                        } else {
-                            Self::accumulate_quad(
-                                pi,
-                                [
-                                    &particles[blk[0] as usize],
-                                    &particles[blk[1] as usize],
-                                    &particles[blk[2] as usize],
-                                    &particles[blk[3] as usize],
-                                ],
-                                eps2,
-                                &mut f,
-                            );
-                            work += lanes::F64_LANES as u64;
-                        }
-                        k += lanes::F64_LANES;
-                    }
-                }
-                for &m in &members[k..] {
-                    if m as usize == i {
+                for j in node.start as usize..node.end as usize {
+                    if j == p {
                         continue;
                     }
-                    Self::accumulate_pair(pi, &particles[m as usize], eps2, &mut f);
+                    let dx = tx - self.x[j];
+                    let dy = ty - self.y[j];
+                    let dz = tz - self.z[j];
+                    let r2 = dx * dx + dy * dy + dz * dz + eps2;
+                    let inv_r3 = 1.0 / (r2 * r2.sqrt());
+                    let s = tq * self.q[j] * inv_r3;
+                    f[0] += s * dx;
+                    f[1] += s * dy;
+                    f[2] += s * dz;
                     work += 1;
                 }
-            } else if size * size < theta * theta * r2 {
+                continue;
+            }
+            let dx = tx - node.cocharge[0];
+            let dy = ty - node.cocharge[1];
+            let dz = tz - node.cocharge[2];
+            let r2 = dx * dx + dy * dy + dz * dz;
+            let size = node.half * 2.0;
+            if size * size < theta2 * r2 {
                 // accepted: monopole interaction
                 let r2s = r2 + eps2;
                 let inv_r3 = 1.0 / (r2s * r2s.sqrt());
-                let s = pi.charge * node.charge * inv_r3;
+                let s = tq * node.charge * inv_r3;
                 f[0] += s * dx;
                 f[1] += s * dy;
                 f[2] += s * dz;
                 work += 1;
             } else {
-                for &ch in &node.children {
-                    if ch != 0 {
-                        stack.push(ch);
-                    }
+                for ch in node.child_range() {
+                    stack[top] = ch;
+                    top += 1;
                 }
             }
         }
         (f, work)
     }
 
-    /// Particles per force-evaluation chunk. Fixed (never derived from the
-    /// thread count) so the chunk→particle mapping, and with it the
+    /// Forces on the `live` (1..=4) targets at leaf-order positions
+    /// `p..p + live`, one per lane, in one walk (see the module doc). A
+    /// stack entry carries the lanes that opened its parent.
+    #[inline(always)]
+    fn walk_group(&self, p: usize, live: usize) -> ([[f64; 4]; 3], u64) {
+        let target = |v: &[f64]| F64x4::from_slice(&v[p..]);
+        let (tx, ty, tz, tq) = (
+            target(&self.x),
+            target(&self.y),
+            target(&self.z),
+            target(&self.q),
+        );
+        let theta2 = F64x4::splat(self.cfg.theta * self.cfg.theta);
+        let eps2 = F64x4::splat(self.cfg.eps * self.cfg.eps);
+        let mut f = [F64x4::splat(0.0); 3];
+        // f += keep(qq / (r2·√r2) · d, on): one pair or monopole term
+        let mut pull = |d: [F64x4; 3], r2: F64x4, qq: F64x4, on: u8| {
+            let inv_r3 = F64x4::splat(1.0) / (r2 * r2.sqrt());
+            let s = qq * inv_r3;
+            for a in 0..3 {
+                f[a] += keep(s * d[a], on);
+            }
+        };
+        let mut work = 0u64;
+        let mut stack = [(0u32, 0u8); STACK];
+        stack[0] = (0, (1u8 << live) - 1);
+        let mut top = 1;
+        while top > 0 {
+            top -= 1;
+            let (idx, lanes) = stack[top];
+            let node = &self.nodes[idx as usize];
+            if node.is_leaf() {
+                for j in node.start as usize..node.end as usize {
+                    let on = lanes & !own_lane(j, p);
+                    let dx = tx - F64x4::splat(self.x[j]);
+                    let dy = ty - F64x4::splat(self.y[j]);
+                    let dz = tz - F64x4::splat(self.z[j]);
+                    let r2 = dx * dx + dy * dy + dz * dz + eps2;
+                    pull([dx, dy, dz], r2, tq * F64x4::splat(self.q[j]), on);
+                    work += u64::from(on.count_ones());
+                }
+                continue;
+            }
+            let dx = tx - F64x4::splat(node.cocharge[0]);
+            let dy = ty - F64x4::splat(node.cocharge[1]);
+            let dz = tz - F64x4::splat(node.cocharge[2]);
+            let r2 = dx * dx + dy * dy + dz * dz;
+            let size = node.half * 2.0;
+            let reach = theta2 * r2;
+            let far = lanes & mask_of(|l| size * size < reach.0[l]);
+            if far != 0 {
+                pull([dx, dy, dz], r2 + eps2, tq * F64x4::splat(node.charge), far);
+                work += u64::from(far.count_ones());
+            }
+            let open = lanes & !far;
+            if open != 0 {
+                for ch in node.child_range() {
+                    stack[top] = (ch, open);
+                    top += 1;
+                }
+            }
+        }
+        (f.map(F64x4::to_array), work)
+    }
+
+    /// Fixed grain of the force evaluation, in leaf-order positions (a lane
+    /// multiple, so no group straddles two chunks). Never derived from the
+    /// thread count, so the chunk→target mapping, and with it the
     /// interaction accounting, is identical at any parallelism.
     const FORCE_GRAIN: usize = 64;
 
-    /// Forces on all particles, parallel over fixed-size particle chunks
-    /// on the shared pool for `cfg.threads`.
-    pub fn forces(&self, particles: &[Particle]) -> Vec<[f64; 3]> {
-        self.forces_with(&gridsteer_exec::shared(self.cfg.threads), particles)
+    /// The scalar walk over the targets at leaf-order positions
+    /// `p..p + out.len()`; returns the chunk's interaction count.
+    fn chunk_scalar(&self, p: usize, out: &mut [[f64; 3]]) -> u64 {
+        let mut work = 0;
+        for (k, f) in out.iter_mut().enumerate() {
+            let (fk, w) = self.walk_one(p + k);
+            *f = fk;
+            work += w;
+        }
+        work
     }
 
-    /// Forces on all particles, dispatched onto an explicit executor pool.
-    pub fn forces_with(
-        &self,
-        pool: &gridsteer_exec::ExecPool,
-        particles: &[Particle],
-    ) -> Vec<[f64; 3]> {
-        use std::sync::atomic::Ordering;
-        let n = particles.len();
-        let mut out = vec![[0.0f64; 3]; n];
-        let total_work = std::sync::atomic::AtomicU64::new(0);
-        pool.parallel_chunks(&mut out, Self::FORCE_GRAIN, |ci, slot| {
-            let base = ci * Self::FORCE_GRAIN;
-            let mut local_work = 0u64;
-            for (k, f) in slot.iter_mut().enumerate() {
-                let (fi, w) = self.force_on(particles, base + k);
-                *f = fi;
-                local_work += w;
+    /// [`Octree::chunk_scalar`] one group walk per four targets.
+    #[inline(always)]
+    fn chunk_groups(&self, p: usize, out: &mut [[f64; 3]]) -> u64 {
+        let mut work = 0;
+        for (g, group) in out.chunks_mut(F64_LANES).enumerate() {
+            let (f, w) = self.walk_group(p + g * F64_LANES, group.len());
+            for (l, fl) in group.iter_mut().enumerate() {
+                *fl = [f[0][l], f[1][l], f[2][l]];
             }
+            work += w;
+        }
+        work
+    }
+
+    /// [`Octree::chunk_groups`] compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn chunk_groups_avx2(&self, p: usize, out: &mut [[f64; 3]]) -> u64 {
+        self.chunk_groups(p, out)
+    }
+
+    /// Forces on all particles, in input order, parallel over fixed chunks
+    /// of leaf-order positions on the shared pool for `cfg.threads`.
+    pub fn forces(&self) -> Vec<[f64; 3]> {
+        self.forces_with(&gridsteer_exec::shared(self.cfg.threads))
+    }
+
+    /// Forces on all particles, in input order, dispatched onto an
+    /// explicit executor pool.
+    pub fn forces_with(&self, pool: &gridsteer_exec::ExecPool) -> Vec<[f64; 3]> {
+        let n = self.order.len();
+        let mut by_leaf = vec![[0.0f64; 3]; n];
+        let total_work = AtomicU64::new(0);
+        let backend = self.backend;
+        pool.parallel_chunks(&mut by_leaf, Self::FORCE_GRAIN, |ci, out| {
+            let p = ci * Self::FORCE_GRAIN;
+            let work = match backend {
+                lanes::Backend::Scalar => self.chunk_scalar(p, out),
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `self.backend` is always what `Backend::on_this_cpu`
+                // resolved (the field's invariant), and that is `Wide` only
+                // when the CPU has AVX2, the one feature `chunk_groups_avx2`
+                // enables.
+                lanes::Backend::Wide => unsafe { self.chunk_groups_avx2(p, out) },
+                _ => self.chunk_groups(p, out),
+            };
             // u64 sum: order-independent, so the counter is deterministic
-            total_work.fetch_add(local_work, Ordering::Relaxed);
+            total_work.fetch_add(work, Ordering::Relaxed);
         });
         self.interactions
             .store(total_work.load(Ordering::Relaxed), Ordering::Relaxed);
+        let mut out = vec![[0.0f64; 3]; n];
+        for (f, &i) in by_leaf.iter().zip(&self.order) {
+            out[i as usize] = *f;
+        }
         out
     }
 
     /// Interactions counted in the last [`Octree::forces`] call.
     pub fn last_interactions(&self) -> u64 {
-        self.interactions.load(std::sync::atomic::Ordering::Relaxed)
+        self.interactions.load(Ordering::Relaxed)
     }
+}
+
+/// The lane of the group at `p` whose target is leaf-order position `j`,
+/// as a bit (none if `j` is outside the group).
+#[inline(always)]
+fn own_lane(j: usize, p: usize) -> u8 {
+    let l = j.wrapping_sub(p);
+    if l < F64_LANES {
+        1 << l
+    } else {
+        0
+    }
+}
+
+/// The lanes `l` for which `pred(l)` holds, as bits.
+#[inline(always)]
+fn mask_of(pred: impl Fn(usize) -> bool) -> u8 {
+    (0..F64_LANES).fold(0, |m, l| m | (u8::from(pred(l)) << l))
+}
+
+/// Per 4-bit lane mask, each lane's bits: all ones where the mask has the
+/// lane, zero (the bits of +0.0) where it does not.
+const LANE_BITS: [[u64; F64_LANES]; 16] = {
+    let mut t = [[0u64; F64_LANES]; 16];
+    let mut m = 0;
+    while m < 16 {
+        let mut l = 0;
+        while l < F64_LANES {
+            if m & (1 << l) != 0 {
+                t[m][l] = u64::MAX;
+            }
+            l += 1;
+        }
+        m += 1;
+    }
+    t
+};
+
+/// `v` in the lanes `mask` names, +0.0 in the others.
+#[inline(always)]
+fn keep(v: F64x4, mask: u8) -> F64x4 {
+    let bits = LANE_BITS[usize::from(mask)];
+    F64x4(std::array::from_fn(|l| {
+        f64::from_bits(v.0[l].to_bits() & bits[l])
+    }))
 }
 
 #[cfg(test)]
@@ -459,18 +585,29 @@ mod tests {
     fn tree_contains_all_particles() {
         let p = plasma_ball(500, 1);
         let t = Octree::build(&p, TreeConfig::default());
-        assert_eq!(t.nodes[0].count, 500);
-        // leaf membership partitions the set
+        assert_eq!((t.nodes[0].start, t.nodes[0].end), (0, 500));
+        // leaf order is a permutation, and the leaves tile it in ascending
+        // input order within each leaf
         let mut seen = vec![false; 500];
-        for node in &t.nodes {
-            if node.is_leaf() {
-                for &m in &node.members {
-                    assert!(!seen[m as usize], "particle {m} in two leaves");
-                    seen[m as usize] = true;
-                }
-            }
+        for &i in &t.order {
+            assert!(!seen[i as usize], "particle {i} placed twice");
+            seen[i as usize] = true;
         }
-        assert!(seen.iter().all(|&s| s));
+        let mut leaves: Vec<_> = t.nodes.iter().filter(|n| n.is_leaf()).collect();
+        leaves.sort_by_key(|n| n.start);
+        let mut next = 0;
+        for leaf in leaves {
+            assert_eq!(leaf.start, next, "leaves tile leaf order");
+            let members = &t.order[leaf.start as usize..leaf.end as usize];
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "stable partition");
+            next = leaf.end;
+        }
+        assert_eq!(next, 500);
+        for node in t.nodes.iter().filter(|n| !n.is_leaf()) {
+            let kids = &t.nodes[node.first_child as usize..][..node.children as usize];
+            assert_eq!(kids[0].start, node.start);
+            assert_eq!(kids[kids.len() - 1].end, node.end);
+        }
     }
 
     #[test]
@@ -483,7 +620,7 @@ mod tests {
         let t = Octree::build(&p, cfg);
         for node in &t.nodes {
             if node.is_leaf() {
-                assert!(node.members.len() <= 4);
+                assert!(node.end - node.start <= 4);
             }
         }
     }
@@ -497,6 +634,17 @@ mod tests {
     }
 
     #[test]
+    fn rebuild_reuses_the_tree_and_matches_a_fresh_build() {
+        let a = plasma_ball(300, 9);
+        let b = plasma_ball(120, 10);
+        let mut t = Octree::build(&a, TreeConfig::default());
+        t.rebuild(&b);
+        let fresh = Octree::build(&b, TreeConfig::default());
+        assert_eq!(t.order, fresh.order);
+        assert_eq!(t.forces(), fresh.forces());
+    }
+
+    #[test]
     fn tree_forces_match_direct_within_tolerance() {
         let p = plasma_ball(400, 4);
         let cfg = TreeConfig {
@@ -505,7 +653,7 @@ mod tests {
             ..Default::default()
         };
         let t = Octree::build(&p, cfg);
-        let tf = t.forces(&p);
+        let tf = t.forces();
         let df = direct_forces(&p, 0.05);
         // RMS relative error
         let mut num = 0.0;
@@ -530,7 +678,7 @@ mod tests {
             ..Default::default()
         };
         let t = Octree::build(&p, cfg);
-        let tf = t.forces(&p);
+        let tf = t.forces();
         let df = direct_forces(&p, 0.05);
         for (a, b) in tf.iter().zip(df.iter()) {
             for c in 0..3 {
@@ -540,13 +688,13 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_simd_leaf_kernels_are_bit_identical() {
-        // Same tree, both backends, two thread counts: force vectors must
-        // match bit for bit (the SIMD quad kernel replicates the scalar
-        // operation sequence exactly, including the self-skip fallback).
+    fn scalar_and_group_walks_are_bit_identical() {
+        // Same tree, every backend, two thread counts: force vectors must
+        // match bit for bit (each lane of the group walk replays its
+        // target's scalar walk, self-skip included).
         let p = plasma_ball(700, 11);
         let cfg = TreeConfig {
-            leaf_cap: 11, // odd cap: exercises quad blocks AND scalar tails
+            leaf_cap: 11, // odd cap: leaves that are not lane multiples
             ..Default::default()
         };
         let mut t = Octree::build(&p, cfg);
@@ -555,7 +703,7 @@ mod tests {
             t.set_backend(backend);
             for threads in [1usize, 4] {
                 let pool = gridsteer_exec::shared(threads);
-                let f = t.forces_with(&pool, &p);
+                let f = t.forces_with(&pool);
                 runs.push((
                     format!("{}-t{threads}", backend.label()),
                     f,
@@ -579,6 +727,23 @@ mod tests {
     }
 
     #[test]
+    fn masked_lanes_add_an_exact_zero() {
+        // the group walk's premise: +0.0 added to any accumulator that
+        // started at +0.0 leaves its bits alone
+        for v in [0.0, 1.5, -2.25, f64::MIN_POSITIVE, f64::INFINITY] {
+            let acc = 0.0 + v;
+            assert_eq!((acc + 0.0).to_bits(), acc.to_bits(), "{v}");
+        }
+        assert_eq!((0.0f64 + -0.0).to_bits(), 0.0f64.to_bits());
+        let v = F64x4([1.0, f64::NAN, f64::INFINITY, -3.0]);
+        let kept = keep(v, 0b1001).to_array();
+        assert_eq!(
+            kept.map(f64::to_bits),
+            [1.0, 0.0, 0.0, -3.0].map(f64::to_bits)
+        );
+    }
+
+    #[test]
     fn larger_theta_does_less_work() {
         let p = plasma_ball(1000, 6);
         let loose = Octree::build(
@@ -595,8 +760,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        loose.forces(&p);
-        tight.forces(&p);
+        loose.forces();
+        tight.forces();
         assert!(
             loose.last_interactions() < tight.last_interactions() / 2,
             "loose {} vs tight {}",
@@ -610,7 +775,7 @@ mod tests {
         let count_work = |n: usize| {
             let p = plasma_ball(n, 7);
             let t = Octree::build(&p, TreeConfig::default());
-            t.forces(&p);
+            t.forces();
             t.last_interactions() as f64
         };
         let w1 = count_work(500);
@@ -635,7 +800,7 @@ mod tests {
                 ..Default::default()
             },
         )
-        .forces(&p);
+        .forces();
         let f4 = Octree::build(
             &p,
             TreeConfig {
@@ -643,7 +808,7 @@ mod tests {
                 ..Default::default()
             },
         )
-        .forces(&p);
+        .forces();
         assert_eq!(f1, f4);
     }
 
@@ -660,8 +825,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(t.depth() <= 32);
-        let f = t.forces(&p);
+        assert!(t.depth() <= MAX_DEPTH);
+        let f = t.forces();
         assert!(f.iter().flatten().all(|v| v.is_finite()));
     }
 
@@ -669,9 +834,9 @@ mod tests {
     fn empty_and_single_particle_edge_cases() {
         let none: Vec<Particle> = vec![];
         let t = Octree::build(&none, TreeConfig::default());
-        assert!(t.forces(&none).is_empty());
+        assert!(t.forces().is_empty());
         let one = vec![Particle::at([0.0; 3], 1.0, 0)];
         let t = Octree::build(&one, TreeConfig::default());
-        assert_eq!(t.forces(&one), vec![[0.0; 3]]);
+        assert_eq!(t.forces(), vec![[0.0; 3]]);
     }
 }

@@ -1,9 +1,18 @@
-//! Property: the vectorized leaf force kernel is **bit-identical** to the
-//! scalar reference over arbitrary particle clouds — counts that exercise
-//! every lane-remainder path, clustered positions that stress deep leaves,
-//! and mixed-sign charges. Equality is of `f64` bits; interaction-count
-//! equality pins that both backends walked the same tree.
+//! Property: the lane-blocked kernels are **bit-identical** to their scalar
+//! references over arbitrary particle clouds.
+//!
+//! * The force walk: one group walk per four leaf-order targets against one
+//!   scalar walk per target — counts from a few particles (every
+//!   lane-remainder path) to thousands (multipoles accepted at every
+//!   level), θ = 0 (pure direct summation) and θ in `[0.3, 0.9]`, leaf
+//!   capacities from 1, mixed-sign charges, and a coincident cluster under
+//!   zero softening whose inf/NaN pair terms must stay in the lanes that
+//!   own them. Interaction-count equality pins that every backend and pool
+//!   width walked the same tree.
+//! * The potential energy: four pair terms at a time, folded in `j` order,
+//!   against the scalar fold.
 
+use pepc::direct::potential_energy_on;
 use pepc::tree::{Octree, TreeConfig};
 use pepc::Particle;
 use proptest::prelude::*;
@@ -31,47 +40,127 @@ fn cloud(n: usize, seed: u64) -> Vec<Particle> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn leaf_forces_are_bit_identical_across_backends(
-        n in 2usize..80,
-        seed in 0u64..10_000,
-        leaf_cap in 2usize..16,
-        theta in 0.3f64..0.9,
-    ) {
-        let particles = cloud(n, seed);
-        let cfg = TreeConfig {
-            theta,
-            leaf_cap,
-            threads: 1,
-            ..Default::default()
-        };
-        let mut tree = Octree::build(&particles, cfg);
-
-        tree.set_backend(lanes::Backend::Scalar);
-        let scalar = tree.forces(&particles);
-        let work_scalar = tree.last_interactions();
-
-        for backend in lanes::Backend::ALL {
-            tree.set_backend(backend);
-            let lane = tree.forces(&particles);
-            let work_lane = tree.last_interactions();
-
-            prop_assert_eq!(work_scalar, work_lane, "{} walked a different tree", backend.label());
+/// Forces and interaction count of `particles` on every backend at pool
+/// widths 1 and 4, checked bit-equal to the scalar walk at width 1;
+/// returns the scalar forces.
+fn forces_agree(particles: &[Particle], cfg: TreeConfig) -> Vec<[f64; 3]> {
+    let mut tree = Octree::build(particles, cfg);
+    tree.set_backend(lanes::Backend::Scalar);
+    let one = gridsteer_exec::shared(1);
+    let scalar = tree.forces_with(&one);
+    let work_scalar = tree.last_interactions();
+    for backend in lanes::Backend::ALL {
+        tree.set_backend(backend);
+        for width in [1usize, 4] {
+            let lane = tree.forces_with(&gridsteer_exec::shared(width));
+            let label = format!("{} at width {width}", backend.label());
+            prop_assert_eq!(
+                work_scalar,
+                tree.last_interactions(),
+                "{} walked a different tree",
+                &label
+            );
             for (i, (a, b)) in scalar.iter().zip(&lane).enumerate() {
                 for c in 0..3 {
                     prop_assert_eq!(
                         a[c].to_bits(),
                         b[c].to_bits(),
                         "{}: particle {} component {} diverged",
-                        backend.label(),
+                        &label,
                         i,
                         c
                     );
                 }
             }
+        }
+    }
+    scalar
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn group_walk_forces_are_bit_identical_across_backends(
+        kind in 0usize..3,
+        theta in 0.3f64..0.9,
+        draw in 0usize..3000,
+        seed in 0u64..10_000,
+        leaf_cap in 1usize..16,
+    ) {
+        // θ = 0 (every leaf summed directly) over small clouds, or θ in
+        // [0.3, 0.9] over few particles or up to 3000
+        let (theta, n) = match kind {
+            0 => (0.0, 2 + draw % 398),
+            1 => (theta, 2 + draw % 78),
+            _ => (theta, 80 + draw % 2920),
+        };
+        let cfg = TreeConfig {
+            theta,
+            leaf_cap,
+            threads: 1,
+            ..Default::default()
+        };
+        forces_agree(&cloud(n, seed), cfg);
+    }
+
+    #[test]
+    fn masked_lanes_keep_a_coincident_cluster_in_its_own_lanes(
+        n in 0usize..120,
+        cluster in 2usize..12,
+        seed in 0u64..10_000,
+        leaf_cap in 1usize..16,
+        theta in 0.3f64..0.9,
+    ) {
+        // with ε = 0 every pair inside the cluster (and every target's
+        // own pair, were it not masked) is 0·∞ = NaN
+        let mut particles = cloud(n, seed);
+        let at = [0.5, 0.25, 0.75];
+        for k in 0..cluster {
+            particles.push(Particle::at(at, if k % 2 == 0 { 1.0 } else { -1.0 }, (n + k) as u32));
+        }
+        let cfg = TreeConfig {
+            theta,
+            eps: 0.0,
+            leaf_cap,
+            threads: 1,
+        };
+        let forces = forces_agree(&particles, cfg);
+        for (i, f) in forces[..n].iter().enumerate() {
+            prop_assert!(f.iter().all(|v| v.is_finite()), "particle {} off the cluster: {:?}", i, f);
+        }
+    }
+
+    #[test]
+    fn lane_blocked_potential_is_bit_identical_to_the_scalar_fold(
+        n in 0usize..=300,
+        seed in 0u64..10_000,
+        draw in 0.0f64..0.2,
+    ) {
+        // unsoftened in a fifth of the cases
+        let eps = if draw < 0.04 { 0.0 } else { draw };
+        let particles = cloud(n, seed);
+        let scalar = potential_energy_on(lanes::Backend::Scalar, &particles, eps);
+        for backend in lanes::Backend::ALL {
+            let lane = potential_energy_on(backend, &particles, eps);
+            prop_assert_eq!(scalar.to_bits(), lane.to_bits(), "{} at n = {}", backend.label(), n);
+        }
+    }
+}
+
+#[test]
+fn potential_is_bit_identical_for_every_lane_remainder() {
+    for n in 0..=9 {
+        let particles = cloud(n, n as u64);
+        let scalar = potential_energy_on(lanes::Backend::Scalar, &particles, 0.05);
+        for backend in lanes::Backend::ALL {
+            let lane = potential_energy_on(backend, &particles, 0.05);
+            assert_eq!(
+                scalar.to_bits(),
+                lane.to_bits(),
+                "{} at n = {n}",
+                backend.label()
+            );
         }
     }
 }
