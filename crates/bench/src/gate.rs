@@ -26,7 +26,8 @@
 //! fan-out over encoding subscribers, the checkpoint codec (section
 //! save, full encode, delta encode, decode + restore),
 //! the steering commit (64 commands through a session, watched by eight
-//! subscribers and by none), and the Figure-1 frame (raster, delta encode
+//! subscribers and by none) and the staging of 8 batches of 4 through
+//! each middleware, and the Figure-1 frame (raster, delta encode
 //! and delta decode of `viz_fanout`'s scene), and the PEPC kernels (the
 //! tree force walk at two particle counts and the O(N²) potential energy,
 //! each on every backend, whose digests must agree).
@@ -578,73 +579,99 @@ fn snap_ckpt() -> Vec<GateCell> {
 }
 
 /// The steering write path as `steer_storm` drives it, without the
-/// simulation: one tick stages 16 batches of 4 commands over loopback,
+/// simulation. A tick stages batches of 4 commands through one endpoint,
 /// commits them through a [`SteeringSession`](steer_core::SteeringSession)
 /// (role check, registry write, audit entry) and drains every subscriber.
-/// Two cells — eight subscribers watching, and none (the harness's case:
-/// no commit record is built). A cell times the mean tick of the fastest
-/// of five batches. Each digest folds the final registry values, the
-/// notices drained and the session's event count — no timing.
+///
+/// * `commit_64c_{8,0}subs` — 16 batches over loopback, watched by eight
+///   subscribers and by none (no commit record is built): the commit.
+/// * `stage_<transport>_8x4` — 8 batches over each [`Transport`], watched
+///   by the endpoint's own subscription as each `steer_storm` client is:
+///   staging through that middleware's wire, then the commit.
+///
+/// A cell times the mean tick of the fastest of five batches. Each digest
+/// folds the final registry values, the notices drained and the session's
+/// event count — no timing.
+///
+/// [`Transport`]: gridsteer_bus::Transport
 fn snap_steer() -> Vec<GateCell> {
-    use gridsteer_bus::{SteerCommand, SteerHub, Transport};
+    use gridsteer_bus::Transport;
+    let mut cells: Vec<GateCell> = [8usize, 0]
+        .into_iter()
+        .map(|subs| {
+            steer_cell(
+                format!("commit_64c_{subs}subs"),
+                Transport::Loopback,
+                16,
+                subs,
+            )
+        })
+        .collect();
+    cells.extend(Transport::ALL.map(|t| steer_cell(format!("stage_{}_8x4", t.label()), t, 8, 1)));
+    cells
+}
+
+/// One `snap_steer` cell: `batches` batches of four a tick over
+/// `transport`, `subs` subscribers watching.
+fn steer_cell(
+    cell: String,
+    transport: gridsteer_bus::Transport,
+    batches: u64,
+    subs: usize,
+) -> GateCell {
+    use gridsteer_bus::{SteerCommand, SteerHub};
     use steer_core::{ParamSpec, SteeringSession};
     const PARAMS: [&str; 4] = ["beam_theta", "damping", "laser_a0", "theta"];
-    const BATCHES: u64 = 16;
     const ROUNDS: u64 = 200;
     const TIMED: usize = 5;
-    [8usize, 0]
-        .into_iter()
-        .map(|watchers| {
-            let hub = SteerHub::new(PARAMS.map(|p| ParamSpec::f64(p, 0.0, 1.0, 0.5)).to_vec());
-            let mut session = SteeringSession::with_registry(hub.registry());
-            session.join("alice");
-            let mut ep = Transport::Loopback.attach(&hub, "alice");
-            let subs: Vec<_> = (0..watchers).map(|_| ep.subscribe()).collect();
-            let mut staged = 0u64;
-            let mut notices = 0u64;
-            let mut tick = || {
-                for _ in 0..BATCHES {
-                    let cmds = PARAMS
-                        .iter()
-                        .map(|p| {
-                            staged += 1;
-                            SteerCommand::f64(p, (staged % 1000) as f64 / 1000.0)
-                        })
-                        .collect();
-                    ep.set_batch(cmds).expect("loopback stages");
-                }
-                hub.commit_with(|batch, cmd| {
-                    let idx = session.index_of(&batch.origin).ok_or("sender left")?;
-                    session.steer_value(idx, &cmd.param, &cmd.value)
-                });
-                for sub in &subs {
-                    notices += sub.drain().len() as u64;
-                }
-            };
-            tick(); // warm-up
-            let wall_us = (0..TIMED)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    for _ in 0..ROUNDS {
-                        tick();
-                    }
-                    t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64
+    let hub = SteerHub::new(PARAMS.map(|p| ParamSpec::f64(p, 0.0, 1.0, 0.5)).to_vec());
+    let mut session = SteeringSession::with_registry(hub.registry());
+    session.join("alice");
+    let mut ep = transport.attach(&hub, "alice");
+    let subs: Vec<_> = (0..subs).map(|_| ep.subscribe()).collect();
+    let mut staged = 0u64;
+    let mut notices = 0u64;
+    let mut tick = || {
+        for _ in 0..batches {
+            let cmds = PARAMS
+                .iter()
+                .map(|p| {
+                    staged += 1;
+                    SteerCommand::f64(p, (staged % 1000) as f64 / 1000.0)
                 })
-                .fold(f64::INFINITY, f64::min);
-            let mut h = FNV_OFFSET;
-            for p in PARAMS {
-                let v = hub.get(p).and_then(|v| v.as_f64()).expect("declared f64");
-                h = fold(h, &v.to_bits().to_le_bytes());
+                .collect();
+            ep.set_batch(cmds).expect("every transport stages f64");
+        }
+        hub.commit_with(|batch, cmd| {
+            let idx = session.index_of(&batch.origin).ok_or("sender left")?;
+            session.steer_value(idx, &cmd.param, &cmd.value)
+        });
+        for sub in &subs {
+            notices += sub.drain().len() as u64;
+        }
+    };
+    tick(); // warm-up
+    let wall_us = (0..TIMED)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..ROUNDS {
+                tick();
             }
-            h = fold(h, &notices.to_le_bytes());
-            h = fold(h, &session.audit_log().total().to_le_bytes());
-            GateCell {
-                cell: format!("commit_64c_{watchers}subs"),
-                wall_us,
-                digest: hex(h),
-            }
+            t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64
         })
-        .collect()
+        .fold(f64::INFINITY, f64::min);
+    let mut h = FNV_OFFSET;
+    for p in PARAMS {
+        let v = hub.get(p).and_then(|v| v.as_f64()).expect("declared f64");
+        h = fold(h, &v.to_bits().to_le_bytes());
+    }
+    h = fold(h, &notices.to_le_bytes());
+    h = fold(h, &session.audit_log().total().to_le_bytes());
+    GateCell {
+        cell,
+        wall_us,
+        digest: hex(h),
+    }
 }
 
 /// The side of `viz_fanout`'s square render target.

@@ -217,6 +217,8 @@ pub struct OgsaEndpoint {
     hub: SteerHub,
     caps: Capabilities,
     service: Binding,
+    /// The last `setBatch`'s arguments, as they were invoked.
+    pub(crate) args: Vec<SdeValue>,
 }
 
 impl OgsaEndpoint {
@@ -232,6 +234,7 @@ impl OgsaEndpoint {
                 BusSteeringService::PORT_TYPE,
                 origin,
             ),
+            args: Vec::new(),
         }
     }
 }
@@ -259,9 +262,10 @@ impl SteerEndpoint for OgsaEndpoint {
             args.push(kind);
             args.push(payload);
         }
+        self.args = args;
         let out = self
             .service
-            .invoke("setBatch", &args)
+            .invoke("setBatch", &self.args)
             .map_err(SteerError::Transport)?;
         match out.first().and_then(SdeValue::as_i64) {
             Some(seq) if seq > 0 => Ok(seq as u64),

@@ -426,6 +426,130 @@ pub(crate) mod tests {
         }
     }
 
+    /// A link that keeps every frame sent on it and hands them back in
+    /// order: what a VISIT peer would read off the wire.
+    #[derive(Default)]
+    struct RecordingLink {
+        sent: Vec<Vec<u8>>,
+        read: usize,
+    }
+
+    impl ::visit::link::FrameLink for RecordingLink {
+        fn send(&mut self, frame: &[u8]) -> Result<(), ::visit::link::LinkError> {
+            self.sent.push(frame.to_vec());
+            Ok(())
+        }
+
+        fn recv_timeout(
+            &mut self,
+            _: std::time::Duration,
+        ) -> Result<Vec<u8>, ::visit::link::LinkError> {
+            let frame = self.sent.get(self.read).cloned();
+            self.read += 1;
+            frame.ok_or(::visit::link::LinkError::Timeout)
+        }
+    }
+
+    /// FNV-1a over frames as a stream carries them: each one's `u32`
+    /// length, then its bytes.
+    fn fnv_framed<'a>(frames: impl IntoIterator<Item = &'a [u8]>) -> u64 {
+        frames.into_iter().fold(crate::FNV_OFFSET, |h, frame| {
+            let h = crate::fnv1a(h, &(frame.len() as u32).to_le_bytes());
+            crate::fnv1a(h, frame)
+        })
+    }
+
+    /// `setBatch`'s arguments as bytes: per value a variant byte, then
+    /// its payload (texts as `u32` length + UTF-8, numbers little-endian).
+    fn sde_bytes(args: &[::ogsa::SdeValue]) -> Vec<u8> {
+        use ::ogsa::SdeValue;
+        let mut out = Vec::new();
+        let text = |out: &mut Vec<u8>, s: &str| {
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        };
+        for arg in args {
+            match arg {
+                SdeValue::Str(s) => {
+                    out.push(0);
+                    text(&mut out, s);
+                }
+                SdeValue::F64(v) => {
+                    out.push(1);
+                    out.extend_from_slice(&v.to_bits().to_le_bytes());
+                }
+                SdeValue::I64(v) => {
+                    out.push(2);
+                    out.extend_from_slice(&v.to_le_bytes());
+                }
+                SdeValue::Bool(b) => out.extend_from_slice(&[3, u8::from(*b)]),
+                SdeValue::List(items) => {
+                    out.push(4);
+                    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+                    items.iter().for_each(|s| text(&mut out, s));
+                }
+            }
+        }
+        out
+    }
+
+    /// The bytes each middleware carries for one batch of every kind are
+    /// the paper's mechanism, so they are pinned: the VISIT steering
+    /// envelope in both byte orders (§3.2), the UNICORE consignment
+    /// (§3.1) and the OGSA `setBatch` arguments (§2.3). A change that
+    /// moves one of these constants changes what a remote peer reads.
+    #[test]
+    fn conformance_steer_wire_bytes_are_pinned() {
+        use crate::visit::{Request, VisitWire};
+        use ::visit::Endianness;
+        let commands = every_kind_commands();
+        for (order, pin) in [
+            (Endianness::Little, 0x6673a819adee5909),
+            (Endianness::Big, 0xae41e5cbbb812bfe),
+        ] {
+            let patience = std::time::Duration::ZERO;
+            let mut wire = VisitWire::steering_in(RecordingLink::default(), order, patience);
+            let request = Request::Batch {
+                seq: 3,
+                commands: commands.clone(),
+            };
+            wire.send_request(&request).unwrap();
+            let frames = &wire.link_mut().sent;
+            assert_eq!(frames.len(), 2 + 2 * commands.len(), "{order:?}");
+            let got = fnv_framed(frames.iter().map(Vec::as_slice));
+            assert_eq!(
+                got, pin,
+                "VISIT envelope bytes moved ({order:?}): {got:#018x}"
+            );
+            assert_eq!(wire.recv_request(patience), Ok(Some(request)));
+        }
+
+        let hub = every_kind_hub();
+        let mut unicore = crate::unicore::UnicoreEndpoint::attach(&hub, "alice");
+        unicore.set_batch(commands.clone()).unwrap();
+        let got = fnv_framed([unicore.wire.as_slice()]);
+        assert_eq!(
+            got, 0x216da8c5ed27f0be,
+            "UNICORE consignment bytes moved: {got:#018x}"
+        );
+
+        let mut ogsa = crate::ogsa::OgsaEndpoint::attach(&hub, "alice");
+        ogsa.set_batch(commands.clone()).unwrap();
+        let got = fnv_framed([sde_bytes(&ogsa.args).as_slice()]);
+        assert_eq!(
+            got, 0x1a067bf684d26d1b,
+            "OGSA setBatch arguments moved: {got:#018x}"
+        );
+
+        // and each carried the batch: staged twice, committed in order
+        let sub = hub.subscribe();
+        assert_eq!(hub.commit().applied, 2 * commands.len() as u64);
+        let drained = sub.drain();
+        let params: Vec<_> = drained.iter().map(|n| n.param).collect();
+        let sent: Vec<_> = commands.iter().map(|c| c.param.as_str()).collect();
+        assert_eq!(params, [sent.clone(), sent].concat());
+    }
+
     /// One session, several transports at once — the paper's interop
     /// claim in miniature: staging order decides, not transport identity.
     #[test]

@@ -89,14 +89,15 @@ const MONITOR: Plane = Plane {
 };
 
 /// One consignment: build the two-task AJO around an already-encoded
-/// `payload` staged as `file`, run the hop (serialize, ship, deserialize,
-/// validate the DAG), and decode the staged file on the target side,
-/// reading each item with `item`.
+/// `payload` staged as `file`, run the hop (serialize into `wire`, ship,
+/// deserialize, validate the DAG), and decode the staged file on the
+/// target side, reading each item with `item`.
 fn consign<T>(
     plane: &Plane,
     origin: &str,
     file: &str,
     payload: Vec<u8>,
+    wire: &mut Vec<u8>,
     item: impl Fn(&mut SectionReader<'_>) -> Result<T, CkptError>,
 ) -> Result<Vec<T>, String> {
     let mut ajo = Ajo::new(&format!("{}-{origin}", plane.job), plane.vsite);
@@ -116,7 +117,10 @@ fn consign<T>(
     );
     let consigned = ajo
         .to_bytes()
-        .and_then(|wire| Ajo::from_bytes(&wire))
+        .and_then(|bytes| {
+            *wire = bytes;
+            Ajo::from_bytes(wire)
+        })
         .map_err(|e| format!("AJO serialization hop failed: {e:?}"))?;
     let order = consigned
         .topo_order()
@@ -140,6 +144,8 @@ pub struct UnicoreEndpoint {
     origin: String,
     caps: Capabilities,
     jobs_consigned: u64,
+    /// The last consignment's bytes, as they crossed the hop.
+    pub(crate) wire: Vec<u8>,
 }
 
 impl UnicoreEndpoint {
@@ -150,6 +156,7 @@ impl UnicoreEndpoint {
             origin: origin.to_string(),
             caps: Capabilities::full(LABEL, 64),
             jobs_consigned: 0,
+            wire: Vec::new(),
         }
     }
 
@@ -176,6 +183,7 @@ impl SteerEndpoint for UnicoreEndpoint {
             &self.origin,
             "steer.cmd",
             payload.to_vec(),
+            &mut self.wire,
             SteerCommand::read,
         )
         .map_err(SteerError::Transport)?;
@@ -230,6 +238,7 @@ impl MonitorEndpoint for UnicoreMonitor {
             &self.origin,
             &format!("monitor-{}.dat", self.jobs_consigned),
             payload.to_vec(),
+            &mut Vec::new(),
             |r| MonitorFrame::read(r).map(MonitorFrame::into_owned),
         )
         .map_err(MonitorError::Transport)?;
@@ -292,6 +301,7 @@ mod tests {
                 "o",
                 "steer.cmd",
                 payload.to_vec(),
+                &mut Vec::new(),
                 SteerCommand::read,
             )
             .unwrap_err()

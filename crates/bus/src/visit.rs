@@ -132,10 +132,16 @@ impl<L: FrameLink> VisitWire<L> {
     /// order and waiting up to `patience` for each frame a request or a
     /// reply still owes.
     pub fn steering(link: L, patience: Duration) -> VisitWire<L> {
+        Self::steering_in(link, Endianness::native(), patience)
+    }
+
+    /// The steering plane over `link`, encoding payloads in `order` (the
+    /// wire-byte pins force both).
+    pub(crate) fn steering_in(link: L, order: Endianness, patience: Duration) -> VisitWire<L> {
         VisitWire {
             link,
             plane: STEER,
-            order: Endianness::native(),
+            order,
             patience,
         }
     }

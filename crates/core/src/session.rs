@@ -867,6 +867,24 @@ mod tests {
         );
     }
 
+    /// The audit fold and the checkpoint sections are bytes a restore
+    /// reads back and a digest covers, so a steer path that stops
+    /// copying must leave them exactly as they were.
+    #[test]
+    fn the_audit_fold_and_sections_are_pinned() {
+        let (hub, mut s) = hub_and_session();
+        (0..3 * AUDIT_WINDOW + 5).for_each(|i| steer_nth(&mut s, i));
+        assert_eq!(s.audit_log().evicted(), 2 * AUDIT_WINDOW as u64);
+        let fold = s.audit_log().fold();
+        assert_eq!(fold, 0x8d3871c557765cea, "audit fold moved: {fold:#018x}");
+        let (session, steer) = sections(&hub, &s);
+        let got = fnv1a(fnv1a(FNV_OFFSET, &session), &steer);
+        assert_eq!(
+            got, 0xd8f57670e8d9aa5e,
+            "session + steer sections moved: {got:#018x}"
+        );
+    }
+
     #[test]
     fn restore_after_an_eviction_resumes_the_same_window() {
         let (hub, mut s) = hub_and_session();

@@ -10,6 +10,9 @@
 //! * Audit state is a window. Live heap after 4 N ticks is within one
 //!   window of entries of live heap after N, once N is past the first
 //!   eviction — the log neither grows with the run nor allocates per entry.
+//! * Each middleware's hop has a price list. A warm stage + commit of 8
+//!   batches of 4 makes at most its pinned number of allocator calls over
+//!   every transport, and loopback (no wire) is the floor.
 //!
 //! The witness is `gridsteer_testkit`'s counting allocator, whose
 //! counters are per thread, so the tests in this file can run in parallel
@@ -27,37 +30,45 @@ const BATCHES: usize = 16;
 const CMDS: usize = 4;
 const PARAMS: [&str; 4] = ["beam_theta", "damping", "laser_a0", "theta"];
 
-/// One master steering through a loopback endpoint, `subs` subscribers
+/// One master steering through one endpoint, `subs` subscribers
 /// watching — `steer_storm`'s write path without the simulation.
 struct Rig {
     hub: SteerHub,
     session: SteeringSession,
     ep: Box<dyn SteerEndpoint>,
     subs: Vec<Subscription>,
+    batches: usize,
     ticks: u64,
 }
 
 impl Rig {
+    /// 16 batches a tick over loopback.
     fn new(subs: usize) -> Rig {
+        Rig::over(Transport::Loopback, BATCHES, subs)
+    }
+
+    /// `batches` batches a tick over `transport`.
+    fn over(transport: Transport, batches: usize, subs: usize) -> Rig {
         let hub = SteerHub::new(PARAMS.map(|p| ParamSpec::f64(p, 0.0, 1.0, 0.5)).to_vec());
         let mut session = SteeringSession::with_registry(hub.registry());
         session.join("alice");
-        let mut ep = Transport::Loopback.attach(&hub, "alice");
+        let mut ep = transport.attach(&hub, "alice");
         let subs = (0..subs).map(|_| ep.subscribe()).collect();
         Rig {
             hub,
             session,
             ep,
             subs,
+            batches,
             ticks: 0,
         }
     }
 
-    /// Stage 16 batches of 4, commit them through the session, drain
-    /// every subscriber. Returns the notices drained.
+    /// Stage the tick's batches of 4, commit them through the session,
+    /// drain every subscriber. Returns the notices drained.
     fn tick(&mut self) -> usize {
         self.ticks += 1;
-        for b in 0..BATCHES {
+        for b in 0..self.batches {
             let cmds = (0..CMDS)
                 .map(|c| {
                     let k = self.ticks * 64 + (b * CMDS + c) as u64;
@@ -71,7 +82,7 @@ impl Rig {
             let idx = session.index_of(&batch.origin).ok_or("sender left")?;
             session.steer_value(idx, &cmd.param, &cmd.value)
         });
-        assert_eq!(out.applied, (BATCHES * CMDS) as u64);
+        assert_eq!(out.applied, (self.batches * CMDS) as u64);
         self.subs.iter().map(|s| s.drain().len()).sum()
     }
 
@@ -81,7 +92,7 @@ impl Rig {
             self.tick();
         }
         let (drained, usage) = measure(|| self.tick());
-        assert_eq!(drained, self.subs.len() * BATCHES * CMDS);
+        assert_eq!(drained, self.subs.len() * self.batches * CMDS);
         usage.calls
     }
 }
@@ -151,4 +162,35 @@ fn live_heap_is_flat_once_the_audit_window_has_filled() {
     let log = rig.session.audit_log();
     assert_eq!(log.total(), 1 + (4 * N * BATCHES * CMDS) as u64);
     assert!(log.retained().len() < 2 * AUDIT_WINDOW);
+}
+
+/// Allocator calls of one warm tick — 8 batches of 4 staged over the
+/// transport and committed, the endpoint's own subscription watching, as
+/// a `steer_storm` client is — at most. A cut lowers its pin; nothing may
+/// raise one.
+const STAGE_CALLS: [(Transport, u64); 5] = [
+    (Transport::Loopback, 52),
+    (Transport::Visit, 452),
+    (Transport::Ogsa, 172),
+    (Transport::Covise, 124),
+    (Transport::Unicore, 364),
+];
+
+#[test]
+fn a_warm_stage_and_commit_allocates_at_most_its_pin_on_every_transport() {
+    let calls = |t| Rig::over(t, 8, 1).calls_per_warm_tick();
+    let floor = calls(Transport::Loopback);
+    let got: Vec<_> = STAGE_CALLS.map(|(t, _)| (t, calls(t))).to_vec();
+    for ((t, pin), (_, n)) in STAGE_CALLS.iter().zip(&got) {
+        assert!(
+            n <= pin,
+            "{}: {n} allocator calls, pinned at {pin}",
+            t.label()
+        );
+        assert!(
+            *n >= floor,
+            "{}: {n} calls, under loopback's {floor}",
+            t.label()
+        );
+    }
 }
