@@ -16,7 +16,6 @@ use crate::monitor::endpoint::MonitorCaps;
 use crate::monitor::frame::{MonitorFrame, MonitorKind};
 use crate::spec::{BoundsPolicy, ParamSpec};
 use crate::value::{ParamKind, ParamValue};
-use bytes::BytesMut;
 use gridsteer_ckpt::{CkptError, SectionReader, SectionWriter};
 
 /// Labels the live structs carry as `&'static str` ([`CommandBatch`]
@@ -55,9 +54,7 @@ fn corrupt(what: &str) -> CkptError {
 
 /// Write a length-prefixed [`ParamValue`] in its tagged wire encoding.
 pub fn put_value(w: &mut SectionWriter, v: &ParamValue) {
-    let mut b = BytesMut::new();
-    v.encode_bytes(&mut b);
-    w.put_bytes(&b);
+    w.put_body(|b| v.encode_bytes(b));
 }
 
 /// Read one length-prefixed body in place with `read`, through a reader
@@ -74,20 +71,19 @@ fn get_body<T>(
     Ok(v)
 }
 
-/// Read a `u16` count, then that many items with `item` — the framing of
-/// a UNICORE staged file. Every
-/// item takes at least one byte, so a count the bytes cannot hold
-/// reserves nothing beyond them before it fails.
-pub fn get_counted<'a, T>(
+/// Read a `u16` count, then that many items, each with `item` given its
+/// index — the framing of a UNICORE staged file. Returns the count. Items
+/// are stored by `item` as they are read, so a count the bytes cannot
+/// hold reserves nothing before it fails.
+pub fn get_counted<'a>(
     r: &mut SectionReader<'a>,
-    item: impl Fn(&mut SectionReader<'a>) -> Result<T, CkptError>,
-) -> Result<Vec<T>, CkptError> {
+    mut item: impl FnMut(&mut SectionReader<'a>, usize) -> Result<(), CkptError>,
+) -> Result<usize, CkptError> {
     let count = usize::from(r.get_u16()?);
-    let mut items = Vec::with_capacity(count.min(r.remaining()));
-    for _ in 0..count {
-        items.push(item(r)?);
+    for i in 0..count {
+        item(r, i)?;
     }
-    Ok(items)
+    Ok(count)
 }
 
 /// Read back one [`put_value`] encoding.
@@ -100,10 +96,8 @@ pub fn get_value(r: &mut SectionReader<'_>, what: &str) -> Result<ParamValue, Ck
 /// [`SteerHub::stage`](crate::SteerHub::stage) admits no name the wire
 /// cannot frame.
 pub fn put_command(w: &mut SectionWriter, c: &SteerCommand) {
-    let mut b = BytesMut::new();
-    c.encode_bytes(&mut b)
+    w.put_body(|b| c.encode_bytes(b))
         .expect("a staged command's name fits the wire");
-    w.put_bytes(&b);
 }
 
 /// Read back one [`put_command`] encoding.
@@ -214,6 +208,7 @@ fn get_opt_f64(r: &mut SectionReader<'_>) -> Result<Option<f64>, CkptError> {
 pub(crate) mod tests {
     use super::*;
     use crate::monitor::frame::MonitorPayload;
+    use bytes::BytesMut;
 
     #[test]
     fn labels_intern_known_and_unknown() {
@@ -342,9 +337,10 @@ pub(crate) mod tests {
         // the UNICORE staged files: a counted run of either, each item
         // kept as its own encoding
         let staged = |items: &Vec<Vec<u8>>| {
-            let mut out = crate::unicore::begin_payload(items.len()).unwrap();
+            let mut out = Vec::new();
+            crate::unicore::begin_payload(&mut out, items.len()).unwrap();
             items.iter().for_each(|i| out.extend_from_slice(i));
-            out.to_vec()
+            out
         };
         let steer_file = |b: &[u8]| {
             let item = |r: &mut SectionReader<'_>| SteerCommand::read(r).map(|c| put_command(&c));

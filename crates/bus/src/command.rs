@@ -1,7 +1,7 @@
 //! Steer commands, sequence-numbered batches, and commit outcomes.
 
 use crate::value::ParamValue;
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 use gridsteer_ckpt::{CkptError, SectionReader};
 
 /// One requested parameter change.
@@ -37,7 +37,7 @@ impl SteerCommand {
     /// and the checkpointed staged batches. A name the length field
     /// cannot hold is refused ([`SteerError::NameTooLong`]) with nothing
     /// written, never wrapped.
-    pub fn encode_bytes(&self, out: &mut BytesMut) -> Result<(), SteerError> {
+    pub fn encode_bytes(&self, out: &mut impl BufMut) -> Result<(), SteerError> {
         out.put_u16_le(self.wire_name_len()?);
         out.put_slice(self.param.as_bytes());
         self.value.encode_bytes(out);
@@ -46,9 +46,35 @@ impl SteerCommand {
 
     /// Read one [`encode_bytes`](SteerCommand::encode_bytes) encoding.
     pub fn read(r: &mut SectionReader<'_>) -> Result<SteerCommand, CkptError> {
-        let param = r.get_name()?.to_string();
-        let value = ParamValue::read(r)?;
-        Ok(SteerCommand { param, value })
+        let mut cmd = SteerCommand::new("", ParamValue::Bool(false));
+        cmd.read_into(r)?;
+        Ok(cmd)
+    }
+
+    /// [`read`](SteerCommand::read) over this command, keeping its name's
+    /// buffer.
+    pub(crate) fn read_into(&mut self, r: &mut SectionReader<'_>) -> Result<(), CkptError> {
+        let name = r.get_name()?;
+        self.set(name, ParamValue::read(r)?);
+        Ok(())
+    }
+
+    /// Make this command `param = value`, in the name buffer it has.
+    pub(crate) fn set(&mut self, param: &str, value: ParamValue) {
+        self.param.clear();
+        self.param.push_str(param);
+        self.value = value;
+    }
+
+    /// Command `i` of a batch being decoded over `commands`: the one
+    /// already there, to be overwritten in its own buffers, or a fresh
+    /// one appended. A transport that decodes its wire over the batch it
+    /// was handed stages what the wire carried without allocating for it.
+    pub(crate) fn slot(commands: &mut Vec<SteerCommand>, i: usize) -> &mut SteerCommand {
+        if i == commands.len() {
+            commands.push(SteerCommand::new("", ParamValue::Bool(false)));
+        }
+        &mut commands[i]
     }
 }
 

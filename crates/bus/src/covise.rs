@@ -43,6 +43,7 @@ use crate::monitor::endpoint::{
     check_delivery, monitor_endpoint_common, FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError,
 };
 use crate::monitor::frame::{MonitorFrame, MonitorKind, MonitorPayload};
+use crate::registry::SharedRegistry;
 use crate::value::{ParamKind, ParamValue};
 use covise::broker::HostArch;
 use covise::{
@@ -58,23 +59,35 @@ pub const LABEL: &str = "covise";
 /// The parameter-sink module: every accepted `set_param` becomes one
 /// staged typed command.
 pub struct SteerParamsModule {
-    hub: SteerHub,
+    registry: SharedRegistry,
+    /// The staged commands, in the first `filled` places of a buffer
+    /// whose further places are spent commands to stage over.
     staged: Vec<SteerCommand>,
+    filled: usize,
 }
 
 impl SteerParamsModule {
     pub(crate) fn new(hub: &SteerHub) -> SteerParamsModule {
         SteerParamsModule {
-            hub: hub.clone(),
+            registry: hub.registry(),
             staged: Vec::new(),
+            filled: 0,
         }
     }
 
-    /// Re-type a scalar module parameter against the declared spec (one
+    /// The commands staged since the last take. `spare`, a spent batch,
+    /// becomes the buffer the next ones are staged over (see
+    /// [`SteerCommand::slot`]).
+    fn take_staged(&mut self, spare: Vec<SteerCommand>) -> Vec<SteerCommand> {
+        let mut staged = std::mem::replace(&mut self.staged, spare);
+        staged.truncate(std::mem::take(&mut self.filled));
+        staged
+    }
+
+    /// Re-type a scalar module parameter against the declared kind (one
     /// rule, shared with the f64 shims: [`ParamValue::from_scalar`]).
     fn retype(&self, key: &str, value: f64) -> Option<ParamValue> {
-        let spec = self.hub.registry().spec(key)?;
-        ParamValue::from_scalar(spec.kind, value)
+        ParamValue::from_scalar(self.registry.kind(key)?, value)
     }
 }
 
@@ -94,7 +107,8 @@ impl Module for SteerParamsModule {
     fn set_param(&mut self, key: &str, value: f64) -> bool {
         match self.retype(key, value) {
             Some(v) => {
-                self.staged.push(SteerCommand::new(key, v));
+                SteerCommand::slot(&mut self.staged, self.filled).set(key, v);
+                self.filled += 1;
                 true
             }
             None => false,
@@ -102,7 +116,7 @@ impl Module for SteerParamsModule {
     }
 
     fn param(&self, key: &str) -> Option<f64> {
-        self.hub.get(key).and_then(|v| v.as_f64())
+        self.registry.get_value(key).and_then(|v| v.as_f64())
     }
 
     fn execute(&mut self, _inputs: &[Arc<DataObject>]) -> Result<Vec<DataObject>, String> {
@@ -150,14 +164,15 @@ impl SteerEndpoint for CoviseEndpoint {
             if !Module::set_param(&mut self.module, &cmd.param, scalar) {
                 // atomic batch: the module refused one change, so none of
                 // the batch may stage
-                self.module.staged.clear();
+                self.module.filled = 0;
                 return Err(SteerError::Transport(format!(
                     "covise module refused {}={scalar}",
                     cmd.param
                 )));
             }
         }
-        let staged = std::mem::take(&mut self.module.staged);
+        // the spent batch is what the module stages the next one over
+        let staged = self.module.take_staged(commands);
         self.hub.stage(&self.origin, LABEL, staged)
     }
 }

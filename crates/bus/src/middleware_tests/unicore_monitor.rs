@@ -58,7 +58,8 @@ mod tests {
                 payload: MonitorPayload::grid2("g", 1, 2, vec![5.0, 6.0]),
             },
         ];
-        let mut bytes = begin_payload(frames.len()).unwrap();
+        let mut bytes = Vec::new();
+        begin_payload(&mut bytes, frames.len()).unwrap();
         for f in &frames {
             f.encode_bytes(&mut bytes).unwrap();
         }

@@ -31,7 +31,8 @@ mod tests {
             SteerCommand::f64("a", 1.5),
             SteerCommand::new("b", ParamValue::Str("x".into())),
         ];
-        let mut bytes = begin_payload(cmds.len()).unwrap();
+        let mut bytes = Vec::new();
+        begin_payload(&mut bytes, cmds.len()).unwrap();
         for cmd in &cmds {
             cmd.encode_bytes(&mut bytes).unwrap();
         }
@@ -41,7 +42,7 @@ mod tests {
             assert!(decode(&bytes[..cut]).is_err(), "cut={cut}");
         }
         assert!(
-            begin_payload(u16::MAX as usize + 1).is_none(),
+            begin_payload(&mut Vec::new(), u16::MAX as usize + 1).is_none(),
             "count refused, not wrapped"
         );
     }

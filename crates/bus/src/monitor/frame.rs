@@ -426,7 +426,7 @@ impl<'a> MonitorFrame<'a> {
     /// length fields cannot represent — the old `as u16`/`as u32` casts
     /// silently wrapped, corrupting the stream framing for every frame
     /// that followed.
-    pub fn encode_bytes(&self, out: &mut BytesMut) -> Result<(), FrameCodecError> {
+    pub fn encode_bytes(&self, out: &mut impl BufMut) -> Result<(), FrameCodecError> {
         self.validate()?;
         out.put_u64_le(self.seq);
         out.put_u64_le(self.step);

@@ -42,6 +42,7 @@ use crate::value::{ParamKind, ParamValue};
 use gridsteer_ckpt::SectionReader;
 use ogsa::{GridService, Gsh, HostingEnv, InvokeResult, Registry, SdeValue, ServiceData};
 use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// The transport label on both planes.
 pub const LABEL: &str = "ogsa";
@@ -98,18 +99,39 @@ impl Binding {
 
 /// Encode one typed value as service-operation arguments (kind tag +
 /// payload).
-fn to_sde(value: &ParamValue) -> (SdeValue, SdeValue) {
-    let kind = SdeValue::Str(value.kind().name().to_string());
-    let payload = match value {
-        ParamValue::F64(v) => SdeValue::F64(*v),
-        ParamValue::I64(v) => SdeValue::I64(*v),
-        ParamValue::Bool(b) => SdeValue::Bool(*b),
+fn to_sde(value: &ParamValue) -> Vec<SdeValue> {
+    let mut pair = vec![SdeValue::I64(0), SdeValue::I64(0)];
+    if let [kind, payload] = &mut pair[..] {
+        put_sde(value, kind, payload);
+    }
+    pair
+}
+
+/// Write one typed value into two operation arguments (kind tag +
+/// payload), in place: an argument that already holds text keeps its
+/// buffer.
+fn put_sde(value: &ParamValue, kind: &mut SdeValue, payload: &mut SdeValue) {
+    put_text(kind, value.kind().name());
+    match value {
+        ParamValue::F64(v) => *payload = SdeValue::F64(*v),
+        ParamValue::I64(v) => *payload = SdeValue::I64(*v),
+        ParamValue::Bool(b) => *payload = SdeValue::Bool(*b),
         ParamValue::Vec3([x, y, z]) => {
-            SdeValue::List(vec![format!("{x:?}"), format!("{y:?}"), format!("{z:?}")])
+            *payload = SdeValue::List(vec![format!("{x:?}"), format!("{y:?}"), format!("{z:?}")]);
         }
-        ParamValue::Str(s) => SdeValue::Str(s.clone()),
-    };
-    (kind, payload)
+        ParamValue::Str(s) => put_text(payload, s),
+    }
+}
+
+/// Make `arg` the text `s`, in the buffer it already has if it is text.
+fn put_text(arg: &mut SdeValue, s: &str) {
+    match arg {
+        SdeValue::Str(text) => {
+            text.clear();
+            text.push_str(s);
+        }
+        other => *other = SdeValue::Str(s.to_string()),
+    }
 }
 
 /// Decode service-operation arguments back into a typed value. Strict:
@@ -137,6 +159,10 @@ pub struct BusSteeringService {
     hub: SteerHub,
     origin: String,
     batches_staged: u64,
+    /// A spent batch the bound [`OgsaEndpoint`] leaves here, which the
+    /// next `setBatch` decodes its arguments over (see
+    /// [`SteerCommand::slot`]); empty for any other caller.
+    spare: Arc<Mutex<Vec<SteerCommand>>>,
 }
 
 impl BusSteeringService {
@@ -149,6 +175,7 @@ impl BusSteeringService {
             hub: hub.clone(),
             origin: origin.to_string(),
             batches_staged: 0,
+            spare: Arc::default(),
         }
     }
 
@@ -179,10 +206,7 @@ impl GridService for BusSteeringService {
                     return InvokeResult::Fault("getParam needs (name)".into());
                 };
                 match self.hub.get(name) {
-                    Some(v) => {
-                        let (kind, payload) = to_sde(&v);
-                        InvokeResult::Ok(vec![kind, payload])
-                    }
+                    Some(v) => InvokeResult::Ok(to_sde(&v)),
                     None => InvokeResult::Fault(format!("unknown parameter: {name}")),
                 }
             }
@@ -190,15 +214,16 @@ impl GridService for BusSteeringService {
                 if args.is_empty() || !args.len().is_multiple_of(3) {
                     return InvokeResult::Fault("setBatch needs (name, kind, value)+".into());
                 }
-                let mut commands = Vec::with_capacity(args.len() / 3);
-                for triple in args.chunks_exact(3) {
+                let mut commands = std::mem::take(&mut *self.spare.lock());
+                for (i, triple) in args.chunks_exact(3).enumerate() {
                     let (Some(name), Some(value)) =
                         (triple[0].as_str(), from_sde(&triple[1], &triple[2]))
                     else {
                         return InvokeResult::Fault("setBatch: malformed triple".into());
                     };
-                    commands.push(SteerCommand::new(name, value));
+                    SteerCommand::slot(&mut commands, i).set(name, value);
                 }
+                commands.truncate(args.len() / 3);
                 match self.hub.stage(&self.origin, LABEL, commands) {
                     Ok(seq) => {
                         self.batches_staged += 1;
@@ -217,7 +242,10 @@ pub struct OgsaEndpoint {
     hub: SteerHub,
     caps: Capabilities,
     service: Binding,
-    /// The last `setBatch`'s arguments, as they were invoked.
+    /// The bound service's spare batch: where a spent batch goes.
+    spare: Arc<Mutex<Vec<SteerCommand>>>,
+    /// The last `setBatch`'s arguments, as they were invoked; the next
+    /// batch rewrites them in place.
     pub(crate) args: Vec<SdeValue>,
 }
 
@@ -225,15 +253,18 @@ impl OgsaEndpoint {
     /// Attach to a hub as `origin`: host the service, publish it in a
     /// registry, discover it back, and bind to the handle.
     pub fn attach(hub: &SteerHub, origin: &str) -> OgsaEndpoint {
+        let service = BusSteeringService::new(hub, origin);
+        let spare = service.spare.clone();
         OgsaEndpoint {
             hub: hub.clone(),
             caps: Capabilities::full(LABEL, 128),
             service: Binding::host(
                 "bus-steer",
-                Box::new(BusSteeringService::new(hub, origin)),
+                Box::new(service),
                 BusSteeringService::PORT_TYPE,
                 origin,
             ),
+            spare,
             args: Vec::new(),
         }
     }
@@ -255,14 +286,17 @@ impl SteerEndpoint for OgsaEndpoint {
 
     fn set_batch(&mut self, commands: Vec<SteerCommand>) -> Result<u64, SteerError> {
         check_batch(&self.caps, &commands)?;
-        let mut args = Vec::with_capacity(commands.len() * 3);
-        for cmd in &commands {
-            let (kind, payload) = to_sde(&cmd.value);
-            args.push(SdeValue::Str(cmd.param.clone()));
-            args.push(kind);
-            args.push(payload);
+        let args = &mut self.args;
+        args.resize_with(3 * commands.len(), || SdeValue::Str(String::new()));
+        for (cmd, triple) in commands.iter().zip(args.chunks_exact_mut(3)) {
+            let [name, kind, payload] = triple else {
+                unreachable!("chunks of exactly three")
+            };
+            put_text(name, &cmd.param);
+            put_sde(&cmd.value, kind, payload);
         }
-        self.args = args;
+        // spent once it is arguments: the service decodes them over it
+        *self.spare.lock() = commands;
         let out = self
             .service
             .invoke("setBatch", &self.args)

@@ -10,7 +10,7 @@
 //! went through a `#[deprecated]` cycle and are now removed.
 
 use crate::spec::ParamSpec;
-use crate::value::ParamValue;
+use crate::value::{ParamKind, ParamValue};
 use gridsteer_ckpt::{CkptError, SectionReader, SectionWriter};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -80,18 +80,32 @@ impl ParamRegistry {
     /// Apply a typed steer. Returns the value actually applied (possibly
     /// clamped, per the spec's [`crate::BoundsPolicy`]) or the refusal.
     pub fn set_value(&mut self, name: &str, value: &ParamValue) -> Result<ParamValue, String> {
-        let (key, spec) = self
-            .specs
-            .get_key_value(name)
-            .ok_or_else(|| format!("unknown parameter: {name}"))?;
-        let applied = spec.admit(value)?;
+        self.steer(name, value).1
+    }
+
+    /// [`set_value`](ParamRegistry::set_value), also handing back the
+    /// parameter's [`intern`](ParamRegistry::intern)ed name — what an
+    /// audit entry of the steer records — from the same lookup.
+    pub fn steer(
+        &mut self,
+        name: &str,
+        value: &ParamValue,
+    ) -> (Arc<str>, Result<ParamValue, String>) {
+        let Some((key, spec)) = self.specs.get_key_value(name) else {
+            return (Arc::from(name), Err(format!("unknown parameter: {name}")));
+        };
+        let key = key.clone();
+        let applied = match spec.admit(value) {
+            Ok(applied) => applied,
+            Err(reason) => return (key, Err(reason)),
+        };
         match self.values.get_mut(name) {
             Some(slot) => slot.clone_from(&applied),
             None => {
                 self.values.insert(key.clone(), applied.clone());
             }
         }
-        Ok(applied)
+        (key, Ok(applied))
     }
 
     /// Serialize specs and current values into a section body
@@ -166,6 +180,11 @@ impl SharedRegistry {
         self.inner.lock().specs()
     }
 
+    /// The declared kind of a parameter (its spec, without the copy).
+    pub fn kind(&self, name: &str) -> Option<ParamKind> {
+        self.inner.lock().spec(name).map(|spec| spec.kind)
+    }
+
     /// Current typed value.
     pub fn get_value(&self, name: &str) -> Option<ParamValue> {
         self.inner.lock().get_value(name).cloned()
@@ -184,6 +203,12 @@ impl SharedRegistry {
     /// `name` as a shared string (see [`ParamRegistry::intern`]).
     pub fn intern(&self, name: &str) -> Arc<str> {
         self.inner.lock().intern(name)
+    }
+
+    /// Apply a typed steer and intern its name under one lock (see
+    /// [`ParamRegistry::steer`]).
+    pub fn steer(&self, name: &str, value: &ParamValue) -> (Arc<str>, Result<ParamValue, String>) {
+        self.inner.lock().steer(name, value)
     }
 
     /// Serialize the registry into a section body (checkpoint path).

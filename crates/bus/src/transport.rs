@@ -527,7 +527,7 @@ pub(crate) mod tests {
         let hub = every_kind_hub();
         let mut unicore = crate::unicore::UnicoreEndpoint::attach(&hub, "alice");
         unicore.set_batch(commands.clone()).unwrap();
-        let got = fnv_framed([unicore.wire.as_slice()]);
+        let got = fnv_framed([unicore.hop.wire.as_slice()]);
         assert_eq!(
             got, 0x216da8c5ed27f0be,
             "UNICORE consignment bytes moved: {got:#018x}"

@@ -37,20 +37,23 @@ use crate::monitor::endpoint::{
     check_delivery, monitor_endpoint_common, FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError,
 };
 use crate::monitor::frame::MonitorFrame;
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 use gridsteer_ckpt::{CkptError, SectionReader};
+use std::fmt::Write;
 use unicore::{Ajo, Task};
 
 /// The transport label on both planes.
 pub const LABEL: &str = "unicore";
 
-/// Open a staged-file payload for `count` items: the `u16` count the
-/// items' own length-delimited encodings follow. `None` when the count
-/// does not fit the field — refused, never wrapped.
-pub(crate) fn begin_payload(count: usize) -> Option<BytesMut> {
-    let mut buf = BytesMut::new();
-    buf.put_u16_le(u16::try_from(count).ok()?);
-    Some(buf)
+/// Open a staged-file payload for `count` items in `out`, replacing what
+/// it held: the `u16` count the items' own length-delimited encodings
+/// follow. `None`, with nothing written, when the count does not fit the
+/// field — refused, never wrapped.
+pub(crate) fn begin_payload(out: &mut Vec<u8>, count: usize) -> Option<()> {
+    let count = u16::try_from(count).ok()?;
+    out.clear();
+    out.put_u16_le(count);
+    Some(())
 }
 
 /// Decode the staged file `file`, reading each counted item with `item`
@@ -61,9 +64,27 @@ pub(crate) fn decode_payload<T>(
     item: impl Fn(&mut SectionReader<'_>) -> Result<T, CkptError>,
 ) -> Result<Vec<T>, CkptError> {
     let mut r = SectionReader::new(bytes, file);
-    let items = crate::ckpt::get_counted(&mut r, item)?;
+    let mut items = Vec::new();
+    crate::ckpt::get_counted(&mut r, |r, _| {
+        items.push(item(r)?);
+        Ok(())
+    })?;
     r.expect_end()?;
     Ok(items)
+}
+
+/// [`decode_payload`] for a steering batch, decoded over `commands`
+/// (see [`SteerCommand::slot`]).
+fn decode_commands(
+    file: &str,
+    bytes: &[u8],
+    commands: &mut Vec<SteerCommand>,
+) -> Result<(), CkptError> {
+    let mut r = SectionReader::new(bytes, file);
+    let count =
+        crate::ckpt::get_counted(&mut r, |r, i| SteerCommand::slot(commands, i).read_into(r))?;
+    commands.truncate(count);
+    r.expect_end()
 }
 
 /// The job shape of one plane.
@@ -88,54 +109,87 @@ const MONITOR: Plane = Plane {
     command: "monitor-publish",
 };
 
-/// One consignment: build the two-task AJO around an already-encoded
-/// `payload` staged as `file`, run the hop (serialize into `wire`, ship,
-/// deserialize, validate the DAG), and decode the staged file on the
-/// target side, reading each item with `item`.
-fn consign<T>(
-    plane: &Plane,
-    origin: &str,
-    file: &str,
-    payload: Vec<u8>,
-    wire: &mut Vec<u8>,
-    item: impl Fn(&mut SectionReader<'_>) -> Result<T, CkptError>,
-) -> Result<Vec<T>, String> {
-    let mut ajo = Ajo::new(&format!("{}-{origin}", plane.job), plane.vsite);
-    let stage = ajo.add_task(
-        Task::StageIn {
-            path: file.into(),
-            data: payload,
-        },
-        &[],
-    );
-    ajo.add_task(
-        Task::Execute {
-            command: plane.command.into(),
-            args: vec![origin.to_string()],
-        },
-        &[stage],
-    );
-    let consigned = ajo
-        .to_bytes()
-        .and_then(|bytes| {
-            *wire = bytes;
-            Ajo::from_bytes(wire)
-        })
-        .map_err(|e| format!("AJO serialization hop failed: {e:?}"))?;
-    let order = consigned
-        .topo_order()
-        .map_err(|e| format!("invalid {} AJO: {e:?}", plane.job))?;
-    // target side: run the DAG in order, decoding the staged file
-    let mut decoded = None;
-    for id in order {
-        if let Some(Task::StageIn { path, data }) = consigned.task(id).map(|t| &t.task) {
-            if path == file {
-                decoded = Some(decode_payload(file, data, &item));
-            }
+/// One endpoint's consignments on one plane. The job is built once: a
+/// two-task AJO that stages a file in, then runs the plane's command for
+/// the origin after it. Each consignment restages the file and runs the
+/// hop, into buffers it keeps for the next one — the wire bytes and the
+/// AJO the target side reads them back into — so a warm hop allocates
+/// only the items it delivers.
+pub(crate) struct Consigner {
+    plane: &'static Plane,
+    /// The job as the origin consigns it; its first task is the stage-in.
+    job: Ajo,
+    /// The last consignment's bytes, as they crossed the hop.
+    pub(crate) wire: Vec<u8>,
+    /// The job as the target side read it back.
+    consigned: Ajo,
+}
+
+impl Consigner {
+    /// The job `origin` consigns on `plane`, staging its file as `file`.
+    fn new(plane: &'static Plane, origin: &str, file: &str) -> Consigner {
+        let mut job = Ajo::new(&format!("{}-{origin}", plane.job), plane.vsite);
+        let stage = job.add_task(
+            Task::StageIn {
+                path: file.into(),
+                data: Vec::new(),
+            },
+            &[],
+        );
+        job.add_task(
+            Task::Execute {
+                command: plane.command.into(),
+                args: vec![origin.to_string()],
+            },
+            &[stage],
+        );
+        Consigner {
+            plane,
+            job,
+            wire: Vec::new(),
+            consigned: Ajo::new("", ""),
         }
     }
-    let decoded = decoded.ok_or_else(|| format!("{file} not staged"))?;
-    decoded.map_err(|e| e.to_string())
+
+    /// The staged file of the next consignment — its path and its
+    /// contents — to fill in.
+    fn staged(&mut self) -> (&mut String, &mut Vec<u8>) {
+        match &mut self.job.tasks[0].task {
+            Task::StageIn { path, data } => (path, data),
+            _ => unreachable!("a job opens with its stage-in"),
+        }
+    }
+
+    /// Run the hop (serialize, ship, deserialize, validate the DAG) and
+    /// find the staged file on the target side, running the DAG in order:
+    /// the file's name and its bytes as the target read them.
+    fn consign(&mut self) -> Result<(&str, &[u8]), String> {
+        let Consigner {
+            plane,
+            job,
+            wire,
+            consigned,
+        } = self;
+        job.write_into(wire)
+            .and_then(|()| consigned.read_from(wire))
+            .map_err(|e| format!("AJO serialization hop failed: {e:?}"))?;
+        let order = consigned
+            .topo_order()
+            .map_err(|e| format!("invalid {} AJO: {e:?}", plane.job))?;
+        let Task::StageIn { path: file, .. } = &job.tasks[0].task else {
+            unreachable!("a job opens with its stage-in")
+        };
+        // target side: run the DAG in order, polling the staged file
+        let mut staged = None;
+        for id in order {
+            if let Some(Task::StageIn { path, data }) = consigned.task(id).map(|t| &t.task) {
+                if path == file {
+                    staged = Some((path.as_str(), data.as_slice()));
+                }
+            }
+        }
+        staged.ok_or_else(|| format!("{file} not staged"))
+    }
 }
 
 /// Steering through UNICORE job consignment.
@@ -144,8 +198,7 @@ pub struct UnicoreEndpoint {
     origin: String,
     caps: Capabilities,
     jobs_consigned: u64,
-    /// The last consignment's bytes, as they crossed the hop.
-    pub(crate) wire: Vec<u8>,
+    pub(crate) hop: Consigner,
 }
 
 impl UnicoreEndpoint {
@@ -156,7 +209,7 @@ impl UnicoreEndpoint {
             origin: origin.to_string(),
             caps: Capabilities::full(LABEL, 64),
             jobs_consigned: 0,
-            wire: Vec::new(),
+            hop: Consigner::new(&STEER, origin, "steer.cmd"),
         }
     }
 
@@ -169,34 +222,30 @@ impl UnicoreEndpoint {
 impl SteerEndpoint for UnicoreEndpoint {
     steer_endpoint_common!(hub_get);
 
-    fn set_batch(&mut self, commands: Vec<SteerCommand>) -> Result<u64, SteerError> {
+    fn set_batch(&mut self, mut commands: Vec<SteerCommand>) -> Result<u64, SteerError> {
         check_batch(&self.caps, &commands)?;
-        let mut payload = begin_payload(commands.len()).ok_or(SteerError::TooLarge {
+        let (_, payload) = self.hop.staged();
+        begin_payload(payload, commands.len()).ok_or(SteerError::TooLarge {
             len: commands.len(),
             max: u16::MAX as usize,
         })?;
         for cmd in &commands {
-            cmd.encode_bytes(&mut payload)?;
+            cmd.encode_bytes(payload)?;
         }
-        let decoded = consign(
-            &STEER,
-            &self.origin,
-            "steer.cmd",
-            payload.to_vec(),
-            &mut self.wire,
-            SteerCommand::read,
-        )
-        .map_err(SteerError::Transport)?;
+        // the target decodes the file over the batch it was made from
+        let (file, data) = self.hop.consign().map_err(SteerError::Transport)?;
+        decode_commands(file, data, &mut commands)
+            .map_err(|e| SteerError::Transport(e.to_string()))?;
         self.jobs_consigned += 1;
-        self.hub.stage(&self.origin, LABEL, decoded)
+        self.hub.stage(&self.origin, LABEL, commands)
     }
 }
 
 /// Monitoring through UNICORE job consignment.
 pub struct UnicoreMonitor {
     caps: MonitorCaps,
-    origin: String,
     jobs_consigned: u64,
+    hop: Consigner,
     inbox: Vec<MonitorFrame<'static>>,
 }
 
@@ -205,8 +254,8 @@ impl UnicoreMonitor {
     pub fn new(origin: &str) -> UnicoreMonitor {
         UnicoreMonitor {
             caps: MonitorCaps::full(LABEL, 64),
-            origin: origin.to_string(),
             jobs_consigned: 0,
+            hop: Consigner::new(&MONITOR, origin, ""),
             inbox: Vec::new(),
         }
     }
@@ -222,7 +271,8 @@ impl MonitorEndpoint for UnicoreMonitor {
 
     fn deliver(&mut self, chunk: &FrameChunk<'_>) -> Result<usize, MonitorError> {
         check_delivery(&self.caps, chunk)?;
-        let mut payload = begin_payload(chunk.len()).ok_or(MonitorError::TooLarge {
+        let (file, payload) = self.hop.staged();
+        begin_payload(payload, chunk.len()).ok_or(MonitorError::TooLarge {
             len: chunk.len(),
             max: u16::MAX as usize,
         })?;
@@ -232,16 +282,14 @@ impl MonitorEndpoint for UnicoreMonitor {
         for i in 0..chunk.len() {
             payload.put_slice(&chunk.frame_bytes(i)?);
         }
+        file.clear();
+        write!(file, "monitor-{}.dat", self.jobs_consigned).expect("a String takes any text");
         // the consumer polls the staged file out of the validated DAG
-        let decoded = consign(
-            &MONITOR,
-            &self.origin,
-            &format!("monitor-{}.dat", self.jobs_consigned),
-            payload.to_vec(),
-            &mut Vec::new(),
-            |r| MonitorFrame::read(r).map(MonitorFrame::into_owned),
-        )
-        .map_err(MonitorError::Transport)?;
+        let (file, data) = self.hop.consign().map_err(MonitorError::Transport)?;
+        let decoded = decode_payload(file, data, |r| {
+            MonitorFrame::read(r).map(MonitorFrame::into_owned)
+        })
+        .map_err(|e| MonitorError::Transport(e.to_string()))?;
         self.jobs_consigned += 1;
         let n = decoded.len();
         self.inbox.extend(decoded);
@@ -296,15 +344,12 @@ mod tests {
     #[test]
     fn a_malformed_staged_file_names_what_failed() {
         let consign = |payload: &[u8]| {
-            consign(
-                &STEER,
-                "o",
-                "steer.cmd",
-                payload.to_vec(),
-                &mut Vec::new(),
-                SteerCommand::read,
-            )
-            .unwrap_err()
+            let mut hop = Consigner::new(&STEER, "o", "steer.cmd");
+            *hop.staged().1 = payload.to_vec();
+            let (file, data) = hop.consign().unwrap();
+            decode_commands(file, data, &mut Vec::new())
+                .unwrap_err()
+                .to_string()
         };
         // one command named "a" whose value kind byte is 9
         assert_eq!(

@@ -7,9 +7,10 @@
 //! frames, OGSA service-data text, COVISE module parameters, UNICORE job
 //! payloads) and must round-trip it losslessly.
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 use gridsteer_ckpt::{CkptError, SectionReader};
-use visit::VisitValue;
+use visit::value::{Element, ValueRef};
+use visit::wire::FrameView;
 
 /// The declared type of a steerable parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -145,40 +146,50 @@ impl ParamValue {
         })
     }
 
-    /// Map onto the VISIT typed-payload layer (the §3.2 wire codec):
-    /// scalars become length-1 arrays, `Vec3` a length-3 `F64` array,
-    /// `Bool` a length-1 `I32`.
-    pub fn to_visit(&self) -> VisitValue {
+    /// The VISIT payload this value travels as, borrowed from it (a
+    /// `bool` is an `I32` 0 or 1, a `vec3` three `F64`s).
+    pub fn to_visit(&self) -> ValueRef<'_> {
         match self {
-            ParamValue::F64(v) => VisitValue::F64(vec![*v]),
-            ParamValue::I64(v) => VisitValue::I64(vec![*v]),
-            ParamValue::Bool(b) => VisitValue::I32(vec![i32::from(*b)]),
-            ParamValue::Vec3(v) => VisitValue::F64(v.to_vec()),
-            ParamValue::Str(s) => VisitValue::Str(s.clone()),
+            ParamValue::F64(v) => ValueRef::F64(std::slice::from_ref(v)),
+            ParamValue::I64(v) => ValueRef::I64(std::slice::from_ref(v)),
+            ParamValue::Bool(b) => ValueRef::I32(if *b { &[1] } else { &[0] }),
+            ParamValue::Vec3(v) => ValueRef::F64(v),
+            ParamValue::Str(s) => ValueRef::Str(s),
         }
     }
 
-    /// Recover from a VISIT payload, directed by the declared `kind` (the
-    /// frame tag carries it on the wire). Strict: shape mismatches return
-    /// `None` rather than guessing — the round-trip must be lossless.
-    pub fn from_visit(kind: ParamKind, v: &VisitValue) -> Option<ParamValue> {
-        Some(match (kind, v) {
-            (ParamKind::F64, VisitValue::F64(xs)) if xs.len() == 1 => ParamValue::F64(xs[0]),
-            (ParamKind::I64, VisitValue::I64(xs)) if xs.len() == 1 => ParamValue::I64(xs[0]),
-            (ParamKind::Bool, VisitValue::I32(xs)) if xs.len() == 1 && (0..=1).contains(&xs[0]) => {
-                ParamValue::Bool(xs[0] == 1)
+    /// Recover from a VISIT frame's payload, directed by the declared
+    /// `kind` (the frame tag carries it on the wire). Strict: shape
+    /// mismatches return `None` rather than guessing — the round-trip
+    /// must be lossless.
+    pub fn from_visit(kind: ParamKind, frame: &FrameView<'_>) -> Option<ParamValue> {
+        /// Exactly `N` elements of `T`.
+        fn exactly<T: Element + Default, const N: usize>(frame: &FrameView<'_>) -> Option<[T; N]> {
+            let mut xs = frame.elements::<T>()?;
+            let mut out = [T::default(); N];
+            if xs.len() != N {
+                return None;
             }
-            (ParamKind::Vec3, VisitValue::F64(xs)) if xs.len() == 3 => {
-                ParamValue::Vec3([xs[0], xs[1], xs[2]])
-            }
-            (ParamKind::Str, VisitValue::Str(s)) => ParamValue::Str(s.clone()),
-            _ => return None,
+            out.iter_mut()
+                .for_each(|o| *o = xs.next().expect("exactly N elements"));
+            Some(out)
+        }
+        Some(match kind {
+            ParamKind::F64 => ParamValue::F64(exactly::<f64, 1>(frame)?[0]),
+            ParamKind::I64 => ParamValue::I64(exactly::<i64, 1>(frame)?[0]),
+            ParamKind::Bool => match exactly::<i32, 1>(frame)? {
+                [0] => ParamValue::Bool(false),
+                [1] => ParamValue::Bool(true),
+                _ => return None,
+            },
+            ParamKind::Vec3 => ParamValue::Vec3(exactly::<f64, 3>(frame)?),
+            ParamKind::Str => ParamValue::Str(frame.text()?.to_string()),
         })
     }
 
     /// Compact tagged binary encoding (kind byte + payload, little-endian)
     /// — the format the UNICORE job payload and checkpoints use.
-    pub fn encode_bytes(&self, out: &mut BytesMut) {
+    pub fn encode_bytes(&self, out: &mut impl BufMut) {
         out.put_u8(self.kind() as u8);
         match self {
             ParamValue::F64(v) => out.put_f64_le(*v),
@@ -215,6 +226,7 @@ impl ParamValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn samples() -> Vec<ParamValue> {
         vec![
@@ -244,11 +256,21 @@ mod tests {
         }
     }
 
+    /// `value` as one VISIT data frame's bytes, in `order`.
+    fn frame_of(value: visit::value::ValueRef<'_>, order: visit::Endianness) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        visit::wire::encode_frame(visit::MsgKind::Data, 1, order, Some(value), &mut bytes);
+        bytes
+    }
+
     #[test]
     fn visit_roundtrip_every_variant() {
         for v in samples() {
-            let wire = v.to_visit();
-            assert_eq!(ParamValue::from_visit(v.kind(), &wire), Some(v));
+            for order in [visit::Endianness::Little, visit::Endianness::Big] {
+                let bytes = frame_of(v.to_visit(), order);
+                let frame = FrameView::parse(&bytes).unwrap();
+                assert_eq!(ParamValue::from_visit(v.kind(), &frame), Some(v.clone()));
+            }
         }
     }
 
@@ -273,18 +295,18 @@ mod tests {
 
     #[test]
     fn shape_mismatch_from_visit_rejected() {
-        assert_eq!(
-            ParamValue::from_visit(ParamKind::F64, &VisitValue::F64(vec![1.0, 2.0])),
-            None
-        );
-        assert_eq!(
-            ParamValue::from_visit(ParamKind::Bool, &VisitValue::I32(vec![7])),
-            None
-        );
-        assert_eq!(
-            ParamValue::from_visit(ParamKind::Vec3, &VisitValue::F64(vec![1.0])),
-            None
-        );
+        use visit::value::ValueRef;
+        for (kind, value) in [
+            (ParamKind::F64, ValueRef::F64(&[1.0, 2.0])),
+            (ParamKind::F64, ValueRef::F32(&[1.0])),
+            (ParamKind::Bool, ValueRef::I32(&[7])),
+            (ParamKind::Vec3, ValueRef::F64(&[1.0])),
+            (ParamKind::Str, ValueRef::Bytes(b"text")),
+        ] {
+            let bytes = frame_of(value, visit::Endianness::Little);
+            let frame = FrameView::parse(&bytes).unwrap();
+            assert_eq!(ParamValue::from_visit(kind, &frame), None, "{kind:?}");
+        }
     }
 
     #[test]

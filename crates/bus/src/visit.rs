@@ -2,15 +2,18 @@
 //! frames and session requests travel as real §3.2 wire frames.
 //!
 //! Every [`set_batch`](crate::SteerEndpoint::set_batch) and every monitor
-//! delivery is one *envelope* of VISIT [`Frame`]s in a layout both planes
+//! delivery is one *envelope* of VISIT [`Frame`](visit::Frame)s in a layout both planes
 //! share — a begin frame carrying the item count (on the steering plane
 //! followed by the sender's batch number), then per item a name frame and
 //! a typed-value frame whose tag carries the kind's wire code (monitor
 //! items put a header frame between the two: sequence, step, and the
 //! payload's shape words), then a bare end frame. The in-process
-//! endpoints ship it through a [`looped`](MemLink::looped) link using the
-//! same length-prefixed framing as the TCP transport, and decode what
-//! comes back off it into typed commands or frames. The bytes on the link
+//! endpoints ship it through a [`LoopLink`] — one queue, length-prefixed
+//! as on the TCP transport, that the sending wire reads back — and decode
+//! what comes back off it into typed commands (over the batch the caller
+//! handed in, so a warm hop allocates nothing) or frames. Frames are
+//! encoded from the data they carry, borrowed, into one buffer per wire,
+//! and parsed in place ([`FrameView`]). The bytes on the link
 //! are exactly what a remote VISIT peer would see, including the
 //! sender-native byte order that the receiving side converts
 //! transparently (§3.2: the receiver converts; the sender never does).
@@ -36,7 +39,9 @@ use crate::monitor::frame::{MonitorFrame, MonitorKind, MonitorPayload};
 use crate::value::{ParamKind, ParamValue};
 use std::time::Duration;
 use visit::link::{FrameLink, LinkError};
-use visit::{Endianness, Frame, MemLink, MsgKind, VisitValue};
+use visit::value::ValueRef;
+use visit::wire::{encode_frame, FrameView};
+use visit::{Endianness, LoopLink, MsgKind, VisitValue};
 
 /// The transport label on both planes.
 pub const LABEL: &str = "visit";
@@ -116,6 +121,32 @@ pub enum Reply {
     Refused(String),
 }
 
+/// Why [`VisitWire::recv_request`] produced no request.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RecvError {
+    /// The frames did not make a request: the wire is out of step with
+    /// its peer, so the connection is done.
+    Malformed(String),
+    /// A whole request arrived that says what the wire cannot carry on (a
+    /// negative batch number): the wire is still in step, so the peer can
+    /// hear the reason and go on.
+    Refused(String),
+}
+
+impl From<String> for RecvError {
+    fn from(why: String) -> RecvError {
+        RecvError::Malformed(why)
+    }
+}
+
+impl std::fmt::Display for RecvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecvError::Malformed(why) | RecvError::Refused(why) => f.write_str(why),
+        }
+    }
+}
+
 /// One end of a VISIT link that speaks the envelope on one plane.
 pub struct VisitWire<L> {
     link: L,
@@ -125,6 +156,12 @@ pub struct VisitWire<L> {
     order: Endianness,
     /// How long a frame the peer still owes may take to arrive.
     patience: Duration,
+    /// The frame being sent, encoded in place (one buffer per wire).
+    out: Vec<u8>,
+    /// The frame last received (one buffer per wire).
+    inbox: Vec<u8>,
+    /// The name of the envelope item being read.
+    name: String,
 }
 
 impl<L: FrameLink> VisitWire<L> {
@@ -138,11 +175,18 @@ impl<L: FrameLink> VisitWire<L> {
     /// The steering plane over `link`, encoding payloads in `order` (the
     /// wire-byte pins force both).
     pub(crate) fn steering_in(link: L, order: Endianness, patience: Duration) -> VisitWire<L> {
+        Self::on(link, STEER, order, patience)
+    }
+
+    fn on(link: L, plane: u32, order: Endianness, patience: Duration) -> VisitWire<L> {
         VisitWire {
             link,
-            plane: STEER,
+            plane,
             order,
             patience,
+            out: Vec::new(),
+            inbox: Vec::new(),
+            name: String::new(),
         }
     }
 
@@ -151,20 +195,31 @@ impl<L: FrameLink> VisitWire<L> {
         &mut self.link
     }
 
-    fn send(&mut self, frame: &Frame) -> Result<(), String> {
+    /// One frame at `offset` on this plane: `value` in the wire's byte
+    /// order, or bare (a bare frame declares little-endian, as
+    /// [`Frame::bare`](visit::Frame::bare) does).
+    fn send(&mut self, offset: u32, value: Option<ValueRef<'_>>) -> Result<(), String> {
+        let order = value.map_or(Endianness::Little, |_| self.order);
+        self.out.clear();
+        encode_frame(
+            MsgKind::Data,
+            self.plane + offset,
+            order,
+            value,
+            &mut self.out,
+        );
         self.link
-            .send(&frame.encode())
+            .send(&self.out)
             .map_err(|e| format!("visit send: {e:?}"))
     }
 
-    fn send_value(&mut self, offset: u32, value: VisitValue) -> Result<(), String> {
-        let tag = self.plane + offset;
-        self.send(&Frame::with_value(MsgKind::Data, tag, self.order, value))
+    fn send_value(&mut self, offset: u32, value: ValueRef<'_>) -> Result<(), String> {
+        self.send(offset, Some(value))
     }
 
     /// Close the envelope.
     fn send_end(&mut self) -> Result<(), String> {
-        self.send(&Frame::bare(MsgKind::Data, self.plane + END))
+        self.send(END, None)
     }
 
     /// One typed value on the value tag of its kind.
@@ -173,61 +228,62 @@ impl<L: FrameLink> VisitWire<L> {
     }
 
     /// Send one request. What the wire cannot carry — a name over the
-    /// `u16` limit, a batch over the envelope's 256 items — is refused
-    /// before any frame leaves.
+    /// `u16` limit, a batch over the envelope's 256 items, a batch number
+    /// past the `I64` word that carries it — is refused before any frame
+    /// leaves.
     pub fn send_request(&mut self, request: &Request) -> Result<(), String> {
         let (tag, name) = match request {
             Request::Join(name) => (JOIN, name),
             Request::Get(name) => (GET, name),
             Request::Pass(name) => (PASS, name),
-            Request::Batch { seq, commands } => {
-                if commands.len() > MAX_BATCH {
-                    let n = commands.len();
-                    return Err(format!("batch of {n} exceeds wire limit {MAX_BATCH}"));
-                }
-                for cmd in commands {
-                    name_len(&cmd.param).map_err(|e| e.to_string())?;
-                }
-                self.send_value(
-                    BEGIN,
-                    VisitValue::I64(vec![commands.len() as i64, *seq as i64]),
-                )?;
-                for cmd in commands {
-                    self.send_value(NAME, VisitValue::Str(cmd.param.clone()))?;
-                    self.send_param(&cmd.value)?;
-                }
-                return self.send_end();
-            }
+            Request::Batch { seq, commands } => return self.send_batch(*seq, commands),
         };
         name_len(name).map_err(|e| e.to_string())?;
-        self.send_value(tag, VisitValue::Str(name.clone()))
+        self.send_value(tag, ValueRef::Str(name))
+    }
+
+    /// A batch request, the commands borrowed from the caller.
+    fn send_batch(&mut self, seq: u64, commands: &[SteerCommand]) -> Result<(), String> {
+        if commands.len() > MAX_BATCH {
+            let n = commands.len();
+            return Err(format!("batch of {n} exceeds wire limit {MAX_BATCH}"));
+        }
+        for cmd in commands {
+            name_len(&cmd.param).map_err(|e| e.to_string())?;
+        }
+        let seq = i64::try_from(seq)
+            .map_err(|_| format!("batch number {seq} exceeds wire limit {}", i64::MAX))?;
+        self.send_value(BEGIN, ValueRef::I64(&[commands.len() as i64, seq]))?;
+        for cmd in commands {
+            self.send_value(NAME, ValueRef::Str(&cmd.param))?;
+            self.send_param(&cmd.value)?;
+        }
+        self.send_end()
     }
 
     /// The next request, waiting up to `idle` for its first frame
     /// (`Ok(None)` if nothing came) and up to the wire's patience for
-    /// each frame after it. A frame out of place is an error naming what
-    /// was expected.
-    pub fn recv_request(&mut self, idle: Duration) -> Result<Option<Request>, String> {
-        let frame = match self.link.recv_timeout(idle) {
+    /// each frame after it. A frame out of place is
+    /// [`RecvError::Malformed`], naming what was expected; a whole batch
+    /// whose number is negative is [`RecvError::Refused`].
+    pub fn recv_request(&mut self, idle: Duration) -> Result<Option<Request>, RecvError> {
+        match self.link.recv_into(idle, &mut self.inbox) {
             Err(LinkError::Timeout) => return Ok(None),
-            got => decode(got)?,
-        };
-        let request = match frame.tag.wrapping_sub(self.plane) {
+            got => got.map_err(recv_error)?,
+        }
+        let plane = self.plane;
+        let frame = parse(&self.inbox)?;
+        let request = match frame.tag.wrapping_sub(plane) {
             BEGIN => {
-                let (words, commands) = self.envelope(&frame, 2, |wire, param| {
-                    let frame = wire.recv()?;
-                    let value = wire.param_of(frame)?;
-                    Ok(SteerCommand { param, value })
-                })?;
-                Request::Batch {
-                    seq: words[1] as u64,
-                    commands,
-                }
+                let words = words(plane, &frame, BEGIN)?;
+                let mut commands = Vec::new();
+                let seq = self.batch_into(words, &mut commands)?;
+                Request::Batch { seq, commands }
             }
-            JOIN => Request::Join(text_of(frame)?),
-            GET => Request::Get(text_of(frame)?),
-            PASS => Request::Pass(text_of(frame)?),
-            _ => return Err(format!("unexpected request tag {:#x}", frame.tag)),
+            JOIN => Request::Join(text_of(&frame)?),
+            GET => Request::Get(text_of(&frame)?),
+            PASS => Request::Pass(text_of(&frame)?),
+            _ => return Err(format!("unexpected request tag {:#x}", frame.tag).into()),
         };
         Ok(Some(request))
     }
@@ -237,120 +293,151 @@ impl<L: FrameLink> VisitWire<L> {
         match reply {
             Reply::Welcome { name, master } => {
                 let tag = WELCOME + u32::from(*master);
-                self.send_value(tag, VisitValue::Str(name.clone()))
+                self.send_value(tag, ValueRef::Str(name))
             }
-            Reply::Done(n) => self.send_value(DONE, VisitValue::I64(vec![*n as i64])),
+            Reply::Done(n) => self.send_value(DONE, ValueRef::I64(&[*n as i64])),
             Reply::Value(value) => self.send_param(value),
-            Reply::Refused(why) => self.send_value(REFUSED, VisitValue::Str(why.clone())),
+            Reply::Refused(why) => self.send_value(REFUSED, ValueRef::Str(why)),
         }
     }
 
     /// Send `request` and wait for its reply.
     pub fn call(&mut self, request: &Request) -> Result<Reply, String> {
         self.send_request(request)?;
+        let plane = self.plane;
         let frame = self.recv()?;
-        Ok(match frame.tag.wrapping_sub(self.plane) {
+        Ok(match frame.tag.wrapping_sub(plane) {
             o if o == WELCOME || o == WELCOME + 1 => Reply::Welcome {
-                name: text_of(frame)?,
+                name: text_of(&frame)?,
                 master: o > WELCOME,
             },
             DONE => {
-                let n = self.words(&frame, DONE, 1)?[0];
+                let [n] = words(plane, &frame, DONE)?;
                 Reply::Done(u64::try_from(n).map_err(|_| "negative count")?)
             }
-            REFUSED => Reply::Refused(text_of(frame)?),
-            o if o >= VALUE => Reply::Value(self.param_of(frame)?),
+            REFUSED => Reply::Refused(text_of(&frame)?),
+            o if o >= VALUE => Reply::Value(param_of(plane, &frame)?),
             _ => return Err(format!("unexpected reply tag {:#x}", frame.tag)),
         })
     }
 
-    fn recv(&mut self) -> Result<Frame, String> {
-        decode(self.link.recv_timeout(self.patience))
+    /// The next frame a request or reply still owes, parsed in place.
+    fn recv(&mut self) -> Result<FrameView<'_>, String> {
+        self.link
+            .recv_into(self.patience, &mut self.inbox)
+            .map_err(recv_error)?;
+        parse(&self.inbox)
     }
 
-    /// The `I64` words of `frame`, which must sit at `offset` and carry
-    /// exactly `len` of them.
-    fn words(&self, frame: &Frame, offset: u32, len: usize) -> Result<Vec<i64>, String> {
-        match frame.value.as_ref().and_then(VisitValue::to_i64) {
-            Some(words) if frame.tag == self.plane + offset && words.len() == len => Ok(words),
-            _ => Err(format!("expected {len}-word frame at offset {offset}")),
-        }
-    }
-
-    /// Read the rest of the envelope `begin` opened: its `words` begin
-    /// words (the item count first), then per item the name frame, which
-    /// `item` finishes, and the end frame that must close the run.
-    /// Strict: any frame out of place is a refusal, never a guess. Items
-    /// are kept as they arrive, so a count reserves nothing the frames
-    /// behind it do not back.
-    fn envelope<T>(
+    /// Walk the rest of an envelope whose begin frame announced `count`
+    /// items: per item its name frame, then `item` — given the item's
+    /// index and name — reads the frames that finish it; then the end
+    /// frame that must close the run. Strict: any frame out of place is a
+    /// refusal, never a guess. Returns the count, which reserves nothing:
+    /// `item` keeps each item as it arrives.
+    fn items(
         &mut self,
-        begin: &Frame,
-        words: usize,
-        mut item: impl FnMut(&mut Self, String) -> Result<T, String>,
-    ) -> Result<(Vec<i64>, Vec<T>), String> {
-        let words = self.words(begin, BEGIN, words)?;
-        let count = match usize::try_from(words[0]) {
+        count: i64,
+        mut item: impl FnMut(&mut Self, usize, &str) -> Result<(), String>,
+    ) -> Result<usize, String> {
+        let count = match usize::try_from(count) {
             Ok(n) if n <= MAX_BATCH => n,
             _ => return Err(format!("item count outside 0..={MAX_BATCH}")),
         };
-        let mut items = Vec::new();
-        for _ in 0..count {
+        let plane = self.plane;
+        // the name leaves the inbox, which `item` reads the next frame into
+        let mut name = std::mem::take(&mut self.name);
+        for i in 0..count {
             let frame = self.recv()?;
-            let name = match (frame.tag, frame.value) {
-                (tag, Some(VisitValue::Str(s))) if tag == self.plane + NAME => s,
+            match frame.text() {
+                Some(text) if frame.tag == plane + NAME => {
+                    name.clear();
+                    name.push_str(text);
+                }
                 _ => return Err("expected name frame".into()),
-            };
-            items.push(item(self, name)?);
+            }
+            item(self, i, &name)?;
         }
-        if self.recv()?.tag != self.plane + END {
+        self.name = name;
+        if self.recv()?.tag != plane + END {
             return Err("expected envelope-end frame".into());
         }
-        Ok((words, items))
+        Ok(count)
     }
 
-    /// A typed-value frame's kind wire code (the tag's low byte) and
-    /// payload.
-    fn value_of(&self, frame: Frame) -> Result<(u8, VisitValue), String> {
-        let code = frame
-            .tag
-            .checked_sub(self.plane + VALUE)
-            .and_then(|b| u8::try_from(b).ok())
-            .ok_or("bad value tag")?;
-        Ok((code, frame.value.ok_or("value frame without payload")?))
-    }
-
-    /// A typed-value frame read back as a parameter value.
-    fn param_of(&self, frame: Frame) -> Result<ParamValue, String> {
-        let (code, payload) = self.value_of(frame)?;
-        let kind = ParamKind::from_byte(code).ok_or("bad value tag")?;
-        ParamValue::from_visit(kind, &payload).ok_or_else(|| "typed payload mismatch".into())
+    /// The rest of a batch envelope whose begin frame carried `[count,
+    /// seq]`, decoded over `commands` (see [`SteerCommand::slot`]).
+    /// Returns the batch number.
+    fn batch_into(
+        &mut self,
+        [count, seq]: [i64; 2],
+        commands: &mut Vec<SteerCommand>,
+    ) -> Result<u64, RecvError> {
+        let plane = self.plane;
+        let count = self.items(count, |wire, i, name| {
+            let value = param_of(plane, &wire.recv()?)?;
+            SteerCommand::slot(commands, i).set(name, value);
+            Ok(())
+        })?;
+        commands.truncate(count);
+        // a batch number is never negative: read as u64, -1 would be batch
+        // u64::MAX and every later batch would look stale
+        u64::try_from(seq)
+            .map_err(|_| RecvError::Refused(format!("malformed envelope: batch number {seq}")))
     }
 }
 
-/// A received frame's bytes parsed, or why there is no frame.
-fn decode(got: Result<Vec<u8>, LinkError>) -> Result<Frame, String> {
-    let bytes = got.map_err(|e| format!("visit recv: {e:?}"))?;
-    Frame::decode(&bytes).ok_or_else(|| "malformed frame".to_string())
+fn recv_error(e: LinkError) -> String {
+    format!("visit recv: {e:?}")
+}
+
+/// A received frame's bytes parsed in place.
+fn parse(bytes: &[u8]) -> Result<FrameView<'_>, String> {
+    FrameView::parse(bytes).ok_or_else(|| "malformed frame".to_string())
+}
+
+/// The `N` integer words of `frame`, which must sit at `offset` on
+/// `plane`.
+fn words<const N: usize>(plane: u32, frame: &FrameView, offset: u32) -> Result<[i64; N], String> {
+    let mut words = [0; N];
+    if frame.tag == plane + offset && frame.integers_into(&mut words) {
+        Ok(words)
+    } else {
+        Err(format!("expected {N}-word frame at offset {offset}"))
+    }
+}
+
+/// A typed-value frame's kind wire code: the tag's low byte.
+fn value_code(plane: u32, frame: &FrameView) -> Result<u8, String> {
+    let code = frame
+        .tag
+        .checked_sub(plane + VALUE)
+        .and_then(|b| u8::try_from(b).ok())
+        .ok_or("bad value tag")?;
+    match frame.dtype() {
+        Some(_) => Ok(code),
+        None => Err("value frame without payload".into()),
+    }
+}
+
+/// A typed-value frame read back as a parameter value.
+fn param_of(plane: u32, frame: &FrameView) -> Result<ParamValue, String> {
+    let kind = ParamKind::from_byte(value_code(plane, frame)?).ok_or("bad value tag")?;
+    ParamValue::from_visit(kind, frame).ok_or_else(|| "typed payload mismatch".into())
 }
 
 /// The `Str` payload of a one-frame request or reply.
-fn text_of(frame: Frame) -> Result<String, String> {
-    match frame.value {
-        Some(VisitValue::Str(s)) => Ok(s),
-        _ => Err(format!("expected text frame at tag {:#x}", frame.tag)),
+fn text_of(frame: &FrameView) -> Result<String, String> {
+    match frame.text() {
+        Some(text) => Ok(text.to_string()),
+        None => Err(format!("expected text frame at tag {:#x}", frame.tag)),
     }
 }
 
-/// The in-process hop on `plane`: a wire over a
-/// [`looped`](MemLink::looped) link, so what it sends it drains again.
-fn hop(plane: u32, order: Endianness) -> VisitWire<MemLink> {
-    VisitWire {
-        link: MemLink::looped(),
-        plane,
-        order,
-        patience: HOP_PATIENCE,
-    }
+/// The in-process hop on `plane`: a wire over a [`LoopLink`], so what it
+/// sends it reads back.
+fn hop(plane: u32, order: Endianness) -> VisitWire<LoopLink> {
+    VisitWire::on(LoopLink::default(), plane, order, HOP_PATIENCE)
 }
 
 /// Steering over the VISIT wire protocol.
@@ -358,7 +445,7 @@ pub struct VisitEndpoint {
     hub: SteerHub,
     origin: String,
     caps: Capabilities,
-    wire: VisitWire<MemLink>,
+    wire: VisitWire<LoopLink>,
     /// Batches this endpoint has sent: the number the next one carries.
     sent: u64,
 }
@@ -383,32 +470,32 @@ impl VisitEndpoint {
     }
 
     /// Send one batch request onto the link and read it back off the far
-    /// end, as the TCP server would.
-    fn round_trip(&mut self, commands: Vec<SteerCommand>) -> Result<Vec<SteerCommand>, String> {
+    /// end, as the TCP server would, decoding it over the batch it was
+    /// made from.
+    fn round_trip(&mut self, commands: &mut Vec<SteerCommand>) -> Result<(), RecvError> {
         self.sent += 1;
-        let seq = self.sent;
-        self.wire.send_request(&Request::Batch { seq, commands })?;
-        match self.wire.recv_request(HOP_PATIENCE)? {
-            Some(Request::Batch { commands, .. }) => Ok(commands),
-            _ => Err("expected a batch request".into()),
-        }
+        self.wire.send_batch(self.sent, commands)?;
+        let wire = &mut self.wire;
+        let words = words(wire.plane, &wire.recv()?, BEGIN)?;
+        wire.batch_into(words, commands).map(drop)
     }
 }
 
 impl SteerEndpoint for VisitEndpoint {
     steer_endpoint_common!(hub_get);
 
-    fn set_batch(&mut self, commands: Vec<SteerCommand>) -> Result<u64, SteerError> {
+    fn set_batch(&mut self, mut commands: Vec<SteerCommand>) -> Result<u64, SteerError> {
         check_batch(&self.caps, &commands)?;
-        let decoded = self.round_trip(commands).map_err(SteerError::Transport)?;
-        self.hub.stage(&self.origin, LABEL, decoded)
+        self.round_trip(&mut commands)
+            .map_err(|e| SteerError::Transport(e.to_string()))?;
+        self.hub.stage(&self.origin, LABEL, commands)
     }
 }
 
 /// Monitoring over the VISIT wire protocol.
 pub struct VisitMonitor {
     caps: MonitorCaps,
-    wire: VisitWire<MemLink>,
+    wire: VisitWire<LoopLink>,
     inbox: Vec<MonitorFrame<'static>>,
 }
 
@@ -433,29 +520,33 @@ impl VisitMonitor {
     /// end.
     fn round_trip(&mut self, chunk: &FrameChunk<'_>) -> Result<Vec<MonitorFrame<'static>>, String> {
         let wire = &mut self.wire;
-        wire.send_value(BEGIN, VisitValue::I64(vec![chunk.len() as i64]))?;
+        wire.send_value(BEGIN, ValueRef::I64(&[chunk.len() as i64]))?;
         for f in chunk.iter() {
-            wire.send_value(NAME, VisitValue::Str(f.payload.name().to_string()))?;
+            wire.send_value(NAME, ValueRef::Str(f.payload.name()))?;
             let (shape, value) = encode_payload(&f.payload);
-            let head = vec![f.seq as i64, f.step as i64, shape[0], shape[1], shape[2]];
-            wire.send_value(HEAD, VisitValue::I64(head))?;
+            let word = |n: u64| i64::try_from(n).map_err(|_| format!("{n} exceeds the I64 word"));
+            let head = [word(f.seq)?, word(f.step)?, shape[0], shape[1], shape[2]];
+            wire.send_value(HEAD, ValueRef::I64(&head))?;
             wire.send_value(VALUE + f.payload.kind() as u32, value)?;
         }
         wire.send_end()?;
-        let begin = wire.recv()?;
-        let (_, frames) = wire.envelope(&begin, 1, |wire, name| {
+        let plane = wire.plane;
+        let [count] = words(plane, &wire.recv()?, BEGIN)?;
+        let mut frames = Vec::new();
+        wire.items(count, |wire, _, name| {
+            let head: [i64; 5] = words(plane, &wire.recv()?, HEAD)?;
+            let (Ok(seq), Ok(step)) = (u64::try_from(head[0]), u64::try_from(head[1])) else {
+                return Err("malformed envelope: negative sequence or step".into());
+            };
             let frame = wire.recv()?;
-            let head = wire.words(&frame, HEAD, 5)?;
-            let frame = wire.recv()?;
-            let (code, value) = wire.value_of(frame)?;
-            let kind = MonitorKind::from_byte(code).ok_or("bad value tag")?;
-            let payload =
-                decode_payload(kind, name, &head[2..], value).ok_or("typed payload mismatch")?;
-            Ok(MonitorFrame {
-                seq: head[0] as u64,
-                step: head[1] as u64,
-                payload,
-            })
+            let kind = MonitorKind::from_byte(value_code(plane, &frame)?).ok_or("bad value tag")?;
+            let value = frame
+                .value()
+                .expect("value_code admits only a payload frame");
+            let payload = decode_payload(kind, name.to_string(), &head[2..], value)
+                .ok_or("typed payload mismatch")?;
+            frames.push(MonitorFrame { seq, step, payload });
+            Ok(())
         })?;
         Ok(frames)
     }
@@ -523,20 +614,19 @@ fn decode_payload(
     })
 }
 
-/// Payload → shape words + typed value.
-fn encode_payload(p: &MonitorPayload) -> ([i64; 3], VisitValue) {
+/// Payload → shape words + typed value, the payload's data borrowed.
+fn encode_payload<'a>(p: &'a MonitorPayload) -> ([i64; 3], ValueRef<'a>) {
     match p {
-        MonitorPayload::Scalar { value, .. } => ([0, 0, 0], VisitValue::F64(vec![*value])),
-        MonitorPayload::Vec3 { value, .. } => ([0, 0, 0], VisitValue::F64(value.to_vec())),
+        MonitorPayload::Scalar { value, .. } => {
+            ([0, 0, 0], ValueRef::F64(std::slice::from_ref(value)))
+        }
+        MonitorPayload::Vec3 { value, .. } => ([0, 0, 0], ValueRef::F64(value)),
         MonitorPayload::Grid2 { nx, ny, data, .. } => {
-            ([*nx as i64, *ny as i64, 0], VisitValue::F32(data.to_vec()))
+            ([*nx as i64, *ny as i64, 0], ValueRef::F32(data))
         }
         MonitorPayload::Grid3 {
             nx, ny, nz, data, ..
-        } => (
-            [*nx as i64, *ny as i64, *nz as i64],
-            VisitValue::F32(data.to_vec()),
-        ),
+        } => ([*nx as i64, *ny as i64, *nz as i64], ValueRef::F32(data)),
         MonitorPayload::Frame {
             keyframe,
             raw_size,
@@ -544,7 +634,7 @@ fn encode_payload(p: &MonitorPayload) -> ([i64; 3], VisitValue) {
             ..
         } => (
             [i64::from(*keyframe), *raw_size as i64, 0],
-            VisitValue::Bytes(data.to_vec()),
+            ValueRef::Bytes(data),
         ),
     }
 }
@@ -564,7 +654,8 @@ impl MonitorEndpoint for VisitMonitor {
         // drop undrained frames and anything still queued on the link
         // pair — a departed viewer's end must not hold decoded payloads
         self.inbox.clear();
-        while self.wire.link.recv_timeout(Duration::ZERO).is_ok() {}
+        let wire = &mut self.wire;
+        while wire.link.recv_into(Duration::ZERO, &mut wire.inbox).is_ok() {}
     }
 }
 
@@ -574,10 +665,9 @@ mod tests {
 
     /// A steering-plane `BEGIN` announcing `count` items, then the
     /// envelope's end.
-    fn announce(count: i64) -> Result<Option<Request>, String> {
+    fn announce(count: i64) -> Result<Option<Request>, RecvError> {
         let mut wire = hop(STEER, Endianness::native());
-        wire.send_value(BEGIN, VisitValue::I64(vec![count, 1]))
-            .unwrap();
+        wire.send_value(BEGIN, ValueRef::I64(&[count, 1])).unwrap();
         wire.send_end().unwrap();
         wire.recv_request(HOP_PATIENCE)
     }
@@ -602,7 +692,8 @@ mod tests {
             Request::Get("miscibility".into()),
             Request::Pass("woessner".into()),
             Request::Batch {
-                seq: u64::MAX,
+                // the largest batch number the I64 word carries
+                seq: i64::MAX as u64,
                 commands: vec![
                     SteerCommand::f64("miscibility", 0.25),
                     SteerCommand::new("site", ParamValue::Str("jülich".into())),
@@ -640,6 +731,37 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_batch_number_outside_the_i64_word_is_refused_at_both_ends() {
+        let mut wire = hop(STEER, Endianness::native());
+        let past = Request::Batch {
+            seq: i64::MAX as u64 + 1,
+            commands: vec![SteerCommand::f64("x", 0.5)],
+        };
+        let refusal = format!(
+            "batch number {} exceeds wire limit {}",
+            i64::MAX as u64 + 1,
+            i64::MAX
+        );
+        assert_eq!(wire.send_request(&past), Err(refusal));
+        assert_eq!(wire.recv_request(Duration::ZERO), Ok(None), "nothing sent");
+        // a peer that writes -1 is refused, not read as batch u64::MAX
+        wire.send_value(BEGIN, ValueRef::I64(&[0, -1])).unwrap();
+        wire.send_end().unwrap();
+        let refusal = "malformed envelope: batch number -1".to_string();
+        assert_eq!(
+            wire.recv_request(HOP_PATIENCE),
+            Err(RecvError::Refused(refusal))
+        );
+        // the envelope was read whole: the wire is still in step
+        let next = Request::Batch {
+            seq: 1,
+            commands: vec![SteerCommand::f64("x", 0.5)],
+        };
+        wire.send_request(&next).unwrap();
+        assert_eq!(wire.recv_request(HOP_PATIENCE), Ok(Some(next)));
     }
 
     #[test]

@@ -8,6 +8,7 @@ use gridsteer_bus::{
 };
 use gridsteer_ckpt::SectionReader;
 use proptest::prelude::*;
+use visit::wire::{encode_frame, FrameView};
 use visit::{Endianness, Frame, MsgKind};
 
 /// Build a `ParamValue` of an arbitrary kind from raw bytes. Float
@@ -52,10 +53,11 @@ fn has_nan(v: &ParamValue) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// VISIT wire round-trip: value → typed payload → frame bytes →
-    /// decode → value. The re-encoded frame must be byte-identical
-    /// (including NaN payloads), and for comparable values the decoded
-    /// value must equal the original.
+    /// VISIT wire round-trip: value → borrowed payload → frame bytes →
+    /// parse → value. The re-encoded frame must be byte-identical
+    /// (including NaN payloads) — and so must the owned frame the same
+    /// bytes decode to — and for comparable values the decoded value must
+    /// equal the original.
     #[test]
     fn visit_wire_roundtrip_every_variant(
         sel in any::<u8>(),
@@ -65,14 +67,19 @@ proptest! {
     ) {
         let v = value_from(sel, &data);
         let order = if big { Endianness::Big } else { Endianness::Little };
-        let frame = Frame::with_value(MsgKind::Data, tag, order, v.to_visit());
-        let bytes = frame.encode();
-        let decoded = Frame::decode(&bytes).expect("own encoding must parse");
-        let back = ParamValue::from_visit(v.kind(), decoded.value.as_ref().unwrap())
+        let framed = |v: &ParamValue| {
+            let mut bytes = Vec::new();
+            encode_frame(MsgKind::Data, tag, order, Some(v.to_visit()), &mut bytes);
+            bytes
+        };
+        let bytes = framed(&v);
+        let owned = Frame::decode(&bytes).expect("own encoding must parse");
+        prop_assert_eq!(owned.encode(), bytes.clone());
+        let view = FrameView::parse(&bytes).expect("own encoding must parse");
+        let back = ParamValue::from_visit(v.kind(), &view)
             .expect("kind-directed decode must succeed");
         // byte-stable: re-encoding the decoded value reproduces the wire
-        let refraned = Frame::with_value(MsgKind::Data, tag, order, back.to_visit());
-        prop_assert_eq!(refraned.encode(), bytes);
+        prop_assert_eq!(framed(&back), bytes);
         // lossless: equal whenever PartialEq can witness it
         if !has_nan(&v) {
             prop_assert_eq!(back, v);

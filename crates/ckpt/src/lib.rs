@@ -267,6 +267,19 @@ impl SectionWriter {
         self.buf.extend_from_slice(b);
     }
 
+    /// Append a body in the [`put_bytes`](SectionWriter::put_bytes)
+    /// layout that `write` appends straight onto the section, so an item
+    /// with its own codec needs no buffer of its own: the `u64` length is
+    /// filled in once `write` returns.
+    pub fn put_body<R>(&mut self, write: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+        let at = self.buf.len();
+        self.put_u64(0);
+        let out = write(&mut self.buf);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        out
+    }
+
     /// Append a length-prefixed `f64` slice as raw bit patterns.
     pub fn put_f64_slice(&mut self, vs: &[f64]) {
         self.put_u64(vs.len() as u64);

@@ -22,7 +22,7 @@
 
 use crate::params::ParamValue;
 use crate::session::{Role, SteeringSession};
-use gridsteer_bus::visit::{Reply, Request, VisitWire};
+use gridsteer_bus::visit::{RecvError, Reply, Request, VisitWire};
 use gridsteer_bus::{SteerCommand, SteerError};
 use parking_lot::Mutex;
 use std::net::{TcpListener, TcpStream};
@@ -138,7 +138,13 @@ fn serve_client(
         let request = match wire.recv_request(IDLE) {
             Ok(Some(request)) => request,
             Ok(None) => continue,
-            Err(e) => break Err(e),
+            Err(RecvError::Refused(why)) => {
+                if wire.send_reply(&Reply::Refused(why)).is_err() {
+                    break Ok(());
+                }
+                continue;
+            }
+            Err(RecvError::Malformed(e)) => break Err(e),
         };
         let reply = attachment.answer(request, &session);
         if wire.send_reply(&reply).is_err() {
@@ -289,7 +295,7 @@ mod tests {
     use super::*;
     use crate::params::{ParamRegistry, ParamSpec};
     use visit::link::FrameLink;
-    use visit::{Frame, MemLink, VisitValue};
+    use visit::{Frame, LoopLink, VisitValue};
 
     fn server() -> CollabServer {
         let mut reg = ParamRegistry::new();
@@ -436,8 +442,8 @@ mod tests {
     }
 
     /// The frames `send` puts on a wire, each as its bytes.
-    fn frames(send: impl FnOnce(&mut VisitWire<MemLink>)) -> Vec<Vec<u8>> {
-        let mut wire = VisitWire::steering(MemLink::looped(), PATIENCE);
+    fn frames(send: impl FnOnce(&mut VisitWire<LoopLink>)) -> Vec<Vec<u8>> {
+        let mut wire = VisitWire::steering(LoopLink::default(), PATIENCE);
         send(&mut wire);
         std::iter::from_fn(|| wire.link_mut().recv_timeout(Duration::ZERO).ok()).collect()
     }
@@ -492,6 +498,32 @@ mod tests {
         };
         assert_eq!(raw.call(&empty), refused("empty batch"));
         assert_eq!(raw.call(&batch(3)), Ok(Reply::Done(1)));
+    }
+
+    #[test]
+    fn a_negative_batch_number_is_refused_and_does_not_lock_its_sender_out() {
+        let srv = server();
+        let mut raw = raw_master(&srv.addr().to_string());
+        let commands = vec![SteerCommand::f64("miscibility", 0.5)];
+        let batch = Request::Batch { seq: 1, commands };
+        // the batch's own frames, its begin frame's number rewritten to -1
+        let mut sent = frames(|w| w.send_request(&batch).unwrap());
+        let mut begin = Frame::decode(&sent[0]).unwrap();
+        begin.value = Some(VisitValue::I64(vec![1, -1]));
+        sent[0] = begin.encode();
+        for frame in &sent {
+            raw.link_mut().send(frame).unwrap();
+        }
+        let why = "malformed envelope: batch number -1";
+        let refusal = frames(|w| w.send_reply(&Reply::Refused(why.into())).unwrap());
+        assert_eq!(
+            raw.link_mut().recv_timeout(PATIENCE),
+            Ok(refusal[0].clone())
+        );
+        // read as u64::MAX, -1 would have made every later batch stale
+        assert_eq!(raw.call(&batch), Ok(Reply::Done(1)));
+        let value = srv.session().lock().params.get_value("miscibility");
+        assert_eq!(value, Some(ParamValue::F64(0.5)));
     }
 
     #[global_allocator]

@@ -233,11 +233,10 @@ impl SteeringSession {
             return Err("no such participant".into());
         };
         let who = p.who.clone();
-        let param = self.params.intern(param);
-        let outcome = if p.role == Role::Master {
-            self.params.set_value(&param, value)
+        let (param, outcome) = if p.role == Role::Master {
+            self.params.steer(param, value)
         } else {
-            Err("not the master".to_string())
+            (self.params.intern(param), Err("not the master".to_string()))
         };
         self.events.push(match &outcome {
             Ok(applied) => SessionEvent::Steered {

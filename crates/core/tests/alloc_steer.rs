@@ -167,13 +167,18 @@ fn live_heap_is_flat_once_the_audit_window_has_filled() {
 /// Allocator calls of one warm tick — 8 batches of 4 staged over the
 /// transport and committed, the endpoint's own subscription watching, as
 /// a `steer_storm` client is — at most. A cut lowers its pin; nothing may
-/// raise one.
+/// raise one. Loopback's 52 are the caller's 8 batches of 4 named
+/// commands (40), the hub's 8 origin copies, and the commit's staging
+/// buffer, outcome row, shared record and the subscriber's queue. A
+/// transport decodes its wire over the batch it was handed, so it adds
+/// only what its hop keeps no buffer for: one OGSA result list per
+/// `setBatch`, and the UNICORE DAG check's four work lists per job.
 const STAGE_CALLS: [(Transport, u64); 5] = [
     (Transport::Loopback, 52),
-    (Transport::Visit, 452),
-    (Transport::Ogsa, 172),
-    (Transport::Covise, 124),
-    (Transport::Unicore, 364),
+    (Transport::Visit, 52),
+    (Transport::Ogsa, 60),
+    (Transport::Covise, 52),
+    (Transport::Unicore, 84),
 ];
 
 #[test]

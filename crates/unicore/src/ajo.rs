@@ -31,7 +31,6 @@
 //! [`Ajo`], whose DAG [`Ajo::topo_order`] still has to accept.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet, VecDeque};
 
 /// One abstract task.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -139,55 +138,59 @@ impl Ajo {
         if self.tasks.is_empty() {
             return Err(AjoError::Empty);
         }
-        let mut seen = HashSet::new();
-        for t in &self.tasks {
-            if !seen.insert(t.id) {
-                return Err(AjoError::DuplicateId(t.id));
-            }
+        let id = |at: u32| self.tasks[at as usize].id;
+        // task positions in id order (stable, so equal ids stay in task
+        // order); a task's rank in it is its index everywhere below
+        let mut by_id: Vec<u32> = (0..self.tasks.len() as u32).collect();
+        by_id.sort_by_key(|&at| id(at));
+        // the first repeat in task order is the earliest second member of
+        // a run of equal ids
+        let repeat = by_id.windows(2).filter(|w| id(w[0]) == id(w[1]));
+        if let Some(at) = repeat.map(|w| w[1]).min() {
+            return Err(AjoError::DuplicateId(id(at)));
         }
-        let ids: HashSet<u32> = self.tasks.iter().map(|t| t.id).collect();
-        let mut indegree: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut dependents: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        let rank = |task: u32| by_id.binary_search_by_key(&task, |&at| id(at)).ok();
+        // (dependency, dependent) by rank, in task order then `after`
+        // order; the stable sort below keeps that order per dependency
+        let mut indegree = vec![0u32; by_id.len()];
+        let mut edges: Vec<(u32, u32)> = Vec::new();
         for t in &self.tasks {
-            indegree.entry(t.id).or_insert(0);
+            let to = rank(t.id).expect("every task has a rank") as u32;
             for &d in &t.after {
-                if !ids.contains(&d) {
-                    return Err(AjoError::UnknownDependency {
-                        task: t.id,
-                        missing: d,
-                    });
-                }
-                *indegree.entry(t.id).or_insert(0) += 1;
-                dependents.entry(d).or_default().push(t.id);
+                let from = rank(d).ok_or(AjoError::UnknownDependency {
+                    task: t.id,
+                    missing: d,
+                })?;
+                indegree[to as usize] += 1;
+                edges.push((from as u32, to));
             }
         }
-        // Kahn's algorithm; the ready set starts id-sorted because the
-        // indegree map iterates in `BTreeMap` key order
-        let mut ready: VecDeque<u32> = indegree
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&id, _)| id)
+        edges.sort_by_key(|&(from, _)| from);
+        // Kahn's algorithm over one queue of ranks: it starts with the
+        // ready tasks in id order, and each run of newly ready ones is
+        // sorted as it is appended
+        let mut queue: Vec<u32> = (0..by_id.len() as u32)
+            .filter(|&r| indegree[r as usize] == 0)
             .collect();
-        let mut order = Vec::with_capacity(self.tasks.len());
-        while let Some(id) = ready.pop_front() {
-            order.push(id);
-            if let Some(deps) = dependents.get(&id) {
-                let mut newly: Vec<u32> = Vec::new();
-                for &d in deps {
-                    let e = indegree.get_mut(&d).unwrap();
-                    *e -= 1;
-                    if *e == 0 {
-                        newly.push(d);
-                    }
+        let mut head = 0;
+        while let Some(&r) = queue.get(head) {
+            head += 1;
+            let newly = queue.len();
+            let first = edges.partition_point(|&(from, _)| from < r);
+            for &(_, to) in edges[first..].iter().take_while(|&&(from, _)| from == r) {
+                indegree[to as usize] -= 1;
+                if indegree[to as usize] == 0 {
+                    queue.push(to);
                 }
-                newly.sort_unstable();
-                ready.extend(newly);
             }
+            queue[newly..].sort_unstable();
         }
-        if order.len() != self.tasks.len() {
+        if queue.len() != self.tasks.len() {
             return Err(AjoError::Cycle);
         }
-        Ok(order)
+        // the queue holds every rank in run order: name them
+        queue.iter_mut().for_each(|r| *r = id(by_id[*r as usize]));
+        Ok(queue)
     }
 
     /// Task lookup by id.
@@ -196,9 +199,17 @@ impl Ajo {
     }
 
     /// Serialize for consignment (the "serialised Java objects" analog;
-    /// layout in the module docs). The output is reserved once, from the
-    /// sizes the fields already know.
+    /// layout in the module docs).
     pub fn to_bytes(&self) -> Result<Vec<u8>, AjoError> {
+        let mut out = Vec::new();
+        self.write_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`to_bytes`](Ajo::to_bytes) into `out`, replacing what it held, so
+    /// a consigner reuses one buffer job after job. The output is reserved
+    /// once, from the sizes the fields already know.
+    pub fn write_into(&self, out: &mut Vec<u8>) -> Result<(), AjoError> {
         let tasks: usize = self
             .tasks
             .iter()
@@ -206,22 +217,23 @@ impl Ajo {
             .sum();
         let size =
             MAGIC.len() + 1 + field_len(self.name.len()) + field_len(self.vsite.len()) + 4 + tasks;
-        let mut out = Vec::with_capacity(size);
+        out.clear();
+        out.reserve(size);
         out.extend_from_slice(MAGIC);
         out.push(WIRE_VERSION);
-        put_bytes(&mut out, self.name.as_bytes())?;
-        put_bytes(&mut out, self.vsite.as_bytes())?;
-        put_len(&mut out, self.tasks.len())?;
+        put_bytes(out, self.name.as_bytes())?;
+        put_bytes(out, self.vsite.as_bytes())?;
+        put_len(out, self.tasks.len())?;
         for t in &self.tasks {
             out.extend_from_slice(&t.id.to_le_bytes());
-            put_len(&mut out, t.after.len())?;
+            put_len(out, t.after.len())?;
             for dep in &t.after {
                 out.extend_from_slice(&dep.to_le_bytes());
             }
-            t.task.encode(&mut out)?;
+            t.task.encode(out)?;
         }
         debug_assert_eq!(out.len(), size);
-        Ok(out)
+        Ok(())
     }
 
     /// Deserialize, strictly: truncation, trailing bytes, a foreign magic
@@ -230,6 +242,17 @@ impl Ajo {
     /// [`AjoError::Malformed`], found before anything is allocated for
     /// them. The DAG is not validated here — see [`Ajo::topo_order`].
     pub fn from_bytes(data: &[u8]) -> Result<Ajo, AjoError> {
+        let mut ajo = Ajo::new("", "");
+        ajo.read_from(data)?;
+        Ok(ajo)
+    }
+
+    /// [`from_bytes`](Ajo::from_bytes) into this AJO, reusing the texts,
+    /// files and lists it holds wherever a decoded task is of the kind
+    /// already in its place — a consignee reading one job shape over and
+    /// over allocates nothing once warm. Refuses exactly what `from_bytes`
+    /// refuses; after a refusal the contents are unspecified.
+    pub fn read_from(&mut self, data: &[u8]) -> Result<(), AjoError> {
         let mut r = Reader { buf: data };
         if r.take(MAGIC.len())? != MAGIC {
             return Err(AjoError::Malformed("bad magic"));
@@ -237,18 +260,32 @@ impl Ajo {
         if r.u8()? != WIRE_VERSION {
             return Err(AjoError::Malformed("unsupported version"));
         }
-        let name = r.text()?;
-        let vsite = r.text()?;
-        let tasks = r.list(MIN_TASK_BYTES, |r| {
-            let id = r.u32()?;
-            let after = r.list(4, Reader::u32)?;
-            let task = Task::decode(r)?;
-            Ok(AjoTask { id, task, after })
+        r.text_into(&mut self.name)?;
+        r.text_into(&mut self.vsite)?;
+        let placeholder = || AjoTask {
+            id: 0,
+            task: Task::StageOut {
+                path: String::new(),
+            },
+            after: Vec::new(),
+        };
+        r.list_into(MIN_TASK_BYTES, &mut self.tasks, placeholder, |r, t| {
+            t.id = r.u32()?;
+            r.list_into(
+                4,
+                &mut t.after,
+                || 0,
+                |r, dep| {
+                    *dep = r.u32()?;
+                    Ok(())
+                },
+            )?;
+            t.task.read_from(r)
         })?;
         if !r.buf.is_empty() {
             return Err(AjoError::Malformed("trailing bytes"));
         }
-        Ok(Ajo { name, vsite, tasks })
+        Ok(())
     }
 
     /// Convenience: the standard steered-simulation job shape used by the
@@ -339,9 +376,9 @@ impl Task {
     }
 
     fn encode(&self, out: &mut Vec<u8>) -> Result<(), AjoError> {
+        out.push(self.tag());
         match self {
             Task::Execute { command, args } => {
-                out.push(TAG_EXECUTE);
                 put_bytes(out, command.as_bytes())?;
                 put_len(out, args.len())?;
                 for arg in args {
@@ -349,46 +386,82 @@ impl Task {
                 }
             }
             Task::StageIn { path, data } => {
-                out.push(TAG_STAGE_IN);
                 put_bytes(out, path.as_bytes())?;
                 put_bytes(out, data)?;
             }
-            Task::StageOut { path } => {
-                out.push(TAG_STAGE_OUT);
-                put_bytes(out, path.as_bytes())?;
-            }
+            Task::StageOut { path } => put_bytes(out, path.as_bytes())?,
             Task::TransferToVsite { path, vsite } => {
-                out.push(TAG_TRANSFER);
                 put_bytes(out, path.as_bytes())?;
                 put_bytes(out, vsite.as_bytes())?;
             }
-            Task::StartVisitProxy { service } => {
-                out.push(TAG_VISIT_PROXY);
-                put_bytes(out, service.as_bytes())?;
-            }
+            Task::StartVisitProxy { service } => put_bytes(out, service.as_bytes())?,
         }
         Ok(())
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Task, AjoError> {
-        Ok(match r.u8()? {
+    /// The wire tag of this task's kind.
+    fn tag(&self) -> u8 {
+        match self {
+            Task::Execute { .. } => TAG_EXECUTE,
+            Task::StageIn { .. } => TAG_STAGE_IN,
+            Task::StageOut { .. } => TAG_STAGE_OUT,
+            Task::TransferToVsite { .. } => TAG_TRANSFER,
+            Task::StartVisitProxy { .. } => TAG_VISIT_PROXY,
+        }
+    }
+
+    /// An empty task of the kind `tag` names.
+    fn empty(tag: u8) -> Result<Task, AjoError> {
+        Ok(match tag {
             TAG_EXECUTE => Task::Execute {
-                command: r.text()?,
-                // an argument is at least its own length field
-                args: r.list(4, Reader::text)?,
+                command: String::new(),
+                args: Vec::new(),
             },
             TAG_STAGE_IN => Task::StageIn {
-                path: r.text()?,
-                data: r.bytes()?.to_vec(),
+                path: String::new(),
+                data: Vec::new(),
             },
-            TAG_STAGE_OUT => Task::StageOut { path: r.text()? },
+            TAG_STAGE_OUT => Task::StageOut {
+                path: String::new(),
+            },
             TAG_TRANSFER => Task::TransferToVsite {
-                path: r.text()?,
-                vsite: r.text()?,
+                path: String::new(),
+                vsite: String::new(),
             },
-            TAG_VISIT_PROXY => Task::StartVisitProxy { service: r.text()? },
+            TAG_VISIT_PROXY => Task::StartVisitProxy {
+                service: String::new(),
+            },
             _ => return Err(AjoError::Malformed("unknown task tag")),
         })
+    }
+
+    /// Decode one task into `self`, keeping its buffers when the tag
+    /// names the kind it already is.
+    fn read_from(&mut self, r: &mut Reader<'_>) -> Result<(), AjoError> {
+        let tag = r.u8()?;
+        if self.tag() != tag {
+            *self = Task::empty(tag)?;
+        }
+        match self {
+            Task::Execute { command, args } => {
+                r.text_into(command)?;
+                // an argument is at least its own length field
+                r.list_into(4, args, String::new, Reader::text_into)
+            }
+            Task::StageIn { path, data } => {
+                r.text_into(path)?;
+                let bytes = r.bytes()?;
+                data.clear();
+                data.extend_from_slice(bytes);
+                Ok(())
+            }
+            Task::StageOut { path } => r.text_into(path),
+            Task::TransferToVsite { path, vsite } => {
+                r.text_into(path)?;
+                r.text_into(vsite)
+            }
+            Task::StartVisitProxy { service } => r.text_into(service),
+        }
     }
 }
 
@@ -426,18 +499,27 @@ impl<'a> Reader<'a> {
         Ok(count)
     }
 
-    /// A counted list, reserved only once the count is known to fit.
-    fn list<T>(
+    /// A counted list read into `items`, replacing what it held: each
+    /// item is read in place by `item`, into the element already at its
+    /// index when there is one (`fresh` makes the rest). Reserved only
+    /// once the count is known to fit.
+    fn list_into<T>(
         &mut self,
         min_item: usize,
-        item: impl Fn(&mut Self) -> Result<T, AjoError>,
-    ) -> Result<Vec<T>, AjoError> {
+        items: &mut Vec<T>,
+        fresh: impl Fn() -> T,
+        item: impl Fn(&mut Self, &mut T) -> Result<(), AjoError>,
+    ) -> Result<(), AjoError> {
         let count = self.count(min_item)?;
-        let mut items = Vec::with_capacity(count);
-        for _ in 0..count {
-            items.push(item(self)?);
+        items.truncate(count);
+        items.reserve_exact(count - items.len());
+        for i in 0..count {
+            if i == items.len() {
+                items.push(fresh());
+            }
+            item(self, &mut items[i])?;
         }
-        Ok(items)
+        Ok(())
     }
 
     /// A length-prefixed byte field, borrowed.
@@ -446,10 +528,13 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
-    fn text(&mut self) -> Result<String, AjoError> {
-        std::str::from_utf8(self.bytes()?)
-            .map(str::to_string)
-            .map_err(|_| AjoError::Malformed("text is not UTF-8"))
+    /// A text field, replacing what `out` held.
+    fn text_into(&mut self, out: &mut String) -> Result<(), AjoError> {
+        let text = std::str::from_utf8(self.bytes()?)
+            .map_err(|_| AjoError::Malformed("text is not UTF-8"))?;
+        out.clear();
+        out.push_str(text);
+        Ok(())
     }
 }
 
@@ -638,11 +723,99 @@ mod tests {
         }
     }
 
+    /// DAG shapes over ids and dependencies drawn from 0..8, so repeated
+    /// ids, unknown dependencies, cycles and valid DAGs all turn up.
+    struct AnyDag;
+
+    impl Strategy for AnyDag {
+        type Value = Ajo;
+
+        fn generate(&self, rng: &mut TestRng) -> Ajo {
+            let mut ajo = Ajo::new("dag", "v");
+            ajo.tasks = (0..(0usize..8).generate(rng))
+                .map(|_| AjoTask {
+                    id: (0u32..8).generate(rng),
+                    task: Task::StageOut { path: "f".into() },
+                    after: collection::vec(0u32..8, 0..3).generate(rng),
+                })
+                .collect();
+            ajo
+        }
+    }
+
+    /// Kahn's algorithm spelled out over hash sets and ordered maps: the
+    /// reference `topo_order` must match, refusal for refusal and position
+    /// for position.
+    fn reference_order(ajo: &Ajo) -> Result<Vec<u32>, AjoError> {
+        use std::collections::{BTreeMap, HashSet, VecDeque};
+        if ajo.tasks.is_empty() {
+            return Err(AjoError::Empty);
+        }
+        let mut seen = HashSet::new();
+        for t in &ajo.tasks {
+            if !seen.insert(t.id) {
+                return Err(AjoError::DuplicateId(t.id));
+            }
+        }
+        let mut indegree: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut dependents: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for t in &ajo.tasks {
+            indegree.entry(t.id).or_insert(0);
+            for &d in &t.after {
+                if !seen.contains(&d) {
+                    return Err(AjoError::UnknownDependency {
+                        task: t.id,
+                        missing: d,
+                    });
+                }
+                *indegree.entry(t.id).or_insert(0) += 1;
+                dependents.entry(d).or_default().push(t.id);
+            }
+        }
+        let mut ready: VecDeque<u32> = indegree
+            .iter()
+            .filter(|(_, &d)| d == 0)
+            .map(|(&id, _)| id)
+            .collect();
+        let mut order = Vec::new();
+        while let Some(id) = ready.pop_front() {
+            order.push(id);
+            let mut newly = Vec::new();
+            for d in dependents.get(&id).into_iter().flatten() {
+                let e = indegree.get_mut(d).unwrap();
+                *e -= 1;
+                if *e == 0 {
+                    newly.push(*d);
+                }
+            }
+            newly.sort_unstable();
+            ready.extend(newly);
+        }
+        if order.len() != ajo.tasks.len() {
+            return Err(AjoError::Cycle);
+        }
+        Ok(order)
+    }
+
     proptest! {
         #[test]
         fn wire_roundtrip_is_exact_for_arbitrary_ajos(ajo in AnyAjo) {
             let wire = ajo.to_bytes().unwrap();
             prop_assert_eq!(Ajo::from_bytes(&wire), Ok(ajo));
+        }
+
+        /// An AJO read into one that held another is the AJO read afresh:
+        /// nothing of the old one survives in the buffers reused.
+        #[test]
+        fn reading_into_a_used_ajo_is_reading_it_afresh(ajo in AnyAjo, used in AnyAjo) {
+            let mut into = used;
+            into.read_from(&ajo.to_bytes().unwrap()).unwrap();
+            prop_assert_eq!(into, ajo);
+        }
+
+        #[test]
+        fn topo_order_matches_the_reference(ajo in AnyDag) {
+            prop_assert_eq!(ajo.topo_order(), reference_order(&ajo));
         }
     }
 

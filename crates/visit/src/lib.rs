@@ -25,10 +25,11 @@
 //! transferable *master* — is [`vbroker::VBroker`], a faithful port of the
 //! `vbroker` application "that is part of the standard VISIT distribution".
 //!
-//! Transport is abstracted over [`link::FrameLink`] with three
+//! Transport is abstracted over [`link::FrameLink`] with four
 //! implementations: real TCP ([`link::TcpLink`]), in-process channels
-//! ([`link::MemLink`]), and deterministic virtual-time ([`link::SimLink`],
-//! over [`netsim`]) for the latency experiments.
+//! ([`link::MemLink`]), an in-process hop back to its own sender
+//! ([`link::LoopLink`]), and deterministic virtual-time
+//! ([`link::SimLink`], over [`netsim`]) for the latency experiments.
 //!
 //! Security matches the paper: "a connection password that is transferred
 //! in clear-text" ([`auth::Password::ClearText`]) plus a keyed-digest mode
@@ -45,7 +46,7 @@ pub mod wire;
 
 pub use auth::Password;
 pub use client::SteeringClient;
-pub use link::{FrameLink, LinkError, MemLink, SimLink, TcpLink};
+pub use link::{FrameLink, LinkError, LoopLink, MemLink, SimLink, TcpLink};
 pub use server::{ServeOutcome, VisServer};
 pub use value::{Endianness, VisitValue};
 pub use vbroker::VBroker;

@@ -1,13 +1,15 @@
 //! Frame transports.
 //!
 //! VISIT's timeout guarantee lives here: every receive takes an explicit
-//! deadline and *will* return by then. Three implementations:
+//! deadline and *will* return by then. Four implementations:
 //!
 //! * [`TcpLink`] — real TCP with 4-byte length-prefix framing and socket
 //!   read timeouts; used by the multi-process examples and the TCP steering
 //!   server.
-//! * [`MemLink`] — crossbeam channels; used by threaded in-process tests,
-//!   and (looped onto itself) by the bus's in-process VISIT endpoints.
+//! * [`MemLink`] — crossbeam channels; used by threaded in-process tests.
+//! * [`LoopLink`] — one queue a link sends into and receives from; the
+//!   bus's in-process VISIT endpoints, whose frames make a hop that
+//!   returns to the sender.
 //! * [`SimLink`] — a [`netsim`] virtual-time channel; timeouts are charged
 //!   in *virtual* time, which makes the latency experiments deterministic
 //!   and instant.
@@ -43,6 +45,14 @@ pub trait FrameLink: Send {
     fn send(&mut self, frame: &[u8]) -> Result<(), LinkError>;
     /// Receive one frame, waiting at most `timeout`.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, LinkError>;
+
+    /// Receive one frame into `buf`, replacing what it held, waiting at
+    /// most `timeout`. A link that holds its frames itself overrides this
+    /// to copy into the caller's buffer instead of allocating one.
+    fn recv_into(&mut self, timeout: Duration, buf: &mut Vec<u8>) -> Result<(), LinkError> {
+        *buf = self.recv_timeout(timeout)?;
+        Ok(())
+    }
 }
 
 impl<T: FrameLink + ?Sized> FrameLink for Box<T> {
@@ -51,6 +61,9 @@ impl<T: FrameLink + ?Sized> FrameLink for Box<T> {
     }
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, LinkError> {
         (**self).recv_timeout(timeout)
+    }
+    fn recv_into(&mut self, timeout: Duration, buf: &mut Vec<u8>) -> Result<(), LinkError> {
+        (**self).recv_into(timeout, buf)
     }
 }
 
@@ -148,13 +161,6 @@ impl MemLink {
             MemLink { tx: tx_b, rx: rx_b },
         )
     }
-
-    /// A link that receives what it sends: an in-process hop whose bytes
-    /// are read back exactly as a remote peer would see them.
-    pub fn looped() -> MemLink {
-        let (tx, rx) = bounded(1024);
-        MemLink { tx, rx }
-    }
 }
 
 impl FrameLink for MemLink {
@@ -171,6 +177,67 @@ impl FrameLink for MemLink {
             Err(RecvTimeoutError::Timeout) => Err(LinkError::Timeout),
             Err(RecvTimeoutError::Disconnected) => Err(LinkError::Closed),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Looped (one queue)
+// ---------------------------------------------------------------------------
+
+/// A link that receives what it sends, in order: an in-process hop whose
+/// bytes are read back exactly as a remote peer would see them. Frames
+/// queue length-prefixed, as on a TCP stream, in one buffer that is
+/// reused once drained. Only the link itself sends, so a receive never
+/// waits: an empty queue is [`LinkError::Timeout`] at once.
+#[derive(Debug, Default)]
+pub struct LoopLink {
+    queued: Vec<u8>,
+    /// Offset of the next unread length prefix in `queued`.
+    read: usize,
+}
+
+impl LoopLink {
+    /// The oldest unread frame, consumed.
+    fn next(&mut self) -> Option<&[u8]> {
+        let at = self.read;
+        let len = self.queued.get(at..at + 4)?;
+        let len = u32::from_le_bytes(len.try_into().expect("four bytes")) as usize;
+        self.read = at + 4 + len;
+        Some(&self.queued[at + 4..self.read])
+    }
+
+    /// Start the buffer over once everything queued has been read.
+    fn compact(&mut self) {
+        if self.read == self.queued.len() {
+            self.queued.clear();
+            self.read = 0;
+        }
+    }
+}
+
+impl FrameLink for LoopLink {
+    fn send(&mut self, frame: &[u8]) -> Result<(), LinkError> {
+        if frame.len() > MAX_FRAME {
+            return Err(LinkError::TooLarge);
+        }
+        self.queued
+            .extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        self.queued.extend_from_slice(frame);
+        Ok(())
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, LinkError> {
+        let mut buf = Vec::new();
+        self.recv_into(timeout, &mut buf)?;
+        Ok(buf)
+    }
+
+    fn recv_into(&mut self, _: Duration, buf: &mut Vec<u8>) -> Result<(), LinkError> {
+        let frame = self.next().ok_or(LinkError::Timeout)?;
+        buf.clear();
+        buf.extend_from_slice(frame);
+        self.compact();
+        Ok(())
     }
 }
 
@@ -254,12 +321,21 @@ mod tests {
     }
 
     #[test]
-    fn a_looped_memlink_reads_back_what_it_sent() {
-        let mut hop = MemLink::looped();
+    fn a_loop_link_reads_back_what_it_sent() {
+        let mut hop = LoopLink::default();
         hop.send(b"one").unwrap();
-        hop.send(b"two").unwrap();
+        hop.send(b"").unwrap();
         assert_eq!(hop.recv_timeout(Duration::ZERO).unwrap(), b"one");
-        assert_eq!(hop.recv_timeout(Duration::ZERO).unwrap(), b"two");
+        hop.send(b"three").unwrap();
+        let mut buf = b"stale".to_vec();
+        hop.recv_into(Duration::ZERO, &mut buf).unwrap();
+        assert_eq!(buf, b"");
+        hop.recv_into(Duration::ZERO, &mut buf).unwrap();
+        assert_eq!(buf, b"three");
+        assert_eq!(hop.recv_timeout(Duration::ZERO), Err(LinkError::Timeout));
+        // drained, the queue starts over in the buffer it already has
+        assert!(hop.queued.is_empty() && hop.queued.capacity() > 0);
+        hop.send(&vec![0; MAX_FRAME + 1]).unwrap_err();
         assert_eq!(hop.recv_timeout(Duration::ZERO), Err(LinkError::Timeout));
     }
 

@@ -13,7 +13,7 @@
 //! `to_f64` / `to_f32_lossy` / `to_i64` methods perform the
 //! precision/int-float conversions at the server's request.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::BufMut;
 
 /// Byte order declared by a client at connection time. The paper's
 /// "classic supercomputers" (Cray T3E, SGI Onyx, IBM SP2) were big-endian;
@@ -80,6 +80,70 @@ impl DType {
     }
 }
 
+/// A fixed-width number a payload carries: its wire dtype, and its bytes
+/// in either order. The one place a number meets the wire, so encode and
+/// decode cannot disagree on a byte.
+pub trait Element: Copy {
+    /// The dtype a payload of these carries.
+    const DTYPE: DType;
+    /// Bytes per element.
+    const SIZE: usize;
+    /// Read one element from exactly [`SIZE`](Element::SIZE) bytes in
+    /// `order`.
+    fn get(bytes: &[u8], order: Endianness) -> Self;
+    /// Append this element in `order`.
+    fn put(self, order: Endianness, out: &mut impl BufMut);
+}
+
+macro_rules! element {
+    ($ty:ty, $dtype:ident) => {
+        impl Element for $ty {
+            const DTYPE: DType = DType::$dtype;
+            const SIZE: usize = std::mem::size_of::<$ty>();
+
+            fn get(bytes: &[u8], order: Endianness) -> $ty {
+                let raw = bytes.try_into().expect("a chunk of exactly SIZE bytes");
+                match order {
+                    Endianness::Little => <$ty>::from_le_bytes(raw),
+                    Endianness::Big => <$ty>::from_be_bytes(raw),
+                }
+            }
+
+            fn put(self, order: Endianness, out: &mut impl BufMut) {
+                match order {
+                    Endianness::Little => out.put_slice(&self.to_le_bytes()),
+                    Endianness::Big => out.put_slice(&self.to_be_bytes()),
+                }
+            }
+        }
+    };
+}
+
+element!(i32, I32);
+element!(i64, I64);
+element!(f32, F32);
+element!(f64, F64);
+
+/// Decode `count` elements of `T` from exactly the bytes they fill.
+fn elements<T: Element>(count: usize, order: Endianness, buf: &[u8]) -> Option<Vec<T>> {
+    if Some(buf.len()) != count.checked_mul(T::SIZE) {
+        return None;
+    }
+    Some(
+        buf.chunks_exact(T::SIZE)
+            .map(|c| T::get(c, order))
+            .collect(),
+    )
+}
+
+/// A `Str` payload of `count` bytes, in place: exactly `buf`, as UTF-8.
+pub(crate) fn text(count: usize, buf: &[u8]) -> Option<&str> {
+    if buf.len() != count {
+        return None;
+    }
+    std::str::from_utf8(buf).ok()
+}
+
 /// A typed VISIT payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VisitValue {
@@ -97,6 +161,79 @@ pub enum VisitValue {
     Bytes(Vec<u8>),
 }
 
+/// A payload borrowed from whoever owns it: what a [`VisitValue`] holds,
+/// by reference, so a sender encodes its own data without first copying
+/// it into a value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// 32-bit integers.
+    I32(&'a [i32]),
+    /// 64-bit integers.
+    I64(&'a [i64]),
+    /// Single-precision floats.
+    F32(&'a [f32]),
+    /// Double-precision floats.
+    F64(&'a [f64]),
+    /// A UTF-8 string.
+    Str(&'a str),
+    /// Opaque bytes.
+    Bytes(&'a [u8]),
+}
+
+impl ValueRef<'_> {
+    /// Wire dtype code.
+    pub fn dtype(self) -> DType {
+        match self {
+            ValueRef::I32(_) => DType::I32,
+            ValueRef::I64(_) => DType::I64,
+            ValueRef::F32(_) => DType::F32,
+            ValueRef::F64(_) => DType::F64,
+            ValueRef::Str(_) => DType::Str,
+            ValueRef::Bytes(_) => DType::Bytes,
+        }
+    }
+
+    /// Element count (bytes/strings count bytes).
+    pub fn count(self) -> usize {
+        match self {
+            ValueRef::I32(v) => v.len(),
+            ValueRef::I64(v) => v.len(),
+            ValueRef::F32(v) => v.len(),
+            ValueRef::F64(v) => v.len(),
+            ValueRef::Str(s) => s.len(),
+            ValueRef::Bytes(b) => b.len(),
+        }
+    }
+
+    /// Payload size on the wire in bytes.
+    pub fn byte_len(self) -> usize {
+        match self {
+            ValueRef::I32(v) => v.len() * 4,
+            ValueRef::I64(v) => v.len() * 8,
+            ValueRef::F32(v) => v.len() * 4,
+            ValueRef::F64(v) => v.len() * 8,
+            ValueRef::Str(s) => s.len(),
+            ValueRef::Bytes(b) => b.len(),
+        }
+    }
+
+    /// Encode the payload in the given byte order (the *client's native*
+    /// order — the client never converts; see module docs).
+    pub fn encode(self, order: Endianness, out: &mut impl BufMut) {
+        fn put_all<T: Element>(v: &[T], order: Endianness, out: &mut impl BufMut) {
+            v.iter().for_each(|x| x.put(order, out));
+        }
+        match self {
+            ValueRef::I32(v) => put_all(v, order, out),
+            ValueRef::I64(v) => put_all(v, order, out),
+            ValueRef::F32(v) => put_all(v, order, out),
+            ValueRef::F64(v) => put_all(v, order, out),
+            ValueRef::Str(s) => out.put_slice(s.as_bytes()),
+            ValueRef::Bytes(b) => out.put_slice(b),
+        }
+    }
+}
+
 impl VisitValue {
     /// Scalar f64 convenience constructor.
     pub fn scalar_f64(v: f64) -> VisitValue {
@@ -108,107 +245,52 @@ impl VisitValue {
         VisitValue::I32(vec![v])
     }
 
+    /// The payload, borrowed.
+    pub fn view(&self) -> ValueRef<'_> {
+        match self {
+            VisitValue::I32(v) => ValueRef::I32(v),
+            VisitValue::I64(v) => ValueRef::I64(v),
+            VisitValue::F32(v) => ValueRef::F32(v),
+            VisitValue::F64(v) => ValueRef::F64(v),
+            VisitValue::Str(s) => ValueRef::Str(s),
+            VisitValue::Bytes(b) => ValueRef::Bytes(b),
+        }
+    }
+
     /// Wire dtype code.
     pub fn dtype(&self) -> DType {
-        match self {
-            VisitValue::I32(_) => DType::I32,
-            VisitValue::I64(_) => DType::I64,
-            VisitValue::F32(_) => DType::F32,
-            VisitValue::F64(_) => DType::F64,
-            VisitValue::Str(_) => DType::Str,
-            VisitValue::Bytes(_) => DType::Bytes,
-        }
+        self.view().dtype()
     }
 
     /// Element count (bytes/strings count bytes).
     pub fn count(&self) -> usize {
-        match self {
-            VisitValue::I32(v) => v.len(),
-            VisitValue::I64(v) => v.len(),
-            VisitValue::F32(v) => v.len(),
-            VisitValue::F64(v) => v.len(),
-            VisitValue::Str(s) => s.len(),
-            VisitValue::Bytes(b) => b.len(),
-        }
+        self.view().count()
     }
 
     /// Payload size on the wire in bytes.
     pub fn byte_len(&self) -> usize {
-        match self {
-            VisitValue::I32(v) => v.len() * 4,
-            VisitValue::I64(v) => v.len() * 8,
-            VisitValue::F32(v) => v.len() * 4,
-            VisitValue::F64(v) => v.len() * 8,
-            VisitValue::Str(s) => s.len(),
-            VisitValue::Bytes(b) => b.len(),
-        }
+        self.view().byte_len()
     }
 
     /// Encode the payload in the given byte order (the *client's native*
     /// order — the client never converts; see module docs).
-    pub fn encode(&self, order: Endianness, out: &mut BytesMut) {
-        macro_rules! put_all {
-            ($vec:expr, $put_le:ident, $put_be:ident) => {
-                for &v in $vec {
-                    match order {
-                        Endianness::Little => out.$put_le(v),
-                        Endianness::Big => out.$put_be(v),
-                    }
-                }
-            };
-        }
-        match self {
-            VisitValue::I32(v) => put_all!(v, put_i32_le, put_i32),
-            VisitValue::I64(v) => put_all!(v, put_i64_le, put_i64),
-            VisitValue::F32(v) => put_all!(v, put_f32_le, put_f32),
-            VisitValue::F64(v) => put_all!(v, put_f64_le, put_f64),
-            VisitValue::Str(s) => out.put_slice(s.as_bytes()),
-            VisitValue::Bytes(b) => out.put_slice(b),
-        }
+    pub fn encode(&self, order: Endianness, out: &mut impl BufMut) {
+        self.view().encode(order, out);
     }
 
     /// Decode a payload of `count` elements of `dtype`, converting from the
     /// client's byte order (the server-side conversion of §3.2). Returns
     /// `None` on malformed input.
-    pub fn decode(
-        dtype: DType,
-        count: usize,
-        order: Endianness,
-        mut buf: &[u8],
-    ) -> Option<VisitValue> {
-        macro_rules! get_all {
-            ($get_le:ident, $get_be:ident, $ty:ty, $size:expr, $variant:ident) => {{
-                if buf.len() != count * $size {
-                    return None;
-                }
-                let mut v: Vec<$ty> = Vec::with_capacity(count);
-                for _ in 0..count {
-                    v.push(match order {
-                        Endianness::Little => buf.$get_le(),
-                        Endianness::Big => buf.$get_be(),
-                    });
-                }
-                Some(VisitValue::$variant(v))
-            }};
-        }
-        match dtype {
-            DType::I32 => get_all!(get_i32_le, get_i32, i32, 4, I32),
-            DType::I64 => get_all!(get_i64_le, get_i64, i64, 8, I64),
-            DType::F32 => get_all!(get_f32_le, get_f32, f32, 4, F32),
-            DType::F64 => get_all!(get_f64_le, get_f64, f64, 8, F64),
-            DType::Str => {
-                if buf.len() != count {
-                    return None;
-                }
-                String::from_utf8(buf.to_vec()).ok().map(VisitValue::Str)
-            }
-            DType::Bytes => {
-                if buf.len() != count {
-                    return None;
-                }
-                Some(VisitValue::Bytes(buf.to_vec()))
-            }
-        }
+    pub fn decode(dtype: DType, count: usize, order: Endianness, buf: &[u8]) -> Option<VisitValue> {
+        Some(match dtype {
+            DType::I32 => VisitValue::I32(elements(count, order, buf)?),
+            DType::I64 => VisitValue::I64(elements(count, order, buf)?),
+            DType::F32 => VisitValue::F32(elements(count, order, buf)?),
+            DType::F64 => VisitValue::F64(elements(count, order, buf)?),
+            DType::Str => VisitValue::Str(text(count, buf)?.to_string()),
+            DType::Bytes if buf.len() == count => VisitValue::Bytes(buf.to_vec()),
+            DType::Bytes => return None,
+        })
     }
 
     /// Widening conversion to f64 (precision + integer-float conversion).
@@ -237,36 +319,25 @@ impl VisitValue {
     /// Integer view; floats must be integral or `None` is returned.
     pub fn to_i64(&self) -> Option<Vec<i64>> {
         match self {
-            VisitValue::I32(v) => Some(v.iter().map(|&x| x as i64).collect()),
+            VisitValue::I32(v) => Some(v.iter().map(|&x| i64::from(x)).collect()),
             VisitValue::I64(v) => Some(v.clone()),
-            VisitValue::F32(v) => v
-                .iter()
-                .map(|&x| {
-                    if x.fract() == 0.0 {
-                        Some(x as i64)
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
-            VisitValue::F64(v) => v
-                .iter()
-                .map(|&x| {
-                    if x.fract() == 0.0 {
-                        Some(x as i64)
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
+            VisitValue::F32(v) => v.iter().map(|&x| integral(f64::from(x))).collect(),
+            VisitValue::F64(v) => v.iter().map(|&x| integral(x)).collect(),
             _ => None,
         }
     }
 }
 
+/// A float as an integer, when it is one (saturating at the `i64` range,
+/// as `as` does).
+pub(crate) fn integral(x: f64) -> Option<i64> {
+    (x.fract() == 0.0).then_some(x as i64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn roundtrip(v: &VisitValue, order: Endianness) -> VisitValue {
         let mut buf = BytesMut::new();

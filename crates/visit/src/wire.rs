@@ -19,8 +19,8 @@
 //! *payload* stays in client-native order and is converted server-side —
 //! the asymmetry that keeps the simulation cheap.
 
-use crate::value::{DType, Endianness, VisitValue};
-use bytes::{Buf, BufMut, BytesMut};
+use crate::value::{integral, DType, Element, Endianness, ValueRef, VisitValue};
+use bytes::BufMut;
 
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 12;
@@ -100,63 +100,165 @@ impl Frame {
 
     /// Serialize to bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf =
-            BytesMut::with_capacity(HEADER_LEN + self.value.as_ref().map_or(0, |v| v.byte_len()));
-        buf.put_u8(self.kind as u8);
-        buf.put_u8(self.order.to_byte());
-        match &self.value {
-            Some(v) => {
-                buf.put_u8(v.dtype() as u8);
-                buf.put_u8(0);
-                buf.put_u32_le(self.tag);
-                buf.put_u32_le(v.count() as u32);
-                v.encode(self.order, &mut buf);
-            }
-            None => {
-                buf.put_u8(0);
-                buf.put_u8(0);
-                buf.put_u32_le(self.tag);
-                buf.put_u32_le(0);
-            }
-        }
-        buf.to_vec()
+        let mut out = Vec::with_capacity(self.wire_size());
+        encode_frame(
+            self.kind,
+            self.tag,
+            self.order,
+            self.value.as_ref().map(VisitValue::view),
+            &mut out,
+        );
+        out
     }
 
     /// Parse from bytes (performing the server-side byte-order conversion
     /// for the payload). Returns `None` on any malformation, so a frame
     /// that parses re-encodes to exactly its own bytes.
-    pub fn decode(mut data: &[u8]) -> Option<Frame> {
-        if data.len() < HEADER_LEN {
-            return None;
-        }
-        let kind = MsgKind::from_byte(data.get_u8())?;
-        let order = Endianness::from_byte(data.get_u8())?;
-        let dtype_byte = data.get_u8();
-        if data.get_u8() != 0 {
-            return None;
-        }
-        let tag = data.get_u32_le();
-        let count = data.get_u32_le() as usize;
-        let value = if dtype_byte == 0 {
-            if !data.is_empty() || count != 0 {
-                return None;
-            }
-            None
-        } else {
-            let dtype = DType::from_byte(dtype_byte)?;
-            Some(VisitValue::decode(dtype, count, order, data)?)
-        };
+    pub fn decode(data: &[u8]) -> Option<Frame> {
+        let view = FrameView::parse(data)?;
         Some(Frame {
-            kind,
-            tag,
-            order,
-            value,
+            kind: view.kind,
+            tag: view.tag,
+            order: view.order,
+            value: view.value(),
         })
     }
 
     /// Total encoded size.
     pub fn wire_size(&self) -> usize {
         HEADER_LEN + self.value.as_ref().map_or(0, |v| v.byte_len())
+    }
+}
+
+/// Append one frame — header, then `value` encoded in `order` — to
+/// `out`: [`Frame::encode`] for a payload its sender still owns, into a
+/// buffer the sender reuses.
+pub fn encode_frame(
+    kind: MsgKind,
+    tag: u32,
+    order: Endianness,
+    value: Option<ValueRef<'_>>,
+    out: &mut impl BufMut,
+) {
+    let (dtype, count) = value.map_or((0, 0), |v| (v.dtype() as u8, v.count() as u32));
+    out.put_slice(&[kind as u8, order.to_byte(), dtype, 0]);
+    out.put_u32_le(tag);
+    out.put_u32_le(count);
+    if let Some(v) = value {
+        v.encode(order, out);
+    }
+}
+
+/// One frame parsed in place: its header checked and its payload checked
+/// against the header — exactly what [`Frame::decode`] accepts — with the
+/// payload bytes left where they are until a caller asks for them.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameView<'a> {
+    /// Message kind.
+    pub kind: MsgKind,
+    /// MPI-like tag distinguishing data streams.
+    pub tag: u32,
+    /// Payload byte order.
+    pub order: Endianness,
+    /// Payload dtype, `None` for a bare frame.
+    dtype: Option<DType>,
+    /// Element count (bytes for `Str`/`Bytes`).
+    count: usize,
+    payload: &'a [u8],
+    /// A `Str` payload, as the UTF-8 it was checked to be.
+    text: Option<&'a str>,
+}
+
+impl<'a> FrameView<'a> {
+    /// Parse `data` as one whole frame, or `None` on any malformation.
+    pub fn parse(data: &'a [u8]) -> Option<FrameView<'a>> {
+        let (head, payload) = data.split_first_chunk::<HEADER_LEN>()?;
+        let kind = MsgKind::from_byte(head[0])?;
+        let order = Endianness::from_byte(head[1])?;
+        if head[3] != 0 {
+            return None;
+        }
+        let word =
+            |at: usize| u32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]]);
+        let (tag, count) = (word(4), word(8) as usize);
+        let dtype = match head[2] {
+            0 if payload.is_empty() && count == 0 => None,
+            0 => return None,
+            b => Some(DType::from_byte(b)?),
+        };
+        let text = match dtype {
+            Some(DType::Str) => Some(crate::value::text(count, payload)?),
+            _ => None,
+        };
+        let well_formed = match dtype {
+            None | Some(DType::Str) => true,
+            Some(DType::I32 | DType::F32) => Some(payload.len()) == count.checked_mul(4),
+            Some(DType::I64 | DType::F64) => Some(payload.len()) == count.checked_mul(8),
+            Some(DType::Bytes) => payload.len() == count,
+        };
+        well_formed.then_some(FrameView {
+            kind,
+            tag,
+            order,
+            dtype,
+            count,
+            payload,
+            text,
+        })
+    }
+
+    /// The payload's dtype, `None` for a bare frame.
+    pub fn dtype(&self) -> Option<DType> {
+        self.dtype
+    }
+
+    /// The payload decoded into an owned value (converted from the
+    /// sender's byte order), `None` for a bare frame.
+    pub fn value(&self) -> Option<VisitValue> {
+        let decoded = VisitValue::decode(self.dtype?, self.count, self.order, self.payload);
+        Some(decoded.expect("parse checked the payload against its header"))
+    }
+
+    /// A `Str` payload, in place.
+    pub fn text(&self) -> Option<&'a str> {
+        self.text
+    }
+
+    /// The payload as integers, converted as [`VisitValue::to_i64`]
+    /// converts (floats only when integral), into `out`; false unless it
+    /// holds exactly `out.len()` convertible numbers.
+    pub fn integers_into(&self, out: &mut [i64]) -> bool {
+        fn fill<T: Element>(
+            view: &FrameView<'_>,
+            out: &mut [i64],
+            convert: impl Fn(T) -> Option<i64>,
+        ) -> bool {
+            match view.elements::<T>() {
+                Some(xs) if xs.len() == out.len() => out
+                    .iter_mut()
+                    .zip(xs)
+                    .all(|(o, x)| convert(x).map(|v| *o = v).is_some()),
+                _ => false,
+            }
+        }
+        match self.dtype {
+            Some(DType::I32) => fill(self, out, |x: i32| Some(i64::from(x))),
+            Some(DType::I64) => fill(self, out, Some),
+            Some(DType::F32) => fill(self, out, |x: f32| integral(f64::from(x))),
+            Some(DType::F64) => fill(self, out, integral),
+            _ => false,
+        }
+    }
+
+    /// The elements of a payload of `T`'s dtype, converted from the
+    /// sender's byte order as they are read; `None` for any other dtype.
+    pub fn elements<T: Element>(&self) -> Option<impl ExactSizeIterator<Item = T> + 'a> {
+        let order = self.order;
+        (self.dtype == Some(T::DTYPE)).then(|| {
+            self.payload
+                .chunks_exact(T::SIZE)
+                .map(move |c| T::get(c, order))
+        })
     }
 }
 
