@@ -41,6 +41,7 @@ use bytes::BufMut;
 use gridsteer_ckpt::{CkptError, SectionReader};
 use std::fmt::Write;
 use unicore::{Ajo, Task};
+use visit::link::recycle;
 
 /// The transport label on both planes.
 pub const LABEL: &str = "unicore";
@@ -152,10 +153,19 @@ impl Consigner {
     }
 
     /// The staged file of the next consignment — its path and its
-    /// contents — to fill in.
+    /// contents — to fill in. Buffers a large file grew past
+    /// [`RETAIN`](visit::link::RETAIN) are freed first, with the job the
+    /// target read back.
     fn staged(&mut self) -> (&mut String, &mut Vec<u8>) {
+        if self.wire.capacity() > visit::link::RETAIN {
+            self.consigned = Ajo::new("", "");
+        }
+        recycle(&mut self.wire);
         match &mut self.job.tasks[0].task {
-            Task::StageIn { path, data } => (path, data),
+            Task::StageIn { path, data } => {
+                recycle(data);
+                (path, data)
+            }
             _ => unreachable!("a job opens with its stage-in"),
         }
     }

@@ -38,7 +38,7 @@ use crate::monitor::endpoint::{
 use crate::monitor::frame::{MonitorFrame, MonitorKind, MonitorPayload};
 use crate::value::{ParamKind, ParamValue};
 use std::time::Duration;
-use visit::link::{FrameLink, LinkError};
+use visit::link::{recycle, FrameLink, LinkError};
 use visit::value::ValueRef;
 use visit::wire::{encode_frame, FrameView};
 use visit::{Endianness, LoopLink, MsgKind, VisitValue};
@@ -200,7 +200,7 @@ impl<L: FrameLink> VisitWire<L> {
     /// [`Frame::bare`](visit::Frame::bare) does).
     fn send(&mut self, offset: u32, value: Option<ValueRef<'_>>) -> Result<(), String> {
         let order = value.map_or(Endianness::Little, |_| self.order);
-        self.out.clear();
+        recycle(&mut self.out);
         encode_frame(
             MsgKind::Data,
             self.plane + offset,
@@ -267,6 +267,7 @@ impl<L: FrameLink> VisitWire<L> {
     /// [`RecvError::Malformed`], naming what was expected; a whole batch
     /// whose number is negative is [`RecvError::Refused`].
     pub fn recv_request(&mut self, idle: Duration) -> Result<Option<Request>, RecvError> {
+        recycle(&mut self.inbox);
         match self.link.recv_into(idle, &mut self.inbox) {
             Err(LinkError::Timeout) => return Ok(None),
             got => got.map_err(recv_error)?,
@@ -323,6 +324,7 @@ impl<L: FrameLink> VisitWire<L> {
 
     /// The next frame a request or reply still owes, parsed in place.
     fn recv(&mut self) -> Result<FrameView<'_>, String> {
+        recycle(&mut self.inbox);
         self.link
             .recv_into(self.patience, &mut self.inbox)
             .map_err(recv_error)?;

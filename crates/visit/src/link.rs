@@ -39,6 +39,22 @@ pub enum LinkError {
 /// largest sample the paper-scale workloads emit).
 pub const MAX_FRAME: usize = 64 << 20;
 
+/// Most capacity an in-process hop's reusable buffer keeps between uses.
+/// Steering envelopes and scalar samples stay far below it and are moved
+/// without allocating once warm; a buffer a grid or an image grew past
+/// it is freed when drained, as a one-off frame's would be, so an idle
+/// endpoint does not pin the largest delivery it ever carried.
+pub const RETAIN: usize = 64 << 10;
+
+/// Empty `buf` for reuse, or free it if it grew past [`RETAIN`].
+pub fn recycle(buf: &mut Vec<u8>) {
+    if buf.capacity() > RETAIN {
+        *buf = Vec::new();
+    } else {
+        buf.clear();
+    }
+}
+
 /// A reliable, ordered frame pipe with deadline-bounded receives.
 pub trait FrameLink: Send {
     /// Send one frame. Must not block indefinitely.
@@ -209,7 +225,7 @@ impl LoopLink {
     /// Start the buffer over once everything queued has been read.
     fn compact(&mut self) {
         if self.read == self.queued.len() {
-            self.queued.clear();
+            recycle(&mut self.queued);
             self.read = 0;
         }
     }

@@ -132,14 +132,15 @@ impl Frame {
 
 /// Append one frame — header, then `value` encoded in `order` — to
 /// `out`: [`Frame::encode`] for a payload its sender still owns, into a
-/// buffer the sender reuses.
+/// buffer the sender reuses. The frame's room is reserved once.
 pub fn encode_frame(
     kind: MsgKind,
     tag: u32,
     order: Endianness,
     value: Option<ValueRef<'_>>,
-    out: &mut impl BufMut,
+    out: &mut Vec<u8>,
 ) {
+    out.reserve(HEADER_LEN + value.map_or(0, ValueRef::byte_len));
     let (dtype, count) = value.map_or((0, 0), |v| (v.dtype() as u8, v.count() as u32));
     out.put_slice(&[kind as u8, order.to_byte(), dtype, 0]);
     out.put_u32_le(tag);
