@@ -170,9 +170,10 @@ fn live_heap_is_flat_once_the_audit_window_has_filled() {
 /// raise one. Loopback's 52 are the caller's 8 batches of 4 named
 /// commands (40), the hub's 8 origin copies, and the commit's staging
 /// buffer, outcome row, shared record and the subscriber's queue. A
-/// transport decodes its wire over the batch it was handed, so it adds
-/// only what its hop keeps no buffer for: one OGSA result list per
-/// `setBatch`, and the UNICORE DAG check's four work lists per job.
+/// transport decodes its wire (or, on COVISE, stages) over the batch it
+/// was handed, so it adds only what its hop keeps no buffer for: one OGSA
+/// result list per `setBatch`, and the UNICORE DAG check's four work
+/// lists per job.
 const STAGE_CALLS: [(Transport, u64); 5] = [
     (Transport::Loopback, 52),
     (Transport::Visit, 52),

@@ -40,11 +40,12 @@ pub enum LinkError {
 pub const MAX_FRAME: usize = 64 << 20;
 
 /// Most capacity an in-process hop's reusable buffer keeps between uses.
-/// Steering envelopes and scalar samples stay far below it and are moved
-/// without allocating once warm; a buffer a grid or an image grew past
-/// it is freed when drained, as a one-off frame's would be, so an idle
-/// endpoint does not pin the largest delivery it ever carried.
-pub const RETAIN: usize = 64 << 10;
+/// A steering envelope (a few hundred bytes) and a scalar sample stay
+/// below it and are moved without allocating once warm; a buffer a grid
+/// or an image grew past it is freed when drained, as a one-off frame's
+/// would be, so an endpoint keeps a few KiB, not the largest delivery it
+/// ever carried.
+pub const RETAIN: usize = 4 << 10;
 
 /// Empty `buf` for reuse, or free it if it grew past [`RETAIN`].
 pub fn recycle(buf: &mut Vec<u8>) {
@@ -349,8 +350,12 @@ mod tests {
         hop.recv_into(Duration::ZERO, &mut buf).unwrap();
         assert_eq!(buf, b"three");
         assert_eq!(hop.recv_timeout(Duration::ZERO), Err(LinkError::Timeout));
-        // drained, the queue starts over in the buffer it already has
+        // drained, the queue starts over in the buffer it already has —
+        // unless a large frame grew it past what a hop keeps
         assert!(hop.queued.is_empty() && hop.queued.capacity() > 0);
+        hop.send(&vec![7; RETAIN]).unwrap();
+        assert_eq!(hop.recv_timeout(Duration::ZERO).unwrap().len(), RETAIN);
+        assert_eq!(hop.queued.capacity(), 0);
         hop.send(&vec![0; MAX_FRAME + 1]).unwrap_err();
         assert_eq!(hop.recv_timeout(Duration::ZERO), Err(LinkError::Timeout));
     }
