@@ -40,12 +40,12 @@ pub enum LinkError {
 pub const MAX_FRAME: usize = 64 << 20;
 
 /// Most capacity an in-process hop's reusable buffer keeps between uses.
-/// A steering envelope (a few hundred bytes) and a scalar sample stay
-/// below it and are moved without allocating once warm; a buffer a grid
-/// or an image grew past it is freed when drained, as a one-off frame's
-/// would be, so an endpoint keeps a few KiB, not the largest delivery it
-/// ever carried.
-pub const RETAIN: usize = 4 << 10;
+/// A steering envelope (a few hundred bytes), a scalar sample and a grid
+/// of up to 32³ cells stay below it and are moved without allocating
+/// once warm; a buffer a larger delivery grew past it is freed when
+/// drained, as a one-off frame's would be, so an endpoint does not pin
+/// the largest delivery it ever carried.
+pub const RETAIN: usize = 256 << 10;
 
 /// Empty `buf` for reuse, or free it if it grew past [`RETAIN`].
 pub fn recycle(buf: &mut Vec<u8>) {
