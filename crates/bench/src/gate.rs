@@ -30,7 +30,8 @@
 //! each middleware, and the Figure-1 frame (raster, delta encode
 //! and delta decode of `viz_fanout`'s scene), and the PEPC kernels (the
 //! tree force walk at two particle counts and the O(N²) potential energy,
-//! each on every backend, whose digests must agree).
+//! each on every backend, whose digests must agree), and the scenario
+//! engine replaying a steer-dense PEPC session.
 
 use gridsteer_bus::{
     fnv1a as fold, FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame,
@@ -106,6 +107,10 @@ pub const GATES: &[Gate] = &[
     Gate {
         id: "pepc",
         cells: snap_pepc,
+    },
+    Gate {
+        id: "scenario",
+        cells: snap_scenario,
     },
 ];
 
@@ -888,6 +893,98 @@ fn snap_pepc() -> Vec<GateCell> {
     cells
 }
 
+/// `Scenario::run` on a steer-dense PEPC session shaped like
+/// `steer_storm`'s twin: PEPC n = 100, eight participants over all five
+/// transports in two shards, each shard's master sending 8 batches of 4
+/// steers a tick (64 a tick) just before the tick that commits them, and
+/// the master token rotating every 50 ticks. The cell is the mean tick of
+/// the fastest of three runs, so it times the engine's bookkeeping (event
+/// order, staging, commit, audit) together with the physics it drives.
+/// The digest is the report digest.
+fn snap_scenario() -> Vec<GateCell> {
+    use gridsteer_bus::Transport;
+    use gridsteer_harness::Scenario;
+    use netsim::{Link, SimTime};
+    const TICKS: u64 = 300;
+    const RUNS: usize = 3;
+    const PARAMS: [(&str, f64, f64); 3] = [
+        ("laser_amplitude", 0.0, 0.02),
+        ("beam_intensity", 0.0, 1.0),
+        ("beam_theta", -1.0, 1.0),
+    ];
+    let tick = SimTime::from_millis(100);
+    let early = SimTime::from_millis(1);
+    let names: Vec<String> = (0..8).map(|i| format!("p{i}")).collect();
+    let mut s = Scenario::named("scenario_storm")
+        .seed(3001)
+        .pool(gridsteer_exec::shared(1))
+        .shards(2)
+        .sample_every(tick)
+        .duration(SimTime::from_nanos(tick.as_nanos() * TICKS))
+        .pepc(pepc::PepcConfig {
+            n_target: 100,
+            tree: pepc::TreeConfig {
+                threads: 1,
+                ..Default::default()
+            },
+            ..pepc::PepcConfig::small()
+        });
+    for (i, name) in names.iter().enumerate() {
+        s = s.participant_via(
+            name,
+            Link::loopback(),
+            Transport::ALL[i % Transport::ALL.len()],
+        );
+    }
+    // shard k holds the participants declared at k, k + 2, ...
+    let mut master = [0usize, 1];
+    let mut sent = 0u64;
+    for t in 0..TICKS {
+        let commit_at = SimTime::from_nanos(tick.as_nanos() * (t + 1));
+        if t > 0 && t % 50 == 0 {
+            for m in master.iter_mut() {
+                let to = (*m + 2) % names.len();
+                s = s.pass_master_at(
+                    commit_at.saturating_since(early + early),
+                    &names[*m],
+                    &names[to],
+                );
+                *m = to;
+            }
+        }
+        for _ in 0..8 {
+            for m in master {
+                for _ in 0..4 {
+                    let (param, lo, hi) = PARAMS[(sent % 3) as usize];
+                    let unit = (sent.wrapping_mul(0x9E37_79B9) % 1000) as f64 / 1000.0;
+                    s = s.steer_at(
+                        commit_at.saturating_since(early),
+                        &names[m],
+                        param,
+                        lo + (hi - lo) * unit,
+                    );
+                    sent += 1;
+                }
+            }
+        }
+    }
+    let digest = s.run().digest(); // warm-up
+    let wall_us = (0..RUNS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let report = s.run();
+            let us = t0.elapsed().as_secs_f64() * 1e6 / TICKS as f64;
+            assert_eq!(report.digest(), digest, "a scenario replay diverged");
+            us
+        })
+        .fold(f64::INFINITY, f64::min);
+    vec![GateCell {
+        cell: format!("storm_pepc100_{TICKS}t"),
+        wall_us,
+        digest,
+    }]
+}
+
 // ---------------------------------------------------------------------------
 // comparison
 // ---------------------------------------------------------------------------
@@ -995,6 +1092,7 @@ mod tests {
             report("steer", &[("h", 10.0, "d8")]),
             report("viz", &[("i", 90.0, "d9")]),
             report("pepc", &[("j", 35.0, "d10")]),
+            report("scenario", &[("k", 45.0, "d11")]),
         ];
         for r in &mut reports {
             for cell in &mut r.cells {
@@ -1050,6 +1148,8 @@ mod tests {
         write_report(&cur, &r).unwrap();
         r = report("pepc", &[("j", 35.0, "d10")]);
         write_report(&cur, &r).unwrap();
+        r = report("scenario", &[("k", 45.0, "d11")]);
+        write_report(&cur, &r).unwrap();
         let v = compare(&base, &cur);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("digest drift"), "{}", v[0]);
@@ -1072,6 +1172,7 @@ mod tests {
         write_report(&cur, &report("steer", &[("h", 10.0, "d8")])).unwrap();
         write_report(&cur, &report("viz", &[("i", 90.0, "d9")])).unwrap();
         write_report(&cur, &report("pepc", &[("j", 35.0, "d10")])).unwrap();
+        write_report(&cur, &report("scenario", &[("k", 45.0, "d11")])).unwrap();
         let v = compare(&base, &cur);
         assert!(v.iter().any(|m| m.contains("cell e missing")), "{v:?}");
         assert!(
