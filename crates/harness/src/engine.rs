@@ -9,6 +9,23 @@
 //! `engine_events` lines and of checkpoint sections. A phase is reordered
 //! only together with a deliberate re-bless of
 //! `crates/fuzz/tests/fixtures/engine_digests.txt`.
+//!
+//! **Event order.** Scripted actions apply in (time, insertion) order. At
+//! an equal instant a scripted action runs before a sample tick or an
+//! arriving steer, and events in flight at one instant run in the order
+//! they were scheduled. The script never enters the event queue: the world
+//! walks a cursor over [`Scenario::engine_order`] — the one sort
+//! `validate()` already replayed — and the [`EventQueue`] holds only what
+//! is in flight, the next sample tick and the steers still crossing their
+//! links, each naming its scripted action by index. [`World::step`] takes
+//! the script's next action unless the queue's earliest event
+//! ([`EventQueue::peek_at`]) is strictly earlier. Every pinned report
+//! digest depends on this order.
+//!
+//! The run is bounded by its script: each action is one event, each
+//! sample tick one more, and each scripted steer its link delivers one
+//! more on arrival. [`World::step`] asserts that bound; passing it is an
+//! engine bug.
 
 use crate::backend::Backend;
 use crate::report::{MigrationRecord, RelayRecord, ScenarioReport, ViewerRecord};
@@ -29,9 +46,6 @@ use steer_core::{
 
 /// Wire size of one steer command frame.
 const STEER_BYTES: usize = 64;
-
-/// Runaway guard on total processed events.
-const MAX_EVENTS: usize = 1_000_000;
 
 /// One live monitor-bus viewer: its faulted link, its reaction-budget
 /// scoring, and the byte-stable fold of everything it received.
@@ -98,14 +112,12 @@ impl Client {
     }
 }
 
+/// An event in flight: scheduled while the run unfolds, never by the
+/// script itself.
 enum Ev {
     Sample,
-    Act(usize),
-    ApplySteer {
-        who: String,
-        param: String,
-        value: ParamValue,
-    },
+    /// The scripted [`Action::Steer`] at this index reaches the bus.
+    ApplySteer(usize),
 }
 
 /// Crash-recovery state: one full snapshot blob plus deltas, and the last
@@ -191,6 +203,10 @@ impl<'a> Surface<'a> {
 pub(crate) struct World<'s> {
     /// The script: schedule, cadences, routing table.
     sc: &'s Scenario,
+    /// The script's actions in engine order, `(time, index)`
+    /// ([`Scenario::engine_order`]), and the next one to apply.
+    script: Vec<(SimTime, usize)>,
+    cursor: usize,
     rng: StdRng,
     backend: Backend,
     /// One bus hub per run: every session shard shares its registry (one
@@ -213,8 +229,14 @@ pub(crate) struct World<'s> {
     /// Declaration order, parents before children — also the pump order.
     relays: Vec<RelayNode>,
     viewers: Vec<ViewerState>,
+    /// The events in flight: the next sample tick and the steers still
+    /// crossing their links.
     queue: EventQueue<Ev>,
     processed: usize,
+    /// How many events the script can give rise to: each action once,
+    /// each sample tick once, and each scripted steer once more if it
+    /// survives its link.
+    max_events: usize,
     net: NetModel,
     sites: HashMap<String, SiteId>,
     post: LoopMonitor,
@@ -238,10 +260,11 @@ pub(crate) struct World<'s> {
 }
 
 impl<'s> World<'s> {
-    /// Build the t=0 world: backend, bus, the declared participants, relay
-    /// tiers (parents first) and viewers, and the initial event schedule.
-    /// Every RNG draw is in declaration order.
-    pub(crate) fn new(sc: &'s Scenario) -> World<'s> {
+    /// Build the t=0 world over `script`, the actions in engine order:
+    /// backend, bus, the declared participants, relay tiers (parents
+    /// first) and viewers, and the first sample tick. Every RNG draw is in
+    /// declaration order.
+    pub(crate) fn new(sc: &'s Scenario, script: Vec<(SimTime, usize)>) -> World<'s> {
         let mut rng = StdRng::seed_from_u64(sc.seed);
         let mut backend = Backend::new(&sc.backend, rng.next_u64());
         if let Some(pool) = &sc.pool {
@@ -253,14 +276,17 @@ impl<'s> World<'s> {
             .collect();
         let (net, sites) = NetModel::sc2003();
         let mut queue = EventQueue::new();
-        for (i, (t, _)) in sc.actions.iter().enumerate() {
-            queue.schedule(*t, Ev::Act(i));
-        }
         if sc.sample_every <= sc.duration {
             queue.schedule(sc.sample_every, Ev::Sample);
         }
+        let steers = (sc.actions.iter())
+            .filter(|(_, a)| matches!(a, Action::Steer { .. }))
+            .count();
+        let max_events = sc.actions.len() + steers + sc.ticks() as usize;
         let mut world = World {
             sc,
+            script,
+            cursor: 0,
             rng,
             backend,
             hub,
@@ -275,6 +301,7 @@ impl<'s> World<'s> {
             viewers: Vec::new(),
             queue,
             processed: 0,
+            max_events,
             net,
             sites,
             post: LoopMonitor::new(LoopBudget::PostProcessing),
@@ -302,22 +329,41 @@ impl<'s> World<'s> {
         world
     }
 
-    /// Pop and dispatch one event. False once the queue is empty (or the
-    /// runaway guard tripped): the run is over.
+    /// Dispatch the next event: the script's next action or the earliest
+    /// event in flight, the action first at an equal instant. False once
+    /// both are exhausted: the run is over.
     pub(crate) fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
-            return false;
+        let script_first = match (self.script.get(self.cursor), self.queue.peek_at()) {
+            (Some(&(t, _)), Some(in_flight)) => t <= in_flight,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => return false,
         };
         self.processed += 1;
-        if self.processed > MAX_EVENTS {
-            self.log(ev.at, "runaway-guard");
-            return false;
+        assert!(
+            self.processed <= self.max_events,
+            "engine bug: event {} is past the script's bound of {} \
+             ({} actions, {} sample ticks, the rest scripted steers)",
+            self.processed,
+            self.max_events,
+            self.sc.actions.len(),
+            self.sc.ticks()
+        );
+        if script_first {
+            let (at, i) = self.script[self.cursor];
+            self.cursor += 1;
+            self.apply(at, i);
+            return true;
         }
-        let sc = self.sc;
+        let ev = self.queue.pop().expect("peeked an event in flight");
         match ev.payload {
             Ev::Sample => self.sample_tick(ev.at),
-            Ev::Act(i) => self.apply(ev.at, &sc.actions[i].1),
-            Ev::ApplySteer { who, param, value } => self.stage_steer(ev.at, &who, &param, value),
+            Ev::ApplySteer(i) => {
+                let Action::Steer { who, param, value } = &self.sc.actions[i].1 else {
+                    unreachable!("only a scripted steer goes in flight")
+                };
+                self.stage_steer(ev.at, who, param, value);
+            }
         }
         true
     }
@@ -538,14 +584,14 @@ impl<'s> World<'s> {
         }
     }
 
-    /// Apply one scripted action. Targets that do not resolve at run time
-    /// are logged as `*-miss` lines, never fatal.
-    fn apply(&mut self, now: SimTime, action: &Action) {
-        match action {
+    /// Apply the script's `i`th action. Targets that do not resolve at run
+    /// time are logged as `*-miss` lines, never fatal.
+    fn apply(&mut self, now: SimTime, i: usize) {
+        match &self.sc.actions[i].1 {
             Action::Join { name, link } => self.join_client(now, name, link),
             Action::Leave { name } => self.leave(now, name),
             Action::PassMaster { from, to } => self.pass_master(now, from, to),
-            Action::Steer { who, param, value } => self.send_steer(now, who, param, value),
+            Action::Steer { who, param, .. } => self.send_steer(now, i, who, param),
             Action::Partition { who } => {
                 self.fault(now, who, format_args!("partition {who}"), |l| l.partition());
             }
@@ -663,18 +709,14 @@ impl<'s> World<'s> {
         self.log(now, format_args!("{outcome} {from}->{to}"));
     }
 
-    /// A participant sends a steer command over their link; if it
-    /// survives, it is staged on arrival ([`World::stage_steer`]).
-    fn send_steer(&mut self, now: SimTime, who: &str, param: &str, value: &ParamValue) {
+    /// A participant sends the script's `i`th action, a steer command, over
+    /// their link; if it survives, it is staged on arrival
+    /// ([`World::stage_steer`]).
+    fn send_steer(&mut self, now: SimTime, i: usize, who: &str, param: &str) {
         let sender = self.clients.iter_mut().find(|c| c.name == who && c.online);
         match sender.map(|c| c.link.deliver(now, STEER_BYTES)) {
             Some(Some(arrival)) => {
-                let ev = Ev::ApplySteer {
-                    who: who.to_string(),
-                    param: param.to_string(),
-                    value: value.clone(),
-                };
-                self.queue.schedule(arrival, ev);
+                self.queue.schedule(arrival, Ev::ApplySteer(i));
             }
             Some(None) => self.lose_steer(now, format_args!("steer-lost {who} {param}")),
             None => self.lose_steer(now, format_args!("steer-offline {who} {param}")),
@@ -683,7 +725,7 @@ impl<'s> World<'s> {
 
     /// A steer command arrives: ship it through the sender's middleware
     /// endpoint, where it stays staged until the next step boundary.
-    fn stage_steer(&mut self, now: SimTime, who: &str, param: &str, value: ParamValue) {
+    fn stage_steer(&mut self, now: SimTime, who: &str, param: &str, value: &ParamValue) {
         let joined = self
             .shard_of
             .get(who)
@@ -695,7 +737,7 @@ impl<'s> World<'s> {
             .endpoints
             .get_mut(who)
             .expect("joined participants have endpoints");
-        if let Err(e) = ep.set_batch(vec![SteerCommand::new(param, value)]) {
+        if let Err(e) = ep.set_batch(vec![SteerCommand::new(param, value.clone())]) {
             self.lose_steer(now, format_args!("steer-unroutable {who} {param}: {e}"));
         }
     }
@@ -1099,6 +1141,12 @@ mod tests {
             .duration(SimTime::from_secs(1))
     }
 
+    /// A world over the whole of `sc`'s script, as `Scenario::run` builds
+    /// it but without validating.
+    fn world(sc: &Scenario) -> World<'_> {
+        World::new(sc, sc.engine_order())
+    }
+
     fn process_bytes(w: &World<'_>) -> Vec<u8> {
         let mut snap = Snapshot::new(0, 0);
         w.save_process(&mut snap);
@@ -1117,9 +1165,10 @@ mod tests {
             .relay("region", Link::campus())
             .relay_under("edge", "region", Link::uk_janet())
             .viewer_at_relay("near", "region", Link::gwin(), Transport::Loopback)
-            .viewer_at_relay("far", "edge", Link::gwin(), Transport::Loopback);
-        let mut w = World::new(&sc);
-        w.apply(SimTime::ZERO, &Action::Partition { who: "edge".into() });
+            .viewer_at_relay("far", "edge", Link::gwin(), Transport::Loopback)
+            .partition_at(SimTime::ZERO, "edge");
+        let mut w = world(&sc);
+        w.apply(SimTime::ZERO, 0);
         w.publish_monitor();
         w.pump_relays(TICK);
         let batch = w.relays[0].hub.report().forwarded;
@@ -1145,7 +1194,7 @@ mod tests {
             .steer_at(SimTime::from_millis(250), "alice", "miscibility", 0.3)
             .checkpoint_every(TICK);
         let never = cutting.without_checkpoints();
-        let (mut cut, mut plain) = (World::new(&cutting), World::new(&never));
+        let (mut cut, mut plain) = (world(&cutting), world(&never));
         while cut.step() {}
         while plain.step() {}
         let last = cut.ckpt.last_snap.as_ref().expect("ten ticks, ten cuts");
@@ -1189,7 +1238,7 @@ mod tests {
         let crashing = sc
             .crash_at(SimTime::from_millis(450))
             .restore_at(SimTime::from_millis(480));
-        let mut w = World::new(&crashing);
+        let mut w = world(&crashing);
         let (mut longest, mut rebased, mut replayed) = (0, 0, 0);
         loop {
             let (was_down, held) = (w.crashed, w.ckpt.chain.len());
@@ -1224,27 +1273,23 @@ mod tests {
     fn commit_staged_drops_a_batch_whose_sender_left() {
         let sc = tiny("left")
             .participant("alice", Link::uk_janet())
-            .participant("bob", Link::gwin());
+            .participant("bob", Link::gwin())
+            .leave_at(TICK, "alice");
         let steer = |w: &mut World<'_>| {
-            w.stage_steer(TICK, "alice", "miscibility", ParamValue::F64(0.25));
+            w.stage_steer(TICK, "alice", "miscibility", &ParamValue::F64(0.25));
             assert_eq!(w.hub.pending(), 1);
         };
-        let mut w = World::new(&sc);
+        let mut w = world(&sc);
         let untouched = backend_bytes(&w);
         steer(&mut w);
-        w.apply(
-            TICK,
-            &Action::Leave {
-                name: "alice".into(),
-            },
-        );
+        w.apply(TICK, 0);
         w.commit_staged(TICK);
         assert_eq!((w.steers_applied, w.steers_lost), (0, 1));
         let line = format!("{TICK} steer-sender-left alice");
         assert_eq!(w.engine_events.iter().filter(|e| **e == line).count(), 1);
         assert_eq!(backend_bytes(&w), untouched);
         // control: with alice still in the session the same batch lands
-        let mut w = World::new(&sc);
+        let mut w = world(&sc);
         steer(&mut w);
         w.commit_staged(TICK);
         assert_eq!((w.steers_applied, w.steers_lost), (1, 0));
@@ -1323,11 +1368,13 @@ mod tests {
         kinds.dedup();
         assert_eq!(kinds.len(), 13, "one row per Action variant");
 
-        let sc = tiny("empty").checkpoint_every(TICK);
-        let mut w = World::new(&sc);
-        for (action, line) in &table {
+        let sc = (table.iter()).fold(tiny("empty").checkpoint_every(TICK), |sc, (action, _)| {
+            sc.at(TICK, action.clone())
+        });
+        let mut w = world(&sc);
+        for (i, (action, line)) in table.iter().enumerate() {
             let logged = w.engine_events.len();
-            w.apply(TICK, action);
+            w.apply(TICK, i);
             match line {
                 Some(line) => {
                     assert_eq!(w.engine_events.len(), logged + 1, "{}", action.label());
@@ -1342,5 +1389,138 @@ mod tests {
             "a restore with no checkpoint leaves the process down"
         );
         assert_eq!((w.steers_lost, w.clients.len()), (1, 1));
+    }
+
+    /// The event-order contract the script cursor keeps: actions apply in
+    /// (time, insertion) order however they were pushed, and at an equal
+    /// instant a scripted action runs before a sample tick or an arriving
+    /// steer.
+    #[test]
+    fn script_order_is_time_then_insertion_and_wins_every_tie() {
+        let fixed = Link::builder().latency_ms(7).build();
+        let sent = SimTime::from_millis(250);
+        let arrival = fixed.nominal_arrival(sent, STEER_BYTES);
+        let tick3 = SimTime::from_millis(300);
+        let both = SimTime::from_millis(420);
+        let base = tiny("order")
+            .sample_every(TICK)
+            .participant("alice", fixed.clone())
+            .participant("bob", Link::gwin())
+            .participant("carol", Link::gwin())
+            .participant("dave", Link::gwin());
+        let pass = |from: &str, to: &str| Action::PassMaster {
+            from: from.into(),
+            to: to.into(),
+        };
+        // pushed latest first; the two passes at one instant keep their
+        // relative order, and only that order lets both succeed
+        let pushed = [
+            (both, pass("bob", "carol")),
+            (
+                tick3,
+                Action::Join {
+                    name: "erin".into(),
+                    link: Link::gwin(),
+                },
+            ),
+            (
+                arrival,
+                Action::Leave {
+                    name: "alice".into(),
+                },
+            ),
+            (both, pass("carol", "dave")),
+            (
+                sent,
+                Action::Steer {
+                    who: "alice".into(),
+                    param: "miscibility".into(),
+                    value: ParamValue::F64(0.3),
+                },
+            ),
+        ];
+        let mut sorted = pushed.to_vec();
+        sorted.sort_by_key(|(t, _)| *t);
+        let script = |actions: &[(SimTime, Action)]| {
+            (actions.iter()).fold(base.clone(), |sc, (t, a)| sc.at(*t, a.clone()))
+        };
+        let (scrambled, presorted) = (script(&pushed).run(), script(&sorted).run());
+        assert_eq!(scrambled.digest(), presorted.digest());
+        assert_eq!(scrambled.render(), presorted.render());
+
+        // the leave lands before the steer arriving at its instant: the
+        // steer is lost on arrival, not refused at the next commit
+        let left = format!("{arrival} steer-sender-left alice");
+        let engine = &scrambled.engine_events;
+        assert!(engine.contains(&left), "{engine:#?}");
+        assert_eq!(engine.iter().filter(|e| e.contains("steer-")).count(), 1);
+        assert_eq!((scrambled.steers_applied, scrambled.steers_lost), (0, 1));
+        assert!(!engine.iter().any(|e| e.contains("pass-")), "{engine:#?}");
+
+        let events = &scrambled.session_events;
+        let at = |line: &str| {
+            (events.iter().position(|e| e == line)).unwrap_or_else(|| panic!("{line}: {events:#?}"))
+        };
+        // the join at the third tick's instant comes before its sample
+        let joined = at("Joined(erin)");
+        let samples_before = events[..joined]
+            .iter()
+            .filter(|e| e.starts_with("Sample("))
+            .count();
+        assert_eq!(samples_before, 2, "{events:#?}");
+        assert!(events[joined + 1].starts_with("Sample("), "{events:#?}");
+        // the two passes at one instant, in insertion order
+        assert_eq!(
+            at("MasterPassed(carol->dave)"),
+            at("MasterPassed(bob->carol)") + 1
+        );
+    }
+
+    /// Every event the engine processes is a scripted action, a sample
+    /// tick, or the arrival of a scripted steer its link delivered.
+    #[test]
+    fn events_processed_are_actions_plus_delivered_steers_plus_ticks() {
+        let steer = |sc: Scenario, ms: u64, who: &str| {
+            sc.steer_at(SimTime::from_millis(ms), who, "miscibility", 0.2)
+        };
+        let mut sc = tiny("count")
+            .participant("alice", Link::uk_janet())
+            .participant("bob", Link::gwin())
+            .partition_at(SimTime::from_millis(400), "bob")
+            .leave_at(SimTime::from_millis(700), "alice");
+        for ms in [50, 150, 150, 450, 650, 750] {
+            sc = steer(sc, ms, "alice");
+        }
+        for ms in [120, 420, 430] {
+            sc = steer(sc, ms, "bob");
+        }
+        sc = steer(sc, 300, "ghost");
+        let mut w = world(&sc);
+        while w.step() {}
+        let steers = (sc.actions().iter())
+            .filter(|(_, a)| matches!(a, Action::Steer { .. }))
+            .count();
+        let undelivered = (w.engine_events.iter())
+            .filter(|e| e.contains(" steer-lost ") || e.contains(" steer-offline "))
+            .count();
+        // bob's two sends into the partition, ghost's, alice's after leaving
+        assert_eq!(undelivered, 4, "{:#?}", w.engine_events);
+        let ticks = sc.ticks() as usize;
+        assert_eq!(
+            w.processed,
+            sc.actions().len() + steers - undelivered + ticks
+        );
+        assert!(w.processed <= w.max_events);
+    }
+
+    /// The event bound is exact, so passing it is an engine bug, not a
+    /// runaway script: a sample tick that reschedules itself at the same
+    /// instant (a zero interval, which `validate()` refuses) panics at once.
+    #[test]
+    #[should_panic(expected = "past the script's bound of 0")]
+    fn an_event_past_the_bound_panics() {
+        let sc = tiny("loop").sample_every(SimTime::ZERO);
+        let mut w = world(&sc);
+        while w.step() {}
     }
 }

@@ -663,12 +663,31 @@ impl Scenario {
     /// [`Scenario::run`] calls this first and panics with the error; the
     /// fuzzer calls it directly to keep its valid/invalid boundary crisp.
     pub fn validate(&self) -> Result<(), ScenarioError> {
+        self.checked_order().map(drop)
+    }
+
+    /// [`Scenario::validate`], handing back the schedule it replayed: the
+    /// actions in engine order, which [`Scenario::run`] walks as is.
+    fn checked_order(&self) -> Result<Vec<(SimTime, usize)>, ScenarioError> {
         if self.sample_every <= SimTime::ZERO {
             return Err(ScenarioError::ZeroSampleInterval);
         }
         self.check_name_lengths()?;
         let relay_names = self.check_namespace()?;
-        self.check_schedule(&relay_names)
+        let order = self.engine_order();
+        self.check_schedule(&order, &relay_names)?;
+        Ok(order)
+    }
+
+    /// Every action as `(time, index)`, in the order the engine applies
+    /// them: time, then insertion. The indices are unique, so sorting the
+    /// pairs is the stable sort by time.
+    pub(crate) fn engine_order(&self) -> Vec<(SimTime, usize)> {
+        let mut order: Vec<(SimTime, usize)> = (self.actions.iter().enumerate())
+            .map(|(i, (t, _))| (*t, i))
+            .collect();
+        order.sort_unstable();
+        order
     }
 
     /// Every name that will be attached — declared or joining mid-run —
@@ -751,11 +770,13 @@ impl Scenario {
     /// Replay the schedule in engine order (time, then insertion): nothing
     /// is scheduled past the end, the crash/restore protocol holds, and a
     /// viewer joining at a relay names a declared one.
-    fn check_schedule(&self, relay_names: &[&str]) -> Result<(), ScenarioError> {
-        let mut order: Vec<usize> = (0..self.actions.len()).collect();
-        order.sort_by_key(|&i| self.actions[i].0);
+    fn check_schedule(
+        &self,
+        order: &[(SimTime, usize)],
+        relay_names: &[&str],
+    ) -> Result<(), ScenarioError> {
         let mut crashed = false;
-        for &i in &order {
+        for &(_, i) in order {
             let (t, action) = &self.actions[i];
             if *t > self.duration {
                 return Err(ScenarioError::ActionAfterEnd {
@@ -889,10 +910,9 @@ impl Scenario {
     /// Execute the scenario and return its report. Running the same built
     /// scenario twice yields byte-identical reports.
     pub fn run(&self) -> ScenarioReport {
-        if let Err(e) = self.validate() {
-            panic!("scenario {:?} is malformed: {e}", self.name);
-        }
-        let mut world = World::new(self);
+        let order = (self.checked_order())
+            .unwrap_or_else(|e| panic!("scenario {:?} is malformed: {e}", self.name));
+        let mut world = World::new(self, order);
         while world.step() {}
         world.into_report()
     }

@@ -6,6 +6,13 @@
 //! across many parties. [`EventQueue`] is a minimal deterministic
 //! discrete-event core: events are `(time, seq, payload)` triples popped in
 //! time order with FIFO tie-breaking.
+//!
+//! The queue is meant for what is *in flight* — events scheduled while the
+//! run unfolds. A caller that also replays a fixed script keeps that script
+//! out of the heap: it walks it in `(time, index)` order and merges it
+//! with the queue through [`EventQueue::peek_at`], taking the script's
+//! next action first on a tie (as if every script entry had been
+//! scheduled before any in-flight one).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -72,13 +79,9 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Current simulation time (time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedule `payload` at absolute time `at`. Scheduling in the past is
-    /// clamped to `now` (events cannot fire before the present).
+    /// Schedule `payload` at absolute time `at`. Scheduling before the last
+    /// popped event is clamped to its time (events cannot fire before the
+    /// present).
     pub fn schedule(&mut self, at: SimTime, payload: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -88,11 +91,6 @@ impl<T> EventQueue<T> {
             payload,
         });
         seq
-    }
-
-    /// Schedule `payload` at `now + delay`.
-    pub fn schedule_in(&mut self, delay: SimTime, payload: T) -> u64 {
-        self.schedule(self.now + delay, payload)
     }
 
     /// Pop the earliest event, advancing `now` to its time.
@@ -107,34 +105,9 @@ impl<T> EventQueue<T> {
         })
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Run the queue to completion, calling `handler(time, payload, queue)`
-    /// for each event. The handler may schedule further events. Stops after
-    /// `max_events` as a runaway guard; returns the number processed.
-    pub fn run<F>(&mut self, max_events: usize, mut handler: F) -> usize
-    where
-        F: FnMut(Event<T>, &mut EventQueue<T>),
-    {
-        let mut n = 0;
-        while n < max_events {
-            match self.pop() {
-                Some(ev) => {
-                    handler(ev, self);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
+    /// Time of the earliest pending event, without popping it.
+    pub fn peek_at(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.at)
     }
 }
 
@@ -167,17 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn now_advances_monotonically() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(10), ());
-        q.schedule(SimTime::from_millis(5), ());
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_millis(5));
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_millis(10));
-    }
-
-    #[test]
     fn past_scheduling_is_clamped() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(10), "first");
@@ -188,26 +150,25 @@ mod tests {
     }
 
     #[test]
-    fn run_with_cascading_events() {
+    fn peek_at_names_the_next_pop_and_leaves_it_queued() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(1), 0u32);
-        let n = q.run(100, |ev, q| {
-            if ev.payload < 5 {
-                q.schedule_in(SimTime::from_millis(1), ev.payload + 1);
-            }
-        });
-        assert_eq!(n, 6);
-        assert_eq!(q.now(), SimTime::from_millis(6));
-    }
-
-    #[test]
-    fn run_respects_max_events() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, 0u32);
-        // infinite cascade, bounded by max_events
-        let n = q.run(50, |ev, q| {
-            q.schedule_in(SimTime::from_millis(1), ev.payload + 1);
-        });
-        assert_eq!(n, 50);
+        assert_eq!(q.peek_at(), None);
+        q.schedule(SimTime::from_millis(20), "b");
+        q.schedule(SimTime::from_millis(10), "a");
+        q.schedule(SimTime::from_millis(10), "a2");
+        for (at, payload) in [(10, "a"), (10, "a2"), (20, "b")] {
+            assert_eq!(q.peek_at(), Some(SimTime::from_millis(at)));
+            assert_eq!(
+                q.peek_at(),
+                Some(SimTime::from_millis(at)),
+                "peeking pops nothing"
+            );
+            let ev = q.pop().unwrap();
+            assert_eq!((ev.at, ev.payload), (SimTime::from_millis(at), payload));
+        }
+        assert_eq!(q.peek_at(), None);
+        // a clamped event peeks at the time it will pop at
+        q.schedule(SimTime::from_millis(1), "late");
+        assert_eq!(q.peek_at(), Some(SimTime::from_millis(20)));
     }
 }

@@ -16,7 +16,10 @@
 //!   virtual-time co-simulation rule and is sufficient for the round-trip
 //!   experiments.
 //! * **A discrete-event scheduler** ([`event::EventQueue`]) for multi-party
-//!   scenarios (collaboration skew across many sites).
+//!   scenarios (collaboration skew across many sites). It holds only the
+//!   events in flight; a scripted run walks its script beside it and
+//!   merges the two by [`event::EventQueue::peek_at`], script first on a
+//!   tie.
 //!
 //! Link behaviour (latency, bandwidth, deterministic jitter, loss) lives in
 //! [`link::Link`]; scriptable mid-run faults (partition/heal, injected
