@@ -473,12 +473,26 @@ pub fn exp_e43_postproc_loop() -> Vec<String> {
         let mut codec = DeltaRleCodec::new();
         let frame = codec.encode(&img);
         let remote_ship = Link::transatlantic().nominal_arrival(SimTime::ZERO, frame.wire_size());
+        let budget = LoopBudget::PostProcessing.budget();
         rows.push(format!(
-            "{n:2}^3 field: local recompute {:.1} ms + 32 B sync | remote content ship {} B -> {} | budget 5 s: OK",
-            local.as_secs_f64() * 1e3, frame.wire_size(), remote_ship
+            "{n:2}^3 field: local recompute {:.1} ms + 32 B sync | remote content ship {} B -> {:.1} ms | budget {} s: {}",
+            local.as_secs_f64() * 1e3,
+            frame.wire_size(),
+            remote_ship.as_secs_f64() * 1e3,
+            budget.as_secs_f64(),
+            loop_verdict(SimTime::from_nanos(local.as_nanos() as u64) + remote_ship, budget)
         ));
     }
     rows
+}
+
+/// `OK` if a loop that took `took` fits in `budget`, else `BUST`.
+fn loop_verdict(took: SimTime, budget: SimTime) -> &'static str {
+    if took <= budget {
+        "OK"
+    } else {
+        "BUST"
+    }
 }
 
 /// E44 — simulation feedback loop: steer -> visible change, with budget.
@@ -1324,6 +1338,36 @@ pub const EXPERIMENTS: &[Experiment] = &[
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    #[test]
+    fn a_loop_over_its_budget_is_a_bust() {
+        let budget = LoopBudget::PostProcessing.budget();
+        assert_eq!(loop_verdict(budget, budget), "OK");
+        assert_eq!(
+            loop_verdict(budget + SimTime::from_nanos(1), budget),
+            "BUST"
+        );
+    }
+
+    /// Each E43 row's verdict is the one its own printed numbers give:
+    /// local recompute plus the remote ship against the printed budget.
+    #[test]
+    fn e43_rows_carry_the_verdict_of_their_own_numbers() {
+        let rows = exp_e43_postproc_loop();
+        assert_eq!(rows.len(), 3);
+        for row in &rows {
+            let number_after = |key: &str| -> f64 {
+                let at = row.find(key).unwrap_or_else(|| panic!("{key:?} in {row}"));
+                let word = row[at + key.len()..].split_whitespace().next().unwrap();
+                word.parse().unwrap_or_else(|_| panic!("{word:?} in {row}"))
+            };
+            let took_ms = number_after("local recompute ") + number_after("B -> ");
+            let budget_ms = number_after("| budget ") * 1e3;
+            let verdict = row.rsplit(": ").next().unwrap();
+            let want = if took_ms <= budget_ms { "OK" } else { "BUST" };
+            assert_eq!(verdict, want, "{row}");
+        }
+    }
 
     #[test]
     fn experiment_ids_are_unique() {

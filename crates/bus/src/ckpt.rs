@@ -319,7 +319,14 @@ pub(crate) mod tests {
             MonitorFrame {
                 seq: 3,
                 step: 9,
-                payload: MonitorPayload::grid3("phi", 2, 1, 2, vec![0.5, f32::NAN, -1.0, 2.0]),
+                payload: MonitorPayload::grid3_borrowed(
+                    "phi",
+                    2,
+                    1,
+                    2,
+                    &[0.5, f32::NAN, -1.0, 2.0],
+                )
+                .into_owned(),
             },
             MonitorFrame {
                 seq: 4,

@@ -219,8 +219,10 @@ impl CoviseMonitor {
         }
     }
 
-    /// Module-network executions so far (one per delivery event).
-    pub fn pipeline_executions(&self) -> u64 {
+    /// Module-network executions so far (one per delivery event): the
+    /// batching property the monitor tests pin.
+    #[cfg(test)]
+    pub(crate) fn pipeline_executions(&self) -> u64 {
         self.executions
     }
 

@@ -18,7 +18,8 @@ mod tests {
             MonitorFrame {
                 seq: 2,
                 step: 3,
-                payload: MonitorPayload::grid3("phi", 2, 1, 2, vec![0.1, 0.2, 0.3, 0.4]),
+                payload: MonitorPayload::grid3_borrowed("phi", 2, 1, 2, &[0.1, 0.2, 0.3, 0.4])
+                    .into_owned(),
             },
         ];
         assert_eq!(deliver_all(&mut ep, &frames).unwrap(), 2);
@@ -109,7 +110,14 @@ mod tests {
             &[MonitorFrame {
                 seq: 1,
                 step: 0,
-                payload: MonitorPayload::grid3("nan", 1, 1, 2, vec![f32::from_bits(bits), 7.0]),
+                payload: MonitorPayload::grid3_borrowed(
+                    "nan",
+                    1,
+                    1,
+                    2,
+                    &[f32::from_bits(bits), 7.0],
+                )
+                .into_owned(),
             }],
         )
         .unwrap();

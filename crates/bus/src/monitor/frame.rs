@@ -215,22 +215,6 @@ impl MonitorPayload<'static> {
         }
     }
 
-    /// 3-D field constructor. Panics if `data.len() != nx * ny * nz`.
-    pub fn grid3(name: &str, nx: u32, ny: u32, nz: u32, data: Vec<f32>) -> MonitorPayload<'static> {
-        assert_eq!(
-            data.len(),
-            nx as usize * ny as usize * nz as usize,
-            "grid3 shape mismatch"
-        );
-        MonitorPayload::Grid3 {
-            name: Cow::Owned(name.to_string()),
-            nx,
-            ny,
-            nz,
-            data: Cow::Owned(data),
-        }
-    }
-
     /// Encoded-frame constructor.
     pub fn frame(
         name: &str,
@@ -607,7 +591,14 @@ mod tests {
             MonitorFrame {
                 seq: 4,
                 step: 11,
-                payload: MonitorPayload::grid3("phi", 2, 2, 2, (0..8).map(|i| i as f32).collect()),
+                payload: MonitorPayload::grid3_borrowed(
+                    "phi",
+                    2,
+                    2,
+                    2,
+                    &(0..8).map(|i| i as f32).collect::<Vec<_>>(),
+                )
+                .into_owned(),
             },
             MonitorFrame {
                 seq: 5,

@@ -238,16 +238,6 @@ impl RelayHub {
         self.children.stats_of(name)
     }
 
-    /// Number of attached children.
-    pub fn children_count(&self) -> usize {
-        self.children.subscribers()
-    }
-
-    /// Channels currently held in the keyframe cache.
-    pub fn cached_channels(&self) -> Vec<String> {
-        self.core.lock().cache.keys().cloned().collect()
-    }
-
     /// This tier's accounting snapshot.
     pub fn report(&self) -> RelayReport {
         let core = self.core.lock();
@@ -414,6 +404,11 @@ mod tests {
     use super::*;
     use crate::loopback::LoopbackMonitor;
 
+    /// Channels held in the keyframe cache.
+    fn cached(relay: &RelayHub) -> Vec<String> {
+        relay.core.lock().cache.keys().cloned().collect()
+    }
+
     fn scalar(v: f64) -> MonitorPayload<'static> {
         MonitorPayload::scalar("x", v)
     }
@@ -531,7 +526,7 @@ mod tests {
         origin.publish(0, MonitorPayload::grid2("g", 1, 1, vec![0.5]));
         origin.publish(1, viz_frame(false, 2)); // delta: not cacheable
         relay.pump();
-        assert_eq!(relay.cached_channels(), vec!["g", "viz"]);
+        assert_eq!(cached(&relay), vec!["g", "viz"]);
 
         // a viewer joins at the edge, long after those frames passed
         relay.attach_child("late", Box::new(LoopbackMonitor::new()), &viewer_caps());
@@ -593,8 +588,8 @@ mod tests {
             .unwrap();
 
         assert_eq!(restored.report(), relay.report());
-        assert_eq!(restored.cached_channels(), relay.cached_channels());
-        assert_eq!(restored.children_count(), 1);
+        assert_eq!(cached(&restored), cached(&relay));
+        assert_eq!(restored.children.subscribers(), 1);
         // the unpumped ingress frame survives and fans out after restore
         relay.pump();
         restored.pump();
@@ -603,7 +598,7 @@ mod tests {
         // a late joiner is still served from the restored edge cache
         restored.attach_child("late", Box::new(LoopbackMonitor::new()), &viewer_caps());
         let got = restored.recv_child("late");
-        assert_eq!(got.len(), restored.cached_channels().len());
+        assert_eq!(got.len(), cached(&restored).len());
     }
 
     #[test]
@@ -619,7 +614,7 @@ mod tests {
         origin.publish(1, scalar(2.0));
         relay.pump();
         assert!(relay.recv_child("v").is_empty());
-        assert_eq!(relay.children_count(), 0);
+        assert_eq!(relay.children.subscribers(), 0);
     }
 
     #[test]

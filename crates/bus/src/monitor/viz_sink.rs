@@ -69,7 +69,20 @@ mod tests {
     use crate::monitor::endpoint::MonitorCaps;
     use crate::monitor::frame::MonitorKind;
     use crate::visit::VisitMonitor;
-    use viz::{vizserver::demo_camera, DeltaRleCodec, TriMesh};
+    use viz::{Camera, DeltaRleCodec, TriMesh, Vec3};
+
+    /// A camera looking at the unit cube.
+    fn demo_camera() -> Camera {
+        Camera::look_at(Vec3::new(2.5, 2.0, -3.0), Vec3::new(0.5, 0.5, 0.5))
+    }
+
+    /// One triangle of the unit cube's front face.
+    fn triangle() -> TriMesh {
+        let mut m = TriMesh::new();
+        let v = Vec3::new;
+        m.push_tri(v(0., 0., 0.), v(0., 1., 0.), v(1., 1., 0.), v(0., 0., -1.));
+        m
+    }
 
     #[test]
     fn rendered_frames_reach_subscribers_and_late_joiners_get_keyframes() {
@@ -80,7 +93,7 @@ mod tests {
             &MonitorCaps::full("viewer", 64),
         );
         let mut session = VizServerSession::new(48, 48, demo_camera());
-        let cube = TriMesh::unit_cube();
+        let cube = triangle();
         publish_render(&mut session, &[(&cube, [200, 50, 50, 255])], &hub, "viz", 1);
         publish_render(&mut session, &[(&cube, [200, 50, 50, 255])], &hub, "viz", 2);
         // a late joiner attaches mid-stream over a *different* middleware
@@ -112,7 +125,7 @@ mod tests {
             &MonitorCaps::full("viewer", 64),
         );
         let mut session = VizServerSession::new(32, 32, demo_camera());
-        let cube = TriMesh::unit_cube();
+        let cube = triangle();
         let published =
             publish_render(&mut session, &[(&cube, [90, 90, 220, 255])], &hub, "viz", 1);
         let got = hub.recv("v");

@@ -123,7 +123,7 @@ pub(crate) mod tests {
                 3,
                 vec![
                     MonitorPayload::grid2("phi", 2, 2, vec![0.5, 1.5, -0.5, 2.0]),
-                    MonitorPayload::grid3("rho", 1, 1, 2, vec![9.0, 8.0]),
+                    MonitorPayload::grid3_borrowed("rho", 1, 1, 2, &[9.0, 8.0]).into_owned(),
                 ],
             );
             hub.recv("v")
@@ -135,7 +135,7 @@ pub(crate) mod tests {
                 3,
                 vec![
                     MonitorPayload::grid2("phi", 2, 2, vec![0.5, 1.5, -0.5, 2.0]),
-                    MonitorPayload::grid3("rho", 1, 1, 2, vec![9.0, 8.0]),
+                    MonitorPayload::grid3_borrowed("rho", 1, 1, 2, &[9.0, 8.0]).into_owned(),
                 ],
             );
             assert_eq!(hub.recv("v"), reference, "{}", t.label());
@@ -181,7 +181,7 @@ pub(crate) mod tests {
             MonitorPayload::scalar("demix", 0.123456789),
             MonitorPayload::vec3("centroid", [0.5, -1.5, 2.25]),
             MonitorPayload::grid2("phi_mid", 2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
-            MonitorPayload::grid3("phi", 2, 1, 2, vec![0.25, 0.5, 0.75, 1.0]),
+            MonitorPayload::grid3_borrowed("phi", 2, 1, 2, &[0.25, 0.5, 0.75, 1.0]).into_owned(),
             MonitorPayload::frame("viz", false, 1024, vec![9, 8, 7]),
         ];
         (1..)

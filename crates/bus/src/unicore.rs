@@ -15,7 +15,7 @@
 //! reaches the hub or the viewer's inbox:
 //!
 //! 1. the AJO crosses the hop in its binary object-stream form
-//!    ([`Ajo::to_bytes`] → [`Ajo::from_bytes`]): magic, version, every
+//!    ([`Ajo::to_bytes`] → [`Ajo::read_from`]): magic, version, every
 //!    length and count against the bytes behind it, UTF-8 texts, known
 //!    task tags, nothing trailing;
 //! 2. the consigned DAG is a DAG ([`Ajo::topo_order`]: non-empty, unique

@@ -42,7 +42,7 @@ fn payload_from(sel: u8, name: &str, data: &[u8]) -> MonitorPayload<'static> {
         }
         3 => {
             let vals = f32s();
-            MonitorPayload::grid3(name, 1, vals.len() as u32, 1, vals)
+            MonitorPayload::grid3_borrowed(name, 1, vals.len() as u32, 1, &vals).into_owned()
         }
         _ => MonitorPayload::frame(
             name,

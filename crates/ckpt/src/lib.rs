@@ -240,19 +240,9 @@ impl SectionWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append an `i64`, little-endian.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append an `f64` as its raw bit pattern (NaN-exact).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
-    }
-
-    /// Append an `f32` as its raw bit pattern (NaN-exact).
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
     }
 
     /// Append a length-prefixed UTF-8 string (u32 length).
@@ -278,21 +268,6 @@ impl SectionWriter {
         let len = (self.buf.len() - at - 8) as u64;
         self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
         out
-    }
-
-    /// Append a length-prefixed `f64` slice as raw bit patterns.
-    pub fn put_f64_slice(&mut self, vs: &[f64]) {
-        self.put_u64(vs.len() as u64);
-        // an exact-size iterator: one reservation, then a straight copy
-        let bytes = vs.iter().flat_map(|v| v.to_bits().to_le_bytes());
-        self.buf.extend(bytes);
-    }
-
-    /// Append a length-prefixed `f32` slice as raw bit patterns.
-    pub fn put_f32_slice(&mut self, vs: &[f32]) {
-        self.put_u64(vs.len() as u64);
-        let bytes = vs.iter().flat_map(|v| v.to_bits().to_le_bytes());
-        self.buf.extend(bytes);
     }
 
     /// The accumulated body bytes.
@@ -407,11 +382,6 @@ impl<'a> SectionReader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
-    /// Read an `f32` from its raw bit pattern.
-    pub fn get_f32(&mut self) -> Result<f32, CkptError> {
-        Ok(f32::from_bits(self.get_u32()?))
-    }
-
     /// Read a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, CkptError> {
         self.get_str_ref().map(str::to_string)
@@ -442,22 +412,6 @@ impl<'a> SectionReader<'a> {
     pub fn get_byte_vec(&mut self) -> Result<Vec<u8>, CkptError> {
         let len = self.get_u64()? as usize;
         Ok(self.take(len)?.to_vec())
-    }
-
-    /// Read a length-prefixed `f64` slice from raw bit patterns.
-    pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, CkptError> {
-        let count = self.get_u64()? as usize;
-        let raw = self.take(count.saturating_mul(8))?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-            .collect())
-    }
-
-    /// Read a length-prefixed `f32` slice from raw bit patterns.
-    pub fn get_f32_vec(&mut self) -> Result<Vec<f32>, CkptError> {
-        let count = self.get_u64()? as usize;
-        self.get_f32_run(count)
     }
 
     /// Read `count` `f32`s from raw bit patterns, with no length prefix
@@ -668,14 +622,6 @@ impl Snapshot {
         }
         Ok(snap)
     }
-
-    /// Peek whether an encoded blob is a delta, validating only the
-    /// header (magic + version).
-    pub fn is_delta(bytes: &[u8]) -> Result<bool, CkptError> {
-        let mut r = SectionReader::new(bytes, "header");
-        check_magic_version(&mut r)?;
-        Ok(r.get_u8()? & FLAG_DELTA != 0)
-    }
 }
 
 /// How a delta writes one section.
@@ -846,7 +792,8 @@ mod tests {
         snap.push("meta", 0, w.finish());
         let grid: Vec<f64> = (0..64).map(|i| (i as f64).sin()).collect();
         let mut w = SectionWriter::new();
-        w.put_f64_slice(&grid);
+        w.put_u64(grid.len() as u64);
+        grid.iter().for_each(|&v| w.put_f64(v));
         snap.push("field", 64, w.finish());
         snap.push("empty", 0, Vec::new());
         snap
@@ -858,7 +805,6 @@ mod tests {
         let bytes = snap.encode();
         let back = Snapshot::decode(&bytes).unwrap();
         assert_eq!(back, snap);
-        assert!(!Snapshot::is_delta(&bytes).unwrap());
     }
 
     #[test]
@@ -867,14 +813,16 @@ mod tests {
         let mut snap = Snapshot::new(0, 0);
         let mut w = SectionWriter::new();
         w.put_f64(weird);
-        w.put_f64_slice(&[f64::NAN, -0.0, f64::INFINITY]);
+        [f64::NAN, -0.0, f64::INFINITY]
+            .iter()
+            .for_each(|&v| w.put_f64(v));
         snap.push("nan", 0, w.finish());
         let back = Snapshot::decode(&snap.encode()).unwrap();
         let mut r = back.reader("nan").unwrap();
         assert_eq!(r.get_f64().unwrap().to_bits(), weird.to_bits());
-        let vs = r.get_f64_vec().unwrap();
-        assert_eq!(vs[0].to_bits(), f64::NAN.to_bits());
-        assert_eq!(vs[1].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(r.get_f64().unwrap().to_bits(), f64::NAN.to_bits());
+        assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(r.get_f64().unwrap(), f64::INFINITY);
         r.expect_end().unwrap();
     }
 
@@ -1084,35 +1032,26 @@ mod tests {
             0.1,
         ];
         let mut w = SectionWriter::new();
-        w.put_u8(9); // the slices need not start aligned
-        w.put_f64_slice(&f64s);
-        w.put_f32_slice(&f32s);
-        w.put_f64_slice(&[]);
+        w.put_u8(9); // the runs need not start aligned
+        f64s.iter().for_each(|&v| w.put_f64(v));
+        f32s.iter().for_each(|&v| w.put_u32(v.to_bits()));
         let body = w.finish();
-        assert_eq!(body.len(), 1 + 8 + f64s.len() * 8 + 8 + f32s.len() * 4 + 8);
+        assert_eq!(body.len(), 1 + f64s.len() * 8 + f32s.len() * 4);
         let mut r = SectionReader::new(&body, "floats");
         assert_eq!(r.get_u8().unwrap(), 9);
-        let back64: Vec<u64> = r
-            .get_f64_vec()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
+        let back64: Vec<u64> = (0..f64s.len())
+            .map(|_| r.get_f64().unwrap().to_bits())
             .collect();
         assert_eq!(back64, f64s.map(f64::to_bits));
         let back32: Vec<u32> = r
-            .get_f32_vec()
+            .get_f32_run(f32s.len())
             .unwrap()
             .iter()
             .map(|v| v.to_bits())
             .collect();
         assert_eq!(back32, f32s.map(f32::to_bits));
-        assert!(r.get_f64_vec().unwrap().is_empty());
+        assert!(r.get_f32_run(0).unwrap().is_empty());
         r.expect_end().unwrap();
-        // element by element, the bulk writer lays down what `put_f64` does
-        let mut one_by_one = SectionWriter::new();
-        one_by_one.put_u64(f64s.len() as u64);
-        f64s.iter().for_each(|&v| one_by_one.put_f64(v));
-        assert_eq!(&body[1..1 + 8 + f64s.len() * 8], one_by_one.as_bytes());
     }
 
     #[test]
@@ -1155,7 +1094,7 @@ mod tests {
         next.sections[0].bytes[0] ^= 1;
         let delta = next.encode_delta(&base);
         let full = next.encode();
-        assert!(Snapshot::is_delta(&delta).unwrap());
+        assert_eq!(Snapshot::decode(&delta), Err(CkptError::IsDelta));
         assert!(
             delta.len() < full.len(),
             "delta {} >= full {}",
@@ -1251,10 +1190,10 @@ mod tests {
         w.put_u16(300);
         w.put_u32(70_000);
         w.put_u64(1 << 40);
-        w.put_i64(-12);
-        w.put_f32(1.5);
+        w.put_u64(-12i64 as u64);
         w.put_bytes(b"abc");
-        w.put_f32_slice(&[2.5, f32::NAN]);
+        w.put_u32(2.5f32.to_bits());
+        w.put_u32(f32::NAN.to_bits());
         let body = w.finish();
         let mut r = SectionReader::new(&body, "test");
         assert_eq!(r.get_u8().unwrap(), 7);
@@ -1263,9 +1202,8 @@ mod tests {
         assert_eq!(r.get_u32().unwrap(), 70_000);
         assert_eq!(r.get_u64().unwrap(), 1 << 40);
         assert_eq!(r.get_i64().unwrap(), -12);
-        assert_eq!(r.get_f32().unwrap(), 1.5);
         assert_eq!(r.get_byte_vec().unwrap(), b"abc");
-        let f = r.get_f32_vec().unwrap();
+        let f = r.get_f32_run(2).unwrap();
         assert_eq!(f[0], 2.5);
         assert!(f[1].is_nan());
         r.expect_end().unwrap();

@@ -10,7 +10,6 @@
 use crate::params::{ParamRegistry, ParamValue, SharedRegistry};
 use gridsteer_bus::{BoundedLog, LogEntry, Names, SteerCommand};
 use gridsteer_ckpt::{CkptError, SectionReader, SectionWriter, Snapshot};
-use netsim::SimTime;
 use std::sync::Arc;
 
 /// What a participant may do.
@@ -396,20 +395,6 @@ impl SteeringSession {
             sample_seq,
             join_counter,
         })
-    }
-
-    /// §4.4's tolerance rule: the acceptable simulation-loop delay is
-    /// ~60 s, and "this tolerance can even be increased if intermediate
-    /// results … are displayed in-between". Returns the effective budget
-    /// given how often intermediate samples arrive.
-    pub fn effective_sim_budget(sample_interval: SimTime) -> SimTime {
-        let base = SimTime::from_secs(60);
-        if sample_interval <= SimTime::from_secs(10) {
-            // steady intermediate results: tolerance roughly doubles
-            SimTime::from_secs(120)
-        } else {
-            base
-        }
     }
 }
 
@@ -909,13 +894,5 @@ mod tests {
         assert!(s.audit_log().evicted() > AUDIT_WINDOW as u64);
         assert_eq!(s2.audit_log(), s.audit_log());
         assert_eq!(sections(&hub2, &s2), sections(&hub, &s));
-    }
-
-    #[test]
-    fn sim_budget_extends_with_intermediate_results() {
-        let fast = SteeringSession::effective_sim_budget(SimTime::from_secs(2));
-        let slow = SteeringSession::effective_sim_budget(SimTime::from_secs(30));
-        assert_eq!(slow, SimTime::from_secs(60));
-        assert!(fast > slow);
     }
 }

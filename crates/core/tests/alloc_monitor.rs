@@ -163,7 +163,8 @@ fn kind_filtered_subscriber_gets_views_not_copies_of_owned_grids() {
     let grid = || -> Vec<gridsteer_bus::MonitorPayload<'static>> {
         vec![
             gridsteer_bus::MonitorPayload::scalar("demix", 0.5),
-            gridsteer_bus::MonitorPayload::grid3("phi", 16, 16, 8, vec![0.25; 16 * 16 * 8]),
+            gridsteer_bus::MonitorPayload::grid3_borrowed("phi", 16, 16, 8, &[0.25; 16 * 16 * 8])
+                .into_owned(),
         ]
     };
     let hub = MonitorHub::new();

@@ -316,7 +316,7 @@ mod tests {
         assert!(ctl.set_param(render, "yaw", 1.0));
         ctl.execute(&mut rb).unwrap();
         let img_b = ctl.image(&rb, render).unwrap();
-        assert!(img_a.diff_fraction(&img_b) > 0.0);
+        assert!(img_a != img_b);
     }
 
     #[test]
@@ -420,6 +420,6 @@ mod tests {
         ctl2.connect(iso2, "mesh", render2, "mesh").unwrap();
         ctl2.execute(&mut rb2).unwrap();
         let img_b = ctl2.image(&rb2, render2).unwrap();
-        assert!(img_a.diff_fraction(&img_b) > 0.0);
+        assert!(img_a != img_b);
     }
 }

@@ -143,11 +143,6 @@ impl SharedDataSpace {
     pub fn is_empty(&self) -> bool {
         self.objects.is_empty()
     }
-
-    /// Total bytes held.
-    pub fn total_bytes(&self) -> usize {
-        self.objects.values().map(|o| o.byte_size()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +166,7 @@ mod tests {
     #[test]
     fn sds_put_get_is_zero_copy() {
         let mut sds = SharedDataSpace::new();
-        let obj = DataObject::new("mesh", Payload::Mesh(TriMesh::unit_cube()));
+        let obj = DataObject::new("mesh", Payload::Mesh(TriMesh::new()));
         let name = obj.name.clone();
         let a = sds.put(obj);
         let b = sds.get(&name).unwrap();
@@ -183,7 +178,6 @@ mod tests {
         let mut sds = SharedDataSpace::new();
         let o = sds.put(DataObject::new("x", Payload::Scalar(1.0)));
         assert_eq!(sds.len(), 1);
-        assert_eq!(sds.total_bytes(), 8);
         assert!(sds.remove(&o.name));
         assert!(!sds.remove(&o.name));
         assert!(sds.is_empty());

@@ -389,7 +389,7 @@ mod tests {
         };
         let a = render(0.0);
         let b = render(1.2);
-        assert!(a.diff_fraction(&b) > 0.0, "orbiting must change the image");
+        assert!(a != b, "orbiting must change the image");
     }
 
     #[test]

@@ -12,18 +12,15 @@
 //! let fat = gridsteer_fuzz::generate(seed, &cfg);
 //! let small = gridsteer_fuzz::shrink(&PoolRunner, &fat, violated);
 //! std::fs::write(
-//!     corpus_dir().join("issue-NNN.scen"),
+//!     "crates/fuzz/corpus/issue-NNN.scen",
 //!     render(&small, &[violated]),
 //! )?;
 //! ```
 //!
 //! The file is plain text, diff-friendly, and editable by hand.
 
-use crate::oracle::{self, Invariant};
+use crate::oracle::Invariant;
 use gridsteer_harness::Scenario;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 
 /// Header prefix naming the invariants a corpus file must keep passing.
 pub const CHECK_HEADER: &str = "#! check:";
@@ -71,46 +68,6 @@ pub fn parse(text: &str) -> Result<CorpusEntry, String> {
     Ok(CorpusEntry { checks, scenario })
 }
 
-/// Replay one corpus text on the real engine; `Err` lists every recorded
-/// invariant that no longer holds.
-pub fn check_text(text: &str) -> Result<(), String> {
-    let entry = parse(text)?;
-    let violations = oracle::check(&entry.scenario);
-    let hits: Vec<String> = violations
-        .iter()
-        .filter(|v| entry.checks.contains(&v.invariant))
-        .map(|v| v.to_string())
-        .collect();
-    if hits.is_empty() {
-        Ok(())
-    } else {
-        Err(hits.join("; "))
-    }
-}
-
-/// The in-tree corpus directory (`crates/fuzz/corpus`).
-pub fn corpus_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus")
-}
-
-/// Load every `.scen` file in `dir` as `(file name, contents)`, sorted by
-/// name so replay order is deterministic.
-pub fn load_dir(dir: &Path) -> io::Result<Vec<(String, String)>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if path.extension().and_then(|x| x.to_str()) == Some("scen") {
-            out.push((
-                entry.file_name().to_string_lossy().into_owned(),
-                fs::read_to_string(&path)?,
-            ));
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,6 +103,6 @@ mod tests {
     #[test]
     fn broken_script_text_is_a_parse_error_not_a_panic() {
         assert!(parse("scenario x\nbackend warp\n").is_err());
-        assert!(check_text("gibberish").is_err());
+        assert!(parse("gibberish").is_err());
     }
 }

@@ -25,17 +25,57 @@ use gridsteer_fuzz::{
     check, check_with, corpus, generate, shrink, FuzzConfig, Invariant, PoolRunner, Runner,
 };
 use gridsteer_harness::{Scenario, ScenarioError, ScenarioReport, MAX_NAME_LEN};
+use std::path::{Path, PathBuf};
+
+/// The in-tree corpus directory (`crates/fuzz/corpus`).
+fn corpus_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus")
+}
+
+/// Every `.scen` file in `dir` as `(file name, contents)`, sorted by name
+/// so replay order is deterministic.
+fn load_dir(dir: &Path) -> std::io::Result<Vec<(String, String)>> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let path = entry.path();
+        if path.extension().and_then(|x| x.to_str()) == Some("scen") {
+            out.push((
+                entry.file_name().to_string_lossy().into_owned(),
+                std::fs::read_to_string(&path)?,
+            ));
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
+/// Replay one corpus text on the real engine; `Err` lists every recorded
+/// invariant that no longer holds.
+fn check_text(text: &str) -> Result<(), String> {
+    let entry = corpus::parse(text)?;
+    let hits: Vec<String> = check(&entry.scenario)
+        .iter()
+        .filter(|v| entry.checks.contains(&v.invariant))
+        .map(|v| v.to_string())
+        .collect();
+    if hits.is_empty() {
+        Ok(())
+    } else {
+        Err(hits.join("; "))
+    }
+}
 
 #[test]
 fn corpus_replays_forever() {
-    let files = corpus::load_dir(&corpus::corpus_dir()).expect("corpus dir must exist");
+    let files = load_dir(&corpus_dir()).expect("corpus dir must exist");
     assert!(
         files.len() >= 3,
         "corpus went missing: only {} .scen files",
         files.len()
     );
     for (name, text) in files {
-        corpus::check_text(&text).unwrap_or_else(|e| panic!("corpus file {name} regressed: {e}"));
+        check_text(&text).unwrap_or_else(|e| panic!("corpus file {name} regressed: {e}"));
     }
 }
 
@@ -43,7 +83,7 @@ fn corpus_replays_forever() {
 fn corpus_files_are_canonical() {
     // parse → re-render is byte-identical: files stay diff-friendly and
     // nobody hand-edits one into a form the parser merely tolerates
-    for (name, text) in corpus::load_dir(&corpus::corpus_dir()).unwrap() {
+    for (name, text) in load_dir(&corpus_dir()).unwrap() {
         let entry = corpus::parse(&text)
             .unwrap_or_else(|e| panic!("corpus file {name} does not parse: {e}"));
         assert_eq!(
@@ -59,8 +99,8 @@ fn rejected_corpus_files_are_typed_errors() {
     // `corpus/rejected/` holds scripts that once reached the engine and
     // panicked there; each must parse as a script and then be refused by
     // `Scenario::validate`, with the reason the file is named after
-    let dir = corpus::corpus_dir().join("rejected");
-    let files = corpus::load_dir(&dir).expect("rejected corpus dir must exist");
+    let dir = corpus_dir().join("rejected");
+    let files = load_dir(&dir).expect("rejected corpus dir must exist");
     assert!(!files.is_empty(), "rejected corpus went missing");
     for (name, text) in files {
         let scenario = Scenario::from_script(&text)
@@ -161,7 +201,7 @@ fn engine_digests_are_pinned() {
         "/tests/fixtures/engine_digests.txt"
     );
     let cfg = FuzzConfig::default();
-    let files: Vec<(String, Scenario)> = corpus::load_dir(&corpus::corpus_dir())
+    let files: Vec<(String, Scenario)> = load_dir(&corpus_dir())
         .expect("corpus dir must exist")
         .into_iter()
         .map(|(name, text)| {
@@ -262,7 +302,7 @@ fn bless_seed_corpus() {
     for (file, s) in picks {
         let v = check(&s);
         assert!(v.is_empty(), "candidate {file} is not green: {v:?}");
-        std::fs::write(corpus::corpus_dir().join(file), corpus::render(&s, &all)).unwrap();
+        std::fs::write(corpus_dir().join(file), corpus::render(&s, &all)).unwrap();
         println!("blessed {file}");
     }
 }

@@ -1038,7 +1038,7 @@ mod tests {
         assert!(r.session_events.contains(&"Joined(carol)".to_string()));
         let carol = &r.links.iter().find(|(n, _)| n == "carol").unwrap().1;
         let alice = &r.links.iter().find(|(n, _)| n == "alice").unwrap().1;
-        assert!(carol.offered() < alice.offered());
+        assert!(carol.delivered + carol.dropped < alice.delivered + alice.dropped);
     }
 
     #[test]

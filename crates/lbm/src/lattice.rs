@@ -10,8 +10,10 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// Number of discrete velocities.
 pub const Q: usize = 19;
 
-/// Lattice sound speed squared.
-pub const CS2: f64 = 1.0 / 3.0;
+/// Lattice sound speed squared: the isotropy reference the tests check
+/// the velocity set against.
+#[cfg(test)]
+const CS2: f64 = 1.0 / 3.0;
 
 /// x-components of the velocity set.
 pub const CX: [i32; Q] = [0, 1, -1, 0, 0, 0, 0, 1, -1, 1, -1, 1, -1, 1, -1, 0, 0, 0, 0];
@@ -144,9 +146,10 @@ pub(crate) fn equilibrium_lane<T: Lane>(i: usize, rho: T, u: [T; 3], uu15: T) ->
 }
 
 /// Discrete equilibrium distribution for direction `i` at density `rho`
-/// and velocity `u` (second-order expansion).
-#[inline]
-pub fn equilibrium(i: usize, rho: f64, ux: f64, uy: f64, uz: f64) -> f64 {
+/// and velocity `u` (second-order expansion): the scalar reference the
+/// lane kernels are tested against.
+#[cfg(test)]
+fn equilibrium(i: usize, rho: f64, ux: f64, uy: f64, uz: f64) -> f64 {
     equilibrium_lane(i, rho, [ux, uy, uz], uu15([ux, uy, uz]))
 }
 
@@ -154,8 +157,8 @@ pub fn equilibrium(i: usize, rho: f64, ux: f64, uy: f64, uz: f64) -> f64 {
 /// performing *exactly* the scalar expression's operation sequence (same
 /// association, no FMA), so a lane-blocked kernel is bit-identical to the
 /// scalar reference node for node.
-#[inline(always)]
-pub fn equilibrium_x4(i: usize, rho: F64x4, ux: F64x4, uy: F64x4, uz: F64x4) -> F64x4 {
+#[cfg(test)]
+fn equilibrium_x4(i: usize, rho: F64x4, ux: F64x4, uy: F64x4, uz: F64x4) -> F64x4 {
     equilibrium_lane(i, rho, [ux, uy, uz], uu15([ux, uy, uz]))
 }
 

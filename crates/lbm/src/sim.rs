@@ -769,42 +769,11 @@ impl TwoFluidLbm {
     /// Fill `out` with the order parameter over the whole lattice
     /// (row-major, `x` fastest) without allocating when `out` already has
     /// capacity — the monitor publish path reuses one buffer per sample.
+    /// φ is ρA − ρB from the two density rows.
     pub fn order_parameter_into(&self, out: &mut Vec<f32>) {
-        self.phi_into(0..self.n, out);
-    }
-
-    /// φ over a node range: ρA − ρB from the two density rows.
-    fn phi_into(&self, nodes: std::ops::Range<usize>, out: &mut Vec<f32>) {
-        let (ra, rb) = (
-            &self.moment_row(0)[nodes.clone()],
-            &self.moment_row(1)[nodes],
-        );
+        let (ra, rb) = (self.moment_row(0), self.moment_row(1));
         out.clear();
         out.extend(ra.iter().zip(rb).map(|(a, b)| (a - b) as f32));
-    }
-
-    /// One z-plane of the order parameter φ, row-major (`x` fastest) —
-    /// the 2-D field slice the monitor bus ships to thin viewers that
-    /// cannot afford the full lattice. Computes only the requested plane.
-    /// Panics if `z` is out of range.
-    pub fn order_parameter_slice(&self, z: usize) -> (usize, usize, Vec<f32>) {
-        let mut data = Vec::new();
-        self.order_parameter_slice_into(z, &mut data);
-        (self.cfg.nx, self.cfg.ny, data)
-    }
-
-    /// Allocation-free variant of [`TwoFluidLbm::order_parameter_slice`]:
-    /// fills `out` (cleared first) and returns the plane dims. The
-    /// monitor adapter calls this every sample with a retained buffer, so
-    /// steady-state publishing allocates nothing.
-    pub fn order_parameter_slice_into(&self, z: usize, out: &mut Vec<f32>) -> (usize, usize) {
-        assert!(
-            z < self.cfg.nz,
-            "slice plane {z} outside 0..{}",
-            self.cfg.nz
-        );
-        self.phi_into(z * self.plane..(z + 1) * self.plane, out);
-        (self.cfg.nx, self.cfg.ny)
     }
 
     /// Spatial variance of φ — a scalar demixing metric: near zero for a
@@ -1131,13 +1100,6 @@ mod tests {
             bits(&reference::phi(sim)),
             "{when}: φ moved off the 38-row sums"
         );
-        let mid = sim.cfg.nz / 2;
-        let (_, _, slice) = sim.order_parameter_slice(mid);
-        assert_eq!(
-            bits(&slice),
-            bits(&reference::phi(sim)[mid * sim.plane..(mid + 1) * sim.plane]),
-            "{when}: mid-plane slice"
-        );
         let ((ma, mb), (ra, rb)) = (sim.total_mass(), reference::total_mass(sim));
         let scale = 1e-12 * (ra + rb);
         assert!((ma - ra).abs() <= scale, "{when}: mass A {ma} vs {ra}");
@@ -1414,19 +1376,18 @@ mod tests {
     }
 
     #[test]
-    fn slice_into_reuses_capacity_and_matches_allocating_form() {
+    fn order_parameter_into_reuses_capacity_and_matches_allocating_form() {
         let mut sim = TwoFluidLbm::new(LbmConfig::small());
         sim.set_miscibility(0.2);
         sim.step_n(3);
-        let (nx, ny, owned) = sim.order_parameter_slice(5);
+        let full = sim.order_parameter();
         let mut buf = Vec::new();
-        let dims = sim.order_parameter_slice_into(5, &mut buf);
-        assert_eq!(dims, (nx, ny));
-        assert_eq!(buf, owned);
+        sim.order_parameter_into(&mut buf);
+        assert_eq!(buf, full.data());
         let cap = buf.capacity();
         let ptr = buf.as_ptr();
         sim.step();
-        sim.order_parameter_slice_into(5, &mut buf);
+        sim.order_parameter_into(&mut buf);
         assert_eq!(buf.capacity(), cap, "refill must not grow the buffer");
         assert_eq!(buf.as_ptr(), ptr, "refill must not reallocate");
     }

@@ -5,8 +5,10 @@
 //! are dynamic-check territory (and host the lint's own known-bad fixture
 //! corpus). Excluded prefixes from the policy (`vendor/`, `target/`) are
 //! never walked. R9 is the one rule that reads beyond `src/`: a `pub` item
-//! declared in a crate's `src/` counts as used if any `.rs` file in the
-//! tree, test code included, spells its name.
+//! declared in a crate's `src/` counts as used if product code anywhere in
+//! the tree spells its name. Test code does not count: neither test lines
+//! (`#[cfg(test)]` modules, `#[test]` fns) nor files under a `tests/` or
+//! `benches/` directory.
 
 use crate::lexer::TokKind;
 use crate::policy::Policy;
@@ -172,8 +174,9 @@ pub fn lint_tree(
 }
 
 /// R9 — a `pub` item declared under one of the `declaring` trees whose
-/// name no other identifier token in the walked tree spells. Comments and
-/// strings do not count; test code, examples and other packages' sources
+/// name no identifier token in product code elsewhere spells. Only product
+/// code counts: comments, strings, test lines and files under a `tests/`
+/// or `benches/` directory do not; `examples/` and other packages' sources
 /// (`benchmark/src`) do. The check is by name alone, so any second use of
 /// the same spelling keeps an item: conservative on purpose.
 fn r9_unreferenced(
@@ -187,13 +190,20 @@ fn r9_unreferenced(
     let mut uses: BTreeMap<String, usize> = BTreeMap::new();
     let mut decls = Vec::new();
     for f in files {
+        let rel = rel_str(root, &f);
+        if rel.split('/').any(|c| c == "tests" || c == "benches") {
+            continue;
+        }
         let file = SourceFile::parse(&read(&f)?);
         let toks = &file.lexed.tokens;
-        for t in toks.iter().filter(|t| t.kind == TokKind::Ident) {
+        for t in toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident && !file.is_test_line(t.line))
+        {
             *uses.entry(t.text.clone()).or_default() += 1;
         }
         if declaring.iter().any(|d| f.starts_with(d)) {
-            decls.push((rel_str(root, &f), file));
+            decls.push((rel, file));
         }
     }
     for (rel, file) in decls {
@@ -206,7 +216,7 @@ fn r9_unreferenced(
                 finding: Finding {
                     rule: RuleId::R9,
                     line,
-                    message: format!("pub item `{name}` is referenced nowhere in the tree"),
+                    message: format!("pub item `{name}` is referenced by no product code"),
                     hint: "delete it, or keep it with detlint::allow(R9, \"who needs it\")".into(),
                 },
             });

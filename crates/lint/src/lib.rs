@@ -20,8 +20,9 @@
 //! iteration, R3 raw threads, R4 unseeded RNG, R5 unordered parallel
 //! reduction, R6 unjustified `#[allow]`/`unsafe`, R7 float reassociation
 //! (fast-math intrinsics, lane-width-dependent horizontal reductions), R9
-//! a `pub` item whose name no other `.rs` file in the tree spells (a
-//! whole-workspace rule; `--root` fixture mode runs only R1–R7).
+//! a `pub` item whose name no product code in the tree spells — test code
+//! does not count (a whole-workspace rule; `--root` fixture mode runs only
+//! R1–R7).
 //! Per-crate waivers live
 //! in `detlint.toml`; individual sites can carry
 //! `// detlint::allow(Rn, "reason")` — the reason string is mandatory.

@@ -1,4 +1,5 @@
-//! A pub accessor whose only caller is the crate's own test module.
+//! A pub accessor whose only caller is the crate's own test module: test
+//! code is no use, so R9 reports it.
 
 /// Tests assert through this; nothing else reads it.
 pub fn only_tests_call_this() -> u32 {

@@ -23,22 +23,6 @@ pub struct LinkStats {
     pub dropped: u64,
 }
 
-impl LinkStats {
-    /// Total messages offered to the link.
-    pub fn offered(&self) -> u64 {
-        self.delivered + self.dropped
-    }
-
-    /// Fraction of offered messages that were dropped (0.0 when idle).
-    pub fn drop_fraction(&self) -> f64 {
-        if self.offered() == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / self.offered() as f64
-        }
-    }
-}
-
 /// A [`Link`] with scriptable mid-run faults and delivery accounting.
 #[derive(Debug, Clone)]
 pub struct FaultyLink {
@@ -46,7 +30,6 @@ pub struct FaultyLink {
     partitioned: bool,
     extra_loss_ppm: u32,
     extra_jitter: SimTime,
-    extra_latency: SimTime,
     fault_seed: u64,
     fault_seq: u64,
     stats: LinkStats,
@@ -61,7 +44,6 @@ impl FaultyLink {
             partitioned: false,
             extra_loss_ppm: 0,
             extra_jitter: SimTime::ZERO,
-            extra_latency: SimTime::ZERO,
             fault_seed,
             fault_seq: 0,
             stats: LinkStats::default(),
@@ -83,11 +65,6 @@ impl FaultyLink {
         self.partitioned = false;
     }
 
-    /// True while partitioned.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned
-    }
-
     /// Injected loss on top of the base link's profile, in ppm (clamped to
     /// 100%).
     pub fn set_extra_loss_ppm(&mut self, ppm: u32) {
@@ -98,11 +75,6 @@ impl FaultyLink {
     /// `[0, j]`).
     pub fn set_extra_jitter(&mut self, j: SimTime) {
         self.extra_jitter = j;
-    }
-
-    /// Injected fixed extra delay (a rerouted path).
-    pub fn set_extra_latency(&mut self, l: SimTime) {
-        self.extra_latency = l;
     }
 
     /// Delivery statistics so far.
@@ -142,7 +114,7 @@ impl FaultyLink {
         match self.base.deliver(departure, size_bytes) {
             Some(arrival) => {
                 self.stats.delivered += 1;
-                Some(arrival + self.extra_latency + self.injected_jitter(seq))
+                Some(arrival + self.injected_jitter(seq))
             }
             None => {
                 self.stats.dropped += 1;
@@ -182,17 +154,14 @@ mod tests {
         let mut f = FaultyLink::new(lan(), 2);
         assert!(f.deliver(SimTime::ZERO, 10).is_some());
         f.partition();
-        assert!(f.is_partitioned());
         for _ in 0..10 {
             assert!(f.deliver(SimTime::ZERO, 10).is_none());
         }
         f.heal();
-        assert!(!f.is_partitioned());
         assert!(f.deliver(SimTime::ZERO, 10).is_some());
         let s = f.stats();
         assert_eq!(s.delivered, 2);
         assert_eq!(s.dropped, 10);
-        assert_eq!(s.offered(), 12);
     }
 
     #[test]
@@ -261,29 +230,10 @@ mod tests {
     }
 
     #[test]
-    fn extra_latency_shifts_arrivals() {
-        let mut f = FaultyLink::new(lan(), 3);
-        let base = f.deliver(SimTime::ZERO, 0).unwrap();
-        f.set_extra_latency(SimTime::from_millis(40));
-        let shifted = f.deliver(SimTime::ZERO, 0).unwrap();
-        assert_eq!(shifted, base + SimTime::from_millis(40));
-    }
-
-    #[test]
     fn base_link_loss_counts_as_drop() {
         let mut f = FaultyLink::new(Link::builder().loss_ppm(1_000_000).build(), 4);
         assert!(f.deliver(SimTime::ZERO, 1).is_none());
         assert_eq!(f.stats().dropped, 1);
-    }
-
-    #[test]
-    fn drop_fraction_summary() {
-        let s = LinkStats {
-            delivered: 3,
-            dropped: 1,
-        };
-        assert!((s.drop_fraction() - 0.25).abs() < 1e-12);
-        assert_eq!(LinkStats::default().drop_fraction(), 0.0);
     }
 
     #[test]

@@ -21,7 +21,6 @@ pub struct NetModel {
     by_name: HashMap<String, SiteId>,
     /// links[(a,b)] = link used for messages a→b.
     links: HashMap<(SiteId, SiteId), Link>,
-    default_link: Option<Link>,
 }
 
 impl NetModel {
@@ -78,20 +77,14 @@ impl NetModel {
         self.links.insert((b, a), link);
     }
 
-    /// Fallback link used for pairs without an explicit entry.
-    pub fn set_default_link(&mut self, link: Link) {
-        self.default_link = Some(link);
-    }
-
     /// Fetch a fresh (sequence-zero) link clone for `a → b`. Messages from a
-    /// site to itself always use loopback.
+    /// site to itself, and pairs without an explicit link, use loopback.
     pub fn link(&self, a: SiteId, b: SiteId) -> Link {
         if a == b {
             return Link::loopback();
         }
         self.links
             .get(&(a, b))
-            .or(self.default_link.as_ref())
             .cloned()
             .unwrap_or_else(Link::loopback)
     }
@@ -172,10 +165,7 @@ mod tests {
         let mut m = NetModel::new();
         let a = m.add_site("a");
         let b = m.add_site("b");
-        // no default: loopback
         assert_eq!(m.link(a, b).latency, SimTime::ZERO);
-        m.set_default_link(Link::uk_janet());
-        assert_eq!(m.link(a, b).latency, SimTime::from_millis(5));
     }
 
     #[test]

@@ -42,16 +42,6 @@ impl SimTime {
         self.0
     }
 
-    /// Microseconds since epoch (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Milliseconds since epoch (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Fractional seconds since epoch.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -155,14 +145,6 @@ mod tests {
         assert_eq!(SimTime::from_millis(3), SimTime::from_nanos(3_000_000));
         assert_eq!(SimTime::from_secs(2), SimTime::from_millis(2000));
         assert_eq!(SimTime::from_micros(5), SimTime::from_nanos(5_000));
-    }
-
-    #[test]
-    fn accessors_truncate() {
-        let t = SimTime::from_nanos(1_999_999);
-        assert_eq!(t.as_millis(), 1);
-        assert_eq!(t.as_micros(), 1_999);
-        assert!((t.as_secs_f64() - 0.001999999).abs() < 1e-12);
     }
 
     #[test]

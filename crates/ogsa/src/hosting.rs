@@ -50,12 +50,14 @@ impl HostingEnv {
     }
 
     /// Register a factory (OGSI Factory port type).
+    // detlint::allow(R9, "README crate table, crates/ogsa row: OGSA-style grid services §2.2: hosting environment")
     pub fn register_factory(&mut self, name: &str, f: Factory) {
         self.factories.insert(name.to_string(), f);
     }
 
     /// Create a service from a factory with an initial lifetime of
     /// `lifetime_secs` from now (`None` = immortal). Returns its handle.
+    // detlint::allow(R9, "README crate table, crates/ogsa row: OGSA-style grid services §2.2: hosting environment")
     pub fn create(
         &mut self,
         factory: &str,
@@ -133,6 +135,7 @@ impl HostingEnv {
 
     /// Extend a service's lifetime to at least `until` (logical seconds).
     /// OGSI semantics: extensions never shorten a lifetime.
+    // detlint::allow(R9, "README crate table, crates/ogsa row: OGSA-style grid services §2.2: hosting environment")
     pub fn extend_lifetime(&mut self, gsh: &str, until: u64) -> Result<(), HostingError> {
         let h = self
             .services
@@ -143,6 +146,7 @@ impl HostingEnv {
     }
 
     /// Explicitly destroy a service.
+    // detlint::allow(R9, "README crate table, crates/ogsa row: OGSA-style grid services §2.2: hosting environment")
     pub fn destroy(&mut self, gsh: &str) -> Result<(), HostingError> {
         self.services
             .remove(gsh)
@@ -165,11 +169,6 @@ impl HostingEnv {
             self.services.remove(g);
         }
         dead
-    }
-
-    /// Number of live services.
-    pub fn live_count(&self) -> usize {
-        self.services.len()
     }
 
     /// Handles of all live services (sorted — `BTreeMap` key order).
@@ -260,7 +259,7 @@ mod tests {
         let forever = env.create("counter", None).unwrap();
         let dead = env.sweep(11);
         assert_eq!(dead, vec![short.clone()]);
-        assert_eq!(env.live_count(), 2);
+        assert_eq!(env.handles().len(), 2);
         let dead = env.sweep(100);
         assert_eq!(dead, vec![long]);
         assert!(env.handles().contains(&forever));

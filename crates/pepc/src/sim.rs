@@ -277,17 +277,6 @@ impl PepcSim {
         self.recompute_forces();
     }
 
-    /// Number of injected beam particles.
-    pub fn beam_count(&self) -> usize {
-        if self.beam_label_start == u32::MAX {
-            return 0;
-        }
-        self.particles
-            .iter()
-            .filter(|p| p.label >= self.beam_label_start)
-            .count()
-    }
-
     fn external_force(&self, p: &Particle) -> [f64; 3] {
         let mut f = [0.0f64; 3];
         // laser: linearly polarized along y, uniform envelope
@@ -355,12 +344,6 @@ impl PepcSim {
     /// backend; the monitor's `potential` channel reads it every publish.
     pub fn potential_energy(&self) -> f64 {
         crate::direct::potential_energy(&self.particles, self.cfg.tree.eps)
-    }
-
-    /// Total energy (kinetic + softened potential) — O(N²); diagnostics
-    /// and tests only.
-    pub fn total_energy(&self) -> f64 {
-        self.kinetic_energy() + self.potential_energy()
     }
 
     /// Interactions performed in the last force evaluation.
@@ -599,12 +582,25 @@ const FORCE_CHUNK: u32 = 24 * 64;
 mod tests {
     use super::*;
 
+    /// Kinetic + softened potential energy — O(N²).
+    fn total_energy(sim: &PepcSim) -> f64 {
+        sim.kinetic_energy() + sim.potential_energy()
+    }
+
+    /// Number of injected beam particles.
+    fn beam_particles(sim: &PepcSim) -> usize {
+        sim.particles
+            .iter()
+            .filter(|p| p.label >= sim.beam_label_start)
+            .count()
+    }
+
     #[test]
     fn energy_roughly_conserved_without_steering() {
         let mut sim = PepcSim::new(PepcConfig::small());
-        let e0 = sim.total_energy();
+        let e0 = total_energy(&sim);
         sim.step_n(40);
-        let e1 = sim.total_energy();
+        let e1 = total_energy(&sim);
         let drift = ((e1 - e0) / e0.abs()).abs();
         assert!(drift < 0.05, "energy drift {drift} (e0={e0}, e1={e1})");
     }
@@ -650,7 +646,7 @@ mod tests {
         p.beam_intensity = 1.0;
         sim.set_params(p);
         sim.inject_beam(20, 2.0);
-        assert_eq!(sim.beam_count(), 20);
+        assert_eq!(beam_particles(&sim), 20);
         let c0 = sim.beam_centroid().unwrap();
         sim.step_n(20);
         let c1 = sim.beam_centroid().unwrap();
@@ -725,7 +721,7 @@ mod tests {
         let mut b = PepcSim::from_snapshot(&decoded).unwrap();
         assert_eq!(b.step_count(), 5);
         assert_eq!(b.params(), a.params());
-        assert_eq!(b.beam_count(), 10);
+        assert_eq!(beam_particles(&b), 10);
         a.step_n(5);
         b.step_n(5);
         let bits = |s: &PepcSim| {

@@ -9,7 +9,7 @@
 //!
 //! # Wire layout
 //!
-//! [`Ajo::to_bytes`] / [`Ajo::from_bytes`] are the consignment hop's object
+//! [`Ajo::to_bytes`] / [`Ajo::read_from`] are the consignment hop's object
 //! stream: binary, length-prefixed, every integer little-endian. `len` and
 //! `count` are `u32`; `text` is `len` + that many UTF-8 bytes.
 //!
@@ -236,22 +236,15 @@ impl Ajo {
         Ok(())
     }
 
-    /// Deserialize, strictly: truncation, trailing bytes, a foreign magic
-    /// or version, an unknown task tag, non-UTF-8 text and any length or
-    /// count the remaining bytes cannot hold are all
+    /// Deserialize into this AJO, strictly: truncation, trailing bytes, a
+    /// foreign magic or version, an unknown task tag, non-UTF-8 text and
+    /// any length or count the remaining bytes cannot hold are all
     /// [`AjoError::Malformed`], found before anything is allocated for
     /// them. The DAG is not validated here — see [`Ajo::topo_order`].
-    pub fn from_bytes(data: &[u8]) -> Result<Ajo, AjoError> {
-        let mut ajo = Ajo::new("", "");
-        ajo.read_from(data)?;
-        Ok(ajo)
-    }
-
-    /// [`from_bytes`](Ajo::from_bytes) into this AJO, reusing the texts,
-    /// files and lists it holds wherever a decoded task is of the kind
-    /// already in its place — a consignee reading one job shape over and
-    /// over allocates nothing once warm. Refuses exactly what `from_bytes`
-    /// refuses; after a refusal the contents are unspecified.
+    /// Reuses the texts, files and lists it holds wherever a decoded task
+    /// is of the kind already in its place — a consignee reading one job
+    /// shape over and over allocates nothing once warm. After a refusal
+    /// the contents are unspecified.
     pub fn read_from(&mut self, data: &[u8]) -> Result<(), AjoError> {
         let mut r = Reader { buf: data };
         if r.take(MAGIC.len())? != MAGIC {
@@ -288,10 +281,11 @@ impl Ajo {
         Ok(())
     }
 
-    /// Convenience: the standard steered-simulation job shape used by the
-    /// demos — stage in a config, start a VISIT proxy, run the simulation,
-    /// spool results.
-    pub fn steered_simulation(
+    /// The standard steered-simulation job shape the AJO and NJS tests
+    /// consign — stage in a config, start a VISIT proxy, run the
+    /// simulation, spool results.
+    #[cfg(test)]
+    pub(crate) fn steered_simulation(
         name: &str,
         vsite: &str,
         command: &str,
@@ -544,6 +538,13 @@ mod tests {
     use gridsteer_testkit::{measure, CountingAlloc};
     use proptest::prelude::*;
 
+    /// A fresh AJO read from `data`.
+    fn from_bytes(data: &[u8]) -> Result<Ajo, AjoError> {
+        let mut ajo = Ajo::new("", "");
+        ajo.read_from(data)?;
+        Ok(ajo)
+    }
+
     #[global_allocator]
     static ALLOC: CountingAlloc = CountingAlloc;
 
@@ -657,7 +658,7 @@ mod tests {
             &["--nx", "64"],
             b"misc=0.05",
         );
-        let back = Ajo::from_bytes(&ajo.to_bytes().unwrap()).unwrap();
+        let back = from_bytes(&ajo.to_bytes().unwrap()).unwrap();
         assert_eq!(back, ajo);
     }
 
@@ -801,7 +802,7 @@ mod tests {
         #[test]
         fn wire_roundtrip_is_exact_for_arbitrary_ajos(ajo in AnyAjo) {
             let wire = ajo.to_bytes().unwrap();
-            prop_assert_eq!(Ajo::from_bytes(&wire), Ok(ajo));
+            prop_assert_eq!(from_bytes(&wire), Ok(ajo));
         }
 
         /// An AJO read into one that held another is the AJO read afresh:
@@ -877,7 +878,7 @@ mod tests {
     fn every_strict_prefix_is_an_error() {
         let wire = kitchen_sink().to_bytes().unwrap();
         for cut in 0..wire.len() {
-            let got = Ajo::from_bytes(&wire[..cut]);
+            let got = from_bytes(&wire[..cut]);
             assert!(
                 matches!(got, Err(AjoError::Malformed(_))),
                 "cut={cut}: {got:?}"
@@ -892,7 +893,7 @@ mod tests {
             for mask in [0x01, 0x80, 0xff] {
                 let mut hit = wire.clone();
                 hit[at] ^= mask;
-                match Ajo::from_bytes(&hit) {
+                match from_bytes(&hit) {
                     // the encoding is canonical: whatever decodes, encodes back
                     Ok(ajo) => assert_eq!(ajo.to_bytes().unwrap(), hit, "at={at} mask={mask:#x}"),
                     Err(e) => assert!(matches!(e, AjoError::Malformed(_)), "at={at}: {e:?}"),
@@ -909,7 +910,7 @@ mod tests {
         let with = |at: usize, b: u8| {
             let mut hit = wire.clone();
             hit[at] = b;
-            Ajo::from_bytes(&hit)
+            from_bytes(&hit)
         };
         let malformed = |why| Err(AjoError::Malformed(why));
         assert_eq!(with(0, b'B'), malformed("bad magic"));
@@ -920,8 +921,8 @@ mod tests {
         assert_eq!(with(14 + 4 + 4 + 4, 5), malformed("unknown task tag"));
         let mut longer = wire.clone();
         longer.push(0);
-        assert_eq!(Ajo::from_bytes(&longer), malformed("trailing bytes"));
-        assert_eq!(Ajo::from_bytes(&[]), malformed("truncated"));
+        assert_eq!(from_bytes(&longer), malformed("trailing bytes"));
+        assert_eq!(from_bytes(&[]), malformed("truncated"));
     }
 
     #[test]
@@ -938,7 +939,7 @@ mod tests {
         for at in 0..wire.len() - 3 {
             let mut hit = wire.clone();
             hit[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            let (got, usage) = measure(|| Ajo::from_bytes(&hit));
+            let (got, usage) = measure(|| from_bytes(&hit));
             assert!(
                 usage.largest <= ratio * hit.len(),
                 "at={at}: {} bytes requested",

@@ -110,6 +110,7 @@ impl UnicoreClient {
 
     /// Attach to a job's steering proxy, returning a plugin bound to the
     /// new session.
+    // detlint::allow(R9, "README crate table, crates/unicore row: VISIT proxy integration")
     pub fn proxy_attach(
         &self,
         gw: &mut Gateway,
@@ -131,6 +132,7 @@ impl UnicoreClient {
 
     /// One steering poll for an attached plugin: ships its queued params,
     /// ingests fresh frames. Returns the number of new data frames.
+    // detlint::allow(R9, "README crate table, crates/unicore row: VISIT proxy integration")
     pub fn proxy_poll(
         &self,
         gw: &mut Gateway,
@@ -164,6 +166,7 @@ impl UnicoreClient {
     }
 
     /// Move the steering master role to another session.
+    // detlint::allow(R9, "README crate table, crates/unicore row: VISIT proxy integration")
     pub fn proxy_pass_master(
         &self,
         gw: &mut Gateway,
@@ -295,7 +298,7 @@ mod tests {
             &mut sim,
             MsgKind::Data,
             DATA,
-            Some(VisitValue::scalar_f64(0.5)),
+            Some(VisitValue::F64(vec![0.5])),
         );
         pump(&mut gw);
         // two collaborators attach with signed requests; the first is master
@@ -304,7 +307,7 @@ mod tests {
         // both polls see the broadcast
         assert_eq!(alice.proxy_poll(&mut gw, "csar", "lbm", &mut a), Ok(1));
         assert_eq!(bob.proxy_poll(&mut gw, "csar", "lbm", &mut b), Ok(1));
-        let sample = Some(&VisitValue::scalar_f64(0.5));
+        let sample = Some(&VisitValue::F64(vec![0.5]));
         assert_eq!((a.latest(DATA), b.latest(DATA)), (sample, sample));
         // the simulation asks for its parameter after each round of polls
         let mut request = |gw: &mut Gateway| {
@@ -313,13 +316,13 @@ mod tests {
             recv(&mut sim)
         };
         let steer = |who: &UnicoreClient, plugin: &mut VisitProxyClient, gw: &mut Gateway, v| {
-            plugin.queue_param(PARAM, VisitValue::scalar_f64(v));
+            plugin.queue_param(PARAM, VisitValue::F64(vec![v]));
             assert_eq!(who.proxy_poll(gw, "csar", "lbm", plugin), Ok(0));
         };
         // only the master's parameter reaches the simulation
         steer(&bob, &mut b, &mut gw, 0.75);
         steer(&alice, &mut a, &mut gw, 0.25);
-        let steered = (MsgKind::Reply, Some(VisitValue::scalar_f64(0.25)));
+        let steered = (MsgKind::Reply, Some(VisitValue::F64(vec![0.25])));
         assert_eq!(request(&mut gw), steered);
         assert_eq!(request(&mut gw), (MsgKind::NoData, None));
         // passing the master role moves the right to steer
@@ -329,7 +332,7 @@ mod tests {
         );
         steer(&alice, &mut a, &mut gw, 0.1);
         steer(&bob, &mut b, &mut gw, 0.9);
-        let steered = (MsgKind::Reply, Some(VisitValue::scalar_f64(0.9)));
+        let steered = (MsgKind::Reply, Some(VisitValue::F64(vec![0.9])));
         assert_eq!(request(&mut gw), steered);
         assert_eq!(request(&mut gw), (MsgKind::NoData, None));
         let stats = gw.proxy_mut("csar", "lbm").unwrap().stats();

@@ -155,13 +155,16 @@ impl Gateway {
     /// session orchestration when a job with a `StartVisitProxy` task
     /// starts (the TSI records the service name; the simulation's link is
     /// handed in here).
+    // detlint::allow(R9, "README crate table, crates/unicore row: VISIT proxy integration")
     pub fn register_proxy(&mut self, vsite: &str, proxy: VisitProxyServer<Box<dyn FrameLink>>) {
         self.proxies
             .insert((vsite.to_string(), proxy.service.clone()), proxy);
     }
 
-    /// Access a registered proxy (to pump its simulation link).
-    pub fn proxy_mut(
+    /// Access a registered proxy (to pump its simulation link), as the
+    /// proxy tests drive it.
+    #[cfg(test)]
+    pub(crate) fn proxy_mut(
         &mut self,
         vsite: &str,
         service: &str,

@@ -182,11 +182,6 @@ impl Njs {
         }
         rec.outcome.as_ref()
     }
-
-    /// Number of stored jobs.
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
 }
 
 #[cfg(test)]
@@ -274,7 +269,7 @@ mod tests {
             after: vec![0],
         });
         assert!(njs.consign(ajo, "alice").is_err());
-        assert_eq!(njs.job_count(), 0);
+        assert!(njs.jobs.is_empty());
     }
 
     #[test]

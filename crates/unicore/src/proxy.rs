@@ -20,7 +20,6 @@
 //! *every* attached session reads, while steering parameters are accepted
 //! from the *master* session only.
 
-use crate::cert::digest;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Duration;
 use visit::link::{FrameLink, LinkError};
@@ -89,12 +88,6 @@ impl<L: FrameLink> VisitProxyServer<L> {
             next_session: 1,
             stats: ProxyStats::default(),
         }
-    }
-
-    /// Derive the per-job challenge from a job identifier the way the
-    /// gateway does (deterministic, shared by both ends).
-    pub fn challenge_for(job_token: &str) -> u64 {
-        digest(job_token.as_bytes())
     }
 
     /// Handle at most one frame from the simulation, waiting up to `poll`.
@@ -227,11 +220,6 @@ impl<L: FrameLink> VisitProxyServer<L> {
             }
         }
     }
-
-    /// Current log length (for tests / diagnostics).
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
 }
 
 /// The client-plugin end: maintains the latest data per tag for local
@@ -308,7 +296,7 @@ mod tests {
     fn rig() -> (SteeringClient<MemLink>, VisitProxyServer<MemLink>) {
         let (sim_side, proxy_side) = MemLink::pair();
         let pw = Password::Keyed("job-secret".into());
-        let challenge = VisitProxyServer::<MemLink>::challenge_for("job-17");
+        let challenge = crate::cert::digest(b"job-17");
         let mut proxy = VisitProxyServer::new("demo-steer", proxy_side, pw.clone(), challenge);
         let t = thread::spawn(move || {
             // pump until the Hello is answered
@@ -368,13 +356,13 @@ mod tests {
         let (c, mut proxy) = rig();
         let s = proxy.attach();
         let mut plugin = VisitProxyClient::new(s);
-        plugin.queue_param(TAG_PARAM, VisitValue::scalar_f64(0.07));
+        plugin.queue_param(TAG_PARAM, VisitValue::F64(vec![0.07]));
         plugin.poll_with(|sess, p| proxy.exchange(sess, p));
         // simulation requests; pump serves from param queue
         let sim = thread::spawn(move || {
             let mut c = c;
             let got = c.request(TAG_PARAM).unwrap();
-            assert_eq!(got, Some(VisitValue::scalar_f64(0.07)));
+            assert_eq!(got, Some(VisitValue::F64(vec![0.07])));
             c
         });
         // pump until request served
@@ -395,7 +383,7 @@ mod tests {
         let passive = proxy.attach();
         assert_eq!(proxy.master(), Some(master));
         let mut plugin = VisitProxyClient::new(passive);
-        plugin.queue_param(TAG_PARAM, VisitValue::scalar_f64(9.9));
+        plugin.queue_param(TAG_PARAM, VisitValue::F64(vec![9.9]));
         plugin.poll_with(|sess, p| proxy.exchange(sess, p));
         assert_eq!(proxy.stats().params_rejected, 1);
         assert_eq!(proxy.stats().params_accepted, 0);
@@ -406,7 +394,7 @@ mod tests {
         let (mut c, mut proxy) = rig();
         let s1 = proxy.attach();
         let s2 = proxy.attach();
-        c.send(TAG_DATA, VisitValue::scalar_i32(5)).unwrap();
+        c.send(TAG_DATA, VisitValue::I32(vec![5])).unwrap();
         proxy.pump(Duration::from_millis(100)).unwrap();
         let mut p1 = VisitProxyClient::new(s1);
         let mut p2 = VisitProxyClient::new(s2);
@@ -433,21 +421,21 @@ mod tests {
         let (mut c, mut proxy) = rig();
         let s = proxy.attach();
         for i in 0..10 {
-            c.send(TAG_DATA, VisitValue::scalar_i32(i)).unwrap();
+            c.send(TAG_DATA, VisitValue::I32(vec![i])).unwrap();
         }
         for _ in 0..10 {
             proxy.pump(Duration::from_millis(50)).unwrap();
         }
-        assert_eq!(proxy.log_len(), 10);
+        assert_eq!(proxy.log.len(), 10);
         let mut plugin = VisitProxyClient::new(s);
         plugin.poll_with(|sess, p| proxy.exchange(sess, p));
         proxy.compact();
-        assert_eq!(proxy.log_len(), 0);
+        assert_eq!(proxy.log.len(), 0);
         // new data still delivered after compaction
-        c.send(TAG_DATA, VisitValue::scalar_i32(99)).unwrap();
+        c.send(TAG_DATA, VisitValue::I32(vec![99])).unwrap();
         proxy.pump(Duration::from_millis(50)).unwrap();
         assert_eq!(plugin.poll_with(|sess, p| proxy.exchange(sess, p)), 1);
-        assert_eq!(plugin.latest(TAG_DATA), Some(&VisitValue::scalar_i32(99)));
+        assert_eq!(plugin.latest(TAG_DATA), Some(&VisitValue::I32(vec![99])));
     }
 
     #[test]

@@ -57,12 +57,6 @@ impl Password {
             Password::Keyed(_) => self.client_token(challenge) == token,
         }
     }
-
-    /// Whether the secret itself is visible on the wire (true only for the
-    /// paper's original clear-text mode — the property EV3 comments on).
-    pub fn leaks_secret(&self) -> bool {
-        matches!(self, Password::ClearText(_))
-    }
 }
 
 #[cfg(test)]
@@ -80,7 +74,6 @@ mod tests {
         let p = Password::ClearText("pepc2003".into());
         assert!(p.verify(b"pepc2003", 0));
         assert!(!p.verify(b"pepc2004", 0));
-        assert!(p.leaks_secret());
         // the clear-text token IS the password — the paper's weakness
         assert_eq!(p.client_token(123), b"pepc2003".to_vec());
     }
@@ -91,7 +84,6 @@ mod tests {
         let token = p.client_token(42);
         assert!(!token.windows(6).any(|w| w == b"s3cret"));
         assert!(p.verify(&token, 42));
-        assert!(!p.leaks_secret());
     }
 
     #[test]

@@ -144,21 +144,11 @@ impl<L: FrameLink> VisServer<L> {
         self.latest.get(&tag)
     }
 
-    /// Take (consume) the latest sample for `tag`.
-    pub fn take_latest(&mut self, tag: u32) -> Option<VisitValue> {
-        self.latest.remove(&tag)
-    }
-
     /// Queue a steering parameter for the simulation's next request on
     /// `tag` — this is "the user alters the miscibility" (§2.2) / "beam or
     /// laser parameters can be altered interactively" (§3.4).
     pub fn queue_param(&mut self, tag: u32, value: VisitValue) {
         self.pending.entry(tag).or_default().push_back(value);
-    }
-
-    /// Number of queued parameters for `tag`.
-    pub fn pending_count(&self, tag: u32) -> usize {
-        self.pending.get(&tag).map_or(0, |q| q.len())
     }
 
     /// Counters so far.
@@ -205,7 +195,7 @@ mod tests {
     #[test]
     fn steering_roundtrip_delivers_queued_param() {
         let (mut c, mut s) = pair();
-        s.queue_param(TAG_MISC, VisitValue::scalar_f64(0.08));
+        s.queue_param(TAG_MISC, VisitValue::F64(vec![0.08]));
         let server = thread::spawn(move || {
             let mut s = s;
             let out = s.serve_once(Duration::from_secs(1)).unwrap();
@@ -213,10 +203,10 @@ mod tests {
             s
         });
         let got = c.request(TAG_MISC).unwrap();
-        assert_eq!(got, Some(VisitValue::scalar_f64(0.08)));
+        assert_eq!(got, Some(VisitValue::F64(vec![0.08])));
         let s = server.join().unwrap();
         assert_eq!(s.stats().params_delivered, 1);
-        assert_eq!(s.pending_count(TAG_MISC), 0);
+        assert!(s.pending[&TAG_MISC].is_empty());
     }
 
     #[test]
@@ -236,8 +226,8 @@ mod tests {
     #[test]
     fn params_delivered_fifo() {
         let (mut c, mut s) = pair();
-        s.queue_param(TAG_MISC, VisitValue::scalar_f64(0.1));
-        s.queue_param(TAG_MISC, VisitValue::scalar_f64(0.2));
+        s.queue_param(TAG_MISC, VisitValue::F64(vec![0.1]));
+        s.queue_param(TAG_MISC, VisitValue::F64(vec![0.2]));
         let server = thread::spawn(move || {
             let mut s = s;
             for _ in 0..2 {
@@ -246,11 +236,11 @@ mod tests {
         });
         assert_eq!(
             c.request(TAG_MISC).unwrap(),
-            Some(VisitValue::scalar_f64(0.1))
+            Some(VisitValue::F64(vec![0.1]))
         );
         assert_eq!(
             c.request(TAG_MISC).unwrap(),
-            Some(VisitValue::scalar_f64(0.2))
+            Some(VisitValue::F64(vec![0.2]))
         );
         server.join().unwrap();
     }
@@ -259,7 +249,7 @@ mod tests {
     fn serve_until_idle_processes_burst() {
         let (mut c, mut s) = pair();
         for i in 0..5 {
-            c.send(i, VisitValue::scalar_i32(i as i32)).unwrap();
+            c.send(i, VisitValue::I32(vec![i as i32])).unwrap();
         }
         let handled = s.serve_until_idle(Duration::from_millis(20), 2);
         assert_eq!(handled, 5);
@@ -274,14 +264,5 @@ mod tests {
         c.close();
         let out = s.serve_once(Duration::from_millis(100)).unwrap();
         assert_eq!(out, ServeOutcome::Bye);
-    }
-
-    #[test]
-    fn take_latest_consumes() {
-        let (mut c, mut s) = pair();
-        c.send(TAG_FIELD, VisitValue::scalar_i32(1)).unwrap();
-        s.serve_once(Duration::from_millis(100)).unwrap();
-        assert!(s.take_latest(TAG_FIELD).is_some());
-        assert!(s.take_latest(TAG_FIELD).is_none());
     }
 }

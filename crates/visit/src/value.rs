@@ -9,9 +9,10 @@
 //!
 //! "Any data conversions (byte order, precision, integer-float) are
 //! performed transparently by the server" — [`VisitValue::decode`] performs
-//! byte-order conversion from the client's declared [`Endianness`], and the
-//! `to_f64` / `to_f32_lossy` / `to_i64` methods perform the
-//! precision/int-float conversions at the server's request.
+//! byte-order conversion from the client's declared [`Endianness`], and
+//! [`FrameView::integers_into`](crate::wire::FrameView::integers_into)
+//! performs the int-float conversion the steering plane reads integers
+//! through.
 
 use bytes::BufMut;
 
@@ -235,16 +236,6 @@ impl ValueRef<'_> {
 }
 
 impl VisitValue {
-    /// Scalar f64 convenience constructor.
-    pub fn scalar_f64(v: f64) -> VisitValue {
-        VisitValue::F64(vec![v])
-    }
-
-    /// Scalar i32 convenience constructor.
-    pub fn scalar_i32(v: i32) -> VisitValue {
-        VisitValue::I32(vec![v])
-    }
-
     /// The payload, borrowed.
     pub fn view(&self) -> ValueRef<'_> {
         match self {
@@ -292,51 +283,12 @@ impl VisitValue {
             DType::Bytes => return None,
         })
     }
-
-    /// Widening conversion to f64 (precision + integer-float conversion).
-    /// Integer values ≤ 2⁵³ convert exactly. Strings/bytes yield `None`.
-    pub fn to_f64(&self) -> Option<Vec<f64>> {
-        Some(match self {
-            VisitValue::I32(v) => v.iter().map(|&x| x as f64).collect(),
-            VisitValue::I64(v) => v.iter().map(|&x| x as f64).collect(),
-            VisitValue::F32(v) => v.iter().map(|&x| x as f64).collect(),
-            VisitValue::F64(v) => v.clone(),
-            _ => return None,
-        })
-    }
-
-    /// Narrowing conversion to f32 (lossy for doubles/large ints).
-    pub fn to_f32_lossy(&self) -> Option<Vec<f32>> {
-        Some(match self {
-            VisitValue::I32(v) => v.iter().map(|&x| x as f32).collect(),
-            VisitValue::I64(v) => v.iter().map(|&x| x as f32).collect(),
-            VisitValue::F32(v) => v.clone(),
-            VisitValue::F64(v) => v.iter().map(|&x| x as f32).collect(),
-            _ => return None,
-        })
-    }
-
-    /// Integer view; floats must be integral or `None` is returned.
-    pub fn to_i64(&self) -> Option<Vec<i64>> {
-        match self {
-            VisitValue::I32(v) => Some(v.iter().map(|&x| i64::from(x)).collect()),
-            VisitValue::I64(v) => Some(v.clone()),
-            VisitValue::F32(v) => v.iter().map(|&x| integral(f64::from(x))).collect(),
-            VisitValue::F64(v) => v.iter().map(|&x| integral(x)).collect(),
-            _ => None,
-        }
-    }
-}
-
-/// A float as an integer, when it is one (saturating at the `i64` range,
-/// as `as` does).
-pub(crate) fn integral(x: f64) -> Option<i64> {
-    (x.fract() == 0.0).then_some(x as i64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{Frame, FrameView, MsgKind};
     use bytes::BytesMut;
 
     fn roundtrip(v: &VisitValue, order: Endianness) -> VisitValue {
@@ -383,28 +335,24 @@ mod tests {
         assert!(VisitValue::decode(DType::Str, 2, Endianness::Little, &[0xFF, 0xFE]).is_none());
     }
 
-    #[test]
-    fn widening_is_exact_for_small_ints() {
-        let v = VisitValue::I64(vec![1 << 52, -(1 << 52), 7]);
-        let f = v.to_f64().unwrap();
-        assert_eq!(f, vec![(1i64 << 52) as f64, -((1i64 << 52) as f64), 7.0]);
+    /// The integers `value` reads as through a frame, if it holds `n`.
+    pub(super) fn integers(value: VisitValue, n: usize) -> Option<Vec<i64>> {
+        let wire = Frame::with_value(MsgKind::Data, 1, Endianness::Big, value).encode();
+        let mut out = vec![0; n];
+        FrameView::parse(&wire)?
+            .integers_into(&mut out)
+            .then_some(out)
     }
 
     #[test]
     fn int_float_conversion() {
-        let v = VisitValue::F64(vec![3.0, -4.0]);
-        assert_eq!(v.to_i64().unwrap(), vec![3, -4]);
-        let frac = VisitValue::F64(vec![3.5]);
-        assert!(frac.to_i64().is_none());
-        let s = VisitValue::Str("x".into());
-        assert!(s.to_f64().is_none());
-    }
-
-    #[test]
-    fn narrowing_is_lossy_but_defined() {
-        let v = VisitValue::F64(vec![1e300]);
-        let f = v.to_f32_lossy().unwrap();
-        assert!(f[0].is_infinite());
+        assert_eq!(
+            integers(VisitValue::F64(vec![3.0, -4.0]), 2),
+            Some(vec![3, -4])
+        );
+        assert_eq!(integers(VisitValue::F32(vec![-2.0]), 1), Some(vec![-2]));
+        assert_eq!(integers(VisitValue::F64(vec![3.5]), 1), None);
+        assert_eq!(integers(VisitValue::Str("x".into()), 1), None);
     }
 
     #[test]
@@ -443,6 +391,7 @@ mod props {
     //! for every dtype and byte order, length mismatches are rejected, and
     //! the server-side conversions are total (no panics) on any value.
 
+    use super::tests::integers;
     use super::*;
     use proptest::prelude::*;
 
@@ -524,9 +473,8 @@ mod props {
                 _ => raw[..raw.len() - raw.len() % elem].to_vec(),
             };
             let v = VisitValue::decode(dtype, buf.len() / elem, Endianness::Big, &buf).unwrap();
-            let _ = v.to_f64();
-            let _ = v.to_f32_lossy();
-            if let (Some(ints), VisitValue::I32(orig)) = (v.to_i64(), &v) {
+            let n = v.count();
+            if let (Some(ints), VisitValue::I32(orig)) = (integers(v.clone(), n), &v) {
                 prop_assert_eq!(ints, orig.iter().map(|&x| x as i64).collect::<Vec<i64>>());
             }
         }

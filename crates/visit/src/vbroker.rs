@@ -266,7 +266,7 @@ mod tests {
                 MsgKind::Reply,
                 TAG,
                 Endianness::Little,
-                VisitValue::scalar_f64(0.42),
+                VisitValue::F64(vec![0.42]),
             );
             mlink.send(&reply.encode()).unwrap();
         });
@@ -278,7 +278,7 @@ mod tests {
         let reply = sim.recv_timeout(Duration::from_millis(100)).unwrap();
         assert_eq!(
             Frame::decode(&reply).unwrap().value,
-            Some(VisitValue::scalar_f64(0.42))
+            Some(VisitValue::F64(vec![0.42]))
         );
         // the passive viewer saw no request
         let (_, passive) = &mut viewers[0];
@@ -362,7 +362,7 @@ mod tests {
                 MsgKind::Data,
                 TAG,
                 Endianness::Little,
-                VisitValue::scalar_i32(1),
+                VisitValue::I32(vec![1]),
             )
             .encode(),
         )

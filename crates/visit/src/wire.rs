@@ -19,7 +19,7 @@
 //! *payload* stays in client-native order and is converted server-side —
 //! the asymmetry that keeps the simulation cheap.
 
-use crate::value::{integral, DType, Element, Endianness, ValueRef, VisitValue};
+use crate::value::{DType, Element, Endianness, ValueRef, VisitValue};
 use bytes::BufMut;
 
 /// Fixed header size in bytes.
@@ -225,9 +225,8 @@ impl<'a> FrameView<'a> {
         self.text
     }
 
-    /// The payload as integers, converted as [`VisitValue::to_i64`]
-    /// converts (floats only when integral), into `out`; false unless it
-    /// holds exactly `out.len()` convertible numbers.
+    /// The payload as integers (floats only when integral), into `out`;
+    /// false unless it holds exactly `out.len()` convertible numbers.
     pub fn integers_into(&self, out: &mut [i64]) -> bool {
         fn fill<T: Element>(
             view: &FrameView<'_>,
@@ -261,6 +260,12 @@ impl<'a> FrameView<'a> {
                 .map(move |c| T::get(c, order))
         })
     }
+}
+
+/// A float as an integer, when it is one (saturating at the `i64` range,
+/// as `as` does).
+fn integral(x: f64) -> Option<i64> {
+    (x.fract() == 0.0).then_some(x as i64)
 }
 
 #[cfg(test)]
@@ -323,8 +328,8 @@ mod tests {
 
     #[test]
     fn a_nonzero_reserved_byte_is_rejected() {
-        let mut d = Frame::with_value(MsgKind::Data, 2, Endianness::Big, VisitValue::scalar_i32(7))
-            .encode();
+        let mut d =
+            Frame::with_value(MsgKind::Data, 2, Endianness::Big, VisitValue::I32(vec![7])).encode();
         d[3] = 1;
         assert!(Frame::decode(&d).is_none());
     }

@@ -43,12 +43,6 @@ impl Camera {
         (right, up, fwd)
     }
 
-    /// Transform a world point into view space (x right, y up, z forward).
-    pub fn to_view(&self, p: Vec3) -> Vec3 {
-        let (r, u, f) = self.basis();
-        view(p.sub(self.eye), r, u, f)
-    }
-
     /// The per-frame projection constants for a `width × height` target:
     /// the basis, `tan(fov/2)` and the aspect ratio, computed once instead
     /// of once per projected point.
@@ -172,7 +166,8 @@ mod tests {
         width: usize,
         height: usize,
     ) -> Option<(f32, f32, f32)> {
-        let v = c.to_view(p);
+        let (r, u, f) = c.basis();
+        let v = view(p.sub(c.eye), r, u, f);
         if v.z <= c.near {
             return None;
         }

@@ -18,7 +18,7 @@
 //! are identical at any parallelism — and frames smaller than one band
 //! (including the committed golden fixture) encode exactly as the serial
 //! codec did. A run crossing a band boundary is emitted as two pairs,
-//! which [`rle_decode`] reassembles transparently. The delta is never
+//! which the decoder reassembles transparently. The delta is never
 //! built: the run scan reads `frame ^ previous` as it goes, and the
 //! encoder's copy of the previous frame is refreshed in place.
 //!
@@ -182,10 +182,12 @@ fn run_len_swar<S: RunSource + ?Sized>(data: &S, i: usize, b: u8) -> usize {
 }
 
 /// Inverse of [`rle_encode`]. Returns `None` on malformed input. The
-/// reference expansion, bounded by nothing but its input (up to 255 bytes
-/// per pair); [`DeltaRleCodec::decode`] checks a frame's runs against the
-/// frame size before expanding them.
-pub fn rle_decode(data: &[u8]) -> Option<Vec<u8>> {
+/// reference expansion the codec tests compare against, bounded by
+/// nothing but its input (up to 255 bytes per pair);
+/// [`DeltaRleCodec::decode`] checks a frame's runs against the frame size
+/// before expanding them.
+#[cfg(test)]
+fn rle_decode(data: &[u8]) -> Option<Vec<u8>> {
     if !data.len().is_multiple_of(2) {
         return None;
     }

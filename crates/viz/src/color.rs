@@ -1,8 +1,6 @@
 //! Transfer-function colormaps.
 //!
-//! Mapping scalar data to colour is the COVISE `Colors` module's job; the
-//! PEPC visualization colours particles by processor number (§3.4). Two
-//! classic maps plus a categorical palette for processor domains.
+//! Mapping scalar data to colour is the COVISE `Colors` module's job.
 
 /// A colormap from `[0,1]` to RGBA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,34 +46,6 @@ impl ColorMap {
             255,
         ]
     }
-
-    /// Map a value from `[lo, hi]` (degenerate ranges map to midpoint).
-    pub fn map_range(self, v: f32, lo: f32, hi: f32) -> [u8; 4] {
-        if hi <= lo {
-            return self.map(0.5);
-        }
-        self.map((v - lo) / (hi - lo))
-    }
-}
-
-/// A categorical palette for labelling processor domains (§3.4 colours
-/// particles by "processor number"): 12 well-separated colours, cycled.
-pub fn domain_color(rank: usize) -> [u8; 4] {
-    const PALETTE: [[u8; 4]; 12] = [
-        [230, 25, 75, 255],
-        [60, 180, 75, 255],
-        [255, 225, 25, 255],
-        [0, 130, 200, 255],
-        [245, 130, 48, 255],
-        [145, 30, 180, 255],
-        [70, 240, 240, 255],
-        [240, 50, 230, 255],
-        [210, 245, 60, 255],
-        [250, 190, 190, 255],
-        [0, 128, 128, 255],
-        [170, 110, 40, 255],
-    ];
-    PALETTE[rank % PALETTE.len()]
 }
 
 #[cfg(test)]
@@ -99,24 +69,7 @@ mod tests {
     }
 
     #[test]
-    fn map_range_normalizes() {
-        let c1 = ColorMap::Grayscale.map_range(5.0, 0.0, 10.0);
-        assert_eq!(c1, ColorMap::Grayscale.map(0.5));
-        // degenerate range
-        let c2 = ColorMap::Grayscale.map_range(5.0, 3.0, 3.0);
-        assert_eq!(c2, ColorMap::Grayscale.map(0.5));
-    }
-
-    #[test]
     fn coolwarm_midpoint_is_white() {
         assert_eq!(ColorMap::CoolWarm.map(0.5), [255, 255, 255, 255]);
-    }
-
-    #[test]
-    fn domain_colors_distinct_and_cyclic() {
-        let a = domain_color(0);
-        let b = domain_color(1);
-        assert_ne!(a, b);
-        assert_eq!(domain_color(0), domain_color(12));
     }
 }

@@ -144,17 +144,6 @@ impl Field3 {
         )
     }
 
-    /// Minimum and maximum values.
-    pub fn min_max(&self) -> (f32, f32) {
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        for &v in &self.data {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        (lo, hi)
-    }
-
     /// Mean value.
     pub fn mean(&self) -> f32 {
         if self.data.is_empty() {
@@ -231,7 +220,6 @@ mod tests {
     #[test]
     fn min_max_and_mean() {
         let f = Field3::from_vec(2, 2, 1, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(f.min_max(), (1.0, 4.0));
         assert_eq!(f.mean(), 2.5);
     }
 

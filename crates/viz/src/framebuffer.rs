@@ -83,20 +83,6 @@ impl Framebuffer {
         self.pixels[i..i + 4].copy_from_slice(&rgba);
     }
 
-    /// Fraction of pixels that differ from `other` (both must have equal
-    /// dimensions) — used by frame-divergence measurements.
-    pub fn diff_fraction(&self, other: &Framebuffer) -> f64 {
-        assert_eq!(self.width, other.width);
-        assert_eq!(self.height, other.height);
-        let differing = self
-            .pixels
-            .chunks_exact(4)
-            .zip(other.pixels.chunks_exact(4))
-            .filter(|(a, b)| a != b)
-            .count();
-        differing as f64 / (self.width * self.height) as f64
-    }
-
     /// Serialize as a binary PPM (P6) image — the portable dump format used
     /// by the examples to let a human inspect rendered frames.
     pub fn to_ppm(&self) -> Vec<u8> {
@@ -143,17 +129,6 @@ mod tests {
                 assert_eq!(fb.get(x, y), [1, 2, 3, 4]);
             }
         }
-    }
-
-    #[test]
-    fn diff_fraction_counts_changes() {
-        let a = Framebuffer::new(10, 10);
-        let mut b = a.clone();
-        assert_eq!(a.diff_fraction(&b), 0.0);
-        for x in 0..5 {
-            b.set(x, 0, [9, 9, 9, 255]);
-        }
-        assert!((a.diff_fraction(&b) - 0.05).abs() < 1e-12);
     }
 
     #[test]

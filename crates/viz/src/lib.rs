@@ -2,11 +2,10 @@
 //!
 //! The paper's demonstrations depend on high-end visualization machinery
 //! that we rebuild in software: isosurface extraction of Lattice-Boltzmann
-//! order-parameter fields (§2.2), point/diamond/vector glyph rendering of
-//! PEPC particle clouds plus domain boxes (§3.4), an SGI OpenGL
-//! VizServer-style remote-rendering service that ships *compressed bitmaps*
-//! instead of geometry (§2.4), and the vic-style framebuffer streaming used
-//! by the vtkNetwork classes (§2.4).
+//! order-parameter fields (§2.2), an SGI OpenGL VizServer-style
+//! remote-rendering service that ships *compressed bitmaps* instead of
+//! geometry (§2.4), and the vic-style framebuffer streaming used by the
+//! vtkNetwork classes (§2.4).
 //!
 //! Modules:
 //! * [`field`] — regular-grid scalar fields ([`Field3`]) with trilinear
@@ -20,8 +19,6 @@
 //! * [`codec`] — delta + run-length framebuffer codec (the VizServer /
 //!   vtkNetwork "compressed bitmap" path) with byte accounting.
 //! * [`color`] — transfer-function colormaps.
-//! * [`glyph`] — particle glyph expansion (points, diamonds, velocity
-//!   vectors, time-history trails) and domain boxes.
 //! * [`vizserver`] — shared remote-render sessions: one render host, many
 //!   viewers receiving encoded frames, collaborative session semantics.
 //!
@@ -38,7 +35,6 @@ pub mod codec;
 pub mod color;
 pub mod field;
 pub mod framebuffer;
-pub mod glyph;
 pub mod mc;
 pub mod mesh;
 pub mod raster;

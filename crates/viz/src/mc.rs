@@ -148,18 +148,11 @@ fn extract_slab(field: &Field3, iso: f32, z: usize, mesh: &mut TriMesh) {
 }
 
 /// Extract the isosurface `field == iso` as a triangle mesh in lattice
-/// coordinates, on the default shared executor pool. Normals are per-face
-/// geometric normals; call [`TriMesh::recompute_normals`] for smooth
-/// shading, or use [`isosurface_smooth`] which orients and smooths using
-/// field gradients.
-pub fn isosurface(field: &Field3, iso: f32) -> TriMesh {
-    isosurface_with(&gridsteer_exec::global(), field, iso)
-}
-
-/// [`isosurface`] on an explicit executor pool. Extraction is parallel
-/// over one-cell-thick z-slabs; the slab meshes are concatenated in z
-/// order, reproducing the serial emission order exactly — the result is
-/// byte-identical for any thread count.
+/// coordinates, on `pool`. Normals are per-face geometric normals; use
+/// [`isosurface_smooth`] for normals oriented and smoothed by the field
+/// gradient. Extraction is parallel over one-cell-thick z-slabs; the slab
+/// meshes are concatenated in z order, reproducing the serial emission
+/// order exactly — the result is byte-identical for any thread count.
 pub fn isosurface_with(pool: &gridsteer_exec::ExecPool, field: &Field3, iso: f32) -> TriMesh {
     let (nx, ny, nz) = field.dims();
     let mut mesh = TriMesh::new();
@@ -217,6 +210,10 @@ fn grad_at(field: &Field3, p: Vec3) -> Vec3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn isosurface(field: &Field3, iso: f32) -> TriMesh {
+        isosurface_with(&gridsteer_exec::global(), field, iso)
+    }
 
     fn sphere_field(n: usize, r: f32) -> Field3 {
         let c = (n as f32 - 1.0) / 2.0;

@@ -1,6 +1,6 @@
 //! Triangle meshes.
 //!
-//! The output of isosurface extraction and glyph expansion; the "large and
+//! The output of isosurface extraction; the "large and
 //! complex data sets" of §1 that are "too large to be visualized on a laptop
 //! client" (§2.4). [`TriMesh::byte_size`] is the geometry-shipping cost used
 //! by the collaboration-traffic experiment (EC1): the paper's argument for
@@ -29,11 +29,6 @@ impl TriMesh {
     /// Number of triangles.
     pub fn tri_count(&self) -> usize {
         self.indices.len() / 3
-    }
-
-    /// Number of vertices.
-    pub fn vert_count(&self) -> usize {
-        self.vertices.len()
     }
 
     /// True if the mesh contains no triangles.
@@ -90,25 +85,10 @@ impl TriMesh {
         total
     }
 
-    /// Recompute per-vertex normals by area-weighted averaging of incident
-    /// face normals.
-    pub fn recompute_normals(&mut self) {
-        let mut acc = vec![Vec3::ZERO; self.vertices.len()];
-        for t in self.indices.chunks_exact(3) {
-            let a = self.vertices[t[0] as usize];
-            let b = self.vertices[t[1] as usize];
-            let c = self.vertices[t[2] as usize];
-            let fnorm = b.sub(a).cross(c.sub(a)); // length ∝ area
-            for &i in t {
-                acc[i as usize] = acc[i as usize].add(fnorm);
-            }
-        }
-        self.normals = acc.into_iter().map(Vec3::normalized).collect();
-    }
-
-    /// The canonical unit cube (12 triangles), used by domain-box glyphs
-    /// and tests.
-    pub fn unit_cube() -> TriMesh {
+    /// The canonical unit cube (12 triangles): the reference scene of the
+    /// mesh and rasterizer tests.
+    #[cfg(test)]
+    pub(crate) fn unit_cube() -> TriMesh {
         let mut m = TriMesh::new();
         let v = |x: f32, y: f32, z: f32| Vec3::new(x, y, z);
         // 6 faces, 2 triangles each, outward normals
@@ -160,7 +140,7 @@ mod tests {
             Vec3::new(0., 0., 1.),
         );
         assert_eq!(m.tri_count(), 1);
-        assert_eq!(m.vert_count(), 3);
+        assert_eq!(m.vertices.len(), 3);
         assert_eq!(m.byte_size(), 3 * 24 + 3 * 4);
     }
 
@@ -168,7 +148,7 @@ mod tests {
     fn merge_offsets_indices() {
         let mut a = TriMesh::unit_cube();
         let b = TriMesh::unit_cube();
-        let n = a.vert_count() as u32;
+        let n = a.vertices.len() as u32;
         a.merge(&b);
         assert_eq!(a.tri_count(), 24);
         assert!(a.indices[36..].iter().all(|&i| i >= n));
@@ -187,14 +167,5 @@ mod tests {
     fn empty_mesh_has_no_bounds() {
         assert!(TriMesh::new().bounds().is_none());
         assert!(TriMesh::new().is_empty());
-    }
-
-    #[test]
-    fn recomputed_normals_are_unit() {
-        let mut c = TriMesh::unit_cube();
-        c.recompute_normals();
-        for n in &c.normals {
-            assert!((n.len() - 1.0).abs() < 1e-5);
-        }
     }
 }

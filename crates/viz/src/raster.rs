@@ -1,8 +1,8 @@
 //! Z-buffered software rasterizer.
 //!
 //! Stands in for the SGI Onyx graphics pipes: renders triangle meshes
-//! (isosurfaces, domain boxes), points and lines (particle glyphs, velocity
-//! vectors) into a [`Framebuffer`] with flat Lambert shading. Per-frame cost
+//! (isosurfaces, domain boxes) into a [`Framebuffer`] with flat Lambert
+//! shading. Per-frame cost
 //! is real CPU work, which is exactly what the remote-vs-local rendering
 //! experiment (E42) needs: a render time that scales with scene complexity.
 //!
@@ -14,14 +14,12 @@
 //! triangles instead of testing every triangle of the mesh. Isosurface
 //! triangles are small (1.4 px of area in a 17 px box on `viz_fanout`'s
 //! frame), so this per-triangle overhead, not pixel work, is what a frame
-//! is made of. A line likewise steps only through the part of its
-//! projection that can land on the framebuffer.
+//! is made of.
 
 use crate::camera::Camera;
 use crate::framebuffer::Framebuffer;
 use crate::mesh::TriMesh;
 use crate::Vec3;
-use std::ops::RangeInclusive;
 
 /// Rasterizer state: framebuffer + z-buffer + light direction.
 pub struct Rasterizer {
@@ -60,67 +58,6 @@ impl Rasterizer {
     /// Take the framebuffer out (consumes the rasterizer).
     pub fn into_framebuffer(self) -> Framebuffer {
         self.fb
-    }
-
-    fn put(&mut self, x: usize, y: usize, z: f32, rgba: [u8; 4]) {
-        let w = self.fb.width();
-        if x >= w || y >= self.fb.height() {
-            return;
-        }
-        let i = y * w + x;
-        if z < self.zbuf[i] {
-            self.zbuf[i] = z;
-            self.fb.set(x, y, rgba);
-        }
-    }
-
-    /// Draw a world-space point as a small square splat.
-    pub fn draw_point(&mut self, cam: &Camera, p: Vec3, size: usize, rgba: [u8; 4]) {
-        if let Some((px, py, z)) = cam.project(p, self.fb.width(), self.fb.height()) {
-            let half = (size / 2) as isize;
-            for dy in -half..=half {
-                for dx in -half..=half {
-                    let x = px as isize + dx;
-                    let y = py as isize + dy;
-                    if x >= 0 && y >= 0 {
-                        self.put(x as usize, y as usize, z, rgba);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Draw a world-space line with DDA stepping: `steps + 1` samples one
-    /// pixel apart along the projected segment's longer axis. Only the
-    /// steps whose sample can land on the framebuffer are taken, widened by
-    /// one step each side (each sample is still bounds-checked), so an
-    /// off-screen stretch costs nothing however long it is; the samples
-    /// taken are exactly the ones the full walk would write.
-    pub fn draw_line(&mut self, cam: &Camera, a: Vec3, b: Vec3, rgba: [u8; 4]) {
-        let (w, h) = (self.fb.width(), self.fb.height());
-        let proj = cam.projector(w, h);
-        let (pa, pb) = match (proj.project(a), proj.project(b)) {
-            (Some(a), Some(b)) => (a, b),
-            _ => return, // conservative clip: skip lines crossing the near plane
-        };
-        let dx = pb.0 - pa.0;
-        let dy = pb.1 - pa.1;
-        let steps = dx.abs().max(dy.abs()).ceil().max(1.0) as usize;
-        let t = |i: usize| i as f32 / steps as f32;
-        let x = |i| pa.0 + dx * t(i);
-        let y = |i| pa.1 + dy * t(i);
-        let (Some(xs), Some(ys)) = (on_screen(steps, dx, w, x), on_screen(steps, dy, h, y)) else {
-            return;
-        };
-        let first = (*xs.start()).max(*ys.start()).saturating_sub(1);
-        let last = (*xs.end()).min(*ys.end()).saturating_add(1).min(steps);
-        for i in first..=last {
-            let (x, y) = (x(i), y(i));
-            let z = pa.2 + (pb.2 - pa.2) * t(i);
-            if x >= 0.0 && y >= 0.0 {
-                self.put(x as usize, y as usize, z, rgba);
-            }
-        }
     }
 
     /// Draw a mesh with flat Lambert shading in `base` colour, on the
@@ -186,61 +123,6 @@ impl Rasterizer {
             },
         );
     }
-}
-
-/// The steps `i ∈ 0..=steps` whose coordinate `c(i)` lands in `[0, n)` as
-/// [`Rasterizer::draw_line`]'s walk reads it (`c >= 0.0`, then
-/// `(c as usize) < n`), or `None` if there are none. `c(i)` is
-/// `a + d * (i / steps)` in `f32`, and every one of those roundings is
-/// monotone, so `c` is non-decreasing in `i` when `d >= 0` and
-/// non-increasing when `d < 0`: the range is found by bisection on the
-/// expression the walk evaluates, not by solving for it in exact
-/// arithmetic. A NaN `d` (a NaN endpoint) reaches no pixel.
-fn on_screen(
-    steps: usize,
-    d: f32,
-    n: usize,
-    c: impl Fn(usize) -> f32,
-) -> Option<RangeInclusive<usize>> {
-    let before = |i| {
-        let v = c(i);
-        v < 0.0 || v.is_nan()
-    };
-    let past = |i| {
-        let v = c(i);
-        v >= 0.0 && v as usize >= n
-    };
-    let (start, end) = if d >= 0.0 {
-        (first(steps, |i| !before(i))?, first(steps, past))
-    } else if d < 0.0 {
-        (first(steps, |i| !past(i))?, first(steps, before))
-    } else {
-        return None;
-    };
-    // `end` is the first step after the range; none means it runs to the end
-    match end {
-        None => Some(start..=steps),
-        Some(end) if end > start => Some(start..=end - 1),
-        Some(_) => None,
-    }
-}
-
-/// The first `i ∈ 0..=steps` at which `p` holds, for a `p` that is false
-/// then true along `0..=steps`; `None` if it never holds.
-fn first(steps: usize, p: impl Fn(usize) -> bool) -> Option<usize> {
-    if !p(steps) {
-        return None;
-    }
-    let (mut lo, mut hi) = (0, steps);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if p(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Some(lo)
 }
 
 /// Rows per rasterization band (fixed; see [`Rasterizer::draw_mesh_with`]).
@@ -501,28 +383,6 @@ mod reference {
             rgba,
         })
     }
-
-    /// One DDA step per projected pixel of the whole segment, on screen or
-    /// not.
-    pub(super) fn draw_line(r: &mut Rasterizer, cam: &Camera, a: Vec3, b: Vec3, rgba: [u8; 4]) {
-        let (w, h) = (r.fb.width(), r.fb.height());
-        let (pa, pb) = match (cam.project(a, w, h), cam.project(b, w, h)) {
-            (Some(a), Some(b)) => (a, b),
-            _ => return,
-        };
-        let dx = pb.0 - pa.0;
-        let dy = pb.1 - pa.1;
-        let steps = dx.abs().max(dy.abs()).ceil().max(1.0) as usize;
-        for i in 0..=steps {
-            let t = i as f32 / steps as f32;
-            let x = pa.0 + dx * t;
-            let y = pa.1 + dy * t;
-            let z = pa.2 + (pb.2 - pa.2) * t;
-            if x >= 0.0 && y >= 0.0 {
-                r.put(x as usize, y as usize, z, rgba);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -610,7 +470,7 @@ mod tests {
     fn the_viz_fanout_frame_is_the_reference_frame() {
         // LBM 16³, φ = 0, loopbench's camera (n = 16), its 256² target, and
         // sizes that are not multiples of 8 or of the 32-row band
-        let mesh = mc::isosurface(&lbm_phi(16), 0.0);
+        let mesh = mc::isosurface_with(&gridsteer_exec::global(), &lbm_phi(16), 0.0);
         assert_eq!(mesh.tri_count(), 3600);
         let n = 16.0;
         let cam = Camera::look_at(
@@ -623,7 +483,7 @@ mod tests {
 
     #[test]
     fn lbm_32c_isosurfaces_are_the_reference_frames_from_three_cameras() {
-        let mesh = mc::isosurface(&lbm_phi(32), 0.0);
+        let mesh = mc::isosurface_with(&gridsteer_exec::global(), &lbm_phi(32), 0.0);
         let c = Vec3::new(15.5, 15.5, 15.5);
         let outside = [
             Camera::look_at(Vec3::new(70.0, 54.0, -45.0), c),
@@ -683,59 +543,6 @@ mod tests {
         mesh.push_tri(v(0.1, 0.1, 0.5), v(0.9, 0.2, 0.4), v(0.4, 0.9, 0.6), n);
         let drawn = assert_fill_matches_reference(&mesh, &cam(), &[(64, 64), (37, 29), (1, 1)]);
         assert_eq!(drawn, 9, "only the triangle behind the eye is clipped");
-    }
-
-    /// Pixels and z bits after one `draw_line`, the fast walk and the
-    /// reference walk.
-    fn line_images(cam: &Camera, a: Vec3, b: Vec3) -> [(Vec<u8>, Vec<u32>); 2] {
-        let cam = &opaque(cam);
-        let mut fast = Rasterizer::new(64, 64);
-        let mut spec = Rasterizer::new(64, 64);
-        fast.draw_line(cam, a, b, [255, 255, 255, 255]);
-        reference::draw_line(&mut spec, cam, a, b, [255, 255, 255, 255]);
-        [image(&fast), image(&spec)]
-    }
-
-    #[test]
-    fn a_clipped_line_walk_writes_the_full_walks_pixels() {
-        let c = Camera::look_at(Vec3::new(0.0, 0.0, -5.0), Vec3::ZERO);
-        let v = Vec3::new;
-        let segments = [
-            // on screen, and crossing one, two and four edges
-            (v(-0.5, -0.3, 0.0), v(0.4, 0.6, 1.0)),
-            (v(0.0, 0.0, 0.0), v(30.0, 1.0, 0.0)),
-            (v(-30.0, 2.0, 0.0), v(30.0, -1.0, 2.0)),
-            (v(-30.0, -29.0, 0.0), v(31.0, 28.0, -1.0)),
-            (v(0.5, -40.0, 0.0), v(-0.2, 40.0, 0.0)),
-            // the issue's segment at k = 3
-            (v(0.0, 0.0, 0.0), v(1.0e3, 0.0, -4.98)),
-            // wholly off screen, on each side, and diagonally past a corner
-            (v(-50.0, 0.0, 0.0), v(-40.0, 5.0, 0.0)),
-            (v(40.0, -3.0, 0.0), v(60.0, 3.0, 0.0)),
-            (v(0.0, 40.0, 0.0), v(2.0, 90.0, 0.0)),
-            (v(-60.0, 10.0, 0.0), v(-10.0, 60.0, 0.0)),
-            // zero length, on and off screen; NaN endpoints
-            (v(0.2, 0.1, 0.0), v(0.2, 0.1, 0.0)),
-            (v(50.0, 50.0, 0.0), v(50.0, 50.0, 0.0)),
-            (v(f32::NAN, 0.0, 0.0), v(1.0, 0.0, 0.0)),
-            (v(0.0, 0.0, 0.0), v(f32::NAN, f32::NAN, 0.0)),
-            // crossing the near plane: skipped by both
-            (v(0.0, 0.0, 0.0), v(0.0, 0.0, -10.0)),
-        ];
-        for (a, b) in segments {
-            let [fast, spec] = line_images(&c, a, b);
-            assert!(fast == spec, "segment {a:?} → {b:?}");
-        }
-    }
-
-    #[test]
-    fn a_line_ten_million_pixels_long_draws_only_its_on_screen_pixels() {
-        // 10⁷ projected pixels: the full walk takes ~40 s in release
-        let c = Camera::look_at(Vec3::new(0.0, 0.0, -5.0), Vec3::ZERO);
-        let mut r = Rasterizer::new(64, 64);
-        r.draw_line(&c, Vec3::ZERO, Vec3::new(1.0e7, 0.0, -4.98), [255; 4]);
-        let lit = nonblack_pixels(r.framebuffer());
-        assert!((16..=64).contains(&lit), "{lit} pixels lit");
     }
 
     #[test]
@@ -849,16 +656,26 @@ mod tests {
         assert!(nonblack_pixels(r.framebuffer()) > 500);
     }
 
+    /// A square facing the camera, `[-0.5, 0.5]²` at depth `z`.
+    fn square_at(z: f32) -> TriMesh {
+        let v = |x, y| Vec3::new(x, y, z);
+        let n = Vec3::new(0.0, 0.0, -1.0);
+        let mut m = TriMesh::new();
+        m.push_tri(v(-0.5, -0.5), v(0.5, -0.5), v(0.5, 0.5), n);
+        m.push_tri(v(-0.5, -0.5), v(0.5, 0.5), v(-0.5, 0.5), n);
+        m
+    }
+
     #[test]
     fn nearer_geometry_occludes() {
         let mut r = Rasterizer::new(64, 64);
         r.clear([0, 0, 0, 255]);
         let c = Camera::look_at(Vec3::new(0.0, 0.0, -5.0), Vec3::ZERO);
-        // far red point then near green point at same screen location
-        r.draw_point(&c, Vec3::new(0.0, 0.0, 1.0), 3, [255, 0, 0, 255]);
-        r.draw_point(&c, Vec3::new(0.0, 0.0, -1.0), 3, [0, 255, 0, 255]);
-        let center = r.framebuffer().get(32, 32);
-        assert_eq!(center, [0, 255, 0, 255]);
+        // far red square then near green square over the same pixels
+        r.draw_mesh(&c, &square_at(1.0), [255, 0, 0, 255]);
+        r.draw_mesh(&c, &square_at(-1.0), [0, 255, 0, 255]);
+        let [red, green, ..] = r.framebuffer().get(32, 32);
+        assert!(green > 0 && red == 0, "{red} {green}");
     }
 
     #[test]
@@ -866,23 +683,10 @@ mod tests {
         let mut r = Rasterizer::new(64, 64);
         r.clear([0, 0, 0, 255]);
         let c = Camera::look_at(Vec3::new(0.0, 0.0, -5.0), Vec3::ZERO);
-        r.draw_point(&c, Vec3::new(0.0, 0.0, -1.0), 3, [0, 255, 0, 255]);
-        r.draw_point(&c, Vec3::new(0.0, 0.0, 1.0), 3, [255, 0, 0, 255]);
-        assert_eq!(r.framebuffer().get(32, 32), [0, 255, 0, 255]);
-    }
-
-    #[test]
-    fn line_draws_continuous_pixels() {
-        let mut r = Rasterizer::new(64, 64);
-        r.clear([0, 0, 0, 255]);
-        let c = Camera::look_at(Vec3::new(0.0, 0.0, -5.0), Vec3::ZERO);
-        r.draw_line(
-            &c,
-            Vec3::new(-1.0, 0.0, 0.0),
-            Vec3::new(1.0, 0.0, 0.0),
-            [255, 255, 255, 255],
-        );
-        assert!(nonblack_pixels(r.framebuffer()) > 10);
+        r.draw_mesh(&c, &square_at(-1.0), [0, 255, 0, 255]);
+        r.draw_mesh(&c, &square_at(1.0), [255, 0, 0, 255]);
+        let [red, green, ..] = r.framebuffer().get(32, 32);
+        assert!(green > 0 && red == 0, "{red} {green}");
     }
 
     #[test]

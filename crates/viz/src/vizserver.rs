@@ -14,7 +14,6 @@ use crate::codec::{DeltaRleCodec, EncodedFrame};
 use crate::framebuffer::Framebuffer;
 use crate::mesh::TriMesh;
 use crate::raster::Rasterizer;
-use crate::Vec3;
 use std::collections::BTreeSet;
 
 /// Identifies an attached viewer.
@@ -120,16 +119,6 @@ impl VizServerSession {
         self.controller
     }
 
-    /// Hand camera control to another attached viewer.
-    pub fn pass_control(&mut self, to: ViewerId) -> bool {
-        if self.viewers.contains(&to) {
-            self.controller = Some(to);
-            true
-        } else {
-            false
-        }
-    }
-
     /// A viewer requests a camera change; only the controller may steer.
     /// Returns `true` if applied.
     pub fn control(&mut self, from: ViewerId, camera: Camera) -> bool {
@@ -200,14 +189,15 @@ impl VizServerSession {
     }
 }
 
-/// Default demo camera looking at the unit cube.
-pub fn demo_camera() -> Camera {
-    Camera::look_at(Vec3::new(2.5, 2.0, -3.0), Vec3::new(0.5, 0.5, 0.5))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Vec3;
+
+    /// A camera looking at the unit cube.
+    fn demo_camera() -> Camera {
+        Camera::look_at(Vec3::new(2.5, 2.0, -3.0), Vec3::new(0.5, 0.5, 0.5))
+    }
 
     #[test]
     fn first_viewer_controls() {
@@ -228,17 +218,6 @@ mod tests {
         assert_eq!(s.controller(), Some(b));
         s.detach(b);
         assert_eq!(s.controller(), None);
-    }
-
-    #[test]
-    fn pass_control_only_to_attached() {
-        let mut s = VizServerSession::new(32, 32, demo_camera());
-        let a = s.attach();
-        let b = s.attach();
-        assert!(s.pass_control(b));
-        assert_eq!(s.controller(), Some(b));
-        s.detach(a);
-        assert!(!s.pass_control(a));
     }
 
     #[test]

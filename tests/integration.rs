@@ -70,14 +70,14 @@ fn visit_steering_changes_running_lbm() {
             Duration::from_secs(2),
         )
         .unwrap();
-        server.queue_param(TAG_MISC, VisitValue::scalar_f64(0.0));
+        server.queue_param(TAG_MISC, VisitValue::F64(vec![0.0]));
         server.serve_until_idle(Duration::from_millis(50), 4);
         server
     });
     let mut client = SteeringClient::connect(sim_link, &pw, 9, Duration::from_secs(2)).unwrap();
     for _ in 0..3 {
-        if let Ok(Some(v)) = client.request(TAG_MISC) {
-            sim.set_miscibility(v.to_f64().unwrap()[0]);
+        if let Ok(Some(VisitValue::F64(v))) = client.request(TAG_MISC) {
+            sim.set_miscibility(v[0]);
         }
         sim.step_n(2);
     }

@@ -2,10 +2,9 @@
 
 use gridsteer::lbm::{LbmConfig, TwoFluidLbm};
 use gridsteer::netsim::{EventQueue, SimTime};
-use gridsteer::pepc::{decompose, morton_key, morton_unkey, Particle};
 use gridsteer::unicore::{Ajo, Task};
 use gridsteer::visit::{Endianness, Frame, MsgKind, VisitValue};
-use gridsteer::viz::codec::{rle_decode, rle_encode, DeltaRleCodec};
+use gridsteer::viz::codec::DeltaRleCodec;
 use gridsteer::viz::Framebuffer;
 use proptest::prelude::*;
 
@@ -29,20 +28,6 @@ proptest! {
         prop_assert_eq!(Frame::decode(&f.encode()).unwrap(), f);
     }
 
-    /// Integer→float server-side conversion is exact below 2^53.
-    #[test]
-    fn widening_exact_below_2_53(v in -(1i64 << 53)..(1i64 << 53)) {
-        let val = VisitValue::I64(vec![v]);
-        let f = val.to_f64().unwrap()[0];
-        prop_assert_eq!(f as i64, v);
-    }
-
-    /// RLE roundtrips on arbitrary data.
-    #[test]
-    fn rle_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        prop_assert_eq!(rle_decode(&rle_encode(&data)).unwrap(), data);
-    }
-
     /// Delta+RLE codec reconstructs arbitrary frame sequences exactly.
     #[test]
     fn codec_stream_roundtrip(frames in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 64), 1..6)) {
@@ -54,33 +39,6 @@ proptest! {
             let e = enc.encode(&fb);
             let out = dec.decode(&e, 4, 4).unwrap();
             prop_assert_eq!(out, fb);
-        }
-    }
-
-    /// Morton keys are bijective on 21-bit coordinates.
-    #[test]
-    fn morton_bijective(x in 0u64..(1 << 21), y in 0u64..(1 << 21), z in 0u64..(1 << 21)) {
-        prop_assert_eq!(morton_unkey(morton_key(x, y, z)), (x, y, z));
-    }
-
-    /// Domain decomposition always partitions the particle set and stamps
-    /// consistent ranks, for any cloud and rank count.
-    #[test]
-    fn decomposition_partitions(n in 1usize..200, ranks in 1u16..9, seed in any::<u64>()) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut particles: Vec<Particle> = (0..n).map(|i| Particle::at(
-            [rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)],
-            1.0,
-            i as u32,
-        )).collect();
-        let domains = decompose(&mut particles, ranks);
-        let total: usize = domains.iter().map(|d| d.members.len()).sum();
-        prop_assert_eq!(total, n);
-        for d in &domains {
-            for &i in &d.members {
-                prop_assert_eq!(particles[i].rank, d.rank);
-            }
         }
     }
 
