@@ -656,7 +656,8 @@ pub fn exp_ev3_proxy() -> Vec<String> {
     rows
 }
 
-/// EP1 — PEPC O(N log N) vs direct O(N²).
+/// EP1 — PEPC O(N log N) vs direct O(N²), and the potential the tree walk
+/// sums against the exact pair sum.
 pub fn exp_ep1_pepc_scaling() -> Vec<String> {
     use rand::{Rng, SeedableRng};
     let mut rows = Vec::new();
@@ -683,6 +684,9 @@ pub fn exp_ep1_pepc_scaling() -> Vec<String> {
         let t0 = Instant::now();
         let _df = direct_forces(&particles, 0.05);
         let direct_time = t0.elapsed();
+        // the potential the tree walk summed against the exact pair sum
+        let u_direct = pepc::direct::potential_energy(&particles, 0.05);
+        let u_err = ((tree.last_potential() - u_direct) / u_direct).abs();
         let winner = if tree_time < direct_time {
             "tree"
         } else {
@@ -692,7 +696,7 @@ pub fn exp_ep1_pepc_scaling() -> Vec<String> {
             crossover_seen = true;
         }
         rows.push(format!(
-            "N={n:5}: tree {tree_time:?} ({} interactions) | direct {direct_time:?} ({} pairs) | winner: {winner} ({:.1}x)",
+            "N={n:5}: tree {tree_time:?} ({} interactions) | direct {direct_time:?} ({} pairs) | winner: {winner} ({:.1}x) | potential rel. err {u_err:.1e}",
             tree.last_interactions(),
             n * (n - 1),
             direct_time.as_secs_f64() / tree_time.as_secs_f64().max(1e-9)

@@ -359,9 +359,20 @@ fn payloads_into_cell() -> GateCell {
         std::hint::black_box(sim.monitor_payloads_into(&mut scratch));
     }
     let wall_us = t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64;
-    let digest = sim
-        .monitor_payloads_into(&mut scratch)
-        .into_iter()
+    GateCell {
+        cell: "payloads_into_32c".into(),
+        wall_us,
+        digest: hex(surface_digest(&sim, &mut scratch)),
+    }
+}
+
+/// The canonical frame bytes of `sim`'s monitor surface, numbered from 1,
+/// folded in channel order.
+fn surface_digest(
+    sim: &dyn steer_core::MonitorSource,
+    scratch: &mut steer_core::MonitorScratch,
+) -> u64 {
+    (sim.monitor_payloads_into(scratch).into_iter())
         .zip(1u64..)
         .fold(FNV_OFFSET, |h, (payload, seq)| {
             let frame = MonitorFrame {
@@ -373,12 +384,7 @@ fn payloads_into_cell() -> GateCell {
                 h,
                 &frame.try_to_bytes().expect("the surface fits the codec"),
             )
-        });
-    GateCell {
-        cell: "payloads_into_32c".into(),
-        wall_us,
-        digest: hex(digest),
-    }
+        })
 }
 
 /// One `deliver` + `recv` of the LBM 16³ publish set (three scalars, a
@@ -812,27 +818,28 @@ fn snap_viz() -> Vec<GateCell> {
     ]
 }
 
-/// The PEPC kernels `steer_storm` runs every tick, on every backend this
-/// CPU has, one worker: the tree force walk (`Octree::forces_with`) over
-/// the §3.4 plasma target at n = 100 (the workload's size) and n = 3000
-/// (where multipoles are accepted at every level), and the O(N²)
-/// potential energy the monitor publishes, at n = 100. A cell is the mean
-/// call of the fastest of five batches. A force digest folds every force
-/// bit and the interaction count, a potential digest the energy's bits;
-/// each must be the same on every backend.
+/// The PEPC work `steer_storm` runs every tick, one worker: the tree force
+/// walk (`Octree::forces_with`) over the §3.4 plasma target at n = 100
+/// (the workload's size) and n = 3000 (where multipoles are accepted at
+/// every level) on every backend this CPU has, and `step_monitor_n3000`,
+/// one `PepcSim::step` plus the monitor surface built from it, on the
+/// process-wide backend. A cell is the mean call of the fastest of five
+/// batches. A force digest folds every force bit and the interaction
+/// count, and must be the same on every backend; the step cell's digest
+/// folds the surface's frame bytes after its last call.
 fn snap_pepc() -> Vec<GateCell> {
+    use steer_core::{MonitorScratch, MonitorSource};
     const BATCHES: usize = 5;
     let pool = gridsteer_exec::shared(1);
     let plasma = |n: usize| {
-        let sim = pepc::PepcSim::new(pepc::PepcConfig {
+        pepc::PepcSim::new(pepc::PepcConfig {
             n_target: n,
             tree: pepc::TreeConfig {
                 threads: 1,
                 ..Default::default()
             },
             ..Default::default()
-        });
-        sim.particles().to_vec()
+        })
     };
     // µs per call of the fastest of five batches of `rounds` calls
     let time = |rounds: usize, call: &mut dyn FnMut()| {
@@ -852,8 +859,7 @@ fn snap_pepc() -> Vec<GateCell> {
         .filter(|b| b.on_this_cpu() == *b);
     let mut cells = Vec::new();
     for (n, rounds) in [(100usize, 200usize), (3000, 4)] {
-        let particles = plasma(n);
-        let mut tree = pepc::Octree::build(&particles, pepc::TreeConfig::default());
+        let mut tree = pepc::Octree::build(plasma(n).particles(), pepc::TreeConfig::default());
         for backend in backends.clone() {
             tree.set_backend(backend);
             let wall_us = time(rounds, &mut || {
@@ -869,20 +875,7 @@ fn snap_pepc() -> Vec<GateCell> {
             });
         }
     }
-    let particles = plasma(100);
-    let eps = pepc::TreeConfig::default().eps;
-    for backend in backends {
-        let energy = || pepc::direct::potential_energy_on(backend, &particles, eps);
-        let wall_us = time(200, &mut || {
-            std::hint::black_box(energy());
-        });
-        cells.push(GateCell {
-            cell: format!("potential_n100_{}", backend.label()),
-            wall_us,
-            digest: hex(fold(FNV_OFFSET, &energy().to_bits().to_le_bytes())),
-        });
-    }
-    for workload in ["forces_n100_", "forces_n3000_", "potential_n100_"] {
+    for workload in ["forces_n100_", "forces_n3000_"] {
         let mut digests = cells.iter().filter(|c| c.cell.starts_with(workload));
         let first = digests.next().expect("scalar always runs").digest.clone();
         assert!(
@@ -890,6 +883,17 @@ fn snap_pepc() -> Vec<GateCell> {
             "PEPC {workload}* digests diverged across backends: {cells:?}"
         );
     }
+    let mut sim = plasma(3000);
+    let mut scratch = MonitorScratch::default();
+    let wall_us = time(2, &mut || {
+        sim.step();
+        std::hint::black_box(sim.monitor_payloads_into(&mut scratch));
+    });
+    cells.push(GateCell {
+        cell: "step_monitor_n3000".into(),
+        wall_us,
+        digest: hex(surface_digest(&sim, &mut scratch)),
+    });
     cells
 }
 
@@ -1190,7 +1194,6 @@ mod tests {
             ("lbm", "collide_stream_t1_simd", false, false),
             ("lbm", "collide_stream_t8_scalar", false, false),
             ("pepc", "forces_n100_wide", false, true),
-            ("pepc", "potential_n100_wide", true, false),
             ("pepc", "forces_n3000_simd", false, false),
             ("viz", "raster_wide", false, false),
         ] {

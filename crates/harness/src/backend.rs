@@ -21,10 +21,11 @@ use steer_core::{MonitorHub, MonitorScratch, MonitorSource, ParamSpec, ParamValu
 /// charge (f32), rank (u16), tracking label (u32).
 const PEPC_PARTICLE_BYTES: usize = 12 + 12 + 4 + 2 + 4;
 
-/// A steerable simulation driven by the scenario engine.
+/// A steerable simulation driven by the scenario engine. Both states are
+/// boxed: the PEPC one (its octree inline) is twice the LBM's.
 pub(crate) enum Backend {
-    Lbm(TwoFluidLbm),
-    Pepc(PepcSim),
+    Lbm(Box<TwoFluidLbm>),
+    Pepc(Box<PepcSim>),
 }
 
 impl Backend {
@@ -32,14 +33,14 @@ impl Backend {
     /// `seed` (the scenario derives it from its own seed).
     pub(crate) fn new(spec: &BackendSpec, seed: u64) -> Backend {
         match spec {
-            BackendSpec::Lbm(cfg) => Backend::Lbm(TwoFluidLbm::new(LbmConfig {
+            BackendSpec::Lbm(cfg) => Backend::Lbm(Box::new(TwoFluidLbm::new(LbmConfig {
                 seed,
                 ..cfg.clone()
-            })),
-            BackendSpec::Pepc(cfg) => Backend::Pepc(PepcSim::new(PepcConfig {
+            }))),
+            BackendSpec::Pepc(cfg) => Backend::Pepc(Box::new(PepcSim::new(PepcConfig {
                 seed,
                 ..cfg.clone()
-            })),
+            }))),
         }
     }
 
@@ -99,8 +100,8 @@ impl Backend {
     /// the number of frames published.
     pub(crate) fn publish_monitor(&self, hub: &MonitorHub, scratch: &mut MonitorScratch) -> u64 {
         let source: &dyn MonitorSource = match self {
-            Backend::Lbm(s) => s,
-            Backend::Pepc(s) => s,
+            Backend::Lbm(s) => s.as_ref(),
+            Backend::Pepc(s) => s.as_ref(),
         };
         hub.publish_batch(source.monitor_step(), source.monitor_payloads_into(scratch))
     }
@@ -259,7 +260,7 @@ mod tests {
     fn pepc_backend_sample_scales_with_particles() {
         let sim = PepcSim::new(tiny_pepc());
         let bytes = sim.len() * PEPC_PARTICLE_BYTES;
-        check_advance(Backend::Pepc(sim), bytes);
+        check_advance(Backend::Pepc(Box::new(sim)), bytes);
     }
 
     #[test]

@@ -2,6 +2,9 @@
 //! baseline the tree code's O(N log N) is measured against (§3.4 claims
 //! the tree makes mesh-free simulation feasible at scales where this
 //! brute-force path is hopeless; experiment EP1 reproduces the crossover).
+//! Nothing in a loop calls it: the simulation's forces and the monitored
+//! potential both come from the tree walk, and these sums are its test
+//! oracle and EP1's exact side.
 
 use crate::Particle;
 
@@ -37,69 +40,20 @@ pub fn direct_forces(particles: &[Particle], eps: f64) -> Vec<[f64; 3]> {
 }
 
 /// Total electrostatic potential energy (softened):
-/// `U = Σ_{i<j} q_i q_j / sqrt(|r_ij|² + ε²)`, one fold in `(i, j)` order,
-/// on the process-wide [`lanes::backend`].
+/// `U = Σ_{i<j} q_i q_j / sqrt(|r_ij|² + ε²)`, one scalar fold in `(i, j)`
+/// order — the exact oracle for the U the tree walk sums
+/// ([`crate::tree::Octree::last_potential`]), which is what the monitor
+/// publishes.
 pub fn potential_energy(particles: &[Particle], eps: f64) -> f64 {
-    potential_energy_on(lanes::backend(), particles, eps)
-}
-
-/// [`potential_energy`] on `backend`. Every backend returns the scalar
-/// fold's bits: the lane-blocked kernel computes four pair terms at once
-/// and folds them into the one accumulator in `j` order. It has no AVX2
-/// build — that serial fold, not the arithmetic, bounds it, and a 256-bit
-/// version measured no faster — so `wide` runs it as `simd` does.
-pub fn potential_energy_on(backend: lanes::Backend, particles: &[Particle], eps: f64) -> f64 {
-    if backend.lane_blocked() {
-        potential_lanes(particles, eps)
-    } else {
-        potential_scalar(particles, eps)
-    }
-}
-
-/// One pair's term of the potential — the scalar reference.
-#[inline(always)]
-fn pair_potential(a: &Particle, b: &Particle, eps2: f64) -> f64 {
-    let dx = a.pos[0] - b.pos[0];
-    let dy = a.pos[1] - b.pos[1];
-    let dz = a.pos[2] - b.pos[2];
-    let r2 = dx * dx + dy * dy + dz * dz + eps2;
-    a.charge * b.charge / r2.sqrt()
-}
-
-/// The scalar fold, the spec.
-fn potential_scalar(particles: &[Particle], eps: f64) -> f64 {
     let eps2 = eps * eps;
     let mut u = 0.0;
     for (i, a) in particles.iter().enumerate() {
         for b in &particles[i + 1..] {
-            u += pair_potential(a, b, eps2);
-        }
-    }
-    u
-}
-
-/// The lane-blocked fold: [`pair_potential`] for four `j` at once, each
-/// lane the scalar operation sequence, then added to `u` lane by lane in
-/// `j` order (not a horizontal sum); the tail runs the scalar term.
-fn potential_lanes(particles: &[Particle], eps: f64) -> f64 {
-    use lanes::{F64x4, F64_LANES};
-    let eps2 = eps * eps;
-    let mut u = 0.0;
-    for (i, a) in particles.iter().enumerate() {
-        let mut quads = particles[i + 1..].chunks_exact(F64_LANES);
-        for b in &mut quads {
-            let lane = |f: fn(&Particle) -> f64| F64x4([f(&b[0]), f(&b[1]), f(&b[2]), f(&b[3])]);
-            let dx = F64x4::splat(a.pos[0]) - lane(|p| p.pos[0]);
-            let dy = F64x4::splat(a.pos[1]) - lane(|p| p.pos[1]);
-            let dz = F64x4::splat(a.pos[2]) - lane(|p| p.pos[2]);
-            let r2 = dx * dx + dy * dy + dz * dz + F64x4::splat(eps2);
-            let term = F64x4::splat(a.charge) * lane(|p| p.charge) / r2.sqrt();
-            for t in term.0 {
-                u += t;
-            }
-        }
-        for b in quads.remainder() {
-            u += pair_potential(a, b, eps2);
+            let dx = a.pos[0] - b.pos[0];
+            let dy = a.pos[1] - b.pos[1];
+            let dz = a.pos[2] - b.pos[2];
+            let r2 = dx * dx + dy * dy + dz * dz + eps2;
+            u += a.charge * b.charge / r2.sqrt();
         }
     }
     u

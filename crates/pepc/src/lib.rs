@@ -15,10 +15,12 @@
 //!   immediate insight into … the algorithmic workings of the parallel
 //!   tree code").
 //! * [`tree`] — the Barnes–Hut octree: build, monopole moments, multipole
-//!   acceptance criterion θ, force evaluation with Plummer softening,
-//!   parallel over particle chunks.
+//!   acceptance criterion θ, force evaluation with Plummer softening and
+//!   the potential energy summed in the same walk, parallel over particle
+//!   chunks.
 //! * [`direct`] — the O(N²) direct-summation baseline (accuracy reference
-//!   and the scaling comparison of experiment EP1).
+//!   for forces and potential, and the scaling comparison of experiment
+//!   EP1).
 //! * [`sim`] — the steered simulation: leapfrog integration, the §3.4
 //!   demo scenario ("a particle beam striking a spherical plasma target"),
 //!   and the interactively steerable parameters: beam charge/intensity and

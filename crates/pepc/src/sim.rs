@@ -147,6 +147,8 @@ pub struct PepcSim {
     /// Labels ≥ this are beam particles (feel the beam field).
     beam_label_start: u32,
     last_interactions: u64,
+    /// U from the last force evaluation's tree walk.
+    potential: f64,
 }
 
 impl PepcSim {
@@ -193,6 +195,7 @@ impl PepcSim {
             beam_label_start: u32::MAX,
             cfg,
             last_interactions: 0,
+            potential: 0.0,
         };
         sim.recompute_forces();
         sim
@@ -295,6 +298,7 @@ impl PepcSim {
         self.tree.rebuild(&self.particles);
         let mut forces = self.tree.forces_with(&self.pool);
         self.last_interactions = self.tree.last_interactions();
+        self.potential = self.tree.last_potential();
         for (f, p) in forces.iter_mut().zip(&self.particles) {
             let ext = self.external_force(p);
             for a in 0..3 {
@@ -340,10 +344,11 @@ impl PepcSim {
         self.particles.iter().map(Particle::kinetic).sum()
     }
 
-    /// Softened potential energy — O(N²), lane-blocked on the process-wide
-    /// backend; the monitor's `potential` channel reads it every publish.
+    /// Softened potential energy, O(1): the U the last force evaluation's
+    /// walk summed (θ-accurate; [`crate::direct::potential_energy`] is the
+    /// exact oracle). The monitor's `potential` channel reads it.
     pub fn potential_energy(&self) -> f64 {
-        crate::direct::potential_energy(&self.particles, self.cfg.tree.eps)
+        self.potential
     }
 
     /// Interactions performed in the last force evaluation.
@@ -408,7 +413,7 @@ impl PepcSim {
     /// Morton-sorts them, so order is part of the observable state — and
     /// cached forces ride along because they feed the next half-kick.
     pub fn save_sections(&self, snap: &mut CkptSnapshot) {
-        let mut w = SectionWriter::with_capacity(160);
+        let mut w = SectionWriter::with_capacity(176);
         w.put_u64(self.cfg.n_target as u64);
         w.put_f64(self.cfg.target_radius);
         w.put_f64(self.cfg.dt);
@@ -431,6 +436,7 @@ impl PepcSim {
         w.put_u32(self.next_label);
         w.put_u32(self.beam_label_start);
         w.put_u64(self.last_interactions);
+        w.put_f64(self.potential);
         snap.push(SEC_PEPC_META, 0, w.finish());
         let mut w = SectionWriter::with_capacity(self.particles.len() * PARTICLE_REC + 8);
         w.put_u64(self.particles.len() as u64);
@@ -475,24 +481,6 @@ impl PepcSim {
             ranks: r.get_u16()?,
             seed: r.get_u64()?,
         };
-        let refused = if cfg.tree.threads > gridsteer_exec::MAX_RESTORED_THREADS {
-            Some("thread count above MAX_RESTORED_THREADS")
-        } else if cfg.ranks == 0 {
-            Some("zero ranks")
-        } else if cfg.tree.leaf_cap == 0 {
-            Some("zero leaf capacity")
-        } else if !cfg.tree.theta.is_finite() {
-            Some("non-finite theta")
-        } else if !(cfg.tree.eps.is_finite() && cfg.tree.eps >= 0.0) {
-            Some("softening not a finite non-negative length")
-        } else {
-            None
-        };
-        if let Some(why) = refused {
-            return Err(CkptError::Corrupt {
-                context: format!("{SEC_PEPC_META}: {why}"),
-            });
-        }
         let params = SteerParams {
             beam_intensity: r.get_f64()?,
             beam_dir: [r.get_f64()?, r.get_f64()?, r.get_f64()?],
@@ -506,7 +494,28 @@ impl PepcSim {
         let next_label = r.get_u32()?;
         let beam_label_start = r.get_u32()?;
         let last_interactions = r.get_u64()?;
+        let potential = r.get_f64()?;
         r.expect_end()?;
+        let refused = if cfg.tree.threads > gridsteer_exec::MAX_RESTORED_THREADS {
+            Some("thread count above MAX_RESTORED_THREADS")
+        } else if cfg.ranks == 0 {
+            Some("zero ranks")
+        } else if cfg.tree.leaf_cap == 0 {
+            Some("zero leaf capacity")
+        } else if !cfg.tree.theta.is_finite() {
+            Some("non-finite theta")
+        } else if !(cfg.tree.eps.is_finite() && cfg.tree.eps >= 0.0) {
+            Some("softening not a finite non-negative length")
+        } else if !potential.is_finite() {
+            Some("non-finite potential energy")
+        } else {
+            None
+        };
+        if let Some(why) = refused {
+            return Err(CkptError::Corrupt {
+                context: format!("{SEC_PEPC_META}: {why}"),
+            });
+        }
         let mut r = snap.reader(SEC_PEPC_PARTICLES)?;
         let count = r.get_u64()? as usize;
         if count > r.remaining() / PARTICLE_REC {
@@ -550,6 +559,7 @@ impl PepcSim {
             beam_label_start,
             cfg,
             last_interactions,
+            potential,
         })
     }
 
@@ -720,6 +730,11 @@ mod tests {
         let decoded = CkptSnapshot::decode(&snap.encode()).unwrap();
         let mut b = PepcSim::from_snapshot(&decoded).unwrap();
         assert_eq!(b.step_count(), 5);
+        assert_eq!(
+            b.potential_energy().to_bits(),
+            a.potential_energy().to_bits(),
+            "the restored sim publishes the saved U"
+        );
         assert_eq!(b.params(), a.params());
         assert_eq!(beam_particles(&b), 10);
         a.step_n(5);
@@ -835,6 +850,16 @@ mod tests {
                 hostile.push((at, v.to_le_bytes().to_vec()));
             }
         }
+        // U, the last field of the section
+        let u_at = bytes.len() - 8;
+        assert_eq!(
+            bytes[u_at..],
+            sim.potential_energy().to_le_bytes(),
+            "the last 8 bytes are U"
+        );
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            hostile.push((u_at, v.to_le_bytes().to_vec()));
+        }
         for (at, value) in hostile {
             let mut bad = snap.clone();
             bad.sections[meta].bytes[at..at + value.len()].copy_from_slice(&value);
@@ -881,6 +906,24 @@ mod tests {
                 "count = {count}: {} bytes requested for an 8-byte section",
                 usage.largest
             );
+        }
+    }
+
+    #[test]
+    fn walk_potential_matches_the_direct_sum_to_its_documented_accuracy() {
+        // at the default θ: to rounding at n = 100, where the plasma is
+        // too small for a monopole to pass the acceptance test, and within
+        // 1e-2 at n = 1000 (1.7e-3..5.1e-3 over the first steps; 3.4e-2..
+        // 4.5e-2 at n = 3000, the accuracy the tree module documents)
+        for (n, bound) in [(100, 1e-12), (1000, 1e-2)] {
+            let mut sim = PepcSim::new(PepcConfig {
+                n_target: n,
+                ..PepcConfig::default()
+            });
+            sim.step();
+            let exact = crate::direct::potential_energy(sim.particles(), sim.cfg.tree.eps);
+            let rel = ((sim.potential_energy() - exact) / exact).abs();
+            assert!(rel <= bound, "n = {n}: relative error {rel:e} > {bound:e}");
         }
     }
 

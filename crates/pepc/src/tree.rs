@@ -19,18 +19,23 @@
 //! once per four consecutive leaf-order targets, one target per lane
 //! (`walk_group`). Each lane carries a mask bit: at every node each lane
 //! accepts or opens on its own, and a lane whose bit is clear — it
-//! accepted an ancestor, or the term is its own particle's — adds +0.0.
+//! accepted an ancestor, or the term is its own particle's — adds ±0.0.
 //! That is an exact no-op, because an accumulator that starts at +0.0 can
 //! never become −0.0, so each lane performs its scalar walk's operations
 //! in that walk's order, bit for bit. `simd` runs the group walk over the
 //! portable [`lanes::F64x4`]; `wide` runs the same source compiled for
 //! AVX2 (`chunk_groups_avx2`, the LBM sweeps' pattern).
 //!
+//! **Potential.** Each accepted node or leaf pair also adds `s · r²`
+//! (= qᵢqⱼ/r, softened) from the `s = qᵢqⱼ/r³` its force has, so a walk
+//! leaves U = ½ Σ qᵢφᵢ at the forces' accuracy: to rounding at θ = 0, ~5e-2
+//! relative at n = 3000 and the default θ. [`crate::direct`] is its oracle.
+//!
 //! Force evaluation is parallel over fixed chunks of leaf-order positions
 //! dispatched onto a persistent [`gridsteer_exec::ExecPool`] — the tree is
 //! immutable during traversal, so this is race-free, and the fixed
-//! chunk→target mapping makes the forces bit-identical for any thread
-//! count.
+//! chunk→target mapping makes the forces and U bit-identical for any
+//! thread count.
 
 // Component loops over `[f64; 3]` are written indexed (`for a in 0..3`);
 // that is the clearest spelling for moment accumulation.
@@ -129,9 +134,10 @@ pub struct Octree {
     /// [`lanes::backend`] switch, and is always what
     /// [`lanes::Backend::on_this_cpu`] resolved.
     backend: lanes::Backend,
-    /// Interaction counter from the last `forces` call (Σ node/particle
-    /// acceptances) — the work metric for the O(N log N) experiment.
-    pub interactions: AtomicU64,
+    /// Per force chunk, from the last `forces` call: its interaction count
+    /// (node/particle acceptances, the O(N log N) work metric) and the bits
+    /// of its targets' Σ qᵢφᵢ. Zeroed and sized by `rebuild`.
+    chunks: Vec<[AtomicU64; 2]>,
 }
 
 impl Octree {
@@ -147,7 +153,7 @@ impl Octree {
             q: Vec::new(),
             cfg,
             backend: lanes::backend(),
-            interactions: AtomicU64::new(0),
+            chunks: Vec::new(),
         };
         tree.rebuild(particles);
         tree
@@ -187,6 +193,9 @@ impl Octree {
         self.q
             .extend(self.order.iter().map(|&i| particles[i as usize].charge));
         self.q.resize(padded, 0.0);
+        self.chunks.clear();
+        self.chunks
+            .resize_with(n.div_ceil(Self::FORCE_GRAIN), Default::default);
     }
 
     /// Split node `idx` until its leaves are small, then set its monopole
@@ -307,13 +316,15 @@ impl Octree {
         self.backend = backend.on_this_cpu();
     }
 
-    /// Force on the particle at leaf-order position `p`, walking the tree
-    /// for it alone — the spec the group walk must match bit for bit.
-    fn walk_one(&self, p: usize) -> ([f64; 3], u64) {
+    /// Force on the particle at leaf-order position `p` and its potential
+    /// term qₚφₚ, walking the tree for it alone — the spec the group walk
+    /// must match bit for bit.
+    fn walk_one(&self, p: usize) -> ([f64; 3], f64, u64) {
         let (tx, ty, tz, tq) = (self.x[p], self.y[p], self.z[p], self.q[p]);
         let theta2 = self.cfg.theta * self.cfg.theta;
         let eps2 = self.cfg.eps * self.cfg.eps;
         let mut f = [0.0f64; 3];
+        let mut u = 0.0f64;
         let mut work = 0u64;
         let mut stack = [0u32; STACK];
         let mut top = 1;
@@ -334,6 +345,7 @@ impl Octree {
                     f[0] += s * dx;
                     f[1] += s * dy;
                     f[2] += s * dz;
+                    u += s * r2;
                     work += 1;
                 }
                 continue;
@@ -351,6 +363,7 @@ impl Octree {
                 f[0] += s * dx;
                 f[1] += s * dy;
                 f[2] += s * dz;
+                u += s * r2s;
                 work += 1;
             } else {
                 for ch in node.child_range() {
@@ -359,14 +372,15 @@ impl Octree {
                 }
             }
         }
-        (f, work)
+        (f, u, work)
     }
 
-    /// Forces on the `live` (1..=4) targets at leaf-order positions
-    /// `p..p + live`, one per lane, in one walk (see the module doc). A
-    /// stack entry carries the lanes that opened its parent.
+    /// Forces and potential terms of the `live` (1..=4) targets at
+    /// leaf-order positions `p..p + live`, one per lane, in one walk (see
+    /// the module doc). A stack entry carries the lanes that opened its
+    /// parent.
     #[inline(always)]
-    fn walk_group(&self, p: usize, live: usize) -> ([[f64; 4]; 3], u64) {
+    fn walk_group(&self, p: usize, live: usize) -> ([[f64; 4]; 3], [f64; 4], u64) {
         let target = |v: &[f64]| F64x4::from_slice(&v[p..]);
         let (tx, ty, tz, tq) = (
             target(&self.x),
@@ -376,13 +390,15 @@ impl Octree {
         );
         let theta2 = F64x4::splat(self.cfg.theta * self.cfg.theta);
         let eps2 = F64x4::splat(self.cfg.eps * self.cfg.eps);
-        let mut f = [F64x4::splat(0.0); 3];
-        // f += keep(qq / (r2·√r2) · d, on): one pair or monopole term
+        // F and φ in one array, so LLVM packs all four alike (a separate φ
+        // accumulator put lane reversals on the sqrt/divide path: +11 %)
+        let mut acc = [F64x4::splat(0.0); 4];
+        // acc += keep(qq / (r2·√r2), on) · [d, r2]: one pair or monopole term
         let mut pull = |d: [F64x4; 3], r2: F64x4, qq: F64x4, on: u8| {
-            let inv_r3 = F64x4::splat(1.0) / (r2 * r2.sqrt());
-            let s = qq * inv_r3;
-            for a in 0..3 {
-                f[a] += keep(s * d[a], on);
+            let s = keep(qq * (F64x4::splat(1.0) / (r2 * r2.sqrt())), on);
+            let terms = [d[0], d[1], d[2], r2];
+            for a in 0..4 {
+                acc[a] += s * terms[a];
             }
         };
         let mut work = 0u64;
@@ -424,7 +440,8 @@ impl Octree {
                 }
             }
         }
-        (f.map(F64x4::to_array), work)
+        let [fx, fy, fz, u] = acc.map(F64x4::to_array);
+        ([fx, fy, fz], u, work)
     }
 
     /// Fixed grain of the force evaluation, in leaf-order positions (a lane
@@ -434,35 +451,43 @@ impl Octree {
     const FORCE_GRAIN: usize = 64;
 
     /// The scalar walk over the targets at leaf-order positions
-    /// `p..p + out.len()`; returns the chunk's interaction count.
-    fn chunk_scalar(&self, p: usize, out: &mut [[f64; 3]]) -> u64 {
+    /// `p..p + out.len()`; returns the chunk's interaction count and its
+    /// Σ qᵢφᵢ in target order. φ is folded per chunk, not stored per target:
+    /// `[f64; 4]` output rows made LLVM vectorize the store across components
+    /// and left `chunk_groups_avx2` scalar (`vsqrtsd`/`vdivsd`, 3× slower,
+    /// every test green); CI checks its disassembly.
+    fn chunk_scalar(&self, p: usize, out: &mut [[f64; 3]]) -> (u64, f64) {
         let mut work = 0;
+        let mut u = 0.0;
         for (k, f) in out.iter_mut().enumerate() {
-            let (fk, w) = self.walk_one(p + k);
+            let (fk, uk, w) = self.walk_one(p + k);
             *f = fk;
+            u += uk;
             work += w;
         }
-        work
+        (work, u)
     }
 
     /// [`Octree::chunk_scalar`] one group walk per four targets.
     #[inline(always)]
-    fn chunk_groups(&self, p: usize, out: &mut [[f64; 3]]) -> u64 {
+    fn chunk_groups(&self, p: usize, out: &mut [[f64; 3]]) -> (u64, f64) {
         let mut work = 0;
+        let mut u = 0.0;
         for (g, group) in out.chunks_mut(F64_LANES).enumerate() {
-            let (f, w) = self.walk_group(p + g * F64_LANES, group.len());
+            let (f, ug, w) = self.walk_group(p + g * F64_LANES, group.len());
             for (l, fl) in group.iter_mut().enumerate() {
                 *fl = [f[0][l], f[1][l], f[2][l]];
+                u += ug[l];
             }
             work += w;
         }
-        work
+        (work, u)
     }
 
     /// [`Octree::chunk_groups`] compiled for AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn chunk_groups_avx2(&self, p: usize, out: &mut [[f64; 3]]) -> u64 {
+    fn chunk_groups_avx2(&self, p: usize, out: &mut [[f64; 3]]) -> (u64, f64) {
         self.chunk_groups(p, out)
     }
 
@@ -477,11 +502,10 @@ impl Octree {
     pub fn forces_with(&self, pool: &gridsteer_exec::ExecPool) -> Vec<[f64; 3]> {
         let n = self.order.len();
         let mut by_leaf = vec![[0.0f64; 3]; n];
-        let total_work = AtomicU64::new(0);
         let backend = self.backend;
         pool.parallel_chunks(&mut by_leaf, Self::FORCE_GRAIN, |ci, out| {
             let p = ci * Self::FORCE_GRAIN;
-            let work = match backend {
+            let (work, u) = match backend {
                 lanes::Backend::Scalar => self.chunk_scalar(p, out),
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: `self.backend` is always what `Backend::on_this_cpu`
@@ -491,11 +515,9 @@ impl Octree {
                 lanes::Backend::Wide => unsafe { self.chunk_groups_avx2(p, out) },
                 _ => self.chunk_groups(p, out),
             };
-            // u64 sum: order-independent, so the counter is deterministic
-            total_work.fetch_add(work, Ordering::Relaxed);
+            self.chunks[ci][0].store(work, Ordering::Relaxed);
+            self.chunks[ci][1].store(u.to_bits(), Ordering::Relaxed);
         });
-        self.interactions
-            .store(total_work.load(Ordering::Relaxed), Ordering::Relaxed);
         let mut out = vec![[0.0f64; 3]; n];
         for (f, &i) in by_leaf.iter().zip(&self.order) {
             out[i as usize] = *f;
@@ -505,7 +527,18 @@ impl Octree {
 
     /// Interactions counted in the last [`Octree::forces`] call.
     pub fn last_interactions(&self) -> u64 {
-        self.interactions.load(Ordering::Relaxed)
+        self.chunks
+            .iter()
+            .map(|c| c[0].load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Softened potential energy U = ½ Σ qᵢφᵢ of the last
+    /// [`Octree::forces`] call, its chunk sums folded in chunk order (so
+    /// the same bits at any pool width).
+    pub fn last_potential(&self) -> f64 {
+        let load = |c: &[AtomicU64; 2]| f64::from_bits(c[1].load(Ordering::Relaxed));
+        0.5 * self.chunks.iter().fold(0.0, |u, c| u + load(c))
     }
 }
 

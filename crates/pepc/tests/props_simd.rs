@@ -9,10 +9,10 @@
 //!   zero softening whose inf/NaN pair terms must stay in the lanes that
 //!   own them. Interaction-count equality pins that every backend and pool
 //!   width walked the same tree.
-//! * The potential energy: four pair terms at a time, folded in `j` order,
-//!   against the scalar fold.
+//! * The potential energy the walk sums alongside: the same bits on every
+//!   backend and pool width, and at θ = 0 the direct pair sum to rounding.
 
-use pepc::direct::potential_energy_on;
+use pepc::direct::potential_energy;
 use pepc::tree::{Octree, TreeConfig};
 use pepc::Particle;
 use proptest::prelude::*;
@@ -40,24 +40,31 @@ fn cloud(n: usize, seed: u64) -> Vec<Particle> {
         .collect()
 }
 
-/// Forces and interaction count of `particles` on every backend at pool
-/// widths 1 and 4, checked bit-equal to the scalar walk at width 1;
-/// returns the scalar forces.
-fn forces_agree(particles: &[Particle], cfg: TreeConfig) -> Vec<[f64; 3]> {
+/// Forces, interaction count and potential of `particles` on every
+/// backend at pool widths 1 and 8, checked bit-equal to the scalar walk at
+/// width 1; returns the scalar forces and potential.
+fn forces_agree(particles: &[Particle], cfg: TreeConfig) -> (Vec<[f64; 3]>, f64) {
     let mut tree = Octree::build(particles, cfg);
     tree.set_backend(lanes::Backend::Scalar);
     let one = gridsteer_exec::shared(1);
     let scalar = tree.forces_with(&one);
     let work_scalar = tree.last_interactions();
+    let u_scalar = tree.last_potential();
     for backend in lanes::Backend::ALL {
         tree.set_backend(backend);
-        for width in [1usize, 4] {
+        for width in [1usize, 8] {
             let lane = tree.forces_with(&gridsteer_exec::shared(width));
             let label = format!("{} at width {width}", backend.label());
             prop_assert_eq!(
                 work_scalar,
                 tree.last_interactions(),
                 "{} walked a different tree",
+                &label
+            );
+            prop_assert_eq!(
+                u_scalar.to_bits(),
+                tree.last_potential().to_bits(),
+                "{}: potential diverged",
                 &label
             );
             for (i, (a, b)) in scalar.iter().zip(&lane).enumerate() {
@@ -74,7 +81,7 @@ fn forces_agree(particles: &[Particle], cfg: TreeConfig) -> Vec<[f64; 3]> {
             }
         }
     }
-    scalar
+    (scalar, u_scalar)
 }
 
 proptest! {
@@ -125,42 +132,29 @@ proptest! {
             leaf_cap,
             threads: 1,
         };
-        let forces = forces_agree(&particles, cfg);
+        let (forces, _) = forces_agree(&particles, cfg);
         for (i, f) in forces[..n].iter().enumerate() {
             prop_assert!(f.iter().all(|v| v.is_finite()), "particle {} off the cluster: {:?}", i, f);
         }
     }
 
     #[test]
-    fn lane_blocked_potential_is_bit_identical_to_the_scalar_fold(
-        n in 0usize..=300,
+    fn at_theta_zero_the_walk_potential_is_the_direct_sum(
+        n in 2usize..=300,
         seed in 0u64..10_000,
-        draw in 0.0f64..0.2,
+        leaf_cap in 1usize..16,
+        eps in 0.01f64..0.2,
     ) {
-        // unsoftened in a fifth of the cases
-        let eps = if draw < 0.04 { 0.0 } else { draw };
         let particles = cloud(n, seed);
-        let scalar = potential_energy_on(lanes::Backend::Scalar, &particles, eps);
-        for backend in lanes::Backend::ALL {
-            let lane = potential_energy_on(backend, &particles, eps);
-            prop_assert_eq!(scalar.to_bits(), lane.to_bits(), "{} at n = {}", backend.label(), n);
-        }
-    }
-}
-
-#[test]
-fn potential_is_bit_identical_for_every_lane_remainder() {
-    for n in 0..=9 {
-        let particles = cloud(n, n as u64);
-        let scalar = potential_energy_on(lanes::Backend::Scalar, &particles, 0.05);
-        for backend in lanes::Backend::ALL {
-            let lane = potential_energy_on(backend, &particles, 0.05);
-            assert_eq!(
-                scalar.to_bits(),
-                lane.to_bits(),
-                "{} at n = {n}",
-                backend.label()
-            );
-        }
+        let cfg = TreeConfig {
+            theta: 0.0,
+            eps,
+            leaf_cap,
+            threads: 1,
+        };
+        let (_, u) = forces_agree(&particles, cfg);
+        let exact = potential_energy(&particles, eps);
+        let rel = ((u - exact) / exact).abs();
+        prop_assert!(rel <= 1e-12, "n = {}: walk {} vs direct {} (rel {:e})", n, u, exact, rel);
     }
 }
