@@ -31,7 +31,8 @@
 //! and delta decode of `viz_fanout`'s scene), and the PEPC kernels (the
 //! tree force walk at two particle counts and the O(N²) potential energy,
 //! each on every backend, whose digests must agree), and the scenario
-//! engine replaying a steer-dense PEPC session.
+//! engine replaying a steer-dense PEPC session and a checkpointed LBM
+//! session with viewers.
 
 use gridsteer_bus::{
     fnv1a as fold, FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame,
@@ -897,26 +898,51 @@ fn snap_pepc() -> Vec<GateCell> {
     cells
 }
 
-/// `Scenario::run` on a steer-dense PEPC session shaped like
-/// `steer_storm`'s twin: PEPC n = 100, eight participants over all five
-/// transports in two shards, each shard's master sending 8 batches of 4
-/// steers a tick (64 a tick) just before the tick that commits them, and
-/// the master token rotating every 50 ticks. The cell is the mean tick of
-/// the fastest of three runs, so it times the engine's bookkeeping (event
-/// order, staging, commit, audit) together with the physics it drives.
-/// The digest is the report digest.
+/// `Scenario::run` on two sessions, a cell each: a steer-dense PEPC one
+/// and a data-plane-dense LBM one. A cell is the mean tick of the fastest
+/// of three runs, so it times the engine's bookkeeping (event order,
+/// staging, commit, audit, fan-out, cuts) together with the physics it
+/// drives. The digest is the report digest.
 fn snap_scenario() -> Vec<GateCell> {
+    vec![storm_cell(), lbm_session_cell()]
+}
+
+/// The sample interval (one tick) of both scenario cells.
+const SCENARIO_TICK: netsim::SimTime = netsim::SimTime::from_millis(100);
+
+/// `s`'s report digest and its mean tick over `ticks` ticks, from the
+/// fastest of three runs after a warm-up; every replay must digest alike.
+fn time_scenario(s: &gridsteer_harness::Scenario, ticks: u64) -> (f64, String) {
+    const RUNS: usize = 3;
+    let digest = s.run().digest(); // warm-up
+    let wall_us = (0..RUNS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let report = s.run();
+            let us = t0.elapsed().as_secs_f64() * 1e6 / ticks as f64;
+            assert_eq!(report.digest(), digest, "a scenario replay diverged");
+            us
+        })
+        .fold(f64::INFINITY, f64::min);
+    (wall_us, digest)
+}
+
+/// A steer-dense PEPC session shaped like `steer_storm`'s twin: PEPC
+/// n = 100, eight participants over all five transports in two shards,
+/// each shard's master sending 8 batches of 4 steers a tick (64 a tick)
+/// just before the tick that commits them, and the master token rotating
+/// every 50 ticks. It has no viewer, so it sees no monitor cost.
+fn storm_cell() -> GateCell {
     use gridsteer_bus::Transport;
     use gridsteer_harness::Scenario;
     use netsim::{Link, SimTime};
     const TICKS: u64 = 300;
-    const RUNS: usize = 3;
     const PARAMS: [(&str, f64, f64); 3] = [
         ("laser_amplitude", 0.0, 0.02),
         ("beam_intensity", 0.0, 1.0),
         ("beam_theta", -1.0, 1.0),
     ];
-    let tick = SimTime::from_millis(100);
+    let tick = SCENARIO_TICK;
     let early = SimTime::from_millis(1);
     let names: Vec<String> = (0..8).map(|i| format!("p{i}")).collect();
     let mut s = Scenario::named("scenario_storm")
@@ -972,21 +998,71 @@ fn snap_scenario() -> Vec<GateCell> {
             }
         }
     }
-    let digest = s.run().digest(); // warm-up
-    let wall_us = (0..RUNS)
-        .map(|_| {
-            let t0 = Instant::now();
-            let report = s.run();
-            let us = t0.elapsed().as_secs_f64() * 1e6 / TICKS as f64;
-            assert_eq!(report.digest(), digest, "a scenario replay diverged");
-            us
-        })
-        .fold(f64::INFINITY, f64::min);
-    vec![GateCell {
+    let (wall_us, digest) = time_scenario(&s, TICKS);
+    GateCell {
         cell: format!("storm_pepc100_{TICKS}t"),
         wall_us,
         digest,
-    }]
+    }
+}
+
+/// An LBM session shaped like `viz_fanout` and `ckpt_recover` together:
+/// LBM 16³ at one step a tick, one participant steering the miscibility
+/// every 10 ticks, a relay tier, one viewer per middleware adapter (two
+/// under the relay, two on the origin hub), a checkpoint cut every 3rd
+/// tick and one crash + restore. One step a tick means the monitor
+/// publishes, and the cuts save, the solver's storage in both layouts,
+/// and the restore lands on an odd step count.
+fn lbm_session_cell() -> GateCell {
+    use gridsteer_bus::Transport;
+    use gridsteer_harness::Scenario;
+    use netsim::{Link, SimTime};
+    const TICKS: u64 = 120;
+    const CRASH_AFTER: u64 = 63;
+    let at = |t: u64| SimTime::from_nanos(SCENARIO_TICK.as_nanos() * t);
+    let mut s = Scenario::named("scenario_lbm")
+        .seed(3002)
+        .pool(gridsteer_exec::shared(1))
+        .sample_every(SCENARIO_TICK)
+        .duration(at(TICKS))
+        .lbm(lbm::LbmConfig {
+            nx: 16,
+            ny: 16,
+            nz: 16,
+            threads: 1,
+            ..Default::default()
+        })
+        .participant_via("steerer", Link::loopback(), Transport::Visit)
+        .relay("region", Link::campus())
+        .checkpoint_every(at(3));
+    let adapters = [
+        Transport::Visit,
+        Transport::Ogsa,
+        Transport::Covise,
+        Transport::Unicore,
+    ];
+    for (i, transport) in adapters.into_iter().enumerate() {
+        let name = format!("viewer_{}", transport.label());
+        s = match i % 2 {
+            0 => s.viewer_at_relay(&name, "region", Link::uk_janet(), transport),
+            _ => s.viewer_via(&name, Link::uk_janet(), transport),
+        };
+    }
+    for t in (5..TICKS).step_by(10) {
+        let m = if t % 20 == 5 { 0.3 } else { 0.5 };
+        s = s.steer_at(at(t), "steerer", "miscibility", m);
+    }
+    // between two sample ticks, right after the tick's cut
+    let crash = at(CRASH_AFTER) + SimTime::from_millis(10);
+    s = s
+        .crash_at(crash)
+        .restore_at(crash + SimTime::from_millis(10));
+    let (wall_us, digest) = time_scenario(&s, TICKS);
+    GateCell {
+        cell: format!("session_lbm16_{TICKS}t"),
+        wall_us,
+        digest,
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@
 //!
 //! Parallelism follows the paper's platform (an SGI Onyx running the code
 //! across processors): slab decomposition over z, with a two-sweep step
-//! (force + collide + push-stream in one pass, then the moments of the
-//! new state, which every observer of the lattice reads; see [`sim`])
+//! (force + collide + stream in place in one pass, then the moments of
+//! the new state, which every observer of the lattice reads; see [`sim`])
 //! that is race-free by construction. The sweeps dispatch
 //! whole-z-plane tasks onto a persistent [`gridsteer_exec::ExecPool`] —
 //! no thread spawning on the step hot path — and the fixed task→plane
