@@ -9,9 +9,9 @@
 //!   plus [`params::SteerTarget`], the one steering surface both
 //!   paper codes implement (the LB fluid's miscibility, §2.2; PEPC's
 //!   beam/laser/damping, §3.4).
-//! * [`session`] — [`session::SteeringSession`]: participants with roles
-//!   (master / steerer / viewer), master-token passing (the vbroker
-//!   semantics lifted to session level), and the event log that is the one
+//! * [`session`] — [`session::SteeringSession`]: participants, one of
+//!   whom holds the master token (`visit::MasterToken`, the vbroker's
+//!   rule, keyed by join order), and the event log that is the one
 //!   record of every applied steer and broadcast sample.
 //! * [`monitor`] — the feedback-loop budgets of §4.2–4.4 (VR rendering,
 //!   desktop rendering, post-processing, simulation) as checkable
@@ -48,4 +48,4 @@ pub use params::{
     SteerTarget,
 };
 pub use server::{ClientHandle, CollabServer};
-pub use session::{Participant, Role, SessionEvent, SteeringSession};
+pub use session::{Participant, SessionEvent, SteeringSession};

@@ -21,7 +21,7 @@
 //! and a frame that does not parse drops its sender with the reason.
 
 use crate::params::ParamValue;
-use crate::session::{Role, SteeringSession};
+use crate::session::SteeringSession;
 use gridsteer_bus::visit::{RecvError, Reply, Request, VisitWire};
 use gridsteer_bus::{SteerCommand, SteerError};
 use parking_lot::Mutex;
@@ -170,9 +170,9 @@ impl Attachment {
         let me = self.name.as_deref().and_then(|name| s.index_of(name));
         let outcome = match request {
             Request::Join(base) => {
-                let joined = s.join_unique(&base);
-                let master = joined.role == Role::Master;
-                let name = joined.name.clone();
+                let idx = s.join_unique(&base);
+                let master = s.master() == Some(idx);
+                let name = s.participant(idx).expect("just joined").name.clone();
                 self.name = Some(name.clone());
                 Ok(Reply::Welcome { name, master })
             }

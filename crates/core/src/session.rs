@@ -1,35 +1,22 @@
 //! Collaborative steering sessions.
 //!
-//! The session layer merges the paper's two collaboration models: the
-//! vbroker master semantics of §3.3 ("only that master is able to actively
-//! steer the application. The master-role can be moved … allowing for a
-//! coordinated cooperative steering") and the role split of §3.3's control
-//! server ("one role allows to change visualization parameters … a second
-//! role is just for passive viewers").
+//! The session applies the vbroker master semantics of §3.3 ("only that
+//! master is able to actively steer the application. The master-role can
+//! be moved … allowing for a coordinated cooperative steering") through a
+//! [`MasterToken`] keyed by join order; every other participant watches
+//! and may be handed the token.
 
 use crate::params::{ParamRegistry, ParamValue, SharedRegistry};
 use gridsteer_bus::{BoundedLog, LogEntry, Names, SteerCommand};
 use gridsteer_ckpt::{CkptError, SectionReader, SectionWriter, Snapshot};
 use std::sync::Arc;
-
-/// What a participant may do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// Holds the steering token: may change simulation parameters.
-    Master,
-    /// May request the token and change visualization parameters.
-    Steerer,
-    /// Watches only.
-    Viewer,
-}
+use visit::MasterToken;
 
 /// A session participant.
 #[derive(Debug, Clone)]
 pub struct Participant {
     /// Display name.
     pub name: String,
-    /// Current role.
-    pub role: Role,
     /// Monotone join sequence number — lower means longer-joined. A
     /// participant that leaves and rejoins gets a fresh (higher) number.
     pub joined_seq: u64,
@@ -68,6 +55,9 @@ pub enum SessionEvent {
 /// The collaborative steering session.
 pub struct SteeringSession {
     participants: Vec<Participant>,
+    /// Who steers, keyed by `joined_seq`: the lowest remaining one is the
+    /// longest-joined participant.
+    token: MasterToken<u64>,
     /// The shared parameter registry — a [`SharedRegistry`] handle, so a
     /// steering-bus hub and this session can be one authority.
     pub params: SharedRegistry,
@@ -88,6 +78,7 @@ impl SteeringSession {
     pub fn with_registry(params: SharedRegistry) -> Self {
         SteeringSession {
             participants: Vec::new(),
+            token: MasterToken::default(),
             params,
             events: BoundedLog::default(),
             sample_seq: 0,
@@ -96,18 +87,13 @@ impl SteeringSession {
     }
 
     /// Join; the first participant becomes master, later ones join as
-    /// viewers (they can be promoted).
+    /// viewers (they can be handed the token).
     pub fn join(&mut self, name: &str) -> usize {
-        let role = if self.participants.iter().any(|p| p.role == Role::Master) {
-            Role::Viewer
-        } else {
-            Role::Master
-        };
         let joined_seq = self.join_counter;
         self.join_counter += 1;
+        self.token.arrive(joined_seq);
         self.participants.push(Participant {
             name: name.to_string(),
-            role,
             joined_seq,
             who: Arc::from(name),
         });
@@ -117,49 +103,36 @@ impl SteeringSession {
 
     /// Join under `base`, or under `base-1`, `base-2`, … if the name is
     /// taken: names identify participants, so they stay unique. Returns
-    /// the new participant.
-    pub fn join_unique(&mut self, base: &str) -> &Participant {
+    /// the new participant's index.
+    pub fn join_unique(&mut self, base: &str) -> usize {
         let mut name = base.to_string();
         let mut k = 1;
         while self.index_of(&name).is_some() {
             name = format!("{base}-{k}");
             k += 1;
         }
-        let idx = self.join(&name);
-        &self.participants[idx]
+        self.join(&name)
     }
 
-    /// Leave. If the master leaves, the token deterministically passes to
-    /// the longest-joined remaining participant — smallest `joined_seq`,
-    /// not vector position — and a [`SessionEvent::MasterPassed`] is
-    /// emitted (auto-promotion: the session must stay steerable, mirroring
-    /// the vbroker rule).
-    pub fn leave(&mut self, idx: usize) {
-        if idx >= self.participants.len() {
-            return;
-        }
-        let was_master = self.participants[idx].role == Role::Master;
-        let name = self.participants.remove(idx).name;
-        self.events.push(SessionEvent::Left(name.clone()));
-        if was_master {
-            if let Some(next) = self.participants.iter_mut().min_by_key(|p| p.joined_seq) {
-                next.role = Role::Master;
-                let to = next.name.clone();
-                self.events
-                    .push(SessionEvent::MasterPassed { from: name, to });
-            }
-        }
-    }
-
-    /// Leave by name. Returns false if no such participant is present.
+    /// Leave by name; false if no such participant is present. If the
+    /// master leaves, the token deterministically passes to the
+    /// longest-joined remaining participant — smallest `joined_seq`, not
+    /// vector position — and a [`SessionEvent::MasterPassed`] is emitted
+    /// (auto-promotion: the session must stay steerable, the vbroker rule).
     pub fn leave_by_name(&mut self, name: &str) -> bool {
-        match self.index_of(name) {
-            Some(idx) => {
-                self.leave(idx);
-                true
-            }
-            None => false,
+        let Some(idx) = self.index_of(name) else {
+            return false;
+        };
+        let gone = self.participants.remove(idx);
+        self.events.push(SessionEvent::Left(gone.name.clone()));
+        let remaining = self.participants.iter().map(|p| p.joined_seq);
+        let heir = self.token.depart(gone.joined_seq, remaining);
+        if let Some(heir) = heir.and_then(|_| self.master()) {
+            let to = self.participants[heir].name.clone();
+            let from = gone.name;
+            self.events.push(SessionEvent::MasterPassed { from, to });
         }
+        true
     }
 
     /// Number of participants.
@@ -184,34 +157,34 @@ impl SteeringSession {
 
     /// Index of the current master.
     pub fn master(&self) -> Option<usize> {
+        let holder = self.token.holder()?;
         self.participants
             .iter()
-            .position(|p| p.role == Role::Master)
+            .position(|p| p.joined_seq == holder)
     }
 
-    /// Number of participants holding the master role. The session
-    /// maintains exactly one whenever anyone is present and zero when
-    /// empty — an invariant-oracle probe, not a lookup (use
+    /// Number of present participants holding the master role: one
+    /// whenever anyone is present and zero when empty — an
+    /// invariant-oracle probe, not a lookup (use
     /// [`SteeringSession::master`] for that).
     pub fn master_count(&self) -> usize {
-        self.participants
-            .iter()
-            .filter(|p| p.role == Role::Master)
-            .count()
+        usize::from(self.master().is_some())
     }
 
-    /// Pass the master token. Only the current master may pass it, and
-    /// only to a present participant.
+    /// True if `p` holds the token.
+    fn is_master(&self, p: &Participant) -> bool {
+        self.token.holder() == Some(p.joined_seq)
+    }
+
+    /// Pass the master token ([`MasterToken::pass`]): only the current
+    /// master may pass it, and only to another present participant.
     pub fn pass_master(&mut self, from: usize, to: usize) -> bool {
-        if from == to
-            || from >= self.participants.len()
-            || to >= self.participants.len()
-            || self.participants[from].role != Role::Master
-        {
+        let (Some(f), Some(t)) = (self.participants.get(from), self.participants.get(to)) else {
+            return false;
+        };
+        if !self.token.pass(f.joined_seq, t.joined_seq, true) {
             return false;
         }
-        self.participants[from].role = Role::Steerer;
-        self.participants[to].role = Role::Master;
         self.events.push(SessionEvent::MasterPassed {
             from: self.participants[from].name.clone(),
             to: self.participants[to].name.clone(),
@@ -232,7 +205,7 @@ impl SteeringSession {
             return Err("no such participant".into());
         };
         let who = p.who.clone();
-        let (param, outcome) = if p.role == Role::Master {
+        let (param, outcome) = if self.is_master(p) {
             self.params.steer(param, value)
         } else {
             (self.params.intern(param), Err("not the master".to_string()))
@@ -267,7 +240,7 @@ impl SteeringSession {
             return Err("no such participant".into());
         };
         let who = p.who.clone();
-        if p.role != Role::Master {
+        if !self.is_master(p) {
             let reason = "not the master".to_string();
             // log every refused command, not just the first — the audit
             // trail must account for the whole batch
@@ -338,11 +311,8 @@ impl SteeringSession {
         w.put_u32(self.participants.len() as u32);
         for p in &self.participants {
             w.put_str(&p.name);
-            w.put_u8(match p.role {
-                Role::Master => 0,
-                Role::Steerer => 1,
-                Role::Viewer => 2,
-            });
+            // the role byte: 0 the master, 2 a viewer (1 was a former master)
+            w.put_u8(if self.is_master(p) { 0 } else { 2 });
             w.put_u64(p.joined_seq);
         }
         self.events.save_into(&mut w);
@@ -354,7 +324,9 @@ impl SteeringSession {
     /// stay one authority). Roles, seniority, the audit log and every
     /// counter resume exactly where the checkpoint cut them — a
     /// rejoining participant still gets a fresh `joined_seq`, and the
-    /// next sample broadcast continues the sequence.
+    /// next sample broadcast continues the sequence. A participant list
+    /// that is not empty must name exactly one master, or the section is
+    /// [`CkptError::Corrupt`].
     pub fn restore_sections(
         snap: &Snapshot,
         name: &str,
@@ -365,31 +337,41 @@ impl SteeringSession {
         let join_counter = r.get_u64()?;
         let nparts = r.get_u32()?;
         let mut participants = Vec::new();
+        let (mut token, mut masters) = (MasterToken::default(), 0);
         // participants and audit entries share one allocation per name
         let mut names = Names::default();
         for _ in 0..nparts {
             let pname = r.get_str()?;
-            let role = match r.get_u8()? {
-                0 => Role::Master,
-                1 => Role::Steerer,
-                2 => Role::Viewer,
+            let master = match r.get_u8()? {
+                0 => true,
+                1 | 2 => false,
                 _ => {
                     return Err(CkptError::Corrupt {
                         context: format!("session {name}: role byte"),
                     })
                 }
             };
+            let joined_seq = r.get_u64()?;
+            if master {
+                token.arrive(joined_seq);
+                masters += 1;
+            }
             participants.push(Participant {
                 who: names.intern(&pname),
                 name: pname,
-                role,
-                joined_seq: r.get_u64()?,
+                joined_seq,
+            });
+        }
+        if masters != usize::from(nparts > 0) {
+            return Err(CkptError::Corrupt {
+                context: format!("session {name}: {masters} masters among {nparts} participants"),
             });
         }
         let events = BoundedLog::restore_from(&mut r, &mut names)?;
         r.expect_end()?;
         Ok(SteeringSession {
             participants,
+            token,
             params,
             events,
             sample_seq,
@@ -523,19 +505,18 @@ mod tests {
     #[test]
     fn join_unique_suffixes_a_taken_name() {
         let mut s = session();
-        assert_eq!(s.join_unique("node").role, Role::Master);
-        let second = s.join_unique("node");
-        assert_eq!(
-            (second.name.as_str(), second.role),
-            ("node-1", Role::Viewer)
-        );
-        assert_eq!(s.join_unique("node").name, "node-2");
+        let join = |s: &mut SteeringSession| {
+            let idx = s.join_unique("node");
+            (
+                s.participant(idx).unwrap().name.clone(),
+                s.master() == Some(idx),
+            )
+        };
+        assert_eq!(join(&mut s), ("node".into(), true));
+        assert_eq!(join(&mut s), ("node-1".into(), false));
+        assert_eq!(join(&mut s).0, "node-2");
         assert!(s.leave_by_name("node-1"));
-        assert_eq!(
-            s.join_unique("node").name,
-            "node-1",
-            "a freed name is reused"
-        );
+        assert_eq!(join(&mut s).0, "node-1", "a freed name is reused");
     }
 
     #[test]
@@ -554,10 +535,9 @@ mod tests {
     fn first_joiner_is_master() {
         let mut s = session();
         let a = s.join("brooke");
-        let b = s.join("eickermann");
-        assert_eq!(s.participant(a).unwrap().role, Role::Master);
-        assert_eq!(s.participant(b).unwrap().role, Role::Viewer);
+        s.join("eickermann");
         assert_eq!(s.master(), Some(a));
+        assert_eq!(s.master_count(), 1);
     }
 
     #[test]
@@ -594,10 +574,10 @@ mod tests {
     #[test]
     fn master_departure_auto_promotes() {
         let mut s = session();
-        let a = s.join("a");
-        let _b = s.join("b");
-        let _c = s.join("c");
-        s.leave(a);
+        s.join("a");
+        s.join("b");
+        s.join("c");
+        assert!(s.leave_by_name("a"));
         assert_eq!(s.master(), Some(0)); // "b" promoted
         assert!(s
             .events()
@@ -616,8 +596,7 @@ mod tests {
         let _b = s.join("b");
         let c = s.join("c");
         assert!(s.pass_master(a, c));
-        let c = s.index_of("c").unwrap();
-        s.leave(c);
+        s.leave_by_name("c");
         assert_eq!(s.master(), s.index_of("a"));
         assert_eq!(
             s.events().last(),
@@ -691,7 +670,8 @@ mod tests {
         }
         for expected in ["b", "c", "d"] {
             let m = s.master().unwrap();
-            s.leave(m);
+            let name = s.participant(m).unwrap().name.clone();
+            s.leave_by_name(&name);
             assert_eq!(s.master(), s.index_of(expected));
         }
         assert_eq!(s.len(), 1);
@@ -728,7 +708,7 @@ mod tests {
         let mut s = session();
         assert!(s.is_empty());
         assert_eq!(s.master(), None);
-        s.leave(0); // no panic
+        assert!(!s.leave_by_name("a")); // no panic
         assert!(s.steer(0, "miscibility", 0.5).is_err());
     }
 
@@ -757,7 +737,44 @@ mod tests {
         let idx = restored.join("a");
         let rejoined = restored.participant(idx).unwrap();
         assert_eq!(rejoined.joined_seq, 2, "join counter survived the restore");
-        assert_eq!(rejoined.role, Role::Viewer, "b still holds the token");
+        assert_eq!(
+            restored.master(),
+            restored.index_of("b"),
+            "b still holds the token"
+        );
+    }
+
+    #[test]
+    fn session_restore_demands_exactly_one_master() {
+        let mut s = session();
+        s.join("a");
+        s.join("b");
+        let mut snap = Snapshot::new(1, 0);
+        s.save_sections(&mut snap, "session/main");
+        let body = snap.section("session/main").unwrap().to_vec();
+        // counters (8 + 8) and count (4), then per participant a
+        // one-byte name (4 + 1), the role byte, and joined_seq (8)
+        let role_of = |i: usize| 25 + 14 * i;
+        assert_eq!((body[role_of(0)], body[role_of(1)]), (0, 2));
+        let restore = |at: usize, role: u8| {
+            let mut flipped = body.clone();
+            flipped[at] = role;
+            let mut poisoned = Snapshot::new(1, 0);
+            poisoned.push("session/main", 0, flipped);
+            SteeringSession::restore_sections(&poisoned, "session/main", s.params.clone())
+        };
+        for (at, role, masters) in [(role_of(0), 2, 0), (role_of(1), 0, 2)] {
+            match restore(at, role) {
+                Err(CkptError::Corrupt { context }) => assert_eq!(
+                    context,
+                    format!("session session/main: {masters} masters among 2 participants")
+                ),
+                other => panic!("{masters} masters restored: {:?}", other.map(|r| r.len())),
+            }
+        }
+        // a former master's steerer byte reads as a viewer
+        let restored = restore(role_of(1), 1).unwrap();
+        assert_eq!(restored.master(), restored.index_of("a"));
     }
 
     #[test]

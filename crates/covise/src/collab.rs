@@ -72,8 +72,8 @@ struct Site {
 /// A collaborative session of mirrored pipelines.
 pub struct CollabSession {
     sites: Vec<Site>,
-    /// Index of the master site.
-    pub master: usize,
+    /// Index of the master site (moved only by `pass_master`).
+    master: usize,
     /// Sync strategy.
     pub mode: SyncMode,
     /// Renderer module id (same in every mirrored pipeline).
@@ -117,20 +117,24 @@ impl CollabSession {
         }
     }
 
+    /// Index of the master site.
+    pub fn master(&self) -> usize {
+        self.master
+    }
+
     /// Move the master role ("collaborating partners … need to be able to
-    /// change roles", §4.3).
-    pub fn pass_master(&mut self, to: usize) -> bool {
-        if to < self.sites.len() {
-            self.master = to;
-            // pixel-stream history is master-specific
-            self.encoder.reset();
-            for s in &mut self.sites {
-                s.decoder.reset();
-            }
-            true
-        } else {
-            false
+    /// change roles", §4.3): only the master may pass it, to another site.
+    pub fn pass_master(&mut self, from: usize, to: usize) -> bool {
+        if from != self.master || to == from || to >= self.sites.len() {
+            return false;
         }
+        self.master = to;
+        // pixel-stream history is master-specific
+        self.encoder.reset();
+        for s in &mut self.sites {
+            s.decoder.reset();
+        }
+        true
     }
 
     /// The last frame displayed at a site.
@@ -357,10 +361,10 @@ mod tests {
     fn master_handoff_still_consistent() {
         let mut s = session(3, SyncMode::PixelStream);
         s.change_param(ISO, "isovalue", 1.0).unwrap();
-        assert!(s.pass_master(2));
+        assert!(s.pass_master(0, 2));
         let r = s.change_param(ISO, "isovalue", 2.0).unwrap();
         assert!(r.consistent, "handoff broke consistency");
-        assert!(!s.pass_master(99));
+        assert!(!s.pass_master(2, 99));
     }
 
     #[test]

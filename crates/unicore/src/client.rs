@@ -165,13 +165,15 @@ impl UnicoreClient {
         }
     }
 
-    /// Move the steering master role to another session.
+    /// Move the steering master role from this user's attached `plugin`
+    /// to another session.
     // detlint::allow(R9, "README crate table, crates/unicore row: VISIT proxy integration")
     pub fn proxy_pass_master(
         &self,
         gw: &mut Gateway,
         vsite: &str,
         service: &str,
+        plugin: &VisitProxyClient,
         to: ProxySessionId,
     ) -> Result<bool, ClientError> {
         match self.send(
@@ -179,6 +181,7 @@ impl UnicoreClient {
             GatewayMsg::ProxyPassMaster {
                 vsite: vsite.into(),
                 service: service.into(),
+                from: plugin.session,
                 to,
             },
         ) {
@@ -325,9 +328,30 @@ mod tests {
         let steered = (MsgKind::Reply, Some(VisitValue::F64(vec![0.25])));
         assert_eq!(request(&mut gw), steered);
         assert_eq!(request(&mut gw), (MsgKind::NoData, None));
+        // a session answers only to the subject that attached it: bob can
+        // neither take the token himself nor act on alice's session
+        assert_eq!(
+            bob.proxy_pass_master(&mut gw, "csar", "lbm", &b, b.session),
+            Ok(false)
+        );
+        let mut stolen = VisitProxyClient::new(a.session);
+        let denied = ClientError::Denied(GatewayError::UnknownSession);
+        assert_eq!(
+            bob.proxy_pass_master(&mut gw, "csar", "lbm", &stolen, b.session),
+            Err(denied.clone())
+        );
+        stolen.queue_param(PARAM, VisitValue::F64(vec![0.6]));
+        assert_eq!(
+            bob.proxy_poll(&mut gw, "csar", "lbm", &mut stolen),
+            Err(denied)
+        );
+        // alice still steers
+        steer(&alice, &mut a, &mut gw, 0.3);
+        let steered = (MsgKind::Reply, Some(VisitValue::F64(vec![0.3])));
+        assert_eq!(request(&mut gw), steered);
         // passing the master role moves the right to steer
         assert_eq!(
-            alice.proxy_pass_master(&mut gw, "csar", "lbm", b.session),
+            alice.proxy_pass_master(&mut gw, "csar", "lbm", &a, b.session),
             Ok(true)
         );
         steer(&alice, &mut a, &mut gw, 0.1);
@@ -336,8 +360,8 @@ mod tests {
         assert_eq!(request(&mut gw), steered);
         assert_eq!(request(&mut gw), (MsgKind::NoData, None));
         let stats = gw.proxy_mut("csar", "lbm").unwrap().stats();
-        assert_eq!((stats.params_accepted, stats.params_rejected), (2, 2));
-        assert_eq!(gw.stats().proxy_exchanges, 6);
+        assert_eq!((stats.params_accepted, stats.params_rejected), (3, 2));
+        assert_eq!(gw.stats().proxy_exchanges, 8);
     }
 
     #[test]

@@ -62,12 +62,14 @@ pub enum GatewayMsg {
         /// Raw steering parameter frames (accepted from the master only).
         params: Vec<Vec<u8>>,
     },
-    /// Move the master role to another session.
+    /// Move the master role from the caller's session to another one.
     ProxyPassMaster {
         /// Vsite hosting the proxy.
         vsite: String,
         /// Steering service name.
         service: String,
+        /// The caller's session (it must hold the master role).
+        from: ProxySessionId,
         /// Session to promote.
         to: ProxySessionId,
     },
@@ -108,7 +110,7 @@ pub enum GatewayError {
     UnknownService(String),
     /// The AJO failed validation.
     BadAjo,
-    /// No such proxy session.
+    /// No such proxy session / not the caller's.
     UnknownSession,
 }
 
@@ -238,7 +240,7 @@ impl Gateway {
             GatewayMsg::ProxyAttach { vsite, service } => {
                 let key = (vsite.clone(), service.clone());
                 match self.proxies.get_mut(&key) {
-                    Some(p) => GatewayReply::ProxySession(p.attach()),
+                    Some(p) => GatewayReply::ProxySession(p.attach(&owner)),
                     None => GatewayReply::Denied(GatewayError::UnknownService(service.clone())),
                 }
             }
@@ -251,17 +253,25 @@ impl Gateway {
                 self.stats.proxy_exchanges += 1;
                 let key = (vsite.clone(), service.clone());
                 match self.proxies.get_mut(&key) {
-                    Some(p) => match p.exchange(*session, params.clone()) {
+                    Some(p) => match p.exchange(*session, &owner, params.clone()) {
                         Some(frames) => GatewayReply::ProxyFrames(frames),
                         None => GatewayReply::Denied(GatewayError::UnknownSession),
                     },
                     None => GatewayReply::Denied(GatewayError::UnknownService(service.clone())),
                 }
             }
-            GatewayMsg::ProxyPassMaster { vsite, service, to } => {
+            GatewayMsg::ProxyPassMaster {
+                vsite,
+                service,
+                from,
+                to,
+            } => {
                 let key = (vsite.clone(), service.clone());
                 match self.proxies.get_mut(&key) {
-                    Some(p) => GatewayReply::MasterPassed(p.pass_master(*to)),
+                    Some(p) => match p.pass_master(&owner, *from, *to) {
+                        Some(moved) => GatewayReply::MasterPassed(moved),
+                        None => GatewayReply::Denied(GatewayError::UnknownSession),
+                    },
                     None => GatewayReply::Denied(GatewayError::UnknownService(service.clone())),
                 }
             }

@@ -20,16 +20,17 @@
 //! *every* attached session reads, while steering parameters are accepted
 //! from the *master* session only.
 
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Duration;
 use visit::link::{FrameLink, LinkError};
 use visit::value::VisitValue;
 use visit::wire::{Frame, MsgKind};
-use visit::Password;
+use visit::{MasterToken, Password};
 
 /// Identifies one attached proxy-client (steering plugin) session.
 #[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
 )]
 pub struct ProxySessionId(pub u64);
 
@@ -61,9 +62,10 @@ pub struct VisitProxyServer<L: FrameLink> {
     authed: bool,
     /// Broadcast history of raw Data frames.
     log: Vec<Vec<u8>>,
-    /// Session cursors into `log`.
-    sessions: BTreeMap<ProxySessionId, usize>,
-    master: Option<ProxySessionId>,
+    /// Session cursors into `log`, with the certificate subject that
+    /// attached each session: only that subject may act on it.
+    sessions: BTreeMap<ProxySessionId, (usize, String)>,
+    token: MasterToken<ProxySessionId>,
     /// Queued steering parameter frames (raw Reply frames) per tag.
     params: HashMap<u32, VecDeque<Vec<u8>>>,
     next_session: u64,
@@ -83,7 +85,7 @@ impl<L: FrameLink> VisitProxyServer<L> {
             authed: false,
             log: Vec::new(),
             sessions: BTreeMap::new(),
-            master: None,
+            token: MasterToken::default(),
             params: HashMap::new(),
             next_session: 1,
             stats: ProxyStats::default(),
@@ -136,51 +138,58 @@ impl<L: FrameLink> VisitProxyServer<L> {
         }
     }
 
-    /// Attach a steering plugin session; the first one becomes master.
-    pub fn attach(&mut self) -> ProxySessionId {
+    /// Attach a steering plugin session for `owner`, the subject the
+    /// gateway authenticated; the first session becomes master.
+    pub fn attach(&mut self, owner: &str) -> ProxySessionId {
         let id = ProxySessionId(self.next_session);
         self.next_session += 1;
-        self.sessions.insert(id, 0);
-        if self.master.is_none() {
-            self.master = Some(id);
-        }
+        self.sessions.insert(id, (0, owner.to_string()));
+        self.token.arrive(id);
         id
     }
 
     /// Detach a session; mastership passes to the lowest remaining id.
     pub fn detach(&mut self, id: ProxySessionId) {
         self.sessions.remove(&id);
-        if self.master == Some(id) {
-            self.master = self.sessions.keys().min().copied();
-        }
+        self.token.depart(id, self.sessions.keys().copied());
     }
 
     /// Current master session.
     pub fn master(&self) -> Option<ProxySessionId> {
-        self.master
+        self.token.holder()
     }
 
-    /// Move the master role (must name an attached session).
-    pub fn pass_master(&mut self, to: ProxySessionId) -> bool {
-        if self.sessions.contains_key(&to) {
-            self.master = Some(to);
-            true
-        } else {
-            false
-        }
+    /// The cursor of `session`, if `owner` attached it.
+    fn cursor(&self, session: ProxySessionId, owner: &str) -> Option<usize> {
+        let (cursor, attached_by) = self.sessions.get(&session)?;
+        (attached_by == owner).then_some(*cursor)
+    }
+
+    /// `owner` moves the master role from its session `from` to `to`
+    /// ([`MasterToken::pass`]); `None` if `owner` did not attach `from`.
+    pub fn pass_master(
+        &mut self,
+        owner: &str,
+        from: ProxySessionId,
+        to: ProxySessionId,
+    ) -> Option<bool> {
+        self.cursor(from, owner)?;
+        let present = self.sessions.contains_key(&to);
+        Some(self.token.pass(from, to, present))
     }
 
     /// One poll transaction from a plugin: deliver queued steering `params`
     /// (accepted only from the master) and return all log entries the
-    /// session has not seen yet. This single call is the "emulation by
-    /// polling" of §3.3.
+    /// session has not seen yet; `None` unless `owner` attached `session`.
+    /// This single call is the "emulation by polling" of §3.3.
     pub fn exchange(
         &mut self,
         session: ProxySessionId,
+        owner: &str,
         incoming: Vec<Vec<u8>>,
     ) -> Option<Vec<Vec<u8>>> {
-        let cursor = *self.sessions.get(&session)?;
-        let is_master = self.master == Some(session);
+        let cursor = self.cursor(session, owner)?;
+        let is_master = self.token.holder() == Some(session);
         for p in incoming {
             if !is_master {
                 self.stats.params_rejected += 1;
@@ -195,7 +204,8 @@ impl<L: FrameLink> VisitProxyServer<L> {
         }
         let fresh: Vec<Vec<u8>> = self.log[cursor..].to_vec();
         self.stats.frames_delivered += fresh.len() as u64;
-        self.sessions.insert(session, self.log.len());
+        let end = self.log.len();
+        self.sessions.entry(session).and_modify(|s| s.0 = end);
         Some(fresh)
     }
 
@@ -210,12 +220,12 @@ impl<L: FrameLink> VisitProxyServer<L> {
         let min = self
             .sessions
             .values()
-            .copied()
+            .map(|s| s.0)
             .min()
             .unwrap_or(self.log.len());
         if min > 0 {
             self.log.drain(..min);
-            for c in self.sessions.values_mut() {
+            for (c, _) in self.sessions.values_mut() {
                 *c -= min;
             }
         }
@@ -342,22 +352,22 @@ mod tests {
         c.send(TAG_DATA, VisitValue::F32(vec![4.0])).unwrap();
         proxy.pump(Duration::from_millis(100)).unwrap();
         proxy.pump(Duration::from_millis(100)).unwrap();
-        let s = proxy.attach();
+        let s = proxy.attach("u");
         let mut plugin = VisitProxyClient::new(s);
-        let n = plugin.poll_with(|sess, p| proxy.exchange(sess, p));
+        let n = plugin.poll_with(|sess, p| proxy.exchange(sess, "u", p));
         assert_eq!(n, 2);
         assert_eq!(plugin.latest(TAG_DATA), Some(&VisitValue::F32(vec![4.0])));
         // second poll: nothing new
-        assert_eq!(plugin.poll_with(|sess, p| proxy.exchange(sess, p)), 0);
+        assert_eq!(plugin.poll_with(|sess, p| proxy.exchange(sess, "u", p)), 0);
     }
 
     #[test]
     fn steering_param_reaches_simulation() {
         let (c, mut proxy) = rig();
-        let s = proxy.attach();
+        let s = proxy.attach("u");
         let mut plugin = VisitProxyClient::new(s);
         plugin.queue_param(TAG_PARAM, VisitValue::F64(vec![0.07]));
-        plugin.poll_with(|sess, p| proxy.exchange(sess, p));
+        plugin.poll_with(|sess, p| proxy.exchange(sess, "u", p));
         // simulation requests; pump serves from param queue
         let sim = thread::spawn(move || {
             let mut c = c;
@@ -379,12 +389,12 @@ mod tests {
     #[test]
     fn non_master_params_rejected() {
         let (_c, mut proxy) = rig();
-        let master = proxy.attach();
-        let passive = proxy.attach();
+        let master = proxy.attach("u");
+        let passive = proxy.attach("u");
         assert_eq!(proxy.master(), Some(master));
         let mut plugin = VisitProxyClient::new(passive);
         plugin.queue_param(TAG_PARAM, VisitValue::F64(vec![9.9]));
-        plugin.poll_with(|sess, p| proxy.exchange(sess, p));
+        plugin.poll_with(|sess, p| proxy.exchange(sess, "u", p));
         assert_eq!(proxy.stats().params_rejected, 1);
         assert_eq!(proxy.stats().params_accepted, 0);
     }
@@ -392,34 +402,35 @@ mod tests {
     #[test]
     fn every_session_sees_every_frame() {
         let (mut c, mut proxy) = rig();
-        let s1 = proxy.attach();
-        let s2 = proxy.attach();
+        let s1 = proxy.attach("u");
+        let s2 = proxy.attach("u");
         c.send(TAG_DATA, VisitValue::I32(vec![5])).unwrap();
         proxy.pump(Duration::from_millis(100)).unwrap();
         let mut p1 = VisitProxyClient::new(s1);
         let mut p2 = VisitProxyClient::new(s2);
-        assert_eq!(p1.poll_with(|s, p| proxy.exchange(s, p)), 1);
-        assert_eq!(p2.poll_with(|s, p| proxy.exchange(s, p)), 1);
+        assert_eq!(p1.poll_with(|s, p| proxy.exchange(s, "u", p)), 1);
+        assert_eq!(p2.poll_with(|s, p| proxy.exchange(s, "u", p)), 1);
         assert_eq!(p1.latest(TAG_DATA), p2.latest(TAG_DATA));
     }
 
     #[test]
     fn master_passes_on_detach_and_explicitly() {
         let (_c, mut proxy) = rig();
-        let a = proxy.attach();
-        let b = proxy.attach();
+        let a = proxy.attach("u");
+        let b = proxy.attach("u");
         proxy.detach(a);
         assert_eq!(proxy.master(), Some(b));
-        let c2 = proxy.attach();
-        assert!(proxy.pass_master(c2));
+        let c2 = proxy.attach("u");
+        assert_eq!(proxy.pass_master("u", b, c2), Some(true));
         assert_eq!(proxy.master(), Some(c2));
-        assert!(!proxy.pass_master(ProxySessionId(999)));
+        assert_eq!(proxy.pass_master("u", c2, ProxySessionId(999)), Some(false));
+        assert_eq!(proxy.pass_master("v", c2, b), None, "not v's session");
     }
 
     #[test]
     fn compact_bounds_log_growth() {
         let (mut c, mut proxy) = rig();
-        let s = proxy.attach();
+        let s = proxy.attach("u");
         for i in 0..10 {
             c.send(TAG_DATA, VisitValue::I32(vec![i])).unwrap();
         }
@@ -428,19 +439,21 @@ mod tests {
         }
         assert_eq!(proxy.log.len(), 10);
         let mut plugin = VisitProxyClient::new(s);
-        plugin.poll_with(|sess, p| proxy.exchange(sess, p));
+        plugin.poll_with(|sess, p| proxy.exchange(sess, "u", p));
         proxy.compact();
         assert_eq!(proxy.log.len(), 0);
         // new data still delivered after compaction
         c.send(TAG_DATA, VisitValue::I32(vec![99])).unwrap();
         proxy.pump(Duration::from_millis(50)).unwrap();
-        assert_eq!(plugin.poll_with(|sess, p| proxy.exchange(sess, p)), 1);
+        assert_eq!(plugin.poll_with(|sess, p| proxy.exchange(sess, "u", p)), 1);
         assert_eq!(plugin.latest(TAG_DATA), Some(&VisitValue::I32(vec![99])));
     }
 
     #[test]
     fn unknown_session_exchange_fails() {
         let (_c, mut proxy) = rig();
-        assert!(proxy.exchange(ProxySessionId(404), vec![]).is_none());
+        assert!(proxy.exchange(ProxySessionId(404), "u", vec![]).is_none());
+        let s = proxy.attach("u");
+        assert!(proxy.exchange(s, "v", vec![]).is_none(), "not v's session");
     }
 }

@@ -49,5 +49,5 @@ pub use client::SteeringClient;
 pub use link::{FrameLink, LinkError, LoopLink, MemLink, SimLink, TcpLink};
 pub use server::{ServeOutcome, VisServer};
 pub use value::{Endianness, VisitValue};
-pub use vbroker::VBroker;
+pub use vbroker::{MasterToken, VBroker};
 pub use wire::{Frame, MsgKind};

@@ -22,8 +22,46 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Identifies an attached visualization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ViewerId(pub u32);
+
+/// The master role of §3.3, written once for the vbroker, the UNICORE
+/// proxy-server and the core session: who holds the steering token.
+/// The derived `Default` (no holder) is why the id types derive `Default`.
+#[derive(Default)]
+pub struct MasterToken<Id: Copy + Ord>(Option<Id>);
+
+impl<Id: Copy + Ord> MasterToken<Id> {
+    /// The participant holding the token, if anyone does.
+    pub fn holder(&self) -> Option<Id> {
+        self.0
+    }
+
+    /// `id` arrived: the first arrival takes the token.
+    pub fn arrive(&mut self, id: Id) {
+        self.0.get_or_insert(id);
+    }
+
+    /// `id` departed. If it held the token, the lowest `remaining` id (the
+    /// longest-present one) takes it; returns that heir.
+    pub fn depart(&mut self, id: Id, remaining: impl IntoIterator<Item = Id>) -> Option<Id> {
+        if self.0 != Some(id) {
+            return None;
+        }
+        self.0 = remaining.into_iter().min();
+        self.0
+    }
+
+    /// Only the holder may pass the token, and only to another
+    /// participant that is `present`.
+    pub fn pass(&mut self, from: Id, to: Id, present: bool) -> bool {
+        let moved = self.0 == Some(from) && to != from && present;
+        if moved {
+            self.0 = Some(to);
+        }
+        moved
+    }
+}
 
 /// Broker counters (per-direction byte accounting for EV2).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -44,7 +82,7 @@ pub struct BrokerStats {
 pub struct VBroker<S: FrameLink, V: FrameLink> {
     sim: S,
     viewers: BTreeMap<ViewerId, V>,
-    master: Option<ViewerId>,
+    token: MasterToken<ViewerId>,
     next_id: u32,
     stats: BrokerStats,
 }
@@ -55,7 +93,7 @@ impl<S: FrameLink, V: FrameLink> VBroker<S, V> {
         VBroker {
             sim,
             viewers: BTreeMap::new(),
-            master: None,
+            token: MasterToken::default(),
             next_id: 0,
             stats: BrokerStats::default(),
         }
@@ -67,9 +105,7 @@ impl<S: FrameLink, V: FrameLink> VBroker<S, V> {
         let id = ViewerId(self.next_id);
         self.next_id += 1;
         self.viewers.insert(id, link);
-        if self.master.is_none() {
-            self.master = Some(id);
-        }
+        self.token.arrive(id);
         id
     }
 
@@ -77,24 +113,18 @@ impl<S: FrameLink, V: FrameLink> VBroker<S, V> {
     /// lowest remaining id (so the session stays steerable).
     pub fn detach(&mut self, id: ViewerId) {
         self.viewers.remove(&id);
-        if self.master == Some(id) {
-            self.master = self.viewers.keys().min().copied();
-        }
+        self.token.depart(id, self.viewers.keys().copied());
     }
 
     /// Current master.
     pub fn master(&self) -> Option<ViewerId> {
-        self.master
+        self.token.holder()
     }
 
-    /// Move the master role ("coordinated cooperative steering").
-    pub fn pass_master(&mut self, to: ViewerId) -> bool {
-        if self.viewers.contains_key(&to) {
-            self.master = Some(to);
-            true
-        } else {
-            false
-        }
+    /// Move the master role from `from` to `to` ([`MasterToken::pass`]).
+    pub fn pass_master(&mut self, from: ViewerId, to: ViewerId) -> bool {
+        let present = self.viewers.contains_key(&to);
+        self.token.pass(from, to, present)
     }
 
     /// Attached viewer count.
@@ -173,7 +203,7 @@ impl<S: FrameLink, V: FrameLink> VBroker<S, V> {
 
     /// Forward a request to the master and collect its answer.
     fn ask_master(&mut self, raw: &[u8], timeout: Duration) -> Option<Vec<u8>> {
-        let master = self.master?;
+        let master = self.token.holder()?;
         let link = self.viewers.get_mut(&master)?;
         if link.send(raw).is_err() {
             self.detach(master);
@@ -314,10 +344,10 @@ mod tests {
     #[test]
     fn pass_master_moves_role() {
         let (_sim, mut broker, viewers) = rig(2);
-        let second = viewers[1].0;
-        assert!(broker.pass_master(second));
+        let (first, second) = (viewers[0].0, viewers[1].0);
+        assert!(broker.pass_master(first, second));
         assert_eq!(broker.master(), Some(second));
-        assert!(!broker.pass_master(ViewerId(99)));
+        assert!(!broker.pass_master(second, ViewerId(99)));
     }
 
     #[test]

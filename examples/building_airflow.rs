@@ -92,7 +92,7 @@ fn main() {
 
     // role change: Sandia takes over the discussion (§4.3: partners
     // "need to be able to change roles")
-    assert!(session.pass_master(2));
+    assert!(session.pass_master(0, 2));
     let r = session.change_param(CUT, "z_fraction", 0.5).unwrap();
     println!(
         "after master handoff to sandia: {} bytes, consistent = {}",

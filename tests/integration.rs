@@ -13,8 +13,12 @@ use gridsteer::steer_core::{
     ClientHandle, CollabServer, LoopBudget, LoopMonitor, Migrator, ParamRegistry, ParamSpec,
     ParamValue, SteerTarget, SteeringSession,
 };
-use gridsteer::unicore::{Ajo, CertAuthority, Gateway, Njs, Task, TrustStore, Tsi, UnicoreClient};
-use gridsteer::visit::{MemLink, Password, SteeringClient, VisServer, VisitValue};
+use gridsteer::unicore::{
+    Ajo, CertAuthority, Gateway, Njs, ProxySessionId, Task, TrustStore, Tsi, UnicoreClient,
+    VisitProxyServer,
+};
+use gridsteer::visit::vbroker::ViewerId;
+use gridsteer::visit::{MemLink, Password, SteeringClient, VBroker, VisServer, VisitValue};
 use gridsteer::viz::mc;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -302,7 +306,198 @@ fn covise_collab_consistent_over_pepc_field() {
     session.warm_up().unwrap();
     let r = session.change_param(ModuleId(1), "isovalue", 1.5).unwrap();
     assert!(r.consistent);
-    assert!(session.pass_master(1));
+    assert!(session.pass_master(0, 1));
     let r = session.change_param(ModuleId(1), "isovalue", 2.5).unwrap();
     assert!(r.consistent);
+}
+
+/// The master rule of §3.3/§4.3 as each collaborative code exposes it,
+/// over participants numbered in arrival order.
+trait MasterRule {
+    /// One more participant; returns its number.
+    fn arrive(&mut self) -> usize;
+    /// Participant `who` leaves (false: this code has fixed members).
+    fn depart(&mut self, who: usize) -> bool;
+    /// `from` hands the token to `to`.
+    fn pass(&mut self, from: usize, to: usize) -> bool;
+    /// The holder's number.
+    fn master(&self) -> Option<usize>;
+}
+
+/// Numbers to ids for the codes that hand out their own ids.
+fn id_of<Id: Copy>(ids: &[Id], who: usize, absent: Id) -> Id {
+    ids.get(who).copied().unwrap_or(absent)
+}
+
+fn number_of<Id: PartialEq>(ids: &[Id], id: Option<Id>) -> Option<usize> {
+    ids.iter().position(|i| Some(i) == id.as_ref())
+}
+
+struct Broker(VBroker<MemLink, MemLink>, Vec<ViewerId>);
+
+impl MasterRule for Broker {
+    fn arrive(&mut self) -> usize {
+        self.1.push(self.0.attach(MemLink::pair().0));
+        self.1.len() - 1
+    }
+    fn depart(&mut self, who: usize) -> bool {
+        self.0.detach(self.1[who]);
+        true
+    }
+    fn pass(&mut self, from: usize, to: usize) -> bool {
+        let absent = ViewerId(u32::MAX);
+        let (from, to) = (id_of(&self.1, from, absent), id_of(&self.1, to, absent));
+        self.0.pass_master(from, to)
+    }
+    fn master(&self) -> Option<usize> {
+        number_of(&self.1, self.0.master())
+    }
+}
+
+struct Proxy(VisitProxyServer<MemLink>, Vec<ProxySessionId>);
+
+impl MasterRule for Proxy {
+    fn arrive(&mut self) -> usize {
+        self.1.push(self.0.attach("u"));
+        self.1.len() - 1
+    }
+    fn depart(&mut self, who: usize) -> bool {
+        self.0.detach(self.1[who]);
+        true
+    }
+    fn pass(&mut self, from: usize, to: usize) -> bool {
+        let absent = ProxySessionId(u64::MAX);
+        let (from, to) = (id_of(&self.1, from, absent), id_of(&self.1, to, absent));
+        self.0.pass_master("u", from, to) == Some(true)
+    }
+    fn master(&self) -> Option<usize> {
+        number_of(&self.1, self.0.master())
+    }
+}
+
+/// The session's participants are named by number; an absent one is an
+/// index past the end.
+struct Session(SteeringSession, usize);
+
+impl MasterRule for Session {
+    fn arrive(&mut self) -> usize {
+        self.0.join(&self.1.to_string());
+        self.1 += 1;
+        self.1 - 1
+    }
+    fn depart(&mut self, who: usize) -> bool {
+        self.0.leave_by_name(&who.to_string());
+        true
+    }
+    fn pass(&mut self, from: usize, to: usize) -> bool {
+        let index = |who: usize| self.0.index_of(&who.to_string()).unwrap_or(usize::MAX);
+        let (from, to) = (index(from), index(to));
+        self.0.pass_master(from, to)
+    }
+    fn master(&self) -> Option<usize> {
+        let m = self.0.participant(self.0.master()?)?;
+        m.name.parse().ok()
+    }
+}
+
+/// COVISE's sites are fixed at construction: an arrival is the next site.
+struct Covise(CollabSession, usize);
+
+impl MasterRule for Covise {
+    fn arrive(&mut self) -> usize {
+        self.1 += 1;
+        self.1 - 1
+    }
+    fn depart(&mut self, _: usize) -> bool {
+        false
+    }
+    fn pass(&mut self, from: usize, to: usize) -> bool {
+        self.0.pass_master(from, to)
+    }
+    fn master(&self) -> Option<usize> {
+        Some(self.0.master())
+    }
+}
+
+/// One step of a master-rule case.
+enum Op {
+    Pass(usize, usize),
+    Depart(usize),
+}
+
+const ABSENT: usize = 99;
+
+/// Each case starts from participants 0, 1, 2 arriving in order; each
+/// step names the holder after it. A pass must report whether the token
+/// moved.
+const MASTER_RULE_CASES: &[(&str, &[(Op, usize)])] = &[
+    ("the first arrival holds the token", &[]),
+    (
+        "a pass from a non-holder is refused",
+        &[(Op::Pass(1, 2), 0)],
+    ),
+    (
+        "a pass to an absent id is refused",
+        &[(Op::Pass(0, ABSENT), 0)],
+    ),
+    ("a pass to oneself is refused", &[(Op::Pass(0, 0), 0)]),
+    ("the holder passes the token", &[(Op::Pass(0, 2), 2)]),
+    (
+        "a departing holder's token goes to the longest present",
+        &[(Op::Pass(0, 2), 2), (Op::Depart(2), 0), (Op::Depart(0), 1)],
+    ),
+];
+
+/// A fresh instance of each collaborative code, with nobody arrived.
+fn master_rules() -> [(&'static str, Box<dyn MasterRule>); 4] {
+    let (_, sim) = MemLink::pair();
+    let proxy = VisitProxyServer::new("s", sim, Password::Open, 0);
+    let build = |ctl: &mut Controller, host: usize| {
+        let field = gridsteer::viz::Field3::zeros(2, 2, 2);
+        let read = ctl.add_module(host, Box::new(ReadField::new(field)));
+        let iso = ctl.add_module(host, Box::new(IsoSurface::new()));
+        let render = ctl.add_module(host, Box::new(Renderer::new(8)));
+        ctl.connect(read, "field", iso, "field").unwrap();
+        ctl.connect(iso, "mesh", render, "mesh").unwrap();
+        render
+    };
+    let sites = ["a", "b", "c"];
+    let covise = CollabSession::new(&sites, SyncMode::ParamSync, build, |_| Link::gwin());
+    [
+        (
+            "vbroker",
+            Box::new(Broker(VBroker::new(MemLink::pair().0), Vec::new())),
+        ),
+        ("unicore proxy", Box::new(Proxy(proxy, Vec::new()))),
+        (
+            "steering session",
+            Box::new(Session(SteeringSession::new(ParamRegistry::new()), 0)),
+        ),
+        ("covise", Box::new(Covise(covise, 0))),
+    ]
+}
+
+#[test]
+fn one_master_rule_across_the_collaborative_codes() {
+    for (case, steps) in MASTER_RULE_CASES {
+        for (code, mut rule) in master_rules() {
+            assert_eq!([rule.arrive(), rule.arrive(), rule.arrive()], [0, 1, 2]);
+            assert_eq!(rule.master(), Some(0), "{code}: {case}");
+            for (op, holder) in steps.iter() {
+                let before = rule.master();
+                match *op {
+                    Op::Pass(from, to) => {
+                        let moved = rule.pass(from, to);
+                        assert_eq!(moved, before != Some(*holder), "{code}: {case}");
+                    }
+                    Op::Depart(who) => {
+                        if !rule.depart(who) {
+                            break;
+                        }
+                    }
+                }
+                assert_eq!(rule.master(), Some(*holder), "{code}: {case}");
+            }
+        }
+    }
 }
