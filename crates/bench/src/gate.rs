@@ -19,8 +19,9 @@
 //!   perf question, and fails the gate outright.
 //!
 //! [`snapshot_all`] runs the gated workloads of [`GATES`] — LBM collide/stream
-//! (the scalar×SIMD×wide / 1×8-thread matrix, whose six digests must
-//! agree; the wide cells only on a CPU with AVX2),
+//! (the scalar×SIMD×wide×wide512 / 1×8-thread matrix, whose eight digests
+//! must agree; the wide cells only on a CPU with AVX2, the wide512 ones
+//! only with AVX-512F),
 //! the exec-pool chunk kernel, the monitor publish path, the payload
 //! build alone and one delivery through each middleware adapter, hub
 //! fan-out over encoding subscribers, the checkpoint codec (section
@@ -149,11 +150,11 @@ pub fn read_report(dir: &Path, id: &str) -> Result<GateReport, String> {
 // workloads
 // ---------------------------------------------------------------------------
 
-/// LBM collide/stream over the {scalar, SIMD, wide} × {1, 8 threads}
-/// matrix. All digests fold the full post-run distribution bits and must
-/// be identical — the determinism contract extended to the SIMD axis. The
-/// `wide` cells need AVX2: on a CPU without it they are not measured, and
-/// [`compare`] skips them.
+/// LBM collide/stream over the {scalar, SIMD, wide, wide512} × {1, 8
+/// threads} matrix. All digests fold the full post-run distribution bits
+/// and must be identical — the determinism contract extended to the SIMD
+/// axis. The `wide` cells need AVX2 and the `wide512` ones AVX-512F: on a
+/// CPU without it they are not measured, and [`compare`] skips them.
 fn snap_lbm() -> Vec<GateCell> {
     const STEPS: usize = 12;
     let mut cells = Vec::new();
@@ -822,7 +823,8 @@ fn snap_viz() -> Vec<GateCell> {
 /// The PEPC work `steer_storm` runs every tick, one worker: the tree force
 /// walk (`Octree::forces_with`) over the §3.4 plasma target at n = 100
 /// (the workload's size) and n = 3000 (where multipoles are accepted at
-/// every level) on every backend this CPU has, and `step_monitor_n3000`,
+/// every level) on every backend this CPU has but `wide512`, which runs
+/// the walk's AVX2 build that `wide` times, and `step_monitor_n3000`,
 /// one `PepcSim::step` plus the monitor surface built from it, on the
 /// process-wide backend. A cell is the mean call of the fastest of five
 /// batches. A force digest folds every force bit and the interaction
@@ -857,7 +859,7 @@ fn snap_pepc() -> Vec<GateCell> {
     };
     let backends = lanes::Backend::ALL
         .into_iter()
-        .filter(|b| b.on_this_cpu() == *b);
+        .filter(|b| b.on_this_cpu() == *b && *b != lanes::Backend::Wide512);
     let mut cells = Vec::new();
     for (n, rounds) in [(100usize, 200usize), (3000, 4)] {
         let mut tree = pepc::Octree::build(plasma(n).particles(), pepc::TreeConfig::default());
@@ -1078,8 +1080,7 @@ pub fn compare(baseline_dir: &Path, current_dir: &Path) -> Vec<String> {
     let mut violations = Vec::new();
     // (id, cell, baseline wall, current wall) for every matched pair
     let mut pairs: Vec<(String, String, f64, f64)> = Vec::new();
-    let wide = lanes::Backend::Wide;
-    let has_avx2 = wide.on_this_cpu() == wide;
+    let cpu = lanes::CpuFeatures::detect();
     for id in GATES.iter().map(|g| g.id) {
         let base = match read_report(baseline_dir, id) {
             Ok(r) => r,
@@ -1097,7 +1098,7 @@ pub fn compare(baseline_dir: &Path, current_dir: &Path) -> Vec<String> {
         };
         for bc in &base.cells {
             let Some(cc) = cur.cells.iter().find(|c| c.cell == bc.cell) else {
-                if !unmeasurable(id, &bc.cell, has_avx2) {
+                if !unmeasurable(id, &bc.cell, cpu) {
                     violations.push(format!("[{id}] cell {} missing from current run", bc.cell));
                 }
                 continue;
@@ -1134,14 +1135,15 @@ pub fn compare(baseline_dir: &Path, current_dir: &Path) -> Vec<String> {
     violations
 }
 
-/// Whether gate `id`'s baseline `cell` cannot be measured on a CPU with (or
-/// without) AVX2: the LBM and PEPC `wide` cells without it. [`compare`]
-/// skips such a cell instead of failing it.
-fn unmeasurable(id: &str, cell: &str, has_avx2: bool) -> bool {
-    use lanes::Backend::Wide;
+/// Whether gate `id`'s baseline `cell` cannot be measured on a CPU with
+/// the features `cpu`: an LBM or PEPC cell of a backend the CPU cannot run
+/// (`wide` without AVX2, `wide512` without AVX-512F). [`compare`] skips
+/// such a cell instead of failing it.
+fn unmeasurable(id: &str, cell: &str, cpu: lanes::CpuFeatures) -> bool {
     ["lbm", "pepc"].contains(&id)
-        && cell.ends_with(&format!("_{}", Wide.label()))
-        && lanes::Backend::resolve(Wide, has_avx2) != Wide
+        && lanes::Backend::ALL.into_iter().any(|b| {
+            cell.ends_with(&format!("_{}", b.label())) && lanes::Backend::resolve(b, cpu) != b
+        })
 }
 
 #[cfg(test)]
@@ -1263,17 +1265,32 @@ mod tests {
 
     #[test]
     fn only_wide_lbm_cells_are_skipped_and_only_without_avx2() {
-        for (id, cell, has_avx2, skipped) in [
-            ("lbm", "collide_stream_t1_wide", false, true),
-            ("lbm", "collide_stream_t8_wide", false, true),
-            ("lbm", "collide_stream_t1_wide", true, false),
-            ("lbm", "collide_stream_t1_simd", false, false),
-            ("lbm", "collide_stream_t8_scalar", false, false),
-            ("pepc", "forces_n100_wide", false, true),
-            ("pepc", "forces_n3000_simd", false, false),
-            ("viz", "raster_wide", false, false),
+        let none = lanes::CpuFeatures::default();
+        let avx2 = lanes::CpuFeatures {
+            avx2: true,
+            avx512f: false,
+        };
+        let avx512 = lanes::CpuFeatures {
+            avx2: true,
+            avx512f: true,
+        };
+        for (id, cell, cpu, skipped) in [
+            ("lbm", "collide_stream_t1_wide", none, true),
+            ("lbm", "collide_stream_t8_wide", none, true),
+            ("lbm", "collide_stream_t1_wide", avx2, false),
+            ("lbm", "collide_stream_t1_wide", avx512, false),
+            ("lbm", "collide_stream_t1_wide512", none, true),
+            ("lbm", "collide_stream_t1_wide512", avx2, true),
+            ("lbm", "collide_stream_t8_wide512", avx2, true),
+            ("lbm", "collide_stream_t8_wide512", avx512, false),
+            ("lbm", "collide_stream_t1_simd", none, false),
+            ("lbm", "collide_stream_t8_scalar", none, false),
+            ("pepc", "forces_n100_wide", none, true),
+            ("pepc", "forces_n100_wide", avx2, false),
+            ("pepc", "forces_n3000_simd", none, false),
+            ("viz", "raster_wide", none, false),
         ] {
-            assert_eq!(unmeasurable(id, cell, has_avx2), skipped, "{id} {cell}");
+            assert_eq!(unmeasurable(id, cell, cpu), skipped, "{id} {cell} {cpu:?}");
         }
     }
 

@@ -4,7 +4,7 @@
 //! twelve edge diagonals, with the standard lattice weights (1/3, 1/18,
 //! 1/36) and sound speed c_s² = 1/3.
 
-use lanes::F64x4;
+use lanes::{F64x4, F64x8};
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Number of discrete velocities.
@@ -63,10 +63,10 @@ pub const OPPOSITE: [usize; Q] = {
 };
 
 /// The element type the solver's kernels are written over: one lattice
-/// node (`f64`, the scalar reference backend) or four consecutive ones
-/// ([`F64x4`], one node per lane). A kernel generic over `Lane` is *one*
-/// floating-point operation sequence instantiated at two widths — same
-/// association, no FMA — so the two backends agree bit for bit by
+/// node (`f64`, the scalar reference backend) or `LANES` consecutive ones
+/// ([`F64x4`], [`F64x8`], one node per lane). A kernel generic over `Lane`
+/// is *one* floating-point operation sequence instantiated at each width —
+/// same association, no FMA — so the backends agree bit for bit by
 /// construction, node for node.
 pub(crate) trait Lane:
     Copy
@@ -78,6 +78,8 @@ pub(crate) trait Lane:
     + AddAssign
     + SubAssign
 {
+    /// Nodes per value.
+    const LANES: usize;
     /// Every lane set to `v`.
     fn splat(v: f64) -> Self;
     /// One element per lane, from `s[at..]`.
@@ -89,6 +91,7 @@ pub(crate) trait Lane:
 }
 
 impl Lane for f64 {
+    const LANES: usize = 1;
     #[inline(always)]
     fn splat(v: f64) -> f64 {
         v
@@ -107,24 +110,32 @@ impl Lane for f64 {
     }
 }
 
-impl Lane for F64x4 {
-    #[inline(always)]
-    fn splat(v: f64) -> F64x4 {
-        F64x4::splat(v)
-    }
-    #[inline(always)]
-    fn load(s: &[f64], at: usize) -> F64x4 {
-        F64x4::from_slice(&s[at..])
-    }
-    #[inline(always)]
-    fn store(self, s: &mut [f64], at: usize) {
-        self.write_to(&mut s[at..]);
-    }
-    #[inline(always)]
-    fn max(self, other: F64x4) -> F64x4 {
-        F64x4::max(self, other)
-    }
+macro_rules! lane_impl {
+    ($t:ident) => {
+        impl Lane for $t {
+            const LANES: usize = $t::LANES;
+            #[inline(always)]
+            fn splat(v: f64) -> $t {
+                $t::splat(v)
+            }
+            #[inline(always)]
+            fn load(s: &[f64], at: usize) -> $t {
+                $t::from_slice(&s[at..])
+            }
+            #[inline(always)]
+            fn store(self, s: &mut [f64], at: usize) {
+                self.write_to(&mut s[at..]);
+            }
+            #[inline(always)]
+            fn max(self, other: $t) -> $t {
+                $t::max(self, other)
+            }
+        }
+    };
 }
+
+lane_impl!(F64x4);
+lane_impl!(F64x8);
 
 /// The direction-independent term `1.5·(u·u)` of the equilibrium, which
 /// the collide kernel computes once per node and component.

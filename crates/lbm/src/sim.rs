@@ -93,30 +93,39 @@
 //!
 //! State is structure-of-arrays: distributions live as `f[i*n + node]`
 //! (direction-major, nodes contiguous within a direction row) and the
-//! moments the same way, five rows `m[c*n + node]`. Both sweeps are
-//! written once, generic over a private `Lane` trait, and run at two
-//! widths behind [`lanes::Backend`]:
+//! moments the same way, five rows `m[c*n + node]`. Each sweep's
+//! per-plane task is one `#[inline(always)]` function, written once and
+//! generic over a private `Lane` trait whose `LANES` nodes it takes at a
+//! time, and runs at three widths and four builds behind
+//! [`lanes::Backend`]:
 //!
-//! * **scalar** — one node at a time, every neighbour through the x wrap
-//!   (`Geom::neighbor` for the gradient read in the force stage, a row
-//!   base plus `wrap` for the streamed slots and the swapped moments);
+//! * **scalar** — `f64`, one node at a time, every neighbour through the
+//!   x wrap (`Geom::neighbor` for the gradient read in the force stage, a
+//!   row base plus `wrap` for the streamed slots and the swapped moments);
 //!   this is the executable spec.
 //! * **simd** — [`lanes::F64x4`], one node per lane, over the interior of
 //!   each lattice row, where a block's neighbours are contiguous off 19
 //!   per-row bases; the row's edge nodes, where the x wrap can fire, run
 //!   the same kernel at width one. A pass that reads no neighbour (the
 //!   local relax, the canonical moments) runs its blocks across row ends.
-//! * **wide** (the default on a CPU with AVX2) — the simd sweeps, compiled
-//!   a second time under `#[target_feature(enable = "avx2")]`: each sweep's
-//!   per-plane task is one `#[inline(always)]` function, called directly
-//!   for `simd` and through an AVX2 wrapper for `wide`, so an `F64x4`
-//!   operation is one 256-bit instruction instead of two 128-bit ones.
-//!   [`lanes::Backend::resolve`] lets `wide` run only where AVX2 exists.
+//! * **wide** (the default on a CPU with AVX2) — the simd task, called
+//!   through an AVX2 wrapper (`#[target_feature(enable = "avx2")]`), so an
+//!   `F64x4` operation is one 256-bit instruction instead of two 128-bit
+//!   ones.
+//! * **wide512** (the default on a CPU with AVX-512F) — the task over
+//!   [`lanes::F64x8`], called through an AVX-512F wrapper, so an eight-node
+//!   block is one 512-bit instruction per operation. A run of nodes takes
+//!   8-lane blocks, then at most one 4-lane block, then the width-one
+//!   edges, so no grid has more width-one nodes than at four lanes (a row
+//!   of 16 keeps 4: one block of 8, one of 4).
 //!
-//! All three execute the *identical* floating-point operation sequence
-//! for every node — same association, no FMA, accumulations in ascending
-//! direction order — so their results are bit-identical, and CI proves it
-//! across the {1, 8} threads × {scalar, simd, wide} matrix.
+//! [`Backend::resolve`] lets `wide` run only where AVX2 exists and
+//! `wide512` only where AVX-512F does. All four execute the *identical*
+//! floating-point operation sequence for every node — same association,
+//! no FMA, accumulations in ascending direction order — so their results
+//! are bit-identical, and CI proves it across the {1, 8} threads ×
+//! {scalar, simd, wide, wide512} matrix (and checks the AVX-512 tasks'
+//! disassembly for 512-bit arithmetic and no fused multiply-add).
 //!
 //! Parallelism: the sweeps dispatch onto a persistent
 //! [`gridsteer_exec::ExecPool`] in whole-z-plane tasks — a fixed
@@ -127,16 +136,13 @@
 use crate::lattice::{equilibrium_lane, uu15, Lane, CX, CY, CZ, OPPOSITE, Q, WEIGHTS};
 use gridsteer_ckpt::{CkptError, SectionWriter, Snapshot};
 use gridsteer_exec::{DisjointChunks, ExecPool};
-use lanes::F64x4;
+use lanes::{Backend, F64x4, F64x8};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::array::from_fn;
 use std::ops::Range;
 use std::sync::Arc;
 use viz::Field3;
-
-/// Lanes per SIMD block (one node per lane).
-const L: usize = F64x4::LANES;
 
 /// Solver configuration.
 #[derive(Debug, Clone)]
@@ -235,9 +241,10 @@ fn wrap(v: usize, c: i32, n: usize) -> usize {
 }
 
 /// [`from_fn`] for the plane kernels, inlined wherever it is called. A
-/// plane kernel is compiled twice (the baseline build and the AVX2 one);
-/// left to its own judgement the inliner then turns some per-node arrays
-/// into calls, ~20 % on the baseline step at 48³.
+/// plane kernel is compiled once per backend (scalar, the baseline and
+/// AVX2 builds over four lanes, the AVX-512 one over eight); left to its
+/// own judgement the inliner then turns some per-node arrays into calls,
+/// ~20 % on the baseline step at 48³.
 #[inline(always)]
 fn kernel_array<T: Copy + Default, const N: usize>(mut f: impl FnMut(usize) -> T) -> [T; N] {
     let mut out = [T::default(); N];
@@ -282,15 +289,30 @@ impl Geom {
     }
 }
 
-/// End of a row's lane-blocked x range: with `lanes`, blocks cover x in
-/// `1..xe`, where x ± 1 cannot wrap; otherwise (or on a row too short for
-/// one block) there are none and `xe` is 1.
+/// End of the x range a row's lane blocks may cover: `1..nx − 1`, where
+/// x ± 1 cannot wrap, or none (1) for the scalar backend, whose rows are
+/// the spec path.
 #[inline(always)]
-fn lane_end(nx: usize, lanes: bool) -> usize {
-    if lanes && nx > L + 1 {
-        1 + (nx - 2) / L * L
+fn row_interior_end<T: Lane>(nx: usize) -> usize {
+    if T::LANES > 1 {
+        nx - 1
     } else {
         1
+    }
+}
+
+/// How a run of nodes `start..end` is blocked for lane type `T`: blocks
+/// of `T` start every `T::LANES` nodes up to the first value returned;
+/// where `T` is wider than [`F64x4`], one [`F64x4`] block follows if four
+/// nodes remain, up to the second value; the rest run at width one. So no
+/// run has more width-one nodes than it has at four lanes.
+#[inline(always)]
+fn lane_tiers<T: Lane>(start: usize, end: usize) -> (usize, usize) {
+    let wide = start + (end - start) / T::LANES * T::LANES;
+    if T::LANES > F64x4::LANES && end - wide >= F64x4::LANES {
+        (wide, wide + F64x4::LANES)
+    } else {
+        (wide, wide)
     }
 }
 
@@ -368,12 +390,14 @@ const _: () = {
 /// Pairs the local relax takes at a time: 4·`LOCAL_GROUP` linear runs
 /// (both slots of each pair, both components) instead of all 38 rows at
 /// once. Its runs all sit in one plane, at the same offset within every
-/// row's page-aligned stride; 2 measured fastest of 1, 2, 3 and 5.
+/// row's page-aligned stride; 2 measured fastest of 1, 2, 3 and 5 at
+/// four lanes, and at eight lanes none of 1–5 beat it beyond the spread.
 const LOCAL_GROUP: usize = 2;
 
 /// Pairs the streaming relax takes at a time; its runs are spread over
 /// three planes and shifted by the neighbour offsets, and 5 measured
-/// fastest of 2, 3 and 5.
+/// fastest of 2, 3 and 5 at four lanes; at eight lanes none of 2–7 and
+/// 10 beat it beyond the spread.
 const STREAM_GROUP: usize = 5;
 
 /// The Shan–Chen gradients Σᵢ wᵢ ρ(x+cᵢ) cᵢ of both densities at one node
@@ -537,79 +561,86 @@ impl SweepCtx<'_> {
     }
 }
 
-/// The moments sweep's task for plane `z`: the plane's moments into the
-/// five plane-sized rows of `out`. Canonical storage keeps a node's `f_i`
-/// in its own column, so lane blocks run across row ends and the tail
-/// runs at width one; swapped storage keeps `f_i(x)` at row `ī` of the
-/// upwind node `x − c_i`, so it walks rows as the force stage does.
+/// The moments sweep's task for plane `z`, `T::LANES` nodes at a time
+/// (see [`lane_tiers`]): the plane's moments into the five plane-sized
+/// rows of `out`. Canonical storage keeps a node's `f_i` in its own
+/// column, so lane blocks run across row ends and the tail runs at width
+/// one; swapped storage keeps `f_i(x)` at row `ī` of the upwind node
+/// `x − c_i`, so it walks rows as the force stage does.
 #[inline(always)]
-fn moments_plane<const SWAPPED: bool>(
+fn moments_plane<T: Lane, const SWAPPED: bool>(
     fa: &[f64],
     fb: &[f64],
     geom: Geom,
-    lanes: bool,
     z: usize,
     mut out: [&mut [f64]; 5],
 ) {
     let Geom { nx, ny, nz } = geom;
     let (plane, n) = (nx * ny, nx * ny * nz);
     if SWAPPED {
-        let xe = lane_end(nx, lanes);
+        let (xw, x4) = lane_tiers::<T>(1, row_interior_end::<T>(nx));
         for y in 0..ny {
             let bases = geom.row_bases(y, z);
             // f_i of the row's node x sits at rows[i] + wrap(x, CX[ī], nx)
             let rows: [usize; Q] = kernel_array(|i| OPPOSITE[i] * n + bases[OPPOSITE[i]]);
             // …which in a lane block, where x cannot wrap, is blocks[i] + x − 1
             let blocks: [usize; Q] = kernel_array(|i| rows[i] + (1 + CX[OPPOSITE[i]]) as usize);
-            for x in (1..xe).step_by(L) {
+            for x in (1..xw).step_by(T::LANES) {
+                let src = |i: usize| blocks[i] + x - 1;
+                moments::<T>(fa, fb, src, &mut out, y * nx + x);
+            }
+            for x in (xw..x4).step_by(F64x4::LANES) {
                 let src = |i: usize| blocks[i] + x - 1;
                 moments::<F64x4>(fa, fb, src, &mut out, y * nx + x);
             }
-            for x in row_edges(xe, nx) {
+            for x in row_edges(x4, nx) {
                 let src = |i: usize| rows[i] + wrap(x, CX[OPPOSITE[i]], nx);
                 moments::<f64>(fa, fb, src, &mut out, y * nx + x);
             }
         }
         return;
     }
-    let mut k = 0;
-    while lanes && k + L <= plane {
-        let node = z * plane + k;
-        moments::<F64x4>(fa, fb, |i| i * n + node, &mut out, k);
-        k += L;
+    let (kw, k4) = lane_tiers::<T>(0, plane);
+    let node = |k: usize| z * plane + k;
+    for k in (0..kw).step_by(T::LANES) {
+        moments::<T>(fa, fb, |i| i * n + node(k), &mut out, k);
     }
-    for k in k..plane {
-        let node = z * plane + k;
-        moments::<f64>(fa, fb, |i| i * n + node, &mut out, k);
+    for k in (kw..k4).step_by(F64x4::LANES) {
+        moments::<F64x4>(fa, fb, |i| i * n + node(k), &mut out, k);
+    }
+    for k in k4..plane {
+        moments::<f64>(fa, fb, |i| i * n + node(k), &mut out, k);
     }
 }
 
-/// The collide sweep's task for plane `z`: the force stage over the plane
-/// into a scratch of its own, then the relax stage a few pairs at a time
-/// over the slots of `f` — the streaming sweep if `STREAM`, the local one
-/// otherwise. With `lanes`, lane blocks cover x in `1..xe` of every row
-/// (the local relax, which reads no neighbour, runs them across row
-/// ends); the rest — all of it without `lanes` — runs the same kernels at
-/// width one.
+/// The collide sweep's task for plane `z`, `T::LANES` nodes at a time
+/// (see [`lane_tiers`]): the force stage over the plane into a scratch of
+/// its own, then the relax stage a few pairs at a time over the slots of
+/// `f` — the streaming sweep if `STREAM`, the local one otherwise. Lane
+/// blocks cover x in `1..nx − 1` of every row (the local relax, which
+/// reads no neighbour, runs them across row ends); the rest — all of it
+/// for the scalar backend — runs the same kernels at width one.
 #[inline(always)]
-fn collide_plane<const STREAM: bool>(
+fn collide_plane<T: Lane, const STREAM: bool>(
     ctx: &SweepCtx<'_>,
     geom: Geom,
-    lanes: bool,
     z: usize,
     mut f: PlaneRows<'_>,
 ) {
     let Geom { nx, ny, .. } = geom;
     let plane = ctx.plane;
-    let xe = lane_end(nx, lanes);
+    let (xw, x4) = lane_tiers::<T>(1, row_interior_end::<T>(nx));
     let mut vals = vec![0.0; NODE_VALS * plane];
     for y in 0..ny {
         let (k, bases) = (y * nx, geom.row_bases(y, z));
-        for x in (1..xe).step_by(L) {
-            let nb = kernel_array(|i| bases[i] + wrap(x, CX[i], nx));
-            ctx.force::<F64x4>(z * plane + k + x, &nb, &mut vals, k + x);
+        let nb = |x: usize| kernel_array(|i| bases[i] + wrap(x, CX[i], nx));
+        for x in (1..xw).step_by(T::LANES) {
+            ctx.force::<T>(z * plane + k + x, &nb(x), &mut vals, k + x);
         }
-        for x in row_edges(xe, nx) {
+        for x in (xw..x4).step_by(F64x4::LANES) {
+            ctx.force::<F64x4>(z * plane + k + x, &nb(x), &mut vals, k + x);
+        }
+        for x in row_edges(x4, nx) {
             let nb = kernel_array(|i| geom.neighbor(x, y, z, i));
             ctx.force::<f64>(z * plane + k + x, &nb, &mut vals, k + x);
         }
@@ -618,15 +649,16 @@ fn collide_plane<const STREAM: bool>(
     for p0 in (0..PAIRS).step_by(group) {
         let pairs = p0..(p0 + group).min(PAIRS);
         if !STREAM {
-            let mut k = 0;
-            while lanes && k + L <= plane {
-                let node = z * plane + k;
-                ctx.relax::<F64x4, false>(pairs.clone(), |_| node, &vals, k, &mut f);
-                k += L;
+            let (kw, k4) = lane_tiers::<T>(0, plane);
+            let node = |k: usize| z * plane + k;
+            for k in (0..kw).step_by(T::LANES) {
+                ctx.relax::<T, false>(pairs.clone(), |_| node(k), &vals, k, &mut f);
             }
-            for k in k..plane {
-                let node = z * plane + k;
-                ctx.relax::<f64, false>(pairs.clone(), |_| node, &vals, k, &mut f);
+            for k in (kw..k4).step_by(F64x4::LANES) {
+                ctx.relax::<F64x4, false>(pairs.clone(), |_| node(k), &vals, k, &mut f);
+            }
+            for k in k4..plane {
+                ctx.relax::<f64, false>(pairs.clone(), |_| node(k), &vals, k, &mut f);
             }
             continue;
         }
@@ -635,11 +667,15 @@ fn collide_plane<const STREAM: bool>(
             // in a lane block, where x cannot wrap, the slot of x in row s
             // is blocks[s] + x − 1
             let blocks: [usize; Q] = kernel_array(|s| bases[s] + (1 + CX[s]) as usize);
-            for x in (1..xe).step_by(L) {
+            for x in (1..xw).step_by(T::LANES) {
+                let at = |s: usize| blocks[s] + x - 1;
+                ctx.relax::<T, true>(pairs.clone(), at, &vals, k + x, &mut f);
+            }
+            for x in (xw..x4).step_by(F64x4::LANES) {
                 let at = |s: usize| blocks[s] + x - 1;
                 ctx.relax::<F64x4, true>(pairs.clone(), at, &vals, k + x, &mut f);
             }
-            for x in row_edges(xe, nx) {
+            for x in row_edges(x4, nx) {
                 let at = |s: usize| bases[s] + wrap(x, CX[s], nx);
                 ctx.relax::<f64, true>(pairs.clone(), at, &vals, k + x, &mut f);
             }
@@ -647,7 +683,7 @@ fn collide_plane<const STREAM: bool>(
     }
 }
 
-/// [`moments_plane`] with lane blocks, compiled for AVX2.
+/// [`moments_plane`] over [`F64x4`], compiled for AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn moments_plane_avx2<const SWAPPED: bool>(
@@ -657,10 +693,23 @@ fn moments_plane_avx2<const SWAPPED: bool>(
     z: usize,
     out: [&mut [f64]; 5],
 ) {
-    moments_plane::<SWAPPED>(fa, fb, geom, true, z, out);
+    moments_plane::<F64x4, SWAPPED>(fa, fb, geom, z, out);
 }
 
-/// [`collide_plane`] with lane blocks, compiled for AVX2.
+/// [`moments_plane`] over [`F64x8`], compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn moments_plane_avx512<const SWAPPED: bool>(
+    fa: &[f64],
+    fb: &[f64],
+    geom: Geom,
+    z: usize,
+    out: [&mut [f64]; 5],
+) {
+    moments_plane::<F64x8, SWAPPED>(fa, fb, geom, z, out);
+}
+
+/// [`collide_plane`] over [`F64x4`], compiled for AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn collide_plane_avx2<const STREAM: bool>(
@@ -669,7 +718,72 @@ fn collide_plane_avx2<const STREAM: bool>(
     z: usize,
     f: PlaneRows<'_>,
 ) {
-    collide_plane::<STREAM>(ctx, geom, true, z, f);
+    collide_plane::<F64x4, STREAM>(ctx, geom, z, f);
+}
+
+/// [`collide_plane`] over [`F64x8`], compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn collide_plane_avx512<const STREAM: bool>(
+    ctx: &SweepCtx<'_>,
+    geom: Geom,
+    z: usize,
+    f: PlaneRows<'_>,
+) {
+    collide_plane::<F64x8, STREAM>(ctx, geom, z, f);
+}
+
+/// [`moments_plane`] in `backend`'s lane type and build.
+#[inline(always)]
+fn moments_task<const SWAPPED: bool>(
+    backend: Backend,
+    fa: &[f64],
+    fb: &[f64],
+    geom: Geom,
+    z: usize,
+    out: [&mut [f64]; 5],
+) {
+    match backend {
+        Backend::Scalar => moments_plane::<f64, SWAPPED>(fa, fb, geom, z, out),
+        Backend::Simd => moments_plane::<F64x4, SWAPPED>(fa, fb, geom, z, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a solver's backend is always what `Backend::resolve`
+        // returned for this CPU (`TwoFluidLbm::backend`'s invariant), and
+        // that is `Wide` only when the CPU has AVX2, the one feature
+        // `moments_plane_avx2` enables.
+        Backend::Wide => unsafe { moments_plane_avx2::<SWAPPED>(fa, fb, geom, z, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above; `Wide512` only when the CPU has AVX-512F.
+        Backend::Wide512 => unsafe { moments_plane_avx512::<SWAPPED>(fa, fb, geom, z, out) },
+        // `Backend::resolve` never returns these off x86-64
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Wide | Backend::Wide512 => moments_plane::<F64x4, SWAPPED>(fa, fb, geom, z, out),
+    }
+}
+
+/// [`collide_plane`] in `backend`'s lane type and build.
+#[inline(always)]
+fn collide_task<const STREAM: bool>(
+    backend: Backend,
+    ctx: &SweepCtx<'_>,
+    geom: Geom,
+    z: usize,
+    f: PlaneRows<'_>,
+) {
+    match backend {
+        Backend::Scalar => collide_plane::<f64, STREAM>(ctx, geom, z, f),
+        Backend::Simd => collide_plane::<F64x4, STREAM>(ctx, geom, z, f),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `moments_task`; `Wide` only when the CPU has AVX2.
+        Backend::Wide => unsafe { collide_plane_avx2::<STREAM>(ctx, geom, z, f) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `moments_task`; `Wide512` only when the CPU has
+        // AVX-512F.
+        Backend::Wide512 => unsafe { collide_plane_avx512::<STREAM>(ctx, geom, z, f) },
+        // `Backend::resolve` never returns these off x86-64
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Wide | Backend::Wide512 => collide_plane::<F64x4, STREAM>(ctx, geom, z, f),
+    }
 }
 
 /// The two-fluid Lattice-Boltzmann simulation.
@@ -696,9 +810,10 @@ pub struct TwoFluidLbm {
     /// Current miscibility m ∈ \[0,1\].
     miscibility: f64,
     /// Kernel backend (defaults to the process-wide [`lanes::backend`]).
-    /// Always a value [`lanes::Backend::resolve`] returned: the sweeps
-    /// run their AVX2 builds on `Wide` without checking the CPU again.
-    backend: lanes::Backend,
+    /// Always a value [`Backend::resolve`] returned: the sweeps run their
+    /// AVX2 builds on `Wide` and their AVX-512 builds on `Wide512` without
+    /// checking the CPU again.
+    backend: Backend,
     steps: u64,
 }
 
@@ -771,16 +886,17 @@ impl TwoFluidLbm {
     }
 
     /// The kernel backend in use (scalar reference or lane-blocked).
-    pub fn backend(&self) -> lanes::Backend {
+    pub fn backend(&self) -> Backend {
         self.backend
     }
 
-    /// Override the kernel backend, as [`lanes::Backend::on_this_cpu`]
-    /// resolves it (`Wide` on a CPU without AVX2 runs `Simd`). Results
+    /// Override the kernel backend, as [`Backend::on_this_cpu`] resolves it
+    /// (`Wide512` without AVX-512F runs `Wide`, `Wide` without AVX2 runs
+    /// `Simd`). Results
     /// are unaffected — the backends are bit-identical (tested,
     /// proptested, and CI-gated); benches use this to measure each in one
     /// process.
-    pub fn set_backend(&mut self, backend: lanes::Backend) {
+    pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend.on_this_cpu();
     }
 
@@ -839,21 +955,10 @@ impl TwoFluidLbm {
         let out = DisjointChunks::new(&mut self.moments, plane);
         self.pool.run(nz, |z| {
             let out = from_fn(|c| out.claim(c * nz + z));
-            match backend {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `self.backend` is always what `Backend::resolve`
-                // returned for this CPU (the field's invariant), and that is
-                // `Wide` only when the CPU has AVX2, the one feature
-                // `moments_plane_avx2` enables.
-                lanes::Backend::Wide => unsafe {
-                    if swapped {
-                        moments_plane_avx2::<true>(fa, fb, geom, z, out)
-                    } else {
-                        moments_plane_avx2::<false>(fa, fb, geom, z, out)
-                    }
-                },
-                b if swapped => moments_plane::<true>(fa, fb, geom, b.lane_blocked(), z, out),
-                b => moments_plane::<false>(fa, fb, geom, b.lane_blocked(), z, out),
+            if swapped {
+                moments_task::<true>(backend, fa, fb, geom, z, out)
+            } else {
+                moments_task::<false>(backend, fa, fb, geom, z, out)
             }
         });
     }
@@ -881,21 +986,10 @@ impl TwoFluidLbm {
                 b: from_fn(|i| fb.claim(i * nz + dz[i])),
                 start: dz.map(|d| d * plane),
             };
-            match backend {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `self.backend` is always what `Backend::resolve`
-                // returned for this CPU (the field's invariant), and that is
-                // `Wide` only when the CPU has AVX2, the one feature
-                // `collide_plane_avx2` enables.
-                lanes::Backend::Wide => unsafe {
-                    if stream {
-                        collide_plane_avx2::<true>(&ctx, geom, z, f)
-                    } else {
-                        collide_plane_avx2::<false>(&ctx, geom, z, f)
-                    }
-                },
-                b if stream => collide_plane::<true>(&ctx, geom, b.lane_blocked(), z, f),
-                b => collide_plane::<false>(&ctx, geom, b.lane_blocked(), z, f),
+            if stream {
+                collide_task::<true>(backend, &ctx, geom, z, f)
+            } else {
+                collide_task::<false>(backend, &ctx, geom, z, f)
             }
         });
         self.swapped = !stream;
@@ -1288,11 +1382,15 @@ mod tests {
         ) {
             let Geom { nx, ny, .. } = geom;
             let plane = ctx.plane;
-            let xe = lane_end(nx, lanes);
+            let xe = if lanes {
+                lane_tiers::<F64x4>(1, nx - 1).0
+            } else {
+                1
+            };
             let mut vals = vec![0.0; NODE_VALS * plane];
             for y in 0..ny {
                 let (k, bases) = (y * nx, geom.row_bases(y, z));
-                for x in (1..xe).step_by(L) {
+                for x in (1..xe).step_by(F64x4::LANES) {
                     let nb = from_fn(|i| bases[i] + wrap(x, CX[i], nx));
                     ctx.force::<F64x4>(z * plane + k + x, &nb, &mut vals, k + x);
                 }
@@ -1305,7 +1403,7 @@ mod tests {
                 let dirs = i0..(i0 + DIR_GROUP).min(Q);
                 for y in 0..ny {
                     let (k, bases) = (y * nx, geom.row_bases(y, z));
-                    for x in (1..xe).step_by(L) {
+                    for x in (1..xe).step_by(F64x4::LANES) {
                         let to = |i: usize| bases[i] + wrap(x, CX[i], nx);
                         let node = z * plane + k + x;
                         let src = (fa, fb, node);
@@ -1397,7 +1495,7 @@ mod tests {
             nz: 3,
         };
         let (plane, n) = (geom.nx * geom.ny, geom.nx * geom.ny * geom.nz);
-        let xe = 1 + (geom.nx - 2) / L * L;
+        let xe = lane_tiers::<F64x4>(1, geom.nx - 1).0;
         let mut rng = StdRng::seed_from_u64(0x5c_f0ce);
         let mut pick = || match rng.gen_range(0..6) {
             0 => 0.0,
@@ -1432,7 +1530,7 @@ mod tests {
             for z in 0..geom.nz {
                 for y in 0..geom.ny {
                     let (k, bases) = (y * geom.nx, geom.row_bases(y, z));
-                    for x in (1..xe).step_by(L) {
+                    for x in (1..xe).step_by(F64x4::LANES) {
                         let nb = from_fn(|i| bases[i] + wrap(x, CX[i], geom.nx));
                         let at = format!("width 4 at ({x}, {y}, {z})");
                         assert_eq!(
@@ -1498,7 +1596,7 @@ mod tests {
     #[test]
     fn moments_always_describe_the_distributions() {
         let mut seen = Vec::new();
-        for backend in lanes::Backend::ALL {
+        for backend in Backend::ALL {
             for threads in [1, 8] {
                 let cfg = LbmConfig {
                     threads,
@@ -1637,70 +1735,58 @@ mod tests {
         assert_eq!(a.data(), b.data(), "thread count changed the physics");
     }
 
-    #[test]
-    fn scalar_and_simd_backends_are_bit_identical() {
-        let run = |backend: lanes::Backend, threads: usize| {
-            let cfg = LbmConfig {
+    /// Every backend at pool widths 1 and 8 against scalar at one thread,
+    /// on an `nx`×`ny`×`nz` grid: the distributions and the five moment
+    /// rows, bit for bit, after an odd and an even number of steps (so
+    /// after a local and a streaming sweep, moments of both layouts).
+    fn assert_backends_agree(nx: usize, ny: usize, nz: usize) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let state = |sim: &TwoFluidLbm| (bits(&sim.fa), bits(&sim.fb), bits(&sim.moments));
+        let run = |backend: Backend, threads: usize| {
+            let mut sim = TwoFluidLbm::new(LbmConfig {
                 threads,
-                // odd x extent: exercises the SIMD remainder path too
-                nx: 13,
-                ny: 10,
-                nz: 6,
+                nx,
+                ny,
+                nz,
                 ..LbmConfig::small()
-            };
-            let mut sim = TwoFluidLbm::new(cfg);
+            });
             sim.set_backend(backend);
             sim.set_miscibility(0.1);
-            sim.step_n(12);
-            sim
+            sim.step_n(7);
+            let odd = state(&sim);
+            sim.step();
+            [odd, state(&sim)]
         };
-        let scalar = run(lanes::Backend::Scalar, 1);
-        let matrix = lanes::Backend::ALL.map(|b| [(b, 1), (b, 4)]);
-        for (backend, threads) in matrix.into_iter().flatten() {
-            let other = run(backend, threads);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&scalar.fa),
-                bits(&other.fa),
-                "fa diverged ({}, {threads} threads)",
-                backend.label()
-            );
-            assert_eq!(
-                bits(&scalar.fb),
-                bits(&other.fb),
-                "fb diverged ({}, {threads} threads)",
-                backend.label()
-            );
+        let scalar = run(Backend::Scalar, 1);
+        for (backend, threads) in Backend::ALL.map(|b| [(b, 1), (b, 8)]).into_iter().flatten() {
+            let [odd, even] = run(backend, threads);
+            for (what, spec, got) in [("step 7", &scalar[0], odd), ("step 8", &scalar[1], even)] {
+                let at = format!("{nx}x{ny}x{nz} {} t{threads} {what}", backend.label());
+                assert!(spec.0 == got.0, "{at}: fa diverged");
+                assert!(spec.1 == got.1, "{at}: fb diverged");
+                assert!(spec.2 == got.2, "{at}: moments diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_and_simd_backends_are_bit_identical() {
+        // row interiors (nx − 2) of 7, 11, 14, 15 and 46 nodes: at eight
+        // lanes, a lone 4-lane block (9), 8-lane blocks alone (13), both
+        // with no (16) or some (17, 48) width-one interior nodes left; at
+        // four lanes, remainders of 3, 3, 2, 3 and 2
+        for nx in [9, 13, 16, 17, 48] {
+            assert_backends_agree(nx, 5, 4);
         }
     }
 
     #[test]
     fn tiny_grids_fall_back_to_scalar_rows() {
-        // nx < lanes+2: no SIMD block ever fits a row interior, so the
-        // lane kernels must degrade to the reference path cleanly
-        for (nx, ny, nz) in [(2, 5, 5), (4, 4, 4), (5, 3, 3)] {
-            let cfg = LbmConfig {
-                nx,
-                ny,
-                nz,
-                ..LbmConfig::small()
-            };
-            let phi = |backend| {
-                let mut sim = TwoFluidLbm::new(cfg.clone());
-                sim.set_backend(backend);
-                sim.set_miscibility(0.2);
-                sim.step_n(5);
-                sim.order_parameter()
-            };
-            let scalar = phi(lanes::Backend::Scalar);
-            for backend in lanes::Backend::ALL {
-                assert_eq!(
-                    phi(backend).data(),
-                    scalar.data(),
-                    "{nx}x{ny}x{nz} {}",
-                    backend.label()
-                );
-            }
+        // nx < lanes+2: no lane block ever fits a row interior, so the row
+        // walks degrade to the reference path cleanly; the canonical
+        // moments and the local relax still block across row ends
+        for (nx, ny, nz) in [(2, 5, 5), (3, 4, 4), (4, 4, 4), (5, 3, 3)] {
+            assert_backends_agree(nx, ny, nz);
         }
     }
 
@@ -1909,7 +1995,7 @@ mod tests {
     fn in_place_step_matches_the_push_spec() {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (nx, ny, nz) in [(7, 2, 2), (13, 5, 3), (4, 3, 2), (16, 16, 16)] {
-            for backend in lanes::Backend::ALL {
+            for backend in Backend::ALL {
                 for threads in [1, 4] {
                     let cfg = LbmConfig {
                         nx,

@@ -24,7 +24,8 @@
 //! never become −0.0, so each lane performs its scalar walk's operations
 //! in that walk's order, bit for bit. `simd` runs the group walk over the
 //! portable [`lanes::F64x4`]; `wide` runs the same source compiled for
-//! AVX2 (`chunk_groups_avx2`, the LBM sweeps' pattern).
+//! AVX2 (`chunk_groups_avx2`, the LBM sweeps' pattern), and so does
+//! `wide512`: the walk has no eight-lane form.
 //!
 //! **Potential.** Each accepted node or leaf pair also adds `s · r²`
 //! (= qᵢqⱼ/r, softened) from the `s = qᵢqⱼ/r³` its force has, so a walk
@@ -311,7 +312,7 @@ impl Octree {
 
     /// Override the force-walk backend, as [`lanes::Backend::on_this_cpu`]
     /// resolves it (benches and bit-identity tests compare them all in one
-    /// process). `Wide` runs the group walk's AVX2 build.
+    /// process). `Wide` and `Wide512` run the group walk's AVX2 build.
     pub fn set_backend(&mut self, backend: lanes::Backend) {
         self.backend = backend.on_this_cpu();
     }
@@ -509,10 +510,12 @@ impl Octree {
                 lanes::Backend::Scalar => self.chunk_scalar(p, out),
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: `self.backend` is always what `Backend::on_this_cpu`
-                // resolved (the field's invariant), and that is `Wide` only
-                // when the CPU has AVX2, the one feature `chunk_groups_avx2`
-                // enables.
-                lanes::Backend::Wide => unsafe { self.chunk_groups_avx2(p, out) },
+                // resolved (the field's invariant), and that is `Wide` or
+                // `Wide512` only when the CPU has AVX2, the one feature
+                // `chunk_groups_avx2` enables.
+                lanes::Backend::Wide | lanes::Backend::Wide512 => unsafe {
+                    self.chunk_groups_avx2(p, out)
+                },
                 _ => self.chunk_groups(p, out),
             };
             self.chunks[ci][0].store(work, Ordering::Relaxed);

@@ -190,6 +190,30 @@ impl UnicoreClient {
             _ => Err(ClientError::Protocol),
         }
     }
+
+    /// Detach this user's attached `plugin` from the steering session; if
+    /// it held the master role, the longest-present session takes it.
+    // detlint::allow(R9, "README crate table, crates/unicore row: VISIT proxy integration")
+    pub fn proxy_detach(
+        &self,
+        gw: &mut Gateway,
+        vsite: &str,
+        service: &str,
+        plugin: &VisitProxyClient,
+    ) -> Result<(), ClientError> {
+        match self.send(
+            gw,
+            GatewayMsg::ProxyDetach {
+                vsite: vsite.into(),
+                service: service.into(),
+                session: plugin.session,
+            },
+        ) {
+            GatewayReply::ProxyDetached => Ok(()),
+            GatewayReply::Denied(e) => Err(ClientError::Denied(e)),
+            _ => Err(ClientError::Protocol),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -362,6 +386,57 @@ mod tests {
         let stats = gw.proxy_mut("csar", "lbm").unwrap().stats();
         assert_eq!((stats.params_accepted, stats.params_rejected), (3, 2));
         assert_eq!(gw.stats().proxy_exchanges, 8);
+    }
+
+    #[test]
+    fn a_departing_master_hands_the_token_on_through_the_gateway() {
+        use crate::proxy::VisitProxyServer;
+        use visit::link::{FrameLink, MemLink};
+        use visit::Password;
+        let ca = CertAuthority::new("CA", 1);
+        let mut trust = TrustStore::new();
+        trust.trust(&ca);
+        let [alice, bob, carol] = ["CN=porter", "CN=woessner", "CN=brooke"].map(|subject| {
+            let (cert, key) = ca.issue(subject);
+            UnicoreClient::new(cert, key)
+        });
+        let mut gw = Gateway::new("gw", trust);
+        gw.add_vsite(Njs::new("csar", Tsi::with_builtins()));
+        let pw = Password::Keyed("job-secret".into());
+        let challenge = gw.challenge("csar", "lbm");
+        let proxy_end: Box<dyn FrameLink> = Box::new(MemLink::pair().1);
+        gw.register_proxy(
+            "csar",
+            VisitProxyServer::new("lbm", proxy_end, pw, challenge),
+        );
+        let master = |gw: &mut Gateway| gw.proxy_mut("csar", "lbm").unwrap().master();
+        let a = alice.proxy_attach(&mut gw, "csar", "lbm").unwrap();
+        let b = bob.proxy_attach(&mut gw, "csar", "lbm").unwrap();
+        let c = carol.proxy_attach(&mut gw, "csar", "lbm").unwrap();
+        assert_eq!(master(&mut gw), Some(a.session));
+        // bob cannot detach alice's session: the token stays with alice
+        let denied = ClientError::Denied(GatewayError::UnknownSession);
+        assert_eq!(
+            bob.proxy_detach(&mut gw, "csar", "lbm", &a),
+            Err(denied.clone())
+        );
+        assert_eq!(master(&mut gw), Some(a.session));
+        // alice leaves: bob, present longer than carol, takes the token
+        assert_eq!(alice.proxy_detach(&mut gw, "csar", "lbm", &a), Ok(()));
+        assert_eq!(master(&mut gw), Some(b.session));
+        // alice's session is gone, for alice too
+        assert_eq!(
+            alice.proxy_detach(&mut gw, "csar", "lbm", &a),
+            Err(denied.clone())
+        );
+        let mut gone = VisitProxyClient::new(a.session);
+        assert_eq!(
+            alice.proxy_poll(&mut gw, "csar", "lbm", &mut gone),
+            Err(denied)
+        );
+        // a non-holder leaving moves nothing
+        assert_eq!(carol.proxy_detach(&mut gw, "csar", "lbm", &c), Ok(()));
+        assert_eq!(master(&mut gw), Some(b.session));
     }
 
     #[test]

@@ -73,6 +73,16 @@ pub enum GatewayMsg {
         /// Session to promote.
         to: ProxySessionId,
     },
+    /// Detach the caller's session; a master's token passes to the
+    /// longest-present session left.
+    ProxyDetach {
+        /// Vsite hosting the proxy.
+        vsite: String,
+        /// Steering service name.
+        service: String,
+        /// The caller's session.
+        session: ProxySessionId,
+    },
 }
 
 /// Replies from the gateway.
@@ -93,6 +103,8 @@ pub enum GatewayReply {
     ProxyFrames(Vec<Vec<u8>>),
     /// Master role moved (or not).
     MasterPassed(bool),
+    /// Proxy session detached.
+    ProxyDetached,
     /// Request refused.
     Denied(GatewayError),
 }
@@ -272,6 +284,22 @@ impl Gateway {
                         Some(moved) => GatewayReply::MasterPassed(moved),
                         None => GatewayReply::Denied(GatewayError::UnknownSession),
                     },
+                    None => GatewayReply::Denied(GatewayError::UnknownService(service.clone())),
+                }
+            }
+            GatewayMsg::ProxyDetach {
+                vsite,
+                service,
+                session,
+            } => {
+                let key = (vsite.clone(), service.clone());
+                match self
+                    .proxies
+                    .get_mut(&key)
+                    .map(|p| p.detach(&owner, *session))
+                {
+                    Some(true) => GatewayReply::ProxyDetached,
+                    Some(false) => GatewayReply::Denied(GatewayError::UnknownSession),
                     None => GatewayReply::Denied(GatewayError::UnknownService(service.clone())),
                 }
             }

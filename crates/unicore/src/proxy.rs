@@ -148,10 +148,16 @@ impl<L: FrameLink> VisitProxyServer<L> {
         id
     }
 
-    /// Detach a session; mastership passes to the lowest remaining id.
-    pub fn detach(&mut self, id: ProxySessionId) {
+    /// `owner` detaches its session `id`; mastership passes to the lowest
+    /// remaining id, the longest present. `false`, and nothing changes,
+    /// unless `owner` attached `id`.
+    pub fn detach(&mut self, owner: &str, id: ProxySessionId) -> bool {
+        if self.cursor(id, owner).is_none() {
+            return false;
+        }
         self.sessions.remove(&id);
         self.token.depart(id, self.sessions.keys().copied());
+        true
     }
 
     /// Current master session.
@@ -418,7 +424,9 @@ mod tests {
         let (_c, mut proxy) = rig();
         let a = proxy.attach("u");
         let b = proxy.attach("u");
-        proxy.detach(a);
+        assert!(!proxy.detach("v", a), "not v's session");
+        assert_eq!(proxy.master(), Some(a));
+        assert!(proxy.detach("u", a));
         assert_eq!(proxy.master(), Some(b));
         let c2 = proxy.attach("u");
         assert_eq!(proxy.pass_master("u", b, c2), Some(true));

@@ -362,7 +362,7 @@ impl MasterRule for Proxy {
         self.1.len() - 1
     }
     fn depart(&mut self, who: usize) -> bool {
-        self.0.detach(self.1[who]);
+        self.0.detach("u", self.1[who]);
         true
     }
     fn pass(&mut self, from: usize, to: usize) -> bool {
