@@ -993,9 +993,11 @@ pub fn exp_monitor_fanout() -> Vec<String> {
 /// subscriber, tractable to 10k; the tree's leaf tier is one aggregate
 /// sink per edge standing in for `n/32` subscribers, which makes the 1M
 /// row measurable — and the origin's own cost is 4 region envelopes per
-/// step at any width, which is the architectural point. A loopback probe
-/// rides edge 0; its frame digest must match the flat probe
-/// byte-for-byte (relays preserve origin sequence numbers), and the
+/// step at any width, which is the architectural point. `pump=` times
+/// the tiers' own work, top-down: each drain of a tier's uplink
+/// collector and its `RelayHub::ingest`. A loopback probe rides edge 0;
+/// its frame digest must match the flat probe byte-for-byte (relays
+/// preserve origin sequence numbers), and the
 /// `digest=`/`delivered=` cells are the deterministic columns CI
 /// compares across `EXEC_THREADS`. (Walls are wall-clock; those cells
 /// legitimately drift run to run.)
@@ -1078,30 +1080,35 @@ pub fn exp_fanout_scale() -> Vec<String> {
     };
 
     // relay tree: the origin fans to 4 regions, each region to 8 edges,
-    // and the leaf population hangs off the edges
+    // and the leaf population hangs off the edges; each tier subscribes
+    // to its parent as a loopback collector that is drained into `ingest`
     let relay_pass = |n: u64| -> (Duration, Duration, u64, u64) {
         let origin = MonitorHub::new();
         let counter = Arc::new(AtomicU64::new(0));
         let mut regions = Vec::new();
         let mut edges = Vec::new();
         for r in 0..REGIONS {
+            let name = format!("region-{r}");
+            let uplink = Box::new(LoopbackMonitor::new());
+            origin.attach_endpoint(&name, uplink, &RelayHub::uplink_caps());
             let region = RelayHub::new(RelayPolicy::default());
-            region.attach_to(&origin, &format!("region-{r}"));
             for e in 0..EDGES_PER_REGION {
-                let edge = RelayHub::new(RelayPolicy::default());
-                edge.attach_under(&region, &format!("edge-{r}-{e}"));
-                edges.push(edge);
+                let name = format!("edge-{r}-{e}");
+                let uplink = Box::new(LoopbackMonitor::new());
+                region.attach_child_with_budget(&name, uplink, &RelayHub::uplink_caps(), None);
+                edges.push((r, name, RelayHub::new(RelayPolicy::default())));
             }
-            regions.push(region);
+            regions.push((name, region));
         }
         let leaves = (REGIONS * EDGES_PER_REGION) as u64;
-        for (i, edge) in edges.iter().enumerate() {
+        for (i, (_, _, edge)) in edges.iter().enumerate() {
             let share = n / leaves + u64::from((i as u64) < n % leaves);
             if share > 0 {
                 edge.attach_child(&format!("leaf-{i}"), sink(share, &counter), &caps());
             }
         }
-        edges[0].attach_child("probe", Box::new(LoopbackMonitor::new()), &caps());
+        let probe_edge = &edges[0].2;
+        probe_edge.attach_child("probe", Box::new(LoopbackMonitor::new()), &caps());
         let t0 = Instant::now();
         for step in 0..STEPS {
             origin.publish_batch(step, payloads(step));
@@ -1113,18 +1120,18 @@ pub fn exp_fanout_scale() -> Vec<String> {
             "origin fan-out is structural: regions only, at any leaf width"
         );
         let t1 = Instant::now();
-        for region in &regions {
-            region.pump();
+        for (name, region) in &regions {
+            region.ingest(&origin.recv(name));
         }
-        for edge in &edges {
-            edge.pump();
+        for (r, name, edge) in &edges {
+            edge.ingest(&regions[*r].1.recv_child(name));
         }
         let pump_wall = t1.elapsed();
         (
             origin_wall,
             pump_wall,
             counter.load(Ordering::Relaxed),
-            fold(&edges[0].recv_child("probe")),
+            fold(&probe_edge.recv_child("probe")),
         )
     };
 

@@ -19,7 +19,7 @@
 //! (floats travel as raw bits, so NaN-filled grids survive bit-exactly).
 
 use crate::log::fnv1a;
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 use gridsteer_ckpt::{CkptError, SectionReader};
 use std::borrow::Cow;
 
@@ -459,9 +459,9 @@ impl<'a> MonitorFrame<'a> {
 
     /// Encode into a fresh byte vector, refusing unrepresentable frames.
     pub fn try_to_bytes(&self) -> Result<Vec<u8>, FrameCodecError> {
-        let mut buf = BytesMut::with_capacity(self.wire_size());
+        let mut buf = Vec::with_capacity(self.wire_size());
         self.encode_bytes(&mut buf)?;
-        Ok(buf.to_vec())
+        Ok(buf)
     }
 
     /// Encode into a fresh byte vector. Panics on a frame the codec
@@ -565,6 +565,7 @@ impl<'a> MonitorFrame<'a> {
 mod tests {
     use super::*;
     use crate::log::FNV_OFFSET;
+    use bytes::BytesMut;
 
     fn samples() -> Vec<MonitorFrame<'static>> {
         vec![

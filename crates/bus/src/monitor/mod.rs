@@ -40,8 +40,9 @@
 //!   ([`viz::VizServerSession`]) onto the hub, so rendered frames travel
 //!   the same data plane as field slices and series points.
 //! * [`RelayHub`] — the hierarchical fan-out fabric: a relay subscribes
-//!   to a parent hub as an ordinary endpoint and re-publishes decimated,
-//!   keyframe-cached streams to its own children, composable into
+//!   to its parent as an ordinary collector, which its owner drains into
+//!   [`RelayHub::ingest`], and re-publishes decimated, keyframe-cached
+//!   streams to its own children, composable into
 //!   origin → region → edge trees where each tier applies its own
 //!   backpressure and serves late joiners from its edge cache.
 

@@ -3,10 +3,14 @@
 //!
 //! A flat [`MonitorHub`] pays one transport envelope per subscriber per
 //! publish — linear in viewer count, hopeless past a few hundred. A
-//! [`RelayHub`] breaks that linearity: it subscribes to a parent hub as
-//! an *ordinary endpoint* (its [`RelayHub::uplink_endpoint`] is just
-//! another [`MonitorEndpoint`]), and re-publishes the stream to its own
-//! children through an inner [`MonitorHub`]. Relays compose into trees —
+//! [`RelayHub`] breaks that linearity: it subscribes to its parent (a
+//! hub, or another relay's children) as an *ordinary collector* — a
+//! [`LoopbackMonitor`] attached under [`RelayHub::uplink_caps`] — which
+//! the tier's owner drains and hands to [`RelayHub::ingest`], carrying
+//! the batch over the tier's own link in between if it models one. The
+//! ingest re-publishes the stream to the tier's children through an
+//! inner [`MonitorHub`]; the parent's publish pays one envelope for the
+//! tier and never its downstream fan-out. Relays compose into trees —
 //! origin → region relays → edge relays → viewers — so the origin's
 //! publish cost is `O(direct children)` no matter how wide the leaf tier
 //! grows; that is the §3.3 vbroker fan-out taken hierarchical.
@@ -25,22 +29,20 @@
 //!   cache at attach, and the request is *not* re-raised to the origin:
 //!   at scale, attach churn must terminate at the edge.
 //!
-//! Determinism: ingest order is uplink delivery order, children fan out
+//! Determinism: ingest order is collector drain order, children fan out
 //! in attach order via [`MonitorHub::forward_batch`] — which preserves
 //! the origin's sequence numbers, so a viewer's frame digest is
 //! byte-identical whether it sits on the origin or three tiers down.
 //!
 //! [`MonitorStats::shed`]: crate::monitor::hub::MonitorStats
+//! [`LoopbackMonitor`]: crate::loopback::LoopbackMonitor
 
-use crate::monitor::endpoint::{
-    check_delivery, monitor_endpoint_common, FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError,
-};
+use crate::monitor::endpoint::{MonitorCaps, MonitorEndpoint};
 use crate::monitor::frame::{MonitorFrame, MonitorPayload};
 use crate::monitor::hub::{MonitorHub, MonitorStats};
 use gridsteer_ckpt::{CkptError, SectionWriter, Snapshot};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Per-tier forwarding policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,13 +80,9 @@ pub struct RelayReport {
     pub keyframes_served: u64,
 }
 
-/// This tier's mutable core, shared with its uplink endpoint handles.
+/// This tier's mutable core.
 struct RelayCore {
     policy: RelayPolicy,
-    /// Frames delivered by the parent but not yet pumped downstream
-    /// (the uplink endpoint only enqueues — the parent's publish cost
-    /// must not include this tier's fan-out).
-    ingress: Vec<MonitorFrame<'static>>,
     /// Ingested frames counted against the decimation rate.
     admissible: u64,
     /// Latest self-contained frame per channel — the edge keyframe
@@ -96,11 +94,10 @@ struct RelayCore {
     keyframes_served: u64,
 }
 
-/// A relay node: parent-facing endpoint, child-facing hub. Cheap to
-/// clone; all clones are one relay.
-#[derive(Clone)]
+/// A relay node: fed through [`RelayHub::ingest`], fanning out through
+/// a child-facing hub.
 pub struct RelayHub {
-    core: Arc<Mutex<RelayCore>>,
+    core: Mutex<RelayCore>,
     children: MonitorHub,
 }
 
@@ -108,54 +105,32 @@ impl RelayHub {
     /// A fresh relay with the given forwarding policy and no children.
     pub fn new(policy: RelayPolicy) -> RelayHub {
         RelayHub {
-            core: Arc::new(Mutex::new(RelayCore {
+            core: Mutex::new(RelayCore {
                 policy,
-                ingress: Vec::new(),
                 admissible: 0,
                 cache: BTreeMap::new(),
                 ingested: 0,
                 forwarded: 0,
                 decimated: 0,
                 keyframes_served: 0,
-            })),
+            }),
             children: MonitorHub::new(),
         }
     }
 
-    /// The capability set a relay's uplink presents: every kind, large
-    /// batches, no decimation — thinning is this tier's own policy, not
-    /// the parent's.
+    /// The capability set a relay's uplink collector is attached under:
+    /// every kind, large batches, no decimation — thinning is this
+    /// tier's own policy, not the parent's. Under a parent relay the
+    /// collector gets no send budget either (`attach_child_with_budget`
+    /// with `None`).
     pub fn uplink_caps() -> MonitorCaps {
         MonitorCaps::full("relay", 1024)
     }
 
-    /// A parent-facing endpoint for this relay. Deliveries enqueue into
-    /// the relay's ingress buffer and return immediately — the parent
-    /// pays an envelope, never this tier's downstream fan-out. Drain
-    /// with [`RelayHub::pump`].
-    pub fn uplink_endpoint(&self) -> Box<dyn MonitorEndpoint> {
-        Box::new(RelayUplink {
-            caps: Self::uplink_caps(),
-            core: self.core.clone(),
-        })
-    }
-
-    /// Attach this relay under a parent [`MonitorHub`] as subscriber
-    /// `name`. Returns the negotiated capability set.
-    pub fn attach_to(&self, parent: &MonitorHub, name: &str) -> MonitorCaps {
-        parent.attach_endpoint(name, self.uplink_endpoint(), &Self::uplink_caps())
-    }
-
-    /// Attach this relay under a parent *relay* as child `name` — tree
-    /// composition. Returns the negotiated capability set.
-    pub fn attach_under(&self, parent: &RelayHub, name: &str) -> MonitorCaps {
-        parent.attach_child(name, self.uplink_endpoint(), &Self::uplink_caps())
-    }
-
     /// Attach a child subscriber (a viewer endpoint or a deeper relay's
-    /// uplink) under this tier's default child budget, serving any
-    /// cached keyframes immediately — the late joiner decodes from here,
-    /// and no request travels upstream.
+    /// uplink collector) under this tier's default child budget, serving
+    /// any cached keyframes immediately — the late joiner decodes from
+    /// here, and no request travels upstream.
     pub fn attach_child(
         &self,
         name: &str,
@@ -200,11 +175,12 @@ impl RelayHub {
         self.children.detach(name)
     }
 
-    /// Ingest a frame batch from the parent tier *now*: update the
-    /// keyframe cache, apply this tier's decimation, and fan the due
-    /// frames out to the children with upstream sequence numbers
-    /// preserved. Returns the number of frames forwarded. (The uplink
-    /// endpoint path defers this — see [`RelayHub::pump`].)
+    /// Ingest a frame batch drained from this tier's uplink collector:
+    /// update the keyframe cache, apply this tier's decimation, and fan
+    /// the due frames out to the children with upstream sequence numbers
+    /// preserved. Returns the number of frames forwarded. Tiers are fed
+    /// top-down, so a parent's ingest fills its child tiers' collectors
+    /// before they are drained.
     pub fn ingest(&self, frames: &[MonitorFrame]) -> u64 {
         if frames.is_empty() {
             return 0;
@@ -217,15 +193,6 @@ impl RelayHub {
             self.children.forward_batch(&due);
         }
         due.len() as u64
-    }
-
-    /// Drain the ingress buffer (frames the parent delivered through the
-    /// uplink endpoint) and ingest it. Tiers are pumped top-down — a
-    /// parent's pump fills its children's ingress buffers through their
-    /// uplinks, then the children pump. Returns frames forwarded.
-    pub fn pump(&self) -> u64 {
-        let staged = std::mem::take(&mut self.core.lock().ingress);
-        self.ingest(&staged)
     }
 
     /// Drain what child `name`'s viewer side has received.
@@ -251,11 +218,13 @@ impl RelayHub {
     }
 
     /// Serialize this tier's state under `prefix`: `{prefix}/core` holds
-    /// the forwarding policy, decimation phase, keyframe cache, unpumped
-    /// ingress frames and accounting counters; `{prefix}/children` holds
-    /// the child hub (names, caps, schedules — see
-    /// [`MonitorHub::save_sections`]). Scenarios run several relays, so
-    /// the prefix keeps their sections distinct.
+    /// the forwarding policy, decimation phase, accounting counters, a
+    /// `u32` zero (an older layout's count of queued uplink frames) and
+    /// the keyframe cache; `{prefix}/children` holds the child hub
+    /// (names, caps, schedules — see [`MonitorHub::save_sections`]).
+    /// Frames waiting in the tier's uplink collector are the parent's
+    /// state. Scenarios run several relays, so the prefix keeps their
+    /// sections distinct.
     pub fn save_sections(&self, snap: &mut Snapshot, prefix: &str) {
         let mut w = SectionWriter::new();
         let core = self.core.lock();
@@ -267,10 +236,7 @@ impl RelayHub {
         w.put_u64(core.forwarded);
         w.put_u64(core.decimated);
         w.put_u64(core.keyframes_served);
-        w.put_u32(core.ingress.len() as u32);
-        for f in &core.ingress {
-            crate::ckpt::put_frame(&mut w, f);
-        }
+        w.put_u32(0);
         w.put_u32(core.cache.len() as u32);
         for f in core.cache.values() {
             crate::ckpt::put_frame(&mut w, f);
@@ -285,7 +251,9 @@ impl RelayHub {
     /// child endpoints through `resolver` (see
     /// [`MonitorHub::restore_sections`]). The keyframe cache comes back
     /// intact, so a late joiner attaching *after* a restore is still
-    /// served at the edge without a request travelling upstream.
+    /// served at the edge without a request travelling upstream. A
+    /// section that counts queued uplink frames is
+    /// [`CkptError::Corrupt`], refused before this tier changes.
     pub fn restore_sections(
         &self,
         snap: &Snapshot,
@@ -306,10 +274,10 @@ impl RelayHub {
         let forwarded = r.get_u64()?;
         let decimated = r.get_u64()?;
         let keyframes_served = r.get_u64()?;
-        let ningress = r.get_u32()?;
-        let mut ingress = Vec::new();
-        for _ in 0..ningress {
-            ingress.push(crate::ckpt::get_frame(&mut r, "relay ingress frame")?);
+        if r.get_u32()? != 0 {
+            return Err(CkptError::Corrupt {
+                context: format!("{section}: queued uplink frames"),
+            });
         }
         let ncache = r.get_u32()?;
         let mut cache = BTreeMap::new();
@@ -327,7 +295,6 @@ impl RelayHub {
         core.forwarded = forwarded;
         core.decimated = decimated;
         core.keyframes_served = keyframes_served;
-        core.ingress = ingress;
         core.cache = cache;
         Ok(())
     }
@@ -368,40 +335,10 @@ impl RelayCore {
     }
 }
 
-/// The parent-facing endpoint half of a [`RelayHub`].
-struct RelayUplink {
-    caps: MonitorCaps,
-    core: Arc<Mutex<RelayCore>>,
-}
-
-impl MonitorEndpoint for RelayUplink {
-    monitor_endpoint_common!();
-
-    fn deliver(&mut self, chunk: &FrameChunk<'_>) -> Result<usize, MonitorError> {
-        check_delivery(&self.caps, chunk)?;
-        self.core
-            .lock()
-            .ingress
-            .extend(chunk.iter().map(|f| f.clone().into_owned()));
-        Ok(chunk.len())
-    }
-
-    fn recv(&mut self) -> Vec<MonitorFrame<'static>> {
-        // the relay is a pass-through, not a viewer: frames leave
-        // through the child hub, never back out of the uplink
-        Vec::new()
-    }
-
-    fn close(&mut self) {
-        // the parent detached this relay: frames it delivered but the
-        // relay never pumped are gone with the uplink
-        self.core.lock().ingress.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::{fnv1a, FNV_OFFSET};
     use crate::loopback::LoopbackMonitor;
 
     /// Channels held in the keyframe cache.
@@ -421,23 +358,64 @@ mod tests {
         MonitorCaps::full("viewer", 64)
     }
 
+    fn collector() -> Box<dyn MonitorEndpoint> {
+        Box::new(LoopbackMonitor::new())
+    }
+
+    /// Subscribe a tier's uplink collector on the origin, as both engines do.
+    fn attach_uplink(origin: &MonitorHub, name: &str) {
+        origin.attach_endpoint(name, collector(), &RelayHub::uplink_caps());
+    }
+
+    /// Subscribe a deeper tier's uplink collector under a parent relay.
+    fn attach_uplink_under(parent: &RelayHub, name: &str) {
+        parent.attach_child_with_budget(name, collector(), &RelayHub::uplink_caps(), None);
+    }
+
+    /// A fixed history: an `every(2)` tier with a budget of 8, fed scalars,
+    /// a keyframe, a delta and a grid, with one late joiner served.
+    fn relay_with_history() -> RelayHub {
+        let origin = MonitorHub::new();
+        let relay = RelayHub::new(RelayPolicy {
+            deliver_every: 2,
+            default_child_budget: Some(8),
+        });
+        attach_uplink(&origin, "r");
+        relay.attach_child("leaf", collector(), &viewer_caps());
+        for i in 0..5u64 {
+            origin.publish(i, scalar(i as f64));
+        }
+        origin.publish(5, viz_frame(true, 7));
+        origin.publish(5, MonitorPayload::grid2("g", 1, 2, vec![0.25, 0.5]));
+        origin.publish(6, viz_frame(false, 8));
+        relay.ingest(&origin.recv("r"));
+        relay.attach_child("late", collector(), &viewer_caps());
+        relay
+    }
+
+    fn sections(relay: &RelayHub) -> Vec<gridsteer_ckpt::Section> {
+        let mut snap = gridsteer_ckpt::Snapshot::new(1, 0);
+        relay.save_sections(&mut snap, "relay/r");
+        snap.sections
+    }
+
     #[test]
     fn two_tier_stream_matches_direct_attach_byte_for_byte() {
         let origin = MonitorHub::new();
-        origin.attach_endpoint("direct", Box::new(LoopbackMonitor::new()), &viewer_caps());
+        origin.attach_endpoint("direct", collector(), &viewer_caps());
         let region = RelayHub::new(RelayPolicy::default());
-        region.attach_to(&origin, "region-0");
+        attach_uplink(&origin, "region-0");
         let edge = RelayHub::new(RelayPolicy::default());
-        edge.attach_under(&region, "edge-0");
-        edge.attach_child("leaf", Box::new(LoopbackMonitor::new()), &viewer_caps());
+        attach_uplink_under(&region, "edge-0");
+        edge.attach_child("leaf", collector(), &viewer_caps());
 
         for step in 0..4 {
             origin.publish_batch(
                 step,
                 vec![scalar(step as f64), MonitorPayload::vec3("v", [1.0; 3])],
             );
-            region.pump();
-            edge.pump();
+            region.ingest(&origin.recv("region-0"));
+            edge.ingest(&region.recv_child("edge-0"));
         }
         let direct = origin.recv("direct");
         let relayed = edge.recv_child("leaf");
@@ -446,9 +424,7 @@ mod tests {
             direct, relayed,
             "sequence numbers and payloads survive two tiers"
         );
-        let fold = |frames: &[MonitorFrame]| {
-            (frames.iter()).fold(crate::log::FNV_OFFSET, |h, f| f.fold_fnv(h))
-        };
+        let fold = |frames: &[MonitorFrame]| (frames.iter()).fold(FNV_OFFSET, |h, f| f.fold_fnv(h));
         assert_eq!(fold(&direct), fold(&relayed), "digests byte-identical");
     }
 
@@ -459,15 +435,15 @@ mod tests {
             deliver_every: 3,
             default_child_budget: None,
         });
-        relay.attach_to(&origin, "r");
-        relay.attach_child("leaf", Box::new(LoopbackMonitor::new()), &viewer_caps());
+        attach_uplink(&origin, "r");
+        relay.attach_child("leaf", collector(), &viewer_caps());
         for i in 0..9u64 {
             origin.publish(i, scalar(i as f64));
             // an off-phase keyframe every 3rd publish
             if i % 3 == 1 {
                 origin.publish(i, viz_frame(true, i as u8));
             }
-            relay.pump();
+            relay.ingest(&origin.recv("r"));
         }
         let rep = relay.report();
         assert_eq!(rep.ingested, 12);
@@ -489,16 +465,11 @@ mod tests {
             deliver_every: 1,
             default_child_budget: Some(2),
         });
-        relay.attach_to(&origin, "r");
-        relay.attach_child("slow", Box::new(LoopbackMonitor::new()), &viewer_caps());
-        relay.attach_child_with_budget(
-            "fast",
-            Box::new(LoopbackMonitor::new()),
-            &viewer_caps(),
-            None,
-        );
+        attach_uplink(&origin, "r");
+        relay.attach_child("slow", collector(), &viewer_caps());
+        relay.attach_child_with_budget("fast", collector(), &viewer_caps(), None);
         origin.publish_batch(0, (0..5).map(|i| scalar(i as f64)).collect());
-        relay.pump();
+        relay.ingest(&origin.recv("r"));
         assert_eq!(relay.report().shed, 3, "5 due - default budget 2");
         let slow = relay.recv_child("slow");
         assert_eq!(slow.len(), 2);
@@ -518,18 +489,18 @@ mod tests {
     fn late_joiner_served_from_edge_cache_without_reaching_origin() {
         let origin = MonitorHub::new();
         let relay = RelayHub::new(RelayPolicy::default());
-        relay.attach_to(&origin, "r");
+        attach_uplink(&origin, "r");
         // the relay's own attach raised the origin-side request once;
         // the producer answers it with a keyframe
         assert!(origin.take_keyframe_request("viz"));
         origin.publish(0, viz_frame(true, 1));
         origin.publish(0, MonitorPayload::grid2("g", 1, 1, vec![0.5]));
         origin.publish(1, viz_frame(false, 2)); // delta: not cacheable
-        relay.pump();
+        relay.ingest(&origin.recv("r"));
         assert_eq!(cached(&relay), vec!["g", "viz"]);
 
         // a viewer joins at the edge, long after those frames passed
-        relay.attach_child("late", Box::new(LoopbackMonitor::new()), &viewer_caps());
+        relay.attach_child("late", collector(), &viewer_caps());
         let got = relay.recv_child("late");
         assert_eq!(got.len(), 2, "cached keyframe + cached grid");
         assert!(got
@@ -543,89 +514,117 @@ mod tests {
     }
 
     #[test]
-    fn uplink_delivery_only_enqueues_until_pumped() {
-        let origin = MonitorHub::new();
-        let relay = RelayHub::new(RelayPolicy::default());
-        relay.attach_to(&origin, "r");
-        relay.attach_child("leaf", Box::new(LoopbackMonitor::new()), &viewer_caps());
-        origin.publish(0, scalar(1.0));
-        assert!(
-            relay.recv_child("leaf").is_empty(),
-            "nothing fans out on the parent's publish path"
-        );
-        assert_eq!(relay.pump(), 1);
-        assert_eq!(relay.recv_child("leaf").len(), 1);
-        assert_eq!(relay.pump(), 0, "ingress drained");
-    }
-
-    #[test]
     fn restored_relay_keeps_cache_schedule_and_counters() {
         let origin = MonitorHub::new();
         let relay = RelayHub::new(RelayPolicy {
             deliver_every: 2,
             default_child_budget: Some(8),
         });
-        relay.attach_to(&origin, "r");
-        relay.attach_child("leaf", Box::new(LoopbackMonitor::new()), &viewer_caps());
+        attach_uplink(&origin, "r");
+        relay.attach_child("leaf", collector(), &viewer_caps());
         for i in 0..5u64 {
             origin.publish(i, scalar(i as f64));
         }
         origin.publish(5, viz_frame(true, 7));
-        relay.pump();
+        relay.ingest(&origin.recv("r"));
         let _ = relay.recv_child("leaf");
-        // one frame delivered through the uplink but not yet pumped —
-        // the checkpoint must carry it or the restored run loses it
-        origin.publish(6, scalar(6.0));
 
         let mut snap = gridsteer_ckpt::Snapshot::new(1, 0);
         relay.save_sections(&mut snap, "relay/r0");
         let snap = gridsteer_ckpt::Snapshot::decode(&snap.encode()).unwrap();
         let restored = RelayHub::new(RelayPolicy::default());
         restored
-            .restore_sections(&snap, "relay/r0", &mut |_, _| {
-                Box::new(LoopbackMonitor::new())
-            })
+            .restore_sections(&snap, "relay/r0", &mut |_, _| collector())
             .unwrap();
 
         assert_eq!(restored.report(), relay.report());
         assert_eq!(cached(&restored), cached(&relay));
         assert_eq!(restored.children.subscribers(), 1);
-        // the unpumped ingress frame survives and fans out after restore
-        relay.pump();
-        restored.pump();
+        // the decimation phase survives: the next frames thin alike
+        origin.publish_batch(6, vec![scalar(6.0), scalar(7.0)]);
+        let next = origin.recv("r");
+        relay.ingest(&next);
+        restored.ingest(&next);
         assert_eq!(restored.recv_child("leaf"), relay.recv_child("leaf"));
         assert_eq!(restored.report(), relay.report());
         // a late joiner is still served from the restored edge cache
-        restored.attach_child("late", Box::new(LoopbackMonitor::new()), &viewer_caps());
+        restored.attach_child("late", collector(), &viewer_caps());
         let got = restored.recv_child("late");
         assert_eq!(got.len(), cached(&restored).len());
+    }
+
+    #[test]
+    fn the_core_section_keeps_its_bytes() {
+        let relay = relay_with_history();
+        let mut snap = gridsteer_ckpt::Snapshot::new(1, 0);
+        relay.save_sections(&mut snap, "relay/r0");
+        let core = snap.section("relay/r0/core").unwrap();
+        assert_eq!(fnv1a(FNV_OFFSET, core), 0xf6c6_6d3e_a75a_9061);
+    }
+
+    #[test]
+    fn a_core_section_with_queued_uplink_frames_is_corrupt_and_changes_nothing() {
+        let relay = relay_with_history();
+        let mut snap = gridsteer_ckpt::Snapshot::new(1, 0);
+        relay.save_sections(&mut snap, "relay/r0");
+        // the older layout's one unpumped frame, spliced in after the
+        // policy (13 bytes) and the five counters
+        let core = snap.section("relay/r0/core").unwrap().to_vec();
+        let at = 4 + 1 + 8 + 8 * 5;
+        assert_eq!(core[at..at + 4], [0; 4], "the queue count is always zero");
+        let mut w = SectionWriter::new();
+        w.put_u32(1);
+        let queued = MonitorFrame {
+            seq: 9,
+            step: 9,
+            payload: scalar(9.0),
+        };
+        crate::ckpt::put_frame(&mut w, &queued);
+        let hostile = [&core[..at], w.as_bytes(), &core[at + 4..]].concat();
+        let mut bad = gridsteer_ckpt::Snapshot::new(2, 0);
+        bad.push("relay/r0/core", 0, hostile);
+        for s in snap.sections.iter().filter(|s| s.name != "relay/r0/core") {
+            bad.push(&s.name, s.chunk, s.bytes.clone());
+        }
+
+        let target = RelayHub::new(RelayPolicy::default());
+        target.attach_child("alice", collector(), &viewer_caps());
+        target.ingest(&[MonitorFrame {
+            seq: 1,
+            step: 0,
+            payload: viz_frame(true, 1),
+        }]);
+        let before = (sections(&target), cached(&target), target.report());
+        let err = target
+            .restore_sections(&bad, "relay/r0", &mut |_, _| collector())
+            .unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt { .. }), "{err:?}");
+        assert_eq!(
+            (sections(&target), cached(&target), target.report()),
+            before
+        );
     }
 
     #[test]
     fn detached_child_stops_receiving_and_frees_its_name() {
         let origin = MonitorHub::new();
         let relay = RelayHub::new(RelayPolicy::default());
-        relay.attach_to(&origin, "r");
-        relay.attach_child("v", Box::new(LoopbackMonitor::new()), &viewer_caps());
+        attach_uplink(&origin, "r");
+        relay.attach_child("v", collector(), &viewer_caps());
         origin.publish(0, scalar(1.0));
-        relay.pump();
+        relay.ingest(&origin.recv("r"));
         let stats = relay.detach_child("v").unwrap();
         assert_eq!(stats.delivered, 1);
         origin.publish(1, scalar(2.0));
-        relay.pump();
+        relay.ingest(&origin.recv("r"));
         assert!(relay.recv_child("v").is_empty());
         assert_eq!(relay.children.subscribers(), 0);
     }
 
     #[test]
     fn attach_detach_cycles_leave_no_trace_in_the_section() {
-        let sections = |r: &RelayHub| {
-            let mut snap = gridsteer_ckpt::Snapshot::new(1, 0);
-            r.save_sections(&mut snap, "relay/r");
-            snap.sections
-        };
         let attach = |r: &RelayHub, name: &str| {
-            let caps = r.attach_child(name, Box::new(LoopbackMonitor::new()), &viewer_caps());
+            let caps = r.attach_child(name, collector(), &viewer_caps());
             assert_eq!(caps.max_batch, 64);
         };
         let (fresh, churned) = (

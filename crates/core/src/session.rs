@@ -231,33 +231,29 @@ impl SteeringSession {
             .map(|_| ())
     }
 
-    /// Apply a command batch atomically: all commands are validated
-    /// against the registry first, then applied in order — all or
-    /// nothing, the bus's step-boundary semantics over the server wire.
-    /// Returns the number of commands applied.
+    /// Apply a command batch all or nothing: every command is validated
+    /// against the registry first, then each is applied in order through
+    /// [`steer_value`](SteeringSession::steer_value). A non-master's batch
+    /// is refused whole, one audit entry per command. All-or-nothing is
+    /// this session's rule for a server client's batch; the bus's
+    /// [`SteerHub::commit_with`](gridsteer_bus::SteerHub::commit_with)
+    /// counts a refused command and applies the rest. Returns the number
+    /// of commands applied.
     pub fn steer_batch(&mut self, idx: usize, commands: &[SteerCommand]) -> Result<usize, String> {
         let Some(p) = self.participants.get(idx) else {
             return Err("no such participant".into());
         };
-        let who = p.who.clone();
         if !self.is_master(p) {
-            let reason = "not the master".to_string();
-            // log every refused command, not just the first — the audit
-            // trail must account for the whole batch
             for cmd in commands {
-                self.events.push(SessionEvent::SteerRefused {
-                    who: who.clone(),
-                    param: self.params.intern(&cmd.param),
-                    reason: reason.clone(),
-                });
+                let _ = self.steer_value(idx, &cmd.param, &cmd.value);
             }
-            return Err(reason);
+            return Err("not the master".into());
         }
         // validate-all before apply-any
         for cmd in commands {
             if let Err(reason) = self.params.validate(&cmd.param, &cmd.value) {
                 self.events.push(SessionEvent::SteerRefused {
-                    who,
+                    who: p.who.clone(),
                     param: self.params.intern(&cmd.param),
                     reason: reason.clone(),
                 });
@@ -265,12 +261,7 @@ impl SteeringSession {
             }
         }
         for cmd in commands {
-            let applied = self.params.set_value(&cmd.param, &cmd.value)?;
-            self.events.push(SessionEvent::Steered {
-                who: who.clone(),
-                param: self.params.intern(&cmd.param),
-                value: applied,
-            });
+            self.steer_value(idx, &cmd.param, &cmd.value)?;
         }
         Ok(commands.len())
     }
