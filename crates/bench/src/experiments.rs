@@ -7,7 +7,7 @@ use gridsteer_bus::{
     fnv1a, BusSteeringService, ParamSpec as BusParamSpec, SteerCommand, SteerHub, Transport,
     FNV_OFFSET,
 };
-use gridsteer_harness::Scenario;
+use gridsteer_harness::{MigrationRecord, Scenario};
 use lbm::{LbmConfig, TwoFluidLbm};
 use netsim::{Link, NetModel, SimTime};
 use ogsa::{HostingEnv, Registry, SdeValue, VisControl, VisService};
@@ -15,9 +15,8 @@ use pepc::{direct_forces, Octree, PepcConfig, PepcSim, TreeConfig};
 use serde::Serialize;
 use std::path::Path;
 use std::time::{Duration, Instant};
-use steer_core::{LoopBudget, Migrator, SteerTarget};
-use visit::link::FrameLink;
-use visit::{Frame, MemLink, MsgKind, Password, SteeringClient, VBroker, VisitValue};
+use steer_core::{LoopBudget, SteerTarget};
+use visit::{MemLink, Password, SteeringClient, VisitValue};
 use viz::codec::DeltaRleCodec;
 use viz::{mc, Camera, Rasterizer, Vec3};
 
@@ -120,16 +119,12 @@ impl ExpResult {
 fn sphere_pipeline(
     field: viz::Field3,
     res: usize,
-) -> (Controller, covise::RequestBroker, ModuleId, ModuleId) {
+) -> (Controller, covise::RequestBroker, ModuleId) {
     let mut rb = covise::RequestBroker::new();
     let host = rb.add_host("local", covise::broker::HostArch::Little);
     let mut ctl = Controller::new();
-    let read = ctl.add_module(host, Box::new(ReadField::new(field)));
-    let iso = ctl.add_module(host, Box::new(IsoSurface::new()));
-    let render = ctl.add_module(host, Box::new(Renderer::new(res)));
-    ctl.connect(read, "field", iso, "field").unwrap();
-    ctl.connect(iso, "mesh", render, "mesh").unwrap();
-    (ctl, rb, read, render)
+    let render = standard_pipeline(&mut ctl, host, field, res);
+    (ctl, rb, render)
 }
 
 /// F1 — the RealityGrid Figure-1 pipeline across three sites. Every stage
@@ -604,36 +599,34 @@ pub fn exp_ev1_visit_overhead() -> Vec<String> {
     rows
 }
 
-/// EV2 — vbroker fan-out cost vs viewer count.
-pub fn exp_ev2_vbroker() -> Vec<String> {
-    let mut rows = Vec::new();
-    for n in [1usize, 4, 16, 32] {
-        let (mut sim_side, broker_sim) = MemLink::pair();
-        let mut broker = VBroker::new(broker_sim);
-        let mut viewer_links = Vec::new();
-        for _ in 0..n {
-            let (v, b) = MemLink::pair();
-            broker.attach(b);
-            viewer_links.push(v);
-        }
-        let payload = VisitValue::Bytes(vec![0u8; 100_000]);
-        let frame = Frame::with_value(MsgKind::Data, 1, visit::Endianness::native(), payload);
-        let encoded = frame.encode();
-        let t0 = Instant::now();
-        for _ in 0..20 {
-            sim_side.send(&encoded).unwrap();
-            broker
-                .pump(Duration::from_millis(50), Duration::from_millis(10))
-                .unwrap();
-        }
-        let wall = t0.elapsed();
-        let st = broker.stats();
-        rows.push(format!(
-            "{n:2} viewers: 20 x 100 KB -> {} B in, {} B out ({}x amplification), {wall:?} broker wall",
-            st.bytes_in, st.bytes_out, st.bytes_out / st.bytes_in.max(1)
-        ));
-    }
-    rows
+/// EV2's session at one width, on the default small LBM: `n` VISIT
+/// viewers beside a VISIT master and a VISIT observer, all on lossless
+/// links. Both steer the same knob; only the master's steer may commit.
+fn ev2_scenario(n: usize) -> Scenario {
+    let ms = SimTime::from_millis;
+    let viewer = |s: Scenario, i| s.viewer_via(&format!("v{i}"), Link::gwin(), Transport::Visit);
+    (0..n)
+        .fold(Scenario::named(&format!("ev2-{n}")), viewer)
+        .participant_via("master", Link::gwin(), Transport::Visit)
+        .participant_via("observer", Link::uk_janet(), Transport::Visit)
+        .steer_at(ms(200), "master", "miscibility", 0.3)
+        .steer_at(ms(400), "observer", "miscibility", 0.7)
+        .duration(ms(1000))
+}
+
+/// EV2 — the §3.3 multiplexer the engine runs: the monitor hub sends every
+/// frame to every viewer, and the session's token admits only the
+/// master's steers. Each row prints counts and audit lines only.
+pub fn exp_ev2_multiplexer() -> Vec<String> {
+    let row = |n: usize| {
+        let r = ev2_scenario(n).run();
+        let (published, budget) = (r.monitor_frames, r.viewers_within_budget());
+        let delivered: u64 = r.viewers.iter().map(|v| v.delivered).sum();
+        let steers = r.session_events.iter().filter(|e| e.starts_with("Steer"));
+        let steers = steers.map(String::as_str).collect::<Vec<_>>().join(" ");
+        format!("{n:2} viewers: {published} frames published, {delivered} delivered; {steers}; viewers within budget: {budget}")
+    };
+    [1, 4, 16, 32].map(row).to_vec()
 }
 
 /// EV3 — proxy polling emulation vs direct VISIT: steering latency vs
@@ -713,7 +706,7 @@ pub fn exp_ec1_collab_traffic() -> Vec<String> {
     for n in [16usize, 24, 32, 48] {
         let field = demo_field(n);
         let mesh = mc::isosurface_smooth(&field, 0.0);
-        let (mut ctl, mut rb, _read, render) = sphere_pipeline(field, 512);
+        let (mut ctl, mut rb, render) = sphere_pipeline(field, 512);
         ctl.execute(&mut rb).unwrap();
         let img = ctl.image(&rb, render).unwrap();
         let mut codec = DeltaRleCodec::new();
@@ -780,26 +773,28 @@ pub fn exp_eu1_unicore() -> Vec<String> {
     rows
 }
 
-/// EM1 — mid-session migration: frame gap vs §4.4 budget.
+/// EM1's session: a 32³ LBM run whose computation hops across three
+/// inter-site links while a participant stays joined.
+fn em1_scenario() -> Scenario {
+    Scenario::named("em1")
+        .lbm(LbmConfig::default())
+        .participant("alice", Link::uk_janet())
+        .sample_every(SimTime::from_millis(500))
+        .migrate_at(SimTime::from_millis(500), "london", "manchester")
+        .migrate_at(SimTime::from_secs(4), "manchester", "juelich")
+        .migrate_at(SimTime::from_secs(8), "juelich", "phoenix")
+        .duration(SimTime::from_secs(12))
+}
+
+/// EM1 — mid-session migration (§2.4): each hop's checkpoint bytes and
+/// frame gap, judged against the §4.4 simulation-loop budget.
 pub fn exp_em1_migration() -> Vec<String> {
-    let (net, ids) = NetModel::sc2003();
-    let migrator = Migrator::new(&net);
-    let mut rows = Vec::new();
-    for (from, to) in [
-        ("london", "manchester"),
-        ("manchester", "juelich"),
-        ("juelich", "phoenix"),
-    ] {
-        let sim = TwoFluidLbm::new(LbmConfig::default()); // 32^3
-        let (_, report) = migrator.migrate(sim, ids[from], ids[to]);
-        rows.push(format!(
-            "{from} -> {to}: checkpoint {} MB, frame gap {} (within 60 s budget: {})",
-            report.checkpoint_bytes / 1_000_000,
-            report.frame_gap,
-            report.frame_gap < SimTime::from_secs(60)
-        ));
-    }
-    rows.push("clients keep their connections; only the sample stream pauses for the gap".into());
+    let r = em1_scenario().run();
+    let hop = |m: &MigrationRecord| format!("{} -> {}: {} B, gap {}", m.from, m.to, m.bytes, m.gap);
+    let mut rows: Vec<String> = r.migrations.iter().map(hop).collect();
+    let (verdict, paused) = (r.migrations_within_budget(), r.broadcasts_skipped);
+    let steps = r.final_progress;
+    rows.push(format!("every gap within the 60 s budget: {verdict}; {paused} sample ticks paused, {steps} steps run"));
     rows
 }
 
@@ -1289,8 +1284,8 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         id: "EV2",
-        rows: exp_ev2_vbroker,
-        summary: "vbroker multiplexer: broadcast cost scales with viewers; master alone steers",
+        rows: exp_ev2_multiplexer,
+        summary: "§3.3 multiplexer: every viewer gets every frame; the master alone steers",
     },
     Experiment {
         id: "EV3",
@@ -1465,6 +1460,50 @@ mod tests {
         assert!(rows
             .iter()
             .any(|row| row.contains("subs=1000000 ") && row.contains("delivered=256000000")));
+    }
+
+    #[test]
+    fn ev2_rows_replay_identically() {
+        assert_eq!(exp_ev2_multiplexer(), exp_ev2_multiplexer());
+    }
+
+    /// The multiplexer's two halves at every width: each viewer receives
+    /// every published frame, and of the two steers only the master's
+    /// commits.
+    #[test]
+    fn ev2_every_viewer_gets_every_frame_and_only_the_master_steers() {
+        for n in [1usize, 4, 16, 32] {
+            let r = ev2_scenario(n).run();
+            assert_eq!(r.viewers.len(), n);
+            assert!(r.monitor_frames > 0);
+            for v in &r.viewers {
+                assert_eq!(v.delivered, r.monitor_frames, "n={n}: {}", v.name);
+            }
+            let count = |prefix: &str| {
+                (r.session_events.iter())
+                    .filter(|e| e.starts_with(prefix))
+                    .count()
+            };
+            assert_eq!(count("Steered(master,miscibility,"), 1, "n={n}");
+            assert_eq!(count("Steered("), 1, "n={n}");
+            assert_eq!(
+                count("SteerRefused(observer,miscibility,not the master)"),
+                1,
+                "n={n}"
+            );
+            assert_eq!(count("SteerRefused("), 1, "n={n}");
+        }
+    }
+
+    #[test]
+    fn em1_three_hops_each_within_budget_and_replaying() {
+        let r = em1_scenario().run();
+        assert_eq!(r.migrations.len(), 3);
+        for m in &r.migrations {
+            assert!(m.gap < SimTime::from_secs(60), "{m:?}");
+        }
+        assert!(r.migrations_within_budget());
+        assert_eq!(exp_em1_migration(), exp_em1_migration());
     }
 
     #[test]

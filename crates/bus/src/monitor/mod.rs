@@ -77,4 +77,4 @@ pub use endpoint::{FrameBytesCell, FrameChunk, MonitorCaps, MonitorEndpoint, Mon
 pub use frame::{FrameCodecError, MonitorFrame, MonitorKind, MonitorPayload};
 pub use hub::{MonitorHub, MonitorStats};
 pub use relay::{RelayHub, RelayPolicy, RelayReport};
-pub use viz_sink::{publish_render, HubFrameSink};
+pub use viz_sink::HubFrameSink;

@@ -2,7 +2,7 @@
 //!
 //! §2.4's remote-rendering path ("only compressed bitmaps need to be sent
 //! to the participating sites") runs over the typed data plane through
-//! [`HubFrameSink`]: a [`VizServerSession`] encodes each frame
+//! [`HubFrameSink`]: a [`viz::VizServerSession`] encodes each frame
 //! *once* through its broadcast codec and publishes it as a
 //! [`MonitorPayload::Frame`], and the [`MonitorHub`] owns fan-out — every
 //! subscriber gets the frame over its own middleware, with the hub's
@@ -13,7 +13,7 @@
 
 use crate::monitor::frame::MonitorPayload;
 use crate::monitor::hub::MonitorHub;
-use viz::{EncodedFrame, FrameSink, VizServerSession};
+use viz::{EncodedFrame, FrameSink};
 
 /// A [`FrameSink`] publishing encoded frames into a [`MonitorHub`].
 pub struct HubFrameSink<'a> {
@@ -49,19 +49,6 @@ impl FrameSink for HubFrameSink<'_> {
     }
 }
 
-/// Render-and-publish sugar: encode the session's current scene once and
-/// fan it out through the hub (one call per step boundary).
-pub fn publish_render(
-    session: &mut VizServerSession,
-    meshes: &[(&viz::TriMesh, [u8; 4])],
-    hub: &MonitorHub,
-    channel: &str,
-    step: u64,
-) -> EncodedFrame {
-    let mut sink = HubFrameSink::new(hub, channel, step);
-    session.render_to_sink(meshes, &mut sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,7 +56,18 @@ mod tests {
     use crate::monitor::endpoint::MonitorCaps;
     use crate::monitor::frame::MonitorKind;
     use crate::visit::VisitMonitor;
-    use viz::{Camera, DeltaRleCodec, TriMesh, Vec3};
+    use viz::{Camera, DeltaRleCodec, TriMesh, Vec3, VizServerSession};
+
+    /// Render the session's scene once and publish it into `hub` under
+    /// `viz`, stamped `step`.
+    fn render(
+        session: &mut VizServerSession,
+        meshes: &[(&TriMesh, [u8; 4])],
+        hub: &MonitorHub,
+        step: u64,
+    ) -> EncodedFrame {
+        session.render_to_sink(meshes, &mut HubFrameSink::new(hub, "viz", step))
+    }
 
     /// A camera looking at the unit cube.
     fn demo_camera() -> Camera {
@@ -94,15 +92,15 @@ mod tests {
         );
         let mut session = VizServerSession::new(48, 48, demo_camera());
         let cube = triangle();
-        publish_render(&mut session, &[(&cube, [200, 50, 50, 255])], &hub, "viz", 1);
-        publish_render(&mut session, &[(&cube, [200, 50, 50, 255])], &hub, "viz", 2);
+        render(&mut session, &[(&cube, [200, 50, 50, 255])], &hub, 1);
+        render(&mut session, &[(&cube, [200, 50, 50, 255])], &hub, 2);
         // a late joiner attaches mid-stream over a *different* middleware
         hub.attach_endpoint(
             "late",
             Box::new(VisitMonitor::new()),
             &MonitorCaps::full("viewer", 64),
         );
-        publish_render(&mut session, &[(&cube, [200, 50, 50, 255])], &hub, "viz", 3);
+        render(&mut session, &[(&cube, [200, 50, 50, 255])], &hub, 3);
         let early = hub.recv("early");
         assert_eq!(early.len(), 3);
         let late = hub.recv("late");
@@ -126,8 +124,7 @@ mod tests {
         );
         let mut session = VizServerSession::new(32, 32, demo_camera());
         let cube = triangle();
-        let published =
-            publish_render(&mut session, &[(&cube, [90, 90, 220, 255])], &hub, "viz", 1);
+        let published = render(&mut session, &[(&cube, [90, 90, 220, 255])], &hub, 1);
         let got = hub.recv("v");
         assert_eq!(got.len(), 1);
         let MonitorPayload::Frame {
@@ -157,7 +154,7 @@ mod tests {
         caps.kinds.retain(|k| *k == MonitorKind::Grid3);
         hub.attach_endpoint("grids", Box::new(LoopbackMonitor::new()), &caps);
         let mut session = VizServerSession::new(16, 16, demo_camera());
-        publish_render(&mut session, &[], &hub, "viz", 1);
+        render(&mut session, &[], &hub, 1);
         assert!(hub.recv("grids").is_empty());
         assert_eq!(hub.stats_of("grids").unwrap().filtered, 1);
     }

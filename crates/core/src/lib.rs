@@ -10,8 +10,8 @@
 //!   paper codes implement (the LB fluid's miscibility, §2.2; PEPC's
 //!   beam/laser/damping, §3.4).
 //! * [`session`] — [`session::SteeringSession`]: participants, one of
-//!   whom holds the master token (`visit::MasterToken`, the vbroker's
-//!   rule, keyed by join order), and the event log that is the one
+//!   whom holds the master token (`visit::MasterToken`, §3.3's rule,
+//!   keyed by join order), and the event log that is the one
 //!   record of every applied steer and broadcast sample.
 //! * [`monitor`] — the feedback-loop budgets of §4.2–4.4 (VR rendering,
 //!   desktop rendering, post-processing, simulation) as checkable
@@ -24,14 +24,11 @@
 //!   steering server speaking the bus's VISIT steering envelope, so
 //!   multiple client processes on loopback genuinely steer one simulation
 //!   concurrently.
-//! * [`migrate`] — mid-session migration of the computation between sites
-//!   (§2.4: "migrate both computation and visualization within a session
-//!   without any disturbance or intervention on the part of the
-//!   participating clients"), built on `gridsteer_ckpt` snapshots and the
-//!   netsim cost model; the scenario engine charges its migrations through
-//!   the same [`migrate::Migrator::frame_gap`].
+//!
+//! Mid-session migration of the computation (§2.4) is not a separate
+//! mechanism here: the scenario engine (`gridsteer_harness`) runs it as a
+//! checkpoint round trip plus a frame gap on the virtual clock.
 
-pub mod migrate;
 pub mod monitor;
 pub mod params;
 pub mod server;
@@ -41,7 +38,6 @@ pub use gridsteer_bus::{
     MonitorCaps, MonitorEndpoint, MonitorFrame, MonitorHub, MonitorKind, MonitorPayload,
     MonitorStats,
 };
-pub use migrate::{MigrationReport, Migrator};
 pub use monitor::{LoopBudget, LoopMonitor, LoopReport, MonitorScratch, MonitorSource};
 pub use params::{
     BoundsPolicy, ParamKind, ParamRegistry, ParamSpec, ParamValue, SharedRegistry, SteerCommand,

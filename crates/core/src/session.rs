@@ -1,6 +1,6 @@
 //! Collaborative steering sessions.
 //!
-//! The session applies the vbroker master semantics of §3.3 ("only that
+//! The session applies the master semantics of §3.3 ("only that
 //! master is able to actively steer the application. The master-role can
 //! be moved … allowing for a coordinated cooperative steering") through a
 //! [`MasterToken`] keyed by join order; every other participant watches
@@ -118,7 +118,7 @@ impl SteeringSession {
     /// master leaves, the token deterministically passes to the
     /// longest-joined remaining participant — smallest `joined_seq`, not
     /// vector position — and a [`SessionEvent::MasterPassed`] is emitted
-    /// (auto-promotion: the session must stay steerable, the vbroker rule).
+    /// (auto-promotion: the session must stay steerable, §3.3's rule).
     pub fn leave_by_name(&mut self, name: &str) -> bool {
         let Some(idx) = self.index_of(name) else {
             return false;
@@ -267,8 +267,8 @@ impl SteeringSession {
     }
 
     /// Log one sample of `bytes` broadcast to every participant
-    /// (transport lives in the server/vbroker layers). Returns the sample
-    /// sequence number.
+    /// (transport lives in the server and monitor-hub layers). Returns the
+    /// sample sequence number.
     pub fn broadcast_sample(&mut self, bytes: usize) -> u64 {
         self.sample_seq += 1;
         self.events.push(SessionEvent::SampleBroadcast {

@@ -49,7 +49,7 @@ impl Host {
 
 /// Transfer statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BrokerStats {
+pub struct TransferStats {
     /// Objects moved between hosts.
     pub transfers: u64,
     /// Bytes moved.
@@ -66,7 +66,7 @@ pub struct RequestBroker {
     links: HashMap<(usize, usize), Link>,
     /// Conversion throughput in bytes/second (byte-swap speed).
     pub convert_bps: u64,
-    stats: BrokerStats,
+    stats: TransferStats,
 }
 
 impl RequestBroker {
@@ -76,7 +76,7 @@ impl RequestBroker {
             hosts: Vec::new(),
             links: HashMap::new(),
             convert_bps: 500_000_000, // 500 MB/s byte-swap
-            stats: BrokerStats::default(),
+            stats: TransferStats::default(),
         }
     }
 
@@ -108,7 +108,7 @@ impl RequestBroker {
     }
 
     /// Statistics so far.
-    pub fn stats(&self) -> BrokerStats {
+    pub fn stats(&self) -> TransferStats {
         self.stats
     }
 

@@ -41,11 +41,25 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
 use steer_core::{
-    LoopBudget, LoopMonitor, Migrator, MonitorScratch, ParamValue, SessionEvent, SteeringSession,
+    LoopBudget, LoopMonitor, MonitorScratch, ParamValue, SessionEvent, SteeringSession,
 };
 
 /// Wire size of one steer command frame.
 const STEER_BYTES: usize = 64;
+
+/// Fixed restart overhead at a migration's destination: a batch job
+/// re-incarnated on an already-reserved node.
+const RESTART_OVERHEAD: SimTime = SimTime::from_secs(2);
+
+/// The time clients see no new samples while `bytes` of checkpoint cross
+/// `link` (§2.4): the transfer — its nominal arrival if the link drops the
+/// message — plus the restart overhead.
+fn frame_gap(mut link: Link, bytes: usize) -> SimTime {
+    let arrival = link
+        .deliver(SimTime::ZERO, bytes)
+        .unwrap_or_else(|| link.nominal_arrival(SimTime::ZERO, bytes));
+    arrival + RESTART_OVERHEAD
+}
 
 /// One live monitor-bus viewer: its faulted link, its reaction-budget
 /// scoring, and the byte-stable fold of everything it received.
@@ -766,8 +780,8 @@ impl<'s> World<'s> {
     }
 
     /// Migrate the computation between two `sc2003` sites: the checkpoint
-    /// crosses the inter-site link and sampling pauses for the
-    /// [`Migrator::frame_gap`] — the transfer plus the restart overhead.
+    /// crosses the inter-site link and sampling pauses for its
+    /// [`frame_gap`] — the transfer plus the restart overhead.
     fn migrate(&mut self, now: SimTime, from: &str, to: &str) {
         let (Some(&a), Some(&b)) = (self.sites.get(from), self.sites.get(to)) else {
             return self.log(now, format_args!("migrate-miss {from}->{to}"));
@@ -775,7 +789,7 @@ impl<'s> World<'s> {
         let bytes = self.backend.checkpoint_roundtrip();
         let mut link = self.net.link(a, b);
         link.seed = self.rng.next_u64();
-        let gap = Migrator::new(&self.net).frame_gap(link, bytes);
+        let gap = frame_gap(link, bytes);
         self.pause_until = (now + gap).max(self.pause_until);
         self.log(
             now,
@@ -1125,6 +1139,7 @@ fn render_event(e: &SessionEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::BackendSpec;
     use lbm::LbmConfig;
 
     const TICK: SimTime = SimTime::from_millis(100);
@@ -1157,6 +1172,23 @@ mod tests {
         let mut snap = Snapshot::new(0, 0);
         w.backend.save_sections(&mut snap);
         snap.encode()
+    }
+
+    #[test]
+    fn frame_gap_scales_with_checkpoint_and_distance() {
+        let (net, ids) = NetModel::sc2003();
+        let bytes = |cfg| Backend::new(&BackendSpec::Lbm(cfg), 1).checkpoint_roundtrip();
+        let small = bytes(LbmConfig::small());
+        let big = bytes(LbmConfig {
+            nx: 24,
+            ny: 24,
+            nz: 24,
+            ..LbmConfig::small()
+        });
+        assert!(big > small);
+        let near_small = frame_gap(net.link(ids["manchester"], ids["london"]), small);
+        let far_big = frame_gap(net.link(ids["manchester"], ids["phoenix"]), big);
+        assert!(far_big > near_small);
     }
 
     #[test]

@@ -144,7 +144,6 @@ impl ScenarioReport {
 
     /// True if every migration gap stayed inside the §4.4 simulation-loop
     /// tolerance (vacuously true with no migrations).
-    // detlint::allow(R9, "README crate table, crates/core row: feedback-loop budgets §4.2–4.4, mid-session migration §2.4; the scenario suite asserts it")
     pub fn migrations_within_budget(&self) -> bool {
         self.migrations
             .iter()
@@ -153,7 +152,6 @@ impl ScenarioReport {
 
     /// True if every viewer met its reaction-time budget on every
     /// delivery (vacuously true with no viewers).
-    // detlint::allow(R9, "README crate table, crates/core row: feedback-loop budgets §4.2–4.4; the scenario suite asserts it")
     pub fn viewers_within_budget(&self) -> bool {
         self.viewers.iter().all(|v| v.budget_violations == 0)
     }

@@ -1,9 +1,9 @@
 //! Discrete-event scheduler for multi-party scenarios.
 //!
-//! The clock-merge channels in [`crate::channel`] cover request/response
-//! chains, but the collaboration-skew experiments (how far apart do N sites'
-//! views drift? — §4.2/§4.3 of the paper) need a global ordering of events
-//! across many parties. [`EventQueue`] is a minimal deterministic
+//! A per-party [`crate::VClock`] covers request/response chains, but the
+//! collaboration-skew experiments (how far apart do N sites' views drift?
+//! — §4.2/§4.3 of the paper) need a global ordering of events across many
+//! parties. [`EventQueue`] is a minimal deterministic
 //! discrete-event core: events are `(time, seq, payload)` triples popped in
 //! time order with FIFO tie-breaking.
 //!

@@ -8,32 +8,25 @@
 //! §4.2–4.4, the traffic comparisons of §2.4/§4.6) can be reproduced exactly
 //! and quickly on one machine.
 //!
-//! Two complementary styles are provided:
-//!
-//! * **Clock-merge channels** ([`channel::SimChannel`]) for request/response
-//!   chains: each actor owns a [`time::VClock`]; a received message advances
-//!   the receiver's clock to `max(local, arrival)`. This is the classic
-//!   virtual-time co-simulation rule and is sufficient for the round-trip
-//!   experiments.
-//! * **A discrete-event scheduler** ([`event::EventQueue`]) for multi-party
-//!   scenarios (collaboration skew across many sites). It holds only the
-//!   events in flight; a scripted run walks its script beside it and
-//!   merges the two by [`event::EventQueue::peek_at`], script first on a
-//!   tie.
+//! One scheduler orders time: the discrete-event queue
+//! ([`event::EventQueue`]) that every multi-party run (collaboration skew
+//! across many sites, steers crossing their links) is driven by. It holds
+//! only the events in flight; a scripted run walks its script beside it
+//! and merges the two by [`event::EventQueue::peek_at`], script first on a
+//! tie. A party that only answers requests keeps a [`time::VClock`]
+//! instead, merging each arrival into its own time (COVISE's sites do).
 //!
 //! Link behaviour (latency, bandwidth, deterministic jitter, loss) lives in
 //! [`link::Link`]; scriptable mid-run faults (partition/heal, injected
 //! loss/jitter) in [`fault::FaultyLink`]; named-site topologies with RTT
 //! matrices in [`model::NetModel`].
 
-pub mod channel;
 pub mod event;
 pub mod fault;
 pub mod link;
 pub mod model;
 pub mod time;
 
-pub use channel::{SimChannel, SimEndpoint};
 pub use event::{Event, EventQueue};
 pub use fault::{FaultyLink, LinkStats};
 pub use link::{Link, LinkBuilder};

@@ -4,7 +4,7 @@
 //! node + Bezier, the visualization Onyx), London/UCL (Dirac, the compute
 //! Onyx), Jülich (PEPC + VISIT), Stuttgart (COVISE/HLRS), and the Phoenix
 //! show floor. [`NetModel`] holds such a cast with a directed link for every
-//! ordered pair and hands out per-pair [`Link`] clones for channels.
+//! ordered pair and hands out per-pair [`Link`] clones.
 
 use crate::link::Link;
 use crate::time::SimTime;

@@ -94,6 +94,7 @@ impl<L: FrameLink> VisitProxyServer<L> {
 
     /// Handle at most one frame from the simulation, waiting up to `poll`.
     /// Returns `Ok(false)` when the simulation said Bye.
+    // detlint::allow(R9, "README crate table, crates/unicore row: VISIT proxy integration")
     pub fn pump(&mut self, poll: Duration) -> Result<bool, LinkError> {
         let raw = match self.sim.recv_timeout(poll) {
             Ok(r) => r,

@@ -152,8 +152,7 @@ impl<L: FrameLink> SteeringClient<L> {
         self.stats
     }
 
-    /// Access the underlying link (virtual-time experiments read
-    /// `SimLink::elapsed` through this).
+    /// Access the underlying link.
     pub fn link_mut(&mut self) -> &mut L {
         &mut self.link
     }

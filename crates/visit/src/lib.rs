@@ -22,14 +22,16 @@
 //!
 //! The collaborative multiplexer of §3.3 — broadcast send-requests to all
 //! participating visualizations, route receive-requests only to a
-//! transferable *master* — is [`vbroker::VBroker`], a faithful port of the
-//! `vbroker` application "that is part of the standard VISIT distribution".
+//! transferable *master* — is not a separate process here. The paper moved
+//! the `vbroker`'s job into the VISIT–UNICORE proxy-server
+//! (`unicore::VisitProxyServer`), and the scenario engine runs it as the
+//! monitor hub's fan-out plus the steering session's token. Both ask
+//! [`master::MasterToken`], the one master rule.
 //!
-//! Transport is abstracted over [`link::FrameLink`] with four
+//! Transport is abstracted over [`link::FrameLink`] with three
 //! implementations: real TCP ([`link::TcpLink`]), in-process channels
-//! ([`link::MemLink`]), an in-process hop back to its own sender
-//! ([`link::LoopLink`]), and deterministic virtual-time
-//! ([`link::SimLink`], over [`netsim`]) for the latency experiments.
+//! ([`link::MemLink`]), and an in-process hop back to its own sender
+//! ([`link::LoopLink`]).
 //!
 //! Security matches the paper: "a connection password that is transferred
 //! in clear-text" ([`auth::Password::ClearText`]) plus a keyed-digest mode
@@ -39,15 +41,15 @@
 pub mod auth;
 pub mod client;
 pub mod link;
+pub mod master;
 pub mod server;
 pub mod value;
-pub mod vbroker;
 pub mod wire;
 
 pub use auth::Password;
 pub use client::SteeringClient;
-pub use link::{FrameLink, LinkError, LoopLink, MemLink, SimLink, TcpLink};
+pub use link::{FrameLink, LinkError, LoopLink, MemLink, TcpLink};
+pub use master::MasterToken;
 pub use server::{ServeOutcome, VisServer};
 pub use value::{Endianness, VisitValue};
-pub use vbroker::{MasterToken, VBroker};
 pub use wire::{Frame, MsgKind};

@@ -1,23 +1,19 @@
 //! Frame transports.
 //!
 //! VISIT's timeout guarantee lives here: every receive takes an explicit
-//! deadline and *will* return by then. Four implementations:
+//! deadline and *will* return by then. Three implementations:
 //!
 //! * [`TcpLink`] — real TCP with 4-byte length-prefix framing and socket
 //!   read timeouts; used by the multi-process examples and the TCP steering
 //!   server.
-//! * [`MemLink`] — crossbeam channels; used by threaded in-process tests.
+//! * [`MemLink`] — crossbeam channels between threads; the threaded
+//!   experiments and tests pair a simulation and a visualization over it.
 //! * [`LoopLink`] — one queue a link sends into and receives from; the
 //!   bus's in-process VISIT endpoints, whose frames make a hop that
 //!   returns to the sender.
-//! * [`SimLink`] — a [`netsim`] virtual-time channel; timeouts are charged
-//!   in *virtual* time, which makes the latency experiments deterministic
-//!   and instant.
 
 // detlint::allow(R3, "MemLink transport: per-link FIFO channels preserve message order; no compute parallelism")
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use netsim::channel::{RecvError as SimRecvError, SimEndpoint};
-use netsim::{Link, SimChannel, SimTime, VClock};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -258,72 +254,6 @@ impl FrameLink for LoopLink {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Virtual-time (netsim)
-// ---------------------------------------------------------------------------
-
-/// Virtual-time transport: wall-clock `Duration` timeouts are interpreted
-/// as *virtual-time budgets* on this link's [`VClock`]. `elapsed()` exposes
-/// the accumulated virtual time — the quantity the latency experiments
-/// report.
-pub struct SimLink {
-    ep: SimEndpoint,
-    clock: VClock,
-}
-
-impl SimLink {
-    /// A connected pair over a symmetric [`Link`].
-    pub fn pair(link: Link) -> (SimLink, SimLink) {
-        let (a, b) = SimChannel::sym(link);
-        (
-            SimLink {
-                ep: a,
-                clock: VClock::new(),
-            },
-            SimLink {
-                ep: b,
-                clock: VClock::new(),
-            },
-        )
-    }
-
-    /// Local virtual time elapsed.
-    pub fn elapsed(&self) -> SimTime {
-        self.clock.now()
-    }
-
-    /// Charge local (compute) virtual time — e.g. a simulation step.
-    pub fn advance(&mut self, d: SimTime) {
-        self.clock.advance(d);
-    }
-
-    fn dur_to_sim(d: Duration) -> SimTime {
-        SimTime::from_nanos(d.as_nanos().min(u64::MAX as u128) as u64)
-    }
-}
-
-impl FrameLink for SimLink {
-    fn send(&mut self, frame: &[u8]) -> Result<(), LinkError> {
-        if frame.len() > MAX_FRAME {
-            return Err(LinkError::TooLarge);
-        }
-        if self.ep.is_closed() {
-            return Err(LinkError::Closed);
-        }
-        self.ep.send(&mut self.clock, frame);
-        Ok(())
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, LinkError> {
-        let deadline = self.clock.now() + Self::dur_to_sim(timeout);
-        match self.ep.recv_deadline(&mut self.clock, deadline) {
-            Ok(f) => Ok(f),
-            Err(SimRecvError::Timeout) => Err(LinkError::Timeout),
-            Err(SimRecvError::Closed) => Err(LinkError::Closed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,39 +346,5 @@ mod tests {
         let r = c.recv_timeout(Duration::from_millis(50));
         assert_eq!(r, Err(LinkError::Timeout));
         assert!(start.elapsed() < Duration::from_millis(250));
-    }
-
-    #[test]
-    fn simlink_charges_virtual_latency() {
-        let link = Link::builder()
-            .latency_ms(20)
-            .bandwidth_bps(u64::MAX)
-            .build();
-        let (mut a, mut b) = SimLink::pair(link);
-        a.send(b"x").unwrap();
-        let f = b.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(f, b"x");
-        assert_eq!(b.elapsed(), SimTime::from_millis(20));
-        // no wall-clock time was spent waiting
-    }
-
-    #[test]
-    fn simlink_timeout_in_virtual_time() {
-        let link = Link::builder().latency_ms(100).build();
-        let (mut a, mut b) = SimLink::pair(link);
-        a.send(b"slow").unwrap();
-        let r = b.recv_timeout(Duration::from_millis(50));
-        assert_eq!(r, Err(LinkError::Timeout));
-        assert_eq!(b.elapsed(), SimTime::from_millis(50));
-        // retry with a larger budget succeeds
-        let f = b.recv_timeout(Duration::from_millis(100)).unwrap();
-        assert_eq!(f, b"slow");
-    }
-
-    #[test]
-    fn simlink_advance_models_compute() {
-        let (mut a, _b) = SimLink::pair(Link::loopback());
-        a.advance(SimTime::from_millis(7));
-        assert_eq!(a.elapsed(), SimTime::from_millis(7));
     }
 }

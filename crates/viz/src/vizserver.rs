@@ -109,11 +109,6 @@ impl VizServerSession {
         }
     }
 
-    /// Number of attached viewers.
-    pub fn viewer_count(&self) -> usize {
-        self.viewers.len()
-    }
-
     /// Current camera controller.
     pub fn controller(&self) -> Option<ViewerId> {
         self.controller
@@ -149,6 +144,7 @@ impl VizServerSession {
     /// external sink — the data-plane path: the sink (e.g. a monitor hub)
     /// owns fan-out and per-subscriber state, so the session encodes each
     /// frame exactly once however many viewers are downstream.
+    // detlint::allow(R9, "README crate table, crates/viz row: §2.4 VizServer; the bus's HubFrameSink tests drive it")
     pub fn render_to_sink(
         &mut self,
         meshes: &[(&TriMesh, [u8; 4])],

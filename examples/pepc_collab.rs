@@ -1,146 +1,86 @@
-//! PEPC steered through VISIT with a vbroker fan-out (§3 of the paper).
+//! PEPC steered collaboratively through VISIT (§3 of the paper).
 //!
-//! The plasma simulation is the VISIT *client*; a vbroker multiplexes its
-//! data to three visualization endpoints while only the master may steer.
-//! Mid-run the master fires the particle beam and redirects it — the §3.4
-//! "charge/intensity, direction can be altered by the user interactively
-//! while the application is running".
+//! The plasma simulation's monitored output goes to three VISIT viewers,
+//! and every viewer receives every frame: §3.3's multiplexer, which the
+//! paper's `vbroker` provided and the scenario engine runs as the monitor
+//! hub's fan-out. Two VISIT participants steer the §3.4 beam knobs ("the
+//! charge/intensity, direction can be altered by the user interactively
+//! while the application is running"). Only the holder of the master token
+//! steers: before the master passes the token, the observer's steer is
+//! refused, and after the pass the roles swap.
+//!
+//! The session runs on the virtual clock, with no thread and no socket, so
+//! it prints the same lines on every run and at any `EXEC_THREADS`.
 //!
 //! Run with: `cargo run --release --example pepc_collab`
 
-use gridsteer::pepc::{PepcConfig, PepcSim};
-use gridsteer::visit::link::FrameLink;
-use gridsteer::visit::{Frame, MemLink, MsgKind, Password, SteeringClient, VBroker, VisitValue};
-use std::time::Duration;
+use gridsteer::harness::{Scenario, Transport};
+use gridsteer::netsim::{Link, SimTime};
+use gridsteer::pepc::PepcConfig;
+use std::f64::consts::FRAC_PI_2;
 
-const TAG_POSITIONS: u32 = 1;
-const TAG_BEAM: u32 = 2;
+/// Plasma particles in the target.
+const PARTICLES: usize = 400;
 
 fn main() {
-    // wire up: simulation ── vbroker ── 3 viewers
-    let (sim_link, broker_sim) = MemLink::pair();
-    let mut broker = VBroker::new(broker_sim);
-    let mut viewers = Vec::new();
-    for _ in 0..3 {
-        let (viewer_side, broker_viewer) = MemLink::pair();
-        let id = broker.attach(broker_viewer);
-        viewers.push((id, viewer_side));
+    let ms = SimTime::from_millis;
+    let mut session = Scenario::named("pepc-collab")
+        .pepc(PepcConfig {
+            n_target: PARTICLES,
+            ..PepcConfig::small()
+        })
+        .participant_via("master", Link::gwin(), Transport::Visit)
+        .participant_via("observer", Link::uk_janet(), Transport::Visit)
+        // the master fires the beam; the observer may not steer yet
+        .steer_at(ms(500), "master", "beam_intensity", 2.0)
+        .steer_at(ms(700), "observer", "beam_theta", 1.0)
+        .pass_master_at(ms(1200), "master", "observer")
+        // the token moved: the observer redirects the beam to +z, and the
+        // former master's steer is refused
+        .steer_at(ms(1500), "observer", "beam_theta", FRAC_PI_2)
+        .steer_at(ms(1700), "master", "beam_intensity", 0.0)
+        .duration(SimTime::from_secs(3));
+    for (site, link) in [
+        ("juelich", Link::campus()),
+        ("manchester", Link::uk_janet()),
+        ("stuttgart", Link::gwin()),
+    ] {
+        session = session.viewer_via(site, link, Transport::Visit);
     }
-    let master_id = broker.master().unwrap();
-    println!("3 viewers attached, master = {master_id:?}");
+    let r = session.run();
 
-    // broker pump thread
-    let broker_thread = std::thread::spawn(move || {
-        while let Ok(true) = broker.pump(Duration::from_millis(20), Duration::from_millis(50)) {}
-        broker.stats()
-    });
-
-    // master viewer thread: renders incoming clouds, queues one steer
-    let (mid, mut master_link) = viewers.remove(0);
-    assert_eq!(mid, master_id);
-    let master_thread = std::thread::spawn(move || {
-        let mut frames = 0u32;
-        let mut steered = false;
-        while let Ok(raw) = master_link.recv_timeout(Duration::from_millis(500)) {
-            let f = Frame::decode(&raw).expect("well-formed frame");
-            match f.kind {
-                MsgKind::Data => frames += 1,
-                MsgKind::Request if !steered => {
-                    // the steering moment: redirect the beam to +z
-                    let reply = Frame::with_value(
-                        MsgKind::Reply,
-                        TAG_BEAM,
-                        gridsteer::visit::Endianness::native(),
-                        VisitValue::F64(vec![2.0, 0.0, 0.0, 1.0]), // intensity, dir
-                    );
-                    master_link.send(&reply.encode()).unwrap();
-                    steered = true;
-                    println!("master steered: beam on, direction +z");
-                }
-                MsgKind::Request => {
-                    master_link
-                        .send(&Frame::bare(MsgKind::NoData, f.tag).encode())
-                        .unwrap();
-                }
-                MsgKind::Bye => break,
-                _ => {}
-            }
-        }
-        frames
-    });
-
-    // passive viewer threads: count the fanned-out frames
-    let passive_threads: Vec<_> = viewers
-        .into_iter()
-        .map(|(_, mut link)| {
-            std::thread::spawn(move || {
-                let mut frames = 0u32;
-                while let Ok(raw) = link.recv_timeout(Duration::from_millis(500)) {
-                    if Frame::decode(&raw).map(|f| f.kind) == Some(MsgKind::Data) {
-                        frames += 1;
-                    } else if Frame::decode(&raw).map(|f| f.kind) == Some(MsgKind::Bye) {
-                        break;
-                    }
-                }
-                frames
-            })
+    println!(
+        "PEPC n={PARTICLES}: {} frames published over {} sample ticks",
+        r.monitor_frames, r.broadcasts
+    );
+    for v in &r.viewers {
+        println!(
+            "viewer {} ({}): {} frames, digest {}",
+            v.name, v.transport, v.delivered, v.frames_digest
+        );
+        assert_eq!(v.delivered, r.monitor_frames, "{} missed frames", v.name);
+    }
+    let token_lines: Vec<&String> = (r.session_events.iter())
+        .filter(|e| {
+            ["Steered(", "SteerRefused(", "MasterPassed("]
+                .iter()
+                .any(|k| e.starts_with(k))
         })
         .collect();
-
-    // the simulation: connect, step, ship snapshots, ask for steers
-    let mut client = SteeringClient::connect(sim_link, &Password::Open, 0, Duration::from_secs(1))
-        .expect("sim connects through broker");
-    let mut sim = PepcSim::new(PepcConfig {
-        n_target: 400,
-        ..PepcConfig::small()
-    });
-    sim.inject_beam(40, 0.0); // beam present but idle until steered
-    for round in 0..10 {
-        sim.step_n(2);
-        let snap = sim.snapshot();
-        let flat: Vec<f32> = snap.positions.iter().flatten().copied().collect();
-        client.send(TAG_POSITIONS, VisitValue::F32(flat)).unwrap();
-        // poll for steering input — guaranteed to return by the timeout
-        if let Ok(Some(VisitValue::F64(v))) = client.request(TAG_BEAM) {
-            let mut p = sim.params();
-            p.beam_intensity = v[0];
-            p.beam_dir = [v[1], v[2], v[3]];
-            sim.set_params(p);
-        }
-        if round == 9 {
-            let c = sim.beam_centroid().unwrap();
-            println!(
-                "step {}: beam centroid = [{:.2}, {:.2}, {:.2}]",
-                sim.step_count(),
-                c[0],
-                c[1],
-                c[2]
-            );
-        }
+    for line in &token_lines {
+        println!("session {line}");
     }
-    let stats = client.stats();
-    client.close();
-    drop(client);
-
-    let master_frames = master_thread.join().unwrap();
-    let passive_frames: Vec<u32> = passive_threads
-        .into_iter()
-        .map(|t| t.join().unwrap())
-        .collect();
-    let broker_stats = broker_thread.join().unwrap();
-
-    println!(
-        "simulation: {} sends, {} requests, {:?} inside VISIT calls",
-        stats.sends, stats.requests, stats.time_in_calls
+    assert_eq!(
+        token_lines,
+        [
+            "Steered(master,beam_intensity,2.0)",
+            "SteerRefused(observer,beam_theta,not the master)",
+            "MasterPassed(master->observer)",
+            "Steered(observer,beam_theta,1.5707963267948966)",
+            "SteerRefused(master,beam_intensity,not the master)",
+        ],
+        "only the token holder's steers commit"
     );
-    println!("master saw {master_frames} frames; passive viewers saw {passive_frames:?}");
-    println!(
-        "broker: {} frames in, {} fanned out, {} bytes amplified to {}",
-        broker_stats.sim_frames,
-        broker_stats.fanout_frames,
-        broker_stats.bytes_in,
-        broker_stats.bytes_out
-    );
-    assert!(passive_frames.iter().all(|&f| f == master_frames));
+    println!("report digest {}", r.digest());
     println!("pepc_collab OK");
 }

@@ -10,8 +10,9 @@
 //!   clients, live miscibility steering over TCP.
 //! * `examples/lbm_steering.rs` — the full RealityGrid Figure-1 pipeline:
 //!   compute site → isosurface site → thin client, with a steering moment.
-//! * `examples/pepc_collab.rs` — PEPC steered through VISIT with a vbroker
-//!   fan-out to collaborative viewers.
+//! * `examples/pepc_collab.rs` — a PEPC session on the scenario engine:
+//!   three VISIT viewers each receive every frame, and only the master
+//!   token's holder steers the beam, before and after a token pass.
 //! * `examples/building_airflow.rs` — the HLRS demo (§4.7): a COVISE
 //!   module network over a building-climate field, param-synced across
 //!   sites.

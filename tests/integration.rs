@@ -5,20 +5,20 @@ use gridsteer::bus::{BusSteeringService, SteerHub};
 use gridsteer::covise::{
     CollabSession, Controller, IsoSurface, ModuleId, ReadField, Renderer, SyncMode,
 };
+use gridsteer::harness::Scenario;
 use gridsteer::lbm::{LbmConfig, TwoFluidLbm};
-use gridsteer::netsim::{Link, NetModel};
+use gridsteer::netsim::{Link, SimTime};
 use gridsteer::ogsa::{HostingEnv, Registry, SdeValue, VisControl, VisService};
 use gridsteer::pepc::{PepcConfig, PepcSim};
 use gridsteer::steer_core::{
-    ClientHandle, CollabServer, LoopBudget, LoopMonitor, Migrator, ParamRegistry, ParamSpec,
-    ParamValue, SteerTarget, SteeringSession,
+    ClientHandle, CollabServer, LoopBudget, LoopMonitor, ParamRegistry, ParamSpec, ParamValue,
+    SteerTarget, SteeringSession,
 };
 use gridsteer::unicore::{
     Ajo, CertAuthority, Gateway, Njs, ProxySessionId, Task, TrustStore, Tsi, UnicoreClient,
     VisitProxyServer,
 };
-use gridsteer::visit::vbroker::ViewerId;
-use gridsteer::visit::{MemLink, Password, SteeringClient, VBroker, VisServer, VisitValue};
+use gridsteer::visit::{MemLink, Password, SteeringClient, VisServer, VisitValue};
 use gridsteer::viz::mc;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -248,22 +248,34 @@ fn tcp_steering_server_drives_simulation_thread() {
     sim_thread.join().unwrap();
 }
 
-/// Migration keeps a steering session live and within the §4.4 budget.
+/// Migration keeps a steering session live and within the §4.4 budget: a
+/// steer committed before the hop stands, and sampling resumes once the
+/// frame gap has passed.
 #[test]
 fn migration_mid_session_stays_in_budget() {
-    let (net, ids) = NetModel::sc2003();
-    let migrator = Migrator::new(&net);
-    let mut sim = TwoFluidLbm::new(LbmConfig::small());
-    sim.set_miscibility(0.2);
-    sim.step_n(5);
-    let before = sim.steps();
-    let (mut sim, report) = migrator.migrate(sim, ids["london"], ids["manchester"]);
-    sim.step_n(5);
-    assert_eq!(sim.steps(), before + 5);
-    assert_eq!(sim.miscibility(), 0.2);
+    let hop = SimTime::from_millis(600);
+    let sc = Scenario::named("migration-mid-session")
+        .lbm(LbmConfig::small())
+        .participant("alice", Link::uk_janet())
+        .steer_at(SimTime::from_millis(250), "alice", "miscibility", 0.2)
+        .migrate_at(hop, "london", "manchester")
+        .duration(SimTime::from_secs(5));
+    let r = sc.run();
+    assert_eq!((r.steers_applied, r.steers_lost), (1, 0));
+    let steered = |e: &&String| e.starts_with("Steered(alice,miscibility,");
+    assert_eq!(r.session_events.iter().filter(steered).count(), 1);
+    let [m] = r.migrations.as_slice() else {
+        panic!("one migration: {:?}", r.migrations)
+    };
+    assert_eq!((m.from.as_str(), m.to.as_str()), ("london", "manchester"));
     let mut monitor = LoopMonitor::new(LoopBudget::Simulation);
-    monitor.record(report.frame_gap);
-    assert!(monitor.report().within_budget, "gap {}", report.frame_gap);
+    monitor.record(m.gap);
+    assert!(monitor.report().within_budget, "gap {}", m.gap);
+    assert!(r.migrations_within_budget());
+    // the gap paused sampling, and sampling came back after it
+    let before_hop = hop.as_nanos().div_ceil(sc.sample_interval().as_nanos());
+    assert!(r.broadcasts_skipped > 0);
+    assert!(r.broadcasts > before_hop, "{} broadcasts", r.broadcasts);
 }
 
 /// Three-site COVISE collaboration over PEPC-derived content stays
@@ -331,27 +343,6 @@ fn id_of<Id: Copy>(ids: &[Id], who: usize, absent: Id) -> Id {
 
 fn number_of<Id: PartialEq>(ids: &[Id], id: Option<Id>) -> Option<usize> {
     ids.iter().position(|i| Some(i) == id.as_ref())
-}
-
-struct Broker(VBroker<MemLink, MemLink>, Vec<ViewerId>);
-
-impl MasterRule for Broker {
-    fn arrive(&mut self) -> usize {
-        self.1.push(self.0.attach(MemLink::pair().0));
-        self.1.len() - 1
-    }
-    fn depart(&mut self, who: usize) -> bool {
-        self.0.detach(self.1[who]);
-        true
-    }
-    fn pass(&mut self, from: usize, to: usize) -> bool {
-        let absent = ViewerId(u32::MAX);
-        let (from, to) = (id_of(&self.1, from, absent), id_of(&self.1, to, absent));
-        self.0.pass_master(from, to)
-    }
-    fn master(&self) -> Option<usize> {
-        number_of(&self.1, self.0.master())
-    }
 }
 
 struct Proxy(VisitProxyServer<MemLink>, Vec<ProxySessionId>);
@@ -449,7 +440,7 @@ const MASTER_RULE_CASES: &[(&str, &[(Op, usize)])] = &[
 ];
 
 /// A fresh instance of each collaborative code, with nobody arrived.
-fn master_rules() -> [(&'static str, Box<dyn MasterRule>); 4] {
+fn master_rules() -> [(&'static str, Box<dyn MasterRule>); 3] {
     let (_, sim) = MemLink::pair();
     let proxy = VisitProxyServer::new("s", sim, Password::Open, 0);
     let build = |ctl: &mut Controller, host: usize| {
@@ -464,10 +455,6 @@ fn master_rules() -> [(&'static str, Box<dyn MasterRule>); 4] {
     let sites = ["a", "b", "c"];
     let covise = CollabSession::new(&sites, SyncMode::ParamSync, build, |_| Link::gwin());
     [
-        (
-            "vbroker",
-            Box::new(Broker(VBroker::new(MemLink::pair().0), Vec::new())),
-        ),
         ("unicore proxy", Box::new(Proxy(proxy, Vec::new()))),
         (
             "steering session",
