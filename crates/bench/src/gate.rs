@@ -706,9 +706,24 @@ fn viz_fanout_frame(pool: &gridsteer_exec::ExecPool, mesh: &viz::TriMesh) -> viz
     r.into_framebuffer()
 }
 
+/// The φ = 0 isosurface of `phi` on `pool`, and the digest of its vertex
+/// and index bytes.
+fn viz_fanout_surface(pool: &gridsteer_exec::ExecPool, phi: &viz::Field3) -> (viz::TriMesh, u64) {
+    let mesh = viz::mc::isosurface_with(pool, phi, 0.0);
+    let vertices = mesh.vertices.iter().flat_map(|v| [v.x, v.y, v.z]);
+    let h = vertices.fold(FNV_OFFSET, |h, c| fold(h, &c.to_le_bytes()));
+    let h = mesh
+        .indices
+        .iter()
+        .fold(h, |h, i| fold(h, &i.to_le_bytes()));
+    (mesh, h)
+}
+
 /// The Figure-1 branch as loopbench's `viz_fanout` runs it, on a one-wide
 /// pool as loopbench does: LBM 16³ (seed 2003, 400 steps at miscibility 0
-/// — the workload's preroll), its φ = 0 isosurface (3 600 triangles)
+/// — the workload's preroll), its φ = 0 isosurface (3 600 triangles;
+/// `isosurface_16c`: the extraction alone, as the `viz.isosurface` span
+/// times it, digest over the mesh's vertex and index bytes)
 /// rendered from the workload's camera into 256² (`raster_16c_3600t`:
 /// rasterizer, clear and draw, as the `viz.raster` span times them), then
 /// the delta stream of that scene — the frames of the next `STREAM` steps
@@ -743,8 +758,16 @@ fn snap_viz() -> Vec<GateCell> {
             .fold(f64::INFINITY, f64::min)
     };
 
-    let mesh = surface(&sim);
+    let phi = sim.order_parameter();
+    let (mesh, surface_digest) = viz_fanout_surface(&pool, &phi);
     assert_eq!(mesh.tri_count(), 3600, "viz_fanout's scene changed");
+    let isosurface_us = fastest(ROUNDS, &mut || {
+        let t0 = Instant::now();
+        for _ in 0..ROUNDS {
+            std::hint::black_box(viz::mc::isosurface_with(&pool, &phi, 0.0));
+        }
+        t0.elapsed().as_secs_f64()
+    });
     let frame = draw(&mesh); // warm-up
     let raster_us = fastest(ROUNDS, &mut || {
         let t0 = Instant::now();
@@ -799,6 +822,11 @@ fn snap_viz() -> Vec<GateCell> {
 
     let payloads = stream.iter().map(|f| f.payload.as_slice());
     vec![
+        GateCell {
+            cell: "isosurface_16c".into(),
+            wall_us: isosurface_us,
+            digest: hex(surface_digest),
+        },
         GateCell {
             cell: "raster_16c_3600t".into(),
             wall_us: raster_us,
@@ -1317,9 +1345,10 @@ mod tests {
         assert_eq!(committed, expected);
     }
 
-    /// The φ fixture `viz`'s reference-fill tests render is the field
-    /// behind the gated `raster_16c_3600t` frame: rendered the way the gate
-    /// renders it, it folds to the committed digest, which the gate itself
+    /// The φ fixture `viz`'s reference-fill and extraction tests use is
+    /// the field behind the gated `isosurface_16c` mesh and
+    /// `raster_16c_3600t` frame: extracted and rendered the way the gate
+    /// does it, it folds to the committed digests, which the gate itself
     /// recomputes from the LBM on every run.
     #[test]
     fn the_viz_raster_fixture_is_the_gated_scene() {
@@ -1332,15 +1361,18 @@ mod tests {
             .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
             .collect();
         let pool = gridsteer_exec::shared(1);
-        let mesh = viz::mc::isosurface_with(&pool, &viz::Field3::from_vec(16, 16, 16, phi), 0.0);
+        let (mesh, surface) = viz_fanout_surface(&pool, &viz::Field3::from_vec(16, 16, 16, phi));
         let frame = viz_fanout_frame(&pool, &mesh);
         let committed = read_report(&root.join("baselines"), "viz").unwrap();
-        let cell = committed
-            .cells
-            .iter()
-            .find(|c| c.cell == "raster_16c_3600t")
-            .unwrap();
-        assert_eq!(hex(fold(FNV_OFFSET, frame.bytes())), cell.digest);
+        let digest = |name: &str| {
+            let cell = committed.cells.iter().find(|c| c.cell == name);
+            cell.unwrap().digest.clone()
+        };
+        assert_eq!(hex(surface), digest("isosurface_16c"));
+        assert_eq!(
+            hex(fold(FNV_OFFSET, frame.bytes())),
+            digest("raster_16c_3600t")
+        );
     }
 
     fn tempdir(tag: &str) -> std::path::PathBuf {

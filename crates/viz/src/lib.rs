@@ -24,11 +24,12 @@
 //!
 //! The three hot paths — triangle fill ([`raster`]), isosurface extraction
 //! ([`mc`]) and frame encoding ([`codec`]) — are parallel over the
-//! persistent [`gridsteer_exec`] pool: framebuffer row bands, one-cell z
-//! slabs and row-aligned byte bands respectively. All three use fixed
-//! chunk boundaries and ordered reductions, so their output is
-//! byte-identical for any thread count; `*_with` variants accept an
-//! explicit pool handle, the plain names use the shared default pool.
+//! persistent [`gridsteer_exec`] pool: framebuffer row bands, one
+//! contiguous range of z-slabs per worker, and row-aligned byte bands
+//! respectively. All three use ordered reductions, and the fill and the
+//! codec fixed chunk boundaries, so their output is byte-identical for any
+//! thread count; `*_with` variants accept an explicit pool handle, the
+//! plain names use the shared default pool.
 
 pub mod camera;
 pub mod codec;
@@ -39,6 +40,31 @@ pub mod mc;
 pub mod mesh;
 pub mod raster;
 pub mod vizserver;
+
+/// Fields the tests of several modules render.
+#[cfg(test)]
+mod fixtures {
+    use crate::Field3;
+
+    /// φ of the two-fluid LBM (`lbm::LbmConfig` with `nx = ny = nz = n`,
+    /// `seed: 2003`, everything else default), stepped 400 times at
+    /// miscibility 0 — `viz_fanout`'s preroll — as raw little-endian f32 in
+    /// `order_parameter_into`'s x-fastest order. The 16³ file is the field
+    /// behind the gate's `raster_16c_3600t` and `isosurface_16c` cells
+    /// (`gridsteer_bench`'s `gate` tests check those digests against it).
+    pub(crate) fn lbm_phi(n: usize) -> Field3 {
+        let bytes: &[u8] = match n {
+            16 => include_bytes!("../tests/fixtures/phi_16c_seed2003_400steps.f32"),
+            32 => include_bytes!("../tests/fixtures/phi_32c_seed2003_400steps.f32"),
+            _ => unreachable!("no fixture for {n}³"),
+        };
+        let data = bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect();
+        Field3::from_vec(n, n, n, data)
+    }
+}
 
 pub use camera::Camera;
 pub use codec::{DeltaRleCodec, EncodedFrame};

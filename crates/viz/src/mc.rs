@@ -13,6 +13,13 @@
 //! topologically unambiguous, and easy to verify — the right trade-off for
 //! a reproduction whose experiments measure *geometry volume and timing
 //! shape*, not GPU throughput.
+//!
+//! Extraction is parallel over contiguous ranges of one-cell z-slabs, one
+//! range per pool worker, each contoured into one mesh in the serial
+//! y-then-x order; the range meshes are concatenated in z order, so the
+//! mesh is the serial one byte for byte at every pool width. A one-wide
+//! pool makes one mesh and returns it: what it allocates is that mesh's
+//! growth and nothing else (`tests/alloc_isosurface.rs`).
 
 use crate::field::Field3;
 use crate::mesh::TriMesh;
@@ -150,22 +157,33 @@ fn extract_slab(field: &Field3, iso: f32, z: usize, mesh: &mut TriMesh) {
 /// Extract the isosurface `field == iso` as a triangle mesh in lattice
 /// coordinates, on `pool`. Normals are per-face geometric normals; use
 /// [`isosurface_smooth`] for normals oriented and smoothed by the field
-/// gradient. Extraction is parallel over one-cell-thick z-slabs; the slab
-/// meshes are concatenated in z order, reproducing the serial emission
-/// order exactly — the result is byte-identical for any thread count.
+/// gradient. The one-cell-thick z-slabs are split into `pool.threads()`
+/// contiguous ranges, each extracted into one mesh in the serial order;
+/// the range meshes are concatenated in z order, reproducing the serial
+/// emission order and index values exactly — the result is
+/// byte-identical for any thread count. On a one-wide pool the single
+/// range's mesh is the result, with no copy.
 pub fn isosurface_with(pool: &gridsteer_exec::ExecPool, field: &Field3, iso: f32) -> TriMesh {
     let (nx, ny, nz) = field.dims();
-    let mut mesh = TriMesh::new();
     if nx < 2 || ny < 2 || nz < 2 {
-        return mesh;
+        return TriMesh::new();
     }
-    let slabs = pool.map(nz - 1, |z| {
-        let mut m = TriMesh::new();
-        extract_slab(field, iso, z, &mut m);
-        m
-    });
-    for s in &slabs {
-        mesh.merge(s); // ordered reduction: slab z, then z+1, …
+    let slabs = nz - 1;
+    let ranges = pool.threads().min(slabs);
+    let extract = |r: usize| {
+        let mut mesh = TriMesh::new();
+        for z in r * slabs / ranges..(r + 1) * slabs / ranges {
+            extract_slab(field, iso, z, &mut mesh);
+        }
+        mesh
+    };
+    if ranges == 1 {
+        return extract(0);
+    }
+    let mut meshes = pool.map(ranges, extract).into_iter();
+    let mut mesh = meshes.next().expect("at least one range");
+    for m in meshes {
+        mesh.merge(&m); // ordered reduction: range r, then r + 1, …
     }
     mesh
 }
@@ -207,12 +225,74 @@ fn grad_at(field: &Field3, p: Vec3) -> Vec3 {
     field.gradient(x.min(nx - 1), y.min(ny - 1), z.min(nz - 1))
 }
 
+/// Extraction as it was before the range split — the executable spec
+/// [`isosurface_with`] is checked against, byte for byte.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// One mesh per z-slab, concatenated in z order.
+    pub(super) fn isosurface_with(
+        pool: &gridsteer_exec::ExecPool,
+        field: &Field3,
+        iso: f32,
+    ) -> TriMesh {
+        let (nx, ny, nz) = field.dims();
+        let mut mesh = TriMesh::new();
+        if nx < 2 || ny < 2 || nz < 2 {
+            return mesh;
+        }
+        let slabs = pool.map(nz - 1, |z| {
+            let mut m = TriMesh::new();
+            extract_slab(field, iso, z, &mut m);
+            m
+        });
+        for s in &slabs {
+            mesh.merge(s);
+        }
+        mesh
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn isosurface(field: &Field3, iso: f32) -> TriMesh {
         isosurface_with(&gridsteer_exec::global(), field, iso)
+    }
+
+    /// Every byte of a mesh: vertex and normal bits, then indices.
+    fn mesh_bytes(m: &TriMesh) -> (Vec<u32>, Vec<u32>) {
+        let floats = m
+            .vertices
+            .iter()
+            .chain(&m.normals)
+            .flat_map(|v| [v.x, v.y, v.z].map(f32::to_bits))
+            .collect();
+        (floats, m.indices.clone())
+    }
+
+    #[test]
+    fn range_split_extraction_is_the_per_slab_mesh_at_every_width() {
+        let fields = [
+            ("phi 16³", crate::fixtures::lbm_phi(16)),
+            ("phi 32³", crate::fixtures::lbm_phi(32)),
+            ("sphere 24³", sphere_field(24, 8.0)),
+        ];
+        let spec_pool = gridsteer_exec::shared(1);
+        for (name, field) in &fields {
+            let spec = reference::isosurface_with(&spec_pool, field, 0.0);
+            assert!(!spec.is_empty(), "{name}");
+            // 15, 31 and 23 slabs: 2, 3 and 8 ranges split them unevenly
+            for threads in [1, 2, 3, 8] {
+                let mesh = isosurface_with(&gridsteer_exec::shared(threads), field, 0.0);
+                assert!(
+                    mesh_bytes(&mesh) == mesh_bytes(&spec),
+                    "{name} at {threads} threads: other bytes than per-slab extraction"
+                );
+            }
+        }
     }
 
     fn sphere_field(n: usize, r: f32) -> Field3 {

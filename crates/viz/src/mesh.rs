@@ -9,6 +9,20 @@
 
 use crate::Vec3;
 
+/// The panic message of a mesh grown past what its `u32` indices address.
+const INDEX_LIMIT: &str = "a TriMesh addresses at most 2^32 vertices with its u32 indices";
+
+/// The index of the next vertex of a mesh holding `len`, when the `count`
+/// vertices appended from there all have `u32` indices. Panics otherwise,
+/// naming the limit, where a cast would wrap.
+fn vertex_base(len: usize, count: usize) -> u32 {
+    let last = len.checked_add(count.saturating_sub(1));
+    match (u32::try_from(len), last.map(u32::try_from)) {
+        (Ok(base), Some(Ok(_))) => base,
+        _ => panic!("{INDEX_LIMIT}: {len} + {count} vertices"),
+    }
+}
+
 /// An indexed triangle mesh with per-vertex normals.
 #[derive(Debug, Clone, Default)]
 pub struct TriMesh {
@@ -40,18 +54,19 @@ impl TriMesh {
     /// creating three new vertices (no deduplication — matches what a
     /// streaming marching-cubes extractor emits).
     pub fn push_tri(&mut self, a: Vec3, b: Vec3, c: Vec3, n: Vec3) {
-        let base = self.vertices.len() as u32;
+        let base = vertex_base(self.vertices.len(), 3);
         self.vertices.extend_from_slice(&[a, b, c]);
         self.normals.extend_from_slice(&[n, n, n]);
         self.indices.extend_from_slice(&[base, base + 1, base + 2]);
     }
 
-    /// Append another mesh.
+    /// Append another mesh. Panics if an index would pass `u32::MAX`.
     pub fn merge(&mut self, other: &TriMesh) {
-        let base = self.vertices.len() as u32;
+        let base = vertex_base(self.vertices.len(), other.vertices.len());
         self.vertices.extend_from_slice(&other.vertices);
         self.normals.extend_from_slice(&other.normals);
-        self.indices.extend(other.indices.iter().map(|&i| i + base));
+        let offset = |&i: &u32| i.checked_add(base).expect(INDEX_LIMIT);
+        self.indices.extend(other.indices.iter().map(offset));
     }
 
     /// Axis-aligned bounding box `(min, max)`, or `None` if empty.
@@ -152,6 +167,30 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.tri_count(), 24);
         assert!(a.indices[36..].iter().all(|&i| i >= n));
+    }
+
+    #[test]
+    fn vertex_indices_reach_u32_max_and_no_further() {
+        let max = u32::MAX as usize;
+        assert_eq!(vertex_base(0, 3), 0);
+        assert_eq!(vertex_base(max - 2, 3), u32::MAX - 2);
+        assert_eq!(vertex_base(max, 0), u32::MAX);
+        assert_eq!(vertex_base(max, 1), u32::MAX);
+        for (len, count) in [(max - 1, 3), (max, 2), (max + 1, 0), (usize::MAX, 2)] {
+            let refused = std::panic::catch_unwind(|| vertex_base(len, count));
+            assert!(refused.is_err(), "{len} + {count} vertices");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32 vertices")]
+    fn merge_refuses_an_index_that_would_wrap() {
+        let mut a = TriMesh::unit_cube();
+        let mut b = TriMesh::new();
+        b.vertices.push(Vec3::ZERO);
+        b.normals.push(Vec3::ZERO);
+        b.indices.extend_from_slice(&[0, 0, u32::MAX]);
+        a.merge(&b);
     }
 
     #[test]

@@ -11,10 +11,17 @@
 //! ([`Camera::projector`]), not once per vertex; each triangle is then
 //! projected, shaded and bounded once, and binned once, in mesh order,
 //! into the fixed 32-row bands it overlaps, so a band fills only its own
-//! triangles instead of testing every triangle of the mesh. Isosurface
-//! triangles are small (1.4 px of area in a 17 px box on `viz_fanout`'s
-//! frame), so this per-triangle overhead, not pixel work, is what a frame
-//! is made of.
+//! triangles instead of testing every triangle of the mesh.
+//!
+//! Isosurface triangles are small (1.4 px of area in a 17 px box on
+//! `viz_fanout`'s frame), yet the pixel work is not small beside the
+//! per-triangle setup. Measured in-process on that frame (3,600 triangles,
+//! 256², one worker, a two-vCPU x86-64 box): setup — projection, Lambert
+//! term, bounds and record — ~160 µs, binning ~13 µs, and the fill
+//! ~315 µs while its inside test ran one lane at a time, ~195 µs with
+//! the packed mask of `fill_band_masked`. Almost every row of such a
+//! box is shorter than eight pixels, so the fill works in masked 8-pixel
+//! blocks rather than in full blocks plus a scalar tail.
 
 use crate::camera::Camera;
 use crate::framebuffer::Framebuffer;
@@ -81,6 +88,20 @@ impl Rasterizer {
         mesh: &TriMesh,
         base: [u8; 4],
     ) {
+        self.draw_mesh_on(pool, cam, mesh, base, lanes::backend());
+    }
+
+    /// [`Rasterizer::draw_mesh_with`] with the fill of `backend`: the
+    /// masked lane fill for a lane-blocked backend, the scalar spec for
+    /// [`lanes::Backend::Scalar`]. Both leave the same bytes.
+    pub(crate) fn draw_mesh_on(
+        &mut self,
+        pool: &gridsteer_exec::ExecPool,
+        cam: &Camera,
+        mesh: &TriMesh,
+        base: [u8; 4],
+        backend: lanes::Backend,
+    ) {
         let (w, h) = (self.fb.width(), self.fb.height());
         if w == 0 || h == 0 {
             return;
@@ -108,7 +129,7 @@ impl Rasterizer {
                 bin.push(t);
             }
         }
-        let simd = lanes::simd_enabled();
+        let masked = backend.lane_blocked() && w <= LANE_EXACT_WIDTH;
         pool.parallel_chunks2(
             &mut self.zbuf,
             self.fb.bytes_mut(),
@@ -118,7 +139,7 @@ impl Rasterizer {
                 let y0 = bi * BAND_ROWS;
                 let y1 = y0 + zband.len() / w;
                 for t in &bins[bi] {
-                    fill_triangle_band(t, w, y0, y1, zband, cband, simd);
+                    fill_triangle_band(t, w, y0, y1, zband, cband, masked);
                 }
             },
         );
@@ -242,16 +263,19 @@ fn shade_pixel(
     }
 }
 
+/// The widest frame the masked fill runs on. A lane's pixel centre is
+/// `(x + 0.5) + l` where the scalar fill's is `(x + l) + 0.5`; both are
+/// exact, hence equal, while `x + l` is below 2²² (then `x + l + 0.5`
+/// needs at most 23 significant bits, and an `f32` has 24). Only lanes up
+/// to `max_x < w` are shaded, so every width up to 2²² qualifies; a wider
+/// frame fills with the scalar spec.
+const LANE_EXACT_WIDTH: usize = 1 << 22;
+
 /// Barycentric triangle fill with z interpolation, restricted to the
 /// framebuffer rows `[y0, y1)` held by `zband`/`cband`. The arithmetic is
 /// identical for every band split, so banded and whole-frame fills produce
-/// the same pixels.
-///
-/// With `simd` set, the row's edge functions are evaluated eight pixels
-/// per step in [`lanes::F32x8`] lanes; each lane performs exactly the
-/// scalar expression's operation sequence (the per-row factors are the
-/// same scalar subexpressions, broadcast), and the per-pixel tail is the
-/// shared [`shade_pixel`] — so scalar and SIMD fills are bit-identical.
+/// the same pixels. `masked` picks [`fill_band_masked`], else the scalar
+/// spec [`fill_band_scalar`]; the two write identical pixels.
 fn fill_triangle_band(
     t: &ShadedTri,
     w: usize,
@@ -259,54 +283,111 @@ fn fill_triangle_band(
     y1: usize,
     zband: &mut [f32],
     cband: &mut [u8],
-    simd: bool,
+    masked: bool,
 ) {
-    use lanes::F32x8;
+    if masked {
+        fill_band_masked(t, w, y0, y1, zband, cband);
+    } else {
+        fill_band_scalar(t, w, y0, y1, zband, cband);
+    }
+}
+
+/// The rows of `[y0, y1)` the triangle's bbox covers.
+fn band_rows(t: &ShadedTri, y0: usize, y1: usize) -> std::ops::RangeInclusive<usize> {
+    t.min_y.max(y0)..=t.max_y.min(y1.saturating_sub(1))
+}
+
+/// The scalar fill, one pixel at a time: the spec of the masked fill and
+/// the fill of `GRIDSTEER_SIMD=0`.
+fn fill_band_scalar(
+    t: &ShadedTri,
+    w: usize,
+    y0: usize,
+    y1: usize,
+    zband: &mut [f32],
+    cband: &mut [u8],
+) {
     let (a, b, c) = (t.a, t.b, t.c);
-    let (min_x, max_x, min_y, max_y) = (t.min_x, t.max_x, t.min_y, t.max_y);
-    let inv_area = t.inv_area;
-    for y in min_y.max(y0)..=max_y.min(y1.saturating_sub(1)) {
+    for y in band_rows(t, y0, y1) {
         let py = y as f32 + 0.5;
         let row_base = (y - y0) * w;
-        // per-row constants: exactly the scalar expression's
+        // per-row constants: exactly the per-pixel expression's
         // subexpressions, hoisted (same values, same rounding)
         let e0 = (b.0 - a.0) * (py - a.1);
         let e1 = (c.0 - b.0) * (py - b.1);
-        let mut x = min_x;
-        if simd {
-            while x + lanes::F32_LANES <= max_x + 1 {
-                let px = F32x8(std::array::from_fn(|l| (x + l) as f32 + 0.5));
-                let w0 = (F32x8::splat(e0) - F32x8::splat(b.1 - a.1) * (px - F32x8::splat(a.0)))
-                    * F32x8::splat(inv_area);
-                let w1 = (F32x8::splat(e1) - F32x8::splat(c.1 - b.1) * (px - F32x8::splat(b.0)))
-                    * F32x8::splat(inv_area);
-                let w2 = F32x8::splat(1.0) - w0 - w1;
-                for l in 0..lanes::F32_LANES {
-                    shade_pixel(t, w0.0[l], w1.0[l], w2.0[l], row_base, x + l, zband, cband);
-                }
-                x += lanes::F32_LANES;
-            }
-        }
-        for x in x..=max_x {
+        for x in t.min_x..=t.max_x {
             let px = x as f32 + 0.5;
-            let w0 = (e0 - (b.1 - a.1) * (px - a.0)) * inv_area;
-            let w1 = (e1 - (c.1 - b.1) * (px - b.0)) * inv_area;
+            let w0 = (e0 - (b.1 - a.1) * (px - a.0)) * t.inv_area;
+            let w1 = (e1 - (c.1 - b.1) * (px - b.0)) * t.inv_area;
             let w2 = 1.0 - w0 - w1;
             shade_pixel(t, w0, w1, w2, row_base, x, zband, cband);
         }
     }
 }
 
-/// The rasterizer as it was before the per-frame projector, the band bins
-/// and the clipped line walk — the executable spec the fast paths are
-/// checked against, bit for bit.
+/// The lane fill: each row in blocks of eight pixels, the last block
+/// reaching past `max_x`. A block's edge weights are [`F32x8`] lanes, each
+/// the scalar fill's operation sequence (the per-row factors are the same
+/// scalar subexpressions, broadcast; the pixel centre is exact, see
+/// [`LANE_EXACT_WIDTH`]). The inside test is two packed compares per
+/// weight and sign, joined as bitmasks; only the set lanes that are
+/// pixels of the bbox go through [`shade_pixel`], which every scalar
+/// pixel the test admits also goes through, so both fills write the same
+/// pixels. Kept out of line so its packed compares stay one symbol that
+/// the CI disassembly check can find.
+#[inline(never)]
+fn fill_band_masked(
+    t: &ShadedTri,
+    w: usize,
+    y0: usize,
+    y1: usize,
+    zband: &mut [f32],
+    cband: &mut [u8],
+) {
+    use lanes::{F32x8, F32_LANES};
+    let (a, b, c) = (t.a, t.b, t.c);
+    // an off-screen triangle can have `min_x > max_x + 1`: no pixels
+    let span = (t.max_x + 1).saturating_sub(t.min_x);
+    let lane = F32x8(std::array::from_fn(|l| l as f32));
+    let zero = F32x8::splat(0.0);
+    let (ab_y, bc_y) = (F32x8::splat(b.1 - a.1), F32x8::splat(c.1 - b.1));
+    let (ax, bx) = (F32x8::splat(a.0), F32x8::splat(b.0));
+    let inv_area = F32x8::splat(t.inv_area);
+    for y in band_rows(t, y0, y1) {
+        let py = y as f32 + 0.5;
+        let row_base = (y - y0) * w;
+        let e0 = F32x8::splat((b.0 - a.0) * (py - a.1));
+        let e1 = F32x8::splat((c.0 - b.0) * (py - b.1));
+        for start in (0..span).step_by(F32_LANES) {
+            let x = t.min_x + start;
+            let px = F32x8::splat(x as f32 + 0.5) + lane;
+            let w0 = (e0 - ab_y * (px - ax)) * inv_area;
+            let w1 = (e1 - bc_y * (px - bx)) * inv_area;
+            let w2 = F32x8::splat(1.0) - w0 - w1;
+            let ge = w0.ge_mask(zero) & w1.ge_mask(zero) & w2.ge_mask(zero);
+            let le = w0.le_mask(zero) & w1.le_mask(zero) & w2.le_mask(zero);
+            // the lanes that are pixels of this row's bbox
+            let live = u8::MAX >> (F32_LANES - (span - start).min(F32_LANES));
+            let mut inside = (ge | le) & live;
+            while inside != 0 {
+                let l = inside.trailing_zeros() as usize;
+                inside &= inside - 1;
+                shade_pixel(t, w0.0[l], w1.0[l], w2.0[l], row_base, x + l, zband, cband);
+            }
+        }
+    }
+}
+
+/// The rasterizer as it was before the per-frame projector, the band bins,
+/// the clipped line walk and the masked lane fill — the executable spec
+/// the fast paths are checked against, bit for bit.
 #[cfg(test)]
 mod reference {
     use super::*;
 
     /// Every vertex projected through [`Camera::project`] (the basis and
     /// `tan(fov/2)` recomputed per vertex), every band scanning every
-    /// triangle.
+    /// triangle with the scalar fill.
     pub(super) fn draw_mesh_with(
         r: &mut Rasterizer,
         pool: &gridsteer_exec::ExecPool,
@@ -341,7 +422,6 @@ mod reference {
         r.tris_drawn += tris.len();
         // degenerate (zero-area) triangles counted above never fill pixels
         let fillable: Vec<ShadedTri> = tris.into_iter().flatten().collect();
-        let simd = lanes::simd_enabled();
         pool.parallel_chunks2(
             &mut r.zbuf,
             r.fb.bytes_mut(),
@@ -354,7 +434,7 @@ mod reference {
                     if t.max_y < y0 || t.min_y >= y1 {
                         continue;
                     }
-                    fill_triangle_band(t, w, y0, y1, zband, cband, simd);
+                    fill_band_scalar(t, w, y0, y1, zband, cband);
                 }
             },
         );
@@ -388,7 +468,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mc, Field3};
+    use crate::mc;
 
     fn cam() -> Camera {
         Camera::look_at(Vec3::new(0.5, 0.5, -4.0), Vec3::new(0.5, 0.5, 0.5))
@@ -414,25 +494,6 @@ mod tests {
     fn image(r: &Rasterizer) -> (Vec<u8>, Vec<u32>) {
         let z = r.zbuf.iter().map(|z| z.to_bits()).collect();
         (r.fb.bytes().to_vec(), z)
-    }
-
-    /// φ of the two-fluid LBM (`lbm::LbmConfig` with `nx = ny = nz = n`,
-    /// `seed: 2003`, everything else default), stepped 400 times at
-    /// miscibility 0 — `viz_fanout`'s preroll — as raw little-endian f32 in
-    /// `order_parameter_into`'s x-fastest order. The 16³ file is the field
-    /// behind the gate's `raster_16c_3600t` cell (`gridsteer_bench`'s
-    /// `gate` tests check that digest against it).
-    fn lbm_phi(n: usize) -> Field3 {
-        let bytes: &[u8] = match n {
-            16 => include_bytes!("../tests/fixtures/phi_16c_seed2003_400steps.f32"),
-            32 => include_bytes!("../tests/fixtures/phi_32c_seed2003_400steps.f32"),
-            _ => unreachable!("no fixture for {n}³"),
-        };
-        let data = bytes
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect();
-        Field3::from_vec(n, n, n, data)
     }
 
     /// The fast fill and the reference fill leave the same colour bytes,
@@ -470,7 +531,11 @@ mod tests {
     fn the_viz_fanout_frame_is_the_reference_frame() {
         // LBM 16³, φ = 0, loopbench's camera (n = 16), its 256² target, and
         // sizes that are not multiples of 8 or of the 32-row band
-        let mesh = mc::isosurface_with(&gridsteer_exec::global(), &lbm_phi(16), 0.0);
+        let mesh = mc::isosurface_with(
+            &gridsteer_exec::global(),
+            &crate::fixtures::lbm_phi(16),
+            0.0,
+        );
         assert_eq!(mesh.tri_count(), 3600);
         let n = 16.0;
         let cam = Camera::look_at(
@@ -483,7 +548,11 @@ mod tests {
 
     #[test]
     fn lbm_32c_isosurfaces_are_the_reference_frames_from_three_cameras() {
-        let mesh = mc::isosurface_with(&gridsteer_exec::global(), &lbm_phi(32), 0.0);
+        let mesh = mc::isosurface_with(
+            &gridsteer_exec::global(),
+            &crate::fixtures::lbm_phi(32),
+            0.0,
+        );
         let c = Vec3::new(15.5, 15.5, 15.5);
         let outside = [
             Camera::look_at(Vec3::new(70.0, 54.0, -45.0), c),
@@ -604,6 +673,118 @@ mod tests {
                 .collect();
             assert_eq!(t.bands().collect::<Vec<_>>(), scanned, "rows {y0}..{y1}");
         }
+    }
+
+    /// Triangles placed in screen space for the camera at `(0, 0, -10)`
+    /// looking at the origin, on a `w × h` frame: small ones of every bbox
+    /// width up to 17 px at every column (either winding, depths 2–8, so
+    /// they overlap and z-test), ones past the right edge, wholly off
+    /// screen to either side, degenerate, and with a NaN vertex.
+    fn generated_mesh(w: usize, h: usize, seed: u64) -> TriMesh {
+        let mut state = seed;
+        // splitmix64, as a uniform f32 in [lo, hi)
+        let mut uniform = |lo: f32, hi: f32| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            lo + (hi - lo) * ((z ^ (z >> 31)) >> 40) as f32 / (1u64 << 24) as f32
+        };
+        let (wf, hf) = (w as f32, h as f32);
+        let half_h = (std::f32::consts::FRAC_PI_3 * 0.5).tan();
+        let half_w = half_h * wf / hf;
+        // the world point the camera projects to pixel (x, y) at depth d
+        let at = |x: f32, y: f32, d: f32| {
+            Vec3::new(
+                (0.5 - x / wf) * 2.0 * d * half_w,
+                (0.5 - y / hf) * 2.0 * d * half_h,
+                d - 10.0,
+            )
+        };
+        let mut mesh = TriMesh::new();
+        let n = Vec3::new(0.0, 0.0, -1.0);
+        for k in 0..400 {
+            let span = uniform(0.05, 17.0);
+            let x0 = match k % 8 {
+                // past the right edge, or wholly right or left of the frame
+                0 => wf - uniform(0.0, span),
+                1 => wf + uniform(1.0, 6.0),
+                2 => -span - uniform(0.5, 4.0),
+                _ => uniform(-2.0, wf + 2.0),
+            };
+            let y0 = uniform(-1.0, hf);
+            let tall = uniform(0.2, 6.0);
+            let mut p = [
+                (x0, y0 + uniform(0.0, tall)),
+                (x0 + span, y0 + uniform(0.0, tall)),
+                (x0 + uniform(0.0, span), y0 + tall),
+            ];
+            match k % 13 {
+                // degenerate: three collinear vertices
+                5 => p[2] = ((p[0].0 + p[1].0) * 0.5, (p[0].1 + p[1].1) * 0.5),
+                // the other winding
+                6 | 9 | 11 => p.swap(1, 2),
+                _ => {}
+            }
+            let mut v = p.map(|(x, y)| at(x, y, uniform(2.0, 8.0)));
+            if k % 17 == 3 {
+                v[k % 3].x = f32::NAN;
+            }
+            mesh.push_tri(v[0], v[1], v[2], n);
+        }
+        mesh
+    }
+
+    #[test]
+    fn generated_triangles_fill_alike_on_both_backends_and_as_the_reference() {
+        use lanes::Backend;
+        let cam = opaque(&Camera::look_at(Vec3::new(0.0, 0.0, -10.0), Vec3::ZERO));
+        // what the generated scenes hold, to show the edge cases are covered
+        let mut spans = [false; 18];
+        let (mut at_last_column, mut off_screen, mut degenerate) = (0, 0, 0);
+        let sizes = [(61, 23), (64, 40), (9, 9), (17, 70)];
+        for (seed, &(w, h)) in sizes.iter().enumerate() {
+            let mesh = generated_mesh(w, h, seed as u64);
+            let proj = cam.projector(w, h);
+            for t in mesh.indices.chunks_exact(3) {
+                let [a, b, c] = [0, 1, 2].map(|i| proj.project(mesh.vertices[t[i] as usize]));
+                match ShadedTri::prepare(a.unwrap(), b.unwrap(), c.unwrap(), [0; 4], w, h) {
+                    None => degenerate += 1,
+                    Some(t) if t.min_x > t.max_x => off_screen += 1,
+                    Some(t) => {
+                        spans[(t.max_x + 1 - t.min_x).min(17)] = true;
+                        at_last_column += usize::from(t.max_x == w - 1);
+                    }
+                }
+            }
+            for threads in [1, 8] {
+                let pool = gridsteer_exec::shared(threads);
+                let mut images = Vec::new();
+                for backend in [Backend::Scalar, Backend::Simd] {
+                    let mut r = Rasterizer::new(w, h);
+                    r.clear([10, 10, 30, 255]);
+                    r.draw_mesh_on(&pool, &cam, &mesh, [90, 170, 230, 255], backend);
+                    images.push((image(&r), r.tris_drawn));
+                }
+                let mut spec = Rasterizer::new(w, h);
+                spec.clear([10, 10, 30, 255]);
+                reference::draw_mesh_with(&mut spec, &pool, &cam, &mesh, [90, 170, 230, 255]);
+                let filled = spec.zbuf.iter().filter(|z| z.is_finite()).count();
+                assert!(filled > w, "{w}x{h}: the scene fills {filled} pixels");
+                for ((img, drawn), backend) in images.iter().zip(["scalar", "lane"]) {
+                    assert_eq!(*drawn, spec.tris_drawn, "{w}x{h} t{threads} {backend}");
+                    assert!(
+                        *img == image(&spec),
+                        "{w}x{h} at {threads} threads: the {backend} fill left other bytes than the reference"
+                    );
+                }
+            }
+        }
+        assert!(
+            spans[1..].iter().all(|&seen| seen),
+            "every bbox width of 1..=17 px: {spans:?}"
+        );
+        assert!(at_last_column > 0 && off_screen > 0 && degenerate > 0);
     }
 
     #[test]
