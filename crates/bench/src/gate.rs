@@ -293,8 +293,8 @@ impl MonitorEndpoint for FoldSink {
 
 /// The monitor publish path — the LBM 16³ surface built into a retained
 /// scratch and fanned out as borrowed payloads, the one path there is —
-/// then the warm payload build alone at 32³ (`payloads_into_cell`) and the
-/// four adapter cells of `deliver_cells`.
+/// then the warm payload build alone at 32³ and the fold of its φ frame
+/// (`cells_32c`) and the four adapter cells of `deliver_cells`.
 fn snap_monitor() -> Vec<GateCell> {
     use steer_core::{MonitorScratch, MonitorSource};
     const PUBLISHES: usize = 60;
@@ -334,16 +334,19 @@ fn snap_monitor() -> Vec<GateCell> {
         wall_us,
         digest: hex(h),
     }];
-    cells.push(payloads_into_cell());
+    cells.extend(cells_32c());
     cells.extend(deliver_cells(&sim));
     cells
 }
 
-/// One warm `monitor_payloads_into` of the LBM at 32³ — what the engine
-/// pays after every step to name its six monitored channels, before any
-/// frame is encoded. The digest folds the six payloads' canonical frame
-/// bytes.
-fn payloads_into_cell() -> GateCell {
+/// `payloads_into_32c`, one warm `monitor_payloads_into` of the LBM at
+/// 32³ — what the engine pays after every step to name its six monitored
+/// channels, before any frame is encoded; its digest folds the six
+/// payloads' canonical frame bytes. Then `fold_grid3_32c`, one
+/// `MonitorFrame::fold_fnv` of that surface's φ grid frame — what every
+/// viewer pays for each grid it receives — as the mean fold of the
+/// fastest of five batches; its digest is the fold.
+fn cells_32c() -> [GateCell; 2] {
     use steer_core::{MonitorScratch, MonitorSource};
     const ROUNDS: usize = 40;
     let mut sim = lbm::TwoFluidLbm::new(lbm::LbmConfig {
@@ -361,11 +364,33 @@ fn payloads_into_cell() -> GateCell {
         std::hint::black_box(sim.monitor_payloads_into(&mut scratch));
     }
     let wall_us = t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64;
-    GateCell {
+    let payloads_into = GateCell {
         cell: "payloads_into_32c".into(),
         wall_us,
         digest: hex(surface_digest(&sim, &mut scratch)),
-    }
+    };
+    let phi = MonitorFrame {
+        seq: 1,
+        step: sim.monitor_step(),
+        payload: (sim.monitor_payloads_into(&mut scratch).into_iter())
+            .find(|p| p.name() == "phi")
+            .expect("the lattice publishes phi"),
+    };
+    let wall_us = (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..ROUNDS {
+                std::hint::black_box(std::hint::black_box(&phi).fold_fnv(FNV_OFFSET));
+            }
+            t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    let fold = GateCell {
+        cell: "fold_grid3_32c".into(),
+        wall_us,
+        digest: hex(phi.fold_fnv(FNV_OFFSET)),
+    };
+    [payloads_into, fold]
 }
 
 /// The canonical frame bytes of `sim`'s monitor surface, numbered from 1,

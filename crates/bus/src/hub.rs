@@ -211,12 +211,16 @@ impl SteerHub {
         let st = self.state.lock();
         w.put_u64(st.next_batch);
         w.put_u64(st.commit_seq);
-        w.put_u32(st.staged.len() as u32);
+        w.put_u32(
+            u32::try_from(st.staged.len()).expect("staged batch count fits the format's u32"),
+        );
         for b in &st.staged {
             w.put_u64(b.seq);
             w.put_str(&b.origin);
             w.put_str(b.transport);
-            w.put_u32(b.commands.len() as u32);
+            w.put_u32(
+                u32::try_from(b.commands.len()).expect("batch command count fits the format's u32"),
+            );
             for c in &b.commands {
                 crate::ckpt::put_command(&mut w, c);
             }

@@ -21,11 +21,12 @@ pub const AUDIT_WINDOW: usize = 4096;
 
 /// The FNV-1a 64 offset basis: the state a digest starts from.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Fold `bytes` into a running FNV-1a 64 state — the one fold behind the
-/// audit-log fold, monitor-frame digests, scenario-report digests and
-/// bench cells.
+/// Fold `bytes` into a running FNV-1a 64 state — the one byte fold behind
+/// the audit-log fold, scenario-report digests, bench cells and the header
+/// and tail of a monitor frame's digest
+/// ([`MonitorFrame::fold_fnv`](crate::MonitorFrame::fold_fnv)).
 pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     bytes
         .iter()

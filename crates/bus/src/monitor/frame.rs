@@ -18,7 +18,7 @@
 //! payloads in their own native machinery and must round-trip losslessly
 //! (floats travel as raw bits, so NaN-filled grids survive bit-exactly).
 
-use crate::log::fnv1a;
+use crate::log::{fnv1a, FNV_PRIME};
 use bytes::BufMut;
 use gridsteer_ckpt::{CkptError, SectionReader};
 use std::borrow::Cow;
@@ -554,11 +554,130 @@ impl<'a> MonitorFrame<'a> {
             }
     }
 
-    /// Fold this frame's canonical bytes into a running FNV-1a 64 hash —
-    /// the byte-stable digest viewers and scenario reports accumulate.
+    /// Fold this frame into a running 64-bit digest — the byte-stable
+    /// digest viewers and scenario reports accumulate.
+    ///
+    /// The header (seq, step, kind, name length and name, then the scalar
+    /// or vec3 value, or the grid extents, or keyframe, `raw_size` and
+    /// data length) goes through [`fnv1a`] byte by byte, exactly as its
+    /// [`encode_bytes`](MonitorFrame::encode_bytes) encoding. The bulk —
+    /// the grid's `f32` bits or the frame's codec bytes, little-endian —
+    /// is read as `u64` words in 32-byte stripes into four lanes seeded
+    /// `(h ^ k) · FNV_PRIME` for lane `k`; each word steps its lane by
+    /// `x = (lane ^ word) · FNV_PRIME; lane = x ^ (x >> 32)`. The tail
+    /// (under 32 bytes), then each lane's eight bytes, go into `h` through
+    /// [`fnv1a`]. Scalar and vec3 frames have no bulk, so their fold is
+    /// plain FNV-1a over their encoding.
+    ///
+    /// Byte-wise FNV-1a is one serial `xor`+`imul` chain per byte, and a
+    /// viewer folds every grid it receives; four independent lanes a word
+    /// at a time overlap their multiplies. The xorshift carries a word's
+    /// high bits into the low ones, which the multiply alone never does.
+    /// Every step is a bijection of the lane state, so a change to any one
+    /// bulk bit changes the fold. The words are read from the payload's
+    /// own slices: the fold allocates nothing and is the same at any pool
+    /// width and on any backend.
+    ///
+    /// Panics on a channel name or codec payload too long for the codec's
+    /// length fields, as [`to_bytes`](MonitorFrame::to_bytes) does.
     pub fn fold_fnv(&self, h: u64) -> u64 {
-        fnv1a(h, &self.to_bytes())
+        const TOO_LONG: &str = "frame exceeds the codec's length fields";
+        let name = self.payload.name();
+        let mut h = fnv1a(h, &self.seq.to_le_bytes());
+        h = fnv1a(h, &self.step.to_le_bytes());
+        h = fnv1a(h, &[self.payload.kind() as u8]);
+        h = fnv1a(h, &u16::try_from(name.len()).expect(TOO_LONG).to_le_bytes());
+        h = fnv1a(h, name.as_bytes());
+        match &self.payload {
+            MonitorPayload::Scalar { value, .. } => fnv1a(h, &value.to_bits().to_le_bytes()),
+            MonitorPayload::Vec3 { value, .. } => value
+                .iter()
+                .fold(h, |h, c| fnv1a(h, &c.to_bits().to_le_bytes())),
+            MonitorPayload::Grid2 { nx, ny, data, .. } => {
+                h = fnv1a(h, &nx.to_le_bytes());
+                fold_f32s(fnv1a(h, &ny.to_le_bytes()), data)
+            }
+            MonitorPayload::Grid3 {
+                nx, ny, nz, data, ..
+            } => {
+                h = fnv1a(h, &nx.to_le_bytes());
+                h = fnv1a(h, &ny.to_le_bytes());
+                fold_f32s(fnv1a(h, &nz.to_le_bytes()), data)
+            }
+            MonitorPayload::Frame {
+                keyframe,
+                raw_size,
+                data,
+                ..
+            } => {
+                h = fnv1a(h, &[u8::from(*keyframe)]);
+                h = fnv1a(h, &raw_size.to_le_bytes());
+                h = fnv1a(h, &u32::try_from(data.len()).expect(TOO_LONG).to_le_bytes());
+                fold_bytes(h, data)
+            }
+        }
     }
+}
+
+/// Bytes per stripe: one `u64` word for each of [`MonitorFrame::fold_fnv`]'s
+/// four lanes.
+const STRIPE: usize = 32;
+
+/// Four FNV lanes seeded from `h`, fed one stripe of words at a time.
+struct Lanes([u64; 4]);
+
+impl Lanes {
+    fn seeded(h: u64) -> Lanes {
+        Lanes(std::array::from_fn(|k| {
+            (h ^ k as u64).wrapping_mul(FNV_PRIME)
+        }))
+    }
+
+    #[inline(always)]
+    fn stripe(&mut self, words: [u64; 4]) {
+        for (lane, word) in self.0.iter_mut().zip(words) {
+            let x = (*lane ^ word).wrapping_mul(FNV_PRIME);
+            *lane = x ^ (x >> 32);
+        }
+    }
+
+    /// The tail bytes, then each lane's bytes, into `h`.
+    fn finish(&self, h: u64, tail: impl IntoIterator<Item = u8>) -> u64 {
+        let h = tail.into_iter().fold(h, |h, b| fnv1a(h, &[b]));
+        (self.0.iter()).fold(h, |h, lane| fnv1a(h, &lane.to_le_bytes()))
+    }
+}
+
+/// [`MonitorFrame::fold_fnv`]'s bulk fold over a grid's `f32` bits: a word
+/// is two consecutive values, the first in its low half (their
+/// little-endian bytes).
+fn fold_f32s(h: u64, data: &[f32]) -> u64 {
+    let word = |v: &[f32]| u64::from(v[0].to_bits()) | u64::from(v[1].to_bits()) << 32;
+    let mut lanes = Lanes::seeded(h);
+    let stripes = data.chunks_exact(STRIPE / 4);
+    let tail = stripes.remainder();
+    for s in stripes {
+        lanes.stripe([
+            word(&s[0..2]),
+            word(&s[2..4]),
+            word(&s[4..6]),
+            word(&s[6..8]),
+        ]);
+    }
+    lanes.finish(h, tail.iter().flat_map(|v| v.to_bits().to_le_bytes()))
+}
+
+/// [`MonitorFrame::fold_fnv`]'s bulk fold over an encoded frame's bytes.
+fn fold_bytes(h: u64, data: &[u8]) -> u64 {
+    let mut lanes = Lanes::seeded(h);
+    let stripes = data.chunks_exact(STRIPE);
+    let tail = stripes.remainder();
+    for s in stripes {
+        lanes.stripe(std::array::from_fn(|k| {
+            u64::from_le_bytes(s[8 * k..8 * k + 8].try_into().expect("8-byte word"))
+        }));
+    }
+    lanes.finish(h, tail.iter().copied())
 }
 
 #[cfg(test)]
@@ -709,6 +828,215 @@ mod tests {
         let a = s[1].fold_fnv(s[0].fold_fnv(FNV_OFFSET));
         let b = s[0].fold_fnv(s[1].fold_fnv(FNV_OFFSET));
         assert_ne!(a, b, "frame order must be part of the digest");
+    }
+
+    /// The fold before the word lanes: FNV-1a over the whole encoding, a
+    /// byte at a time. It pins the scalar and vec3 folds, which kept it.
+    fn byte_fold(f: &MonitorFrame, h: u64) -> u64 {
+        fnv1a(h, &f.to_bytes())
+    }
+
+    /// [`MonitorFrame::fold_fnv`]'s definition over the encoding: the
+    /// bytes before the bulk through `fnv1a`, the bulk's whole stripes
+    /// word by word into four lanes, then the tail and the lanes.
+    fn spec_fold(f: &MonitorFrame, h: u64) -> u64 {
+        let bulk = match &f.payload {
+            MonitorPayload::Grid2 { data, .. } | MonitorPayload::Grid3 { data, .. } => {
+                data.len() * 4
+            }
+            MonitorPayload::Frame { data, .. } => data.len(),
+            _ => 0,
+        };
+        let bytes = f.to_bytes();
+        let (head, bulk) = bytes.split_at(bytes.len() - bulk);
+        let h = fnv1a(h, head);
+        let mut lanes: [u64; 4] = std::array::from_fn(|k| (h ^ k as u64).wrapping_mul(FNV_PRIME));
+        let (stripes, tail) = bulk.split_at(bulk.len() / STRIPE * STRIPE);
+        for (i, word) in stripes.chunks_exact(8).enumerate() {
+            let x = (lanes[i % 4] ^ u64::from_le_bytes(word.try_into().unwrap()))
+                .wrapping_mul(FNV_PRIME);
+            lanes[i % 4] = x ^ (x >> 32);
+        }
+        (lanes.iter()).fold(fnv1a(h, tail), |h, l| fnv1a(h, &l.to_le_bytes()))
+    }
+
+    fn frame(payload: MonitorPayload<'_>) -> MonitorFrame<'_> {
+        MonitorFrame {
+            seq: 7,
+            step: 3,
+            payload,
+        }
+    }
+
+    /// 16³ field values.
+    fn phi16() -> Vec<f32> {
+        (0..16 * 16 * 16).map(|i| (i as f32).sin()).collect()
+    }
+
+    /// A 16³ grid frame of [`phi16`].
+    fn grid16() -> MonitorFrame<'static> {
+        frame(MonitorPayload::grid3_borrowed("phi", 16, 16, 16, &phi16()).into_owned())
+    }
+
+    /// A delta+RLE codec keyframe of a 13×7 picture of noise.
+    fn render_frame() -> MonitorFrame<'static> {
+        let mut fb = viz::Framebuffer::new(13, 7);
+        let mut x = 1u32;
+        for b in fb.bytes_mut() {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            *b = (x >> 24) as u8;
+        }
+        let enc = viz::DeltaRleCodec::new().encode(&fb);
+        frame(MonitorPayload::frame(
+            "viz",
+            enc.keyframe,
+            enc.raw_size as u32,
+            enc.payload,
+        ))
+    }
+
+    #[test]
+    fn scalar_and_vec3_folds_are_the_byte_fold() {
+        let s = samples();
+        let pinned = [
+            (&s[0], 0x9004_0aa0_0fb3_9bba_u64),
+            (&s[1], 0xacf6_b813_a8bd_ccff),
+            (&s[5], 0x3c74_7d6e_134a_3763),
+        ];
+        for (f, want) in pinned {
+            assert_eq!(f.fold_fnv(FNV_OFFSET), byte_fold(f, FNV_OFFSET), "{f:?}");
+            assert_eq!(f.fold_fnv(FNV_OFFSET), want, "{f:?}");
+            assert_eq!(f.fold_fnv(want), byte_fold(f, want), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn the_fold_is_its_definition_at_every_bulk_length() {
+        // 0–70 bytes: empty, tail only, one stripe, stripe + tail, two
+        // stripes + tail; grids reach the same edges four bytes at a time
+        for n in 0..=70u8 {
+            let bytes: Vec<u8> = (0..n).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+            let f = frame(MonitorPayload::frame("viz", n % 2 == 0, 4096, bytes));
+            assert_eq!(f.fold_fnv(FNV_OFFSET), spec_fold(&f, FNV_OFFSET), "{n} B");
+        }
+        for n in 0..=17u32 {
+            let data: Vec<f32> = (0..n).map(|i| i as f32 - 8.5).collect();
+            let f = frame(MonitorPayload::grid2("mid", n, 1, data.clone()));
+            assert_eq!(
+                f.fold_fnv(FNV_OFFSET),
+                spec_fold(&f, FNV_OFFSET),
+                "{n} values"
+            );
+            let f = frame(MonitorPayload::grid3_borrowed("phi", 1, 1, n, &data));
+            assert_eq!(
+                f.fold_fnv(FNV_OFFSET),
+                spec_fold(&f, FNV_OFFSET),
+                "{n} values"
+            );
+        }
+        let f = grid16();
+        assert_eq!(f.fold_fnv(FNV_OFFSET), spec_fold(&f, FNV_OFFSET));
+        let f = render_frame();
+        assert_eq!(f.fold_fnv(FNV_OFFSET), spec_fold(&f, FNV_OFFSET));
+    }
+
+    #[test]
+    fn every_bit_of_a_16c_grid_moves_the_fold() {
+        let mut data = phi16();
+        let base = grid16().fold_fnv(FNV_OFFSET);
+        for i in 0..data.len() {
+            let v = data[i];
+            for bit in 0..32 {
+                data[i] = f32::from_bits(v.to_bits() ^ 1 << bit);
+                let flipped = frame(MonitorPayload::grid3_borrowed("phi", 16, 16, 16, &data));
+                assert_ne!(flipped.fold_fnv(FNV_OFFSET), base, "value {i} bit {bit}");
+            }
+            data[i] = v;
+        }
+        for bit in 0..64 {
+            let mut g = grid16();
+            g.seq ^= 1 << bit;
+            assert_ne!(g.fold_fnv(FNV_OFFSET), base, "seq bit {bit}");
+            g = grid16();
+            g.step ^= 1 << bit;
+            assert_ne!(g.fold_fnv(FNV_OFFSET), base, "step bit {bit}");
+        }
+    }
+
+    #[test]
+    fn every_byte_of_a_render_frame_moves_the_fold() {
+        let f = render_frame();
+        let base = f.fold_fnv(FNV_OFFSET);
+        let MonitorPayload::Frame {
+            keyframe,
+            raw_size,
+            data,
+            ..
+        } = &f.payload
+        else {
+            unreachable!()
+        };
+        assert!(data.len() > 2 * STRIPE && data.len() % STRIPE != 0);
+        for i in 0..data.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut bytes = data.to_vec();
+                bytes[i] ^= flip;
+                let g = frame(MonitorPayload::frame("viz", *keyframe, *raw_size, bytes));
+                assert_ne!(g.fold_fnv(FNV_OFFSET), base, "byte {i} ^ {flip:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn words_swapped_between_lanes_move_the_fold() {
+        let bytes: Vec<u8> = (0..64).collect();
+        let f = frame(MonitorPayload::frame("viz", true, 64, bytes.clone()));
+        for (a, b) in [(0, 1), (0, 3), (1, 2), (2, 7)] {
+            let mut swapped = bytes.clone();
+            for k in 0..8 {
+                swapped.swap(8 * a + k, 8 * b + k);
+            }
+            let g = frame(MonitorPayload::frame("viz", true, 64, swapped));
+            assert_ne!(
+                g.fold_fnv(FNV_OFFSET),
+                f.fold_fnv(FNV_OFFSET),
+                "{a} <-> {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn top_bit_flips_in_one_lane_do_not_cancel() {
+        // words 0 and 4 go to lane 0; without the xorshift, a top-bit flip
+        // passes the multiply unchanged and the second flip undoes it
+        let bytes: Vec<u8> = (0..64).collect();
+        let f = frame(MonitorPayload::frame("viz", true, 64, bytes.clone()));
+        let mut flipped = bytes;
+        flipped[7] ^= 0x80;
+        flipped[39] ^= 0x80;
+        let g = frame(MonitorPayload::frame("viz", true, 64, flipped));
+        assert_ne!(g.fold_fnv(FNV_OFFSET), f.fold_fnv(FNV_OFFSET));
+    }
+
+    #[test]
+    fn a_trailing_zero_value_moves_the_fold() {
+        for n in [7u32, 8, 15, 16] {
+            let data: Vec<f32> = (0..n).map(|i| i as f32).collect();
+            let mut longer = data.clone();
+            longer.push(0.0);
+            let f = frame(MonitorPayload::grid2("mid", n, 1, data));
+            let g = frame(MonitorPayload::grid2("mid", n + 1, 1, longer));
+            assert_ne!(f.fold_fnv(FNV_OFFSET), g.fold_fnv(FNV_OFFSET), "{n} values");
+        }
+    }
+
+    #[test]
+    fn a_decoded_frame_folds_as_the_frame_sent() {
+        for f in samples().into_iter().chain([grid16(), render_frame()]) {
+            let bytes = f.to_bytes();
+            let got = MonitorFrame::decode_borrowed(&mut &bytes[..]).expect("decodes");
+            assert_eq!(got.fold_fnv(FNV_OFFSET), f.fold_fnv(FNV_OFFSET), "{f:?}");
+        }
     }
 
     #[test]

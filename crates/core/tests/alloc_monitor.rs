@@ -14,7 +14,7 @@
 use gridsteer_bus::{
     FrameChunk, MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame, MonitorHub,
 };
-use gridsteer_testkit::{measure, CountingAlloc, Usage};
+use gridsteer_testkit::{measure, CountingAlloc};
 use lbm::{LbmConfig, TwoFluidLbm};
 use steer_core::{MonitorScratch, MonitorSource};
 
@@ -183,35 +183,4 @@ fn kind_filtered_subscriber_gets_views_not_copies_of_owned_grids() {
     );
     let stats = hub.stats_of("viewer").expect("viewer attached");
     assert_eq!((stats.delivered, stats.filtered), (2, 2));
-}
-
-#[test]
-fn folding_a_frame_encodes_it_once() {
-    // a frame digest encodes the frame into one buffer of its wire size
-    // and frees it — no growth, no second copy of the encoding
-    let sim = TwoFluidLbm::new(LbmConfig {
-        nx: 16,
-        ny: 16,
-        nz: 8,
-        threads: 1,
-        ..Default::default()
-    });
-    let mut scratch = MonitorScratch::default();
-    let phi = (sim.monitor_payloads_into(&mut scratch).into_iter())
-        .find(|p| p.name() == "phi")
-        .expect("the lattice publishes phi");
-    let frame = MonitorFrame {
-        seq: 1,
-        step: sim.monitor_step(),
-        payload: phi,
-    };
-    let (_, usage) = measure(|| frame.fold_fnv(gridsteer_bus::FNV_OFFSET));
-    assert_eq!(
-        usage,
-        Usage {
-            calls: 1,
-            live: 0,
-            largest: frame.wire_size(),
-        }
-    );
 }

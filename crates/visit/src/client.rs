@@ -151,11 +151,6 @@ impl<L: FrameLink> SteeringClient<L> {
     pub fn stats(&self) -> ClientStats {
         self.stats
     }
-
-    /// Access the underlying link.
-    pub fn link_mut(&mut self) -> &mut L {
-        &mut self.link
-    }
 }
 
 impl<L: FrameLink> Drop for SteeringClient<L> {

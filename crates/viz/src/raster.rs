@@ -243,10 +243,15 @@ fn shade_pixel(
     cband: &mut [u8],
 ) {
     let (a, b, c) = (t.a, t.b, t.c);
-    // inside test tolerant of either winding; non-short-circuit, so the
-    // six comparisons are one branch instead of a mispredicted chain
-    let inside =
-        ((w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)) | ((w0 <= 0.0) & (w1 <= 0.0) & (w2 <= 0.0));
+    // inside test; non-short-circuit, so the three comparisons are one
+    // branch instead of a mispredicted chain. The weights are divided by
+    // the signed area, so an inside pixel has all three `>= 0` under
+    // either winding, and "all three `<= 0`" can never hold: `w2` is
+    // `(1 − w0) − w1`, and with `w0, w1 <= 0` the exact values are
+    // `1 − w0 >= 1` and then `>= 1` again, which rounding (monotone, and
+    // 1 is representable) keeps `>= 1`; an infinite weight gives `+∞` and
+    // a NaN fails every comparison.
+    let inside = (w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0);
     if inside {
         // screen-space barycentric z with weights normalized to
         // tolerate either winding: w2→a, w0→b, w1→c
@@ -329,8 +334,8 @@ fn fill_band_scalar(
 /// reaching past `max_x`. A block's edge weights are [`F32x8`] lanes, each
 /// the scalar fill's operation sequence (the per-row factors are the same
 /// scalar subexpressions, broadcast; the pixel centre is exact, see
-/// [`LANE_EXACT_WIDTH`]). The inside test is two packed compares per
-/// weight and sign, joined as bitmasks; only the set lanes that are
+/// [`LANE_EXACT_WIDTH`]). The inside test is one packed compare per
+/// weight, joined as bitmasks; only the set lanes that are
 /// pixels of the bbox go through [`shade_pixel`], which every scalar
 /// pixel the test admits also goes through, so both fills write the same
 /// pixels. Kept out of line so its packed compares stay one symbol that
@@ -364,11 +369,11 @@ fn fill_band_masked(
             let w0 = (e0 - ab_y * (px - ax)) * inv_area;
             let w1 = (e1 - bc_y * (px - bx)) * inv_area;
             let w2 = F32x8::splat(1.0) - w0 - w1;
+            // `shade_pixel`'s inside test, lane-wise
             let ge = w0.ge_mask(zero) & w1.ge_mask(zero) & w2.ge_mask(zero);
-            let le = w0.le_mask(zero) & w1.le_mask(zero) & w2.le_mask(zero);
             // the lanes that are pixels of this row's bbox
             let live = u8::MAX >> (F32_LANES - (span - start).min(F32_LANES));
-            let mut inside = (ge | le) & live;
+            let mut inside = ge & live;
             while inside != 0 {
                 let l = inside.trailing_zeros() as usize;
                 inside &= inside - 1;
